@@ -19,7 +19,8 @@ fi
 # differentials (small-set, relational and auto domains vs the exact
 # Datalog backend, plus certificate checking on the catalog) — the
 # pair-set/value-set indexing they exercise is exactly what the
-# sanitizers watch.
+# sanitizers watch — and the makeP encoder/optimizer parity suite
+# (MakePParity: cached env prefixes, programs moved into dlopt).
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"

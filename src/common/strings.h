@@ -2,18 +2,56 @@
 #ifndef RAPAR_COMMON_STRINGS_H_
 #define RAPAR_COMMON_STRINGS_H_
 
+#include <charconv>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace rapar {
 
-// Streams all arguments into one string: StrCat("x=", 3, "!") == "x=3!".
+namespace strings_internal {
+
+template <typename T>
+inline constexpr bool kIsCharLike =
+    std::is_same_v<T, char> || std::is_same_v<T, signed char> ||
+    std::is_same_v<T, unsigned char>;
+
+// Appends `v` exactly as `std::ostringstream() << v` would render it with
+// default formatting: strings and characters verbatim (one-byte integers
+// are characters to a stream), bool as 0/1, other integers in decimal.
+// Every other type (floating point, ids, enums) goes through a stream.
+template <typename T>
+void Append(std::string& out, const T& v) {
+  if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+    out.append(std::string_view(v));
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out.push_back(v ? '1' : '0');
+  } else if constexpr (kIsCharLike<T>) {
+    out.push_back(static_cast<char>(v));
+  } else if constexpr (std::is_integral_v<T>) {
+    char buf[std::numeric_limits<T>::digits10 + 3];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+  } else {
+    std::ostringstream os;
+    os << v;
+    out += os.str();
+  }
+}
+
+}  // namespace strings_internal
+
+// Concatenates the stream renderings of all arguments:
+// StrCat("x=", 3, "!") == "x=3!". Strings, characters, bool and integers
+// are appended directly; other types fall back to operator<<.
 template <typename... Args>
 std::string StrCat(const Args&... args) {
-  std::ostringstream os;
-  (os << ... << args);
-  return os.str();
+  std::string out;
+  (strings_internal::Append(out, args), ...);
+  return out;
 }
 
 // Joins the elements of `parts` with `sep`.

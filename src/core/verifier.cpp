@@ -115,6 +115,9 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetCounter(metric::kDlOptCopyAliased, o.copy_aliased_removed);
   t.SetCounter(metric::kDlOptPredsBefore, o.preds_before);
   t.SetCounter(metric::kDlOptPredsAfter, o.preds_after);
+  t.SetGauge(metric::kPhaseMakePMs, dv.makep_ms);
+  t.SetGauge(metric::kPhaseDlOptMs, dv.dlopt_ms);
+  t.SetGauge(metric::kPhaseEvalMs, dv.eval_ms);
   // Shard/checkpoint metrics are activity-gated (like kMergeScans) so
   // default single-shard envelopes — and the goldens over them — are
   // byte-for-byte unchanged.

@@ -17,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/interner.h"
@@ -103,6 +104,10 @@ class Program {
   // untouched. Used by the dlopt transforms, which rewrite rules over the
   // original symbol numbering.
   void SetRules(std::vector<Rule> rules) { rules_ = std::move(rules); }
+  // Moves the rule list out, leaving the program with no rules and its
+  // tables intact (the dlopt transforms rewrite rules in place, then hand
+  // the survivors back through SetRules).
+  std::vector<Rule> TakeRules() { return std::exchange(rules_, {}); }
 
   std::size_t num_preds() const { return preds_.size(); }
   const PredInfo& pred(PredId p) const { return preds_[p]; }

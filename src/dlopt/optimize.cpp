@@ -1,9 +1,11 @@
 #include "dlopt/optimize.h"
 
+#include <algorithm>
 #include <cassert>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/strings.h"
 #include "dlopt/pred_graph.h"
@@ -38,26 +40,47 @@ std::string DlOptStats::ToString() const {
 namespace {
 
 // Per-predicate, per-position demanded constants; ⊤ ("any value") as soon
-// as some occurrence binds the position with a variable.
-struct Demand {
-  std::vector<std::vector<bool>> top;                     // [pred][pos]
-  std::vector<std::vector<std::unordered_set<dl::Sym>>> consts;
-
-  explicit Demand(const dl::Program& prog) {
-    top.resize(prog.num_preds());
-    consts.resize(prog.num_preds());
+// as some occurrence binds the position with a variable. Positions are
+// numbered flat (slot = first slot of the predicate + argument index).
+// Only a constant that some rule head carries can make a head
+// undemanded, so those (slot, constant) pairs are indexed once, from the
+// input rules (passes rename body predicates, never heads), and a round
+// only flags the pairs that a body atom or the query uses.
+class Demand {
+ public:
+  Demand(const dl::Program& prog, const std::vector<dl::Rule>& rules)
+      : base_(prog.num_preds() + 1, 0) {
     for (std::size_t p = 0; p < prog.num_preds(); ++p) {
-      top[p].assign(prog.pred(p).arity, false);
-      consts[p].resize(prog.pred(p).arity);
+      base_[p + 1] = base_[p] + prog.pred(p).arity;
     }
+    for (const dl::Rule& r : rules) {
+      const std::size_t slot = base_[r.head.pred];
+      for (std::size_t i = 0; i < r.head.args.size(); ++i) {
+        if (r.head.args[i].kind == dl::Term::Kind::kConst) {
+          pairs_.push_back(Key(slot + i, r.head.args[i].val));
+        }
+      }
+    }
+    std::sort(pairs_.begin(), pairs_.end());
+    pairs_.erase(std::unique(pairs_.begin(), pairs_.end()), pairs_.end());
+  }
+
+  void Clear() {
+    top_.assign(base_.back(), false);
+    used_.assign(pairs_.size(), false);
   }
 
   void AddUse(const dl::Atom& a) {
+    const std::size_t slot = base_[a.pred];
     for (std::size_t i = 0; i < a.args.size(); ++i) {
       if (a.args[i].kind == dl::Term::Kind::kConst) {
-        consts[a.pred][i].insert(a.args[i].val);
+        const auto it = std::lower_bound(pairs_.begin(), pairs_.end(),
+                                         Key(slot + i, a.args[i].val));
+        if (it != pairs_.end() && *it == Key(slot + i, a.args[i].val)) {
+          used_[static_cast<std::size_t>(it - pairs_.begin())] = true;
+        }
       } else {
-        top[a.pred][i] = true;
+        top_[slot + i] = true;
       }
     }
   }
@@ -65,23 +88,37 @@ struct Demand {
   // A head deriving `a` can be consumed: every constant head position is
   // demanded.
   bool HeadDemanded(const dl::Atom& a) const {
+    const std::size_t slot = base_[a.pred];
     for (std::size_t i = 0; i < a.args.size(); ++i) {
       if (a.args[i].kind != dl::Term::Kind::kConst) continue;
-      if (top[a.pred][i]) continue;
-      if (consts[a.pred][i].count(a.args[i].val) == 0) return false;
+      if (top_[slot + i]) continue;
+      const auto it = std::lower_bound(pairs_.begin(), pairs_.end(),
+                                       Key(slot + i, a.args[i].val));
+      if (!used_[static_cast<std::size_t>(it - pairs_.begin())]) return false;
     }
     return true;
   }
+
+ private:
+  static std::uint64_t Key(std::size_t slot, dl::Sym c) {
+    return (static_cast<std::uint64_t>(slot) << 32) | c;
+  }
+
+  std::vector<std::size_t> base_;     // [pred] -> first slot; back() = total
+  std::vector<std::uint64_t> pairs_;  // head (slot, constant) keys, sorted
+  std::vector<bool> top_;             // [slot]
+  std::vector<bool> used_;            // [pair index]
 };
 
 class Optimizer {
  public:
-  Optimizer(const dl::Program& prog, const dl::Atom& goal,
+  Optimizer(dl::Program prog, const dl::Atom& goal,
             const DlOptOptions& options)
-      : prog_(prog),
+      : prog_(std::move(prog)),
         goal_(goal),
         options_(options),
-        rules_(prog.rules()) {
+        rules_(prog_.TakeRules()),
+        demand_(prog_, rules_) {
     cause_.assign(rules_.size(), RemovalCause::kKept);
   }
 
@@ -140,54 +177,70 @@ class Optimizer {
     }
     while (changed) changed = cheap_passes();
 
-    OptimizeResult result{prog_, std::move(stats), {}};
-    std::vector<dl::Rule> rules;
+    // Count before the survivors are moved out of rules_.
+    stats.preds_after = MentionedPreds();
+    std::vector<dl::Rule> kept;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i)) rules.push_back(rules_[i]);
+      if (Alive(i)) kept.push_back(std::move(rules_[i]));
     }
-    result.stats.rules_after = rules.size();
-    result.prog.SetRules(std::move(rules));
-    result.stats.preds_after = MentionedPreds();
-    result.cause = std::move(cause_);
-    return result;
+    stats.rules_after = kept.size();
+    prog_.SetRules(std::move(kept));
+    return OptimizeResult{std::move(prog_), std::move(stats),
+                          std::move(cause_)};
   }
 
  private:
   bool Alive(std::size_t i) const {
     return cause_[i] == RemovalCause::kKept;
   }
-  std::size_t MentionedPreds() const {
-    std::vector<bool> seen(prog_.num_preds(), false);
+  std::size_t MentionedPreds() {
+    pred_flag_.assign(prog_.num_preds(), false);
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
       const dl::Rule& r = rules_[i];
-      seen[r.head.pred] = true;
-      for (const dl::Atom& a : r.body) seen[a.pred] = true;
+      pred_flag_[r.head.pred] = true;
+      for (const dl::Atom& a : r.body) pred_flag_[a.pred] = true;
     }
-    std::size_t n = 0;
-    for (bool b : seen) n += b;
-    return n;
+    return static_cast<std::size_t>(
+        std::count(pred_flag_.begin(), pred_flag_.end(), true));
+  }
+
+  // Groups the alive rules by head predicate into by_head_ (rules of p
+  // are by_head_[head_start_[p] .. head_start_[p + 1]), ascending).
+  void GroupByHead() {
+    head_start_.assign(prog_.num_preds() + 1, 0);
+    for (std::size_t i = 0; i < cause_.size(); ++i) {
+      if (Alive(i)) ++head_start_[rules_[i].head.pred + 1];
+    }
+    for (std::size_t p = 0; p < prog_.num_preds(); ++p) {
+      head_start_[p + 1] += head_start_[p];
+    }
+    by_head_.resize(head_start_.back());
+    fill_.assign(head_start_.begin(), head_start_.end() - 1);
+    for (std::size_t i = 0; i < cause_.size(); ++i) {
+      if (Alive(i)) by_head_[fill_[rules_[i].head.pred]++] = i;
+    }
   }
 
   // Least fixpoint of "can hold a tuple" over the alive rules.
   bool DropUnproductive(std::size_t* count) {
-    std::vector<bool> productive(prog_.num_preds(), false);
+    pred_flag_.assign(prog_.num_preds(), false);  // productive
     bool grew = true;
     while (grew) {
       grew = false;
       for (std::size_t i = 0; i < cause_.size(); ++i) {
         if (!Alive(i)) continue;
         const dl::Rule& r = rules_[i];
-        if (productive[r.head.pred]) continue;
+        if (pred_flag_[r.head.pred]) continue;
         bool all = true;
         for (const dl::Atom& a : r.body) {
-          if (!productive[a.pred]) {
+          if (!pred_flag_[a.pred]) {
             all = false;
             break;
           }
         }
         if (all) {
-          productive[r.head.pred] = true;
+          pred_flag_[r.head.pred] = true;
           grew = true;
         }
       }
@@ -196,7 +249,7 @@ class Optimizer {
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
       for (const dl::Atom& a : rules_[i].body) {
-        if (!productive[a.pred]) {
+        if (!pred_flag_[a.pred]) {
           cause_[i] = RemovalCause::kUnproductive;
           ++*count;
           changed = true;
@@ -208,29 +261,26 @@ class Optimizer {
   }
 
   bool DropUnreachable(std::size_t* count) {
-    std::vector<bool> reach(prog_.num_preds(), false);
-    std::deque<dl::PredId> work{goal_.pred};
-    reach[goal_.pred] = true;
     // Backward reachability over alive rules only.
-    std::vector<std::vector<std::size_t>> by_head(prog_.num_preds());
-    for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i)) by_head[rules_[i].head.pred].push_back(i);
-    }
-    while (!work.empty()) {
-      const dl::PredId p = work.front();
-      work.pop_front();
-      for (std::size_t i : by_head[p]) {
-        for (const dl::Atom& a : rules_[i].body) {
-          if (!reach[a.pred]) {
-            reach[a.pred] = true;
-            work.push_back(a.pred);
+    GroupByHead();
+    pred_flag_.assign(prog_.num_preds(), false);  // reachable
+    work_.assign(1, goal_.pred);
+    pred_flag_[goal_.pred] = true;
+    while (!work_.empty()) {
+      const dl::PredId p = work_.back();
+      work_.pop_back();
+      for (std::size_t k = head_start_[p]; k < head_start_[p + 1]; ++k) {
+        for (const dl::Atom& a : rules_[by_head_[k]].body) {
+          if (!pred_flag_[a.pred]) {
+            pred_flag_[a.pred] = true;
+            work_.push_back(a.pred);
           }
         }
       }
     }
     bool changed = false;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i) && !reach[rules_[i].head.pred]) {
+      if (Alive(i) && !pred_flag_[rules_[i].head.pred]) {
         cause_[i] = RemovalCause::kUnreachable;
         ++*count;
         changed = true;
@@ -240,15 +290,15 @@ class Optimizer {
   }
 
   bool DropUndemanded(std::size_t* count) {
-    Demand demand(prog_);
-    demand.AddUse(goal_);
+    demand_.Clear();
+    demand_.AddUse(goal_);
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
-      for (const dl::Atom& a : rules_[i].body) demand.AddUse(a);
+      for (const dl::Atom& a : rules_[i].body) demand_.AddUse(a);
     }
     bool changed = false;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i) && !demand.HeadDemanded(rules_[i].head)) {
+      if (Alive(i) && !demand_.HeadDemanded(rules_[i].head)) {
         cause_[i] = RemovalCause::kUndemanded;
         ++*count;
         changed = true;
@@ -263,13 +313,13 @@ class Optimizer {
   // is also p's *only* derivation (no other rule, no fact) and p is not
   // the query predicate, p ≡ q — rewrite every occurrence of p to q and
   // drop the rule. makeP's dis-chain nop/assume/assign steps have exactly
-  // this shape.
-  static bool IsIdentityCopy(const dl::Rule& r) {
+  // this shape. `body_pred` is the body atom's predicate after the
+  // aliases recorded so far.
+  static bool IsIdentityCopy(const dl::Rule& r, dl::PredId body_pred) {
     if (r.body.size() != 1 || !r.natives.empty()) return false;
     const dl::Atom& b = r.body[0];
-    if (b.pred == r.head.pred) return false;
+    if (body_pred == r.head.pred) return false;
     if (r.head.args.size() != b.args.size()) return false;
-    std::unordered_set<dl::VarSym> seen;
     for (std::size_t i = 0; i < b.args.size(); ++i) {
       const dl::Term& h = r.head.args[i];
       const dl::Term& t = b.args[i];
@@ -277,74 +327,113 @@ class Optimizer {
         return false;
       }
       if (h.val != t.val) return false;
-      if (!seen.insert(h.val).second) return false;  // repeated variable
+      for (std::size_t j = 0; j < i; ++j) {
+        if (r.head.args[j].val == h.val) return false;  // repeated variable
+      }
     }
     return true;
   }
 
-  bool DropCopyAliases(std::size_t* count) {
-    bool changed = false;
-    bool again = true;
-    while (again) {
-      again = false;
-      // Defining-rule census over the alive rules (facts included).
-      std::vector<std::size_t> defs(prog_.num_preds(), 0);
-      std::vector<std::size_t> def_rule(prog_.num_preds(), 0);
-      for (std::size_t i = 0; i < cause_.size(); ++i) {
-        if (!Alive(i)) continue;
-        ++defs[rules_[i].head.pred];
-        def_rule[rules_[i].head.pred] = i;
-      }
-      for (std::size_t p = 0; p < prog_.num_preds(); ++p) {
-        if (defs[p] != 1 || p == goal_.pred) continue;
-        const std::size_t i = def_rule[p];
-        if (!IsIdentityCopy(rules_[i])) continue;
-        const dl::PredId q = rules_[i].body[0].pred;
-        cause_[i] = RemovalCause::kCopyAliased;
-        ++*count;
-        for (std::size_t j = 0; j < cause_.size(); ++j) {
-          if (!Alive(j)) continue;
-          for (dl::Atom& a : rules_[j].body) {
-            if (a.pred == p) a.pred = q;
-          }
-        }
-        changed = again = true;
-        break;  // census is stale; rescan (chains collapse link by link)
-      }
-    }
-    return changed;
+  // The predicate `p` stands for after the aliases recorded in alias_.
+  dl::PredId Resolve(dl::PredId p) const {
+    while (alias_[p] != p) p = alias_[p];
+    return p;
   }
 
-  bool DropDuplicates(std::size_t* count) {
-    std::unordered_set<std::string> seen;
-    bool changed = false;
+  // One forward sweep over the predicates. Aliasing p removes only p's
+  // defining rule and renames body occurrences of p, so no predicate's
+  // definition count changes and no rule becomes an identity copy that
+  // was not one before: a predicate skipped earlier in the sweep stays
+  // ineligible, and the sweep aliases exactly the predicates (in the same
+  // order) that a rescan after every alias would. The renaming is applied
+  // to the alive rules once, at the end.
+  bool DropCopyAliases(std::size_t* count) {
+    // Defining-rule census over the alive rules (facts included).
+    defs_.assign(prog_.num_preds(), 0);
+    def_rule_.resize(prog_.num_preds());
     for (std::size_t i = 0; i < cause_.size(); ++i) {
       if (!Alive(i)) continue;
-      if (!seen.insert(CanonicalRuleKey(rules_[i])).second) {
-        cause_[i] = RemovalCause::kDuplicate;
-        ++*count;
-        changed = true;
-      }
+      ++defs_[rules_[i].head.pred];
+      def_rule_[rules_[i].head.pred] = i;
+    }
+    alias_.resize(prog_.num_preds());
+    for (std::size_t p = 0; p < alias_.size(); ++p) {
+      alias_[p] = static_cast<dl::PredId>(p);
+    }
+    bool changed = false;
+    for (std::size_t p = 0; p < prog_.num_preds(); ++p) {
+      if (defs_[p] != 1 || p == goal_.pred) continue;
+      const dl::Rule& r = rules_[def_rule_[p]];
+      if (r.body.size() != 1) continue;
+      const dl::PredId q = Resolve(r.body[0].pred);
+      if (!IsIdentityCopy(r, q)) continue;
+      cause_[def_rule_[p]] = RemovalCause::kCopyAliased;
+      ++*count;
+      alias_[p] = q;
+      changed = true;
+    }
+    if (!changed) return false;
+    for (std::size_t j = 0; j < cause_.size(); ++j) {
+      if (!Alive(j)) continue;
+      for (dl::Atom& a : rules_[j].body) a.pred = Resolve(a.pred);
+    }
+    return true;
+  }
+
+  // Within each group of alive rules with equal canonical keys, the
+  // lowest-index rule survives. The keys are laid end to end in one
+  // buffer and grouped by sorting (key, rule index).
+  bool DropDuplicates(std::size_t* count) {
+    keys_.clear();
+    key_end_.clear();
+    key_rule_.clear();
+    for (std::size_t i = 0; i < cause_.size(); ++i) {
+      if (!Alive(i)) continue;
+      AppendCanonicalRuleKey(rules_[i], keys_, renumber_);
+      key_end_.push_back(keys_.size());
+      key_rule_.push_back(i);
+    }
+    // Key k ends at key_end_[k] and belongs to rule key_rule_[k]; the
+    // positions k are sorted, so each key stays addressable.
+    order_.resize(key_rule_.size());
+    for (std::size_t k = 0; k < order_.size(); ++k) order_[k] = k;
+    const auto key = [this](std::size_t k) {
+      const std::size_t begin = k == 0 ? 0 : key_end_[k - 1];
+      return std::string_view(keys_).substr(begin, key_end_[k] - begin);
+    };
+    std::sort(order_.begin(), order_.end(),
+              [&](std::size_t a, std::size_t b) {
+                const int c = key(a).compare(key(b));
+                return c < 0 || (c == 0 && a < b);
+              });
+    bool changed = false;
+    for (std::size_t k = 1; k < order_.size(); ++k) {
+      if (key(order_[k]) != key(order_[k - 1])) continue;
+      cause_[key_rule_[order_[k]]] = RemovalCause::kDuplicate;
+      ++*count;
+      changed = true;
     }
     return changed;
   }
 
+  // Head-predicate groups are independent (a removal in one group changes
+  // no other group's candidates), so they are visited in predicate order.
   bool DropSubsumed(std::size_t* count) {
-    std::unordered_map<dl::PredId, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (Alive(i)) groups[rules_[i].head.pred].push_back(i);
-    }
+    GroupByHead();
     bool changed = false;
-    for (const auto& [pred, members] : groups) {
-      if (members.size() < 2 ||
-          members.size() > options_.max_subsumption_group) {
+    for (std::size_t p = 0; p < prog_.num_preds(); ++p) {
+      const std::size_t begin = head_start_[p];
+      const std::size_t end = head_start_[p + 1];
+      if (end - begin < 2 || end - begin > options_.max_subsumption_group) {
         continue;
       }
-      for (std::size_t j : members) {
+      for (std::size_t a = begin; a < end; ++a) {
+        const std::size_t j = by_head_[a];
         if (!Alive(j)) continue;
-        for (std::size_t i : members) {
+        for (std::size_t b = begin; b < end; ++b) {
+          const std::size_t i = by_head_[b];
           if (i == j || !Alive(i)) continue;
-          if (Subsumes(rules_[i], rules_[j])) {
+          if (matcher_.Subsumes(rules_[i], rules_[j])) {
             cause_[j] = RemovalCause::kSubsumed;
             ++*count;
             changed = true;
@@ -356,22 +445,39 @@ class Optimizer {
     return changed;
   }
 
-  const dl::Program& prog_;
+  dl::Program prog_;  // rules moved out into rules_; tables stay
   const dl::Atom goal_;
   const DlOptOptions& options_;
-  // Working copy: aliasing rewrites these in place; indices match the
-  // input program's rule list (and cause_).
+  // Aliasing rewrites these in place; indices match the input program's
+  // rule list (and cause_).
   std::vector<dl::Rule> rules_;
   std::vector<RemovalCause> cause_;
+  // Scratch reused across passes and rounds.
+  Demand demand_;
+  SubsumptionMatcher matcher_;
+  // One flag per predicate: mentioned, productive or reachable,
+  // depending on the pass using it.
+  std::vector<bool> pred_flag_;
+  std::vector<dl::PredId> work_;
+  std::vector<std::size_t> head_start_;
+  std::vector<std::size_t> fill_;
+  std::vector<std::size_t> by_head_;
+  std::vector<std::size_t> defs_;
+  std::vector<std::size_t> def_rule_;
+  std::vector<dl::PredId> alias_;
+  std::string keys_;
+  std::vector<std::size_t> key_end_;
+  std::vector<std::size_t> key_rule_;
+  std::vector<std::size_t> order_;
+  std::vector<std::uint32_t> renumber_;
 };
 
 }  // namespace
 
-OptimizeResult OptimizeForQuery(const dl::Program& prog,
-                                const dl::Atom& goal,
+OptimizeResult OptimizeForQuery(dl::Program prog, const dl::Atom& goal,
                                 const DlOptOptions& options) {
   assert(goal.pred < prog.num_preds());
-  Optimizer opt(prog, goal, options);
+  Optimizer opt(std::move(prog), goal, options);
   return opt.Run();
 }
 

@@ -26,8 +26,10 @@
 //      dis-chain steps makeP emits for nop/assume/assign are exactly this
 //      shape, so long guessed runs collapse to their load/store skeleton.
 //
-// The result shares the input's predicate and constant tables, so Sym
-// values (and the natives that capture them) stay valid.
+// The input program is consumed: the result *is* the input with its
+// surviving rules, so it keeps the input's predicate and constant tables
+// and Sym values (and the natives that capture them) stay valid. Callers
+// that still need the input pass a copy.
 #ifndef RAPAR_DLOPT_OPTIMIZE_H_
 #define RAPAR_DLOPT_OPTIMIZE_H_
 
@@ -93,9 +95,10 @@ enum class RemovalCause : std::uint8_t {
 };
 
 // Optimizes `prog` for the ground query `goal`. Requires goal.pred to be
-// a predicate of `prog` and goal ground. Surviving rules may be rewritten
-// (copy-rule aliasing renames predicates inside them); removed rules are
-// reported against the input rule indices.
+// a predicate of `prog` and goal ground. Surviving rules are moved into
+// the result and may be rewritten (copy-rule aliasing renames predicates
+// inside them); removed rules are reported against the input rule
+// indices.
 struct OptimizeResult {
   dl::Program prog;
   DlOptStats stats;
@@ -103,8 +106,7 @@ struct OptimizeResult {
   std::vector<RemovalCause> cause;
 };
 
-OptimizeResult OptimizeForQuery(const dl::Program& prog,
-                                const dl::Atom& goal,
+OptimizeResult OptimizeForQuery(dl::Program prog, const dl::Atom& goal,
                                 const DlOptOptions& options = {});
 
 }  // namespace rapar::dlopt

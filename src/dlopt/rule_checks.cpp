@@ -1,7 +1,7 @@
 #include "dlopt/rule_checks.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <optional>
 
 #include "common/strings.h"
 
@@ -25,142 +25,135 @@ std::size_t NumVars(const dl::Rule& rule) {
   return mx;
 }
 
+void AppendU32(std::string& key, std::uint32_t v) {
+  key.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
 }  // namespace
 
 std::string CanonicalRuleKey(const dl::Rule& rule) {
-  std::vector<std::uint32_t> renumber(NumVars(rule), UINT32_MAX);
+  std::string key;
+  std::vector<std::uint32_t> renumber;
+  AppendCanonicalRuleKey(rule, key, renumber);
+  return key;
+}
+
+void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
+                            std::vector<std::uint32_t>& renumber) {
+  // Fixed-width binary fields: counts and ids as 4 bytes, each term as a
+  // kind byte plus 4 bytes, native tags length-prefixed.
+  renumber.assign(NumVars(rule), UINT32_MAX);
   std::uint32_t next = 0;
   auto term = [&](const dl::Term& t) {
-    if (t.kind == dl::Term::Kind::kConst) return StrCat("c", t.val);
+    if (t.kind == dl::Term::Kind::kConst) {
+      key.push_back('c');
+      AppendU32(key, t.val);
+      return;
+    }
     if (renumber[t.val] == UINT32_MAX) renumber[t.val] = next++;
-    return StrCat("v", renumber[t.val]);
+    key.push_back('v');
+    AppendU32(key, renumber[t.val]);
   };
   auto atom = [&](const dl::Atom& a) {
-    std::string out = StrCat("p", a.pred, "(");
-    for (const dl::Term& t : a.args) out += term(t) + ",";
-    return out + ")";
+    AppendU32(key, a.pred);
+    AppendU32(key, static_cast<std::uint32_t>(a.args.size()));
+    for (const dl::Term& t : a.args) term(t);
   };
-  std::string key = "H" + atom(rule.head) + "|B";
-  for (const dl::Atom& a : rule.body) key += atom(a) + ";";
-  key += "|N";
+  atom(rule.head);
+  AppendU32(key, static_cast<std::uint32_t>(rule.body.size()));
+  for (const dl::Atom& a : rule.body) atom(a);
+  AppendU32(key, static_cast<std::uint32_t>(rule.natives.size()));
   for (const dl::Native& n : rule.natives) {
     if (n.tag.empty()) {
       // Unknown function: a key that collides with nothing (the native's
       // own address is unique per rule instance).
-      key += StrCat("?", reinterpret_cast<std::uintptr_t>(&n), ";");
+      key.push_back('?');
+      const auto addr = reinterpret_cast<std::uintptr_t>(&n);
+      key.append(reinterpret_cast<const char*>(&addr), sizeof addr);
       continue;
     }
-    key += StrCat("[", n.tag, "](");
-    for (const dl::Term& t : n.inputs) key += term(t) + ",";
-    key += ")";
+    key.push_back('[');
+    AppendU32(key, static_cast<std::uint32_t>(n.tag.size()));
+    key += n.tag;
+    AppendU32(key, static_cast<std::uint32_t>(n.inputs.size()));
+    for (const dl::Term& t : n.inputs) term(t);
     if (n.output.has_value()) {
-      const dl::Term out = dl::V(*n.output);
-      key += "->" + term(out);
+      key.push_back('>');
+      term(dl::V(*n.output));
+    } else {
+      key.push_back('.');
     }
-    key += ";";
   }
-  return key;
 }
 
-namespace {
-
-// Substitution from `general`'s variables to terms of `specific`.
-class Subst {
- public:
-  explicit Subst(std::size_t num_vars) : map_(num_vars) {}
-
-  bool MatchTerm(const dl::Term& g, const dl::Term& s) {
-    if (g.kind == dl::Term::Kind::kConst) {
-      return s.kind == dl::Term::Kind::kConst && s.val == g.val;
-    }
-    if (map_[g.val].has_value()) return *map_[g.val] == s;
-    map_[g.val] = s;
-    trail_.push_back(g.val);
-    return true;
+bool SubsumptionMatcher::MatchTerm(const dl::Term& g, const dl::Term& s) {
+  if (g.kind == dl::Term::Kind::kConst) {
+    return s.kind == dl::Term::Kind::kConst && s.val == g.val;
   }
+  if (bound_[g.val]) return map_[g.val] == s;
+  bound_[g.val] = true;
+  map_[g.val] = s;
+  trail_.push_back(g.val);
+  return true;
+}
 
-  bool MatchAtom(const dl::Atom& g, const dl::Atom& s) {
-    if (g.pred != s.pred || g.args.size() != s.args.size()) return false;
-    for (std::size_t i = 0; i < g.args.size(); ++i) {
-      if (!MatchTerm(g.args[i], s.args[i])) return false;
-    }
-    return true;
+bool SubsumptionMatcher::MatchAtom(const dl::Atom& g, const dl::Atom& s) {
+  if (g.pred != s.pred || g.args.size() != s.args.size()) return false;
+  for (std::size_t i = 0; i < g.args.size(); ++i) {
+    if (!MatchTerm(g.args[i], s.args[i])) return false;
   }
+  return true;
+}
 
-  std::size_t Mark() const { return trail_.size(); }
-  void Undo(std::size_t mark) {
-    while (trail_.size() > mark) {
-      map_[trail_.back()] = std::nullopt;
-      trail_.pop_back();
-    }
-  }
-
- private:
-  std::vector<std::optional<dl::Term>> map_;
-  std::vector<dl::VarSym> trail_;
-};
-
-bool MatchNative(const dl::Native& g, const dl::Native& s, Subst& subst) {
+bool SubsumptionMatcher::MatchNative(const dl::Native& g,
+                                     const dl::Native& s) {
   if (g.tag.empty() || g.tag != s.tag) return false;
   if (g.inputs.size() != s.inputs.size()) return false;
   if (g.output.has_value() != s.output.has_value()) return false;
   for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-    if (!subst.MatchTerm(g.inputs[i], s.inputs[i])) return false;
+    if (!MatchTerm(g.inputs[i], s.inputs[i])) return false;
   }
-  if (g.output.has_value() &&
-      !subst.MatchTerm(dl::V(*g.output), dl::V(*s.output))) {
+  if (g.output.has_value() && !MatchTerm(dl::V(*g.output), dl::V(*s.output))) {
     return false;
   }
   return true;
 }
 
-struct SubsumeSearch {
-  const dl::Rule& general;
-  const dl::Rule& specific;
-  Subst subst;
-  int budget = 10'000;
-
-  SubsumeSearch(const dl::Rule& g, const dl::Rule& s)
-      : general(g), specific(s), subst(NumVars(g)) {}
-
-  bool Run() {
-    if (!subst.MatchAtom(general.head, specific.head)) return false;
-    return Body(0);
+void SubsumptionMatcher::Undo(std::size_t mark) {
+  while (trail_.size() > mark) {
+    bound_[trail_.back()] = false;
+    trail_.pop_back();
   }
+}
 
-  // θ(body(general)) ⊆ body(specific), as sets: each general atom maps to
-  // *some* specific atom (reuse allowed).
-  bool Body(std::size_t at) {
-    if (at == general.body.size()) return Natives(0);
-    if (--budget < 0) return false;
-    for (const dl::Atom& cand : specific.body) {
-      const std::size_t mark = subst.Mark();
-      if (subst.MatchAtom(general.body[at], cand) && Body(at + 1)) {
-        return true;
-      }
-      subst.Undo(mark);
+// θ(body(general)) ⊆ body(specific), as sets: each general atom maps to
+// *some* specific atom (reuse allowed).
+bool SubsumptionMatcher::Body(std::size_t at) {
+  if (at == general_->body.size()) return Natives(0);
+  if (--budget_ < 0) return false;
+  for (const dl::Atom& cand : specific_->body) {
+    const std::size_t mark = trail_.size();
+    if (MatchAtom(general_->body[at], cand) && Body(at + 1)) return true;
+    Undo(mark);
+  }
+  return false;
+}
+
+bool SubsumptionMatcher::Natives(std::size_t at) {
+  if (at == general_->natives.size()) return true;
+  if (--budget_ < 0) return false;
+  for (const dl::Native& cand : specific_->natives) {
+    const std::size_t mark = trail_.size();
+    if (MatchNative(general_->natives[at], cand) && Natives(at + 1)) {
+      return true;
     }
-    return false;
+    Undo(mark);
   }
+  return false;
+}
 
-  bool Natives(std::size_t at) {
-    if (at == general.natives.size()) return true;
-    if (--budget < 0) return false;
-    for (const dl::Native& cand : specific.natives) {
-      const std::size_t mark = subst.Mark();
-      if (MatchNative(general.natives[at], cand, subst) &&
-          Natives(at + 1)) {
-        return true;
-      }
-      subst.Undo(mark);
-    }
-    return false;
-  }
-};
-
-}  // namespace
-
-bool Subsumes(const dl::Rule& general, const dl::Rule& specific) {
+bool SubsumptionMatcher::Subsumes(const dl::Rule& general,
+                                  const dl::Rule& specific) {
   // A rule with an unknown (untagged) native cannot be proved harmless in
   // either role.
   for (const dl::Native& n : general.natives) {
@@ -168,8 +161,23 @@ bool Subsumes(const dl::Rule& general, const dl::Rule& specific) {
   }
   if (general.body.size() > specific.body.size()) return false;
   if (general.natives.size() > specific.natives.size()) return false;
-  SubsumeSearch search(general, specific);
-  return search.Run();
+  general_ = &general;
+  specific_ = &specific;
+  budget_ = kBudget;
+  const std::size_t vars = NumVars(general);
+  if (map_.size() < vars) {
+    map_.resize(vars);
+    bound_.resize(vars);
+  }
+  std::fill(bound_.begin(), bound_.begin() + static_cast<long>(vars), false);
+  trail_.clear();
+  if (!MatchAtom(general.head, specific.head)) return false;
+  return Body(0);
+}
+
+bool Subsumes(const dl::Rule& general, const dl::Rule& specific) {
+  SubsumptionMatcher matcher;
+  return matcher.Subsumes(general, specific);
 }
 
 std::vector<RangeRestrictionViolation> ValidateRangeRestriction(

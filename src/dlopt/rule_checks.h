@@ -18,6 +18,7 @@
 #ifndef RAPAR_DLOPT_RULE_CHECKS_H_
 #define RAPAR_DLOPT_RULE_CHECKS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,17 +26,47 @@
 
 namespace rapar::dlopt {
 
-// A printable canonical form: variables renumbered in first-occurrence
-// order (head, then body, then natives). Two rules with equal keys are
-// duplicates — provided every native carries a non-empty tag; a rule with
-// an untagged native gets a unique key and never collides.
+// A canonical form as a binary string: variables renumbered in
+// first-occurrence order (head, then body, then natives). Two rules with
+// equal keys are duplicates — provided every native carries a non-empty
+// tag; a rule with an untagged native gets a unique key and never
+// collides.
 std::string CanonicalRuleKey(const dl::Rule& rule);
+// Appends CanonicalRuleKey(rule) to `key`; `renumber` is scratch space
+// the caller may reuse across calls.
+void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
+                            std::vector<std::uint32_t>& renumber);
 
 // True if `general` subsumes `specific` (see above). Reflexive on
 // fully-tagged rules; conservative (may return false for genuinely
 // subsumed pairs — the matcher does not search all body multisets beyond
-// a small backtracking budget).
+// a backtracking budget of kBudget steps per pair).
 bool Subsumes(const dl::Rule& general, const dl::Rule& specific);
+
+// Subsumes() for many pairs: the substitution and its undo trail are
+// reused, so a warm matcher checks a pair without allocating.
+class SubsumptionMatcher {
+ public:
+  static constexpr int kBudget = 10'000;
+
+  bool Subsumes(const dl::Rule& general, const dl::Rule& specific);
+
+ private:
+  bool MatchTerm(const dl::Term& g, const dl::Term& s);
+  bool MatchAtom(const dl::Atom& g, const dl::Atom& s);
+  bool MatchNative(const dl::Native& g, const dl::Native& s);
+  void Undo(std::size_t mark);
+  bool Body(std::size_t at);
+  bool Natives(std::size_t at);
+
+  const dl::Rule* general_ = nullptr;
+  const dl::Rule* specific_ = nullptr;
+  int budget_ = 0;
+  // θ: general's variable v maps to map_[v] when bound_[v].
+  std::vector<dl::Term> map_;
+  std::vector<bool> bound_;
+  std::vector<dl::VarSym> trail_;  // bound variables, in binding order
+};
 
 struct RangeRestrictionViolation {
   std::size_t rule_index = 0;

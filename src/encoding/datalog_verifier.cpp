@@ -61,21 +61,28 @@ struct GuessOutcome {
   bool terminating() const { return derived || budget_aborted; }
 };
 
+double MsBetween(std::chrono::steady_clock::time_point from,
+                 std::chrono::steady_clock::time_point to) {
+  return std::chrono::duration<double, std::milli>(to - from).count();
+}
+
 // Per-worker solver: owns the dl::Engine so arena reuse and EDB snapshot
-// rollback keep working across the guesses this worker happens to solve.
-// A caller may lend a warm engine instead (DatalogVerifierOptions::
-// warm_engine, serve daemon), in which case arena reuse extends across
-// verifier invocations and the cumulative fact_reuses counter is
-// rebased so the verdict still reports this request's reuses only.
+// rollback keep working across the guesses this worker happens to solve,
+// and the makeP encoder so env prefixes are emitted once per store
+// profile for this worker. A caller may lend a warm engine instead
+// (DatalogVerifierOptions::warm_engine, serve daemon), in which case
+// arena reuse extends across verifier invocations and the cumulative
+// fact_reuses counter is rebased so the verdict still reports this
+// request's reuses only.
 class GuessSolver {
  public:
   GuessSolver(const SimplSystem& sys, const DatalogVerifierOptions& options)
       : sys_(sys),
         options_(options),
+        encoder_(sys, MakePOptions{options.goal_message}),
         engine_(options.warm_engine != nullptr ? *options.warm_engine
                                                : own_engine_),
         fact_reuse_base_(engine_.fact_reuses()) {
-    mp_.goal_message = options.goal_message;
     eval_.max_tuples = options.max_tuples_per_query;
     eval_.engine = options.engine;
     dlopt_.trace = options.trace;
@@ -83,15 +90,18 @@ class GuessSolver {
 
   GuessOutcome Solve(const DisGuess& guess, std::size_t index,
                      bool want_width_report) {
+    using Clock = std::chrono::steady_clock;
     obs::ScopedSpan span(options_.trace, "guess");
     GuessOutcome out;
     out.evaluated = true;
+    const Clock::time_point makep_start = Clock::now();
     MakePResult q = [&] {
       obs::ScopedSpan s(options_.trace, "makep");
-      return MakeP(sys_, guess, mp_);
+      return encoder_.Encode(guess);
     }();
     out.rules_emitted = q.prog->size();
 
+    const Clock::time_point dlopt_start = Clock::now();
     const dl::Program* prog = q.prog.get();
     dlopt::OptimizeResult opt;
     dl::JoinHints hints;
@@ -99,7 +109,7 @@ class GuessSolver {
     eval_.hints = nullptr;
     if (options_.enable_dlopt) {
       obs::ScopedSpan s(options_.trace, "dlopt");
-      opt = dlopt::OptimizeForQuery(*q.prog, q.goal, dlopt_);
+      opt = dlopt::OptimizeForQuery(std::move(*q.prog), q.goal, dlopt_);
       out.dlopt = opt.stats;
       prog = &opt.prog;
       // The width/SCC classification doubles as the engine's join-order
@@ -109,6 +119,7 @@ class GuessSolver {
       eval_.hints = &hints;
     }
     out.rules_after = prog->size();
+    const Clock::time_point dlopt_end = Clock::now();
     if (want_width_report) {
       // Reuse the join-hint graph instead of building a second one for
       // the report (they describe the same optimized program).
@@ -117,6 +128,7 @@ class GuessSolver {
                              .ToString(*prog, *graph);
     }
 
+    const Clock::time_point eval_start = Clock::now();
     {
       obs::ScopedSpan s(options_.trace, "eval");
       try {
@@ -125,6 +137,10 @@ class GuessSolver {
         out.budget_aborted = true;  // partial stats of the solve still count
       }
     }
+    const Clock::time_point eval_end = Clock::now();
+    makep_ms_ += MsBetween(makep_start, dlopt_start);
+    dlopt_ms_ += MsBetween(dlopt_start, dlopt_end);
+    eval_ms_ += MsBetween(eval_start, eval_end);
     out.stats = engine_.last_stats();
     if (out.derived) out.witness = guess.ToString(sys_);
     if (span.active()) {
@@ -138,19 +154,26 @@ class GuessSolver {
     return out;
   }
 
-  std::size_t fact_reuses() const {
-    return engine_.fact_reuses() - fact_reuse_base_;
+  // Adds this solver's engine reuses and per-phase times to `v`.
+  void AddTotals(DatalogVerdict& v) const {
+    v.fact_reuses += engine_.fact_reuses() - fact_reuse_base_;
+    v.makep_ms += makep_ms_;
+    v.dlopt_ms += dlopt_ms_;
+    v.eval_ms += eval_ms_;
   }
 
  private:
   const SimplSystem& sys_;
   const DatalogVerifierOptions& options_;
-  MakePOptions mp_;
+  MakePEncoder encoder_;
   dl::EvalOptions eval_;
   dlopt::DlOptOptions dlopt_;
   dl::Engine own_engine_;
   dl::Engine& engine_;
   const std::size_t fact_reuse_base_;
+  double makep_ms_ = 0.0;
+  double dlopt_ms_ = 0.0;
+  double eval_ms_ = 0.0;
 };
 
 // Folds one evaluated guess into the verdict aggregates (enumeration
@@ -265,7 +288,7 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
         verdict.deadline_hit = true;
         verdict.exhaustive = false;
         verdict.guesses = scanned;
-        verdict.fact_reuses = solver.fact_reuses();
+        solver.AddTotals(verdict);
         obs::TraceInstant(options.trace, "deadline",
                           StrCat("{\"guess\":", idx, "}"));
         EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
@@ -277,7 +300,7 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
         cursor.Cancel();
         verdict.exhaustive = false;
         verdict.guesses = scanned;
-        verdict.fact_reuses = solver.fact_reuses();
+        solver.AddTotals(verdict);
         obs::TraceInstant(options.trace, "cancelled",
                           StrCat("{\"guess\":", idx, "}"));
         EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
@@ -297,7 +320,7 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
                           o.derived ? "early_exit" : "budget_abort",
                           StrCat("{\"guess\":", idx, "}"));
         FinishEarly(verdict, idx, scanned, o);
-        verdict.fact_reuses = solver.fact_reuses();
+        solver.AddTotals(verdict);
         if (o.budget_aborted) {
           // Restartable: a rerun with a larger budget resumes *at* the
           // aborted guess, so its (discarded) solve is not in `scanned`.
@@ -310,7 +333,7 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
         verdict.scan_limit_hit = true;
         verdict.exhaustive = false;
         verdict.guesses = scanned;
-        verdict.fact_reuses = solver.fact_reuses();
+        solver.AddTotals(verdict);
         obs::TraceInstant(options.trace, "scan_limit",
                           StrCat("{\"guess\":", idx, "}"));
         EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
@@ -325,7 +348,7 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   }
   verdict.guesses = options.resume_scanned_base + cursor.produced();
   verdict.exhaustive = cursor.complete();
-  verdict.fact_reuses = solver.fact_reuses();
+  solver.AddTotals(verdict);
   // complete() means nothing is left to resume; a hit enumeration cap
   // leaves a resumable position (rerun with a larger max_guesses).
   EmitCheckpoint(options, verdict, next_unscanned, verdict.guesses,
@@ -555,9 +578,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
       Accumulate(verdict, o);
     }
   }
-  for (const auto& solver : solvers) {
-    verdict.fact_reuses += solver->fact_reuses();
-  }
+  for (const auto& solver : solvers) solver->AddTotals(verdict);
 
   const std::size_t base = options.resume_scanned_base;
   if (event != nullptr) {

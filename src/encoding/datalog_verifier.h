@@ -226,6 +226,13 @@ struct DatalogVerdict {
   // Aggregate optimizer statistics over the scanned prefix (zero when
   // dlopt is disabled; rules_before/after mirror total_rules{,_after}).
   dlopt::DlOptStats dlopt;
+  // Wall-clock milliseconds each solver spent in makeP, in dlopt (with
+  // the engine's join hints) and in evaluation, summed over every solve
+  // this run issued — over all workers when threads > 1, discarded solves
+  // included. Timings: exempt from the determinism rule.
+  double makep_ms = 0.0;
+  double dlopt_ms = 0.0;
+  double eval_ms = 0.0;
   // Static width/solver classification of the first guess's optimized
   // program (the makeP shape is uniform across guesses), empty when no
   // guess was evaluated.

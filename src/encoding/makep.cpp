@@ -1,5 +1,6 @@
 #include "encoding/makep.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "analysis/reachability.h"
@@ -18,60 +19,72 @@ using dl::Sym;
 using dl::Term;
 using dl::V;
 
-// Builds the program for one guess. Convention for constants: abstract
-// timestamps are interned first so that Sym value == encoded timestamp;
-// domain values follow at offset val_off_; then node and variable tags.
+// Predicate ids of the four base predicates: AddPrefix declares them
+// first, in this order, so every program of a system shares them.
+constexpr PredId kEmp = 0;
+constexpr PredId kDmp = 1;
+constexpr PredId kEtp = 2;
+constexpr PredId kUnsafe = 3;
+
+// Emits the parts of one guess's program into `prog`. Convention for
+// constants: abstract timestamps are interned first so that Sym value ==
+// encoded timestamp; domain values follow at offset val_off_; then node
+// and variable tags. AddPrefix emits everything that depends on the guess
+// only through its store profile; AddDisPart appends the guess's dis
+// chains and goal rules to a program that holds that prefix.
 class Builder {
  public:
   Builder(const SimplSystem& sys, const DisGuess& guess,
-          const MakePOptions& options)
-      : sys_(sys), guess_(guess), options_(options) {
-    prog_ = std::make_unique<dl::Program>();
+          const MakePOptions& options, dl::Program* prog)
+      : sys_(sys), guess_(guess), options_(options), prog_(prog) {
     k_ = sys.num_vars;
     m_ = sys.env->program().regs().size();
-
     // Maximum abstract timestamp: 2*T_x + 1 over all variables.
-    int max_ts = 1;
+    max_ts_ = 1;
     for (std::size_t x = 0; x < k_; ++x) {
-      max_ts = std::max(max_ts, 2 * guess.StoresOn(x) + 1);
+      max_ts_ = std::max(max_ts_, 2 * guess.StoresOn(x) + 1);
     }
-    for (int t = 0; t <= max_ts; ++t) {
+    val_off_ = static_cast<Sym>(max_ts_ + 1);
+    node_off_ = val_off_ + static_cast<Sym>(sys.dom);
+    var_off_ = node_off_ + static_cast<Sym>(sys.env->num_nodes());
+  }
+
+  // Constants, base predicates, init facts and env rules; env edges
+  // flagged in `edge_dead` emit nothing.
+  void AddPrefix(const std::vector<bool>& edge_dead) {
+    for (int t = 0; t <= max_ts_; ++t) {
       Sym s = prog_->ConstSym(StrCat("$ts", AbsTsToString(t)));
       assert(s == static_cast<Sym>(t));
       (void)s;
     }
-    val_off_ = static_cast<Sym>(max_ts + 1);
-    for (Value v = 0; v < sys.dom; ++v) {
+    for (Value v = 0; v < sys_.dom; ++v) {
       Sym s = prog_->ConstSym(StrCat("$val", v));
       assert(s == val_off_ + static_cast<Sym>(v));
       (void)s;
     }
-    node_off_ = val_off_ + static_cast<Sym>(sys.dom);
-    for (std::size_t n = 0; n < sys.env->num_nodes(); ++n) {
+    for (std::size_t n = 0; n < sys_.env->num_nodes(); ++n) {
       prog_->ConstSym(StrCat("$n", n));
     }
-    var_off_ = node_off_ + static_cast<Sym>(sys.env->num_nodes());
     for (std::size_t x = 0; x < k_; ++x) {
       prog_->ConstSym(
-          StrCat("$var_", sys.env->program().vars().Name(
+          StrCat("$var_", sys_.env->program().vars().Name(
                               VarId(static_cast<std::uint32_t>(x)))));
     }
 
-    emp_ = prog_->AddPred("emp", 2 + k_);
-    dmp_ = prog_->AddPred("dmp", 2 + k_);
-    etp_ = prog_->AddPred("etp", 1 + m_ + k_);
-    unsafe_ = prog_->AddPred("unsafe", 0);
+    [[maybe_unused]] const PredId emp = prog_->AddPred("emp", 2 + k_);
+    [[maybe_unused]] const PredId dmp = prog_->AddPred("dmp", 2 + k_);
+    [[maybe_unused]] const PredId etp = prog_->AddPred("etp", 1 + m_ + k_);
+    [[maybe_unused]] const PredId unsafe = prog_->AddPred("unsafe", 0);
+    assert(emp == kEmp && dmp == kDmp && etp == kEtp && unsafe == kUnsafe);
+
+    AddFacts();
+    AddEnvRules(edge_dead);
   }
 
-  MakePResult Build() {
-    AddFacts();
-    AddEnvRules();
+  // The guess's dtp chains, then the MG goal rules.
+  void AddDisPart() {
     AddDisChains();
     AddGoalRules();
-    MakePResult result;
-    result.goal = Atom{unsafe_, {}};
-    result.prog = std::move(prog_);
-    return result;
   }
 
  private:
@@ -158,7 +171,7 @@ class Builder {
   Atom EtpAtom(NodeId node, const std::vector<Term>& rv,
                const std::vector<Term>& view) const {
     Atom a;
-    a.pred = etp_;
+    a.pred = kEtp;
     a.args.push_back(C(NodeSym(node)));
     a.args.insert(a.args.end(), rv.begin(), rv.end());
     a.args.insert(a.args.end(), view.begin(), view.end());
@@ -180,7 +193,7 @@ class Builder {
     // Initial dis (init) messages: value d_init, zero view.
     for (std::size_t x = 0; x < k_; ++x) {
       Atom a;
-      a.pred = dmp_;
+      a.pred = kDmp;
       a.args.push_back(C(var_off_ + static_cast<Sym>(x)));
       a.args.push_back(C(ValSym(kInitValue)));
       for (std::size_t y = 0; y < k_; ++y) a.args.push_back(C(TsSym(0)));
@@ -189,7 +202,7 @@ class Builder {
     // Initial env-thread configuration.
     {
       Atom a;
-      a.pred = etp_;
+      a.pred = kEtp;
       a.args.push_back(C(NodeSym(std::uint32_t{0})));
       for (std::size_t r = 0; r < m_; ++r) {
         a.args.push_back(C(ValSym(kInitValue)));
@@ -199,14 +212,10 @@ class Builder {
     }
   }
 
-  void AddEnvRules() {
+  void AddEnvRules(const std::vector<bool>& edge_dead) {
     const Cfa& cfa = *sys_.env;
-    // Dead env edges (unreachable source or constantly-false guard) would
-    // generate rules that can never fire; skip them so the emitted program
-    // stays small even when the caller did not run the verifier pre-pass.
-    const ReachabilityResult reach = AnalyzeReachability(cfa);
     for (std::size_t ei = 0; ei < cfa.edges().size(); ++ei) {
-      if (reach.edge_dead[ei]) continue;
+      if (edge_dead[ei]) continue;
       const CfaEdge& edge = cfa.edges()[ei];
       const Instr& instr = edge.instr;
       switch (instr.kind) {
@@ -227,7 +236,7 @@ class Builder {
         }
         case Instr::Kind::kAssertFail: {
           Rule r;
-          r.head = Atom{unsafe_, {}};
+          r.head = Atom{kUnsafe, {}};
           r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
           prog_->AddRule(std::move(r));
           Rule adv;
@@ -293,7 +302,7 @@ class Builder {
       }
       r.head = EtpAtom(edge.to, rv, w);
       r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView()),
-                msg_atom(dmp_)};
+                msg_atom(kDmp)};
       // view(x) <= msg.ts(x)
       r.natives.push_back(
           LeqCheck(ViewVar(x), V(u0 + static_cast<dl::VarSym>(x))));
@@ -316,7 +325,7 @@ class Builder {
       }
       r.head = EtpAtom(edge.to, rv, w);
       r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView()),
-                msg_atom(emp_)};
+                msg_atom(kEmp)};
       r.natives.push_back(LeqCheck(ViewVar(x), C(TsSym(PlusTs(h)))));
       r.natives.push_back(
           LeqCheck(V(u0 + static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
@@ -333,7 +342,7 @@ class Builder {
       w[x] = C(TsSym(PlusTs(h)));
       // emp(x, rv[reg], view[x -> h+]) :- etp(from, ...), view(x) <= h+.
       Rule msg;
-      msg.head = Atom{emp_, {}};
+      msg.head = Atom{kEmp, {}};
       msg.head.args.push_back(C(var_off_ + static_cast<Sym>(x)));
       msg.head.args.push_back(RvVar(instr.reg.index()));
       msg.head.args.insert(msg.head.args.end(), w.begin(), w.end());
@@ -405,7 +414,7 @@ class Builder {
       }
       case Instr::Kind::kAssertFail: {
         Rule v;
-        v.head = Atom{unsafe_, {}};
+        v.head = Atom{kUnsafe, {}};
         v.body = {DtpAtom(from, DisView())};
         prog_->AddRule(std::move(v));
         Rule adv;
@@ -465,7 +474,7 @@ class Builder {
         }
       }
       r.head = DtpAtom(to, w);
-      r.body = {DtpAtom(from, DisView()), msg_atom(dmp_, p)};
+      r.body = {DtpAtom(from, DisView()), msg_atom(kDmp, p)};
       r.natives.push_back(
           LeqCheck(V(static_cast<dl::VarSym>(x)), C(TsSym(DisTs(p)))));
       prog_->AddRule(std::move(r));
@@ -487,7 +496,7 @@ class Builder {
         }
       }
       r.head = DtpAtom(to, w);
-      r.body = {DtpAtom(from, DisView()), msg_atom(emp_, std::nullopt)};
+      r.body = {DtpAtom(from, DisView()), msg_atom(kEmp, std::nullopt)};
       r.natives.push_back(
           LeqCheck(V(static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
       r.natives.push_back(
@@ -529,7 +538,7 @@ class Builder {
       r.body = {DtpAtom(from, DisView())};
       if (is_cas) {
         Atom msg;
-        msg.pred = step.read_from_env ? emp_ : dmp_;
+        msg.pred = step.read_from_env ? kEmp : kDmp;
         msg.args.push_back(C(var_off_ + static_cast<Sym>(x)));
         msg.args.push_back(C(ValSym(step.read_value)));
         for (std::size_t y = 0; y < k_; ++y) {
@@ -557,7 +566,7 @@ class Builder {
       }
       if (as_msg) {
         Atom head;
-        head.pred = dmp_;
+        head.pred = kDmp;
         head.args.push_back(C(var_off_ + static_cast<Sym>(x)));
         head.args.push_back(C(ValSym(stored)));
         head.args.insert(head.args.end(), w.begin(), w.end());
@@ -574,9 +583,9 @@ class Builder {
   void AddGoalRules() {
     if (!options_.goal_message.has_value()) return;
     const auto [gx, gv] = *options_.goal_message;
-    for (PredId pred : {emp_, dmp_}) {
+    for (PredId pred : {kEmp, kDmp}) {
       Rule r;
-      r.head = Atom{unsafe_, {}};
+      r.head = Atom{kUnsafe, {}};
       Atom msg;
       msg.pred = pred;
       msg.args.push_back(C(VarSymOf(gx)));
@@ -592,21 +601,48 @@ class Builder {
   const SimplSystem& sys_;
   const DisGuess& guess_;
   const MakePOptions& options_;
-  std::unique_ptr<dl::Program> prog_;
+  dl::Program* prog_;
   std::size_t k_ = 0;  // |Var|
   std::size_t m_ = 0;  // env registers
+  int max_ts_ = 1;
   Sym val_off_ = 0;
   Sym node_off_ = 0;
   Sym var_off_ = 0;
-  PredId emp_ = 0, dmp_ = 0, etp_ = 0, unsafe_ = 0;
 };
 
 }  // namespace
 
+MakePEncoder::MakePEncoder(const SimplSystem& sys,
+                           const MakePOptions& options)
+    : sys_(sys), options_(options) {
+  // Dead env edges (unreachable source or constantly-false guard) would
+  // generate rules that can never fire; skip them so the emitted program
+  // stays small even when the caller did not run the verifier pre-pass.
+  edge_dead_ = AnalyzeReachability(*sys.env).edge_dead;
+}
+
+MakePResult MakePEncoder::Encode(const DisGuess& guess) {
+  // Profile key: per variable, its dis store count and glue flags.
+  key_.clear();
+  for (const std::vector<MemCell>& cells : guess.mem) {
+    const std::uint32_t n = static_cast<std::uint32_t>(cells.size());
+    key_.append(reinterpret_cast<const char*>(&n), sizeof n);
+    for (const MemCell& c : cells) key_.push_back(c.glued ? '1' : '0');
+  }
+  auto [it, inserted] = prefixes_.try_emplace(key_);
+  if (inserted) {
+    Builder(sys_, guess, options_, &it->second).AddPrefix(edge_dead_);
+  }
+  MakePResult result;
+  result.prog = std::make_unique<dl::Program>(it->second);
+  Builder(sys_, guess, options_, result.prog.get()).AddDisPart();
+  result.goal = Atom{kUnsafe, {}};
+  return result;
+}
+
 MakePResult MakeP(const SimplSystem& sys, const DisGuess& guess,
                   const MakePOptions& options) {
-  Builder builder(sys, guess, options);
-  return builder.Build();
+  return MakePEncoder(sys, options).Encode(guess);
 }
 
 }  // namespace rapar

@@ -24,7 +24,10 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "datalog/ast.h"
 #include "encoding/dis_guess.h"
@@ -44,8 +47,39 @@ struct MakePOptions {
 };
 
 // Builds the query instance for one guess. The caller owns the program.
+// A one-shot MakePEncoder: callers that encode many guesses of one system
+// should keep an encoder instead.
 MakePResult MakeP(const SimplSystem& sys, const DisGuess& guess,
                   const MakePOptions& options);
+
+// makeP for many guesses of one system. The env part of a query instance
+// (constants, the emp/dmp/etp/unsafe predicates, init facts and env
+// rules) depends on the guess only through its *store profile*: the
+// number of dis stores on each variable and which of them are CAS-glued
+// (DisGuess::StoresOn / GapFrozen fix the abstract timestamps and the
+// promotion gaps the env rules range over). The encoder emits that prefix
+// once per distinct profile and, per guess, copies it and appends the
+// guess's dtp chains and goal rules in MakeP's order, so every program is
+// rule-for-rule the one MakeP emits. The env reachability analysis also
+// runs once, at construction. Not thread-safe: one encoder per thread;
+// `sys` must outlive it.
+class MakePEncoder {
+ public:
+  MakePEncoder(const SimplSystem& sys, const MakePOptions& options);
+
+  MakePResult Encode(const DisGuess& guess);
+
+  // Distinct store profiles seen so far (one cached prefix each).
+  std::size_t profiles() const { return prefixes_.size(); }
+
+ private:
+  const SimplSystem& sys_;
+  const MakePOptions options_;
+  // Per env edge: never traversable, so it emits no rules.
+  std::vector<bool> edge_dead_;
+  std::unordered_map<std::string, dl::Program> prefixes_;
+  std::string key_;  // profile-key scratch
+};
 
 }  // namespace rapar
 

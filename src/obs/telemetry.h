@@ -148,6 +148,13 @@ inline constexpr char kServeErrors[] = "serve.errors";
 inline constexpr char kPhaseParseMs[] = "phase.parse_ms";
 inline constexpr char kPhasePrepassMs[] = "phase.prepass_ms";
 inline constexpr char kPhaseSolveMs[] = "phase.solve_ms";
+// The Datalog guess loop's split of solve time per layer of the Theorem
+// 4.1 pipeline: makeP, dlopt (with join hints) and engine evaluation,
+// each summed over the run's solves. Under threads > 1 they sum over
+// workers, so together they can exceed phase.solve_ms.
+inline constexpr char kPhaseMakePMs[] = "phase.makep_ms";
+inline constexpr char kPhaseDlOptMs[] = "phase.dlopt_ms";
+inline constexpr char kPhaseEvalMs[] = "phase.eval_ms";
 inline constexpr char kPhaseWitnessMs[] = "phase.witness_ms";
 inline constexpr char kPhaseTotalMs[] = "phase.total_ms";
 }  // namespace metric

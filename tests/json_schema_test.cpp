@@ -127,6 +127,14 @@ TEST(JsonSchemaTest, VerdictEnvelopeUnsafeDatalog) {
   EXPECT_NE(t->Find("datalog.tuples"), nullptr);
   EXPECT_NE(t->Find("engine.rule_firings"), nullptr);
   EXPECT_NE(t->Find("phase.total_ms"), nullptr);
+  // The guess loop's per-layer split.
+  for (const char* name : {"phase.makep_ms", "phase.dlopt_ms",
+                           "phase.eval_ms"}) {
+    const JsonValue* ms = t->Find(name);
+    ASSERT_NE(ms, nullptr) << name;
+    EXPECT_TRUE(ms->is_number()) << name;
+    EXPECT_GE(ms->number, 0.0) << name;
+  }
 }
 
 TEST(JsonSchemaTest, VerdictEnvelopeSafeSimplified) {

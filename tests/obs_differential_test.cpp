@@ -14,8 +14,10 @@
 //      verdict kind and stopped_phase still must not depend on tracing.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/benchmarks.h"
 #include "core/verifier.h"
+#include "lang/random_program.h"
 #include "obs/trace.h"
 
 namespace rapar {
@@ -74,20 +76,46 @@ TEST(ObsDifferentialTest, TraceOnOffIdenticalSimplified) {
   }
 }
 
-// The Datalog guess loop checks the deadline before every solve:
-// peterson-ra enumerates 29 guesses and needs a few milliseconds to
-// scan them all, so a 1 ms budget reliably cuts the enumeration short
-// (several guesses in). The verdict must degrade to kUnknown with
-// stopped_phase = "solve" — never a wrong "safe" — and the partial
-// guess count must stay below the full scan.
+// A SAFE system with a long Datalog guess scan: generator seed 272 of
+// the random-program corpus (3 variables, 3 registers, domain 4, env
+// size 10, dis size 8) enumerates 3750 guesses. RandomProgram never emits
+// `assert false`, so the assert query is SAFE by construction and no
+// witness can beat the deadline. A full scan takes ~70 ms serially and
+// ~25 ms at 4 threads on a 4-vCPU x86 VM, over 20x the 1 ms budget below.
+ParamSystem ManyGuessSafeSystem() {
+  Rng rng(272);
+  RandomProgramOptions env_opts;
+  env_opts.num_vars = 3;
+  env_opts.num_regs = 3;
+  env_opts.dom = 4;
+  env_opts.size = 10;
+  env_opts.allow_cas = false;
+  env_opts.allow_loops = false;
+  RandomProgramOptions dis_opts = env_opts;
+  dis_opts.size = 8;
+  Program env = RandomProgram(rng, env_opts, "env");
+  Program dis = RandomProgram(rng, dis_opts, "dis");
+  Expected<ParamSystem> sys =
+      ParamSystem::Builder().Env(std::move(env)).Dis(std::move(dis)).Build();
+  EXPECT_TRUE(sys.ok());
+  return std::move(sys).value();
+}
+
+// The Datalog guess loop checks the deadline before every solve, so a
+// 1 ms budget reliably cuts the scan short (the scan is SAFE, so only the
+// deadline can stop it). The verdict must degrade to kUnknown with
+// stopped_phase = "solve" — never a wrong "safe" — and the partial guess
+// count must stay below the full scan.
 TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
-  BenchmarkCase bench = PetersonRa();
-  SafetyVerifier verifier(bench.system);
+  const ParamSystem system = ManyGuessSafeSystem();
+  SafetyVerifier verifier(system);
   VerifierOptions opts;
   opts.backend = Backend::kDatalog;
   opts.datalog.threads = 1;
   VerifierOptions full = opts;
   const Verdict complete = verifier.Run(std::nullopt, full);
+  ASSERT_EQ(complete.result, Verdict::Result::kSafe);
+  ASSERT_EQ(complete.guesses(), 3750u);
   opts.time_budget_ms = 1;
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kUnknown);
@@ -98,8 +126,8 @@ TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
 }
 
 TEST(ObsDifferentialTest, DeadlineAbortsDatalogParallel) {
-  BenchmarkCase bench = PetersonRa();
-  SafetyVerifier verifier(bench.system);
+  const ParamSystem system = ManyGuessSafeSystem();
+  SafetyVerifier verifier(system);
   VerifierOptions opts;
   opts.backend = Backend::kDatalog;
   opts.datalog.threads = 4;

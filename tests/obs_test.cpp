@@ -275,6 +275,15 @@ TEST(TelemetryTest, VerdictPhaseGaugesAndAccessors) {
   EXPECT_TRUE(v.telemetry.Has(metric::kPhaseSolveMs));
   EXPECT_GE(v.telemetry.gauge(metric::kPhaseTotalMs),
             v.telemetry.gauge(metric::kPhaseSolveMs));
+  // The serial guess loop's per-layer split lies inside its solve phase.
+  EXPECT_TRUE(v.telemetry.Has(metric::kPhaseMakePMs));
+  EXPECT_TRUE(v.telemetry.Has(metric::kPhaseDlOptMs));
+  EXPECT_TRUE(v.telemetry.Has(metric::kPhaseEvalMs));
+  EXPECT_GT(v.telemetry.gauge(metric::kPhaseEvalMs), 0.0);
+  EXPECT_LE(v.telemetry.gauge(metric::kPhaseMakePMs) +
+                v.telemetry.gauge(metric::kPhaseDlOptMs) +
+                v.telemetry.gauge(metric::kPhaseEvalMs),
+            v.telemetry.gauge(metric::kPhaseSolveMs));
   EXPECT_EQ(v.guesses(), v.telemetry.counter(metric::kGuesses));
   EXPECT_EQ(v.tuples(), v.telemetry.counter(metric::kTuples));
   EXPECT_EQ(v.rule_firings(), v.telemetry.counter(metric::kRuleFirings));
