@@ -21,7 +21,6 @@
 #include "core/verifier.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "lang/random_program.h"
 #include "lowerbound/qbf.h"
 #include "lowerbound/tqbf_reduction.h"
 #include "tmai/certcheck.h"
@@ -213,200 +212,6 @@ void PrintIndexAblation() {
       "(joins = Verdict join_attempts summed over guesses; 'on' is the "
       "default tuning — indexes + reordering + EDB snapshot reuse; 'off' "
       "is the plain scan evaluator)\n");
-}
-
-// Columnar relation storage + cross-guess delta solving against the
-// hash-storage snapshot-rollback baseline (the PR 3 default tuning).
-// Three arms per workload: base (hash, full re-solve per guess),
-// columnar (auto storage, full re-solve — isolates the merge-scan
-// effect) and delta (auto storage + delta solving — retained strata are
-// not re-derived, which is where the join-attempt reduction comes
-// from). Verdicts must be identical across all arms; the gated
-// quantities are the suite-total join-attempt reduction and wall-clock
-// speedup of the delta arm vs base. With --json the table is written to
-// BENCH_columnar.json for the CI jq gate.
-void PrintColumnarAblation(bool write_json) {
-  Header("columnar/delta ablation on the Datalog backend (vs hash baseline)");
-  Row({"instance", "joins(base)", "joins(delta)", "reduction", "merge_scans",
-       "ms(base)", "ms(col)", "ms(delta)", "verdict"},
-      13);
-  Rule(9, 13);
-  auto fmt = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", v);
-    return std::string(buf);
-  };
-  std::string json = "{\n  \"bench\": \"columnar_delta\",\n  \"rows\": [";
-  bool first_row = true;
-  bool all_parity = true;
-  std::size_t total_joins_base = 0, total_joins_delta = 0;
-  std::size_t total_merge_scans = 0;
-  double total_ms_base = 0, total_ms_col = 0, total_ms_delta = 0;
-
-  auto run = [&](const ParamSystem& sys, const std::string& name,
-                 std::optional<std::pair<VarId, Value>> goal) {
-    SafetyVerifier verifier(sys);
-    VerifierOptions opts;
-    opts.backend = Backend::kDatalog;
-    opts.time_budget_ms = 60'000;
-    opts.max_guesses = 30'000;
-    // Serial driver: one delta chain over the whole guess sequence, the
-    // regime the cross-guess reuse is built for.
-    opts.datalog.threads = 1;
-    // Raw emitted query instances, as in PrintIndexAblation: with the
-    // dlopt rule pruning on, little join work is left on the small
-    // instances and this ablation would mostly measure the optimizer.
-    opts.datalog.enable_dlopt = false;
-    // Best-of-2 per arm: the gate compares wall-clock totals, so
-    // single-run scheduler noise must not decide it.
-    auto verify = [&](dl::StorageMode storage, bool delta, double* ms) {
-      opts.datalog.engine.storage = storage;
-      opts.datalog.engine.delta_solve = delta;
-      Verdict v;
-      for (int rep = 0; rep < 2; ++rep) {
-        const double t = TimeMs([&] {
-          v = verifier.Run(goal, opts);
-        });
-        if (rep == 0 || t < *ms) *ms = t;
-      }
-      return v;
-    };
-    double ms_base = 0, ms_col = 0, ms_delta = 0;
-    const Verdict base = verify(dl::StorageMode::kHash, false, &ms_base);
-    const Verdict col = verify(dl::StorageMode::kAuto, false, &ms_col);
-    const Verdict del = verify(dl::StorageMode::kAuto, true, &ms_delta);
-    const bool parity = base.result == col.result &&
-                        base.result == del.result &&
-                        base.witness == col.witness &&
-                        base.witness == del.witness &&
-                        base.guesses() == del.guesses();
-    all_parity = all_parity && parity;
-    total_joins_base += base.join_attempts();
-    total_joins_delta += del.join_attempts();
-    total_merge_scans += col.merge_scans();
-    total_ms_base += ms_base;
-    total_ms_col += ms_col;
-    total_ms_delta += ms_delta;
-    const double reduction =
-        del.join_attempts() == 0
-            ? 0.0
-            : static_cast<double>(base.join_attempts()) /
-                  static_cast<double>(del.join_attempts());
-    const char* v =
-        base.unsafe() ? "UNSAFE" : (base.safe() ? "SAFE" : "unknown");
-    Row({name, std::to_string(base.join_attempts()),
-         std::to_string(del.join_attempts()), StrCat(fmt(reduction), "x"),
-         std::to_string(col.merge_scans()), fmt(ms_base), fmt(ms_col),
-         fmt(ms_delta), StrCat(v, parity ? "" : " (MISMATCH)")},
-        13);
-    json += StrCat(
-        first_row ? "" : ",", "\n    {\"name\": \"", name,
-        "\", \"joins_base\": ", base.join_attempts(),
-        ", \"joins_delta\": ", del.join_attempts(),
-        ", \"join_reduction\": ", fmt(reduction),
-        ", \"merge_scans\": ", col.merge_scans(),
-        ", \"delta_retracts\": ",
-        del.telemetry.counter(obs::metric::kDeltaRetracts),
-        ", \"delta_reseeded_strata\": ",
-        del.telemetry.counter(obs::metric::kDeltaReseededStrata),
-        ", \"ms_base\": ", fmt(ms_base), ", \"ms_columnar\": ", fmt(ms_col),
-        ", \"ms_delta\": ", fmt(ms_delta), ", \"verdict\": \"", v,
-        "\", \"parity\": ", parity ? "true" : "false", "}");
-    first_row = false;
-  };
-
-  // The guess-heavy regime the optimization targets: the mutual-exclusion
-  // catalog protocols enumerate 8-384 makeP guesses whose emitted
-  // programs differ only in the guess-axiom facts, so consecutive solves
-  // share almost their whole fixpoint. The single-guess rows
-  // (producer-consumer, TQBF) are kept for family coverage — delta
-  // cannot help there by construction (there is no previous guess), so
-  // they dilute the totals honestly rather than inflating them.
-  for (BenchmarkCase& bench : StandardBenchmarks()) {
-    run(bench.system, bench.name, std::nullopt);
-  }
-  const BenchmarkCase safe_pc = ProducerConsumerSafe(12);
-  run(safe_pc.system, safe_pc.name, std::nullopt);
-  Rng rng(42);
-  const Qbf qbf = RandomQbf(rng, 3, 3);
-  Expected<ParamSystem> tqbf = TqbfSystem(qbf);
-  if (tqbf.ok()) run(tqbf.value(), "tqbf(n=3) safety", std::nullopt);
-
-  // Guess-heavy random systems (fixed seeds): hundreds to thousands of
-  // makeP guesses over a non-trivial shared fixpoint, i.e. the
-  // cross-guess redundancy the delta solver exists to remove. The
-  // catalog protocols enumerate many guesses but their per-guess
-  // fixpoints are tiny, so without these rows the suite totals would be
-  // dominated by the single-guess TQBF row where delta is idle by
-  // construction.
-  auto run_random = [&](std::uint64_t seed, unsigned env_size,
-                        unsigned dis_size) {
-    Rng sys_rng(seed);
-    RandomProgramOptions env_opts;
-    env_opts.num_vars = 3;
-    env_opts.num_regs = 3;
-    env_opts.dom = 4;
-    env_opts.size = env_size;
-    env_opts.allow_cas = false;
-    env_opts.allow_loops = false;
-    RandomProgramOptions dis_opts = env_opts;
-    dis_opts.size = dis_size;
-    Program env = RandomProgram(sys_rng, env_opts, "env");
-    Program dis = RandomProgram(sys_rng, dis_opts, "dis");
-    Expected<ParamSystem> sys = ParamSystem::Builder()
-                                    .Env(std::move(env))
-                                    .Dis(std::move(dis))
-                                    .Build();
-    if (sys.ok()) {
-      run(sys.value(), StrCat("rand-guessy(", seed, ")"), std::nullopt);
-    }
-  };
-  run_random(40, 8, 7);
-  run_random(16, 10, 8);
-  run_random(239, 10, 8);
-  run_random(283, 10, 8);
-  run_random(338, 10, 8);
-
-  const double join_reduction =
-      total_joins_delta == 0 ? 0.0
-                             : static_cast<double>(total_joins_base) /
-                                   static_cast<double>(total_joins_delta);
-  const double wall_speedup =
-      total_ms_delta > 0 ? total_ms_base / total_ms_delta : 0.0;
-  const char* parity = all_parity ? "OK" : "MISMATCH";
-  const char* gate =
-      (all_parity && (join_reduction >= 2.0 || wall_speedup >= 1.5))
-          ? "OK"
-          : "FAIL";
-  std::printf(
-      "totals: joins %zu -> %zu (%.2fx reduction), wall %.2fms -> %.2fms "
-      "(%.2fx speedup; columnar-only %.2fms), merge scans %zu; parity %s; "
-      "gate (2x joins or 1.5x wall) %s\n",
-      total_joins_base, total_joins_delta, join_reduction, total_ms_base,
-      total_ms_delta, wall_speedup, total_ms_col, total_merge_scans, parity,
-      gate);
-  std::printf(
-      "(base = hash storage + snapshot rollback, the PR 3 default; delta "
-      "= auto storage + cross-guess delta solving; joins compare base vs "
-      "delta — columnar alone preserves join counts by construction and "
-      "is reported for wall clock and merge_scans only)\n");
-
-  json += StrCat(
-      "\n  ],\n  \"totals\": {\n    \"joins_base\": ", total_joins_base,
-      ",\n    \"joins_delta\": ", total_joins_delta,
-      ",\n    \"join_reduction\": ", fmt(join_reduction),
-      ",\n    \"ms_base\": ", fmt(total_ms_base),
-      ",\n    \"ms_columnar\": ", fmt(total_ms_col),
-      ",\n    \"ms_delta\": ", fmt(total_ms_delta),
-      ",\n    \"wall_speedup\": ", fmt(wall_speedup),
-      ",\n    \"merge_scans\": ", total_merge_scans,
-      ",\n    \"parity\": \"", parity,
-      "\",\n    \"gate\": \"", gate, "\"\n  }\n}\n");
-  if (write_json) {
-    std::ofstream out("BENCH_columnar.json");
-    out << json;
-    std::printf("wrote BENCH_columnar.json\n");
-  }
 }
 
 // Parallel guess-level verification: the work-stealing driver at 1/2/4/8
@@ -1115,7 +920,6 @@ static void PrintReproduction(const char* json_path) {
   rapar::PrintComparison();
   rapar::PrintDlOptAblation();
   rapar::PrintIndexAblation();
-  rapar::PrintColumnarAblation(json_path != nullptr);
   rapar::PrintParallelScaling(json_path);
   rapar::PrintShardScaling(json_path != nullptr);
   rapar::PrintObsAblation(json_path != nullptr);

@@ -12,7 +12,8 @@
 // Every subcommand answers `--help` with its own flag list. Flags are
 // declared once in the kFlags table below — name, arity, applicable
 // subcommands, help text — so parsing, validation and help stay in sync.
-// An unknown flag (or one that does not apply to the subcommand) is a
+// An unknown flag, one that does not apply to the subcommand, or an
+// integer flag whose value is not an integer of its field's type is a
 // usage error: exit 3.
 //
 // lint runs the analysis passes (reachability, liveness, constant
@@ -46,6 +47,7 @@
 //
 // Exit code: 0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN, 3 = usage/input error.
 // For lint/dlanalyze: 0 = clean (notes allowed), 1 = warnings/errors.
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -89,8 +91,6 @@ struct Options {
   std::string backend = "simplified";
   int threads = 2;
   bool threads_set = false;
-  std::string engine_storage = "hash";
-  bool delta_solve = false;
   std::string tmai_domain = "auto";
   int tmai_max_iterations = 64;
   int tmai_widening_delay = 8;
@@ -132,6 +132,19 @@ struct FlagSpec {
   void (*apply)(Options&, const char*);
 };
 
+// Thrown by ParseInt; ParseArgs reports it as a usage error.
+struct NotAnInteger {};
+
+// Parses all of `v` into *out. Unlike std::atoi, which reads "one" as 0
+// and "30s" as 30 and is undefined out of range, this rejects trailing
+// characters and values outside T.
+template <typename T>
+void ParseInt(const char* v, T* out) {
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, *out);
+  if (ec != std::errc() || ptr != end) throw NotAnInteger{};
+}
+
 constexpr char kAllCommands[] =
     "verify mg dump-datalog dlanalyze classify lint certcheck serve";
 
@@ -150,43 +163,33 @@ const FlagSpec kFlags[] = {
      "threads (default 0 = all hardware threads, 1 = serial); serve: "
      "request-pool workers (default 0 = all hardware threads)",
      [](Options& o, const char* v) {
-       o.threads = std::atoi(v);
        o.threads_set = true;
+       ParseInt(v, &o.threads);
      }},
     {"--unroll", true, "K", "verify mg dump-datalog dlanalyze certcheck",
      "unroll bound for dis loops (default 0 = reject loops)",
-     [](Options& o, const char* v) { o.unroll = std::atoi(v); }},
-    {"--engine-storage", true, "M", "verify mg",
-     "Datalog relation storage: hash|columnar|auto (default hash; auto "
-     "picks sorted columnar runs per predicate growth class)",
-     [](Options& o, const char* v) { o.engine_storage = v; }},
-    {"--delta-solve", false, nullptr, "verify mg",
-     "Datalog backend: carry derived facts across makeP guesses and "
-     "re-derive only dirty strata (verdict-identical; see DESIGN.md)",
-     [](Options& o, const char*) { o.delta_solve = true; }},
+     [](Options& o, const char* v) { ParseInt(v, &o.unroll); }},
     {"--tmai-domain", true, "D", "verify mg",
      "TMAI abstract domain: smallset|relational|auto (default auto = "
      "small-set first, relational retry on unknown)",
      [](Options& o, const char* v) { o.tmai_domain = v; }},
     {"--tmai-max-iterations", true, "N", "verify mg",
      "TMAI interference fixpoint rounds before giving up (default 64)",
-     [](Options& o, const char* v) { o.tmai_max_iterations = std::atoi(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.tmai_max_iterations); }},
     {"--tmai-widening-delay", true, "N", "verify mg",
      "TMAI joins at one CFA node before disjuncts widen (default 8)",
-     [](Options& o, const char* v) { o.tmai_widening_delay = std::atoi(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.tmai_widening_delay); }},
     {"--tmai-value-set-limit", true, "N", "verify mg",
      "TMAI explicit value-set size beyond which a set becomes top "
      "(default 16)",
-     [](Options& o, const char* v) {
-       o.tmai_value_set_limit = std::atoi(v);
-     }},
+     [](Options& o, const char* v) { ParseInt(v, &o.tmai_value_set_limit); }},
     {"--cert", true, "FILE", "certcheck",
      "certificate JSON to validate (bare object, or a verify/mg "
      "--format=json envelope containing one)",
      [](Options& o, const char* v) { o.cert_file = v; }},
     {"--budget-ms", true, "N", "verify mg",
      "wall-clock budget in ms, 0 = unlimited (default 30000)",
-     [](Options& o, const char* v) { o.budget_ms = std::atoll(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.budget_ms); }},
     {"--witness", false, nullptr, "verify mg",
      "print the witness run on UNSAFE",
      [](Options& o, const char*) { o.witness = true; }},
@@ -194,13 +197,13 @@ const FlagSpec kFlags[] = {
      "goal message variable",
      [](Options& o, const char* v) { o.goal_var = v; }},
     {"--val", true, "N", "mg dump-datalog dlanalyze", "goal message value",
-     [](Options& o, const char* v) { o.goal_val = std::atoi(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.goal_val); }},
     {"--format", true, "F", "verify mg lint dlanalyze certcheck",
      "text|json (default text); json uses the stable schema of "
      "core/result_json.h",
      [](Options& o, const char* v) { o.format = v; }},
     {"--guess", true, "N", "dlanalyze", "which makeP guess to analyze",
-     [](Options& o, const char* v) { o.guess_index = std::atoi(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.guess_index); }},
     {"--dot", false, nullptr, "dlanalyze",
      "emit the dependency graph as Graphviz",
      [](Options& o, const char*) { o.dot = true; }},
@@ -210,10 +213,10 @@ const FlagSpec kFlags[] = {
     {"--cache-entries", true, "N", "serve",
      "verdict-cache capacity in entries, 0 disables the cache "
      "(default 1024)",
-     [](Options& o, const char* v) { o.cache_entries = std::atoll(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.cache_entries); }},
     {"--cache-bytes", true, "N", "serve",
      "verdict-cache resident-bytes ceiling (default 67108864)",
-     [](Options& o, const char* v) { o.cache_bytes = std::atoll(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.cache_bytes); }},
     {"--pretty", false, nullptr, "serve",
      "indent response envelopes (default: one response per line)",
      [](Options& o, const char*) { o.pretty = true; }},
@@ -224,11 +227,11 @@ const FlagSpec kFlags[] = {
      "datalog backend: split the guess scan over N shard subprocesses "
      "and merge their envelopes (first terminating event wins; "
      "default 1 = no sharding)",
-     [](Options& o, const char* v) { o.shards = std::atoll(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.shards); }},
     {"--shard-index", true, "I", "verify mg",
      "run only shard I of --shards in this process (what the "
      "orchestrator spawns; emits a per-shard envelope)",
-     [](Options& o, const char* v) { o.shard_index = std::atoll(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.shard_index); }},
     {"--checkpoint", true, "FILE", "verify mg",
      "write scan checkpoints to FILE (atomic tmp+rename; with --shards "
      "the orchestrator writes FILE.shard<i> per shard)",
@@ -240,11 +243,11 @@ const FlagSpec kFlags[] = {
     {"--checkpoint-every", true, "N", "verify mg",
      "guess solves between periodic checkpoints (default 64 when "
      "--checkpoint is given)",
-     [](Options& o, const char* v) { o.checkpoint_every = std::atoll(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.checkpoint_every); }},
     {"--scan-limit", true, "N", "verify mg",
      "stop after N guess solves this run and checkpoint (deterministic "
      "truncation for kill-and-resume; 0 = unlimited)",
-     [](Options& o, const char* v) { o.scan_limit = std::atoll(v); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.scan_limit); }},
     {"--metrics", false, nullptr, "verify mg",
      "print the telemetry registry after the verdict",
      [](Options& o, const char*) { o.metrics = true; }},
@@ -369,7 +372,13 @@ int ParseArgs(int argc, char** argv, Options* opts) {
       std::fprintf(stderr, "flag %s takes no value\n", name.c_str());
       return 3;
     }
-    spec->apply(*opts, value);
+    try {
+      spec->apply(*opts, value);
+    } catch (const NotAnInteger&) {
+      std::fprintf(stderr, "flag %s expects an integer, got '%s'\n",
+                   name.c_str(), value);
+      return 3;
+    }
   }
   return 0;
 }
@@ -593,8 +602,6 @@ int RunShardedVerify(const Options& opts, bool mg) {
   if (opts.unroll != 0) {
     base.push_back("--unroll=" + std::to_string(opts.unroll));
   }
-  base.push_back("--engine-storage=" + opts.engine_storage);
-  if (opts.delta_solve) base.push_back("--delta-solve");
   base.push_back("--budget-ms=" + std::to_string(opts.budget_ms));
   if (mg) {
     base.push_back("--var=" + opts.goal_var);
@@ -747,18 +754,6 @@ int RunVerify(const Options& opts, bool mg) {
                  opts.tmai_domain.c_str());
     return 3;
   }
-  if (opts.engine_storage == "hash") {
-    vopts.datalog.engine.storage = rapar::dl::StorageMode::kHash;
-  } else if (opts.engine_storage == "columnar") {
-    vopts.datalog.engine.storage = rapar::dl::StorageMode::kColumnar;
-  } else if (opts.engine_storage == "auto") {
-    vopts.datalog.engine.storage = rapar::dl::StorageMode::kAuto;
-  } else {
-    std::fprintf(stderr, "unknown engine storage '%s'\n",
-                 opts.engine_storage.c_str());
-    return 3;
-  }
-  vopts.datalog.engine.delta_solve = opts.delta_solve;
   vopts.tmai.max_iterations = opts.tmai_max_iterations;
   vopts.tmai.widening_delay = opts.tmai_widening_delay;
   vopts.tmai.value_set_limit = opts.tmai_value_set_limit;

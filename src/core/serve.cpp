@@ -1,5 +1,6 @@
 #include "core/serve.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -7,12 +8,14 @@
 #include <deque>
 #include <fstream>
 #include <istream>
+#include <iterator>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -212,7 +215,6 @@ Request DecodeRequest(const JsonValue& doc) {
   // range-checked here so an out-of-range value answers a decode error.
   req.backend_name = "simplified";
   req.tmai_domain_name = "auto";
-  std::string engine_storage = "hash";
   long long threads = 1, batch_size = 32, env_threads = 2;
   long long max_states = -1, max_depth = -1, max_guesses = -1;
   long long time_budget_ms = 30'000, unroll = 0;
@@ -222,15 +224,26 @@ Request DecodeRequest(const JsonValue& doc) {
       req.error = "field 'options' must be an object";
       return req;
     }
+    // Every key read below. Anything else is a decode error, so a
+    // misspelled or retired knob never silently runs with its default.
+    static constexpr std::string_view kOptionKeys[] = {
+        "backend", "tmai_domain", "enable_prepass", "enable_dlopt",
+        "threads", "batch_size", "env_threads", "unroll",
+        "tmai_max_iterations", "tmai_widening_delay", "tmai_value_set_limit",
+        "max_states", "max_depth", "time_budget_ms", "max_guesses"};
+    for (const auto& member : opts->members) {
+      if (std::find(std::begin(kOptionKeys), std::end(kOptionKeys),
+                    member.first) == std::end(kOptionKeys)) {
+        req.error = "unknown option \"" + member.first + "\"";
+        return req;
+      }
+    }
     if (!GetString(*opts, "backend", &req.backend_name, &req.error) ||
         !GetString(*opts, "tmai_domain", &req.tmai_domain_name, &req.error) ||
         !GetBool(*opts, "enable_prepass", &req.vopts.enable_prepass,
                  &req.error) ||
         !GetBool(*opts, "enable_dlopt", &req.vopts.datalog.enable_dlopt,
                  &req.error) ||
-        !GetString(*opts, "engine_storage", &engine_storage, &req.error) ||
-        !GetBool(*opts, "delta_solve",
-                 &req.vopts.datalog.engine.delta_solve, &req.error) ||
         !GetIntRange(*opts, "threads", &threads, -1, 1 << 16, &req.error) ||
         !GetIntRange(*opts, "batch_size", &batch_size, 0, 1 << 24,
                      &req.error) ||
@@ -274,16 +287,6 @@ Request DecodeRequest(const JsonValue& doc) {
     req.vopts.tmai.domain = tmai::Domain::kAuto;
   } else {
     req.error = "unknown TMAI domain \"" + req.tmai_domain_name + "\"";
-    return req;
-  }
-  if (engine_storage == "hash") {
-    req.vopts.datalog.engine.storage = dl::StorageMode::kHash;
-  } else if (engine_storage == "columnar") {
-    req.vopts.datalog.engine.storage = dl::StorageMode::kColumnar;
-  } else if (engine_storage == "auto") {
-    req.vopts.datalog.engine.storage = dl::StorageMode::kAuto;
-  } else {
-    req.error = "unknown engine storage \"" + engine_storage + "\"";
     return req;
   }
   req.vopts.datalog.threads =
@@ -351,10 +354,6 @@ std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
   s += vo.enable_prepass ? '1' : '0';
   s += "\ndlopt=";
   s += vo.datalog.enable_dlopt ? '1' : '0';
-  // Only the three legacy engine toggles participate. engine.storage and
-  // engine.delta_solve are deliberately EXCLUDED (like datalog.threads):
-  // they are verdict-invariant evaluation strategies, so requests that
-  // differ only in those knobs must share one cache entry.
   s += "\nengine=";
   s += vo.datalog.engine.use_index ? '1' : '0';
   s += vo.datalog.engine.reorder_joins ? '1' : '0';

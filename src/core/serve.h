@@ -8,8 +8,9 @@
 // `rapar_cli verify --format=json` emits, plus three serve-only fields
 // (`id` echo, `fingerprint`, `cache`).
 //
-// Request schema (all fields except "command" optional; unknown fields
-// are ignored, mirroring the envelope's versioning contract):
+// Request schema (all fields except "command" optional; unknown top-level
+// fields are ignored, mirroring the envelope's versioning contract, but
+// an "options" key outside the list below is a decode error):
 //
 //   {"id": <any json>,            // echoed back verbatim
 //    "command": "verify" | "mg",

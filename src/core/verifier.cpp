@@ -89,21 +89,6 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetCounter(metric::kIndexHits, dv.index_hits);
   t.SetCounter(metric::kIndexBuilds, dv.index_builds);
   t.SetCounter(metric::kFactReuses, dv.fact_reuses);
-  // Nonzero-gated (like kBudgetAbortedGuess) so default-mode envelopes —
-  // and the golden JSON tests over them — are unchanged unless columnar
-  // storage or delta solving actually ran.
-  if (dv.merge_scans != 0) {
-    t.SetCounter(metric::kMergeScans, dv.merge_scans);
-  }
-  if (dv.delta_retracts != 0) {
-    t.SetCounter(metric::kDeltaRetracts, dv.delta_retracts);
-  }
-  if (dv.delta_asserts != 0) {
-    t.SetCounter(metric::kDeltaAsserts, dv.delta_asserts);
-  }
-  if (dv.delta_reseeded_strata != 0) {
-    t.SetCounter(metric::kDeltaReseededStrata, dv.delta_reseeded_strata);
-  }
   const dlopt::DlOptStats& o = dv.dlopt;
   t.SetCounter(metric::kDlOptRulesBefore, o.rules_before);
   t.SetCounter(metric::kDlOptRulesAfter, o.rules_after);
@@ -118,7 +103,7 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetGauge(metric::kPhaseMakePMs, dv.makep_ms);
   t.SetGauge(metric::kPhaseDlOptMs, dv.dlopt_ms);
   t.SetGauge(metric::kPhaseEvalMs, dv.eval_ms);
-  // Shard/checkpoint metrics are activity-gated (like kMergeScans) so
+  // Shard/checkpoint metrics are activity-gated (like kBudgetAbortedGuess) so
   // default single-shard envelopes — and the goldens over them — are
   // byte-for-byte unchanged.
   if (dv.shard_count > 1) {
@@ -174,9 +159,6 @@ std::size_t Verdict::index_builds() const {
 }
 std::size_t Verdict::fact_reuses() const {
   return telemetry.counter(metric::kFactReuses);
-}
-std::size_t Verdict::merge_scans() const {
-  return telemetry.counter(metric::kMergeScans);
 }
 
 std::size_t Verdict::budget_aborted_guess() const {

@@ -218,7 +218,6 @@ struct Verdict {
   std::size_t index_hits() const;
   std::size_t index_builds() const;
   std::size_t fact_reuses() const;
-  std::size_t merge_scans() const;  // columnar storage: merge-scan probes
   // Index of the guess whose query blew the tuple budget; kNoGuessIndex
   // when no abort occurred.
   std::size_t budget_aborted_guess() const;

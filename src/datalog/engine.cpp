@@ -21,20 +21,13 @@ std::size_t Database::HashTuple(const std::vector<Sym>& tuple) {
 
 std::size_t Database::HashCells(const Ext& e, std::size_t ti) {
   std::size_t h = 0x12345678;
-  for (std::size_t c = 0; c < e.arity; ++c) {
-    HashCombine(h, e.columnar ? e.cols[c][ti] : e.pool[ti * e.arity + c]);
-  }
+  const Sym* row = e.pool.data() + ti * e.arity;
+  for (std::size_t c = 0; c < e.arity; ++c) HashCombine(h, row[c]);
   return h;
 }
 
 bool Database::CellsEqual(const Ext& e, std::size_t ti,
                           const std::vector<Sym>& tuple) {
-  if (e.columnar) {
-    for (std::size_t c = 0; c < e.arity; ++c) {
-      if (e.cols[c][ti] != tuple[c]) return false;
-    }
-    return true;
-  }
   const Sym* row = e.pool.data() + ti * e.arity;
   for (std::size_t c = 0; c < e.arity; ++c) {
     if (row[c] != tuple[c]) return false;
@@ -56,19 +49,10 @@ void Database::RebuildSlots(Ext& e) {
 
 bool Database::Insert(PredId pred, const std::vector<Sym>& tuple) {
   Ext& e = exts_[pred];
-  if (e.n == 0) {
-    // First tuple since (re)configuration: adopt this arity and make the
-    // containers match the configured layout.
-    if (e.arity != tuple.size()) {
-      e.arity = static_cast<std::uint32_t>(tuple.size());
-      e.pool.clear();
-      e.cols.clear();
-    }
-    if (e.columnar) {
-      if (e.cols.size() != e.arity) e.cols.assign(e.arity, {});
-    } else if (!e.cols.empty()) {
-      e.cols.clear();
-    }
+  if (e.n == 0 && e.arity != tuple.size()) {
+    // First tuple since the last reset: adopt this arity.
+    e.arity = static_cast<std::uint32_t>(tuple.size());
+    e.pool.clear();
   }
   assert(e.arity == tuple.size() && "tuple arity mismatch");
   // Grow at ~7/8 load (also covers the empty table).
@@ -80,11 +64,7 @@ bool Database::Insert(PredId pred, const std::vector<Sym>& tuple) {
     i = (i + 1) & mask;
   }
   e.slots[i] = static_cast<std::uint32_t>(e.n);
-  if (e.columnar) {
-    for (std::size_t c = 0; c < e.arity; ++c) e.cols[c].push_back(tuple[c]);
-  } else {
-    e.pool.insert(e.pool.end(), tuple.begin(), tuple.end());
-  }
+  e.pool.insert(e.pool.end(), tuple.begin(), tuple.end());
   ++e.n;
   return true;
 }
@@ -103,14 +83,8 @@ bool Database::Contains(PredId pred, const std::vector<Sym>& tuple) const {
 }
 
 void Database::Row(PredId pred, std::size_t ti, std::vector<Sym>* out) const {
-  const Ext& e = exts_[pred];
-  out->clear();
-  if (e.columnar) {
-    for (std::size_t c = 0; c < e.arity; ++c) out->push_back(e.cols[c][ti]);
-  } else {
-    const Sym* row = e.pool.data() + ti * e.arity;
-    out->insert(out->end(), row, row + e.arity);
-  }
+  const Sym* row = At(pred, ti);
+  out->assign(row, row + exts_[pred].arity);
 }
 
 std::vector<std::vector<Sym>> Database::Tuples(PredId pred) const {
@@ -125,7 +99,6 @@ void Database::Reset(std::size_t num_preds) {
   for (Ext& e : exts_) {
     e.n = 0;
     e.pool.clear();
-    for (auto& col : e.cols) col.clear();
     std::fill(e.slots.begin(), e.slots.end(), kEmptySlot);
   }
 }
@@ -136,30 +109,9 @@ void Database::TruncateTo(const std::vector<std::size_t>& keep) {
     const std::size_t k = p < keep.size() ? keep[p] : 0;
     if (e.n <= k) continue;
     e.n = k;
-    if (e.columnar) {
-      for (auto& col : e.cols) col.resize(k);
-    } else {
-      e.pool.resize(k * e.arity);
-    }
+    e.pool.resize(k * e.arity);
     RebuildSlots(e);
   }
-}
-
-void Database::ClearPred(PredId pred) {
-  Ext& e = exts_[pred];
-  e.n = 0;
-  e.pool.clear();
-  for (auto& col : e.cols) col.clear();
-  std::fill(e.slots.begin(), e.slots.end(), kEmptySlot);
-}
-
-void Database::SetColumnar(PredId pred, bool columnar) {
-  Ext& e = exts_[pred];
-  if (e.n != 0 || e.columnar == columnar) return;
-  e.columnar = columnar;
-  e.pool.clear();
-  e.cols.clear();
-  if (columnar && e.arity != Ext::kNoArity) e.cols.assign(e.arity, {});
 }
 
 namespace {
@@ -206,9 +158,9 @@ std::size_t MaxVar(const Rule& rule) {
   return mx;
 }
 
-// Unifies a stored tuple (std::vector<Sym> or RowRef — anything indexable
-// by argument position) against `pattern` (the atom's args) under `env`.
-// ValidateProgram's arity checks guarantee the sizes line up.
+// Unifies a stored tuple (std::vector<Sym> or a pool row — anything
+// indexable by argument position) against `pattern` (the atom's args)
+// under `env`. ValidateProgram's arity checks guarantee the sizes line up.
 template <typename Row>
 bool Match(const std::vector<Term>& pattern, const Row& tuple, Bindings& env) {
   for (std::size_t i = 0; i < pattern.size(); ++i) {
@@ -302,47 +254,27 @@ void ValidateProgram(const Program& prog) {
 // --- reusable evaluator state -----------------------------------------------
 
 // A lazy index over one predicate's extension for one bound-position
-// signature (bit i set = argument i is a lookup key). `consumed` counts
-// how many tuples of the extension have been folded in; probes catch the
-// index up incrementally before reading, so emission stays O(1) and only
+// signature (bit i set = argument i is a lookup key), grouping tuple ids
+// into per-key buckets in ascending tuple id. `consumed` counts how many
+// tuples of the extension have been folded in; probes catch the index up
+// incrementally before reading, so emission stays O(1) and only
 // signatures a join actually demands are ever built.
-//
-// Two representations share the struct. Hash mode groups tuple ids into
-// per-key buckets. Sorted mode (columnar storage) keeps tuple ids ordered
-// by (key columns, tuple id) as LSM-style sorted runs: each catch-up sorts
-// the new suffix into a run, trailing runs merge whenever the previous run
-// is no more than twice the new one (amortized O(n log n) total), and a
-// probe binary-searches each run (a merge scan). Runs cover disjoint
-// ascending tuple-id intervals, so concatenating the per-run matches
-// yields candidates in ascending tuple id within a key — exactly the order
-// hash buckets produce — which keeps derivation order and join statistics
-// independent of the representation.
 struct ArgIndex {
-  bool sorted = false;
   std::size_t consumed = 0;
-  // Hash mode.
   std::unordered_map<std::vector<Sym>, std::vector<std::uint32_t>,
                      rapar::VectorHash<Sym>>
       buckets;
-  // Sorted mode.
-  std::vector<std::uint32_t> tids;
-  std::vector<std::size_t> run_ends;  // exclusive end offset of each run
 
-  // Drops the indexed content but keeps the representation choice.
   void Clear() {
     consumed = 0;
     buckets.clear();
-    tids.clear();
-    run_ends.clear();
   }
 };
 
 // State that persists across Engine::Solve calls: the database, worklist,
 // binding frames, join-order scratch and join indexes keep their
-// allocations; the seeded-EDB snapshot lets a solve whose fact set matches
-// the previous one skip re-seeding; and the delta snapshot (program shape
-// of the last fixpoint solve) lets EngineOptions::delta_solve keep whole
-// unchanged strata across guesses.
+// allocations, and the seeded-EDB snapshot lets a solve whose fact set
+// matches the previous one skip re-seeding.
 struct EvaluatorArena {
   Database db{0};
   std::deque<std::pair<PredId, std::uint32_t>> work;
@@ -375,21 +307,6 @@ struct EvaluatorArena {
   std::vector<std::pair<PredId, std::uint32_t>> fact_order;
   std::size_t fact_firings = 0;
   std::size_t fact_tuples = 0;
-
-  // Delta snapshot (EngineOptions::delta_solve): the program shape whose
-  // least model `db` currently holds. `delta_valid` is set only after a
-  // solve that reached the full fixpoint without a budget abort, so every
-  // retained extension is exactly its stratum's least-model value.
-  bool delta_valid = false;
-  std::vector<std::string> delta_consts;  // interned constant names, in order
-  std::vector<std::pair<std::string, std::size_t>> delta_preds;  // name, arity
-  // Per head predicate, the sorted serializations of its rules (a multiset
-  // fingerprint; rule order within a stratum does not affect its value).
-  std::vector<std::vector<std::string>> delta_rules;
-  std::uint64_t delta_epoch = 0;  // uniquifies untagged natives
-  // Scratch reused across delta attempts.
-  std::vector<std::vector<std::string>> delta_rules_new;
-  std::vector<char> dirty;  // per pred, this attempt
 };
 
 namespace {
@@ -409,141 +326,6 @@ void FlattenFacts(const Program& prog, std::vector<Sym>* out) {
   }
 }
 
-// --- delta snapshot helpers -------------------------------------------------
-
-void AppendTerm(const Term& t, std::string* s) {
-  s->push_back(t.kind == Term::Kind::kConst ? 'c' : 'v');
-  *s += std::to_string(t.val);
-  s->push_back(',');
-}
-
-void AppendAtom(const Atom& a, std::string* s) {
-  *s += std::to_string(a.pred);
-  s->push_back('(');
-  for (const Term& t : a.args) AppendTerm(t, s);
-  s->push_back(')');
-}
-
-// Serializes every rule into a representation-equality string, grouped by
-// head predicate and sorted within each group (a multiset fingerprint).
-// Two rules serialize equal iff they derive the same instances: terms by
-// (kind, symbol) — the caller has already established that the constant
-// tables of the compared programs are identical, so symbol equality is
-// value equality — and natives by their semantic-identity tag (see
-// Native::tag). An untagged native has no cross-program identity, so it
-// serializes with a globally unique marker and never compares equal.
-void SerializeRules(const Program& prog, std::uint64_t* epoch,
-                    std::vector<std::vector<std::string>>* out) {
-  out->assign(prog.num_preds(), {});
-  std::string s;
-  for (const Rule& r : prog.rules()) {
-    s.clear();
-    AppendAtom(r.head, &s);
-    for (const Atom& a : r.body) {
-      s.push_back('|');
-      AppendAtom(a, &s);
-    }
-    for (const Native& n : r.natives) {
-      s.push_back('~');
-      if (n.tag.empty()) {
-        s.push_back('!');
-        s += std::to_string(++*epoch);
-      } else {
-        s += n.tag;
-      }
-      s.push_back(':');
-      for (const Term& t : n.inputs) AppendTerm(t, &s);
-      if (n.output.has_value()) {
-        s.push_back('>');
-        s += std::to_string(*n.output);
-      }
-    }
-    (*out)[r.head.pred].push_back(s);
-  }
-  for (auto& group : *out) std::sort(group.begin(), group.end());
-}
-
-// Records `prog` (which `arena.db` now holds the least model of) as the
-// delta snapshot for the next solve.
-void RecordDeltaState(const Program& prog, EvaluatorArena& a) {
-  a.delta_consts.clear();
-  for (std::size_t i = 0; i < prog.num_consts(); ++i) {
-    a.delta_consts.push_back(prog.const_name(static_cast<Sym>(i)));
-  }
-  a.delta_preds.clear();
-  for (std::size_t p = 0; p < prog.num_preds(); ++p) {
-    a.delta_preds.emplace_back(prog.pred(static_cast<PredId>(p)).name,
-                               prog.pred(static_cast<PredId>(p)).arity);
-  }
-  SerializeRules(prog, &a.delta_epoch, &a.delta_rules);
-  a.delta_valid = true;
-}
-
-// Iterative Tarjan over the predicate dependency graph (edge head -> body
-// predicate). SCC ids are assigned in completion order, i.e. every SCC's
-// dependencies get smaller ids than the SCC itself.
-void TarjanSccs(const std::vector<std::vector<std::uint32_t>>& adj,
-                std::vector<std::uint32_t>* scc_id, std::size_t* num_sccs) {
-  const std::size_t n = adj.size();
-  constexpr std::uint32_t kUnvisited = 0xffffffffu;
-  std::vector<std::uint32_t> index(n, kUnvisited), low(n, 0);
-  std::vector<char> on_stack(n, 0);
-  std::vector<std::uint32_t> stack;
-  // (node, next adjacency offset) DFS frames.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> frames;
-  scc_id->assign(n, 0);
-  std::uint32_t next_index = 0, next_scc = 0;
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    frames.push_back({root, 0});
-    while (!frames.empty()) {
-      auto& [v, child] = frames.back();
-      if (child == 0) {
-        index[v] = low[v] = next_index++;
-        stack.push_back(v);
-        on_stack[v] = 1;
-      }
-      bool descended = false;
-      while (child < adj[v].size()) {
-        const std::uint32_t w = adj[v][child++];
-        if (index[w] == kUnvisited) {
-          frames.push_back({w, 0});
-          descended = true;
-          break;
-        }
-        if (on_stack[w] && index[w] < low[v]) low[v] = index[w];
-      }
-      if (descended) continue;
-      if (low[v] == index[v]) {
-        std::uint32_t w;
-        do {
-          w = stack.back();
-          stack.pop_back();
-          on_stack[w] = 0;
-          (*scc_id)[w] = next_scc;
-        } while (w != v);
-        ++next_scc;
-      }
-      const std::uint32_t done = v;
-      frames.pop_back();
-      if (!frames.empty()) {
-        const std::uint32_t parent = frames.back().first;
-        if (low[done] < low[parent]) low[parent] = low[done];
-      }
-    }
-  }
-  *num_sccs = next_scc;
-}
-
-// Outcome of a cross-guess delta attempt. Only a definitively negative
-// attempt is recorded as the solve's result: the fixpoint is canonical, so
-// "worklist drained, goal absent, budget respected" transfers verbatim to
-// what a full solve would have concluded. Every terminating attempt (goal
-// derived, goal found retained, or budget blown) is discarded and re-run
-// as a fresh full solve so the recorded outcome and statistics match the
-// non-delta engine exactly (see DESIGN.md §13).
-enum class DeltaOutcome { kNegative, kTerminating, kNotApplicable };
-
 class Evaluator {
  public:
   Evaluator(const Program& prog, const Atom* goal, EvalStats* stats,
@@ -560,8 +342,11 @@ class Evaluator {
   // Returns true if the goal was derived (always false without a goal or
   // with early_exit off; Query's fallback membership check covers those).
   bool Run() {
-    SetUpRules(nullptr);
-    SetGoalTuple();
+    SetUpRules();
+    goal_tuple_.clear();
+    if (goal_ != nullptr) {
+      for (const Term& t : goal_->args) goal_tuple_.push_back(t.val);
+    }
     bool reused = false;
     if (SeedFacts(&reused)) return true;
     if (reused_out_ != nullptr) *reused_out_ = reused;
@@ -574,189 +359,9 @@ class Evaluator {
     return DrainWorklist();
   }
 
-  // Attempts a cross-guess delta solve against the arena's retained
-  // fixpoint. On kNegative the database holds the new program's least
-  // model, the recorded stats are final, and the delta snapshot has been
-  // advanced; otherwise the caller falls back to a fresh full solve.
-  DeltaOutcome RunDelta() {
-    if (!a_.delta_valid) return DeltaOutcome::kNotApplicable;
-    // Symbols are interned per program; retained tuples only mean the
-    // same thing under an identical constant table.
-    if (prog_.num_consts() != a_.delta_consts.size()) {
-      return DeltaOutcome::kNotApplicable;
-    }
-    for (std::size_t i = 0; i < a_.delta_consts.size(); ++i) {
-      if (prog_.const_name(static_cast<Sym>(i)) != a_.delta_consts[i]) {
-        return DeltaOutcome::kNotApplicable;
-      }
-    }
-    const std::size_t np = prog_.num_preds();
-    const std::size_t old_np = a_.delta_preds.size();
-    for (std::size_t p = 0; p < std::min(np, old_np); ++p) {
-      const PredInfo& info = prog_.pred(static_cast<PredId>(p));
-      if (info.name != a_.delta_preds[p].first ||
-          info.arity != a_.delta_preds[p].second) {
-        return DeltaOutcome::kNotApplicable;
-      }
-    }
-    SerializeRules(prog_, &a_.delta_epoch, &a_.delta_rules_new);
-
-    // Per-predicate "own rules changed" bits, then dirtiness closed over
-    // the SCC condensation: a stratum's least-model value changes only if
-    // its own rules changed or something it depends on did.
-    a_.dirty.assign(np, 0);
-    for (std::size_t p = 0; p < np; ++p) {
-      a_.dirty[p] = p >= old_np || a_.delta_rules_new[p] != a_.delta_rules[p];
-    }
-    std::vector<std::vector<std::uint32_t>> adj(np);
-    for (const Rule& r : prog_.rules()) {
-      for (const Atom& atom : r.body) adj[r.head.pred].push_back(atom.pred);
-    }
-    std::vector<std::uint32_t> scc_id;
-    std::size_t num_sccs = 0;
-    TarjanSccs(adj, &scc_id, &num_sccs);
-    std::vector<char> scc_dirty(num_sccs, 0);
-    for (std::size_t p = 0; p < np; ++p) {
-      if (a_.dirty[p]) scc_dirty[scc_id[p]] = 1;
-    }
-    // Cross-SCC edges always point at smaller ids (Tarjan completion
-    // order), so one ascending pass propagates dirtiness transitively.
-    std::vector<std::vector<std::uint32_t>> scc_deps(num_sccs);
-    for (std::size_t p = 0; p < np; ++p) {
-      for (const std::uint32_t q : adj[p]) {
-        if (scc_id[q] != scc_id[p]) scc_deps[scc_id[p]].push_back(scc_id[q]);
-      }
-    }
-    std::size_t dirty_sccs = 0;
-    for (std::size_t s = 0; s < num_sccs; ++s) {
-      if (!scc_dirty[s]) {
-        for (const std::uint32_t d : scc_deps[s]) {
-          if (scc_dirty[d]) {
-            scc_dirty[s] = 1;
-            break;
-          }
-        }
-      }
-      if (scc_dirty[s]) ++dirty_sccs;
-    }
-    for (std::size_t p = 0; p < np; ++p) a_.dirty[p] = scc_dirty[scc_id[p]];
-
-    // From here on the database is mutated: the snapshots no longer
-    // describe it until a fixpoint is re-established.
-    a_.delta_valid = false;
-    a_.facts_valid = false;
-    SetGoalTuple();
-
-    try {
-      // Retract: vanished predicates wholesale, dirty extensions and the
-      // content of their indexes (the index *entries* survive, like the
-      // EDB rollback, so index_builds keeps engine-lifetime semantics).
-      std::size_t retracts = 0;
-      for (std::size_t p = np; p < a_.db.num_preds(); ++p) {
-        retracts += a_.db.Size(static_cast<PredId>(p));
-      }
-      for (std::size_t p = 0; p < std::min(np, a_.db.num_preds()); ++p) {
-        if (!a_.dirty[p]) continue;
-        retracts += a_.db.Size(static_cast<PredId>(p));
-        a_.db.ClearPred(static_cast<PredId>(p));
-        for (auto& [mask, ix] : a_.indexes[p]) ix.Clear();
-      }
-      a_.db.SetNumPreds(np);
-      SetUpRules(&a_.dirty);  // rule_index over dirty-headed rules only
-      for (std::size_t p = 0; p < np; ++p) {
-        a_.db.SetColumnar(static_cast<PredId>(p),
-                          SortedPred(static_cast<PredId>(p)));
-      }
-      std::size_t kept = 0;
-      for (std::size_t p = 0; p < np; ++p) {
-        kept += a_.db.Size(static_cast<PredId>(p));
-      }
-      total_tuples_ = kept;
-      if (stats_ != nullptr) {
-        stats_->tuples += kept;  // the solve's count ends at the fixpoint size
-        stats_->delta_retracts += retracts;
-        stats_->delta_reseeded_strata += dirty_sccs;
-      }
-      if (options_.max_tuples != 0 && total_tuples_ > options_.max_tuples) {
-        throw BudgetExceeded(options_.max_tuples);
-      }
-
-      // Re-assert the dirty strata's seeds in fresh-seeding order: fact
-      // rules first, then body-less native rules.
-      seeding_ = true;
-      seeding_firings_ = 0;
-      seeding_tuples_ = 0;
-      for (const Rule& r : prog_.rules()) {
-        if (!r.IsFact() || !a_.dirty[r.head.pred]) continue;
-        a_.env.Reset(0);
-        if (EvalNativesAndEmit(r, 0)) {
-          seeding_ = false;
-          if (stats_ != nullptr) stats_->delta_asserts += seeding_tuples_;
-          return DeltaOutcome::kTerminating;
-        }
-      }
-      for (const Rule& r : prog_.rules()) {
-        if (!r.body.empty() || r.IsFact() || !a_.dirty[r.head.pred]) continue;
-        a_.env.Reset(MaxVar(r));
-        if (EvalNativesAndEmit(r, 0)) {
-          seeding_ = false;
-          if (stats_ != nullptr) stats_->delta_asserts += seeding_tuples_;
-          return DeltaOutcome::kTerminating;
-        }
-      }
-      seeding_ = false;
-      if (stats_ != nullptr) stats_->delta_asserts += seeding_tuples_;
-
-      // Feed every retained tuple that a dirty rule consumes through the
-      // worklist; dirty-strata tuples enqueue themselves as they emit.
-      for (std::size_t p = 0; p < np; ++p) {
-        if (a_.dirty[p] || a_.rule_index[p].empty()) continue;
-        const std::size_t sz = a_.db.Size(static_cast<PredId>(p));
-        for (std::size_t ti = 0; ti < sz; ++ti) {
-          a_.work.push_back(
-              {static_cast<PredId>(p), static_cast<std::uint32_t>(ti)});
-        }
-      }
-      if (DrainWorklist()) return DeltaOutcome::kTerminating;
-    } catch (const BudgetExceeded&) {
-      seeding_ = false;
-      return DeltaOutcome::kTerminating;
-    }
-    // Fixpoint reached within budget. A retained goal still terminates
-    // (the fresh fallback re-derives it with reference statistics); only
-    // a definitively negative outcome is recorded from the delta path.
-    if (goal_ != nullptr && a_.db.Contains(goal_->pred, goal_tuple_)) {
-      return DeltaOutcome::kTerminating;
-    }
-    // Advance the delta snapshot in place (the serializations were already
-    // computed for the dirtiness comparison).
-    a_.delta_consts.clear();
-    for (std::size_t i = 0; i < prog_.num_consts(); ++i) {
-      a_.delta_consts.push_back(prog_.const_name(static_cast<Sym>(i)));
-    }
-    a_.delta_preds.clear();
-    for (std::size_t p = 0; p < np; ++p) {
-      a_.delta_preds.emplace_back(prog_.pred(static_cast<PredId>(p)).name,
-                                  prog_.pred(static_cast<PredId>(p)).arity);
-    }
-    a_.delta_rules.swap(a_.delta_rules_new);
-    a_.delta_valid = true;
-    return DeltaOutcome::kNegative;
-  }
-
  private:
-  void SetGoalTuple() {
-    goal_tuple_.clear();
-    if (goal_ != nullptr) {
-      for (const Term& t : goal_->args) goal_tuple_.push_back(t.val);
-    }
-  }
-
-  // Prepares per-rule metadata and the body-occurrence index. With a
-  // `dirty` filter only rules whose head predicate is dirty are indexed:
-  // clean rules cannot derive anything new (their stratum is already at
-  // its fixpoint), so the delta worklist never needs to fire them.
-  void SetUpRules(const std::vector<char>* dirty) {
+  // Prepares per-rule metadata and the body-occurrence index.
+  void SetUpRules() {
     const std::size_t np = prog_.num_preds();
     a_.rule_index.resize(np);
     for (auto& v : a_.rule_index) v.clear();
@@ -766,7 +371,6 @@ class Evaluator {
       const Rule& r = prog_.rules()[ri];
       a_.max_var.push_back(static_cast<std::uint32_t>(MaxVar(r)));
       if (r.body.size() > max_body) max_body = r.body.size();
-      if (dirty != nullptr && !(*dirty)[r.head.pred]) continue;
       for (std::size_t bi = 0; bi < r.body.size(); ++bi) {
         a_.rule_index[r.body[bi].pred].push_back(
             {static_cast<std::uint32_t>(ri), static_cast<std::uint32_t>(bi)});
@@ -775,9 +379,7 @@ class Evaluator {
     if (a_.scratch.size() < max_body) a_.scratch.resize(max_body);
     a_.indexes.resize(np);
     a_.work.clear();
-    if (options_.hints == nullptr &&
-        (options_.engine.reorder_joins ||
-         options_.engine.storage != StorageMode::kHash)) {
+    if (options_.hints == nullptr && options_.engine.reorder_joins) {
       a_.own_growth.assign(np, 0);
       for (const Rule& r : prog_.rules()) {
         if (!r.IsFact()) a_.own_growth[r.head.pred] = 2;
@@ -791,6 +393,7 @@ class Evaluator {
     while (!a_.work.empty()) {
       const auto [pred, idx] = a_.work.front();
       a_.work.pop_front();
+      // Copied out: the joins below may reallocate this predicate's pool.
       a_.db.Row(pred, idx, &a_.popbuf);
       for (const auto& [ri, bi] : a_.rule_index[pred]) {
         const Rule& r = prog_.rules()[ri];
@@ -836,10 +439,6 @@ class Evaluator {
         for (auto& [mask, ix] : a_.indexes[p]) {
           if (ix.consumed > a_.base_counts[p]) ix.Clear();
         }
-        // Storage policy may have changed between solves; only empty
-        // extensions (derived-only predicates after rollback) switch.
-        a_.db.SetColumnar(static_cast<PredId>(p),
-                          SortedPred(static_cast<PredId>(p)));
       }
       // Replay the fresh seeding's exact worklist order.
       a_.work.insert(a_.work.end(), a_.fact_order.begin(),
@@ -857,10 +456,6 @@ class Evaluator {
     *reused = false;
     a_.facts_valid = false;
     a_.db.Reset(np);
-    for (std::size_t p = 0; p < np; ++p) {
-      a_.db.SetColumnar(static_cast<PredId>(p),
-                        SortedPred(static_cast<PredId>(p)));
-    }
     for (auto& per_pred : a_.indexes) {
       for (auto& [mask, ix] : per_pred) ix.Clear();
     }
@@ -894,22 +489,6 @@ class Evaluator {
       return options_.hints->growth[p];
     }
     return p < a_.own_growth.size() ? a_.own_growth[p] : 2;
-  }
-
-  // Storage-mode policy: does this predicate use the columnar layout and
-  // sorted merge-scan indexes? (kAuto: EDB relations sort once and stay
-  // sorted; recursive IDB relations are the high-fanout core where cache-
-  // friendly columns pay; the in-between rank keeps hash buckets.)
-  bool SortedPred(PredId p) const {
-    switch (options_.engine.storage) {
-      case StorageMode::kHash:
-        return false;
-      case StorageMode::kColumnar:
-        return true;
-      case StorageMode::kAuto:
-        return GrowthOf(p) != 1;
-    }
-    return false;
   }
 
   // Chooses the join order for the body atoms other than the delta
@@ -1004,97 +583,35 @@ class Evaluator {
     return false;
   }
 
-  // Lexicographic comparison of tuple `ti`'s masked cells against the
-  // probe key in `keybuf` (-1/0/1).
-  int CmpKey(PredId pred, std::uint64_t mask, std::uint32_t ti) const {
-    const RowRef row = a_.db.At(pred, ti);
-    std::size_t i = 0, k = 0;
-    for (std::uint64_t m = mask; m != 0; m >>= 1, ++i) {
-      if (!(m & 1)) continue;
-      const Sym c = row[i];
-      if (c != a_.keybuf[k]) return c < a_.keybuf[k] ? -1 : 1;
-      ++k;
-    }
-    return 0;
-  }
-
-  // Lexicographic comparison of two tuples' masked cells (-1/0/1).
-  int CmpTids(PredId pred, std::uint64_t mask, std::uint32_t ta,
-              std::uint32_t tb) const {
-    const RowRef ra = a_.db.At(pred, ta);
-    const RowRef rb = a_.db.At(pred, tb);
-    std::size_t i = 0;
-    for (std::uint64_t m = mask; m != 0; m >>= 1, ++i) {
-      if (!(m & 1)) continue;
-      const Sym ca = ra[i], cb = rb[i];
-      if (ca != cb) return ca < cb ? -1 : 1;
-    }
-    return 0;
-  }
-
   // Indexed probe: candidates come from the (pred, mask) index keyed by
-  // the bound argument values in `keybuf` instead of a full scan. The
-  // index representation follows the predicate's storage mode.
+  // the bound argument values in `keybuf` instead of a full scan.
   bool ProbeIndexed(const Rule& r, std::size_t oi, const Atom& atom,
                     std::uint64_t mask, std::size_t n) {
-    const bool want_sorted = SortedPred(atom.pred);
     auto [it, fresh] = a_.indexes[atom.pred].try_emplace(mask);
     ArgIndex& ix = it->second;
-    if (fresh) {
-      ix.sorted = want_sorted;
-      if (stats_ != nullptr) ++stats_->index_builds;
-    } else if (ix.sorted != want_sorted) {
-      // Storage policy changed between solves on a reused arena: rebuild
-      // this signature in the new representation.
-      ix.Clear();
-      ix.sorted = want_sorted;
-      if (stats_ != nullptr) ++stats_->index_builds;
+    if (fresh && stats_ != nullptr) ++stats_->index_builds;
+    // Catch the index up over tuples emitted since the last probe.
+    if (ix.consumed < n) {
+      for (std::size_t ti = ix.consumed; ti < n; ++ti) {
+        catchup_key_.clear();
+        const Sym* tup = a_.db.At(atom.pred, ti);
+        std::size_t i = 0;
+        for (std::uint64_t m = mask; m != 0; m >>= 1, ++i) {
+          if (m & 1) catchup_key_.push_back(tup[i]);
+        }
+        ix.buckets[catchup_key_].push_back(static_cast<std::uint32_t>(ti));
+      }
+      ix.consumed = n;
     }
+    if (stats_ != nullptr) ++stats_->index_probes;
+    const auto bucket = ix.buckets.find(a_.keybuf);
+    if (bucket == ix.buckets.end()) return false;
+    // Copy the candidate list: recursion below may rehash the bucket map
+    // (deeper probes catch up the same index) or grow this bucket.
     std::vector<std::uint32_t>& cands = a_.scratch[oi];
     cands.clear();
-    if (ix.sorted) {
-      CatchUpSorted(atom.pred, mask, n, ix);
-      if (stats_ != nullptr) ++stats_->merge_scans;
-      // Merge scan: binary-search each sorted run for the key's range.
-      // Runs cover disjoint ascending tuple-id intervals, so this visits
-      // candidates in ascending tuple id — the hash-bucket order.
-      std::size_t base = 0;
-      for (const std::size_t end : ix.run_ends) {
-        const auto run_begin = ix.tids.begin() + base;
-        const auto run_end = ix.tids.begin() + end;
-        const auto lo = std::partition_point(
-            run_begin, run_end,
-            [&](std::uint32_t t) { return CmpKey(atom.pred, mask, t) < 0; });
-        const auto hi = std::partition_point(
-            lo, run_end,
-            [&](std::uint32_t t) { return CmpKey(atom.pred, mask, t) == 0; });
-        for (auto p = lo; p != hi; ++p) {
-          if (*p < n) cands.push_back(*p);
-        }
-        base = end;
-      }
-    } else {
-      // Catch the index up over tuples emitted since the last probe.
-      if (ix.consumed < n) {
-        for (std::size_t ti = ix.consumed; ti < n; ++ti) {
-          catchup_key_.clear();
-          const RowRef tup = a_.db.At(atom.pred, ti);
-          std::size_t i = 0;
-          for (std::uint64_t m = mask; m != 0; m >>= 1, ++i) {
-            if (m & 1) catchup_key_.push_back(tup[i]);
-          }
-          ix.buckets[catchup_key_].push_back(static_cast<std::uint32_t>(ti));
-        }
-        ix.consumed = n;
-      }
-      if (stats_ != nullptr) ++stats_->index_probes;
-      const auto bucket = ix.buckets.find(a_.keybuf);
-      if (bucket == ix.buckets.end()) return false;
-      // Copy the candidate list: recursion below may rehash the bucket
-      // map (deeper probes catch up the same index) or grow this bucket.
-      for (const std::uint32_t ti : bucket->second) {
-        if (ti < n) cands.push_back(ti);
-      }
+    for (const std::uint32_t ti : bucket->second) {
+      if (ti < n) cands.push_back(ti);
     }
     if (stats_ != nullptr) stats_->index_hits += cands.size();
     for (const std::uint32_t ti : cands) {
@@ -1106,39 +623,6 @@ class Evaluator {
       a_.env.Undo(mark);
     }
     return false;
-  }
-
-  // Folds tuples [consumed, n) into the sorted index as a new run, then
-  // merges trailing runs while the previous run is at most twice the new
-  // one (LSM-style merge collapse: run sizes stay geometrically
-  // decreasing, so maintenance is O(n log n) amortized and probes touch
-  // O(log n) runs).
-  void CatchUpSorted(PredId pred, std::uint64_t mask, std::size_t n,
-                     ArgIndex& ix) {
-    if (ix.consumed >= n) return;
-    const std::size_t start = ix.tids.size();
-    for (std::size_t ti = ix.consumed; ti < n; ++ti) {
-      ix.tids.push_back(static_cast<std::uint32_t>(ti));
-    }
-    const auto cmp = [&](std::uint32_t ta, std::uint32_t tb) {
-      const int c = CmpTids(pred, mask, ta, tb);
-      return c != 0 ? c < 0 : ta < tb;
-    };
-    std::sort(ix.tids.begin() + start, ix.tids.end(), cmp);
-    ix.run_ends.push_back(ix.tids.size());
-    ix.consumed = n;
-    while (ix.run_ends.size() >= 2) {
-      const std::size_t m = ix.run_ends.size();
-      const std::size_t prev_base = m >= 3 ? ix.run_ends[m - 3] : 0;
-      const std::size_t prev = ix.run_ends[m - 2] - prev_base;
-      const std::size_t last = ix.run_ends[m - 1] - ix.run_ends[m - 2];
-      if (prev > 2 * last) break;
-      std::inplace_merge(ix.tids.begin() + prev_base,
-                         ix.tids.begin() + ix.run_ends[m - 2], ix.tids.end(),
-                         cmp);
-      ix.run_ends[m - 2] = ix.run_ends[m - 1];
-      ix.run_ends.pop_back();
-    }
   }
 
   bool EvalNativesAndEmit(const Rule& r, std::size_t at) {
@@ -1237,42 +721,6 @@ bool RunEvaluation(const Program& prog, const Atom* goal, EvalStats* stats,
   return found;
 }
 
-// Engine::Solve driver under EngineOptions::delta_solve: try the delta
-// path; any non-negative outcome falls back to a fresh full solve with
-// reference semantics (discarding the attempt's counters except the
-// delta_* savings metrics), so the recorded verdict and statistics of a
-// terminating solve are exactly the non-delta engine's.
-bool RunDeltaSolve(const Program& prog, const Atom* goal, EvalStats* stats,
-                   const EvalOptions& options, EvaluatorArena& arena) {
-  ValidateProgram(prog);
-  if (goal != nullptr) ValidateGoal(prog, *goal);
-  {
-    Evaluator ev(prog, goal, stats, options, arena, /*allow_reuse=*/false,
-                 nullptr);
-    switch (ev.RunDelta()) {
-      case DeltaOutcome::kNegative:
-        return false;
-      case DeltaOutcome::kTerminating:
-        if (stats != nullptr) {
-          EvalStats kept;
-          kept.delta_retracts = stats->delta_retracts;
-          kept.delta_asserts = stats->delta_asserts;
-          kept.delta_reseeded_strata = stats->delta_reseeded_strata;
-          *stats = kept;
-        }
-        break;
-      case DeltaOutcome::kNotApplicable:
-        break;
-    }
-  }
-  arena.delta_valid = false;
-  const bool derived = RunEvaluation(prog, goal, stats, options, arena,
-                                     /*allow_reuse=*/false, nullptr);
-  // Only a database at the full fixpoint can seed the next delta.
-  if (!derived || !options.early_exit) RecordDeltaState(prog, arena);
-  return derived;
-}
-
 }  // namespace
 
 bool Query(const Program& prog, const Atom& goal, EvalStats* stats,
@@ -1305,22 +753,13 @@ bool Engine::Solve(const Program& prog, const Atom& goal,
   ++solves_;
   bool reused = false;
   try {
-    bool derived;
-    if (options.engine.delta_solve) {
-      derived = RunDeltaSolve(prog, &goal, &last_, options, *arena_);
-    } else {
-      // A plain solve may stop early or roll back: the database no longer
-      // holds a recorded program's least model.
-      arena_->delta_valid = false;
-      derived = RunEvaluation(prog, &goal, &last_, options, *arena_,
-                              /*allow_reuse=*/true, &reused);
-    }
+    const bool derived = RunEvaluation(prog, &goal, &last_, options, *arena_,
+                                       /*allow_reuse=*/true, &reused);
     if (reused) ++fact_reuses_;
     total_ += last_;
     return derived;
   } catch (...) {
     // Budget blown mid-evaluation: keep what the aborted solve did.
-    arena_->delta_valid = false;
     if (reused) ++fact_reuses_;
     total_ += last_;
     throw;

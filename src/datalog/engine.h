@@ -1,6 +1,4 @@
-// Bottom-up (semi-naive) Datalog evaluation with argument-hash indexes,
-// opt-in columnar storage with sorted merge-scan indexes, and cross-guess
-// delta solving.
+// Bottom-up (semi-naive) Datalog evaluation with argument-hash indexes.
 #ifndef RAPAR_DATALOG_ENGINE_H_
 #define RAPAR_DATALOG_ENGINE_H_
 
@@ -15,31 +13,11 @@
 
 namespace rapar::dl {
 
-// A borrowed view of one stored tuple. Valid only until the next Insert
-// on the same predicate (the backing pool may reallocate); joins read it
-// immediately and never hold it across an emission.
-class RowRef {
- public:
-  RowRef(const Sym* row, const std::vector<std::vector<Sym>>* cols,
-         std::size_t ti)
-      : row_(row), cols_(cols), ti_(ti) {}
-  Sym operator[](std::size_t i) const {
-    return row_ != nullptr ? row_[i] : (*cols_)[i][ti_];
-  }
-
- private:
-  const Sym* row_;                            // row-major layout
-  const std::vector<std::vector<Sym>>* cols_; // columnar layout
-  std::size_t ti_;
-};
-
 // Predicate extensions computed by evaluation.
 //
-// Storage is flat per predicate — either one row-major pool (stride =
-// arity) or per-argument column vectors (EngineOptions::storage; the
-// vlog-style layout for the high-fanout predicates) — with an
-// open-addressing tuple-id table for duplicate detection. Both layouts
-// keep insertion order, which the semi-naive worklist and the index
+// Storage is flat per predicate: one row-major pool (stride = arity) with
+// an open-addressing tuple-id table for duplicate detection. The pool
+// keeps insertion order, which the semi-naive worklist and the index
 // candidate ordering rely on.
 class Database {
  public:
@@ -50,11 +28,11 @@ class Database {
   bool Contains(PredId pred, const std::vector<Sym>& tuple) const;
 
   std::size_t Size(PredId pred) const { return exts_[pred].n; }
-  // Borrowed view of tuple `ti` (see RowRef lifetime note).
-  RowRef At(PredId pred, std::size_t ti) const {
-    const Ext& e = exts_[pred];
-    if (e.columnar) return RowRef(nullptr, &e.cols, ti);
-    return RowRef(e.pool.data() + ti * e.arity, nullptr, 0);
+  // Borrowed pointer to tuple `ti`'s cells. Valid only until the next
+  // Insert on the same predicate (the pool may reallocate); joins read it
+  // immediately and never hold it across an emission.
+  const Sym* At(PredId pred, std::size_t ti) const {
+    return exts_[pred].pool.data() + ti * exts_[pred].arity;
   }
   // Copies tuple `ti` into *out (cleared first).
   void Row(PredId pred, std::size_t ti, std::vector<Sym>* out) const;
@@ -75,10 +53,9 @@ class Database {
   void Reset(std::size_t num_preds);
 
   // Grows or shrinks the predicate count, preserving existing extensions.
-  // The EDB-reuse rollback and the delta solver use this when consecutive
-  // programs share facts but differ in derived-only predicates (the
-  // Datalog backend's per-guess dis-chain predicates). Extensions being
-  // dropped must already be empty.
+  // The EDB-reuse rollback uses this when consecutive programs share facts
+  // but differ in derived-only predicates (the Datalog backend's per-guess
+  // dis-chain predicates). Extensions being dropped must already be empty.
   void SetNumPreds(std::size_t num_preds) { exts_.resize(num_preds); }
 
   // Removes, per predicate, every tuple inserted after the first
@@ -86,24 +63,12 @@ class Database {
   // database back to its seeded-EDB snapshot between solves.
   void TruncateTo(const std::vector<std::size_t>& keep);
 
-  // Drops every tuple of one predicate (delta retraction), keeping
-  // capacity and the configured layout.
-  void ClearPred(PredId pred);
-
-  // Switches the predicate's storage layout. Only effective while the
-  // extension is empty; an extension that already holds tuples keeps its
-  // layout (content is representation-independent, so this is safe).
-  void SetColumnar(PredId pred, bool columnar);
-  bool columnar(PredId pred) const { return exts_[pred].columnar; }
-
  private:
   struct Ext {
     static constexpr std::uint32_t kNoArity = 0xffffffffu;
     std::uint32_t arity = kNoArity;  // set on first insert
-    bool columnar = false;
-    std::size_t n = 0;                    // stored tuples
-    std::vector<Sym> pool;                // row-major: n * arity cells
-    std::vector<std::vector<Sym>> cols;   // columnar: arity columns
+    std::size_t n = 0;               // stored tuples
+    std::vector<Sym> pool;           // row-major: n * arity cells
     // Open-addressing duplicate table over tuple ids (power-of-two size,
     // linear probing); rebuilt on truncation.
     std::vector<std::uint32_t> slots;
@@ -120,23 +85,13 @@ class Database {
 };
 
 struct EvalStats {
-  std::size_t tuples = 0;        // derived tuples (including facts; in a
-                                 // delta solve also the retained ones, so
-                                 // the count equals the fixpoint size)
+  std::size_t tuples = 0;        // derived tuples (including facts)
   std::size_t rule_firings = 0;  // successful rule instantiations
   std::size_t join_attempts = 0; // candidate tuples unified against a body atom
   // Join-index counters (all zero when indexing is disabled).
   std::size_t index_probes = 0;  // hash-index lookups answered from a bucket
   std::size_t index_hits = 0;    // candidate tuples indexed lookups yielded
-                                 // (hash buckets and merge scans alike)
   std::size_t index_builds = 0;  // distinct (predicate, signature) indexes
-  std::size_t merge_scans = 0;   // sorted-index probes answered by merge
-                                 // scan (columnar storage); the columnar
-                                 // counterpart of index_probes
-  // Cross-guess delta counters (all zero unless EngineOptions::delta_solve).
-  std::size_t delta_retracts = 0;        // tuples dropped from dirty strata
-  std::size_t delta_asserts = 0;         // fact/native seeds re-asserted
-  std::size_t delta_reseeded_strata = 0; // dirty SCCs re-derived
   bool goal_found = false;
 
   EvalStats& operator+=(const EvalStats& o) {
@@ -146,10 +101,6 @@ struct EvalStats {
     index_probes += o.index_probes;
     index_hits += o.index_hits;
     index_builds += o.index_builds;
-    merge_scans += o.merge_scans;
-    delta_retracts += o.delta_retracts;
-    delta_asserts += o.delta_asserts;
-    delta_reseeded_strata += o.delta_reseeded_strata;
     goal_found = goal_found || o.goal_found;
     return *this;
   }
@@ -171,29 +122,14 @@ class BudgetExceeded : public std::runtime_error {
   std::size_t budget_ = 0;
 };
 
-// Per-predicate growth classification used by the join planner and the
-// storage selector. 0 = EDB (extension is static once facts are seeded),
-// 1 = derived but in a non-recursive SCC (stabilises once its stratum
-// saturates), 2 = derived and recursive. dlopt::MakeJoinHints builds one
-// from the width/SCC analysis; without hints the engine derives a
-// conservative 0/2 split from the rule heads.
+// Per-predicate growth class for the join planner: 0 = EDB (static once
+// facts are seeded), 1 = derived in a non-recursive SCC (stabilises once
+// its stratum saturates), 2 = derived and recursive. dlopt::MakeJoinHints
+// builds one from the width/SCC analysis; without hints the engine
+// derives a conservative 0/2 split from the rule heads.
 struct JoinHints {
   std::vector<std::uint8_t> growth;
 };
-
-// Relation storage / join-index representation.
-//   kHash     — row-major pools with lazy argument-hash bucket indexes
-//               (the PR 3 engine; the default).
-//   kColumnar — column-wise pools with sorted tuple-id indexes probed by
-//               merge scan (binary search over LSM-style sorted runs).
-//   kAuto     — per predicate by growth class: columnar for EDB (rank 0,
-//               sorted once, never merged again) and recursive IDB (rank
-//               2, the high-fanout emp/etp/dmp core), hash for rank 1.
-// The candidate order a join sees is identical in every mode (ascending
-// tuple id within a key), so derivation order, join_attempts, tuples and
-// rule_firings do not depend on the storage mode; only the
-// index_probes/merge_scans split does.
-enum class StorageMode : std::uint8_t { kHash, kColumnar, kAuto };
 
 // Evaluation-core tuning knobs, separate from the per-call limits in
 // EvalOptions so callers (VerifierOptions::engine) can ablate them.
@@ -206,23 +142,8 @@ struct EngineOptions {
   bool reorder_joins = true;
   // Engine only: when consecutive Solve calls share the same fact set,
   // roll the database back to the seeded-EDB snapshot instead of
-  // rebuilding it from scratch. Subsumed by (and disabled under)
-  // delta_solve, which retracts/re-derives at stratum granularity.
+  // rebuilding it from scratch.
   bool reuse_facts = true;
-  // Relation layout + join-index kind (see StorageMode).
-  StorageMode storage = StorageMode::kHash;
-  // Engine only: cross-guess delta solving. The engine retains the
-  // previous solve's program shape (constants, predicates, rules grouped
-  // per SCC); when the next program matches on a stratum and everything
-  // that stratum depends on, the stratum's extension and indexes are kept
-  // as-is, and only the changed strata are retracted and re-derived
-  // semi-naively from the diff. A solve whose delta derivation
-  // terminates (goal derived or budget blown) is transparently re-run as
-  // a fresh full solve, so the recorded outcome and statistics of every
-  // terminating solve — and the verdict of every solve — are identical
-  // to what a non-delta engine reports (see DESIGN.md §13 for the
-  // lattice argument).
-  bool delta_solve = false;
 };
 
 struct EvalOptions {
@@ -231,10 +152,10 @@ struct EvalOptions {
   // Abort evaluation (BudgetExceeded) after this many derived tuples
   // (0 = unlimited).
   std::size_t max_tuples = 0;
-  // Evaluation-core tuning (indexes, join order, storage, EDB reuse).
+  // Evaluation-core tuning (indexes, join order, EDB reuse).
   EngineOptions engine;
-  // Optional growth classification for the join planner and storage
-  // selector; must outlive the call. When null the engine computes its
+  // Optional growth classification for the join planner; must outlive the
+  // call. When null the engine computes its
   // own conservative hints.
   const JoinHints* hints = nullptr;
 };
@@ -266,13 +187,11 @@ struct EvaluatorArena;
 //
 // The engine owns an evaluator arena: the database, worklist, binding
 // frames and join indexes persist across Solve calls, so repeated solves
-// reuse their allocations. Across guesses it reuses *results* two ways:
-// when the fact set of the next program fingerprints equal to the
-// previous one the seeded EDB tuples (and their still-clean indexes) are
-// rolled back and re-used instead of re-inserted
-// (EngineOptions::reuse_facts); with EngineOptions::delta_solve the
-// reuse extends to whole derived strata whose rules (and dependencies)
-// are unchanged.
+// reuse their allocations. Every Solve computes a fresh fixpoint; the
+// only result carried across solves is the seeded EDB: when the next
+// program's fact set equals the previous one, the database is rolled back
+// to its fact snapshot (keeping the still-clean indexes) instead of
+// re-seeded (EngineOptions::reuse_facts).
 class Engine {
  public:
   Engine();

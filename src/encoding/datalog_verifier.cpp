@@ -189,10 +189,6 @@ void Accumulate(DatalogVerdict& v, const GuessOutcome& o) {
   v.index_probes += o.stats.index_probes;
   v.index_hits += o.stats.index_hits;
   v.index_builds += o.stats.index_builds;
-  v.merge_scans += o.stats.merge_scans;
-  v.delta_retracts += o.stats.delta_retracts;
-  v.delta_asserts += o.stats.delta_asserts;
-  v.delta_reseeded_strata += o.stats.delta_reseeded_strata;
   if (v.width_report.empty() && !o.width_report.empty()) {
     v.width_report = o.width_report;
   }

@@ -7,7 +7,9 @@
 // ThreadPool solves the chunks with one dl::Engine per worker (arena and
 // EDB-snapshot reuse stay intact within a worker), and the first
 // terminating event — a derived goal or a blown tuple budget — cancels
-// the remaining work.
+// the remaining work. Every guess is solved as its own fresh fixpoint;
+// the only result an engine carries from one guess to the next is its
+// seeded-EDB snapshot (dl::EngineOptions::reuse_facts).
 //
 // Determinism rule: the verdict, witness guess, guesses-scanned count and
 // the aggregate statistics are *independent of the thread count*. The
@@ -23,19 +25,6 @@
 // one exception of index_builds and fact_reuses, which depend on the
 // subsequence of guesses a worker happens to see and are therefore the
 // only verdict fields that may vary with the thread count.
-//
-// Cross-guess delta solving (EngineOptions::delta_solve) relaxes that
-// stats clause, not the verdict clause: how much work a delta solve saves
-// depends on the previous guess the worker's engine happened to solve, so
-// the join/probe/firing aggregates (and the delta_* savings counters)
-// become schedule-dependent alongside index_builds/fact_reuses. The
-// verdict, witness, guesses, budget_aborted_guess, exhaustive and
-// total_tuples stay bit-identical to the non-delta engine at every thread
-// count: a delta attempt is recorded only when it is definitively
-// negative within budget (a conclusion the canonical fixpoint makes
-// engine-state independent), and every terminating attempt is discarded
-// and re-run as a fresh full solve with reference semantics (DESIGN.md
-// §13).
 #ifndef RAPAR_ENCODING_DATALOG_VERIFIER_H_
 #define RAPAR_ENCODING_DATALOG_VERIFIER_H_
 
@@ -183,16 +172,6 @@ struct DatalogVerdict {
   std::size_t index_hits = 0;
   std::size_t index_builds = 0;
   std::size_t fact_reuses = 0;
-  // Sorted-index merge-scan probes (zero unless EngineOptions::storage
-  // selects columnar relations): the columnar counterpart of index_probes.
-  std::size_t merge_scans = 0;
-  // Cross-guess delta-solving savings counters (zero unless
-  // EngineOptions::delta_solve): tuples retracted from changed strata,
-  // fact/native seeds re-asserted into them, and dirty SCCs re-derived.
-  // Schedule-dependent like index_builds (see the determinism rule).
-  std::size_t delta_retracts = 0;
-  std::size_t delta_asserts = 0;
-  std::size_t delta_reseeded_strata = 0;
   // Budget-abort semantics: when a query blows max_tuples_per_query the
   // scan *stops* at that guess — its index is recorded here, exhaustive
   // becomes false, and the remaining guesses are not evaluated (a witness

@@ -54,12 +54,6 @@ inline constexpr char kIndexProbes[] = "engine.index_probes";
 inline constexpr char kIndexHits[] = "engine.index_hits";
 inline constexpr char kIndexBuilds[] = "engine.index_builds";
 inline constexpr char kFactReuses[] = "engine.fact_reuses";
-// Present only when columnar storage answered probes by merge scan.
-inline constexpr char kMergeScans[] = "engine.merge_scans";
-// Present only when cross-guess delta solving retained/retracted strata.
-inline constexpr char kDeltaRetracts[] = "engine.delta_retracts";
-inline constexpr char kDeltaAsserts[] = "engine.delta_asserts";
-inline constexpr char kDeltaReseededStrata[] = "engine.delta_reseeded_strata";
 
 inline constexpr char kPrepassDeadEdges[] = "prepass.dead_edges_removed";
 inline constexpr char kPrepassGuardsFolded[] = "prepass.guards_folded";

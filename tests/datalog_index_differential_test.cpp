@@ -4,10 +4,13 @@
 // with argument-hash indexes + cheapest-first ordering must derive exactly
 // the same database and answer every ground query identically to the
 // plain scan evaluator. Also: Engine fact-snapshot reuse across repeated
-// solves must not change answers or per-solve tuple counts.
+// solves — from any warm pool state, and across guess-like fact and rule
+// deltas — must not change answers or any per-solve counter.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -172,71 +175,79 @@ TEST_P(IndexDifferentialTest, EngineReuseMatchesFreshSolves) {
   EXPECT_EQ(fresh.fact_reuses(), 0u);
 }
 
-EvalOptions WithStorage(StorageMode mode) {
-  EvalOptions opts;  // use_index + reorder_joins on (defaults)
-  opts.engine.storage = mode;
-  return opts;
+// Exact per-solve counters: everything the row store and its lazy indexes
+// can influence.
+void ExpectSameCounters(const EvalStats& a, const EvalStats& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.tuples, b.tuples) << label;
+  EXPECT_EQ(a.rule_firings, b.rule_firings) << label;
+  EXPECT_EQ(a.join_attempts, b.join_attempts) << label;
+  EXPECT_EQ(a.index_hits, b.index_hits) << label;
+  EXPECT_EQ(a.index_probes, b.index_probes) << label;
 }
 
+// The engine has one relation layout (DESIGN.md §13); the matrix is the
+// pool states a solve can start from.
 TEST_P(IndexDifferentialTest, StorageMatrixMatchesHashDatabase) {
   Rng rng(GetParam() + 40000);
   const bool self_join = GetParam() % 3 == 0;
   Program prog = RandomDatalog(rng, /*preds=*/4, /*consts=*/3, /*rules=*/7,
                                self_join);
+  // A different program (and fact set): solving it in between discards
+  // the snapshot and leaves the pool and indexes warm with other tuples.
+  const Program other = RandomDatalog(rng, 4, 3, 7, !self_join);
 
   EvalStats hash_stats;
-  Database hash_db = Eval(prog, &hash_stats, WithStorage(StorageMode::kHash));
-  const std::set<GroundAtom> reference = Materialize(prog, hash_db);
-  EXPECT_EQ(hash_stats.merge_scans, 0u);
+  Eval(prog, &hash_stats);
 
-  for (StorageMode mode : {StorageMode::kColumnar, StorageMode::kAuto}) {
-    EvalStats s;
-    Database db = Eval(prog, &s, WithStorage(mode));
-    EXPECT_EQ(Materialize(prog, db), reference) << prog.ToString();
-    // Sorted-run probes return candidates in the same ascending
-    // tuple-index order as hash buckets, so the derivation sequence is
-    // identical: tuples, firings, join attempts and hits match exactly.
-    // Only the probe accounting splits between hash and merge scans.
-    EXPECT_EQ(s.tuples, hash_stats.tuples);
-    EXPECT_EQ(s.rule_firings, hash_stats.rule_firings);
-    EXPECT_EQ(s.join_attempts, hash_stats.join_attempts);
-    EXPECT_EQ(s.index_hits, hash_stats.index_hits);
-    EXPECT_EQ(s.index_probes + s.merge_scans, hash_stats.index_probes);
-    if (mode == StorageMode::kColumnar) {
-      EXPECT_EQ(s.index_probes, 0u);
+  // The states a solve can start from: a cold arena, a pool rolled back
+  // to the EDB snapshot (EDB-only indexes survive, the rest are cleared)
+  // and a pool reset after a different fact set. Each must derive the
+  // cold hash database with the same derivation sequence.
+  EvalOptions full;
+  full.early_exit = false;
+  Engine warm;
+  const Program* sequence[] = {&prog, &prog, &other, &prog, &prog};
+  for (std::size_t i = 0; i < std::size(sequence); ++i) {
+    Atom goal{0, {}};
+    goal.args.assign(sequence[i]->pred(0).arity, C(0));
+    warm.Solve(*sequence[i], goal, full);
+    if (sequence[i] == &prog) {
+      ExpectSameCounters(warm.last_stats(), hash_stats,
+                         "solve " + std::to_string(i));
     }
   }
+  EXPECT_EQ(warm.fact_reuses(), 2u);
 
-  // Every ground probe answers identically in every storage mode.
+  // Every ground probe answers like a cold Query, with the same counters,
+  // from the warm engine's rolled-back pool.
   Rng probe_rng(GetParam() + 277);
   for (int probe = 0; probe < 4; ++probe) {
     const PredId p = static_cast<PredId>(probe_rng.Below(prog.num_preds()));
-    Atom goal{p, {}};
+    Atom g{p, {}};
     for (std::size_t i = 0; i < prog.pred(p).arity; ++i) {
-      goal.args.push_back(
-          C(static_cast<Sym>(probe_rng.Below(prog.num_consts()))));
+      g.args.push_back(C(static_cast<Sym>(probe_rng.Below(prog.num_consts()))));
     }
-    EvalStats qh, qc, qa;
-    const bool hash = Query(prog, goal, &qh, WithStorage(StorageMode::kHash));
-    const bool col = Query(prog, goal, &qc, WithStorage(StorageMode::kColumnar));
-    const bool aut = Query(prog, goal, &qa, WithStorage(StorageMode::kAuto));
-    EXPECT_EQ(col, hash) << prog.AtomToString(goal);
-    EXPECT_EQ(aut, hash) << prog.AtomToString(goal);
-    EXPECT_EQ(qc.goal_found, qh.goal_found);
-    EXPECT_EQ(qa.goal_found, qh.goal_found);
+    EvalStats cold;
+    const bool expected = Query(prog, g, &cold);
+    EXPECT_EQ(warm.Solve(prog, g), expected) << prog.AtomToString(g);
+    EXPECT_EQ(warm.last_stats().goal_found, cold.goal_found);
+    ExpectSameCounters(warm.last_stats(), cold, prog.AtomToString(g));
   }
 }
 
+// One solve mode (DESIGN.md §13): the deltas are between the programs.
 TEST_P(IndexDifferentialTest, DeltaSolveMatrixMatchesFreshSolves) {
   Rng rng(GetParam() + 50000);
   Program base = RandomDatalog(rng, 4, 3, 6, GetParam() % 2 == 0);
   Atom goal{0, {}};
   goal.args.assign(base.pred(0).arity, C(0));
 
-  // A guess-like sequence: the base program plus per-step fact additions
-  // (drawn from the existing symbol tables, so the delta fast path stays
-  // structurally applicable) and, from step 2 on, a rule-set mutation
-  // that dirties a whole stratum rather than just its facts.
+  // A guess-like sequence of deltas: each step adds facts to the base
+  // program (a fact delta, so the engine re-seeds), and each step's
+  // variant adds one rule over the same facts (a rule delta, so the
+  // engine rolls back to the step's EDB snapshot under a different rule
+  // set — the shape of consecutive makeP guesses).
   std::vector<Program> steps;
   for (int g = 0; g < 4; ++g) {
     Program p = base;
@@ -249,47 +260,51 @@ TEST_P(IndexDifferentialTest, DeltaSolveMatrixMatchesFreshSolves) {
       }
       p.AddFact(std::move(a));
     }
-    if (g >= 2) {
-      Rule r;
-      const PredId hp = static_cast<PredId>(grng.Below(p.num_preds()));
-      r.head.pred = hp;
-      for (std::size_t i = 0; i < p.pred(hp).arity; ++i) {
-        r.head.args.push_back(
-            C(static_cast<Sym>(grng.Below(p.num_consts()))));
-      }
-      const PredId bp = static_cast<PredId>(grng.Below(p.num_preds()));
-      Atom b{bp, {}};
-      for (std::size_t i = 0; i < p.pred(bp).arity; ++i) {
-        b.args.push_back(V(static_cast<VarSym>(i)));
-      }
-      r.body.push_back(std::move(b));
-      p.AddRule(std::move(r));
+    steps.push_back(p);
+    Rule r;
+    const PredId hp = static_cast<PredId>(grng.Below(p.num_preds()));
+    r.head.pred = hp;
+    for (std::size_t i = 0; i < p.pred(hp).arity; ++i) {
+      r.head.args.push_back(C(static_cast<Sym>(grng.Below(p.num_consts()))));
     }
+    const PredId bp = static_cast<PredId>(grng.Below(p.num_preds()));
+    Atom b{bp, {}};
+    for (std::size_t i = 0; i < p.pred(bp).arity; ++i) {
+      b.args.push_back(V(static_cast<VarSym>(i)));
+    }
+    r.body.push_back(std::move(b));
+    p.AddRule(std::move(r));
     steps.push_back(std::move(p));
   }
 
-  for (StorageMode mode :
-       {StorageMode::kHash, StorageMode::kColumnar, StorageMode::kAuto}) {
-    EvalOptions delta = WithStorage(mode);
-    delta.engine.delta_solve = true;
-    EvalOptions fresh;
-    fresh.engine.reuse_facts = false;
-    Engine delta_engine;
-    Engine fresh_engine;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      const bool a = delta_engine.Solve(steps[i], goal, delta);
-      const bool b = fresh_engine.Solve(steps[i], goal, fresh);
-      EXPECT_EQ(a, b) << "mode=" << static_cast<int>(mode) << " step=" << i;
-      EXPECT_EQ(delta_engine.last_stats().goal_found,
-                fresh_engine.last_stats().goal_found)
-          << "mode=" << static_cast<int>(mode) << " step=" << i;
-      // The fixpoint is canonical, so the derived-tuple count (retained +
-      // re-derived in delta mode) matches a cold solve exactly.
-      EXPECT_EQ(delta_engine.last_stats().tuples,
-                fresh_engine.last_stats().tuples)
-          << "mode=" << static_cast<int>(mode) << " step=" << i;
+  EvalOptions fresh_opts;
+  fresh_opts.engine.reuse_facts = false;
+  Engine reusing;
+  Engine fresh;
+  std::size_t goal_is_fact = 0;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const bool a = reusing.Solve(steps[i], goal);
+    const bool b = fresh.Solve(steps[i], goal, fresh_opts);
+    EXPECT_EQ(a, b) << "step=" << i;
+    EXPECT_EQ(reusing.last_stats().goal_found, fresh.last_stats().goal_found)
+        << "step=" << i;
+    // Rollback replays the fresh seeding's worklist, so the derivation
+    // sequence — not just the fixpoint — matches a cold solve.
+    ExpectSameCounters(reusing.last_stats(), fresh.last_stats(),
+                       "step " + std::to_string(i));
+    for (const Rule& r : steps[i].rules()) {
+      if (r.IsFact() && r.head == goal) {
+        ++goal_is_fact;
+        break;
+      }
     }
   }
+  // A goal that is itself a fact takes the fresh path; otherwise every
+  // rule-delta variant rolls back.
+  if (goal_is_fact == 0) {
+    EXPECT_EQ(reusing.fact_reuses(), steps.size() / 2);
+  }
+  EXPECT_EQ(fresh.fact_reuses(), 0u);
 }
 
 // 320 seeds: IndexedMatchesScanDatabase alone is > 300 random programs.

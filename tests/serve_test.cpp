@@ -217,6 +217,15 @@ TEST(ServeTest, ErrorEnvelopes) {
       {MakeLine("verify", kMpWriter, {}, "", -1,
                 "{\"tmai_max_iterations\":-8589934592}"),
        "out of range"},
+      // Keys outside the decoded set: removed knobs and misspellings
+      // must not silently run with defaults.
+      {MakeLine("verify", kMpWriter, {}, "", -1,
+                "{\"engine_storage\":\"columnar\"}"),
+       "unknown option \"engine_storage\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1, "{\"delta_solve\":true}"),
+       "unknown option \"delta_solve\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1, "{\"time_budget\":0}"),
+       "unknown option \"time_budget\""},
   };
   for (const auto& c : cases) {
     const JsonValue doc = Parse(session.HandleLine(c.line));
@@ -260,17 +269,7 @@ TEST(ServeTest, FingerprintSensitivity) {
   EXPECT_EQ(Str(threaded, "cache"), "hit");
   EXPECT_EQ(StripVolatile(threaded), StripVolatile(datalog));
 
-  // engine_storage and delta_solve are verdict-invariant evaluation
-  // strategies like threads: same fingerprint, replayed from the cache.
-  spec.options_json =
-      "{\"backend\":\"datalog\",\"engine_storage\":\"columnar\","
-      "\"delta_solve\":true}";
-  const JsonValue columnar = Parse(session.HandleLine(RequestLine(spec)));
-  EXPECT_EQ(Str(columnar, "fingerprint"), Str(datalog, "fingerprint"));
-  EXPECT_EQ(Str(columnar, "cache"), "hit");
-  EXPECT_EQ(StripVolatile(columnar), StripVolatile(datalog));
-
-  // An unknown storage name is a request error, not a silent default.
+  // A removed option key is a request error, not a silent default.
   spec.options_json =
       "{\"backend\":\"datalog\",\"engine_storage\":\"rowwise\"}";
   const JsonValue bad = Parse(session.HandleLine(RequestLine(spec)));
