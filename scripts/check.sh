@@ -15,12 +15,15 @@ if [[ "${CHECK_SKIP_DEFAULT:-0}" != "1" ]]; then
   ctest --preset default -j "$jobs"
 fi
 
-# The full suite under ASan+UBSan includes the TMAI soundness
-# differentials (small-set, relational and auto domains vs the exact
-# Datalog backend, plus certificate checking on the catalog) — the
-# pair-set/value-set indexing they exercise is exactly what the
-# sanitizers watch — and the makeP encoder/optimizer parity suite
-# (MakePParity: cached env prefixes, programs moved into dlopt).
+# The full suite under ASan+UBSan, plus libstdc++'s _GLIBCXX_ASSERTIONS
+# bounds checks (RAPAR_SANITIZE in CMakeLists.txt): an out-of-range []
+# on a std::vector — the engine's binding frame, its dispatch buckets —
+# aborts even where ASan sees a valid address. The suite includes the
+# TMAI soundness differentials (small-set, relational and auto domains
+# vs the exact Datalog backend, plus certificate checking on the
+# catalog) — the pair-set/value-set indexing they exercise is exactly
+# what the sanitizers watch — and the makeP encoder/optimizer parity
+# suite (MakePParity: cached env prefixes, programs moved into dlopt).
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"

@@ -1,8 +1,26 @@
 #include "datalog/ast.h"
 
+#include <stdexcept>
+
 #include "common/strings.h"
 
 namespace rapar::dl {
+
+std::size_t NumVars(const Rule& rule) {
+  std::size_t mx = 0;
+  auto scan_term = [&](const Term& t) {
+    if (t.kind == Term::Kind::kVar && t.val + 1 > mx) mx = t.val + 1;
+  };
+  for (const Term& t : rule.head.args) scan_term(t);
+  for (const Atom& a : rule.body) {
+    for (const Term& t : a.args) scan_term(t);
+  }
+  for (const Native& n : rule.natives) {
+    for (const Term& t : n.inputs) scan_term(t);
+    if (n.output.has_value() && *n.output + 1 > mx) mx = *n.output + 1;
+  }
+  return mx;
+}
 
 std::vector<bool> Program::IdbPreds() const {
   std::vector<bool> idb(preds_.size(), false);
@@ -75,6 +93,81 @@ std::string Program::ToString() const {
   }
   for (const Rule& r : rules_) out += RuleToString(r) + "\n";
   return out;
+}
+
+void ValidateGoal(const Program& prog, const Atom& goal) {
+  if (goal.pred >= prog.num_preds()) {
+    throw std::invalid_argument(
+        StrCat("datalog goal: unknown predicate id ", goal.pred));
+  }
+  const PredInfo& info = prog.pred(goal.pred);
+  if (goal.args.size() != info.arity) {
+    throw std::invalid_argument(
+        StrCat("datalog goal: arity mismatch for '", info.name, "': got ",
+               goal.args.size(), " args, declared ", info.arity));
+  }
+  for (const Term& t : goal.args) {
+    if (t.kind != Term::Kind::kConst) {
+      throw std::invalid_argument(StrCat("datalog goal: atom on '", info.name,
+                                         "' is not ground (has a variable)"));
+    }
+  }
+}
+
+void ValidateProgram(const Program& prog) {
+  std::vector<char> bound;
+  for (std::size_t ri = 0; ri < prog.rules().size(); ++ri) {
+    const Rule& r = prog.rules()[ri];
+    auto fail = [&](const std::string& why) {
+      throw std::invalid_argument(StrCat("datalog rule #", ri, " is unsafe (",
+                                         why, "): ", prog.RuleToString(r)));
+    };
+    auto check_arity = [&](const Atom& a) {
+      if (a.pred >= prog.num_preds()) fail("unknown predicate id");
+      if (a.args.size() != prog.pred(a.pred).arity) {
+        fail("arity mismatch on '" + prog.pred(a.pred).name + "'");
+      }
+    };
+    check_arity(r.head);
+    bound.assign(NumVars(r), 0);
+    for (const Atom& a : r.body) {
+      check_arity(a);
+      for (const Term& t : a.args) {
+        if (t.kind == Term::Kind::kVar) bound[t.val] = 1;
+      }
+    }
+    for (const Native& n : r.natives) {
+      const bool two_inputs = n.inputs.size() == 2;
+      switch (n.op) {
+        case Native::Op::kLeq:
+          if (!two_inputs || n.output.has_value()) {
+            fail("native '" + n.name +
+                 "' is a leq check: two inputs and no output");
+          }
+          break;
+        case Native::Op::kMax:
+          if (!two_inputs || !n.output.has_value()) {
+            fail("native '" + n.name + "' is a max: two inputs and an output");
+          }
+          break;
+        case Native::Op::kCall:
+          if (!n.fn) fail("native '" + n.name + "' calls no function");
+          break;
+      }
+      for (const Term& t : n.inputs) {
+        if (t.kind == Term::Kind::kVar && !bound[t.val]) {
+          fail("input of native '" + n.name +
+               "' is not bound by the body or an earlier native");
+        }
+      }
+      if (n.output.has_value()) bound[*n.output] = 1;
+    }
+    for (const Term& t : r.head.args) {
+      if (t.kind == Term::Kind::kVar && !bound[t.val]) {
+        fail("head variable is not bound by the body or a native output");
+      }
+    }
+  }
 }
 
 }  // namespace rapar::dl

@@ -12,6 +12,7 @@
 #ifndef RAPAR_DATALOG_AST_H_
 #define RAPAR_DATALOG_AST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -58,19 +59,50 @@ struct Atom {
 // its input terms are ground. If `output` is set, the native computes a
 // binding for that variable; otherwise it is a boolean check.
 struct Native {
+  // What the native computes. The closed ops are evaluated inline over
+  // the engine's binding frame; kCall goes through `fn`.
+  enum class Op : std::uint8_t {
+    kCall,  // fn(inputs, &out)
+    kLeq,   // check: inputs[0] <= inputs[1]; no output
+    kMax,   // output = max(inputs[0], inputs[1])
+  };
+  Op op = Op::kCall;
   std::string name;
-  // Semantic identity token: two natives with equal `tag`, `inputs` and
-  // `output` compute the same function. Emitters must make the tag capture
-  // everything `fn` closes over (e.g. "assume:r0==1", not just "assume");
-  // an empty tag means "unknown function" and compares equal to nothing,
-  // which keeps rule dedup/subsumption (src/dlopt/) conservative.
+  // Semantic identity token: two natives with equal `op`, `tag`, `inputs`
+  // and `output` compute the same function. Emitters must make the tag
+  // capture everything `fn` closes over (e.g. "assume:r0==1", not just
+  // "assume"); an empty tag means "unknown function" and compares equal to
+  // nothing, which keeps rule dedup/subsumption (src/dlopt/) conservative.
   std::string tag;
   std::vector<Term> inputs;
   std::optional<VarSym> output;
-  // Returns false to reject the binding. If `output` is set, writes the
-  // computed symbol to *out.
+  // kCall only. Returns false to reject the binding. If `output` is set,
+  // writes the computed symbol to *out.
   std::function<bool(std::span<const Sym>, Sym* out)> fn;
 };
+
+// Evaluates native `n` — the one definition of every op, shared by the
+// engine, the Cache-Datalog solver and the test reference evaluators.
+// `in(i)` yields the ground value of input i; `buf` collects a kCall's
+// inputs and is reused across calls, so no op allocates once it has grown.
+// Returns false to reject the binding; a native with an output writes it
+// to *out.
+template <typename In>
+bool EvalNative(const Native& n, const In& in, std::vector<Sym>& buf,
+                Sym* out) {
+  switch (n.op) {
+    case Native::Op::kLeq:
+      return in(0) <= in(1);
+    case Native::Op::kMax:
+      *out = std::max(in(0), in(1));
+      return true;
+    case Native::Op::kCall:
+      break;
+  }
+  buf.clear();
+  for (std::size_t i = 0; i < n.inputs.size(); ++i) buf.push_back(in(i));
+  return n.fn(buf, out);
+}
 
 struct Rule {
   Atom head;
@@ -79,6 +111,10 @@ struct Rule {
 
   bool IsFact() const { return body.empty() && natives.empty(); }
 };
+
+// One more than the largest variable of `rule` (0 for a ground rule): the
+// size of its binding frame.
+std::size_t NumVars(const Rule& rule);
 
 struct PredInfo {
   std::string name;
@@ -134,6 +170,22 @@ class Program {
   Interner<std::string> consts_;
   std::vector<Rule> rules_;
 };
+
+// Input validation shared by every evaluator (the engine's Query, Eval and
+// Engine::Solve, and the Cache-Datalog solver). Each throws
+// std::invalid_argument, also in NDEBUG builds, where an unchecked input
+// would otherwise be undefined behavior.
+//
+// ValidateProgram: every atom matches its predicate's declared arity (the
+// joins unify positionally); every rule is safe — each native input is
+// bound by the body or an earlier native's output (natives run after the
+// body join, in order) and each head variable by the body or some native
+// output; and every native is well-formed for its op (kLeq: two inputs,
+// no output; kMax: two inputs and an output; kCall: a function).
+void ValidateProgram(const Program& prog);
+// ValidateGoal: the goal is ground, on a declared predicate, with that
+// predicate's arity.
+void ValidateGoal(const Program& prog, const Atom& goal);
 
 }  // namespace rapar::dl
 

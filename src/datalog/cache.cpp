@@ -1,7 +1,6 @@
 #include "datalog/cache.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <unordered_set>
 
@@ -23,10 +22,7 @@ class CacheSearch {
       : prog_(prog), k_(k), options_(options) {
     GroundAtom g;
     g.push_back(goal.pred);
-    for (const Term& t : goal.args) {
-      assert(t.kind == Term::Kind::kConst);
-      g.push_back(t.val);
-    }
+    for (const Term& t : goal.args) g.push_back(t.val);  // ground: validated
     goal_id_ = atoms_.Intern(std::move(g));
   }
 
@@ -85,23 +81,7 @@ class CacheSearch {
   void EnumerateInstantiations(const Rule& r,
                                const std::vector<AtomId>& cache,
                                std::vector<AtomId>& out) {
-    std::size_t num_vars = 0;
-    auto scan = [&](const Term& t) {
-      if (t.kind == Term::Kind::kVar && t.val + 1 > num_vars) {
-        num_vars = t.val + 1;
-      }
-    };
-    for (const Term& t : r.head.args) scan(t);
-    for (const Atom& a : r.body) {
-      for (const Term& t : a.args) scan(t);
-    }
-    for (const Native& n : r.natives) {
-      for (const Term& t : n.inputs) scan(t);
-      if (n.output.has_value() && *n.output + 1 > num_vars) {
-        num_vars = *n.output + 1;
-      }
-    }
-    std::vector<std::optional<Sym>> env(num_vars);
+    std::vector<std::optional<Sym>> env(NumVars(r));
     MatchBody(r, cache, 0, env, out);
   }
 
@@ -109,21 +89,17 @@ class CacheSearch {
                  std::size_t at, std::vector<std::optional<Sym>>& env,
                  std::vector<AtomId>& out) {
     if (at == r.body.size()) {
-      // Natives, then head.
-      std::vector<std::pair<VarSym, bool>> bound;
+      // Natives, then head. ValidateProgram guarantees every variable
+      // read here is bound.
+      const auto value = [&](const Term& t) {
+        return t.kind == Term::Kind::kConst ? t.val : *env[t.val];
+      };
+      std::vector<VarSym> bound;
       bool ok = true;
       for (const Native& n : r.natives) {
-        std::vector<Sym> inputs;
-        for (const Term& t : n.inputs) {
-          if (t.kind == Term::Kind::kConst) {
-            inputs.push_back(t.val);
-          } else {
-            assert(env[t.val].has_value());
-            inputs.push_back(*env[t.val]);
-          }
-        }
         Sym o = 0;
-        if (!n.fn(inputs, &o)) {
+        const auto in = [&](std::size_t i) { return value(n.inputs[i]); };
+        if (!EvalNative(n, in, native_in_, &o)) {
           ok = false;
           break;
         }
@@ -135,24 +111,17 @@ class CacheSearch {
             }
           } else {
             env[*n.output] = o;
-            bound.emplace_back(*n.output, true);
+            bound.push_back(*n.output);
           }
         }
       }
       if (ok) {
         GroundAtom h;
         h.push_back(r.head.pred);
-        for (const Term& t : r.head.args) {
-          if (t.kind == Term::Kind::kConst) {
-            h.push_back(t.val);
-          } else {
-            assert(env[t.val].has_value());
-            h.push_back(*env[t.val]);
-          }
-        }
+        for (const Term& t : r.head.args) h.push_back(value(t));
         out.push_back(atoms_.Intern(std::move(h)));
       }
-      for (auto& [v, _] : bound) env[v] = std::nullopt;
+      for (VarSym v : bound) env[v] = std::nullopt;
       return;
     }
     const Atom& pattern = r.body[at];
@@ -190,21 +159,25 @@ class CacheSearch {
   const CacheQueryOptions& options_;
   Interner<GroundAtom, rapar::VectorHash<Sym>> atoms_;
   AtomId goal_id_ = 0;
+  std::vector<Sym> native_in_;
 };
 
 }  // namespace
 
 CacheQueryResult CacheQuery(const Program& prog, const Atom& goal, int k,
                             const CacheQueryOptions& options) {
-  CacheSearch search(prog, goal, k, options);
-  return search.Run();
+  ValidateProgram(prog);
+  ValidateGoal(prog, goal);
+  return CacheSearch(prog, goal, k, options).Run();
 }
 
 std::optional<int> MinimalCacheSize(const Program& prog, const Atom& goal,
                                     int limit,
                                     const CacheQueryOptions& options) {
+  ValidateProgram(prog);
+  ValidateGoal(prog, goal);
   for (int k = 1; k <= limit; ++k) {
-    CacheQueryResult r = CacheQuery(prog, goal, k, options);
+    CacheQueryResult r = CacheSearch(prog, goal, k, options).Run();
     if (r.derivable) return k;
     if (r.aborted) return std::nullopt;
   }

@@ -28,12 +28,16 @@ struct CacheQueryOptions {
   std::size_t max_states = 5'000'000;
 };
 
-// Decides Prog ⊢_k goal. `goal` must be ground.
+// Decides Prog ⊢_k goal. Validates its input like the engine's Query
+// (ValidateProgram, ValidateGoal): an unsafe rule, a malformed native or a
+// goal that is not a ground atom of its predicate's arity raises
+// std::invalid_argument.
 CacheQueryResult CacheQuery(const Program& prog, const Atom& goal, int k,
                             const CacheQueryOptions& options = {});
 
 // Smallest k <= limit with Prog ⊢_k goal, or nullopt if none (including
-// the case that the goal is not derivable at all).
+// the case that the goal is not derivable at all). Validates like
+// CacheQuery.
 std::optional<int> MinimalCacheSize(const Program& prog, const Atom& goal,
                                     int limit,
                                     const CacheQueryOptions& options = {});

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -116,47 +115,40 @@ void Database::TruncateTo(const std::vector<std::size_t>& keep) {
 
 namespace {
 
-// Rule-local variable binding environment.
+// Rule-local variable binding frame. Every bound slot is on the trail, so
+// undoing the trail resets the frame: a reset costs the bindings made
+// since the last one, not the rule's width. Each slot carries its own
+// bound flag, so every Sym value (including a caller-defined native's
+// output) is a legal binding.
 class Bindings {
  public:
+  // Unbinds everything and makes room for variables 0..num_vars-1.
   void Reset(std::size_t num_vars) {
-    vals_.assign(num_vars, std::nullopt);
-    trail_.clear();
+    Undo(0);
+    if (slots_.size() < num_vars) slots_.resize(num_vars);
   }
-  bool Bound(VarSym v) const { return vals_[v].has_value(); }
-  Sym Get(VarSym v) const { return *vals_[v]; }
+  bool Bound(VarSym v) const { return slots_[v].bound; }
+  Sym Get(VarSym v) const { return slots_[v].val; }
   void Bind(VarSym v, Sym s) {
-    vals_[v] = s;
+    slots_[v] = Slot{s, true};
     trail_.push_back(v);
   }
   std::size_t Mark() const { return trail_.size(); }
   void Undo(std::size_t mark) {
     while (trail_.size() > mark) {
-      vals_[trail_.back()] = std::nullopt;
+      slots_[trail_.back()].bound = false;
       trail_.pop_back();
     }
   }
 
  private:
-  std::vector<std::optional<Sym>> vals_;
+  struct Slot {
+    Sym val = 0;
+    bool bound = false;
+  };
+  std::vector<Slot> slots_;
   std::vector<VarSym> trail_;
 };
-
-std::size_t MaxVar(const Rule& rule) {
-  std::size_t mx = 0;
-  auto scan_term = [&](const Term& t) {
-    if (t.kind == Term::Kind::kVar && t.val + 1 > mx) mx = t.val + 1;
-  };
-  for (const Term& t : rule.head.args) scan_term(t);
-  for (const Atom& a : rule.body) {
-    for (const Term& t : a.args) scan_term(t);
-  }
-  for (const Native& n : rule.natives) {
-    for (const Term& t : n.inputs) scan_term(t);
-    if (n.output.has_value() && *n.output + 1 > mx) mx = *n.output + 1;
-  }
-  return mx;
-}
 
 // Unifies a stored tuple (std::vector<Sym> or a pool row — anything
 // indexable by argument position) against `pattern` (the atom's args)
@@ -174,79 +166,6 @@ bool Match(const std::vector<Term>& pattern, const Row& tuple, Bindings& env) {
     }
   }
   return true;
-}
-
-// --- input validation -------------------------------------------------------
-//
-// These conditions were previously assert-only, i.e. undefined behavior in
-// NDEBUG builds (reading Term::val of a variable as a constant, or
-// dereferencing an empty optional for an unbound native input). They are
-// now checked once per evaluation and reported as std::invalid_argument.
-
-void ValidateGoal(const Program& prog, const Atom& goal) {
-  if (goal.pred >= prog.num_preds()) {
-    throw std::invalid_argument("datalog goal: unknown predicate id " +
-                                std::to_string(goal.pred));
-  }
-  const PredInfo& info = prog.pred(goal.pred);
-  if (goal.args.size() != info.arity) {
-    throw std::invalid_argument(
-        "datalog goal: arity mismatch for '" + info.name + "': got " +
-        std::to_string(goal.args.size()) + " args, declared " +
-        std::to_string(info.arity));
-  }
-  for (const Term& t : goal.args) {
-    if (t.kind != Term::Kind::kConst) {
-      throw std::invalid_argument("datalog goal: atom on '" + info.name +
-                                  "' is not ground (has a variable)");
-    }
-  }
-}
-
-// Range restriction / rule safety, the engine-side mirror of
-// dlopt::ValidateRangeRestriction: every native input must be bound by the
-// body or an earlier native's output (natives run after the body join, in
-// order), and every head variable by the body or some native output. Also
-// checks every atom against its predicate's declared arity, which the join
-// relies on (Match unifies positionally).
-void ValidateProgram(const Program& prog) {
-  std::vector<char> bound;
-  for (std::size_t ri = 0; ri < prog.rules().size(); ++ri) {
-    const Rule& r = prog.rules()[ri];
-    auto fail = [&](const std::string& why) {
-      throw std::invalid_argument("datalog rule #" + std::to_string(ri) +
-                                  " is unsafe (" + why + "): " +
-                                  prog.RuleToString(r));
-    };
-    auto check_arity = [&](const Atom& a) {
-      if (a.pred >= prog.num_preds()) fail("unknown predicate id");
-      if (a.args.size() != prog.pred(a.pred).arity) {
-        fail("arity mismatch on '" + prog.pred(a.pred).name + "'");
-      }
-    };
-    check_arity(r.head);
-    bound.assign(MaxVar(r), 0);
-    for (const Atom& a : r.body) {
-      check_arity(a);
-      for (const Term& t : a.args) {
-        if (t.kind == Term::Kind::kVar) bound[t.val] = 1;
-      }
-    }
-    for (const Native& n : r.natives) {
-      for (const Term& t : n.inputs) {
-        if (t.kind == Term::Kind::kVar && !bound[t.val]) {
-          fail("input of native '" + n.name +
-               "' is not bound by the body or an earlier native");
-        }
-      }
-      if (n.output.has_value()) bound[*n.output] = 1;
-    }
-    for (const Term& t : r.head.args) {
-      if (t.kind == Term::Kind::kVar && !bound[t.val]) {
-        fail("head variable is not bound by the body or a native output");
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -271,6 +190,22 @@ struct ArgIndex {
   }
 };
 
+// Where a popped tuple of one predicate is joined: the body occurrences
+// that can match it. When every occurrence holds a constant at argument
+// `pos` (etp's node, emp/dmp's variable tag), the predicate's rule_index
+// entry is grouped into one bucket per constant, each bucket in
+// rule_index order: bucket b holds the occurrences [starts[b],
+// starts[b + 1]) with constant keys[b]. A tuple visits only the bucket of
+// its own constant at `pos`, which skips exactly the occurrences whose
+// delta match would fail on that constant. Memory is linear in the
+// program's body occurrences.
+struct Dispatch {
+  static constexpr std::uint32_t kLinear = 0xffffffffu;
+  std::uint32_t pos = kLinear;  // kLinear: visit every occurrence
+  std::vector<Sym> keys;        // ascending, distinct
+  std::vector<std::uint32_t> starts;
+};
+
 // State that persists across Engine::Solve calls: the database, worklist,
 // binding frames, join-order scratch and join indexes keep their
 // allocations, and the seeded-EDB snapshot lets a solve whose fact set
@@ -278,9 +213,14 @@ struct ArgIndex {
 struct EvaluatorArena {
   Database db{0};
   std::deque<std::pair<PredId, std::uint32_t>> work;
-  // pred -> (rule index, body position) of every body occurrence.
+  // pred -> (rule index, body position) of every body occurrence, in rule
+  // order; grouped into buckets where the predicate dispatches.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
       rule_index;
+  std::vector<Dispatch> dispatch;  // per predicate
+  // SetUpDispatch scratch.
+  std::vector<std::pair<Sym, std::uint32_t>> dispatch_sort;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> dispatch_occ;
   std::vector<std::uint32_t> max_var;  // per rule
   // pred -> signature mask -> index.
   std::vector<std::unordered_map<std::uint64_t, ArgIndex>> indexes;
@@ -293,6 +233,7 @@ struct EvaluatorArena {
   std::vector<std::uint8_t> own_growth;  // fallback hints (0 = EDB, 2 = IDB)
   std::vector<Sym> popbuf;               // worklist-pop tuple buffer
   std::vector<Sym> emit_buf;             // head-tuple buffer
+  std::vector<Sym> native_in;            // a kCall native's inputs
 
   // Seeded-EDB snapshot of the previous solve. `facts_valid` holds only
   // when `db`'s first `base_counts[p]` tuples of every predicate are
@@ -353,8 +294,8 @@ class Evaluator {
     // Body-less rules with natives seed like facts, after native eval.
     for (const Rule& r : prog_.rules()) {
       if (!r.body.empty() || r.IsFact()) continue;
-      a_.env.Reset(MaxVar(r));
-      if (EvalNativesAndEmit(r, 0)) return true;
+      a_.env.Reset(NumVars(r));
+      if (EvalNativesAndEmit(r)) return true;
     }
     return DrainWorklist();
   }
@@ -369,7 +310,7 @@ class Evaluator {
     std::size_t max_body = 1;
     for (std::size_t ri = 0; ri < prog_.rules().size(); ++ri) {
       const Rule& r = prog_.rules()[ri];
-      a_.max_var.push_back(static_cast<std::uint32_t>(MaxVar(r)));
+      a_.max_var.push_back(static_cast<std::uint32_t>(NumVars(r)));
       if (r.body.size() > max_body) max_body = r.body.size();
       for (std::size_t bi = 0; bi < r.body.size(); ++bi) {
         a_.rule_index[r.body[bi].pred].push_back(
@@ -377,6 +318,8 @@ class Evaluator {
       }
     }
     if (a_.scratch.size() < max_body) a_.scratch.resize(max_body);
+    a_.dispatch.resize(np);
+    for (std::size_t p = 0; p < np; ++p) SetUpDispatch(static_cast<PredId>(p));
     a_.indexes.resize(np);
     a_.work.clear();
     if (options_.hints == nullptr && options_.engine.reorder_joins) {
@@ -387,15 +330,73 @@ class Evaluator {
     }
   }
 
-  // Joins each newly derived tuple as the delta of every indexed body
-  // occurrence of its predicate. Returns true when the goal was emitted.
+  // Picks predicate p's dispatch position — the first argument position
+  // at which every body occurrence holds a constant — and groups its
+  // rule_index entry into per-constant buckets (see Dispatch).
+  void SetUpDispatch(PredId p) {
+    Dispatch& d = a_.dispatch[p];
+    d.pos = Dispatch::kLinear;
+    auto& occ = a_.rule_index[p];
+    if (occ.empty()) return;
+    auto arg = [&](const std::pair<std::uint32_t, std::uint32_t>& o,
+                   std::size_t i) -> const Term& {
+      return prog_.rules()[o.first].body[o.second].args[i];
+    };
+    const std::size_t arity = prog_.pred(p).arity;
+    std::size_t pos = 0;
+    auto all_const = [&](std::size_t i) {
+      for (const auto& o : occ) {
+        if (arg(o, i).kind != Term::Kind::kConst) return false;
+      }
+      return true;
+    };
+    while (pos < arity && !all_const(pos)) ++pos;
+    if (pos == arity) return;
+    d.pos = static_cast<std::uint32_t>(pos);
+    // Sorting (constant, rule_index position) keeps each bucket in
+    // rule_index order.
+    a_.dispatch_sort.clear();
+    for (std::size_t k = 0; k < occ.size(); ++k) {
+      a_.dispatch_sort.push_back(
+          {arg(occ[k], pos).val, static_cast<std::uint32_t>(k)});
+    }
+    std::sort(a_.dispatch_sort.begin(), a_.dispatch_sort.end());
+    d.keys.clear();
+    d.starts.clear();
+    a_.dispatch_occ.clear();
+    for (const auto& [c, k] : a_.dispatch_sort) {
+      if (d.keys.empty() || d.keys.back() != c) {
+        d.keys.push_back(c);
+        d.starts.push_back(static_cast<std::uint32_t>(a_.dispatch_occ.size()));
+      }
+      a_.dispatch_occ.push_back(occ[k]);
+    }
+    d.starts.push_back(static_cast<std::uint32_t>(occ.size()));
+    occ.swap(a_.dispatch_occ);
+  }
+
+  // Joins each newly derived tuple as the delta of every body occurrence
+  // of its predicate that its dispatch bucket holds. Returns true when the
+  // goal was emitted.
   bool DrainWorklist() {
     while (!a_.work.empty()) {
       const auto [pred, idx] = a_.work.front();
       a_.work.pop_front();
       // Copied out: the joins below may reallocate this predicate's pool.
       a_.db.Row(pred, idx, &a_.popbuf);
-      for (const auto& [ri, bi] : a_.rule_index[pred]) {
+      const auto& occ = a_.rule_index[pred];
+      std::size_t begin = 0;
+      std::size_t end = occ.size();
+      if (const Dispatch& d = a_.dispatch[pred]; d.pos != Dispatch::kLinear) {
+        const Sym c = a_.popbuf[d.pos];
+        const auto it = std::lower_bound(d.keys.begin(), d.keys.end(), c);
+        if (it == d.keys.end() || *it != c) continue;
+        const std::size_t b = static_cast<std::size_t>(it - d.keys.begin());
+        begin = d.starts[b];
+        end = d.starts[b + 1];
+      }
+      for (std::size_t k = begin; k < end; ++k) {
+        const auto [ri, bi] = occ[k];
         const Rule& r = prog_.rules()[ri];
         a_.env.Reset(a_.max_var[ri]);
         if (!Match(r.body[bi].args, a_.popbuf, a_.env)) continue;
@@ -466,7 +467,7 @@ class Evaluator {
     for (const Rule& r : prog_.rules()) {
       if (!r.IsFact()) continue;
       a_.env.Reset(0);
-      if (EvalNativesAndEmit(r, 0)) {
+      if (EvalNativesAndEmit(r)) {
         seeding_ = false;
         return true;  // a fact was the goal; snapshot stays invalid
       }
@@ -551,7 +552,7 @@ class Evaluator {
   // Joins the body atoms in the planned order, starting at order index
   // `oi`; then evaluates natives and emits the head.
   bool JoinOrdered(const Rule& r, std::size_t oi) {
-    if (oi == a_.order_buf.size()) return EvalNativesAndEmit(r, 0);
+    if (oi == a_.order_buf.size()) return EvalNativesAndEmit(r);
     const Atom& atom = r.body[a_.order_buf[oi]];
     // Size snapshot: the recursion below can Emit into atom.pred, growing
     // its extension. Tuples inserted mid-join are joined later via their
@@ -625,31 +626,35 @@ class Evaluator {
     return false;
   }
 
-  bool EvalNativesAndEmit(const Rule& r, std::size_t at) {
-    if (at == r.natives.size()) return Emit(r);
-    const Native& n = r.natives[at];
-    std::vector<Sym> inputs;
-    inputs.reserve(n.inputs.size());
-    for (const Term& t : n.inputs) {
-      if (t.kind == Term::Kind::kConst) {
-        inputs.push_back(t.val);
-      } else {
-        // Guaranteed bound by ValidateProgram.
-        assert(a_.env.Bound(t.val) && "native input must be bound");
-        inputs.push_back(a_.env.Get(t.val));
-      }
-    }
-    Sym out = 0;
-    if (!n.fn(inputs, &out)) return false;
+  Sym Resolve(const Term& t) const {
+    // A variable is guaranteed bound by ValidateProgram.
+    assert((t.kind == Term::Kind::kConst || a_.env.Bound(t.val)) &&
+           "unsafe rule: unbound variable");
+    return t.kind == Term::Kind::kConst ? t.val : a_.env.Get(t.val);
+  }
+
+  // Runs the rule's natives in order, then emits the head. Each native
+  // yields at most one binding, so one loop with a single undo mark
+  // replaces backtracking.
+  bool EvalNativesAndEmit(const Rule& r) {
     const std::size_t mark = a_.env.Mark();
-    if (n.output.has_value()) {
-      if (a_.env.Bound(*n.output)) {
-        if (a_.env.Get(*n.output) != out) return false;
-      } else {
-        a_.env.Bind(*n.output, out);
+    for (const Native& n : r.natives) {
+      Sym out = 0;
+      const auto in = [&](std::size_t i) { return Resolve(n.inputs[i]); };
+      bool ok = EvalNative(n, in, a_.native_in, &out);
+      if (ok && n.output.has_value()) {
+        if (!a_.env.Bound(*n.output)) {
+          a_.env.Bind(*n.output, out);
+        } else {
+          ok = a_.env.Get(*n.output) == out;
+        }
+      }
+      if (!ok) {
+        a_.env.Undo(mark);
+        return false;
       }
     }
-    const bool found = EvalNativesAndEmit(r, at + 1);
+    const bool found = Emit(r);
     if (!found) a_.env.Undo(mark);
     return found;
   }
@@ -657,15 +662,7 @@ class Evaluator {
   bool Emit(const Rule& r) {
     std::vector<Sym>& tuple = a_.emit_buf;
     tuple.clear();
-    for (const Term& t : r.head.args) {
-      if (t.kind == Term::Kind::kConst) {
-        tuple.push_back(t.val);
-      } else {
-        // Guaranteed bound by ValidateProgram.
-        assert(a_.env.Bound(t.val) && "unsafe rule: unbound head variable");
-        tuple.push_back(a_.env.Get(t.val));
-      }
-    }
+    for (const Term& t : r.head.args) tuple.push_back(Resolve(t));
     if (stats_ != nullptr) ++stats_->rule_firings;
     if (seeding_) ++seeding_firings_;
     if (!a_.db.Insert(r.head.pred, tuple)) return false;

@@ -165,11 +165,12 @@ struct EvalOptions {
 // this evaluation only, never an accumulation across calls (callers that
 // want totals sum explicitly, or use Engine below).
 //
-// Validates its inputs instead of asserting: a goal that is non-ground,
-// arity-mismatched, or on an unknown predicate, and a program with an
-// unsafe rule (head variable or native input not bound by the body /
-// earlier native outputs) raise std::invalid_argument — also in NDEBUG
-// builds, where the former assert-only checks compiled to nothing.
+// Validates its inputs instead of asserting (ValidateProgram and
+// ValidateGoal, ast.h): a goal that is non-ground, arity-mismatched, or on
+// an unknown predicate, and a program with an unsafe rule (head variable
+// or native input not bound by the body / earlier native outputs) or a
+// native malformed for its op raise std::invalid_argument — also in
+// NDEBUG builds, where the former assert-only checks compiled to nothing.
 bool Query(const Program& prog, const Atom& goal, EvalStats* stats = nullptr,
            const EvalOptions& options = {});
 

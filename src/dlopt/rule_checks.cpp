@@ -9,22 +9,6 @@ namespace rapar::dlopt {
 
 namespace {
 
-std::size_t NumVars(const dl::Rule& rule) {
-  std::size_t mx = 0;
-  auto scan = [&](const dl::Term& t) {
-    if (t.kind == dl::Term::Kind::kVar && t.val + 1 > mx) mx = t.val + 1;
-  };
-  for (const dl::Term& t : rule.head.args) scan(t);
-  for (const dl::Atom& a : rule.body) {
-    for (const dl::Term& t : a.args) scan(t);
-  }
-  for (const dl::Native& n : rule.natives) {
-    for (const dl::Term& t : n.inputs) scan(t);
-    if (n.output.has_value() && *n.output + 1 > mx) mx = *n.output + 1;
-  }
-  return mx;
-}
-
 void AppendU32(std::string& key, std::uint32_t v) {
   key.append(reinterpret_cast<const char*>(&v), sizeof v);
 }
@@ -41,8 +25,9 @@ std::string CanonicalRuleKey(const dl::Rule& rule) {
 void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
                             std::vector<std::uint32_t>& renumber) {
   // Fixed-width binary fields: counts and ids as 4 bytes, each term as a
-  // kind byte plus 4 bytes, native tags length-prefixed.
-  renumber.assign(NumVars(rule), UINT32_MAX);
+  // kind byte plus 4 bytes, natives as an op byte and a length-prefixed
+  // tag.
+  renumber.assign(dl::NumVars(rule), UINT32_MAX);
   std::uint32_t next = 0;
   auto term = [&](const dl::Term& t) {
     if (t.kind == dl::Term::Kind::kConst) {
@@ -73,6 +58,7 @@ void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
       continue;
     }
     key.push_back('[');
+    key.push_back(static_cast<char>(n.op));
     AppendU32(key, static_cast<std::uint32_t>(n.tag.size()));
     key += n.tag;
     AppendU32(key, static_cast<std::uint32_t>(n.inputs.size()));
@@ -107,7 +93,7 @@ bool SubsumptionMatcher::MatchAtom(const dl::Atom& g, const dl::Atom& s) {
 
 bool SubsumptionMatcher::MatchNative(const dl::Native& g,
                                      const dl::Native& s) {
-  if (g.tag.empty() || g.tag != s.tag) return false;
+  if (g.tag.empty() || g.op != s.op || g.tag != s.tag) return false;
   if (g.inputs.size() != s.inputs.size()) return false;
   if (g.output.has_value() != s.output.has_value()) return false;
   for (std::size_t i = 0; i < g.inputs.size(); ++i) {
@@ -164,7 +150,7 @@ bool SubsumptionMatcher::Subsumes(const dl::Rule& general,
   general_ = &general;
   specific_ = &specific;
   budget_ = kBudget;
-  const std::size_t vars = NumVars(general);
+  const std::size_t vars = dl::NumVars(general);
   if (map_.size() < vars) {
     map_.resize(vars);
     bound_.resize(vars);
@@ -185,7 +171,7 @@ std::vector<RangeRestrictionViolation> ValidateRangeRestriction(
   std::vector<RangeRestrictionViolation> out;
   for (std::size_t ri = 0; ri < prog.rules().size(); ++ri) {
     const dl::Rule& rule = prog.rules()[ri];
-    std::vector<bool> bound(NumVars(rule), false);
+    std::vector<bool> bound(dl::NumVars(rule), false);
     for (const dl::Atom& a : rule.body) {
       for (const dl::Term& t : a.args) {
         if (t.kind == dl::Term::Kind::kVar) bound[t.val] = true;

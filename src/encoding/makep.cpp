@@ -100,24 +100,35 @@ class Builder {
 
   static Native LeqCheck(Term a, Term b) {
     Native n;
+    n.op = Native::Op::kLeq;
     n.name = "leq";
     n.tag = "leq";
     n.inputs = {a, b};
-    n.fn = [](std::span<const Sym> in, Sym*) { return in[0] <= in[1]; };
     return n;
   }
 
   static Native MaxFn(Term a, Term b, dl::VarSym out) {
     Native n;
+    n.op = Native::Op::kMax;
     n.name = "max";
     n.tag = "max";
     n.inputs = {a, b};
     n.output = out;
-    n.fn = [](std::span<const Sym> in, Sym* o) {
-      *o = std::max(in[0], in[1]);
-      return true;
-    };
     return n;
+  }
+
+  // Decodes an expression native's inputs (every env register, as
+  // symbols offset by `off`) into register values without allocating.
+  // The buffer is per thread, not per closure: the closure stays
+  // immutable, since copies of one program's natives run on different
+  // workers.
+  static std::span<const Value> Registers(std::span<const Sym> in, Sym off) {
+    thread_local std::vector<Value> rv;
+    rv.resize(in.size());
+    for (std::size_t r = 0; r < in.size(); ++r) {
+      rv[r] = static_cast<Value>(in[r] - off);
+    }
+    return rv;
   }
 
   Native ExprCheck(const ExprPtr& expr) const {
@@ -130,10 +141,7 @@ class Builder {
     const Sym off = val_off_;
     const Value dom = sys_.dom;
     n.fn = [expr, off, dom](std::span<const Sym> in, Sym*) {
-      std::vector<Value> rv;
-      rv.reserve(in.size());
-      for (Sym s : in) rv.push_back(static_cast<Value>(s - off));
-      return expr->Eval(rv, dom) != 0;
+      return expr->Eval(Registers(in, off), dom) != 0;
     };
     return n;
   }
@@ -149,10 +157,7 @@ class Builder {
     const Sym off = val_off_;
     const Value dom = sys_.dom;
     n.fn = [expr, off, dom](std::span<const Sym> in, Sym* o) {
-      std::vector<Value> rv;
-      rv.reserve(in.size());
-      for (Sym s : in) rv.push_back(static_cast<Value>(s - off));
-      *o = off + static_cast<Sym>(expr->Eval(rv, dom));
+      *o = off + static_cast<Sym>(expr->Eval(Registers(in, off), dom));
       return true;
     };
     return n;

@@ -1,11 +1,14 @@
 // Differential testing of the Datalog engine: the worklist (semi-naive)
 // evaluator against a deliberately simple naive-iteration reference, on
-// random programs. Also: cache semantics against standard semantics at
-// large k, and the linearisation against the cache solver.
+// random programs — plain ones, and ones with kLeq/kMax/kCall natives and
+// constant-keyed predicates for the engine's native loop and delta
+// dispatch. Also: cache semantics against standard semantics at large k,
+// and the linearisation against the cache solver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "datalog/cache.h"
@@ -47,13 +50,14 @@ void NaiveRound(const Program& prog, const Rule& rule,
       // Natives.
       std::vector<VarSym> bound;
       bool ok = true;
+      std::vector<Sym> buf;
       for (const Native& n : rule.natives) {
-        std::vector<Sym> in;
-        for (const Term& t : n.inputs) {
-          in.push_back(t.kind == Term::Kind::kConst ? t.val : *env[t.val]);
-        }
+        const auto in = [&](std::size_t i) {
+          const Term& t = n.inputs[i];
+          return t.kind == Term::Kind::kConst ? t.val : *env[t.val];
+        };
         Sym o = 0;
-        if (!n.fn(in, &o)) {
+        if (!EvalNative(n, in, buf, &o)) {
           ok = false;
           break;
         }
@@ -186,6 +190,135 @@ Program RandomDatalog(Rng& rng, int preds, int consts, int rules) {
   return prog;
 }
 
+// Random programs for the engine's native loop and delta dispatch.
+// "Keyed" predicates hold a constant at their key position (any position,
+// not only 0) in every body occurrence, so the engine dispatches their
+// tuples by it; the other predicates mix constants and variables, so only
+// some occurrences carry one. Rules carry kLeq, kMax and kCall natives:
+// checks that reject, outputs that a body atom already bound (a
+// comparison), native-only rules, and a kCall whose outputs leave the
+// interned constants (0xffffffff - x, up to Sym 0xffffffff), so tuples
+// reach the dispatch with constants no bucket holds. Every value stays in
+// a finite set, so the naive reference terminates.
+Program RandomNativeDatalog(Rng& rng) {
+  constexpr std::size_t kUnkeyed = ~std::size_t{0};
+  constexpr Sym kConsts = 3;
+  Program prog;
+  std::vector<PredId> pids;
+  std::vector<std::size_t> arity;
+  std::vector<std::size_t> key;
+  const std::size_t preds = 3 + rng.Below(3);
+  for (std::size_t p = 0; p < preds; ++p) {
+    arity.push_back(1 + rng.Below(3));
+    key.push_back(rng.Chance(1, 2) ? rng.Below(arity.back()) : kUnkeyed);
+    pids.push_back(prog.AddPred("p" + std::to_string(p), arity.back()));
+  }
+  for (Sym c = 0; c < kConsts; ++c) prog.ConstSym("c" + std::to_string(c));
+  auto random_const = [&] { return static_cast<Sym>(rng.Below(kConsts)); };
+
+  for (int f = 0; f < 8; ++f) {
+    const std::size_t p = rng.Below(preds);
+    Atom a{pids[p], {}};
+    for (std::size_t i = 0; i < arity[p]; ++i) a.args.push_back(C(random_const()));
+    prog.AddFact(std::move(a));
+  }
+  for (int r = 0; r < 9; ++r) {
+    Rule rule;
+    std::vector<VarSym> avail;  // bound by the body or an earlier native
+    VarSym next_var = 0;
+    const std::size_t body_atoms = rng.Chance(1, 8) ? 0 : 1 + rng.Below(2);
+    for (std::size_t b = 0; b < body_atoms; ++b) {
+      const std::size_t p = rng.Below(preds);
+      Atom a{pids[p], {}};
+      for (std::size_t i = 0; i < arity[p]; ++i) {
+        if (i == key[p] || rng.Chance(1, 5)) {
+          a.args.push_back(C(random_const()));
+        } else if (!avail.empty() && rng.Chance(1, 2)) {
+          a.args.push_back(V(avail[rng.Below(avail.size())]));
+        } else {
+          a.args.push_back(V(next_var));
+          avail.push_back(next_var++);
+        }
+      }
+      rule.body.push_back(std::move(a));
+    }
+    auto input = [&] {
+      return !avail.empty() && rng.Chance(3, 4)
+                 ? V(avail[rng.Below(avail.size())])
+                 : C(random_const());
+    };
+    // A fresh output variable, or (a comparison) one already bound.
+    auto output = [&]() -> VarSym {
+      if (!avail.empty() && rng.Chance(1, 3)) {
+        return avail[rng.Below(avail.size())];
+      }
+      avail.push_back(next_var);
+      return next_var++;
+    };
+    const std::size_t natives = rng.Below(4);
+    for (std::size_t k = 0; k < natives; ++k) {
+      Native n;
+      n.inputs = {input(), input()};
+      switch (rng.Below(4)) {
+        case 0:
+          n.op = Native::Op::kLeq;
+          n.name = n.tag = "leq";
+          break;
+        case 1:
+          n.op = Native::Op::kMax;
+          n.name = n.tag = "max";
+          n.output = output();
+          break;
+        case 2:
+          n.name = n.tag = "differ";
+          n.fn = [](std::span<const Sym> in, Sym*) { return in[0] != in[1]; };
+          break;
+        default:
+          n.name = n.tag = "flip";
+          n.inputs.pop_back();
+          n.fn = [](std::span<const Sym> in, Sym* out) {
+            *out = 0xffffffffu - in[0];
+            return true;
+          };
+          n.output = output();
+          break;
+      }
+      rule.natives.push_back(std::move(n));
+    }
+    const std::size_t hp = rng.Below(preds);
+    rule.head.pred = pids[hp];
+    for (std::size_t i = 0; i < arity[hp]; ++i) {
+      rule.head.args.push_back(!avail.empty() && rng.Chance(2, 3)
+                                   ? V(avail[rng.Below(avail.size())])
+                                   : C(random_const()));
+    }
+    prog.AddRule(std::move(rule));
+  }
+  return prog;
+}
+
+// Renders a ground atom by symbol number: derived atoms may hold symbols
+// the program never interned (Program::AtomToString would reject them).
+std::string Show(const GroundAtom& g) {
+  std::string out = "p" + std::to_string(g[0]) + "(";
+  for (std::size_t i = 1; i < g.size(); ++i) {
+    out += (i > 1 ? ", " : "") + std::to_string(g[i]);
+  }
+  return out + ")";
+}
+
+std::set<GroundAtom> Materialize(const Program& prog, const Database& db) {
+  std::set<GroundAtom> out;
+  for (PredId p = 0; p < prog.num_preds(); ++p) {
+    for (const auto& tuple : db.Tuples(p)) {
+      GroundAtom g{p};
+      g.insert(g.end(), tuple.begin(), tuple.end());
+      out.insert(std::move(g));
+    }
+  }
+  return out;
+}
+
 class DatalogDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -194,17 +327,7 @@ TEST_P(DatalogDifferentialTest, WorklistMatchesNaiveReference) {
   Program prog = RandomDatalog(rng, /*preds=*/4, /*consts=*/3, /*rules=*/6);
 
   std::set<GroundAtom> reference = NaiveEval(prog);
-
-  Database db = Eval(prog);
-  std::set<GroundAtom> engine;
-  for (PredId p = 0; p < prog.num_preds(); ++p) {
-    for (const auto& tuple : db.Tuples(p)) {
-      GroundAtom g{p};
-      g.insert(g.end(), tuple.begin(), tuple.end());
-      engine.insert(std::move(g));
-    }
-  }
-  EXPECT_EQ(engine, reference) << prog.ToString();
+  EXPECT_EQ(Materialize(prog, Eval(prog)), reference) << prog.ToString();
 }
 
 TEST_P(DatalogDifferentialTest, CacheAtLargeKMatchesStandard) {
@@ -230,6 +353,47 @@ TEST_P(DatalogDifferentialTest, CacheAtLargeKMatchesStandard) {
 
 INSTANTIATE_TEST_SUITE_P(Random, DatalogDifferentialTest,
                          ::testing::Range<std::uint64_t>(1, 30));
+
+class DatalogDifferentialNativeTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DatalogDifferentialNativeTest, NativesAndDispatchMatchNaiveReference) {
+  Rng rng(GetParam());
+  const Program prog = RandomNativeDatalog(rng);
+  const std::set<GroundAtom> reference = NaiveEval(prog);
+  // Full fixpoint, with and without join indexes and reordering.
+  EXPECT_EQ(Materialize(prog, Eval(prog)), reference) << prog.ToString();
+  EvalOptions scan;
+  scan.engine.use_index = false;
+  scan.engine.reorder_joins = false;
+  EXPECT_EQ(Materialize(prog, Eval(prog, nullptr, scan)), reference)
+      << prog.ToString();
+  // Early-exit solves on one reused engine: every derivable atom, and
+  // ground atoms over the interned constants that may not be.
+  Engine engine;
+  for (const GroundAtom& g : reference) {
+    Atom goal{g[0], {}};
+    for (std::size_t i = 1; i < g.size(); ++i) goal.args.push_back(C(g[i]));
+    EXPECT_TRUE(engine.Solve(prog, goal)) << Show(g) << "\n"
+                                          << prog.ToString();
+  }
+  Rng probe_rng(GetParam() + 991);
+  for (int probe = 0; probe < 6; ++probe) {
+    const PredId p = static_cast<PredId>(probe_rng.Below(prog.num_preds()));
+    Atom goal{p, {}};
+    GroundAtom g{p};
+    for (std::size_t i = 0; i < prog.pred(p).arity; ++i) {
+      const Sym c = static_cast<Sym>(probe_rng.Below(prog.num_consts()));
+      goal.args.push_back(C(c));
+      g.push_back(c);
+    }
+    EXPECT_EQ(engine.Solve(prog, goal), reference.count(g) > 0)
+        << Show(g) << "\n" << prog.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, DatalogDifferentialNativeTest,
+                         ::testing::Range<std::uint64_t>(1, 241));
 
 }  // namespace
 }  // namespace rapar::dl

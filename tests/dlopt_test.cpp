@@ -181,6 +181,36 @@ TEST(RuleChecksTest, SubsumptionRespectsNativeTags) {
   EXPECT_FALSE(Subsumes(guarded, plain));
 }
 
+TEST(RuleChecksTest, NativeOpIsPartOfItsIdentity) {
+  Program prog;
+  PredId p = prog.AddPred("p", 1);
+  PredId q = prog.AddPred("q", 2);
+  // p(X2) :- q(X0, X1), <native>[X0, X1] -> X2, under one tag and two ops.
+  auto make = [&](Native::Op op) {
+    Rule r{Atom{p, {V(2)}}, {Atom{q, {V(0), V(1)}}}, {}};
+    Native n;
+    n.op = op;
+    n.name = n.tag = "join";
+    n.inputs = {V(0), V(1)};
+    n.output = 2;
+    if (op == Native::Op::kCall) {
+      n.fn = [](std::span<const Sym> in, Sym* out) {
+        *out = in[0];
+        return true;
+      };
+    }
+    r.natives.push_back(std::move(n));
+    return r;
+  };
+  const Rule max = make(Native::Op::kMax);
+  const Rule call = make(Native::Op::kCall);
+  EXPECT_EQ(CanonicalRuleKey(max), CanonicalRuleKey(make(Native::Op::kMax)));
+  EXPECT_NE(CanonicalRuleKey(max), CanonicalRuleKey(call));
+  EXPECT_TRUE(Subsumes(max, max));
+  EXPECT_FALSE(Subsumes(max, call));
+  EXPECT_FALSE(Subsumes(call, max));
+}
+
 TEST(RuleChecksTest, RangeRestrictionViolations) {
   Program prog;
   PredId p = prog.AddPred("p", 1);
