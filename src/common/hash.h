@@ -26,9 +26,15 @@ std::size_t HashRange(const Range& range) {
   return seed;
 }
 
-// SplitMix64: fast, high-quality 64-bit mixer. Used both for hashing and as
-// the core of the deterministic RNG.
-std::uint64_t SplitMix64(std::uint64_t x);
+// SplitMix64: fast, high-quality 64-bit mixer. Used both for hashing (as a
+// finalizer after HashCombine, whose low bits barely depend on the high
+// bits of its inputs) and as the core of the deterministic RNG.
+inline std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 // Hash functor for std::vector of hashable T.
 template <typename T>

@@ -1,5 +1,6 @@
 #include "datalog/ast.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/strings.h"
@@ -46,18 +47,76 @@ bool Program::IsLinear() const {
   return true;
 }
 
+std::size_t Program::PrintedArity(PredId p) const {
+  const PredInfo& info = preds_[p];
+  return info.view ? info.arity - layout_.Words() + layout_.components
+                   : info.arity;
+}
+
+std::string Program::ConstToString(Sym s) const {
+  return s < consts_.size() ? consts_.Get(s) : StrCat("#", s);
+}
+
+std::string Program::TermToString(const Term& t) const {
+  return t.kind == Term::Kind::kConst ? ConstToString(t.val)
+                                      : StrCat("X", t.val);
+}
+
 std::string Program::AtomToString(const Atom& atom) const {
-  std::string out = preds_[atom.pred].name + "(";
+  const PredInfo& info = preds_[atom.pred];
+  // Word w of the view is argument first_word + w.
+  const std::size_t words = info.view ? layout_.Words() : 0;
+  const std::size_t first_word = info.arity - words;
+  std::string out = info.name + "(";
   for (std::size_t i = 0; i < atom.args.size(); ++i) {
     if (i > 0) out += ", ";
     const Term& t = atom.args[i];
-    if (t.kind == Term::Kind::kConst) {
-      out += consts_.Get(t.val);
-    } else {
-      out += StrCat("X", t.val);
+    const std::size_t w = i - first_word;
+    if (i < first_word || w >= words) {
+      out += TermToString(t);
+      continue;
+    }
+    const std::uint32_t per = layout_.PerWord();
+    const std::uint32_t fields =
+        std::min<std::uint32_t>(per, layout_.components - w * per);
+    for (std::uint32_t f = 0; f < fields; ++f) {
+      if (f > 0) out += ", ";
+      out += t.kind == Term::Kind::kConst
+                 ? ConstToString((t.val >> (f * layout_.bits)) &
+                                 FieldMask(layout_.bits))
+                 : StrCat("X", t.val, ".", f);
     }
   }
   return out + ")";
+}
+
+std::string Program::NativeInputToString(const Native& n,
+                                         const Term& t) const {
+  // Whole-word natives, and field specs that ValidateProgram rejects,
+  // print their inputs as plain terms.
+  if (n.width == 0 || n.width >= 32 || n.shift + n.width > 32) {
+    return TermToString(t);
+  }
+  const Sym mask = FieldMask(n.width);
+  if (n.op == Native::Op::kLeq) {
+    // One field: a variable's field index, or a constant's field value.
+    if (t.kind == Term::Kind::kVar) {
+      return n.shift % n.width == 0 ? StrCat("X", t.val, ".", n.shift / n.width)
+                                    : StrCat("X", t.val, "@", n.shift);
+    }
+    return ConstToString((t.val >> n.shift) & mask);
+  }
+  // A field-wise op on whole words: a constant word prints its nonzero
+  // fields, {index:value, ...}.
+  if (t.kind == Term::Kind::kVar) return TermToString(t);
+  std::string out = "{";
+  for (unsigned f = 0; f * n.width < 32; ++f) {
+    const Sym v = (t.val >> (f * n.width)) & mask;
+    if (v == 0) continue;
+    if (out.size() > 1) out += ",";
+    out += StrCat(f, ":", ConstToString(v));
+  }
+  return out + "}";
 }
 
 std::string Program::RuleToString(const Rule& rule) const {
@@ -75,9 +134,7 @@ std::string Program::RuleToString(const Rule& rule) const {
     out += n.name + "[";
     for (std::size_t i = 0; i < n.inputs.size(); ++i) {
       if (i > 0) out += ",";
-      const Term& t = n.inputs[i];
-      out += t.kind == Term::Kind::kConst ? consts_.Get(t.val)
-                                          : StrCat("X", t.val);
+      out += NativeInputToString(n, n.inputs[i]);
     }
     out += "]";
     if (n.output.has_value()) out += StrCat("->X", *n.output);
@@ -89,7 +146,8 @@ std::string Program::RuleToString(const Rule& rule) const {
 std::string Program::ToString() const {
   std::string out;
   for (std::size_t p = 0; p < preds_.size(); ++p) {
-    out += StrCat(".decl ", preds_[p].name, "/", preds_[p].arity, "\n");
+    out += StrCat(".decl ", preds_[p].name, "/",
+                  PrintedArity(static_cast<PredId>(p)), "\n");
   }
   for (const Rule& r : rules_) out += RuleToString(r) + "\n";
   return out;
@@ -137,6 +195,13 @@ void ValidateProgram(const Program& prog) {
       }
     }
     for (const Native& n : r.natives) {
+      if (n.width == 0 || n.width > 32 || n.shift + n.width > 32) {
+        fail(StrCat("native '", n.name, "' reads bits [", int{n.shift}, ", ",
+                    n.shift + n.width, "), not a field of the 32-bit word"));
+      }
+      if (n.op == Native::Op::kMax && n.shift != 0) {
+        fail("native '" + n.name + "' is a field-wise max: shift 0");
+      }
       const bool two_inputs = n.inputs.size() == 2;
       switch (n.op) {
         case Native::Op::kLeq:

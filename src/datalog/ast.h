@@ -12,7 +12,7 @@
 #ifndef RAPAR_DATALOG_AST_H_
 #define RAPAR_DATALOG_AST_H_
 
-#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -63,16 +63,25 @@ struct Native {
   // the engine's binding frame; kCall goes through `fn`.
   enum class Op : std::uint8_t {
     kCall,  // fn(inputs, &out)
-    kLeq,   // check: inputs[0] <= inputs[1]; no output
-    kMax,   // output = max(inputs[0], inputs[1])
+    kLeq,   // check: field of inputs[0] <= field of inputs[1]; no output
+    kMax,   // output = field-wise max(inputs[0], inputs[1])
   };
   Op op = Op::kCall;
+  // kLeq/kMax field spec. kLeq compares bits [shift, shift + width) of its
+  // inputs as unsigned numbers. kMax (shift 0) cuts each input into
+  // width-bit fields from bit 0 up, the top one partial when width does not
+  // divide 32, and takes the larger value field by field. The default, the
+  // whole word, is a plain comparison and maximum. makeP packs the
+  // timestamps of a view into such fields (encoding/makep.h).
+  std::uint8_t shift = 0;
+  std::uint8_t width = 32;
   std::string name;
-  // Semantic identity token: two natives with equal `op`, `tag`, `inputs`
-  // and `output` compute the same function. Emitters must make the tag
-  // capture everything `fn` closes over (e.g. "assume:r0==1", not just
-  // "assume"); an empty tag means "unknown function" and compares equal to
-  // nothing, which keeps rule dedup/subsumption (src/dlopt/) conservative.
+  // Semantic identity token: two natives with equal `op`, field spec,
+  // `tag`, `inputs` and `output` compute the same function. Emitters must
+  // make the tag capture everything `fn` closes over (e.g. "assume:r0==1",
+  // not just "assume"); an empty tag means "unknown function" and compares
+  // equal to nothing, which keeps rule dedup/subsumption (src/dlopt/)
+  // conservative.
   std::string tag;
   std::vector<Term> inputs;
   std::optional<VarSym> output;
@@ -81,20 +90,54 @@ struct Native {
   std::function<bool(std::span<const Sym>, Sym* out)> fn;
 };
 
+// The low `width` bits set (width 1..32).
+inline Sym FieldMask(unsigned width) { return 0xffffffffu >> (32 - width); }
+
+// Per width 1..32, the top bit of every width-bit field of a word when the
+// fields are laid out from bit 0 to past bit 31: the top field, partial in
+// 32 bits, is a whole one in 64.
+inline constexpr std::array<std::uint64_t, 33> kFieldTops = [] {
+  std::array<std::uint64_t, 33> tops{};
+  for (unsigned w = 1; w <= 32; ++w) {
+    for (unsigned s = 0; s < 32; s += w) {
+      tops[w] |= std::uint64_t{1} << (s + w - 1);
+    }
+  }
+  return tops;
+}();
+
+// kMax's field-wise maximum of a and b over width-bit fields. In 64 bits,
+// where the partial top field is a whole one, every field is compared at
+// once (SWAR): the top bit of field f of (a | H) - (b & ~H) is set when
+// a's low bits in f are >= b's, with no borrow across fields; the fields'
+// own top bits decide where they differ. Each field where a >= b is then
+// widened to a full mask.
+inline Sym FieldMax(Sym a, Sym b, unsigned width) {
+  const std::uint64_t h = kFieldTops[width];
+  const std::uint64_t x = a;
+  const std::uint64_t y = b;
+  const std::uint64_t low_ge = (x | h) - (y & ~h);
+  const std::uint64_t ge = ((x & ~y) | (~(x ^ y) & low_ge)) & h;
+  const std::uint64_t mask = (ge - (ge >> (width - 1))) | ge;
+  return static_cast<Sym>((x & mask) | (y & ~mask));
+}
+
 // Evaluates native `n` — the one definition of every op, shared by the
 // engine, the Cache-Datalog solver and the test reference evaluators.
 // `in(i)` yields the ground value of input i; `buf` collects a kCall's
 // inputs and is reused across calls, so no op allocates once it has grown.
 // Returns false to reject the binding; a native with an output writes it
-// to *out.
+// to *out. The field spec must be valid (ValidateProgram).
 template <typename In>
 bool EvalNative(const Native& n, const In& in, std::vector<Sym>& buf,
                 Sym* out) {
   switch (n.op) {
-    case Native::Op::kLeq:
-      return in(0) <= in(1);
+    case Native::Op::kLeq: {
+      const Sym m = FieldMask(n.width);
+      return ((in(0) >> n.shift) & m) <= ((in(1) >> n.shift) & m);
+    }
     case Native::Op::kMax:
-      *out = std::max(in(0), in(1));
+      *out = FieldMax(in(0), in(1), n.width);
       return true;
     case Native::Op::kCall:
       break;
@@ -116,19 +159,41 @@ struct Rule {
 // size of its binding frame.
 std::size_t NumVars(const Rule& rule);
 
+// How a program packs a view — k abstract timestamps (§4.1) — into
+// argument words: each timestamp takes `bits` bits, a word holds PerWord()
+// of them, and timestamp y sits at bit (y % PerWord()) * bits of word
+// y / PerWord(). A predicate declared with a view carries the Words() view
+// words as its last arguments. Evaluation never reads the layout; the
+// printers (Program::AtomToString, RuleToString) use it to show each view
+// word as its timestamps. `components` == 0: the program has no views.
+struct ViewLayout {
+  std::uint32_t components = 0;
+  std::uint32_t bits = 32;
+
+  std::uint32_t PerWord() const { return 32 / bits; }
+  std::uint32_t Words() const {
+    return (components + PerWord() - 1) / PerWord();
+  }
+};
+
 struct PredInfo {
   std::string name;
   std::size_t arity = 0;
+  // The last ViewLayout::Words() arguments are a packed view.
+  bool view = false;
 };
 
 // A Datalog program: predicates, interned constants, rules (facts are
 // body-less rules).
 class Program {
  public:
-  PredId AddPred(const std::string& name, std::size_t arity) {
-    preds_.push_back(PredInfo{name, arity});
+  PredId AddPred(const std::string& name, std::size_t arity,
+                 bool view = false) {
+    preds_.push_back(PredInfo{name, arity, view});
     return static_cast<PredId>(preds_.size() - 1);
   }
+  void SetViewLayout(ViewLayout layout) { layout_ = layout; }
+  const ViewLayout& view_layout() const { return layout_; }
   // Interns a named constant.
   Sym ConstSym(const std::string& name) { return consts_.Intern(name); }
   // Interns an integer constant.
@@ -161,14 +226,24 @@ class Program {
   // Number of distinct rules + facts; |Prog| in the complexity statements.
   std::size_t size() const { return rules_.size(); }
 
+  // Printers. A view word prints as its timestamps (a variable word X3 as
+  // X3.0, X3.1, ...: its fields), and any other constant outside the table
+  // as #N.
   std::string AtomToString(const Atom& atom) const;
   std::string RuleToString(const Rule& rule) const;
   std::string ToString() const;
+  // Arity as printed: a view counts as its timestamps, not its words.
+  std::size_t PrintedArity(PredId p) const;
 
  private:
+  std::string ConstToString(Sym s) const;
+  std::string TermToString(const Term& t) const;
+  std::string NativeInputToString(const Native& n, const Term& t) const;
+
   std::vector<PredInfo> preds_;
   Interner<std::string> consts_;
   std::vector<Rule> rules_;
+  ViewLayout layout_;
 };
 
 // Input validation shared by every evaluator (the engine's Query, Eval and
@@ -181,7 +256,9 @@ class Program {
 // bound by the body or an earlier native's output (natives run after the
 // body join, in order) and each head variable by the body or some native
 // output; and every native is well-formed for its op (kLeq: two inputs,
-// no output; kMax: two inputs and an output; kCall: a function).
+// no output; kMax: two inputs and an output; kCall: a function) with a
+// field spec inside the 32-bit word (width 1..32, shift + width <= 32,
+// and shift 0 on a kMax).
 void ValidateProgram(const Program& prog);
 // ValidateGoal: the goal is ground, on a declared predicate, with that
 // predicate's arity.

@@ -12,17 +12,21 @@ namespace rapar::dl {
 
 // --- database ---------------------------------------------------------------
 
+// The slot table takes the low bits of a tuple's hash, and after
+// HashCombine those barely depend on the high bits of a cell, which is
+// where a packed view word (encoding/makep.h) differs: without the
+// SplitMix64 finalizer, linear probing clusters.
 std::size_t Database::HashTuple(const std::vector<Sym>& tuple) {
   std::size_t h = 0x12345678;
   for (const Sym s : tuple) HashCombine(h, s);
-  return h;
+  return SplitMix64(h);
 }
 
 std::size_t Database::HashCells(const Ext& e, std::size_t ti) {
   std::size_t h = 0x12345678;
   const Sym* row = e.pool.data() + ti * e.arity;
   for (std::size_t c = 0; c < e.arity; ++c) HashCombine(h, row[c]);
-  return h;
+  return SplitMix64(h);
 }
 
 bool Database::CellsEqual(const Ext& e, std::size_t ti,

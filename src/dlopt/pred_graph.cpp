@@ -202,7 +202,7 @@ std::string PredGraph::ToDot(const dl::Program& prog,
     for (dl::PredId p : sccs[c]) {
       if (!mentioned[p]) continue;
       out += StrCat(cluster ? "    " : "  ", "p", p, " [label=\"",
-                    prog.pred(p).name, "/", prog.pred(p).arity, "\"");
+                    prog.pred(p).name, "/", prog.PrintedArity(p), "\"");
       if (!is_idb[p]) out += ", shape=box";
       if (!highlight.empty() && highlight[p]) {
         out += ", style=filled, fillcolor=lightgrey";
@@ -224,7 +224,7 @@ std::string PredGraph::ToText(const dl::Program& prog) const {
   std::string out;
   for (dl::PredId p = 0; p < num_preds; ++p) {
     if (!mentioned[p]) continue;
-    out += StrCat(prog.pred(p).name, "/", prog.pred(p).arity,
+    out += StrCat(prog.pred(p).name, "/", prog.PrintedArity(p),
                   is_idb[p] ? "" : " (edb)", " ->");
     if (deps[p].empty()) {
       out += " (none)";

@@ -25,8 +25,8 @@ std::string CanonicalRuleKey(const dl::Rule& rule) {
 void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
                             std::vector<std::uint32_t>& renumber) {
   // Fixed-width binary fields: counts and ids as 4 bytes, each term as a
-  // kind byte plus 4 bytes, natives as an op byte and a length-prefixed
-  // tag.
+  // kind byte plus 4 bytes, natives as op, shift and width bytes and a
+  // length-prefixed tag.
   renumber.assign(dl::NumVars(rule), UINT32_MAX);
   std::uint32_t next = 0;
   auto term = [&](const dl::Term& t) {
@@ -59,6 +59,8 @@ void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
     }
     key.push_back('[');
     key.push_back(static_cast<char>(n.op));
+    key.push_back(static_cast<char>(n.shift));
+    key.push_back(static_cast<char>(n.width));
     AppendU32(key, static_cast<std::uint32_t>(n.tag.size()));
     key += n.tag;
     AppendU32(key, static_cast<std::uint32_t>(n.inputs.size()));
@@ -93,7 +95,10 @@ bool SubsumptionMatcher::MatchAtom(const dl::Atom& g, const dl::Atom& s) {
 
 bool SubsumptionMatcher::MatchNative(const dl::Native& g,
                                      const dl::Native& s) {
-  if (g.tag.empty() || g.op != s.op || g.tag != s.tag) return false;
+  if (g.tag.empty() || g.op != s.op || g.shift != s.shift ||
+      g.width != s.width || g.tag != s.tag) {
+    return false;
+  }
   if (g.inputs.size() != s.inputs.size()) return false;
   if (g.output.has_value() != s.output.has_value()) return false;
   for (std::size_t i = 0; i < g.inputs.size(); ++i) {

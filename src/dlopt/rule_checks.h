@@ -7,9 +7,9 @@
 //   * subsumption — r subsumes r' when some substitution θ maps head(r)
 //     onto head(r') and θ(body(r)) ⊆ body(r') with θ(natives(r)) ⊆
 //     natives(r'): every instance r' derives, r derives too, so r' is
-//     redundant. Natives compare by (op, tag, inputs, output) and only
-//     when the tag is non-empty — an empty tag is an unknown function and
-//     defeats both checks (conservative);
+//     redundant. Natives compare by (op, field spec, tag, inputs,
+//     output) and only when the tag is non-empty — an empty tag is an
+//     unknown function and defeats both checks (conservative);
 //   * range restriction — every head variable must be bound by a body
 //     atom or a native output, and every native input must be bound by
 //     the body or an *earlier* native's output (the engine's evaluation

@@ -1,6 +1,7 @@
 #include "encoding/makep.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "analysis/reachability.h"
@@ -29,9 +30,11 @@ constexpr PredId kUnsafe = 3;
 // Emits the parts of one guess's program into `prog`. Convention for
 // constants: abstract timestamps are interned first so that Sym value ==
 // encoded timestamp; domain values follow at offset val_off_; then node
-// and variable tags. AddPrefix emits everything that depends on the guess
-// only through its store profile; AddDisPart appends the guess's dis
-// chains and goal rules to a program that holds that prefix.
+// and variable tags. A view is packed (makep.h): component y takes bits_
+// bits at Shift(y) of word WordOf(y), and view words are raw Sym values,
+// not interned constants. AddPrefix emits everything that depends on the
+// guess only through its store profile; AddDisPart appends the guess's
+// dis chains and goal rules to a program that holds that prefix.
 class Builder {
  public:
   Builder(const SimplSystem& sys, const DisGuess& guess,
@@ -44,6 +47,10 @@ class Builder {
     for (std::size_t x = 0; x < k_; ++x) {
       max_ts_ = std::max(max_ts_, 2 * guess.StoresOn(x) + 1);
     }
+    layout_.components = static_cast<std::uint32_t>(k_);
+    layout_.bits = static_cast<std::uint32_t>(
+        std::bit_width(static_cast<unsigned>(max_ts_)));
+    words_ = layout_.Words();
     val_off_ = static_cast<Sym>(max_ts_ + 1);
     node_off_ = val_off_ + static_cast<Sym>(sys.dom);
     var_off_ = node_off_ + static_cast<Sym>(sys.env->num_nodes());
@@ -70,10 +77,14 @@ class Builder {
           StrCat("$var_", sys_.env->program().vars().Name(
                               VarId(static_cast<std::uint32_t>(x)))));
     }
+    prog_->SetViewLayout(layout_);
 
-    [[maybe_unused]] const PredId emp = prog_->AddPred("emp", 2 + k_);
-    [[maybe_unused]] const PredId dmp = prog_->AddPred("dmp", 2 + k_);
-    [[maybe_unused]] const PredId etp = prog_->AddPred("etp", 1 + m_ + k_);
+    [[maybe_unused]] const PredId emp =
+        prog_->AddPred("emp", 2 + words_, /*view=*/true);
+    [[maybe_unused]] const PredId dmp =
+        prog_->AddPred("dmp", 2 + words_, /*view=*/true);
+    [[maybe_unused]] const PredId etp =
+        prog_->AddPred("etp", 1 + m_ + words_, /*view=*/true);
     [[maybe_unused]] const PredId unsafe = prog_->AddPred("unsafe", 0);
     assert(emp == kEmp && dmp == kDmp && etp == kEtp && unsafe == kUnsafe);
 
@@ -88,7 +99,6 @@ class Builder {
   }
 
  private:
-  Sym TsSym(int ts) const { return static_cast<Sym>(ts); }
   Sym ValSym(Value v) const { return val_off_ + static_cast<Sym>(v); }
   Sym NodeSym(NodeId n) const {
     return node_off_ + static_cast<Sym>(n.value());
@@ -96,26 +106,64 @@ class Builder {
   Sym NodeSym(std::uint32_t n) const { return node_off_ + n; }
   Sym VarSymOf(VarId x) const { return var_off_ + x.value(); }
 
-  // --- natives -----------------------------------------------------------
+  // --- packed views --------------------------------------------------------
 
-  static Native LeqCheck(Term a, Term b) {
+  std::size_t WordOf(std::size_t y) const { return y / layout_.PerWord(); }
+  std::uint32_t Shift(std::size_t y) const {
+    return static_cast<std::uint32_t>(y % layout_.PerWord()) * layout_.bits;
+  }
+  // The view word whose component y is `ts` and every other component 0.
+  Term TsWord(std::size_t y, int ts) const {
+    return C(static_cast<Sym>(ts) << Shift(y));
+  }
+
+  // Check: component y of view word a <= component y of view word b.
+  Native LeqAt(std::size_t y, Term a, Term b) const {
     Native n;
     n.op = Native::Op::kLeq;
+    n.shift = static_cast<std::uint8_t>(Shift(y));
+    n.width = static_cast<std::uint8_t>(layout_.bits);
     n.name = "leq";
     n.tag = "leq";
     n.inputs = {a, b};
     return n;
   }
 
-  static Native MaxFn(Term a, Term b, dl::VarSym out) {
+  // out = the component-wise max of view words a and b.
+  Native MaxWord(Term a, Term b, dl::VarSym out) const {
     Native n;
     n.op = Native::Op::kMax;
+    n.width = static_cast<std::uint8_t>(layout_.bits);
     n.name = "max";
     n.tag = "max";
     n.inputs = {a, b};
     n.output = out;
     return n;
   }
+
+  // Appends to `r` the join of the views in words a0.. and b0.. into
+  // words out0.., and returns the joined view.
+  std::vector<Term> Join(Rule& r, dl::VarSym a0, dl::VarSym b0,
+                         dl::VarSym out0) const {
+    std::vector<Term> w;
+    for (std::size_t i = 0; i < words_; ++i) {
+      const dl::VarSym d = static_cast<dl::VarSym>(i);
+      r.natives.push_back(MaxWord(V(a0 + d), V(b0 + d), out0 + d));
+      w.push_back(V(out0 + d));
+    }
+    return w;
+  }
+
+  // Sets component y of view `w` to `ts` through `out`: a max with the
+  // word holding ts at y. Every caller's checks bound y's timestamps in
+  // `w` by ts, so the max is ts there, and 0 leaves the rest unchanged.
+  void FixComponent(Rule& r, std::vector<Term>& w, std::size_t y, int ts,
+                    dl::VarSym out) const {
+    r.natives.push_back(MaxWord(w[WordOf(y)], TsWord(y, ts), out));
+    w[WordOf(y)] = V(out);
+  }
+
+  // --- expression natives ----------------------------------------------------
 
   // Decodes an expression native's inputs (every env register, as
   // symbols offset by `off`) into register values without allocating.
@@ -165,13 +213,14 @@ class Builder {
 
   // --- env rule plumbing ----------------------------------------------------
   //
-  // Variable layout for env rules: 0..m-1 registers, m..m+k-1 view, then
-  // scratch variables from m+k upward.
+  // Variable layout for env rules: 0..m-1 registers, m..m+W-1 view words,
+  // then scratch variables from m+W upward.
 
   Term RvVar(std::size_t r) const { return V(static_cast<dl::VarSym>(r)); }
-  Term ViewVar(std::size_t x) const {
-    return V(static_cast<dl::VarSym>(m_ + x));
+  Term ViewVar(std::size_t w) const {
+    return V(static_cast<dl::VarSym>(m_ + w));
   }
+  dl::VarSym Scratch() const { return static_cast<dl::VarSym>(m_ + words_); }
 
   Atom EtpAtom(NodeId node, const std::vector<Term>& rv,
                const std::vector<Term>& view) const {
@@ -190,7 +239,7 @@ class Builder {
   }
   std::vector<Term> IdentityView() const {
     std::vector<Term> vw;
-    for (std::size_t x = 0; x < k_; ++x) vw.push_back(ViewVar(x));
+    for (std::size_t w = 0; w < words_; ++w) vw.push_back(ViewVar(w));
     return vw;
   }
 
@@ -201,7 +250,7 @@ class Builder {
       a.pred = kDmp;
       a.args.push_back(C(var_off_ + static_cast<Sym>(x)));
       a.args.push_back(C(ValSym(kInitValue)));
-      for (std::size_t y = 0; y < k_; ++y) a.args.push_back(C(TsSym(0)));
+      a.args.insert(a.args.end(), words_, C(0));
       prog_->AddFact(std::move(a));
     }
     // Initial env-thread configuration.
@@ -209,10 +258,8 @@ class Builder {
       Atom a;
       a.pred = kEtp;
       a.args.push_back(C(NodeSym(std::uint32_t{0})));
-      for (std::size_t r = 0; r < m_; ++r) {
-        a.args.push_back(C(ValSym(kInitValue)));
-      }
-      for (std::size_t x = 0; x < k_; ++x) a.args.push_back(C(TsSym(0)));
+      a.args.insert(a.args.end(), m_, C(ValSym(kInitValue)));
+      a.args.insert(a.args.end(), words_, C(0));
       prog_->AddFact(std::move(a));
     }
   }
@@ -251,7 +298,7 @@ class Builder {
           break;
         }
         case Instr::Kind::kAssign: {
-          const dl::VarSym out = static_cast<dl::VarSym>(m_ + k_);
+          const dl::VarSym out = Scratch();
           std::vector<Term> rv = IdentityRv();
           rv[instr.reg.index()] = V(out);
           Rule r;
@@ -277,18 +324,24 @@ class Builder {
   void AddEnvLoadRules(const CfaEdge& edge) {
     const Instr& instr = edge.instr;
     const std::size_t x = instr.var.index();
-    // Scratch variables: message value D, message view U_0..U_{k-1},
-    // joined view W_0..W_{k-1}.
-    const dl::VarSym d0 = static_cast<dl::VarSym>(m_ + k_);
+    const std::size_t wx = WordOf(x);
+    // The thread's view words start at v0. Scratch variables: message
+    // value D, message view words U_0..U_{W-1}, joined words
+    // J_0..J_{W-1}, and the joined word holding x once x's timestamp is
+    // fixed.
+    const dl::VarSym v0 = static_cast<dl::VarSym>(m_);
+    const dl::VarSym d0 = Scratch();
     const dl::VarSym u0 = d0 + 1;
-    const dl::VarSym w0 = u0 + static_cast<dl::VarSym>(k_);
+    const dl::VarSym j0 = u0 + static_cast<dl::VarSym>(words_);
+    const dl::VarSym fixed = j0 + static_cast<dl::VarSym>(words_);
+    const Term ux = V(u0 + static_cast<dl::VarSym>(wx));
     auto msg_atom = [&](PredId pred) {
       Atom a;
       a.pred = pred;
       a.args.push_back(C(var_off_ + static_cast<Sym>(x)));
       a.args.push_back(V(d0));
-      for (std::size_t y = 0; y < k_; ++y) {
-        a.args.push_back(V(u0 + static_cast<dl::VarSym>(y)));
+      for (std::size_t w = 0; w < words_; ++w) {
+        a.args.push_back(V(u0 + static_cast<dl::VarSym>(w)));
       }
       return a;
     };
@@ -298,42 +351,25 @@ class Builder {
     // (a) From a dis message: timestamp check + full join.
     {
       Rule r;
-      std::vector<Term> w;
-      for (std::size_t y = 0; y < k_; ++y) {
-        w.push_back(V(w0 + static_cast<dl::VarSym>(y)));
-        r.natives.push_back(MaxFn(ViewVar(y),
-                                  V(u0 + static_cast<dl::VarSym>(y)),
-                                  w0 + static_cast<dl::VarSym>(y)));
-      }
+      // view(x) <= msg.ts(x)
+      r.natives.push_back(LeqAt(x, ViewVar(wx), ux));
+      const std::vector<Term> w = Join(r, v0, u0, j0);
       r.head = EtpAtom(edge.to, rv, w);
       r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView()),
                 msg_atom(kDmp)};
-      // view(x) <= msg.ts(x)
-      r.natives.push_back(
-          LeqCheck(ViewVar(x), V(u0 + static_cast<dl::VarSym>(x))));
       prog_->AddRule(std::move(r));
     }
     // (b) From an env message, clone promoted into unfrozen gap h.
     for (int h = 0; h <= guess_.StoresOn(x); ++h) {
       if (guess_.GapFrozen(x, h)) continue;
       Rule r;
-      std::vector<Term> w;
-      for (std::size_t y = 0; y < k_; ++y) {
-        if (y == x) {
-          w.push_back(C(TsSym(PlusTs(h))));
-        } else {
-          w.push_back(V(w0 + static_cast<dl::VarSym>(y)));
-          r.natives.push_back(MaxFn(ViewVar(y),
-                                    V(u0 + static_cast<dl::VarSym>(y)),
-                                    w0 + static_cast<dl::VarSym>(y)));
-        }
-      }
+      r.natives.push_back(LeqAt(x, ViewVar(wx), TsWord(x, PlusTs(h))));
+      r.natives.push_back(LeqAt(x, ux, TsWord(x, PlusTs(h))));
+      std::vector<Term> w = Join(r, v0, u0, j0);
+      FixComponent(r, w, x, PlusTs(h), fixed);
       r.head = EtpAtom(edge.to, rv, w);
       r.body = {EtpAtom(edge.from, IdentityRv(), IdentityView()),
                 msg_atom(kEmp)};
-      r.natives.push_back(LeqCheck(ViewVar(x), C(TsSym(PlusTs(h)))));
-      r.natives.push_back(
-          LeqCheck(V(u0 + static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
       prog_->AddRule(std::move(r));
     }
   }
@@ -343,44 +379,48 @@ class Builder {
     const std::size_t x = instr.var.index();
     for (int h = 0; h <= guess_.StoresOn(x); ++h) {
       if (guess_.GapFrozen(x, h)) continue;
-      std::vector<Term> w = IdentityView();
-      w[x] = C(TsSym(PlusTs(h)));
       // emp(x, rv[reg], view[x -> h+]) :- etp(from, ...), view(x) <= h+.
       Rule msg;
+      msg.natives.push_back(
+          LeqAt(x, ViewVar(WordOf(x)), TsWord(x, PlusTs(h))));
+      std::vector<Term> w = IdentityView();
+      FixComponent(msg, w, x, PlusTs(h), Scratch());
       msg.head = Atom{kEmp, {}};
       msg.head.args.push_back(C(var_off_ + static_cast<Sym>(x)));
       msg.head.args.push_back(RvVar(instr.reg.index()));
       msg.head.args.insert(msg.head.args.end(), w.begin(), w.end());
       msg.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
-      msg.natives.push_back(LeqCheck(ViewVar(x), C(TsSym(PlusTs(h)))));
-      prog_->AddRule(std::move(msg));
 
       Rule adv;
+      adv.natives = msg.natives;
       adv.head = EtpAtom(edge.to, IdentityRv(), w);
       adv.body = {EtpAtom(edge.from, IdentityRv(), IdentityView())};
-      adv.natives.push_back(LeqCheck(ViewVar(x), C(TsSym(PlusTs(h)))));
+      prog_->AddRule(std::move(msg));
       prog_->AddRule(std::move(adv));
     }
   }
 
   // --- dis chains --------------------------------------------------------
   //
-  // Variable layout for dis rules: 0..k-1 current view T, then scratch.
+  // Variable layout for dis rules: 0..W-1 current view words T, then
+  // scratch: message view words U (W..2W-1), joined words J (2W..3W-1)
+  // and the word holding the fixed component (3W).
 
   void AddDisChains() {
     for (std::size_t t = 0; t < guess_.threads.size(); ++t) {
       const ThreadGuess& path = guess_.threads[t];
       const Cfa& cfa = *sys_.dis[t];
-      // dtp_t_j predicates, arity k.
+      // dtp_t_j predicates: one view each.
       std::vector<PredId> dtp(path.steps.size() + 1);
       for (std::size_t j = 0; j <= path.steps.size(); ++j) {
-        dtp[j] = prog_->AddPred(StrCat("dtp", t, "_", j), k_);
+        dtp[j] = prog_->AddPred(StrCat("dtp", t, "_", j), words_,
+                                /*view=*/true);
       }
       // Initial fact: zero view.
       {
         Atom a;
         a.pred = dtp[0];
-        for (std::size_t y = 0; y < k_; ++y) a.args.push_back(C(TsSym(0)));
+        a.args.assign(words_, C(0));
         prog_->AddFact(std::move(a));
       }
       for (std::size_t j = 0; j < path.steps.size(); ++j) {
@@ -398,10 +438,44 @@ class Builder {
 
   std::vector<Term> DisView() const {
     std::vector<Term> vw;
-    for (std::size_t y = 0; y < k_; ++y) {
-      vw.push_back(V(static_cast<dl::VarSym>(y)));
+    for (std::size_t w = 0; w < words_; ++w) {
+      vw.push_back(V(static_cast<dl::VarSym>(w)));
     }
     return vw;
+  }
+  Term DisWord(std::size_t w) const { return V(static_cast<dl::VarSym>(w)); }
+  dl::VarSym MsgWords() const { return static_cast<dl::VarSym>(words_); }
+  dl::VarSym JoinWords() const { return static_cast<dl::VarSym>(2 * words_); }
+  dl::VarSym FixedWord() const { return static_cast<dl::VarSym>(3 * words_); }
+
+  // The dis-message atom a dis load or CAS of x reads: value `val`, view
+  // words U.
+  Atom DisMsgAtom(PredId pred, std::size_t x, Value val) const {
+    Atom a;
+    a.pred = pred;
+    a.args.push_back(C(var_off_ + static_cast<Sym>(x)));
+    a.args.push_back(C(ValSym(val)));
+    for (std::size_t w = 0; w < words_; ++w) {
+      a.args.push_back(V(MsgWords() + static_cast<dl::VarSym>(w)));
+    }
+    return a;
+  }
+
+  // Pins the message's timestamp on x to `ts` (two checks), and checks
+  // that the thread's is at most `ts`.
+  void PinRead(Rule& r, std::size_t x, int ts) const {
+    const Term ux = V(MsgWords() + static_cast<dl::VarSym>(WordOf(x)));
+    r.natives.push_back(LeqAt(x, ux, TsWord(x, ts)));
+    r.natives.push_back(LeqAt(x, TsWord(x, ts), ux));
+    r.natives.push_back(LeqAt(x, DisWord(WordOf(x)), TsWord(x, ts)));
+  }
+
+  // Checks that both the message's and the thread's timestamps on x are
+  // at most `ts`.
+  void BoundRead(Rule& r, std::size_t x, int ts) const {
+    const Term ux = V(MsgWords() + static_cast<dl::VarSym>(WordOf(x)));
+    r.natives.push_back(LeqAt(x, DisWord(WordOf(x)), TsWord(x, ts)));
+    r.natives.push_back(LeqAt(x, ux, TsWord(x, ts)));
   }
 
   void AddDisStepRules(const Cfa& cfa, const GuessStep& step, PredId from,
@@ -443,45 +517,13 @@ class Builder {
   void AddDisLoadRules(const Instr& instr, const GuessStep& step,
                        PredId from, PredId to) {
     const std::size_t x = instr.var.index();
-    const dl::VarSym u0 = static_cast<dl::VarSym>(k_);
-    const dl::VarSym w0 = u0 + static_cast<dl::VarSym>(k_);
-    auto msg_atom = [&](PredId pred, std::optional<int> pin_pos) {
-      Atom a;
-      a.pred = pred;
-      a.args.push_back(C(var_off_ + static_cast<Sym>(x)));
-      a.args.push_back(C(ValSym(step.read_value)));
-      for (std::size_t y = 0; y < k_; ++y) {
-        if (y == x && pin_pos.has_value()) {
-          a.args.push_back(C(TsSym(DisTs(*pin_pos))));
-        } else {
-          a.args.push_back(V(u0 + static_cast<dl::VarSym>(y)));
-        }
-      }
-      return a;
-    };
-
     if (!step.read_from_env) {
       // Pinned dis message at position p.
-      const int p = step.read_dis_pos;
       Rule r;
-      std::vector<Term> w;
-      for (std::size_t y = 0; y < k_; ++y) {
-        if (y == x) {
-          const dl::VarSym wy = w0 + static_cast<dl::VarSym>(y);
-          w.push_back(V(wy));
-          r.natives.push_back(MaxFn(V(static_cast<dl::VarSym>(y)),
-                                    C(TsSym(DisTs(p))), wy));
-        } else {
-          const dl::VarSym wy = w0 + static_cast<dl::VarSym>(y);
-          w.push_back(V(wy));
-          r.natives.push_back(MaxFn(V(static_cast<dl::VarSym>(y)),
-                                    V(u0 + static_cast<dl::VarSym>(y)), wy));
-        }
-      }
-      r.head = DtpAtom(to, w);
-      r.body = {DtpAtom(from, DisView()), msg_atom(kDmp, p)};
-      r.natives.push_back(
-          LeqCheck(V(static_cast<dl::VarSym>(x)), C(TsSym(DisTs(p)))));
+      PinRead(r, x, DisTs(step.read_dis_pos));
+      r.head = DtpAtom(to, Join(r, 0, MsgWords(), JoinWords()));
+      r.body = {DtpAtom(from, DisView()),
+                DisMsgAtom(kDmp, x, step.read_value)};
       prog_->AddRule(std::move(r));
       return;
     }
@@ -489,23 +531,12 @@ class Builder {
     for (int h = 0; h <= guess_.StoresOn(x); ++h) {
       if (guess_.GapFrozen(x, h)) continue;
       Rule r;
-      std::vector<Term> w;
-      for (std::size_t y = 0; y < k_; ++y) {
-        if (y == x) {
-          w.push_back(C(TsSym(PlusTs(h))));
-        } else {
-          const dl::VarSym wy = w0 + static_cast<dl::VarSym>(y);
-          w.push_back(V(wy));
-          r.natives.push_back(MaxFn(V(static_cast<dl::VarSym>(y)),
-                                    V(u0 + static_cast<dl::VarSym>(y)), wy));
-        }
-      }
+      BoundRead(r, x, PlusTs(h));
+      std::vector<Term> w = Join(r, 0, MsgWords(), JoinWords());
+      FixComponent(r, w, x, PlusTs(h), FixedWord());
       r.head = DtpAtom(to, w);
-      r.body = {DtpAtom(from, DisView()), msg_atom(kEmp, std::nullopt)};
-      r.natives.push_back(
-          LeqCheck(V(static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
-      r.natives.push_back(
-          LeqCheck(V(u0 + static_cast<dl::VarSym>(x)), C(TsSym(PlusTs(h)))));
+      r.body = {DtpAtom(from, DisView()),
+                DisMsgAtom(kEmp, x, step.read_value)};
       prog_->AddRule(std::move(r));
     }
   }
@@ -518,57 +549,30 @@ class Builder {
     assert(p >= 1);
     const Value stored = is_cas ? step.rv_after[instr.reg2.index()]
                                 : step.rv_after[instr.reg.index()];
-    const dl::VarSym u0 = static_cast<dl::VarSym>(k_);
-    const dl::VarSym w0 = u0 + static_cast<dl::VarSym>(k_);
 
     // Assembles the common body + joined view; for plain stores there is
     // no read, so the "join" is the thread view itself.
     auto build = [&](bool as_msg) {
       Rule r;
-      std::vector<Term> w;
-      for (std::size_t y = 0; y < k_; ++y) {
-        if (y == x) {
-          w.push_back(C(TsSym(DisTs(p))));
-          continue;
-        }
-        if (!is_cas) {
-          w.push_back(V(static_cast<dl::VarSym>(y)));
-        } else {
-          const dl::VarSym wy = w0 + static_cast<dl::VarSym>(y);
-          w.push_back(V(wy));
-          r.natives.push_back(MaxFn(V(static_cast<dl::VarSym>(y)),
-                                    V(u0 + static_cast<dl::VarSym>(y)), wy));
-        }
-      }
       r.body = {DtpAtom(from, DisView())};
+      std::vector<Term> w;
       if (is_cas) {
-        Atom msg;
-        msg.pred = step.read_from_env ? kEmp : kDmp;
-        msg.args.push_back(C(var_off_ + static_cast<Sym>(x)));
-        msg.args.push_back(C(ValSym(step.read_value)));
-        for (std::size_t y = 0; y < k_; ++y) {
-          if (y == x && !step.read_from_env) {
-            msg.args.push_back(C(TsSym(DisTs(p - 1))));
-          } else {
-            msg.args.push_back(V(u0 + static_cast<dl::VarSym>(y)));
-          }
-        }
-        r.body.push_back(std::move(msg));
+        r.body.push_back(DisMsgAtom(step.read_from_env ? kEmp : kDmp, x,
+                                    step.read_value));
         if (step.read_from_env) {
           // Clone sits at the top of gap p-1, directly below the store.
-          r.natives.push_back(LeqCheck(V(u0 + static_cast<dl::VarSym>(x)),
-                                       C(TsSym(PlusTs(p - 1)))));
-          r.natives.push_back(LeqCheck(V(static_cast<dl::VarSym>(x)),
-                                       C(TsSym(PlusTs(p - 1)))));
+          BoundRead(r, x, PlusTs(p - 1));
         } else {
-          r.natives.push_back(LeqCheck(V(static_cast<dl::VarSym>(x)),
-                                       C(TsSym(DisTs(p - 1)))));
+          PinRead(r, x, DisTs(p - 1));
         }
+        w = Join(r, 0, MsgWords(), JoinWords());
       } else {
         // Plain store into gap p-1.
-        r.natives.push_back(LeqCheck(V(static_cast<dl::VarSym>(x)),
-                                     C(TsSym(PlusTs(p - 1)))));
+        r.natives.push_back(
+            LeqAt(x, DisWord(WordOf(x)), TsWord(x, PlusTs(p - 1))));
+        w = DisView();
       }
+      FixComponent(r, w, x, DisTs(p), FixedWord());
       if (as_msg) {
         Atom head;
         head.pred = kDmp;
@@ -595,8 +599,8 @@ class Builder {
       msg.pred = pred;
       msg.args.push_back(C(VarSymOf(gx)));
       msg.args.push_back(C(ValSym(gv)));
-      for (std::size_t y = 0; y < k_; ++y) {
-        msg.args.push_back(V(static_cast<dl::VarSym>(y)));
+      for (std::size_t w = 0; w < words_; ++w) {
+        msg.args.push_back(V(static_cast<dl::VarSym>(w)));
       }
       r.body = {std::move(msg)};
       prog_->AddRule(std::move(r));
@@ -610,6 +614,8 @@ class Builder {
   std::size_t k_ = 0;  // |Var|
   std::size_t m_ = 0;  // env registers
   int max_ts_ = 1;
+  dl::ViewLayout layout_;
+  std::size_t words_ = 0;  // view words
   Sym val_off_ = 0;
   Sym node_off_ = 0;
   Sym var_off_ = 0;

@@ -1,22 +1,36 @@
 // makeP (§4.1): emits one Cache Datalog query instance per dis-run guess.
 //
-// Predicates (following the paper):
-//   emp(x, d, t_1..t_k)   — an available env message on x with value d and
-//                           view (t_1..t_k); views are inlined as one
-//                           abstract-timestamp argument per variable.
-//   etp(lc, r_1..r_m, t_1..t_k)
-//                         — a reachable env-thread configuration.
-//   dmp(x, d, t_1..t_k)   — an available dis message (init messages are
+// Predicates (following the paper), for k variables, m env registers and
+// W view words (below):
+//   emp(x, d, w_1..w_W)   — an available env message on x with value d and
+//                           a packed view; arity 2 + W.
+//   etp(lc, r_1..r_m, w_1..w_W)
+//                         — a reachable env-thread configuration; arity
+//                           1 + m + W.
+//   dmp(x, d, w_1..w_W)   — an available dis message (init messages are
 //                           facts; guessed stores are derived from the
-//                           thread predicates, which validates the guess).
-//   dtp_i_j(t_1..t_k)     — dis thread i has executed the first j steps of
+//                           thread predicates, which validates the guess);
+//                           arity 2 + W.
+//   dtp_i_j(w_1..w_W)     — dis thread i has executed the first j steps of
 //                           its guessed path; registers are concrete along
-//                           the guess, so only the view is threaded.
+//                           the guess, so only the view is threaded; arity W.
 //   violation()/goal()/unsafe() — query atoms.
 //
+// Packed views. A view (t_1..t_k) of abstract timestamps (2t for dis t,
+// 2t+1 for t⁺) takes values 0..2T+1, T = max_x StoresOn(x), so each
+// timestamp gets b = bit_width(2T + 1) bits and one 32-bit word holds
+// ⌊32/b⌋ of them: W = ⌈k / ⌊32/b⌋⌉ words, one for every TQBF reduction
+// (b = 1). A view word is a raw Sym, not an interned constant; the
+// program's dl::ViewLayout says how to print it. Rules work on whole words
+// with field natives: a view join is one field-wise kMax per word, a
+// timestamp check one field kLeq, a head timestamp fixed to a constant a
+// kMax with the constant word (every such rule checks the joined
+// timestamp is at most the constant), and a pinned dis-message timestamp
+// two field kLeq checks. Each tuple packs the view of the tuple the
+// one-argument-per-timestamp encoding derives, and nothing else.
+//
 // Abstract timestamps are interned first, so Sym value == encoded
-// timestamp (2t for dis t, 2t+1 for t⁺); natives compare/join them
-// directly. Rules have at most two IDB body atoms (a thread predicate and
+// timestamp. Rules have at most two IDB body atoms (a thread predicate and
 // a message predicate), i.e. the program is Cache Datalog as required by
 // Lemma 4.2's pipeline; dmp/emp-free rules are linear outright.
 #ifndef RAPAR_ENCODING_MAKEP_H_

@@ -198,8 +198,11 @@ Program RandomDatalog(Rng& rng, int preds, int consts, int rules) {
 // checks that reject, outputs that a body atom already bound (a
 // comparison), native-only rules, and a kCall whose outputs leave the
 // interned constants (0xffffffff - x, up to Sym 0xffffffff), so tuples
-// reach the dispatch with constants no bucket holds. Every value stays in
-// a finite set, so the naive reference terminates.
+// reach the dispatch with constants no bucket holds. Half the kLeq and
+// kMax natives read a random field spec. Every value stays in a finite
+// set — 0..3 and 0xfffffffc..0xffffffff: the low two bits vary, the rest
+// are all zero or all one, under the kCall and a field-wise max alike —
+// so the naive reference terminates.
 Program RandomNativeDatalog(Rng& rng) {
   constexpr std::size_t kUnkeyed = ~std::size_t{0};
   constexpr Sym kConsts = 3;
@@ -263,11 +266,18 @@ Program RandomNativeDatalog(Rng& rng) {
         case 0:
           n.op = Native::Op::kLeq;
           n.name = n.tag = "leq";
+          if (rng.Chance(1, 2)) {
+            n.width = static_cast<std::uint8_t>(1 + rng.Below(32));
+            n.shift = static_cast<std::uint8_t>(rng.Below(33 - n.width));
+          }
           break;
         case 1:
           n.op = Native::Op::kMax;
           n.name = n.tag = "max";
           n.output = output();
+          if (rng.Chance(1, 2)) {
+            n.width = static_cast<std::uint8_t>(1 + rng.Below(32));
+          }
           break;
         case 2:
           n.name = n.tag = "differ";
@@ -317,6 +327,59 @@ std::set<GroundAtom> Materialize(const Program& prog, const Database& db) {
     }
   }
   return out;
+}
+
+// Bits [shift, shift + width) of w, computed per component.
+Sym FieldOf(Sym w, unsigned shift, unsigned width) {
+  return static_cast<Sym>((std::uint64_t{w} >> shift) &
+                          ((std::uint64_t{1} << width) - 1));
+}
+
+// EvalNative's field kLeq and kMax against a per-component loop, at every
+// width 1..32 and, for kLeq, every shift that keeps the field in the word
+// (the top field, partial when the width does not divide 32, included).
+TEST(NativeFieldTest, FieldOpsMatchAPerComponentLoop) {
+  Rng rng(1);
+  std::vector<Sym> buf;
+  for (unsigned width = 1; width <= 32; ++width) {
+    for (int trial = 0; trial < 64; ++trial) {
+      const Sym a = static_cast<Sym>(rng.Next());
+      Sym b = static_cast<Sym>(rng.Next());
+      // Every other trial, b copies some of a's bits, so fields tie.
+      if (trial % 2 == 1) {
+        const Sym same = static_cast<Sym>(rng.Next());
+        b = (a & same) | (b & ~same);
+      }
+      const auto in = [&](std::size_t i) { return i == 0 ? a : b; };
+
+      Native max;
+      max.op = Native::Op::kMax;
+      max.width = static_cast<std::uint8_t>(width);
+      max.inputs = {C(a), C(b)};
+      max.output = 0;
+      Sym got = 0;
+      ASSERT_TRUE(EvalNative(max, in, buf, &got));
+      Sym want = 0;
+      for (unsigned s = 0; s < 32; s += width) {
+        const unsigned w = std::min(width, 32 - s);
+        want |= std::max(FieldOf(a, s, w), FieldOf(b, s, w)) << s;
+      }
+      EXPECT_EQ(got, want) << "max width " << width << " a " << a << " b "
+                           << b;
+
+      for (unsigned shift = 0; shift < 32; ++shift) {
+        Native leq;
+        leq.op = Native::Op::kLeq;
+        leq.shift = static_cast<std::uint8_t>(shift);
+        leq.width = static_cast<std::uint8_t>(std::min(width, 32 - shift));
+        leq.inputs = {C(a), C(b)};
+        EXPECT_EQ(EvalNative(leq, in, buf, nullptr),
+                  FieldOf(a, shift, leq.width) <= FieldOf(b, shift, leq.width))
+            << "leq shift " << shift << " width " << int{leq.width}
+            << " a " << a << " b " << b;
+      }
+    }
+  }
 }
 
 class DatalogDifferentialTest

@@ -314,6 +314,49 @@ TEST(DatalogEngineTest, ProgramPrinting) {
   EXPECT_NE(text.find(".decl path/2"), std::string::npos);
 }
 
+TEST(DatalogEngineTest, PrintsViewWordsAsTimestamps) {
+  // Three timestamps of two bits each, 16 to a word: one view word per
+  // view. Timestamps are the first constants, so Sym t names timestamp t.
+  Program prog;
+  for (const char* ts : {"t0", "t1", "t2", "t3"}) prog.ConstSym(ts);
+  prog.SetViewLayout(ViewLayout{3, 2});
+  const PredId v = prog.AddPred("v", 2, /*view=*/true);
+  const PredId w = prog.AddPred("w", 2, /*view=*/true);
+  prog.AddFact(Atom{v, {C(1), C(0b100111)}});  // 3, 1, 2 at fields 0..2
+  Rule r{Atom{w, {V(0), V(2)}}, {Atom{v, {V(0), V(1)}}}, {}};
+  Native leq;
+  leq.op = Native::Op::kLeq;
+  leq.shift = 2;
+  leq.width = 2;
+  leq.name = "leq";
+  leq.inputs = {V(1), C(0b1000)};
+  Native max;
+  max.op = Native::Op::kMax;
+  max.width = 2;
+  max.name = "max";
+  max.inputs = {V(1), C(0b110000)};
+  max.output = 2;
+  r.natives = {leq, max};
+  prog.AddRule(std::move(r));
+  const std::string text = prog.ToString();
+  EXPECT_NE(text.find(".decl v/4"), std::string::npos) << text;
+  // Constant 1 is not in a view: t1. The view word: fields 3, 1, 2.
+  EXPECT_NE(text.find("v(t1, t3, t1, t2)."), std::string::npos) << text;
+  EXPECT_NE(text.find("w(X0, X2.0, X2.1, X2.2) :- v(X0, X1.0, X1.1, X1.2), "
+                      "leq[X1.1,t2], max[X1,{2:t3}]->X2."),
+            std::string::npos)
+      << text;
+}
+
+TEST(DatalogEngineTest, PrintsConstantsOutsideTheTableAsNumbers) {
+  Program prog;
+  const PredId p = prog.AddPred("p", 2);
+  const Sym a = prog.ConstSym("a");
+  prog.AddFact(Atom{p, {C(a), C(0xfffffffeu)}});
+  EXPECT_NE(prog.ToString().find("p(a, #4294967294)."), std::string::npos)
+      << prog.ToString();
+}
+
 TEST(DatalogEngineTest, IdbPredsExcludesFactOnly) {
   TcProgram tc;
   std::vector<bool> idb = tc.prog.IdbPreds();

@@ -127,6 +127,37 @@ TEST(DatalogReleaseGuardTest, MalformedOpNativesThrowCleanly) {
                   .derivable);
 }
 
+TEST(DatalogReleaseGuardTest, FieldSpecsOutsideTheWordThrowCleanly) {
+  auto field = [](Native::Op op, std::uint8_t shift, std::uint8_t width) {
+    Native n = Op(op, {V(0), V(0)},
+                  op == Native::Op::kMax ? std::optional<VarSym>(1)
+                                         : std::nullopt);
+    n.shift = shift;
+    n.width = width;
+    return n;
+  };
+  const Native malformed[] = {
+      field(Native::Op::kLeq, 0, 0),   // width 0
+      field(Native::Op::kLeq, 0, 33),  // wider than the word
+      field(Native::Op::kLeq, 30, 3),  // past bit 31
+      field(Native::Op::kMax, 0, 0),   // width 0
+      field(Native::Op::kMax, 0, 40),  // wider than the word
+      field(Native::Op::kMax, 4, 4),   // a field-wise max with a shift
+  };
+  const Atom goal{1, {C(0)}};
+  for (const Native& n : malformed) {
+    const Program prog = WithNative(n);
+    EXPECT_THROW(Eval(prog), std::invalid_argument) << prog.ToString();
+    EXPECT_THROW(Query(prog, goal), std::invalid_argument);
+    EXPECT_THROW(Engine().Solve(prog, goal), std::invalid_argument);
+    EXPECT_THROW(CacheQuery(prog, goal, 3), std::invalid_argument);
+    EXPECT_THROW(MinimalCacheSize(prog, goal, 3), std::invalid_argument);
+  }
+  // In-word specs evaluate: the top partial field, a field-wise max.
+  EXPECT_TRUE(Query(WithNative(field(Native::Op::kLeq, 30, 2)), goal));
+  EXPECT_TRUE(Query(WithNative(field(Native::Op::kMax, 0, 3)), goal));
+}
+
 TEST(DatalogReleaseGuardTest, CacheSolverValidatesItsGoal) {
   Program prog = Tc();
   const PredId path = 1;

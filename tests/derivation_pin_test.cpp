@@ -19,6 +19,7 @@
 #include "core/benchmarks.h"
 #include "core/result_json.h"
 #include "core/verifier.h"
+#include "lang/parser.h"
 #include "lang/random_program.h"
 #include "lowerbound/qbf.h"
 #include "lowerbound/tqbf_reduction.h"
@@ -89,7 +90,10 @@ TEST(DerivationPinTest, TqbfReductions) {
 TEST(DerivationPinTest, CatalogCases) {
   const std::pair<const char*, Pinned> want[] = {
       {"dekker-cas", {"safe", 384, 80, 84, 28, 32, 24}},
-      {"peterson-ra", {"unsafe", 29, 122, 127, 27, 20, 17}},
+      // A pinned dis read checks the message's pinned timestamp with two
+      // field natives: it is not part of the join key, so more candidates
+      // reach the checks than tuples fire.
+      {"peterson-ra", {"unsafe", 29, 122, 127, 44, 20, 28}},
   };
   const std::vector<BenchmarkCase> catalog = StandardBenchmarks();
   for (const auto& [name, pinned] : want) {
@@ -103,42 +107,83 @@ TEST(DerivationPinTest, CatalogCases) {
   }
 }
 
+// The rand-guessy shape (`num_vars` vars, 3 regs, dom 4, env size 10,
+// dis size 8, no CAS, no loops) with generator seed `seed`'s
+// Message-Generation goal, as in the guess-heavy corpus.
+void ExpectGeneratedPinned(std::uint64_t seed, int num_vars,
+                           const Pinned& want) {
+  Rng rng(seed);
+  RandomProgramOptions env_opts;
+  env_opts.num_vars = num_vars;
+  env_opts.num_regs = 3;
+  env_opts.dom = 4;
+  env_opts.size = 10;
+  RandomProgramOptions dis_opts = env_opts;
+  dis_opts.size = 8;
+  Program env = RandomProgram(rng, env_opts, "env");
+  Program dis = RandomProgram(rng, dis_opts, "dis");
+  Expected<ParamSystem> sys =
+      ParamSystem::Builder().Env(std::move(env)).Dis(std::move(dis)).Build();
+  ASSERT_TRUE(sys.ok()) << sys.error();
+  Rng goal_rng(0x6d67676f616c7321ULL ^ seed);
+  const std::string var = "v" + std::to_string(goal_rng.Below(
+                                      static_cast<std::uint64_t>(num_vars)));
+  const Value val = static_cast<Value>(goal_rng.IntIn(1, env_opts.dom - 1));
+  const VarId x = sys.value().vars().Find(var);
+  ASSERT_TRUE(x.valid()) << var;
+  ExpectPinned(want, Measure(sys.value(), std::pair<VarId, Value>{x, val}),
+               "gen:" + std::to_string(seed) + " vars=" +
+                   std::to_string(num_vars) + " mg(" + var + ", " +
+                   std::to_string(val) + ")");
+}
+
 TEST(DerivationPinTest, GeneratedMessageGenerationQueries) {
-  // The rand-guessy shape (3 vars, 3 regs, dom 4, env size 10, dis size
-  // 8, no CAS, no loops) with each generator seed's Message-Generation
-  // goal, as in the guess-heavy corpus: seed 4 is unsafe after 124
-  // guesses (the first-unsafe early exit), seed 49 a join-heavy safe scan.
-  const std::pair<std::uint64_t, Pinned> want[] = {
-      {4, {"unsafe", 124, 3478, 6410, 1240, 1610, 1239}},
-      {49, {"safe", 35, 2002, 13583, 13181, 3390, 13181}},
-  };
-  for (const auto& [seed, pinned] : want) {
-    Rng rng(seed);
-    RandomProgramOptions env_opts;
-    env_opts.num_vars = 3;
-    env_opts.num_regs = 3;
-    env_opts.dom = 4;
-    env_opts.size = 10;
-    RandomProgramOptions dis_opts = env_opts;
-    dis_opts.size = 8;
-    Program env = RandomProgram(rng, env_opts, "env");
-    Program dis = RandomProgram(rng, dis_opts, "dis");
-    Expected<ParamSystem> sys = ParamSystem::Builder()
-                                    .Env(std::move(env))
-                                    .Dis(std::move(dis))
-                                    .Build();
-    ASSERT_TRUE(sys.ok()) << sys.error();
-    Rng goal_rng(0x6d67676f616c7321ULL ^ seed);
-    const std::string var = "v" + std::to_string(goal_rng.Below(3));
-    const Value val =
-        static_cast<Value>(goal_rng.IntIn(1, env_opts.dom - 1));
-    const VarId x = sys.value().vars().Find(var);
-    ASSERT_TRUE(x.valid()) << var;
-    ExpectPinned(pinned,
-                 Measure(sys.value(), std::pair<VarId, Value>{x, val}),
-                 "gen:" + std::to_string(seed) + " mg(" + var + ", " +
-                     std::to_string(val) + ")");
+  // Seed 4 is unsafe after 124 guesses (the first-unsafe early exit),
+  // seed 49 a join-heavy safe scan.
+  ExpectGeneratedPinned(4, 3, {"unsafe", 124, 3478, 6410, 1240, 1610, 1239});
+  ExpectGeneratedPinned(49, 3, {"safe", 35, 2002, 13583, 13181, 3390, 13181});
+}
+
+TEST(DerivationPinTest, GeneratedTwelveVariableQueries) {
+  // Twelve variables: a guess with two or more dis stores on one variable
+  // needs 3-bit view components, ten to a 32-bit word, so its views take
+  // two words. The verifier's pre-pass slices stores to variables no
+  // thread loads, which leaves such guesses rare here: all 70 of seed
+  // 120's, none of the 79 and 185 that seeds 4 and 124 scan. These rows
+  // pin guess counts and derivations that never join two-word views;
+  // TwoWordViewQuery below pins a query that does.
+  ExpectGeneratedPinned(4, 12, {"unsafe", 79, 6, 7, 2, 1, 1});
+  ExpectGeneratedPinned(120, 12, {"safe", 70, 210, 210, 0, 0, 0});
+  ExpectGeneratedPinned(124, 12, {"safe", 185, 370, 370, 0, 0, 0});
+}
+
+TEST(DerivationPinTest, TwoWordViewQuery) {
+  // Twelve variables and two dis stores to v0, which the env loads: every
+  // view takes two words, v10's and v11's timestamps in the second. The
+  // env publishes v1, ..., v11 in order; the dis thread reads v11 = 1 and
+  // then v10 = 0, which release-acquire forbids only because the view
+  // join on the read carries v10's timestamp in the second word.
+  std::string vars = "vars";
+  for (int v = 0; v < 12; ++v) vars += " v" + std::to_string(v);
+  std::string publish;
+  for (int v = 1; v < 12; ++v) {
+    publish += "; v" + std::to_string(v) + " := one";
   }
+  auto parse = [](const std::string& text) {
+    Expected<Program> p = ParseProgram(text);
+    EXPECT_TRUE(p.ok()) << (p.ok() ? "" : p.error());
+    return std::move(p).value();
+  };
+  Program env = parse("program w\n" + vars + "\nregs one a\ndom 2\nbegin\n" +
+                      "one := 1; a := v0" + publish + "\nend\n");
+  Program dis = parse("program r\n" + vars + "\nregs s a b\ndom 2\nbegin\n" +
+                      "s := 1; v0 := s; v0 := s; a := v11; assume (a == 1); " +
+                      "b := v10; assume (b == 0); assert false\nend\n");
+  Expected<ParamSystem> sys =
+      ParamSystem::Builder().Env(std::move(env)).Dis(std::move(dis)).Build();
+  ASSERT_TRUE(sys.ok()) << sys.error();
+  ExpectPinned({"safe", 2, 94, 100, 15, 18, 9},
+               Measure(sys.value(), std::nullopt), "two-word views");
 }
 
 }  // namespace

@@ -211,6 +211,36 @@ TEST(RuleChecksTest, NativeOpIsPartOfItsIdentity) {
   EXPECT_FALSE(Subsumes(call, max));
 }
 
+TEST(RuleChecksTest, NativeFieldIsPartOfItsIdentity) {
+  Program prog;
+  PredId p = prog.AddPred("p", 1);
+  PredId q = prog.AddPred("q", 2);
+  // p(X0) :- q(X0, X1), leq[X0, X1] on bits [shift, shift + width).
+  auto make = [&](std::uint8_t shift, std::uint8_t width) {
+    Rule r{Atom{p, {V(0)}}, {Atom{q, {V(0), V(1)}}}, {}};
+    Native n;
+    n.op = Native::Op::kLeq;
+    n.shift = shift;
+    n.width = width;
+    n.name = n.tag = "leq";
+    n.inputs = {V(0), V(1)};
+    r.natives.push_back(std::move(n));
+    return r;
+  };
+  const Rule word = make(0, 32);
+  const Rule low = make(0, 3);
+  const Rule next = make(3, 3);
+  EXPECT_EQ(CanonicalRuleKey(low), CanonicalRuleKey(make(0, 3)));
+  EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(word));
+  EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(next));
+  EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(make(0, 4)));
+  EXPECT_TRUE(Subsumes(low, low));
+  for (const Rule* other : {&word, &next}) {
+    EXPECT_FALSE(Subsumes(low, *other));
+    EXPECT_FALSE(Subsumes(*other, low));
+  }
+}
+
 TEST(RuleChecksTest, RangeRestrictionViolations) {
   Program prog;
   PredId p = prog.AddPred("p", 1);

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -355,12 +359,53 @@ TEST(DatalogVerifierTest, CasContentionSafe) {
 
 // --- Differential: Datalog backend vs saturation explorer -------------------
 
+// An env and a dis thread drawn by RandomProgram from `seed`, shaped by
+// `env_opts` and `dis_opts` (which agree on num_vars and dom).
+Sys RandomSys(std::uint64_t seed, const RandomProgramOptions& env_opts,
+              const RandomProgramOptions& dis_opts) {
+  Rng rng(seed);
+  Program env = RandomProgram(rng, env_opts, "env");
+  Program dis = RandomProgram(rng, dis_opts, "dis");
+  Sys s;
+  s.owned.push_back(std::make_unique<Cfa>(Cfa::Build(env)));
+  s.owned.push_back(std::make_unique<Cfa>(Cfa::Build(dis)));
+  s.sys.env = s.owned[0].get();
+  s.sys.dis = {s.owned[1].get()};
+  s.sys.dom = env_opts.dom;
+  s.sys.num_vars = env_opts.num_vars;
+  return s;
+}
+
+// Whether the saturation explorer and the Datalog backend (at most
+// `max_guesses` guesses) reach the Message-Generation goal `goal`; nullopt
+// when either is inconclusive.
+struct GoalAnswers {
+  bool explorer;
+  bool datalog;
+};
+std::optional<GoalAnswers> CheckGoal(const SimplSystem& sys,
+                                     std::pair<VarId, Value> goal,
+                                     std::size_t max_guesses) {
+  SimplExplorer ex(sys);
+  SimplExplorerOptions eopts;
+  eopts.goal = goal;
+  eopts.max_states = 60'000;
+  eopts.time_budget_ms = 10'000;
+  const SimplResult er = ex.Check(eopts);
+  if (!er.goal_reached && !er.exhaustive) return std::nullopt;
+  DatalogVerifierOptions dopts;
+  dopts.goal_message = goal;
+  dopts.guess.max_guesses = max_guesses;
+  const DatalogVerdict dv = DatalogVerify(sys, dopts);
+  if (!dv.unsafe && !dv.exhaustive) return std::nullopt;
+  return GoalAnswers{er.goal_reached, dv.unsafe};
+}
+
 class BackendAgreementTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(BackendAgreementTest, VerdictsAgree) {
   const std::uint64_t seed = GetParam();
-  Rng rng(seed);
   RandomProgramOptions env_opts;
   env_opts.num_vars = 2;
   env_opts.num_regs = 1;
@@ -369,42 +414,133 @@ TEST_P(BackendAgreementTest, VerdictsAgree) {
   RandomProgramOptions dis_opts = env_opts;
   dis_opts.size = 3;
   dis_opts.allow_cas = (seed % 3 == 0);
-
-  Program env = RandomProgram(rng, env_opts, "env");
-  Program dis = RandomProgram(rng, dis_opts, "dis");
-
-  Sys s;
-  s.owned.push_back(std::make_unique<Cfa>(Cfa::Build(env)));
-  s.owned.push_back(std::make_unique<Cfa>(Cfa::Build(dis)));
-  s.sys.env = s.owned[0].get();
-  s.sys.dis = {s.owned[1].get()};
-  s.sys.dom = env_opts.dom;
-  s.sys.num_vars = env_opts.num_vars;
+  const Sys s = RandomSys(seed, env_opts, dis_opts);
 
   // Goal: is the message (v0, 1) generable?
-  const std::pair<VarId, Value> goal{VarId(0), Value(1)};
-
-  SimplExplorer ex(s.sys);
-  SimplExplorerOptions eopts;
-  eopts.goal = goal;
-  eopts.max_states = 60'000;
-  eopts.time_budget_ms = 10'000;
-  SimplResult er = ex.Check(eopts);
-  if (!er.goal_reached && !er.exhaustive) {
-    GTEST_SKIP() << "explorer inconclusive";
-  }
-
-  DatalogVerifierOptions dopts;
-  dopts.goal_message = goal;
-  dopts.guess.max_guesses = 50'000;
-  DatalogVerdict dv = DatalogVerify(s.sys, dopts);
-  if (!dv.unsafe && !dv.exhaustive) GTEST_SKIP() << "guess cap hit";
-
-  EXPECT_EQ(er.goal_reached, dv.unsafe) << "seed " << seed;
+  const std::optional<GoalAnswers> a =
+      CheckGoal(s.sys, {VarId(0), Value(1)}, 50'000);
+  if (!a.has_value()) GTEST_SKIP() << "explorer or guess cap inconclusive";
+  EXPECT_EQ(a->explorer, a->datalog) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, BackendAgreementTest,
                          ::testing::Range<std::uint64_t>(1, 30));
+
+// --- Views wider than one word -----------------------------------------------
+
+// Twelve variables, and a dis thread that stores twice to one of them:
+// 3-bit timestamps, ten to a word, so every view takes two words. For
+// every ordered pair of distinct variables, (a) storing to x must leave
+// y's timestamp alone: the dis thread still reads the env's y = 1; and
+// (b) message passing is forbidden with flag x and data y, which needs
+// the view join to carry y's timestamp whichever word holds it.
+TEST(WideViewTest, EveryVariableKeepsItsOwnTimestamp) {
+  constexpr int kVars = 12;
+  std::string vars = "vars";
+  for (int v = 0; v < kVars; ++v) vars += " v" + std::to_string(v);
+  auto program = [&](const std::string& name, const std::string& regs,
+                     const std::string& body) {
+    return "program " + name + "\n" + vars + "\nregs " + regs +
+           "\ndom 2\nbegin\n" + body + "\nend\n";
+  };
+  auto var = [](int v) { return "v" + std::to_string(v); };
+  for (int x = 0; x < kVars; ++x) {
+    for (int y = 0; y < kVars; ++y) {
+      if (x == y) continue;
+      const std::string at = var(x) + ", " + var(y);
+      // (a) dis: two stores to x, then read y = 1 from the env.
+      Sys a = MakeSys(program("w", "one", "one := 1; " + var(y) + " := one"),
+                      {program("r", "s b",
+                               "s := 1; " + var(x) + " := s; " + var(x) +
+                                   " := s; b := " + var(y) +
+                                   "; assume (b == 1); assert false")});
+      bool complete = false;
+      for (const DisGuess& g :
+           EnumerateDisGuesses(a.sys, GuessEnumOptions{}, &complete)) {
+        EXPECT_EQ(MakeP(a.sys, g, {}).prog->view_layout().Words(), 2u)
+            << at;
+      }
+      EXPECT_TRUE(DatalogVerify(a.sys).unsafe) << "stores to " << at;
+      // (b) flag x, data y; the dis thread's two stores go to a third
+      // variable z.
+      int z = 0;
+      while (z == x || z == y) ++z;
+      Sys mp = MakeSys(
+          program("w", "one",
+                  "one := 1; " + var(y) + " := one; " + var(x) + " := one"),
+          {program("r", "s a b",
+                   "s := 1; " + var(z) + " := s; " + var(z) + " := s; a := " +
+                       var(x) + "; assume (a == 1); b := " + var(y) +
+                       "; assume (b == 0); assert false")});
+      const DatalogVerdict v = DatalogVerify(mp.sys);
+      EXPECT_FALSE(v.unsafe) << "message passing " << at;
+      EXPECT_TRUE(v.exhaustive) << at;
+    }
+  }
+}
+
+// The rand-guessy shape with twelve variables: a guess with two or more dis
+// stores on one variable has 3-bit view components, ten to a 32-bit word,
+// so makeP packs its views into two words. On 50 such systems, with every
+// Message-Generation goal (x, d), d > 0, the Datalog backend must agree
+// with the saturation explorer, and the corpus must reach two-word guesses
+// and unsafe goals.
+TEST(WideViewTest, TwoWordViewsAgreeWithTheExplorer) {
+  constexpr int kVars = 12;
+  // (seed, variable, value) where the explorer reaches the goal and the
+  // Datalog backend answers SAFE: the dis run that reaches it blocks on an
+  // assume before its end, and the guess enumeration (EnumPaths in
+  // encoding/dis_guess.cpp) only guesses runs that end. A known defect of
+  // the backend, pinned here so that it shows until it is fixed.
+  const std::set<std::tuple<std::uint64_t, int, Value>> blocked_dis_run = {
+      {2, 0, 1}, {7, 0, 2}, {20, 5, 1}, {47, 10, 1}};
+  std::size_t two_word_guesses = 0;
+  std::size_t decided = 0;
+  std::size_t unsafe = 0;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    RandomProgramOptions env_opts;
+    env_opts.num_vars = kVars;
+    env_opts.num_regs = 3;
+    env_opts.dom = 4;
+    env_opts.size = 10;
+    RandomProgramOptions dis_opts = env_opts;
+    dis_opts.size = 8;
+    const Sys s = RandomSys(seed, env_opts, dis_opts);
+
+    // etp(node, 3 registers, view words).
+    GuessEnumOptions ge;
+    ge.max_guesses = 2'000;
+    bool complete = false;
+    MakePEncoder encoder(s.sys, MakePOptions{});
+    for (const DisGuess& g : EnumerateDisGuesses(s.sys, ge, &complete)) {
+      const MakePResult q = encoder.Encode(g);
+      ASSERT_EQ(q.prog->pred(2).name, "etp");
+      const std::size_t words = q.prog->pred(2).arity - 4;
+      EXPECT_EQ(words, q.prog->view_layout().Words());
+      if (words >= 2) ++two_word_guesses;
+    }
+
+    for (int x = 0; x < kVars; ++x) {
+      for (Value d = 1; d < env_opts.dom; ++d) {
+        const std::optional<GoalAnswers> a = CheckGoal(
+            s.sys, {VarId(static_cast<std::uint32_t>(x)), d}, 2'000);
+        if (!a.has_value()) continue;
+        ++decided;
+        unsafe += a->explorer ? 1 : 0;
+        const std::string at = "seed " + std::to_string(seed) + " goal v" +
+                               std::to_string(x) + "=" + std::to_string(d);
+        if (blocked_dis_run.count({seed, x, d}) > 0) {
+          EXPECT_TRUE(a->explorer && !a->datalog) << at;
+        } else {
+          EXPECT_EQ(a->explorer, a->datalog) << at;
+        }
+      }
+    }
+  }
+  EXPECT_GT(two_word_guesses, 100u);
+  EXPECT_GT(decided, 1700u);
+  EXPECT_GT(unsafe, 10u);
+}
 
 }  // namespace
 }  // namespace rapar
