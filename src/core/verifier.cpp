@@ -77,6 +77,7 @@ PreparedSystem Prepare(const ParamSystem& system,
 void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetCounter(metric::kGuesses, dv.guesses);
   t.SetCounter(metric::kQueries, dv.queries_evaluated);
+  t.SetCounter(metric::kSolvesSkipped, dv.solves_skipped);
   t.SetCounter(metric::kTuples, dv.total_tuples);
   t.SetCounter(metric::kRulesEmitted, dv.total_rules);
   t.SetCounter(metric::kRulesEvaluated, dv.total_rules_after);

@@ -55,7 +55,8 @@ DlAnalysis AnalyzeDlProgram(const dl::Program& prog, const dl::Atom& goal,
       case RemovalCause::kUnproductive:
         emit(Severity::kWarning, "RA021",
              StrCat("rule can never fire: '", rule,
-                    "' — a body predicate derives no tuples"));
+                    "' — a body atom matches no head that can hold a "
+                    "tuple"));
         break;
       case RemovalCause::kUndemanded:
         emit(Severity::kNote, "RA022",

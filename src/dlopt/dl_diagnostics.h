@@ -7,8 +7,8 @@
 //
 // Codes (stable, referenced by DESIGN.md and tests):
 //   RA020  warning  dead rule: head predicate cannot reach the query
-//   RA021  warning  rule can never fire: a body predicate derives no
-//                   tuples
+//   RA021  warning  rule can never fire: a body atom matches no head
+//                   that can hold a tuple
 //   RA022  note     rule head specialises outside the demanded constant
 //                   cone (magic-sets-lite would never ask for it)
 //   RA023  warning  duplicate rule (equal up to variable renaming)

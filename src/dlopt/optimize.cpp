@@ -222,42 +222,117 @@ class Optimizer {
     }
   }
 
-  // Least fixpoint of "can hold a tuple" over the alive rules.
+  // Least fixpoint of "can hold a tuple", value by value: a body atom
+  // holds a tuple only if it unifies, position by position, with the head
+  // of a productive rule or fact (two constants must be equal, a variable
+  // matches anything; repeated variables are not checked), and a rule is
+  // productive once each of its body atoms does. A worklist: the body
+  // atoms are keyed by (predicate, first-argument constant or "variable")
+  // and sorted, each rule counts its unmatched atoms, and a rule that
+  // becomes productive visits only the atoms its head can unify with.
+  // Natives are ignored, so this over-approximates derivability and
+  // removing what it rejects is sound.
   bool DropUnproductive(std::size_t* count) {
-    pred_flag_.assign(prog_.num_preds(), false);  // productive
-    bool grew = true;
-    while (grew) {
-      grew = false;
-      for (std::size_t i = 0; i < cause_.size(); ++i) {
-        if (!Alive(i)) continue;
-        const dl::Rule& r = rules_[i];
-        if (pred_flag_[r.head.pred]) continue;
-        bool all = true;
-        for (const dl::Atom& a : r.body) {
-          if (!pred_flag_[a.pred]) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          pred_flag_[r.head.pred] = true;
-          grew = true;
-        }
+    if (atoms_stale_) IndexBodyAtoms();
+    matched_.assign(atoms_.size(), false);
+    ready_.clear();
+    unmatched_.resize(cause_.size());
+    for (std::size_t i = 0; i < cause_.size(); ++i) {
+      // A removed rule's atoms stay indexed; it can never count down to 0.
+      unmatched_[i] =
+          Alive(i) ? static_cast<std::uint32_t>(rules_[i].body.size())
+                   : kRemoved;
+      if (unmatched_[i] == 0) ready_.push_back(static_cast<std::uint32_t>(i));
+    }
+    while (!ready_.empty()) {
+      const dl::Atom& head = rules_[ready_.back()].head;
+      ready_.pop_back();
+      const std::uint64_t pred = PredKey(head.pred);
+      if (head.args.empty() || head.args[0].kind == dl::Term::Kind::kVar) {
+        MatchHead(head, pred, pred + kPredStep);
+        continue;
       }
+      // The atoms with the head's first constant, then those with a
+      // variable there (they sort last within the predicate).
+      const std::uint64_t c = pred | head.args[0].val;
+      MatchHead(head, c, c + 1);
+      MatchHead(head, pred | kVarFirst, pred + kPredStep);
     }
     bool changed = false;
     for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (!Alive(i)) continue;
-      for (const dl::Atom& a : rules_[i].body) {
-        if (!pred_flag_[a.pred]) {
-          cause_[i] = RemovalCause::kUnproductive;
-          ++*count;
-          changed = true;
-          break;
-        }
+      if (Alive(i) && unmatched_[i] != 0) {
+        cause_[i] = RemovalCause::kUnproductive;
+        ++*count;
+        changed = true;
       }
     }
     return changed;
+  }
+
+  // Sort key of a body atom: its predicate above bit 33, then bit 32 set
+  // when the first argument is a variable (or there is none), else the
+  // first argument's constant.
+  static constexpr std::uint64_t kVarFirst = std::uint64_t{1} << 32;
+  static constexpr std::uint64_t kPredStep = std::uint64_t{1} << 33;
+  static constexpr std::uint32_t kRemoved = 0xffffffffu;
+  static std::uint64_t PredKey(dl::PredId p) {
+    assert(p < (dl::PredId{1} << 31));
+    return static_cast<std::uint64_t>(p) << 33;
+  }
+  static std::uint64_t AtomKey(const dl::Atom& a) {
+    if (a.args.empty() || a.args[0].kind == dl::Term::Kind::kVar) {
+      return PredKey(a.pred) | kVarFirst;
+    }
+    return PredKey(a.pred) | a.args[0].val;
+  }
+
+  // Sorts the alive rules' body atoms by key into atoms_. Later rounds
+  // reuse the index until copy aliasing renames a body predicate; the
+  // atoms of rules removed in between stay in it.
+  void IndexBodyAtoms() {
+    atoms_.clear();
+    for (std::size_t i = 0; i < cause_.size(); ++i) {
+      if (!Alive(i)) continue;
+      const std::vector<dl::Atom>& body = rules_[i].body;
+      for (std::size_t k = 0; k < body.size(); ++k) {
+        atoms_.push_back(BodyAtom{AtomKey(body[k]),
+                                  static_cast<std::uint32_t>(i),
+                                  static_cast<std::uint32_t>(k)});
+      }
+    }
+    std::sort(atoms_.begin(), atoms_.end(),
+              [](const BodyAtom& a, const BodyAtom& b) {
+                return a.key < b.key;
+              });
+    atoms_stale_ = false;
+  }
+
+  // Matches `head` against the unmatched body atoms with keys in
+  // [from, to), and queues each rule whose last atom this matches.
+  void MatchHead(const dl::Atom& head, std::uint64_t from, std::uint64_t to) {
+    const auto first = std::lower_bound(
+        atoms_.begin(), atoms_.end(), from,
+        [](const BodyAtom& a, std::uint64_t k) { return a.key < k; });
+    for (auto k = static_cast<std::size_t>(first - atoms_.begin());
+         k < atoms_.size() && atoms_[k].key < to; ++k) {
+      const BodyAtom& b = atoms_[k];
+      if (matched_[k] || !Unifies(head, rules_[b.rule].body[b.atom])) continue;
+      matched_[k] = true;
+      if (--unmatched_[b.rule] == 0) ready_.push_back(b.rule);
+    }
+  }
+
+  static bool Unifies(const dl::Atom& head, const dl::Atom& atom) {
+    const std::size_t n = std::min(head.args.size(), atom.args.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      const dl::Term& h = head.args[i];
+      const dl::Term& a = atom.args[i];
+      if (h.kind == dl::Term::Kind::kConst &&
+          a.kind == dl::Term::Kind::kConst && h.val != a.val) {
+        return false;
+      }
+    }
+    return true;
   }
 
   bool DropUnreachable(std::size_t* count) {
@@ -377,6 +452,7 @@ class Optimizer {
       if (!Alive(j)) continue;
       for (dl::Atom& a : rules_[j].body) a.pred = Resolve(a.pred);
     }
+    atoms_stale_ = true;  // pass 1's index is keyed by body predicates
     return true;
   }
 
@@ -455,10 +531,24 @@ class Optimizer {
   // Scratch reused across passes and rounds.
   Demand demand_;
   SubsumptionMatcher matcher_;
-  // One flag per predicate: mentioned, productive or reachable,
-  // depending on the pass using it.
+  // One flag per predicate: mentioned or reachable, depending on the
+  // pass using it.
   std::vector<bool> pred_flag_;
   std::vector<dl::PredId> work_;
+  // Pass 1: the body atom index, sorted by key, with each atom's rule and
+  // position, and a per-round matched flag per atom; per rule, its
+  // unmatched atoms; the rules found productive whose heads are still to
+  // match.
+  struct BodyAtom {
+    std::uint64_t key;
+    std::uint32_t rule;
+    std::uint32_t atom;
+  };
+  bool atoms_stale_ = true;
+  std::vector<BodyAtom> atoms_;
+  std::vector<bool> matched_;
+  std::vector<std::uint32_t> unmatched_;
+  std::vector<std::uint32_t> ready_;
   std::vector<std::size_t> head_start_;
   std::vector<std::size_t> fill_;
   std::vector<std::size_t> by_head_;

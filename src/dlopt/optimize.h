@@ -5,8 +5,12 @@
 // checked by tests/dlopt_differential_test.cpp. Four transformations, to
 // fixpoint:
 //
-//   1. unproductive-rule elimination — a body atom whose predicate can
-//      never hold a tuple (pred_graph.h) keeps the rule from ever firing;
+//   1. unproductive-rule elimination — a body atom that unifies with the
+//      head of no productive rule or fact (constants equal position by
+//      position, natives ignored; least fixpoint) can never hold a
+//      tuple, so its rule never fires. Value-level: on makeP output a
+//      dis read of (x, v) that no fact and no reachable store writes
+//      removes its step and the rest of the thread's chain;
 //   2. dead-rule & unreachable-EDB elimination — rules (and facts) whose
 //      head predicate is not backward-reachable from the query cannot
 //      take part in any derivation of it;

@@ -145,29 +145,6 @@ std::vector<bool> PredGraph::ReachableFrom(dl::PredId query) const {
   return reach;
 }
 
-std::vector<bool> PredGraph::Productive(const dl::Program& prog) const {
-  std::vector<bool> productive = has_fact;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const dl::Rule& r : prog.rules()) {
-      if (r.IsFact() || productive[r.head.pred]) continue;
-      bool all = true;
-      for (const dl::Atom& a : r.body) {
-        if (!productive[a.pred]) {
-          all = false;
-          break;
-        }
-      }
-      if (all) {
-        productive[r.head.pred] = true;
-        changed = true;
-      }
-    }
-  }
-  return productive;
-}
-
 std::size_t PredGraph::CondensationHeight(dl::PredId from) const {
   // Longest path over components, memoised; scc_of is topological along
   // deps, so a plain descending-id sweep is a valid evaluation order.

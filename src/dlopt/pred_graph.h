@@ -8,13 +8,11 @@
 //     per-SCC report `rapar_cli dlanalyze` prints;
 //   * backward reachability from the query predicate — the cone of
 //     predicates that can contribute to deriving the query; rules outside
-//     it are dead (optimize.h drops them, diagnostics flag them RA020);
-//   * productivity — the least set of predicates that can hold at least
-//     one tuple (facts, or a rule whose body predicates are all
-//     productive, ignoring native constraints). A rule with an
-//     unproductive body atom can never fire (RA021). Productivity is an
-//     over-approximation (natives may still reject every binding), so
-//     *un*productivity is definite and pruning on it is sound.
+//     it are dead (optimize.h drops them, diagnostics flag them RA020).
+//
+// Productivity is not a graph property here: it depends on the constants
+// of heads and body atoms, and OptimizeForQuery's pass 1 (optimize.h)
+// computes it value by value (RA021).
 //
 // The makeP programs (§4.1) are the motivating instance: every etp/dtp
 // use carries a constant control location, so the graph mirrors the
@@ -61,11 +59,6 @@ struct PredGraph {
   // Predicates backward-reachable from `query` (query included): the set
   // whose rules can take part in a derivation of the query atom.
   std::vector<bool> ReachableFrom(dl::PredId query) const;
-
-  // Least fixpoint of "can hold a tuple": has a fact, or has a rule whose
-  // body predicates are all productive. Ignores natives (sound
-  // over-approximation).
-  std::vector<bool> Productive(const dl::Program& prog) const;
 
   // Longest path (in #components) from `from`'s component through the
   // condensation, counting only components with at least one rule or fact.

@@ -49,6 +49,10 @@ class Deadline {
 // except for stats.index_builds (see the header's determinism rule).
 struct GuessOutcome {
   bool evaluated = false;
+  // Scanned without makeP, dlopt or eval: MakePEncoder::MayDerive ruled
+  // the goal out, so the optimized program would have had no rules and
+  // every count below is the full pipeline's.
+  bool skipped = false;
   bool derived = false;
   bool budget_aborted = false;
   std::size_t rules_emitted = 0;
@@ -94,6 +98,17 @@ class GuessSolver {
     obs::ScopedSpan span(options_.trace, "guess");
     GuessOutcome out;
     out.evaluated = true;
+    // A guess whose optimized program is provably empty derives nothing
+    // and counts nothing (DESIGN.md §6), so it is decided here. The guess
+    // that renders the width report still runs, for the report.
+    if (options_.enable_dlopt && !want_width_report &&
+        !encoder_.MayDerive(guess)) {
+      out.skipped = true;
+      if (span.active()) {
+        span.set_args(StrCat("{\"index\":", index, ",\"skipped\":true}"));
+      }
+      return out;
+    }
     const Clock::time_point makep_start = Clock::now();
     MakePResult q = [&] {
       obs::ScopedSpan s(options_.trace, "makep");
@@ -179,6 +194,10 @@ class GuessSolver {
 // Folds one evaluated guess into the verdict aggregates (enumeration
 // order; only the scanned prefix is ever passed here).
 void Accumulate(DatalogVerdict& v, const GuessOutcome& o) {
+  if (o.skipped) {
+    ++v.solves_skipped;
+    return;
+  }
   ++v.queries_evaluated;
   v.total_rules += o.rules_emitted;
   v.total_rules_after += o.rules_after;

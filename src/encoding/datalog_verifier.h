@@ -7,9 +7,11 @@
 // ThreadPool solves the chunks with one dl::Engine per worker (arena and
 // EDB-snapshot reuse stay intact within a worker), and the first
 // terminating event — a derived goal or a blown tuple budget — cancels
-// the remaining work. Every guess is solved as its own fresh fixpoint;
-// the only result an engine carries from one guess to the next is its
-// seeded-EDB snapshot (dl::EngineOptions::reuse_facts).
+// the remaining work. Every guess is solved as its own fresh fixpoint —
+// or skipped, when dlopt is on and the guess skeleton already shows that
+// nothing can derive the goal; the only result an engine carries from one
+// guess to the next is its seeded-EDB snapshot
+// (dl::EngineOptions::reuse_facts).
 //
 // Determinism rule: the verdict, witness guess, guesses-scanned count and
 // the aggregate statistics are *independent of the thread count*. The
@@ -56,7 +58,9 @@ struct DatalogVerifierOptions {
   // Run the query-driven program optimizer (src/dlopt/) on every emitted
   // (Prog, g) before evaluation. Verdict-preserving by construction
   // (tests/dlopt_differential_test.cpp checks it); off only for debugging
-  // or differential testing.
+  // or differential testing. With it on, a guess whose optimized program
+  // is provably empty (MakePEncoder::MayDerive) is scanned without being
+  // encoded or solved.
   bool enable_dlopt = true;
   // Worker threads for the per-guess solves. 1 (default) runs the legacy
   // serial loop on the calling thread; 0 resolves to
@@ -127,7 +131,9 @@ struct ParallelStats {
   unsigned threads = 1;
   std::size_t batches = 0;  // guess chunks dispatched
   std::size_t steals = 0;   // ThreadPool deque steals
-  std::size_t solves = 0;   // Solve calls issued (incl. discarded ones)
+  // Guesses workers took up (incl. discarded ones and the ones skipped
+  // because they cannot derive the goal).
+  std::size_t solves = 0;
   // Solves that raced past the deterministic stop prefix; their stats are
   // excluded from the verdict aggregates.
   std::size_t discarded = 0;
@@ -155,7 +161,15 @@ struct DatalogVerdict {
   // residue class; summing a full shard family's exhaustive counts gives
   // the single-process total.
   std::size_t guesses = 0;
+  // Scanned guesses split into those solved (makeP, dlopt, eval) and
+  // those skipped because MakePEncoder::MayDerive ruled the goal out
+  // (only with enable_dlopt; DESIGN.md §6). A skipped guess's optimized
+  // program has no rules, so it would add nothing to the aggregates
+  // below except total_rules and the dlopt rule counts, which count the
+  // solved guesses only. On a complete scan or an early exit the two sum
+  // to `guesses` less resume_scanned_base.
   std::size_t queries_evaluated = 0;
+  std::size_t solves_skipped = 0;
   // Aggregate Datalog statistics over the scanned prefix (per-solve,
   // summed in enumeration order; thread-count independent).
   std::size_t total_tuples = 0;
@@ -208,7 +222,8 @@ struct DatalogVerdict {
   // Wall-clock milliseconds each solver spent in makeP, in dlopt (with
   // the engine's join hints) and in evaluation, summed over every solve
   // this run issued — over all workers when threads > 1, discarded solves
-  // included. Timings: exempt from the determinism rule.
+  // included, skipped guesses not. Timings: exempt from the determinism
+  // rule.
   double makep_ms = 0.0;
   double dlopt_ms = 0.0;
   double eval_ms = 0.0;

@@ -630,6 +630,77 @@ MakePEncoder::MakePEncoder(const SimplSystem& sys,
   // generate rules that can never fire; skip them so the emitted program
   // stays small even when the caller did not run the verifier pre-pass.
   edge_dead_ = AnalyzeReachability(*sys.env).edge_dead;
+  env_stores_.assign(sys.num_vars, false);
+  const std::vector<CfaEdge>& edges = sys.env->edges();
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    if (edge_dead_[ei]) continue;
+    const Instr& instr = edges[ei].instr;
+    if (instr.kind == Instr::Kind::kStore) {
+      env_stores_[instr.var.index()] = true;
+    }
+    if (instr.kind == Instr::Kind::kAssertFail) env_asserts_ = true;
+  }
+}
+
+bool MakePEncoder::MayDerive(const DisGuess& guess) const {
+  // unsafe() :- etp(...) for a live env assert; unsafe() :- dmp(x, d_init,
+  // ...) matches the init fact; unsafe() :- emp(x, d, ...) matches an env
+  // store's head, whose value is a variable.
+  if (env_asserts_) return true;
+  const std::optional<std::pair<VarId, Value>>& goal = options_.goal_message;
+  if (goal.has_value() &&
+      (goal->second == kInitValue || env_stores_[goal->first.index()])) {
+    return true;
+  }
+  // The least fixpoint of the dtp chains: a pass over the threads moves
+  // each as far as the messages written so far feed its reads, until a
+  // pass writes nothing new.
+  const std::size_t dom = static_cast<std::size_t>(sys_.dom);
+  written_.assign(sys_.num_vars * dom, false);
+  passed_.assign(guess.threads.size(), 0);
+  bool grew = true;
+  while (grew) {
+    grew = false;
+    for (std::size_t t = 0; t < guess.threads.size(); ++t) {
+      const std::vector<GuessStep>& steps = guess.threads[t].steps;
+      const Cfa& cfa = *sys_.dis[t];
+      for (std::size_t& j = passed_[t]; j < steps.size(); ++j) {
+        const GuessStep& step = steps[j];
+        const Instr& instr = cfa.Edge(EdgeId(step.edge)).instr;
+        if (instr.kind == Instr::Kind::kAssertFail) return true;
+        const bool reads = instr.kind == Instr::Kind::kLoad ||
+                           instr.kind == Instr::Kind::kCas;
+        const bool writes = instr.kind == Instr::Kind::kStore ||
+                            instr.kind == Instr::Kind::kCas;
+        if (!reads && !writes) continue;
+        const std::size_t x = instr.var.index();
+        if (reads) {
+          const bool fed =
+              step.read_from_env
+                  ? env_stores_[x]
+                  : step.read_value == kInitValue ||
+                        written_[x * dom +
+                                 static_cast<std::size_t>(step.read_value)];
+          if (!fed) break;
+        }
+        if (writes) {
+          const Value stored = instr.kind == Instr::Kind::kCas
+                                   ? step.rv_after[instr.reg2.index()]
+                                   : step.rv_after[instr.reg.index()];
+          if (goal.has_value() && goal->first.index() == x &&
+              goal->second == stored) {
+            return true;
+          }
+          const std::size_t w = x * dom + static_cast<std::size_t>(stored);
+          if (!written_[w]) {
+            written_[w] = true;
+            grew = true;
+          }
+        }
+      }
+    }
+  }
+  return false;
 }
 
 MakePResult MakePEncoder::Encode(const DisGuess& guess) {

@@ -83,6 +83,18 @@ class MakePEncoder {
 
   MakePResult Encode(const DisGuess& guess);
 
+  // dlopt's value-level productivity (dlopt/optimize.h, pass 1) run on
+  // the guess skeleton instead of the emitted program: false only when no
+  // rule for unsafe() in Encode(guess) is productive, so that
+  // OptimizeForQuery leaves no rule at all (DESIGN.md §6 proves it). A
+  // dis thread blocks at its first read that no unblocked head can feed:
+  // an env read of a variable no live env edge stores, or a dis read of
+  // (x, v), v != init, that no unblocked dis store or CAS writes. The
+  // goal may be derivable when the env has a live `assert false`, the
+  // goal value is the init value, the env stores the goal variable, or an
+  // unblocked dis step asserts or writes the goal message.
+  bool MayDerive(const DisGuess& guess) const;
+
   // Distinct store profiles seen so far (one cached prefix each).
   std::size_t profiles() const { return prefixes_.size(); }
 
@@ -91,8 +103,16 @@ class MakePEncoder {
   const MakePOptions options_;
   // Per env edge: never traversable, so it emits no rules.
   std::vector<bool> edge_dead_;
+  // Per variable: some live env edge stores it. And: some live env edge
+  // is an `assert false`.
+  std::vector<bool> env_stores_;
+  bool env_asserts_ = false;
   std::unordered_map<std::string, dl::Program> prefixes_;
   std::string key_;  // profile-key scratch
+  // MayDerive scratch: per dis thread, the steps it gets past; per
+  // (variable, value), written by a dis step some thread gets past.
+  mutable std::vector<std::size_t> passed_;
+  mutable std::vector<bool> written_;
 };
 
 }  // namespace rapar

@@ -42,7 +42,11 @@ inline constexpr char kStates[] = "verify.states";
 inline constexpr char kGuesses[] = "verify.guesses";
 
 inline constexpr char kTuples[] = "datalog.tuples";
+// Scanned guesses are either solved (datalog.queries) or skipped without
+// makeP, dlopt or eval because the guess skeleton already rules the goal
+// out (datalog.solves_skipped; MakePEncoder::MayDerive).
 inline constexpr char kQueries[] = "datalog.queries";
+inline constexpr char kSolvesSkipped[] = "datalog.solves_skipped";
 inline constexpr char kRulesEmitted[] = "datalog.rules_emitted";
 inline constexpr char kRulesEvaluated[] = "datalog.rules_evaluated";
 // Present only when a per-query tuple budget aborted the scan.
@@ -144,8 +148,9 @@ inline constexpr char kPhasePrepassMs[] = "phase.prepass_ms";
 inline constexpr char kPhaseSolveMs[] = "phase.solve_ms";
 // The Datalog guess loop's split of solve time per layer of the Theorem
 // 4.1 pipeline: makeP, dlopt (with join hints) and engine evaluation,
-// each summed over the run's solves. Under threads > 1 they sum over
-// workers, so together they can exceed phase.solve_ms.
+// each summed over the run's solved guesses only: a skipped guess
+// (datalog.solves_skipped) runs none of the three. Under threads > 1
+// they sum over workers, so together they can exceed phase.solve_ms.
 inline constexpr char kPhaseMakePMs[] = "phase.makep_ms";
 inline constexpr char kPhaseDlOptMs[] = "phase.dlopt_ms";
 inline constexpr char kPhaseEvalMs[] = "phase.eval_ms";

@@ -6,11 +6,14 @@
 // dlopt/optimize.h. Mirrors prepass_differential_test.cpp one layer down.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/benchmarks.h"
 #include "encoding/datalog_verifier.h"
+#include "generated_systems.h"
 #include "lang/random_program.h"
 
 namespace rapar {
@@ -22,10 +25,15 @@ struct Pair {
 };
 
 // Calls DatalogVerify directly on the simplified system (no CFA prepass:
-// this test isolates the Datalog-level transforms).
+// this test isolates the Datalog-level transforms). With dlopt on, the
+// verifier also skips the guesses whose optimized program would be empty
+// (MakePEncoder::MayDerive); with it off it solves every guess, so the
+// comparison checks that skip as well.
 Pair VerifyBothWays(const SimplSystem& sys, std::size_t max_guesses,
-                    std::size_t max_tuples) {
+                    std::size_t max_tuples,
+                    std::optional<std::pair<VarId, Value>> goal = {}) {
   DatalogVerifierOptions on;
+  on.goal_message = goal;
   on.guess.max_guesses = max_guesses;
   on.max_tuples_per_query = max_tuples;
   on.enable_dlopt = true;
@@ -35,6 +43,11 @@ Pair VerifyBothWays(const SimplSystem& sys, std::size_t max_guesses,
 }
 
 void ExpectAgreement(const Pair& p, const std::string& label) {
+  // Every scanned guess is either solved or skipped, and only dlopt skips.
+  EXPECT_EQ(p.with.queries_evaluated + p.with.solves_skipped, p.with.guesses)
+      << label;
+  EXPECT_EQ(p.without.queries_evaluated, p.without.guesses) << label;
+  EXPECT_EQ(p.without.solves_skipped, 0u) << label;
   if (!p.with.exhaustive || !p.without.exhaustive) {
     // An UNSAFE answer is sound even from a capped run; a negative one
     // decides nothing.
@@ -52,6 +65,8 @@ void ExpectAgreement(const Pair& p, const std::string& label) {
   EXPECT_EQ(p.with.unsafe, p.without.unsafe)
       << label << ": dlopt changed the verdict (rules "
       << p.with.total_rules << " -> " << p.with.total_rules_after << ")";
+  // Each guess keeps its answer, so both scans stop at the same guess.
+  EXPECT_EQ(p.with.guesses, p.without.guesses) << label;
 }
 
 TEST(DlOptDifferentialTest, BenchmarkCatalogVerdictsUnchanged) {
@@ -62,7 +77,10 @@ TEST(DlOptDifferentialTest, BenchmarkCatalogVerdictsUnchanged) {
     // compared (soundly) by ExpectAgreement.
     Pair p = VerifyBothWays(bench.system.simpl(), 2'000, 500'000);
     ExpectAgreement(p, bench.name);
-    EXPECT_EQ(p.with.total_rules, p.without.total_rules) << bench.name;
+    // A skipped guess is never encoded, so its rules count on one side
+    // only: without dlopt every scanned guess is encoded.
+    EXPECT_LE(p.with.total_rules, p.without.total_rules) << bench.name;
+    EXPECT_EQ(p.with.dlopt.rules_before, p.with.total_rules) << bench.name;
     EXPECT_LE(p.with.total_rules_after, p.with.total_rules) << bench.name;
     EXPECT_FALSE(p.without.dlopt.Any()) << bench.name;
     total_before += p.with.total_rules;
@@ -87,9 +105,15 @@ TEST(DlOptDifferentialTest, ProducerConsumerPrunesSubstantially) {
   EXPECT_FALSE(p.with.width_report.empty());
 }
 
+// Each system gets the Message-Generation goal the guess-heavy corpus
+// would draw for its seed: with an assert goal (RandomProgram emits no
+// `assert false`) every guess but the first is skipped and the two runs
+// would trivially agree.
 TEST(DlOptDifferentialTest, RandomSystemsAgreeAcrossTwoHundredSeeds) {
   int conclusive = 0;
   int pruned = 0;
+  std::size_t skipped = 0;
+  std::size_t solved = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed);
     RandomProgramOptions env_opts;
@@ -110,14 +134,21 @@ TEST(DlOptDifferentialTest, RandomSystemsAgreeAcrossTwoHundredSeeds) {
                                     .Build();
     ASSERT_TRUE(sys.ok()) << "seed " << seed << ": "
                           << (sys.ok() ? "" : sys.error());
-    Pair p = VerifyBothWays(sys.value().simpl(), 500, 200'000);
+    Pair p = VerifyBothWays(
+        sys.value().simpl(), 500, 200'000,
+        GuessHeavyGoal(sys.value(), seed, env_opts.num_vars, env_opts.dom));
     ExpectAgreement(p, "seed " + std::to_string(seed));
     conclusive += p.with.exhaustive && p.without.exhaustive;
     pruned += p.with.dlopt.Any();
+    skipped += p.with.solves_skipped;
+    solved += p.with.queries_evaluated;
   }
-  // The corpus must actually exercise the comparison and the pruning.
+  // The corpus must actually exercise the comparison, the pruning and
+  // both sides of the skip.
   EXPECT_GT(conclusive, 100);
   EXPECT_GT(pruned, 100);
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(solved, 0u);
 }
 
 }  // namespace

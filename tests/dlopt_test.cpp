@@ -80,6 +80,8 @@ TEST(PredGraphTest, BuildAndSccs) {
   EXPECT_LT(g.scc_of[tc.path], g.scc_of[tc.edge]);
 }
 
+// Productivity is pass 1 of OptimizeForQuery (value-level, below); the
+// graph only answers reachability.
 TEST(PredGraphTest, ReachableAndProductive) {
   TcProgram tc;
   PredGraph g = PredGraph::Build(tc.prog);
@@ -88,10 +90,12 @@ TEST(PredGraphTest, ReachableAndProductive) {
   EXPECT_TRUE(cone[tc.edge]);
   EXPECT_FALSE(cone[tc.stray]);
 
-  std::vector<bool> prod = g.Productive(tc.prog);
-  EXPECT_TRUE(prod[tc.edge]);
-  EXPECT_TRUE(prod[tc.path]);
-  EXPECT_TRUE(prod[tc.stray]);
+  // Every rule can fire, stray included: the only removal is the
+  // unreachable stray rule.
+  OptimizeResult r =
+      OptimizeForQuery(tc.prog, Atom{tc.path, {C(tc.a), C(tc.d)}});
+  EXPECT_EQ(r.stats.unproductive_removed, 0u);
+  EXPECT_EQ(r.cause[5], RemovalCause::kUnreachable);
 }
 
 TEST(PredGraphTest, UnproductiveChainIsDetected) {
@@ -99,14 +103,14 @@ TEST(PredGraphTest, UnproductiveChainIsDetected) {
   PredId p = prog.AddPred("p", 1);
   PredId q = prog.AddPred("q", 1);
   PredId empty = prog.AddPred("empty", 1);
+  Sym a = prog.ConstSym("a");
   // p(X) :- q(X).  q(X) :- empty(X).  No facts at all.
   prog.AddRule(Rule{Atom{p, {V(0)}}, {Atom{q, {V(0)}}}, {}});
   prog.AddRule(Rule{Atom{q, {V(0)}}, {Atom{empty, {V(0)}}}, {}});
-  PredGraph g = PredGraph::Build(prog);
-  std::vector<bool> prod = g.Productive(prog);
-  EXPECT_FALSE(prod[p]);
-  EXPECT_FALSE(prod[q]);
-  EXPECT_FALSE(prod[empty]);
+  OptimizeResult r = OptimizeForQuery(prog, Atom{p, {C(a)}});
+  EXPECT_EQ(r.cause[0], RemovalCause::kUnproductive);
+  EXPECT_EQ(r.cause[1], RemovalCause::kUnproductive);
+  EXPECT_EQ(r.prog.size(), 0u);
 }
 
 TEST(PredGraphTest, DumpsMentionEveryUsedPredicate) {
@@ -342,6 +346,118 @@ TEST(OptimizeTest, DropsUnproductiveRules) {
   EXPECT_EQ(r.stats.unproductive_removed, 1u);
   EXPECT_EQ(r.cause[1], RemovalCause::kUnproductive);
   EXPECT_TRUE(dl::Query(r.prog, Atom{p, {C(a)}}));
+}
+
+// Value-level productivity: msg(x, v) with two values and a goal per
+// value. Only the fact's constants and the heads of productive rules
+// make a body atom match.
+struct ValueProgram {
+  Program prog;
+  PredId msg, goal;
+  Sym x, one, two;
+
+  ValueProgram() {
+    msg = prog.AddPred("msg", 2);
+    goal = prog.AddPred("goal", 0);
+    x = prog.ConstSym("x");
+    one = prog.ConstSym("1");
+    two = prog.ConstSym("2");
+    prog.AddFact(Atom{msg, {C(x), C(one)}});
+  }
+};
+
+TEST(OptimizeTest, ConstantClashIsUnproductive) {
+  ValueProgram vp;
+  // goal :- msg(x, 2): only msg(x, 1) can hold.
+  vp.prog.AddRule(Rule{Atom{vp.goal, {}}, {Atom{vp.msg, {C(vp.x), C(vp.two)}}},
+                       {}});
+  OptimizeResult r = OptimizeForQuery(vp.prog, Atom{vp.goal, {}});
+  EXPECT_EQ(r.cause[1], RemovalCause::kUnproductive);
+  EXPECT_EQ(r.stats.unproductive_removed, 1u);
+  EXPECT_EQ(r.prog.size(), 0u);
+}
+
+TEST(OptimizeTest, VariableOrEqualConstantKeepsTheRule) {
+  ValueProgram vp;
+  vp.prog.AddRule(Rule{Atom{vp.goal, {}}, {Atom{vp.msg, {C(vp.x), V(0)}}},
+                       {}});
+  vp.prog.AddRule(Rule{Atom{vp.goal, {}}, {Atom{vp.msg, {C(vp.x), C(vp.one)}}},
+                       {}});
+  vp.prog.AddRule(Rule{Atom{vp.goal, {}}, {Atom{vp.msg, {V(0), C(vp.one)}}},
+                       {}});
+  OptimizeResult r = OptimizeForQuery(vp.prog, Atom{vp.goal, {}});
+  EXPECT_EQ(r.stats.unproductive_removed, 0u);
+  for (std::size_t i = 1; i <= 3; ++i) {
+    EXPECT_NE(r.cause[i], RemovalCause::kUnproductive) << i;
+  }
+  EXPECT_TRUE(dl::Query(r.prog, Atom{vp.goal, {}}));
+}
+
+TEST(OptimizeTest, FactConstantsCount) {
+  // goal :- msg(x, 2) is unproductive next to the fact msg(x, 1) alone;
+  // a fact msg(x, 2), or a productive rule whose head leaves the value a
+  // variable, makes it productive.
+  ValueProgram vp;
+  PredId src = vp.prog.AddPred("src", 1);
+  vp.prog.AddRule(Rule{Atom{vp.goal, {}}, {Atom{vp.msg, {C(vp.x), C(vp.two)}}},
+                       {}});
+  Program with_fact = vp.prog;
+  with_fact.AddFact(Atom{vp.msg, {C(vp.x), C(vp.two)}});
+  EXPECT_EQ(OptimizeForQuery(with_fact, Atom{vp.goal, {}})
+                .stats.unproductive_removed,
+            0u);
+  Program with_rule = vp.prog;
+  with_rule.AddFact(Atom{src, {C(vp.two)}});
+  with_rule.AddRule(
+      Rule{Atom{vp.msg, {C(vp.x), V(0)}}, {Atom{src, {V(0)}}}, {}});
+  EXPECT_EQ(OptimizeForQuery(with_rule, Atom{vp.goal, {}})
+                .stats.unproductive_removed,
+            0u);
+  EXPECT_EQ(OptimizeForQuery(vp.prog, Atom{vp.goal, {}})
+                .stats.unproductive_removed,
+            1u);
+}
+
+TEST(OptimizeTest, UnproductiveRemovalCascadesAlongAChain) {
+  // msg(x, 2) :- msg(x, 2) is no source of value 2 (least fixpoint), so
+  // everything that needs msg(x, 2) goes, and then, one rule after the
+  // other, s1, s2, the only writer of msg(x, 3) and the goal rule.
+  ValueProgram vp;
+  PredId s1 = vp.prog.AddPred("s1", 1);
+  PredId s2 = vp.prog.AddPred("s2", 1);
+  Sym three = vp.prog.ConstSym("3");
+  vp.prog.AddRule(Rule{Atom{vp.msg, {C(vp.x), C(vp.two)}},
+                       {Atom{vp.msg, {C(vp.x), C(vp.two)}}}, {}});
+  vp.prog.AddRule(Rule{Atom{s1, {V(0)}},
+                       {Atom{vp.msg, {C(vp.x), C(vp.two)}},
+                        Atom{vp.msg, {V(0), C(vp.one)}}},
+                       {}});
+  vp.prog.AddRule(Rule{Atom{s2, {V(0)}}, {Atom{s1, {V(0)}}}, {}});
+  vp.prog.AddRule(Rule{Atom{vp.msg, {C(vp.x), C(three)}},
+                       {Atom{s2, {V(0)}}}, {}});
+  vp.prog.AddRule(Rule{Atom{vp.goal, {}},
+                       {Atom{vp.msg, {C(vp.x), C(three)}}}, {}});
+  OptimizeResult r = OptimizeForQuery(vp.prog, Atom{vp.goal, {}});
+  for (std::size_t i = 1; i <= 5; ++i) {
+    EXPECT_EQ(r.cause[i], RemovalCause::kUnproductive) << i;
+  }
+  EXPECT_EQ(r.stats.unproductive_removed, 5u);
+  EXPECT_EQ(r.prog.size(), 0u);
+}
+
+TEST(OptimizeTest, RepeatedVariablesAreNotUnified) {
+  // same(x, 1) is a fact; goal :- same(Y, Y) cannot match it (x != 1),
+  // but pass 1 does not unify repeated variables, so the rule stays: an
+  // over-approximation, never a wrong removal.
+  ValueProgram vp;
+  PredId same = vp.prog.AddPred("same", 2);
+  vp.prog.AddFact(Atom{same, {C(vp.x), C(vp.one)}});
+  vp.prog.AddRule(
+      Rule{Atom{vp.goal, {}}, {Atom{same, {V(0), V(0)}}}, {}});
+  OptimizeResult r = OptimizeForQuery(vp.prog, Atom{vp.goal, {}});
+  EXPECT_EQ(r.stats.unproductive_removed, 0u);
+  EXPECT_EQ(r.cause[2], RemovalCause::kKept);
+  EXPECT_FALSE(dl::Query(r.prog, Atom{vp.goal, {}}));
 }
 
 TEST(OptimizeTest, DemandSpecializationPrunesForeignConstants) {

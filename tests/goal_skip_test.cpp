@@ -1,0 +1,218 @@
+// The verifier skips every guess for which MakePEncoder::MayDerive rules
+// the goal out, and claims the skip is exact: DESIGN.md §6 proves that
+// such a guess's optimized program has no rules. This suite checks the
+// claim guess by guess, against the whole pipeline run from outside,
+// on the benchmark catalog, on the guess-heavy shape with its
+// Message-Generation goals and on the same shape with CAS in the dis
+// thread:
+//
+//   (a) every guess MayDerive rejects has an OptimizeForQuery(MakeP(g))
+//       with no rules, and Engine::Solve on it returns false with every
+//       EvalStats count zero;
+//   (b) every guess whose program derives unsafe() passes MayDerive;
+//   (c) the verifier's verdict, witness, guess count, tuples, firings,
+//       join attempts, index probes and hits equal a guess-by-guess
+//       replay (MakeP -> OptimizeForQuery -> PredGraph::Build and
+//       MakeJoinHints -> Solve, stopping at the first derivation), at
+//       threads 1 and 4;
+//   (d) on each generated corpus, both the skipped and the solved guesses
+//       are at least a quarter of the guesses scanned.
+//
+// It is the in-repo twin of the benchmark's traced replay, which compares
+// the same counts on every request of a workload.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/benchmarks.h"
+#include "datalog/engine.h"
+#include "dlopt/optimize.h"
+#include "dlopt/pred_graph.h"
+#include "dlopt/width.h"
+#include "encoding/datalog_verifier.h"
+#include "encoding/makep.h"
+#include "generated_systems.h"
+
+namespace rapar {
+namespace {
+
+using Goal = std::optional<std::pair<VarId, Value>>;
+
+// Generated systems can have huge guess spaces; both the verifier and the
+// replay scan the same capped prefix.
+constexpr std::size_t kMaxGuesses = 600;
+
+// What one scan found, by the verifier or by the replay.
+struct Scan {
+  bool unsafe = false;
+  std::string witness;
+  std::size_t guesses = 0;
+  std::size_t tuples = 0;
+  std::size_t firings = 0;
+  std::size_t join_attempts = 0;
+  std::size_t index_probes = 0;
+  std::size_t index_hits = 0;
+};
+
+void ExpectSameScan(const Scan& got, const Scan& want,
+                    const std::string& label) {
+  EXPECT_EQ(got.unsafe, want.unsafe) << label;
+  EXPECT_EQ(got.witness, want.witness) << label;
+  EXPECT_EQ(got.guesses, want.guesses) << label;
+  EXPECT_EQ(got.tuples, want.tuples) << label;
+  EXPECT_EQ(got.firings, want.firings) << label;
+  EXPECT_EQ(got.join_attempts, want.join_attempts) << label;
+  EXPECT_EQ(got.index_probes, want.index_probes) << label;
+  EXPECT_EQ(got.index_hits, want.index_hits) << label;
+}
+
+// Guesses over a corpus: scanned by the verifier, skipped by it, solved
+// by it.
+struct Tally {
+  std::size_t scanned = 0;
+  std::size_t skipped = 0;
+  std::size_t solved = 0;
+};
+
+// The whole pipeline on every guess of the capped enumeration, checking
+// (a) and (b) on each, up to the first guess that derives the goal.
+// Returns the replay's scan and, in *rejected, how many of its guesses
+// MayDerive rejects (the first one excluded: the verifier solves it for
+// its width report).
+Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
+            const std::string& label) {
+  GuessEnumOptions ge;
+  ge.max_guesses = kMaxGuesses;
+  bool complete = false;
+  const std::vector<DisGuess> guesses = EnumerateDisGuesses(sys, ge, &complete);
+  const MakePOptions mp{goal};
+  const MakePEncoder encoder(sys, mp);
+  dl::EvalOptions eval;
+  eval.max_tuples = DatalogVerifierOptions{}.max_tuples_per_query;
+  dl::Engine engine;
+  Scan out;
+  out.guesses = guesses.size();
+  *rejected = 0;
+  for (std::size_t k = 0; k < guesses.size(); ++k) {
+    const MakePResult q = MakeP(sys, guesses[k], mp);
+    const dlopt::OptimizeResult opt = dlopt::OptimizeForQuery(*q.prog, q.goal);
+    const dlopt::PredGraph graph = dlopt::PredGraph::Build(opt.prog);
+    const dl::JoinHints hints = dlopt::MakeJoinHints(graph);
+    eval.hints = &hints;
+    bool derived = false;
+    try {
+      derived = engine.Solve(opt.prog, q.goal, eval);
+    } catch (const dl::BudgetExceeded&) {
+      ADD_FAILURE() << label << ": guess " << k << " blew the tuple budget";
+      return out;
+    }
+    const dl::EvalStats& st = engine.last_stats();
+    const std::string where = label + " guess " + std::to_string(k);
+    const bool may_derive = encoder.MayDerive(guesses[k]);
+    if (!may_derive) {
+      // (a)
+      EXPECT_EQ(opt.prog.size(), 0u) << where;
+      EXPECT_FALSE(derived) << where;
+      EXPECT_EQ(st.tuples, 0u) << where;
+      EXPECT_EQ(st.rule_firings, 0u) << where;
+      EXPECT_EQ(st.join_attempts, 0u) << where;
+      EXPECT_EQ(st.index_probes, 0u) << where;
+      EXPECT_EQ(st.index_hits, 0u) << where;
+      EXPECT_EQ(st.index_builds, 0u) << where;
+      if (k != 0) ++*rejected;
+    }
+    // (b)
+    EXPECT_TRUE(may_derive || !derived) << where;
+    out.tuples += st.tuples;
+    out.firings += st.rule_firings;
+    out.join_attempts += st.join_attempts;
+    out.index_probes += st.index_probes;
+    out.index_hits += st.index_hits;
+    if (derived) {
+      out.unsafe = true;
+      out.witness = guesses[k].ToString(sys);
+      out.guesses = k + 1;
+      break;
+    }
+  }
+  return out;
+}
+
+// (c) at threads 1 and 4, plus the verifier's own accounting: every
+// scanned guess is solved or skipped, and it skips exactly the guesses
+// the replay saw MayDerive reject.
+void CheckQuery(const SimplSystem& sys, const Goal& goal,
+                const std::string& label, Tally* tally) {
+  std::size_t rejected = 0;
+  const Scan replay = Replay(sys, goal, &rejected, label);
+  for (unsigned threads : {1u, 4u}) {
+    DatalogVerifierOptions options;
+    options.goal_message = goal;
+    options.guess.max_guesses = kMaxGuesses;
+    options.threads = threads;
+    const DatalogVerdict v = DatalogVerify(sys, options);
+    const std::string where = label + " threads=" + std::to_string(threads);
+    ExpectSameScan(Scan{v.unsafe, v.witness_guess, v.guesses, v.total_tuples,
+                        v.rule_firings, v.join_attempts, v.index_probes,
+                        v.index_hits},
+                   replay, where);
+    EXPECT_EQ(v.queries_evaluated + v.solves_skipped, v.guesses) << where;
+    EXPECT_EQ(v.solves_skipped, rejected) << where;
+    if (threads == 1) {
+      tally->scanned += v.guesses;
+      tally->skipped += v.solves_skipped;
+      tally->solved += v.queries_evaluated;
+    }
+  }
+}
+
+// (d)
+void ExpectBothGroupsLarge(const Tally& t) {
+  ASSERT_GT(t.scanned, 0u);
+  EXPECT_GE(4 * t.skipped, t.scanned)
+      << t.skipped << " of " << t.scanned << " guesses skipped";
+  EXPECT_GE(4 * t.solved, t.scanned)
+      << t.solved << " of " << t.scanned << " guesses solved";
+}
+
+TEST(GoalSkipTest, CatalogMatchesReplay) {
+  Tally tally;
+  for (const BenchmarkCase& bench : StandardBenchmarks()) {
+    CheckQuery(bench.system.simpl(), std::nullopt, bench.name, &tally);
+  }
+  // dekker-cas alone makes 383 of its 384 guesses skippable.
+  EXPECT_GT(tally.skipped, 0u);
+  EXPECT_GT(tally.solved, 0u);
+}
+
+// The guess-heavy shape with the goals the benchmark corpus gives each
+// generator seed: 200 seeds, split in two for ctest's parallelism.
+void CheckGuessHeavyShape(std::uint64_t first, std::uint64_t last,
+                          bool dis_cas) {
+  Tally tally;
+  for (std::uint64_t seed = first; seed < last; ++seed) {
+    const ParamSystem sys = RandGuessySystem(seed, 3, dis_cas);
+    CheckQuery(sys.simpl(), GuessHeavyGoal(sys, seed),
+               "seed " + std::to_string(seed), &tally);
+  }
+  ExpectBothGroupsLarge(tally);
+}
+
+TEST(GoalSkipTest, GuessHeavyShapeFirstHundred) {
+  CheckGuessHeavyShape(0, 100, /*dis_cas=*/false);
+}
+
+TEST(GoalSkipTest, GuessHeavyShapeSecondHundred) {
+  CheckGuessHeavyShape(100, 200, /*dis_cas=*/false);
+}
+
+TEST(GoalSkipTest, DisCasShapeMatchesReplay) {
+  CheckGuessHeavyShape(0, 100, /*dis_cas=*/true);
+}
+
+}  // namespace
+}  // namespace rapar

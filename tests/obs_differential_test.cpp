@@ -14,10 +14,9 @@
 //      verdict kind and stopped_phase still must not depend on tracing.
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "core/benchmarks.h"
 #include "core/verifier.h"
-#include "lang/random_program.h"
+#include "generated_systems.h"
 #include "obs/trace.h"
 
 namespace rapar {
@@ -74,31 +73,6 @@ TEST(ObsDifferentialTest, TraceOnOffIdenticalSimplified) {
     ExpectIdentical(off, on, bench.name.c_str());
     EXPECT_GT(rec.size(), 0u);
   }
-}
-
-// A SAFE system with a long Datalog guess scan: generator seed 272 of
-// the random-program corpus (3 variables, 3 registers, domain 4, env
-// size 10, dis size 8) enumerates 3750 guesses. RandomProgram never emits
-// `assert false`, so the assert query is SAFE by construction and no
-// witness can beat the deadline. A full scan takes ~70 ms serially and
-// ~25 ms at 4 threads on a 4-vCPU x86 VM, over 20x the 1 ms budget below.
-ParamSystem ManyGuessSafeSystem() {
-  Rng rng(272);
-  RandomProgramOptions env_opts;
-  env_opts.num_vars = 3;
-  env_opts.num_regs = 3;
-  env_opts.dom = 4;
-  env_opts.size = 10;
-  env_opts.allow_cas = false;
-  env_opts.allow_loops = false;
-  RandomProgramOptions dis_opts = env_opts;
-  dis_opts.size = 8;
-  Program env = RandomProgram(rng, env_opts, "env");
-  Program dis = RandomProgram(rng, dis_opts, "dis");
-  Expected<ParamSystem> sys =
-      ParamSystem::Builder().Env(std::move(env)).Dis(std::move(dis)).Build();
-  EXPECT_TRUE(sys.ok());
-  return std::move(sys).value();
 }
 
 // The Datalog guess loop checks the deadline before every solve, so a

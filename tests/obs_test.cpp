@@ -291,5 +291,36 @@ TEST(TelemetryTest, VerdictPhaseGaugesAndAccessors) {
             v.telemetry.counter(metric::kDlOptRulesBefore));
 }
 
+// Every scanned guess is either solved (datalog.queries) or skipped
+// because the guess skeleton rules the goal out (datalog.solves_skipped),
+// on a complete scan (dekker-cas, SAFE) and on an early exit
+// (peterson-ra, UNSAFE at guess 29), at one worker and at four.
+TEST(TelemetryTest, ScannedGuessesAreSolvedOrSkipped) {
+  namespace metric = obs::metric;
+  const std::vector<BenchmarkCase> catalog = StandardBenchmarks();
+  for (const char* name : {"dekker-cas", "peterson-ra"}) {
+    const auto it =
+        std::find_if(catalog.begin(), catalog.end(),
+                     [&](const BenchmarkCase& c) { return c.name == name; });
+    ASSERT_NE(it, catalog.end()) << name;
+    for (unsigned threads : {1u, 4u}) {
+      VerifierOptions opts;
+      opts.backend = Backend::kDatalog;
+      opts.datalog.threads = threads;
+      const Verdict v = SafetyVerifier(it->system).Run(std::nullopt, opts);
+      const std::string label =
+          std::string(name) + " threads=" + std::to_string(threads);
+      const std::uint64_t solved = v.telemetry.counter(metric::kQueries);
+      const std::uint64_t skipped =
+          v.telemetry.counter(metric::kSolvesSkipped);
+      EXPECT_TRUE(v.telemetry.Has(metric::kSolvesSkipped)) << label;
+      EXPECT_EQ(solved + skipped, v.telemetry.counter(metric::kGuesses))
+          << label;
+      EXPECT_GT(solved, 0u) << label;
+      EXPECT_GT(skipped, 0u) << label;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rapar

@@ -336,11 +336,13 @@ TEST(ShardParityTest, CheckpointFileRoundTripAndRejection) {
 
 TEST(ShardParityTest, ScanLimitCheckpointResumesToSameVerdictWithoutRescan) {
   // dekker-cas: safe-exhaustive over 384 guesses. Truncate the scan after
-  // 10 solves (the deterministic stand-in for a kill), capture the
+  // 10 guesses (the deterministic stand-in for a kill), capture the
   // checkpoint, resume from it, and demand (a) the same verdict and
   // guess count as the uninterrupted run and (b) an exact work split —
-  // queries evaluated before + after == uninterrupted total, i.e. no
-  // guess was solved twice.
+  // guesses scanned (solved or skipped) before + after == uninterrupted
+  // total, i.e. no guess was scanned twice. Solves alone do not add up:
+  // each run solves its first guess for the width report, where the
+  // uninterrupted run skips guess 10.
   BenchmarkCase bench = DekkerCas();
   DatalogVerifierOptions base;
   base.guess.max_guesses = 2'000;
@@ -377,9 +379,10 @@ TEST(ShardParityTest, ScanLimitCheckpointResumesToSameVerdictWithoutRescan) {
   EXPECT_EQ(v2.exhaustive, full.exhaustive);
   EXPECT_EQ(v2.guesses, full.guesses);
   EXPECT_EQ(v2.resume_offset, 10u);
-  EXPECT_EQ(v1.queries_evaluated + v2.queries_evaluated,
-            full.queries_evaluated)
-      << "resume rescanned already-solved guesses";
+  EXPECT_EQ(v1.queries_evaluated + v1.solves_skipped +
+                v2.queries_evaluated + v2.solves_skipped,
+            full.queries_evaluated + full.solves_skipped)
+      << "resume rescanned already-scanned guesses";
 }
 
 TEST(ShardParityTest, ParallelScanLimitResumesToSameVerdict) {
