@@ -31,15 +31,16 @@ ctest --preset asan-ubsan -j "$jobs"
 # The parallel verification driver and the engine it fans out, raced
 # under TSan, plus the portfolio driver (TMAI prepass under the kAuto
 # domain — small-set plus the relational retry — then simplified vs
-# Datalog on a shared CancellationToken). Only the concurrency-relevant
-# suites are built: the rest of the tree is single-threaded and covered
-# by the presets above.
+# Datalog on a shared CancellationToken), and the goal-skip suite, whose
+# four-thread runs exercise the dispatcher's skipped and shared guesses.
+# Only the concurrency-relevant suites are built: the rest of the tree is
+# single-threaded and covered by the presets above.
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target parallel_differential_test datalog_index_differential_test \
-  tmai_soundness_test shard_parity_test
+  tmai_soundness_test shard_parity_test goal_skip_test
 ctest --preset tsan \
-  -R 'ParallelDifferential|IndexDifferential|TmaiPortfolio|ShardParity' \
+  -R 'ParallelDifferential|IndexDifferential|TmaiPortfolio|ShardParity|GoalSkip' \
   -j "$jobs"
 
 # Optional (CHECK_BENCH=1): reproduce the bench_backends tables and gate

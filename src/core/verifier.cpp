@@ -78,6 +78,7 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetCounter(metric::kGuesses, dv.guesses);
   t.SetCounter(metric::kQueries, dv.queries_evaluated);
   t.SetCounter(metric::kSolvesSkipped, dv.solves_skipped);
+  t.SetCounter(metric::kSolvesShared, dv.solves_shared);
   t.SetCounter(metric::kTuples, dv.total_tuples);
   t.SetCounter(metric::kRulesEmitted, dv.total_rules);
   t.SetCounter(metric::kRulesEvaluated, dv.total_rules_after);

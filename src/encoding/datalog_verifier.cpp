@@ -9,7 +9,9 @@
 #include <optional>
 #include <semaphore>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,14 +47,21 @@ class Deadline {
 };
 
 // Everything one guess contributes to the verdict. Produced by exactly one
-// worker, read only after the pool has quiesced; schedule-independent
-// except for stats.index_builds (see the header's determinism rule).
+// worker (or by the dispatcher, for a guess that is not solved), read only
+// after the pool has quiesced; schedule-independent except for
+// stats.index_builds (see the header's determinism rule).
 struct GuessOutcome {
   bool evaluated = false;
   // Scanned without makeP, dlopt or eval: MakePEncoder::MayDerive ruled
   // the goal out, so the optimized program would have had no rules and
   // every count below is the full pipeline's.
   bool skipped = false;
+  // Scanned without makeP, dlopt or eval: an earlier guess with the same
+  // class key was solved, and derived, budget_aborted and stats are its
+  // (DESIGN.md §6). The representative comes first in enumeration order,
+  // so a shared guess is never the first terminating one and carries no
+  // witness.
+  bool shared = false;
   bool derived = false;
   bool budget_aborted = false;
   std::size_t rules_emitted = 0;
@@ -63,6 +72,87 @@ struct GuessOutcome {
   std::string width_report;  // filled for guess 0 only
 
   bool terminating() const { return derived || budget_aborted; }
+  bool solved() const { return evaluated && !skipped && !shared; }
+};
+
+GuessOutcome SkippedOutcome() {
+  GuessOutcome o;
+  o.evaluated = true;
+  o.skipped = true;
+  return o;
+}
+
+// What the later guesses of a class take from its representative; a run
+// keeps one per class.
+struct ClassOutcome {
+  bool evaluated = false;
+  bool derived = false;
+  bool budget_aborted = false;
+  dl::EvalStats stats;
+};
+
+ClassOutcome ClassOutcomeOf(const GuessOutcome& rep) {
+  ClassOutcome c{rep.evaluated, rep.derived, rep.budget_aborted, rep.stats};
+  // Indexes the engine built: work done, not a property of the program
+  // (an engine keeps the indexes of earlier solves), so none here.
+  c.stats.index_builds = 0;
+  return c;
+}
+
+GuessOutcome SharedOutcome(const ClassOutcome& c) {
+  GuessOutcome o;
+  o.evaluated = c.evaluated;
+  o.shared = true;
+  o.derived = c.derived;
+  o.budget_aborted = c.budget_aborted;
+  o.stats = c.stats;
+  return o;
+}
+
+// Marks a guess that is decided without a solve in the trace.
+void TraceDecided(obs::TraceRecorder* trace, std::size_t index,
+                  const char* how) {
+  obs::ScopedSpan span(trace, "guess");
+  if (span.active()) {
+    span.set_args(StrCat("{\"index\":", index, ",\"", how, "\":true}"));
+  }
+}
+
+// Sorts one run's guesses, in the enumeration order they are fed in,
+// into those skipped (MakePEncoder::MayDerive rules the goal out), those
+// solved and those shared: a guess whose class key an earlier solved
+// guess opened takes that guess's outcome (DESIGN.md §6). Skipping and
+// sharing follow enable_dlopt, since the lemmas are about the optimized
+// program. The run's first guess is always solved, for the width report.
+class GuessClasses {
+ public:
+  enum class Kind { kSkip, kSolve, kShare };
+  static constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
+  struct Class {
+    Kind kind = Kind::kSolve;
+    // kShare: the class whose representative's outcome the guess takes.
+    // kSolve: the class the guess opens, or kNoClass. Classes are numbered
+    // in the order they open.
+    std::size_t id = kNoClass;
+  };
+
+  GuessClasses(const MakePEncoder& encoder, bool enabled)
+      : encoder_(encoder), enabled_(enabled) {}
+
+  Class Next(const DisGuess& guess, bool first) {
+    if (!enabled_) return {};
+    if (!encoder_.MayDerive(guess, &key_)) {
+      return {first ? Kind::kSolve : Kind::kSkip, kNoClass};
+    }
+    const auto [it, opened] = ids_.try_emplace(key_, ids_.size());
+    return {opened ? Kind::kSolve : Kind::kShare, it->second};
+  }
+
+ private:
+  const MakePEncoder& encoder_;
+  const bool enabled_;
+  std::unordered_map<std::string, std::size_t> ids_;
+  std::string key_;  // scratch
 };
 
 double MsBetween(std::chrono::steady_clock::time_point from,
@@ -92,23 +182,14 @@ class GuessSolver {
     dlopt_.trace = options.trace;
   }
 
+  const MakePEncoder& encoder() const { return encoder_; }
+
   GuessOutcome Solve(const DisGuess& guess, std::size_t index,
                      bool want_width_report) {
     using Clock = std::chrono::steady_clock;
     obs::ScopedSpan span(options_.trace, "guess");
     GuessOutcome out;
     out.evaluated = true;
-    // A guess whose optimized program is provably empty derives nothing
-    // and counts nothing (DESIGN.md §6), so it is decided here. The guess
-    // that renders the width report still runs, for the report.
-    if (options_.enable_dlopt && !want_width_report &&
-        !encoder_.MayDerive(guess)) {
-      out.skipped = true;
-      if (span.active()) {
-        span.set_args(StrCat("{\"index\":", index, ",\"skipped\":true}"));
-      }
-      return out;
-    }
     const Clock::time_point makep_start = Clock::now();
     MakePResult q = [&] {
       obs::ScopedSpan s(options_.trace, "makep");
@@ -198,10 +279,14 @@ void Accumulate(DatalogVerdict& v, const GuessOutcome& o) {
     ++v.solves_skipped;
     return;
   }
-  ++v.queries_evaluated;
-  v.total_rules += o.rules_emitted;
-  v.total_rules_after += o.rules_after;
-  v.dlopt += o.dlopt;
+  if (o.shared) {
+    ++v.solves_shared;
+  } else {
+    ++v.queries_evaluated;
+    v.total_rules += o.rules_emitted;
+    v.total_rules_after += o.rules_after;
+    v.dlopt += o.dlopt;
+  }
   v.total_tuples += o.stats.tuples;
   v.rule_firings += o.stats.rule_firings;
   v.join_attempts += o.stats.join_attempts;
@@ -277,6 +362,9 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   StampShard(verdict, options);
   DisGuessCursor cursor(sys, options.guess);
   GuessSolver solver(sys, options);
+  GuessClasses classes(solver.encoder(), options.enable_dlopt);
+  // Per class, what its later guesses take.
+  std::vector<ClassOutcome> class_outcomes;
   const Deadline deadline(options.time_budget_ms);
   const std::size_t batch =
       options.batch_size == 0 ? 1 : options.batch_size;
@@ -321,9 +409,26 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
         EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
         return verdict;
       }
-      GuessOutcome o = solver.Solve(
-          ig.guess, idx, /*want_width_report=*/solves_this_run == 0);
-      ++verdict.parallel.solves;
+      const bool first = solves_this_run == 0;
+      const GuessClasses::Class c = classes.Next(ig.guess, first);
+      GuessOutcome o;
+      switch (c.kind) {
+        case GuessClasses::Kind::kSkip:
+          o = SkippedOutcome();
+          TraceDecided(options.trace, idx, "skipped");
+          break;
+        case GuessClasses::Kind::kShare:
+          o = SharedOutcome(class_outcomes[c.id]);
+          TraceDecided(options.trace, idx, "shared");
+          break;
+        case GuessClasses::Kind::kSolve:
+          o = solver.Solve(ig.guess, idx, /*want_width_report=*/first);
+          ++verdict.parallel.solves;
+          if (c.id != GuessClasses::kNoClass) {
+            class_outcomes.push_back(ClassOutcomeOf(o));
+          }
+          break;
+      }
       ++scanned;
       ++solves_this_run;
       ++since_checkpoint;
@@ -378,9 +483,14 @@ struct Batch {
   // outcome slot; non-contiguous under sharding).
   std::vector<std::size_t> indices;
   std::vector<GuessOutcome> outcomes;  // one slot per guess in the chunk
+  // Shared guesses as (slot, class); their outcomes are filled in from
+  // the class representatives' once the pool quiesces.
+  std::vector<std::pair<std::size_t, std::size_t>> members;
   std::string error;                   // first worker exception, if any
-  // Guesses of this chunk solved so far — the dispatcher's checkpoint
-  // frontier advances over the longest prefix of fully-solved batches.
+  // Guesses of this chunk decided so far (the skipped and shared ones at
+  // dispatch) — the dispatcher's checkpoint frontier advances over the
+  // longest prefix of fully-decided batches. A shared guess's
+  // representative sits in the same batch or an earlier one.
   std::atomic<std::size_t> done{0};
 };
 
@@ -398,6 +508,12 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   for (unsigned w = 0; w < workers; ++w) {
     solvers.push_back(std::make_unique<GuessSolver>(sys, options));
   }
+  // The dispatcher classifies every guess before any worker sees it, in
+  // enumeration order, with an encoder of its own.
+  const MakePEncoder class_encoder(sys, MakePOptions{options.goal_message});
+  GuessClasses classes(class_encoder, options.enable_dlopt);
+  // Per class, the slot of its representative's outcome.
+  std::vector<const GuessOutcome*> reps;
 
   const std::size_t batch_size =
       options.batch_size == 0 ? 1 : options.batch_size;
@@ -473,7 +589,6 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
     chunk.clear();
     const std::size_t n = cursor.NextChunk(want, &chunk);
     if (n == 0) break;
-    slots.acquire();
     Batch* slot;
     {
       std::lock_guard<std::mutex> lock(batches_m);
@@ -485,30 +600,59 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
     slot->outcomes.resize(n);
     if (first_index == kNoGuessIndex) first_index = slot->indices.front();
     dispatched += n;
-    pool.Submit([&, slot, guesses = std::move(chunk)] {
+    // Only the guesses to solve go to a worker: (slot, guess) pairs.
+    std::vector<std::pair<std::size_t, DisGuess>> work;
+    std::size_t decided = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t idx = slot->indices[i];
+      const GuessClasses::Class c =
+          classes.Next(chunk[i].guess, idx == first_index);
+      switch (c.kind) {
+        case GuessClasses::Kind::kSkip:
+          slot->outcomes[i] = SkippedOutcome();
+          TraceDecided(options.trace, idx, "skipped");
+          ++decided;
+          break;
+        case GuessClasses::Kind::kShare:
+          slot->members.emplace_back(i, c.id);
+          TraceDecided(options.trace, idx, "shared");
+          ++decided;
+          break;
+        case GuessClasses::Kind::kSolve:
+          if (c.id != GuessClasses::kNoClass) {
+            reps.push_back(&slot->outcomes[i]);
+          }
+          work.emplace_back(i, std::move(chunk[i].guess));
+          break;
+      }
+    }
+    slot->done.store(decided, std::memory_order_release);
+    slots.acquire();
+    pool.Submit([&, slot, work = std::move(work)] {
       const int w = ThreadPool::CurrentWorkerIndex();
       GuessSolver& solver = *solvers[static_cast<std::size_t>(w)];
       try {
-        for (std::size_t i = 0; i < guesses.size(); ++i) {
+        for (std::size_t k = 0; k < work.size(); ++k) {
+          const auto& [i, guess] = work[k];
           const std::size_t idx = slot->indices[i];
           if (idx > stop_idx.load(std::memory_order_relaxed)) {
-            skipped.Add(guesses.size() - i);
+            skipped.Add(work.size() - k);
             break;
           }
           if (deadline.Expired()) {
             deadline_fired.store(true, std::memory_order_relaxed);
             cancel.Cancel();
-            skipped.Add(guesses.size() - i);
+            skipped.Add(work.size() - k);
             break;
           }
           if (options.cancel != nullptr && options.cancel->cancelled()) {
             ext_cancelled.store(true, std::memory_order_relaxed);
             cancel.Cancel();
-            skipped.Add(guesses.size() - i);
+            skipped.Add(work.size() - k);
             break;
           }
           GuessOutcome o = solver.Solve(
-              guesses[i].guess, idx, /*want_width_report=*/idx == first_index);
+              guess, idx, /*want_width_report=*/idx == first_index);
           solves.Add(1);
           const bool terminating = o.terminating();
           const bool derived = o.derived;
@@ -521,7 +665,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
                               derived ? "early_exit" : "budget_abort",
                               StrCat("{\"guess\":", idx, "}"));
             // Indices above idx in this batch can no longer matter.
-            skipped.Add(guesses.size() - i - 1);
+            skipped.Add(work.size() - k - 1);
             break;
           }
         }
@@ -531,7 +675,6 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
       }
       slots.release();
     });
-    chunk = {};  // moved-from; restore a valid empty vector
     if (options.checkpoint_every != 0 && options.checkpoint_sink &&
         stop_idx.load(std::memory_order_relaxed) == kNoGuessIndex) {
       std::size_t f_next = 0;
@@ -554,6 +697,11 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   for (const Batch& b : batches) {
     if (!b.error.empty()) {
       throw std::runtime_error("datalog verifier worker failed: " + b.error);
+    }
+  }
+  for (Batch& b : batches) {
+    for (const auto& [i, id] : b.members) {
+      b.outcomes[i] = SharedOutcome(ClassOutcomeOf(*reps[id]));
     }
   }
 
@@ -583,7 +731,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
     for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
       const GuessOutcome& o = b.outcomes[i];
       if (b.indices[i] > stop) {
-        verdict.parallel.discarded += o.evaluated ? 1 : 0;
+        verdict.parallel.discarded += o.solved() ? 1 : 0;
         continue;
       }
       // A deadline abort can leave unevaluated gaps below `stop`; in

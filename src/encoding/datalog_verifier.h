@@ -7,10 +7,14 @@
 // ThreadPool solves the chunks with one dl::Engine per worker (arena and
 // EDB-snapshot reuse stay intact within a worker), and the first
 // terminating event — a derived goal or a blown tuple budget — cancels
-// the remaining work. Every guess is solved as its own fresh fixpoint —
-// or skipped, when dlopt is on and the guess skeleton already shows that
-// nothing can derive the goal; the only result an engine carries from one
-// guess to the next is its seeded-EDB snapshot
+// the remaining work. Every guess is solved as its own fresh fixpoint,
+// except that with dlopt on the guess skeleton decides two kinds of
+// guesses before makeP (DESIGN.md §6): one that cannot derive the goal is
+// skipped, and one whose class key an earlier guess of the run already
+// had shares that guess's solve. Both decisions are made in enumeration
+// order, by the serial loop or the parallel dispatcher, so they do not
+// depend on the schedule. The only result an engine carries from one
+// solve to the next is its seeded-EDB snapshot
 // (dl::EngineOptions::reuse_facts).
 //
 // Determinism rule: the verdict, witness guess, guesses-scanned count and
@@ -60,7 +64,8 @@ struct DatalogVerifierOptions {
   // (tests/dlopt_differential_test.cpp checks it); off only for debugging
   // or differential testing. With it on, a guess whose optimized program
   // is provably empty (MakePEncoder::MayDerive) is scanned without being
-  // encoded or solved.
+  // encoded or solved, and a guess with the class key of an earlier guess
+  // takes that guess's outcome instead of being solved.
   bool enable_dlopt = true;
   // Worker threads for the per-guess solves. 1 (default) runs the legacy
   // serial loop on the calling thread; 0 resolves to
@@ -131,13 +136,14 @@ struct ParallelStats {
   unsigned threads = 1;
   std::size_t batches = 0;  // guess chunks dispatched
   std::size_t steals = 0;   // ThreadPool deque steals
-  // Guesses workers took up (incl. discarded ones and the ones skipped
-  // because they cannot derive the goal).
+  // Guesses solved (incl. discarded ones). Skipped and shared guesses
+  // are decided before any solve and are not counted.
   std::size_t solves = 0;
   // Solves that raced past the deterministic stop prefix; their stats are
   // excluded from the verdict aggregates.
   std::size_t discarded = 0;
-  // Guesses skipped outright after the early exit fired.
+  // Guesses to solve that a worker dropped after the early exit fired
+  // (not the guesses counted in DatalogVerdict::solves_skipped).
   std::size_t skipped = 0;
   // Index of the terminating guess (witness or budget abort);
   // kNoGuessIndex when every guess was scanned.
@@ -161,16 +167,20 @@ struct DatalogVerdict {
   // residue class; summing a full shard family's exhaustive counts gives
   // the single-process total.
   std::size_t guesses = 0;
-  // Scanned guesses split into those solved (makeP, dlopt, eval) and
-  // those skipped because MakePEncoder::MayDerive ruled the goal out
-  // (only with enable_dlopt; DESIGN.md §6). A skipped guess's optimized
-  // program has no rules, so it would add nothing to the aggregates
-  // below except total_rules and the dlopt rule counts, which count the
-  // solved guesses only. On a complete scan or an early exit the two sum
-  // to `guesses` less resume_scanned_base.
+  // Scanned guesses split into those solved (makeP, dlopt, eval), those
+  // skipped because MakePEncoder::MayDerive ruled the goal out, and those
+  // that shared the solve of an earlier guess with their class key (both
+  // only with enable_dlopt; DESIGN.md §6). A skipped guess's optimized
+  // program has no rules, and a shared guess's is its representative's
+  // up to predicate numbering, so the derivation counts below are the
+  // full pipeline's: a shared guess adds its representative's. Only
+  // total_rules, total_rules_after, the dlopt counts and the phase times
+  // cover the solved guesses alone. On a complete scan or an early exit
+  // the three sum to `guesses` less resume_scanned_base.
   std::size_t queries_evaluated = 0;
   std::size_t solves_skipped = 0;
-  // Aggregate Datalog statistics over the scanned prefix (per-solve,
+  std::size_t solves_shared = 0;
+  // Aggregate Datalog statistics over the scanned prefix (per guess,
   // summed in enumeration order; thread-count independent).
   std::size_t total_tuples = 0;
   std::size_t total_rules = 0;        // emitted by makeP, pre-dlopt
@@ -222,8 +232,8 @@ struct DatalogVerdict {
   // Wall-clock milliseconds each solver spent in makeP, in dlopt (with
   // the engine's join hints) and in evaluation, summed over every solve
   // this run issued — over all workers when threads > 1, discarded solves
-  // included, skipped guesses not. Timings: exempt from the determinism
-  // rule.
+  // included, skipped and shared guesses not. Timings: exempt from the
+  // determinism rule.
   double makep_ms = 0.0;
   double dlopt_ms = 0.0;
   double eval_ms = 0.0;

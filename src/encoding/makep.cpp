@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstdint>
+#include <string>
 
 #include "analysis/reachability.h"
 #include "common/strings.h"
@@ -26,6 +28,34 @@ constexpr PredId kEmp = 0;
 constexpr PredId kDmp = 1;
 constexpr PredId kEtp = 2;
 constexpr PredId kUnsafe = 3;
+
+// The value a dis store or CAS step writes.
+Value StoredValue(const Instr& instr, const GuessStep& step) {
+  return instr.kind == Instr::Kind::kCas ? step.rv_after[instr.reg2.index()]
+                                         : step.rv_after[instr.reg.index()];
+}
+
+bool WritesOrAsserts(Instr::Kind kind) {
+  return kind == Instr::Kind::kStore || kind == Instr::Kind::kCas ||
+         kind == Instr::Kind::kAssertFail;
+}
+
+// Appends `n` as a LEB128 varint of its zigzag code, so the small
+// numbers a key holds take one byte each and a key still decodes one way.
+void AppendNumber(std::string* key, std::int64_t n) {
+  std::uint64_t u = (static_cast<std::uint64_t>(n) << 1) ^
+                    static_cast<std::uint64_t>(n >> 63);
+  for (; u >= 0x80; u >>= 7) key->push_back(static_cast<char>(u | 0x80));
+  key->push_back(static_cast<char>(u));
+}
+
+// The store profile: per variable, its dis store count and glue flags.
+void AppendProfile(const DisGuess& guess, std::string* key) {
+  for (const std::vector<MemCell>& cells : guess.mem) {
+    AppendNumber(key, static_cast<std::int64_t>(cells.size()));
+    for (const MemCell& c : cells) key->push_back(c.glued ? '1' : '0');
+  }
+}
 
 // Emits the parts of one guess's program into `prog`. Convention for
 // constants: abstract timestamps are interned first so that Sym value ==
@@ -547,8 +577,7 @@ class Builder {
     const std::size_t x = instr.var.index();
     const int p = step.store_pos;
     assert(p >= 1);
-    const Value stored = is_cas ? step.rv_after[instr.reg2.index()]
-                                : step.rv_after[instr.reg.index()];
+    const Value stored = StoredValue(instr, step);
 
     // Assembles the common body + joined view; for plain stores there is
     // no read, so the "join" is the thread view itself.
@@ -642,19 +671,18 @@ MakePEncoder::MakePEncoder(const SimplSystem& sys,
   }
 }
 
-bool MakePEncoder::MayDerive(const DisGuess& guess) const {
+bool MakePEncoder::MayDerive(const DisGuess& guess, std::string* key) const {
   // unsafe() :- etp(...) for a live env assert; unsafe() :- dmp(x, d_init,
   // ...) matches the init fact; unsafe() :- emp(x, d, ...) matches an env
   // store's head, whose value is a variable.
-  if (env_asserts_) return true;
   const std::optional<std::pair<VarId, Value>>& goal = options_.goal_message;
-  if (goal.has_value() &&
-      (goal->second == kInitValue || env_stores_[goal->first.index()])) {
-    return true;
-  }
+  bool derives = env_asserts_ ||
+                 (goal.has_value() && (goal->second == kInitValue ||
+                                       env_stores_[goal->first.index()]));
   // The least fixpoint of the dtp chains: a pass over the threads moves
   // each as far as the messages written so far feed its reads, until a
-  // pass writes nothing new.
+  // pass writes nothing new. It runs to completion even once the goal is
+  // known to be derivable, since the key needs every blocked step.
   const std::size_t dom = static_cast<std::size_t>(sys_.dom);
   written_.assign(sys_.num_vars * dom, false);
   passed_.assign(guess.threads.size(), 0);
@@ -667,7 +695,10 @@ bool MakePEncoder::MayDerive(const DisGuess& guess) const {
       for (std::size_t& j = passed_[t]; j < steps.size(); ++j) {
         const GuessStep& step = steps[j];
         const Instr& instr = cfa.Edge(EdgeId(step.edge)).instr;
-        if (instr.kind == Instr::Kind::kAssertFail) return true;
+        if (instr.kind == Instr::Kind::kAssertFail) {
+          derives = true;
+          continue;
+        }
         const bool reads = instr.kind == Instr::Kind::kLoad ||
                            instr.kind == Instr::Kind::kCas;
         const bool writes = instr.kind == Instr::Kind::kStore ||
@@ -684,12 +715,10 @@ bool MakePEncoder::MayDerive(const DisGuess& guess) const {
           if (!fed) break;
         }
         if (writes) {
-          const Value stored = instr.kind == Instr::Kind::kCas
-                                   ? step.rv_after[instr.reg2.index()]
-                                   : step.rv_after[instr.reg.index()];
+          const Value stored = StoredValue(instr, step);
           if (goal.has_value() && goal->first.index() == x &&
               goal->second == stored) {
-            return true;
+            derives = true;
           }
           const std::size_t w = x * dom + static_cast<std::size_t>(stored);
           if (!written_[w]) {
@@ -700,17 +729,46 @@ bool MakePEncoder::MayDerive(const DisGuess& guess) const {
       }
     }
   }
-  return false;
+  if (derives) {
+    key->clear();
+    AppendClassKey(guess, key);
+  }
+  return derives;
+}
+
+void MakePEncoder::AppendClassKey(const DisGuess& guess,
+                                  std::string* key) const {
+  AppendProfile(guess, key);
+  for (std::size_t t = 0; t < guess.threads.size(); ++t) {
+    const std::vector<GuessStep>& steps = guess.threads[t].steps;
+    const Cfa& cfa = *sys_.dis[t];
+    auto instr_of = [&](std::size_t j) -> const Instr& {
+      return cfa.Edge(EdgeId(steps[j].edge)).instr;
+    };
+    // C_t. The steps from the cut up to the blocked step neither write
+    // nor assert: their dtp heads feed only later steps of the chain, so
+    // dlopt removes them as unreachable. The steps from the blocked one
+    // on are unproductive.
+    std::size_t cut = passed_[t];
+    while (cut > 0 && !WritesOrAsserts(instr_of(cut - 1).kind)) --cut;
+    AppendNumber(key, static_cast<std::int64_t>(cut));
+    for (std::size_t j = 0; j < cut; ++j) {
+      const GuessStep& step = steps[j];
+      const Instr& instr = instr_of(j);
+      const bool writes = instr.kind == Instr::Kind::kStore ||
+                          instr.kind == Instr::Kind::kCas;
+      AppendNumber(key, step.edge);
+      AppendNumber(key, step.read_value);
+      AppendNumber(key, step.read_from_env ? -2 : step.read_dis_pos);
+      AppendNumber(key, step.store_pos);
+      AppendNumber(key, writes ? StoredValue(instr, step) : -1);
+    }
+  }
 }
 
 MakePResult MakePEncoder::Encode(const DisGuess& guess) {
-  // Profile key: per variable, its dis store count and glue flags.
   key_.clear();
-  for (const std::vector<MemCell>& cells : guess.mem) {
-    const std::uint32_t n = static_cast<std::uint32_t>(cells.size());
-    key_.append(reinterpret_cast<const char*>(&n), sizeof n);
-    for (const MemCell& c : cells) key_.push_back(c.glued ? '1' : '0');
-  }
+  AppendProfile(guess, &key_);
   auto [it, inserted] = prefixes_.try_emplace(key_);
   if (inserted) {
     Builder(sys_, guess, options_, &it->second).AddPrefix(edge_dead_);

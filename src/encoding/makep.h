@@ -93,7 +93,16 @@ class MakePEncoder {
   // goal may be derivable when the env has a live `assert false`, the
   // goal value is the init value, the env stores the goal variable, or an
   // unblocked dis step asserts or writes the goal message.
-  bool MayDerive(const DisGuess& guess) const;
+  //
+  // When the result is true, *key receives the guess's class key: the
+  // store profile, then per dis thread t the cut C_t, one past the last
+  // store, CAS or assert before the step where t blocks (0 if none), and
+  // for each step j < C_t its edge, read value, read source, store
+  // position and stored value. Guesses with equal keys optimize to the
+  // same program up to the numbering of the dtp predicates, so
+  // Engine::Solve gives them the same verdict and the same EvalStats
+  // (DESIGN.md §6). The result is a function of the key.
+  bool MayDerive(const DisGuess& guess, std::string* key) const;
 
   // Distinct store profiles seen so far (one cached prefix each).
   std::size_t profiles() const { return prefixes_.size(); }
@@ -113,6 +122,9 @@ class MakePEncoder {
   // (variable, value), written by a dis step some thread gets past.
   mutable std::vector<std::size_t> passed_;
   mutable std::vector<bool> written_;
+
+  // Appends the class key to *key once the fixpoint has filled passed_.
+  void AppendClassKey(const DisGuess& guess, std::string* key) const;
 };
 
 }  // namespace rapar

@@ -42,11 +42,16 @@ inline constexpr char kStates[] = "verify.states";
 inline constexpr char kGuesses[] = "verify.guesses";
 
 inline constexpr char kTuples[] = "datalog.tuples";
-// Scanned guesses are either solved (datalog.queries) or skipped without
-// makeP, dlopt or eval because the guess skeleton already rules the goal
-// out (datalog.solves_skipped; MakePEncoder::MayDerive).
+// Scanned guesses are solved (datalog.queries), skipped without makeP,
+// dlopt or eval because the guess skeleton already rules the goal out
+// (datalog.solves_skipped; MakePEncoder::MayDerive), or shared: an
+// earlier guess with the same class key was solved, and the guess takes
+// its outcome and its derivation counts (datalog.solves_shared).
+// datalog.tuples and engine.* sum over all three; rules_emitted,
+// rules_evaluated and dlopt.* over the solved guesses only.
 inline constexpr char kQueries[] = "datalog.queries";
 inline constexpr char kSolvesSkipped[] = "datalog.solves_skipped";
+inline constexpr char kSolvesShared[] = "datalog.solves_shared";
 inline constexpr char kRulesEmitted[] = "datalog.rules_emitted";
 inline constexpr char kRulesEvaluated[] = "datalog.rules_evaluated";
 // Present only when a per-query tuple budget aborted the scan.
@@ -148,9 +153,9 @@ inline constexpr char kPhasePrepassMs[] = "phase.prepass_ms";
 inline constexpr char kPhaseSolveMs[] = "phase.solve_ms";
 // The Datalog guess loop's split of solve time per layer of the Theorem
 // 4.1 pipeline: makeP, dlopt (with join hints) and engine evaluation,
-// each summed over the run's solved guesses only: a skipped guess
-// (datalog.solves_skipped) runs none of the three. Under threads > 1
-// they sum over workers, so together they can exceed phase.solve_ms.
+// each summed over the run's solved guesses only: a skipped or shared
+// guess runs none of the three. Under threads > 1 they sum over workers,
+// so together they can exceed phase.solve_ms.
 inline constexpr char kPhaseMakePMs[] = "phase.makep_ms";
 inline constexpr char kPhaseDlOptMs[] = "phase.dlopt_ms";
 inline constexpr char kPhaseEvalMs[] = "phase.eval_ms";

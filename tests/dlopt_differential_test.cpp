@@ -43,11 +43,15 @@ Pair VerifyBothWays(const SimplSystem& sys, std::size_t max_guesses,
 }
 
 void ExpectAgreement(const Pair& p, const std::string& label) {
-  // Every scanned guess is either solved or skipped, and only dlopt skips.
-  EXPECT_EQ(p.with.queries_evaluated + p.with.solves_skipped, p.with.guesses)
+  // Every scanned guess is solved, skipped or shared, and only dlopt
+  // skips or shares.
+  EXPECT_EQ(p.with.queries_evaluated + p.with.solves_skipped +
+                p.with.solves_shared,
+            p.with.guesses)
       << label;
   EXPECT_EQ(p.without.queries_evaluated, p.without.guesses) << label;
   EXPECT_EQ(p.without.solves_skipped, 0u) << label;
+  EXPECT_EQ(p.without.solves_shared, 0u) << label;
   if (!p.with.exhaustive || !p.without.exhaustive) {
     // An UNSAFE answer is sound even from a capped run; a negative one
     // decides nothing.

@@ -1,6 +1,7 @@
 // Generated systems shared by the test suites: the rand-guessy shape of
 // the guess-heavy benchmark corpus (rabench/workloads.cpp), its
-// Message-Generation goals, and a CAS-enabled variant of it.
+// Message-Generation goals, a CAS-enabled variant of it and a variant
+// with two dis threads.
 #ifndef RAPAR_TESTS_GENERATED_SYSTEMS_H_
 #define RAPAR_TESTS_GENERATED_SYSTEMS_H_
 
@@ -21,7 +22,8 @@ namespace rapar {
 // `dis_cas` the dis thread may also CAS (the env stays CAS-free, as
 // makeP requires).
 inline ParamSystem RandGuessySystem(std::uint64_t seed, int num_vars = 3,
-                                    bool dis_cas = false) {
+                                    bool dis_cas = false,
+                                    int dis_threads = 1, int dis_size = 8) {
   Rng rng(seed);
   RandomProgramOptions env_opts;
   env_opts.num_vars = num_vars;
@@ -31,15 +33,25 @@ inline ParamSystem RandGuessySystem(std::uint64_t seed, int num_vars = 3,
   env_opts.allow_cas = false;
   env_opts.allow_loops = false;
   RandomProgramOptions dis_opts = env_opts;
-  dis_opts.size = 8;
+  dis_opts.size = dis_size;
   dis_opts.allow_cas = dis_cas;
-  Program env = RandomProgram(rng, env_opts, "env");
-  Program dis = RandomProgram(rng, dis_opts, "dis");
-  Expected<ParamSystem> sys =
-      ParamSystem::Builder().Env(std::move(env)).Dis(std::move(dis)).Build();
+  ParamSystem::Builder builder;
+  builder.Env(RandomProgram(rng, env_opts, "env"));
+  for (int t = 0; t < dis_threads; ++t) {
+    builder.Dis(RandomProgram(rng, dis_opts, "dis"));
+  }
+  Expected<ParamSystem> sys = builder.Build();
   EXPECT_TRUE(sys.ok()) << "seed " << seed << ": "
                         << (sys.ok() ? "" : sys.error());
   return std::move(sys).value();
+}
+
+// Generator seed `seed` in the rand-guessy shape with two dis threads of
+// size 5 each: the second thread's dtp predicates are numbered after the
+// first thread's, so their ids depend on the first thread's path length.
+inline ParamSystem RandGuessyTwoDisSystem(std::uint64_t seed) {
+  return RandGuessySystem(seed, 3, /*dis_cas=*/false, /*dis_threads=*/2,
+                          /*dis_size=*/5);
 }
 
 // The Message-Generation goal the guess-heavy corpus gives generator seed

@@ -1,10 +1,13 @@
 // The verifier skips every guess for which MakePEncoder::MayDerive rules
-// the goal out, and claims the skip is exact: DESIGN.md §6 proves that
-// such a guess's optimized program has no rules. This suite checks the
-// claim guess by guess, against the whole pipeline run from outside,
-// on the benchmark catalog, on the guess-heavy shape with its
-// Message-Generation goals and on the same shape with CAS in the dis
-// thread:
+// the goal out, and gives every guess whose class key an earlier guess
+// already had that guess's outcome instead of solving it. It claims both
+// are exact: DESIGN.md §6 proves that a skipped guess's optimized program
+// has no rules and that guesses with one key optimize to one program up
+// to the numbering of the dtp predicates. This suite checks the claims
+// guess by guess, against the whole pipeline run from outside, on the
+// benchmark catalog, on the guess-heavy shape with its
+// Message-Generation goals, on the same shape with CAS in the dis thread
+// and on a shape with two dis threads:
 //
 //   (a) every guess MayDerive rejects has an OptimizeForQuery(MakeP(g))
 //       with no rules, and Engine::Solve on it returns false with every
@@ -14,9 +17,18 @@
 //       join attempts, index probes and hits equal a guess-by-guess
 //       replay (MakeP -> OptimizeForQuery -> PredGraph::Build and
 //       MakeJoinHints -> Solve, stopping at the first derivation), at
-//       threads 1 and 4;
-//   (d) on each generated corpus, both the skipped and the solved guesses
-//       are at least a quarter of the guesses scanned.
+//       threads 1 and 4, and the verifier skips and shares exactly the
+//       guesses the replay finds rejected and keyed like an earlier one;
+//   (d) on each generated corpus, the skipped guesses and the solved
+//       plus shared guesses are each at least a quarter of the guesses
+//       scanned;
+//   (e) every guess with the key of an earlier guess has the same
+//       optimized program (its rules as RuleToString prints them, which
+//       names a dtp predicate by thread and step, not by id), the same
+//       derived flag and the same EvalStats (index_builds aside, which
+//       depends on the engine's earlier solves) as the first guess with
+//       that key;
+//   (f) on each generated corpus, more guesses are shared than solved.
 //
 // It is the in-repo twin of the benchmark's traced replay, which compares
 // the same counts on every request of a workload.
@@ -25,6 +37,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,20 +84,49 @@ void ExpectSameScan(const Scan& got, const Scan& want,
 }
 
 // Guesses over a corpus: scanned by the verifier, skipped by it, solved
-// by it.
+// by it, shared by it.
 struct Tally {
   std::size_t scanned = 0;
   std::size_t skipped = 0;
   std::size_t solved = 0;
+  std::size_t shared = 0;
 };
 
+// What (e) compares between the guesses of one class.
+struct Solved {
+  std::string program;
+  bool derived = false;
+  dl::EvalStats stats;
+};
+
+std::string RulesText(const dl::Program& prog) {
+  std::string text;
+  for (const dl::Rule& r : prog.rules()) text += prog.RuleToString(r) + "\n";
+  return text;
+}
+
+void ExpectSameSolve(const Solved& got, const Solved& want,
+                     const std::string& label) {
+  EXPECT_EQ(got.program, want.program) << label;
+  EXPECT_EQ(got.derived, want.derived) << label;
+  EXPECT_EQ(got.stats.tuples, want.stats.tuples) << label;
+  EXPECT_EQ(got.stats.rule_firings, want.stats.rule_firings) << label;
+  EXPECT_EQ(got.stats.join_attempts, want.stats.join_attempts) << label;
+  EXPECT_EQ(got.stats.index_probes, want.stats.index_probes) << label;
+  EXPECT_EQ(got.stats.index_hits, want.stats.index_hits) << label;
+  EXPECT_EQ(got.stats.goal_found, want.stats.goal_found) << label;
+  // Not index_builds: an engine keeps the indexes earlier solves built,
+  // so that count depends on what the engine solved before.
+}
+
 // The whole pipeline on every guess of the capped enumeration, checking
-// (a) and (b) on each, up to the first guess that derives the goal.
+// (a), (b) and (e) on each, up to the first guess that derives the goal.
 // Returns the replay's scan and, in *rejected, how many of its guesses
 // MayDerive rejects (the first one excluded: the verifier solves it for
-// its width report).
+// its width report) and, in *shared, how many have the key of an earlier
+// guess.
 Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
-            const std::string& label) {
+            std::size_t* shared, const std::string& label) {
   GuessEnumOptions ge;
   ge.max_guesses = kMaxGuesses;
   bool complete = false;
@@ -97,6 +139,10 @@ Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
   Scan out;
   out.guesses = guesses.size();
   *rejected = 0;
+  *shared = 0;
+  // Per class key, the first guess's solve.
+  std::unordered_map<std::string, Solved> classes;
+  std::string key;
   for (std::size_t k = 0; k < guesses.size(); ++k) {
     const MakePResult q = MakeP(sys, guesses[k], mp);
     const dlopt::OptimizeResult opt = dlopt::OptimizeForQuery(*q.prog, q.goal);
@@ -112,8 +158,18 @@ Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
     }
     const dl::EvalStats& st = engine.last_stats();
     const std::string where = label + " guess " + std::to_string(k);
-    const bool may_derive = encoder.MayDerive(guesses[k]);
-    if (!may_derive) {
+    const bool may_derive = encoder.MayDerive(guesses[k], &key);
+    if (may_derive) {
+      // (e)
+      Solved solved{RulesText(opt.prog), derived, st};
+      const auto it = classes.find(key);
+      if (it == classes.end()) {
+        classes.emplace(key, std::move(solved));
+      } else {
+        ExpectSameSolve(solved, it->second, where);
+        ++*shared;
+      }
+    } else {
       // (a)
       EXPECT_EQ(opt.prog.size(), 0u) << where;
       EXPECT_FALSE(derived) << where;
@@ -143,12 +199,14 @@ Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
 }
 
 // (c) at threads 1 and 4, plus the verifier's own accounting: every
-// scanned guess is solved or skipped, and it skips exactly the guesses
-// the replay saw MayDerive reject.
+// scanned guess is solved, skipped or shared, and it skips and shares
+// exactly the guesses the replay saw MayDerive reject and keyed like an
+// earlier one.
 void CheckQuery(const SimplSystem& sys, const Goal& goal,
                 const std::string& label, Tally* tally) {
   std::size_t rejected = 0;
-  const Scan replay = Replay(sys, goal, &rejected, label);
+  std::size_t shared = 0;
+  const Scan replay = Replay(sys, goal, &rejected, &shared, label);
   for (unsigned threads : {1u, 4u}) {
     DatalogVerifierOptions options;
     options.goal_message = goal;
@@ -160,23 +218,30 @@ void CheckQuery(const SimplSystem& sys, const Goal& goal,
                         v.rule_firings, v.join_attempts, v.index_probes,
                         v.index_hits},
                    replay, where);
-    EXPECT_EQ(v.queries_evaluated + v.solves_skipped, v.guesses) << where;
+    EXPECT_EQ(v.queries_evaluated + v.solves_skipped + v.solves_shared,
+              v.guesses)
+        << where;
     EXPECT_EQ(v.solves_skipped, rejected) << where;
+    EXPECT_EQ(v.solves_shared, shared) << where;
     if (threads == 1) {
       tally->scanned += v.guesses;
       tally->skipped += v.solves_skipped;
       tally->solved += v.queries_evaluated;
+      tally->shared += v.solves_shared;
     }
   }
 }
 
-// (d)
-void ExpectBothGroupsLarge(const Tally& t) {
+// (d) and (f)
+void ExpectGroupsLarge(const Tally& t) {
   ASSERT_GT(t.scanned, 0u);
   EXPECT_GE(4 * t.skipped, t.scanned)
       << t.skipped << " of " << t.scanned << " guesses skipped";
-  EXPECT_GE(4 * t.solved, t.scanned)
-      << t.solved << " of " << t.scanned << " guesses solved";
+  EXPECT_GE(4 * (t.solved + t.shared), t.scanned)
+      << t.solved << " solved and " << t.shared << " shared of "
+      << t.scanned << " guesses";
+  EXPECT_GT(t.shared, t.solved)
+      << t.shared << " shared, " << t.solved << " solved";
 }
 
 TEST(GoalSkipTest, CatalogMatchesReplay) {
@@ -189,29 +254,38 @@ TEST(GoalSkipTest, CatalogMatchesReplay) {
   EXPECT_GT(tally.solved, 0u);
 }
 
-// The guess-heavy shape with the goals the benchmark corpus gives each
-// generator seed: 200 seeds, split in two for ctest's parallelism.
-void CheckGuessHeavyShape(std::uint64_t first, std::uint64_t last,
-                          bool dis_cas) {
+// A generated shape with the goals the benchmark corpus gives each
+// generator seed.
+template <typename MakeSystem>
+void CheckShape(std::uint64_t first, std::uint64_t last,
+                MakeSystem make_system) {
   Tally tally;
   for (std::uint64_t seed = first; seed < last; ++seed) {
-    const ParamSystem sys = RandGuessySystem(seed, 3, dis_cas);
+    const ParamSystem sys = make_system(seed);
     CheckQuery(sys.simpl(), GuessHeavyGoal(sys, seed),
                "seed " + std::to_string(seed), &tally);
   }
-  ExpectBothGroupsLarge(tally);
+  ExpectGroupsLarge(tally);
 }
 
+// The guess-heavy shape: 200 seeds, split in two for ctest's
+// parallelism.
 TEST(GoalSkipTest, GuessHeavyShapeFirstHundred) {
-  CheckGuessHeavyShape(0, 100, /*dis_cas=*/false);
+  CheckShape(0, 100, [](std::uint64_t s) { return RandGuessySystem(s); });
 }
 
 TEST(GoalSkipTest, GuessHeavyShapeSecondHundred) {
-  CheckGuessHeavyShape(100, 200, /*dis_cas=*/false);
+  CheckShape(100, 200, [](std::uint64_t s) { return RandGuessySystem(s); });
 }
 
 TEST(GoalSkipTest, DisCasShapeMatchesReplay) {
-  CheckGuessHeavyShape(0, 100, /*dis_cas=*/true);
+  CheckShape(0, 100, [](std::uint64_t s) {
+    return RandGuessySystem(s, 3, /*dis_cas=*/true);
+  });
+}
+
+TEST(GoalSkipTest, TwoDisThreadShapeMatchesReplay) {
+  CheckShape(0, 60, RandGuessyTwoDisSystem);
 }
 
 }  // namespace

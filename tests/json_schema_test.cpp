@@ -126,9 +126,10 @@ TEST(JsonSchemaTest, VerdictEnvelopeUnsafeDatalog) {
   const JsonValue* t = doc.value().Find("telemetry");
   EXPECT_NE(t->Find("verify.guesses"), nullptr);
   EXPECT_NE(t->Find("datalog.tuples"), nullptr);
-  // Scanned guesses split into solved and skipped ones.
+  // Scanned guesses split into solved, skipped and shared ones.
   EXPECT_NE(t->Find("datalog.queries"), nullptr);
   EXPECT_NE(t->Find("datalog.solves_skipped"), nullptr);
+  EXPECT_NE(t->Find("datalog.solves_shared"), nullptr);
   EXPECT_NE(t->Find("engine.rule_firings"), nullptr);
   EXPECT_NE(t->Find("phase.total_ms"), nullptr);
   // The guess loop's per-layer split.

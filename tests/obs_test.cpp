@@ -291,10 +291,11 @@ TEST(TelemetryTest, VerdictPhaseGaugesAndAccessors) {
             v.telemetry.counter(metric::kDlOptRulesBefore));
 }
 
-// Every scanned guess is either solved (datalog.queries) or skipped
-// because the guess skeleton rules the goal out (datalog.solves_skipped),
-// on a complete scan (dekker-cas, SAFE) and on an early exit
-// (peterson-ra, UNSAFE at guess 29), at one worker and at four.
+// Every scanned guess is solved (datalog.queries), skipped because the
+// guess skeleton rules the goal out (datalog.solves_skipped) or shared
+// with an earlier guess of its class (datalog.solves_shared), on a
+// complete scan (dekker-cas, SAFE) and on an early exit (peterson-ra,
+// UNSAFE at guess 29), at one worker and at four.
 TEST(TelemetryTest, ScannedGuessesAreSolvedOrSkipped) {
   namespace metric = obs::metric;
   const std::vector<BenchmarkCase> catalog = StandardBenchmarks();
@@ -313,8 +314,11 @@ TEST(TelemetryTest, ScannedGuessesAreSolvedOrSkipped) {
       const std::uint64_t solved = v.telemetry.counter(metric::kQueries);
       const std::uint64_t skipped =
           v.telemetry.counter(metric::kSolvesSkipped);
+      const std::uint64_t shared = v.telemetry.counter(metric::kSolvesShared);
       EXPECT_TRUE(v.telemetry.Has(metric::kSolvesSkipped)) << label;
-      EXPECT_EQ(solved + skipped, v.telemetry.counter(metric::kGuesses))
+      EXPECT_TRUE(v.telemetry.Has(metric::kSolvesShared)) << label;
+      EXPECT_EQ(solved + skipped + shared,
+                v.telemetry.counter(metric::kGuesses))
           << label;
       EXPECT_GT(solved, 0u) << label;
       EXPECT_GT(skipped, 0u) << label;

@@ -379,9 +379,9 @@ TEST(ShardParityTest, ScanLimitCheckpointResumesToSameVerdictWithoutRescan) {
   EXPECT_EQ(v2.exhaustive, full.exhaustive);
   EXPECT_EQ(v2.guesses, full.guesses);
   EXPECT_EQ(v2.resume_offset, 10u);
-  EXPECT_EQ(v1.queries_evaluated + v1.solves_skipped +
-                v2.queries_evaluated + v2.solves_skipped,
-            full.queries_evaluated + full.solves_skipped)
+  EXPECT_EQ(v1.queries_evaluated + v1.solves_skipped + v1.solves_shared +
+                v2.queries_evaluated + v2.solves_skipped + v2.solves_shared,
+            full.queries_evaluated + full.solves_skipped + full.solves_shared)
       << "resume rescanned already-scanned guesses";
 }
 
