@@ -968,12 +968,14 @@ int DumpDatalog(const Options& opts) {
     std::fprintf(stderr, "%s\n", sys.error().c_str());
     return 3;
   }
-  bool complete = true;
-  rapar::GuessEnumOptions gopts;
-  std::vector<rapar::DisGuess> guesses =
-      rapar::EnumerateDisGuesses(sys.value().simpl(), gopts, &complete);
-  std::printf("// %zu makeP guess(es)%s\n", guesses.size(),
-              complete ? "" : " (capped)");
+  // Walk the whole enumeration for its count, keeping the first four.
+  rapar::DisGuessCursor cursor(sys.value().simpl(), rapar::GuessEnumOptions{});
+  std::vector<rapar::DisGuess> guesses;
+  while (const rapar::IndexedGuess* g = cursor.Next()) {
+    if (guesses.size() < 4) guesses.push_back(g->guess);
+  }
+  std::printf("// %zu makeP guess(es)%s\n", cursor.produced(),
+              cursor.complete() ? "" : " (capped)");
   rapar::MakePOptions mopts;
   if (!opts.goal_var.empty() && opts.goal_val >= 0) {
     rapar::VarId var = sys.value().vars().Find(opts.goal_var);
@@ -984,15 +986,16 @@ int DumpDatalog(const Options& opts) {
     }
     mopts.goal_message = {var, static_cast<rapar::Value>(opts.goal_val)};
   }
-  for (std::size_t i = 0; i < guesses.size() && i < 4; ++i) {
+  for (std::size_t i = 0; i < guesses.size(); ++i) {
     std::printf("\n// ---- guess %zu ----\n%s\n", i,
                 guesses[i].ToString(sys.value().simpl()).c_str());
     rapar::MakePResult q =
         rapar::MakeP(sys.value().simpl(), guesses[i], mopts);
     std::printf("%s", q.prog->ToString().c_str());
   }
-  if (guesses.size() > 4) {
-    std::printf("\n// (%zu further guesses elided)\n", guesses.size() - 4);
+  if (cursor.produced() > guesses.size()) {
+    std::printf("\n// (%zu further guesses elided)\n",
+                cursor.produced() - guesses.size());
   }
   return 0;
 }
@@ -1004,14 +1007,17 @@ int DlAnalyze(const Options& opts) {
     std::fprintf(stderr, "%s\n", sys.error().c_str());
     return 3;
   }
-  bool complete = true;
-  rapar::GuessEnumOptions gopts;
-  std::vector<rapar::DisGuess> guesses =
-      rapar::EnumerateDisGuesses(sys.value().simpl(), gopts, &complete);
-  if (opts.guess_index < 0 ||
-      static_cast<std::size_t>(opts.guess_index) >= guesses.size()) {
+  // Walk the whole enumeration for its count, keeping guess N.
+  rapar::DisGuessCursor cursor(sys.value().simpl(), rapar::GuessEnumOptions{});
+  std::optional<rapar::DisGuess> found;
+  while (const rapar::IndexedGuess* g = cursor.Next()) {
+    if (static_cast<long long>(g->index) == opts.guess_index) {
+      found = g->guess;
+    }
+  }
+  if (!found.has_value()) {
     std::fprintf(stderr, "--guess %d out of range (have %zu guesses)\n",
-                 opts.guess_index, guesses.size());
+                 opts.guess_index, cursor.produced());
     return 3;
   }
   rapar::MakePOptions mopts;
@@ -1024,8 +1030,7 @@ int DlAnalyze(const Options& opts) {
     }
     mopts.goal_message = {var, static_cast<rapar::Value>(opts.goal_val)};
   }
-  const rapar::DisGuess& guess = guesses[opts.guess_index];
-  rapar::MakePResult q = rapar::MakeP(sys.value().simpl(), guess, mopts);
+  rapar::MakePResult q = rapar::MakeP(sys.value().simpl(), *found, mopts);
   rapar::dlopt::DlAnalysis a =
       rapar::dlopt::AnalyzeDlProgram(*q.prog, q.goal);
 
@@ -1065,8 +1070,8 @@ int DlAnalyze(const Options& opts) {
 
   std::printf("system: %s\n", sys.value().Signature().c_str());
   std::printf("// guess %d of %zu%s\n%s\n", opts.guess_index,
-              guesses.size(), complete ? "" : " (capped)",
-              guess.ToString(sys.value().simpl()).c_str());
+              cursor.produced(), cursor.complete() ? "" : " (capped)",
+              found->ToString(sys.value().simpl()).c_str());
   std::printf("== dependency graph ==\n%s",
               a.graph.ToText(*q.prog).c_str());
   std::printf("== width / solver classification ==\n%s",

@@ -28,8 +28,9 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"
 
-# The parallel verification driver and the engine it fans out, raced
-# under TSan, plus the portfolio driver (TMAI prepass under the kAuto
+# The parallel verification driver (per-guess solves on the pool; the
+# guess enumeration runs on the dispatching thread) and the engine it
+# fans out, raced under TSan, plus the portfolio driver (TMAI prepass under the kAuto
 # domain — small-set plus the relational retry — then simplified vs
 # Datalog on a shared CancellationToken), and the goal-skip suite, whose
 # four-thread runs exercise the dispatcher's skipped and shared guesses.

@@ -79,7 +79,8 @@ struct DatalogBackendOptions {
   // of N workers. Verdict, witness and aggregate statistics are
   // thread-count independent (see encoding/datalog_verifier.h).
   unsigned threads = 1;
-  // Guesses per work unit pulled from the streaming enumerator.
+  // Guesses per work unit the parallel dispatcher pulls from the
+  // enumerator (threads != 1); the serial loop pulls one at a time.
   std::size_t batch_size = 32;
   // Borrowed warm engine for the serial path (threads == 1): arena and
   // interned-fact reuse across Verify calls instead of a cold engine per

@@ -353,8 +353,9 @@ void StampShard(DatalogVerdict& v, const DatalogVerifierOptions& options) {
 // --- serial driver ----------------------------------------------------------
 
 // threads == 1: the legacy in-order loop on the calling thread, one
-// engine, streaming enumeration. The parallel driver's results are defined
-// to match this path bit for bit (modulo index_builds/fact_reuses).
+// engine; each guess is classified and solved where the cursor holds it.
+// The parallel driver's results are defined to match this path bit for
+// bit (modulo index_builds/fact_reuses).
 DatalogVerdict SerialVerify(const SimplSystem& sys,
                             const DatalogVerifierOptions& options) {
   DatalogVerdict verdict;
@@ -366,8 +367,6 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   // Per class, what its later guesses take.
   std::vector<ClassOutcome> class_outcomes;
   const Deadline deadline(options.time_budget_ms);
-  const std::size_t batch =
-      options.batch_size == 0 ? 1 : options.batch_size;
 
   // Scan position. `scanned` is the verdict's guess accounting (resume
   // base + solves here); `next_unscanned` the first global index a
@@ -378,92 +377,81 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   std::size_t since_checkpoint = 0;
   std::size_t next_unscanned = options.guess.start_index;
 
-  std::vector<IndexedGuess> chunk;
-  for (;;) {
-    chunk.clear();
-    const std::size_t n = cursor.NextChunk(batch, &chunk);
-    if (n == 0) break;
-    ++verdict.parallel.batches;
-    for (IndexedGuess& ig : chunk) {
-      const std::size_t idx = ig.index;
-      if (deadline.Expired()) {
-        cursor.Cancel();
-        verdict.deadline_hit = true;
-        verdict.exhaustive = false;
-        verdict.guesses = scanned;
-        solver.AddTotals(verdict);
-        obs::TraceInstant(options.trace, "deadline",
-                          StrCat("{\"guess\":", idx, "}"));
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-        return verdict;
-      }
-      if (options.cancel != nullptr && options.cancel->cancelled()) {
-        // External cancel: truncated like a deadline, but deadline_hit
-        // stays false — no budget expired.
-        cursor.Cancel();
-        verdict.exhaustive = false;
-        verdict.guesses = scanned;
-        solver.AddTotals(verdict);
-        obs::TraceInstant(options.trace, "cancelled",
-                          StrCat("{\"guess\":", idx, "}"));
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-        return verdict;
-      }
-      const bool first = solves_this_run == 0;
-      const GuessClasses::Class c = classes.Next(ig.guess, first);
-      GuessOutcome o;
-      switch (c.kind) {
-        case GuessClasses::Kind::kSkip:
-          o = SkippedOutcome();
-          TraceDecided(options.trace, idx, "skipped");
-          break;
-        case GuessClasses::Kind::kShare:
-          o = SharedOutcome(class_outcomes[c.id]);
-          TraceDecided(options.trace, idx, "shared");
-          break;
-        case GuessClasses::Kind::kSolve:
-          o = solver.Solve(ig.guess, idx, /*want_width_report=*/first);
-          ++verdict.parallel.solves;
-          if (c.id != GuessClasses::kNoClass) {
-            class_outcomes.push_back(ClassOutcomeOf(o));
-          }
-          break;
-      }
-      ++scanned;
-      ++solves_this_run;
-      ++since_checkpoint;
-      next_unscanned = idx + 1;
-      Accumulate(verdict, o);
-      if (o.terminating()) {
-        cursor.Cancel();
-        obs::TraceInstant(options.trace,
-                          o.derived ? "early_exit" : "budget_abort",
-                          StrCat("{\"guess\":", idx, "}"));
-        FinishEarly(verdict, idx, scanned, o);
-        solver.AddTotals(verdict);
-        if (o.budget_aborted) {
-          // Restartable: a rerun with a larger budget resumes *at* the
-          // aborted guess, so its (discarded) solve is not in `scanned`.
-          EmitCheckpoint(options, verdict, idx, scanned - 1, false);
+  while (const IndexedGuess* ig = cursor.Next()) {
+    const std::size_t idx = ig->index;
+    if (deadline.Expired()) {
+      verdict.deadline_hit = true;
+      verdict.exhaustive = false;
+      verdict.guesses = scanned;
+      solver.AddTotals(verdict);
+      obs::TraceInstant(options.trace, "deadline",
+                        StrCat("{\"guess\":", idx, "}"));
+      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
+      return verdict;
+    }
+    if (options.cancel != nullptr && options.cancel->cancelled()) {
+      // External cancel: truncated like a deadline, but deadline_hit
+      // stays false — no budget expired.
+      verdict.exhaustive = false;
+      verdict.guesses = scanned;
+      solver.AddTotals(verdict);
+      obs::TraceInstant(options.trace, "cancelled",
+                        StrCat("{\"guess\":", idx, "}"));
+      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
+      return verdict;
+    }
+    const bool first = solves_this_run == 0;
+    const GuessClasses::Class c = classes.Next(ig->guess, first);
+    GuessOutcome o;
+    switch (c.kind) {
+      case GuessClasses::Kind::kSkip:
+        o = SkippedOutcome();
+        TraceDecided(options.trace, idx, "skipped");
+        break;
+      case GuessClasses::Kind::kShare:
+        o = SharedOutcome(class_outcomes[c.id]);
+        TraceDecided(options.trace, idx, "shared");
+        break;
+      case GuessClasses::Kind::kSolve:
+        o = solver.Solve(ig->guess, idx, /*want_width_report=*/first);
+        ++verdict.parallel.solves;
+        if (c.id != GuessClasses::kNoClass) {
+          class_outcomes.push_back(ClassOutcomeOf(o));
         }
-        return verdict;
+        break;
+    }
+    ++scanned;
+    ++solves_this_run;
+    ++since_checkpoint;
+    next_unscanned = idx + 1;
+    Accumulate(verdict, o);
+    if (o.terminating()) {
+      obs::TraceInstant(options.trace,
+                        o.derived ? "early_exit" : "budget_abort",
+                        StrCat("{\"guess\":", idx, "}"));
+      FinishEarly(verdict, idx, scanned, o);
+      solver.AddTotals(verdict);
+      if (o.budget_aborted) {
+        // Restartable: a rerun with a larger budget resumes *at* the
+        // aborted guess, so its (discarded) solve is not in `scanned`.
+        EmitCheckpoint(options, verdict, idx, scanned - 1, false);
       }
-      if (options.scan_limit != 0 && solves_this_run >= options.scan_limit) {
-        cursor.Cancel();
-        verdict.scan_limit_hit = true;
-        verdict.exhaustive = false;
-        verdict.guesses = scanned;
-        solver.AddTotals(verdict);
-        obs::TraceInstant(options.trace, "scan_limit",
-                          StrCat("{\"guess\":", idx, "}"));
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-        return verdict;
-      }
-      if (options.checkpoint_every != 0 &&
-          since_checkpoint >= options.checkpoint_every) {
-        since_checkpoint = 0;
-        EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
-      }
+      return verdict;
+    }
+    if (options.scan_limit != 0 && solves_this_run >= options.scan_limit) {
+      verdict.scan_limit_hit = true;
+      verdict.exhaustive = false;
+      verdict.guesses = scanned;
+      solver.AddTotals(verdict);
+      obs::TraceInstant(options.trace, "scan_limit",
+                        StrCat("{\"guess\":", idx, "}"));
+      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
+      return verdict;
+    }
+    if (options.checkpoint_every != 0 &&
+        since_checkpoint >= options.checkpoint_every) {
+      since_checkpoint = 0;
+      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
     }
   }
   verdict.guesses = options.resume_scanned_base + cursor.produced();
@@ -517,9 +505,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
 
   const std::size_t batch_size =
       options.batch_size == 0 ? 1 : options.batch_size;
-  // Buffer a few chunks per worker so the producer stays ahead without
-  // materializing the guess space.
-  DisGuessCursor cursor(sys, options.guess, batch_size * workers * 4);
+  DisGuessCursor cursor(sys, options.guess);
 
   // First terminating event wins: the token is the fast "something
   // happened" flag, stop_idx the exact ordered cut-off. A worker may skip
@@ -566,7 +552,6 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   bool scan_limited = false;
   std::size_t cp_frontier_count = 0;  // frontier solves already checkpointed
 
-  std::vector<IndexedGuess> chunk;
   while (!cancel.cancelled()) {
     if (deadline.Expired()) {
       deadline_fired.store(true, std::memory_order_relaxed);
@@ -586,27 +571,26 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
       }
       want = std::min(want, options.scan_limit - dispatched);
     }
-    chunk.clear();
-    const std::size_t n = cursor.NextChunk(want, &chunk);
-    if (n == 0) break;
-    Batch* slot;
-    {
-      std::lock_guard<std::mutex> lock(batches_m);
-      batches.emplace_back();
-      slot = &batches.back();
-    }
-    slot->indices.reserve(n);
-    for (const IndexedGuess& ig : chunk) slot->indices.push_back(ig.index);
-    slot->outcomes.resize(n);
-    if (first_index == kNoGuessIndex) first_index = slot->indices.front();
-    dispatched += n;
-    // Only the guesses to solve go to a worker: (slot, guess) pairs.
+    // Pull the chunk guess by guess and classify each where the cursor
+    // holds it; only the guesses to solve are copied, as (slot, guess)
+    // pairs for a worker.
+    Batch* slot = nullptr;
     std::vector<std::pair<std::size_t, DisGuess>> work;
+    std::vector<std::size_t> opened;  // slots whose guess opens a class
     std::size_t decided = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t idx = slot->indices[i];
-      const GuessClasses::Class c =
-          classes.Next(chunk[i].guess, idx == first_index);
+    while (slot == nullptr || slot->indices.size() < want) {
+      const IndexedGuess* ig = cursor.Next();
+      if (ig == nullptr) break;
+      const std::size_t idx = ig->index;
+      if (slot == nullptr) {
+        std::lock_guard<std::mutex> lock(batches_m);
+        slot = &batches.emplace_back();
+        if (first_index == kNoGuessIndex) first_index = idx;
+      }
+      const std::size_t i = slot->indices.size();
+      slot->indices.push_back(idx);
+      slot->outcomes.emplace_back();
+      const GuessClasses::Class c = classes.Next(ig->guess, idx == first_index);
       switch (c.kind) {
         case GuessClasses::Kind::kSkip:
           slot->outcomes[i] = SkippedOutcome();
@@ -619,13 +603,16 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
           ++decided;
           break;
         case GuessClasses::Kind::kSolve:
-          if (c.id != GuessClasses::kNoClass) {
-            reps.push_back(&slot->outcomes[i]);
-          }
-          work.emplace_back(i, std::move(chunk[i].guess));
+          if (c.id != GuessClasses::kNoClass) opened.push_back(i);
+          work.emplace_back(i, ig->guess);
           break;
       }
     }
+    if (slot == nullptr) break;
+    // Classes are numbered in the order they open, so reps[id] is the
+    // outcome slot of class id's representative.
+    for (const std::size_t i : opened) reps.push_back(&slot->outcomes[i]);
+    dispatched += slot->indices.size();
     slot->done.store(decided, std::memory_order_release);
     slots.acquire();
     pool.Submit([&, slot, work = std::move(work)] {
@@ -690,8 +677,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   // Terminating events only occur in dispatched chunks, and chunks are
   // dispatched in enumeration order — once the token fires, every index
   // at or below the eventual minimum has already been handed out, so the
-  // rest of the enumeration is dead weight.
-  cursor.Cancel();
+  // rest of the enumeration is never stepped.
   pool.Wait();
 
   for (const Batch& b : batches) {

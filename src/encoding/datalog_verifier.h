@@ -2,12 +2,14 @@
 // nondeterministic guesses and evaluates each emitted query instance.
 // Unsafe iff some execution of makeP yields (Prog, g) with Prog ⊢ g.
 //
-// The guesses are mutually independent, so the driver fans them out:
-// guesses stream from a DisGuessCursor in chunks, a work-stealing
-// ThreadPool solves the chunks with one dl::Engine per worker (arena and
-// EDB-snapshot reuse stay intact within a worker), and the first
-// terminating event — a derived goal or a blown tuple budget — cancels
-// the remaining work. Every guess is solved as its own fresh fixpoint,
+// The guesses are mutually independent, so the driver fans them out: the
+// calling thread steps a DisGuessCursor, which holds one guess at a time,
+// and copies only the guesses that need a solve into chunks; a
+// work-stealing ThreadPool solves the chunks with one dl::Engine per
+// worker (arena and EDB-snapshot reuse stay intact within a worker), and
+// the first terminating event — a derived goal or a blown tuple budget —
+// cancels the remaining work. The serial loop (threads == 1) solves each
+// guess where the cursor holds it. Every guess is solved as its own fresh fixpoint,
 // except that with dlopt on the guess skeleton decides two kinds of
 // guesses before makeP (DESIGN.md §6): one that cannot derive the goal is
 // skipped, and one whose class key an earlier guess of the run already
@@ -73,9 +75,9 @@ struct DatalogVerifierOptions {
   // of N workers. The verdict, witness and aggregate statistics are
   // identical for every value (see the determinism rule above).
   unsigned threads = 1;
-  // Guesses per work unit pulled from the streaming enumerator. Small
-  // enough to load-balance, large enough to amortize dispatch; also the
-  // serial loop's chunk size.
+  // Guesses per work unit the parallel dispatcher pulls from the
+  // enumerator. Small enough to load-balance, large enough to amortize
+  // dispatch. The serial loop pulls one guess at a time and ignores it.
   std::size_t batch_size = 32;
   // Wall-clock budget in milliseconds; 0 = unlimited. Enforced
   // cooperatively at guess granularity: the deadline is checked before
@@ -130,8 +132,8 @@ struct DatalogVerifierOptions {
   dl::Engine* warm_engine = nullptr;
 };
 
-// How the parallel driver ran. threads == 1 means the serial loop (the
-// batches/chunk fields still describe the streaming enumeration).
+// How the parallel driver ran. threads == 1 means the serial loop, which
+// dispatches no chunks: batches, steals, discarded and skipped stay 0.
 struct ParallelStats {
   unsigned threads = 1;
   std::size_t batches = 0;  // guess chunks dispatched

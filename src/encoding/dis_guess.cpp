@@ -1,7 +1,5 @@
 #include "encoding/dis_guess.h"
 
-#include <cassert>
-#include <functional>
 #include <initializer_list>
 #include <utility>
 
@@ -13,7 +11,8 @@ namespace rapar {
 namespace {
 
 // Phase A: enumerate a thread's control paths with concrete register
-// effects. Loads branch over all domain values; assumes prune.
+// effects. Loads branch over all domain values; assumes prune. Keeps at
+// most `cap` paths and clears *complete if there are more.
 void EnumPaths(const Cfa& cfa, Value dom, std::size_t cap,
                std::vector<ThreadGuess>& out, bool* complete) {
   struct Frame {
@@ -31,11 +30,13 @@ void EnumPaths(const Cfa& cfa, Value dom, std::size_t cap,
     Frame f = std::move(stack.back());
     stack.pop_back();
     if (cfa.OutEdges(f.node).empty()) {
-      out.push_back(std::move(f.acc));
-      if (out.size() >= cap) {
+      // A path past the cap means more than `cap` guesses (every path
+      // combination yields at least one), so the scan is cut.
+      if (out.size() == cap) {
         *complete = false;
         return;
       }
+      out.push_back(std::move(f.acc));
       continue;
     }
     for (EdgeId eid : cfa.OutEdges(f.node)) {
@@ -118,280 +119,36 @@ void EnumPaths(const Cfa& cfa, Value dom, std::size_t cap,
   }
 }
 
-// Receives guesses in enumeration order together with their global
-// enumeration index; returns false to abort the remaining enumeration
-// (cursor cancelled). The vector wrapper always returns true.
-using GuessSink = std::function<bool(std::size_t, DisGuess&&)>;
-
-// The shared enumeration core behind EnumerateDisGuesses and
-// DisGuessCursor. Produces guesses into a sink instead of a vector so the
-// cursor's bounded buffer can apply backpressure; the enumeration order
-// and the max_guesses cap semantics are those of the original
-// materializing enumerator.
-class GuessBuilder {
- public:
-  GuessBuilder(const SimplSystem& sys, const GuessEnumOptions& options,
-               GuessSink sink, bool* complete)
-      : sys_(sys),
-        options_(options),
-        sink_(std::move(sink)),
-        complete_(complete) {}
-
-  void Run() {
-    const std::size_t n = sys_.dis.size();
-    if (n == 0) {
-      DisGuess g;
-      g.mem.resize(sys_.num_vars);
-      Emit(std::move(g));
-      return;
-    }
-    per_thread_paths_.resize(n);
-    for (std::size_t t = 0; t < n; ++t) {
-      EnumPaths(*sys_.dis[t], sys_.dom, options_.max_guesses,
-                per_thread_paths_[t], complete_);
-      if (per_thread_paths_[t].empty()) return;  // no executable path
-    }
-    chosen_.assign(n, 0);
-    PickPaths(0);
-  }
-
- private:
-  const Cfa& DisCfa(std::size_t t) const { return *sys_.dis[t]; }
-
-  // Enumeration must stop: the cap was hit or the sink cancelled. The
-  // cap is on the global index so every shard of the same system cuts
-  // the identical prefix of the enumeration order.
-  bool Stopped() {
-    if (stopped_) return true;
-    if (global_index_ >= options_.max_guesses) {
-      *complete_ = false;
-      stopped_ = true;
-      return true;
-    }
-    return false;
-  }
-
-  void Emit(DisGuess&& guess) {
-    const std::size_t idx = global_index_++;
-    // Shard/resume filters suppress emission only: the global index keeps
-    // counting so every worker agrees on which guess is which.
-    if (options_.shard_count > 1 &&
-        idx % options_.shard_count != options_.shard_index) {
-      return;
-    }
-    if (idx < options_.start_index) return;
-    if (!sink_(idx, std::move(guess))) {
-      stopped_ = true;
-      return;
-    }
-    ++produced_;
-  }
-
-  // Phase A product: choose one path per thread.
-  void PickPaths(std::size_t t) {
-    if (Stopped()) return;
-    if (t == chosen_.size()) {
-      MergeStores();
-      return;
-    }
-    for (std::size_t i = 0; i < per_thread_paths_[t].size(); ++i) {
-      chosen_[t] = i;
-      PickPaths(t + 1);
-      if (Stopped()) return;
+// Appends to *out every interleaving of the per-thread store sequences
+// `seqs` (each kept in program order), taking at each position the
+// lowest-numbered sequence first.
+void EnumMerges(const std::vector<std::vector<std::pair<int, int>>>& seqs,
+                std::vector<std::size_t>& idx,
+                std::vector<std::pair<int, int>>& acc,
+                std::vector<std::vector<std::pair<int, int>>>* out) {
+  bool done = true;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    if (idx[i] < seqs[i].size()) {
+      done = false;
+      acc.push_back(seqs[i][idx[i]]);
+      ++idx[i];
+      EnumMerges(seqs, idx, acc, out);
+      --idx[i];
+      acc.pop_back();
     }
   }
-
-  // Phase B: interleave the store events of the chosen paths per variable.
-  void MergeStores() {
-    // Collect store events per variable: (thread, step index).
-    std::vector<std::vector<std::pair<int, int>>> events(sys_.num_vars);
-    for (std::size_t t = 0; t < chosen_.size(); ++t) {
-      const ThreadGuess& path = per_thread_paths_[t][chosen_[t]];
-      for (std::size_t s = 0; s < path.steps.size(); ++s) {
-        if (path.steps[s].store_pos < 0) continue;
-        const Instr& instr =
-            DisCfa(t).Edge(EdgeId(path.steps[s].edge)).instr;
-        events[instr.var.index()].push_back(
-            {static_cast<int>(t), static_cast<int>(s)});
-      }
-    }
-    // Enumerate per-variable interleavings (indices per thread).
-    std::vector<std::vector<std::vector<std::pair<int, int>>>> merges(
-        sys_.num_vars);
-    for (std::size_t x = 0; x < sys_.num_vars; ++x) {
-      // Per-thread subsequences on x.
-      std::vector<std::vector<std::pair<int, int>>> seqs;
-      for (std::size_t t = 0; t < chosen_.size(); ++t) {
-        std::vector<std::pair<int, int>> seq;
-        for (const auto& ev : events[x]) {
-          if (ev.first == static_cast<int>(t)) seq.push_back(ev);
-        }
-        if (!seq.empty()) seqs.push_back(std::move(seq));
-      }
-      std::vector<std::pair<int, int>> acc;
-      EnumMerges(seqs, std::vector<std::size_t>(seqs.size(), 0), acc,
-                 merges[x]);
-    }
-    // Product over variables.
-    std::vector<std::size_t> pick(sys_.num_vars, 0);
-    ProductMerges(merges, 0, pick);
-  }
-
-  static void EnumMerges(
-      const std::vector<std::vector<std::pair<int, int>>>& seqs,
-      std::vector<std::size_t> idx, std::vector<std::pair<int, int>>& acc,
-      std::vector<std::vector<std::pair<int, int>>>& out) {
-    bool done = true;
-    for (std::size_t i = 0; i < seqs.size(); ++i) {
-      if (idx[i] < seqs[i].size()) {
-        done = false;
-        acc.push_back(seqs[i][idx[i]]);
-        ++idx[i];
-        EnumMerges(seqs, idx, acc, out);
-        --idx[i];
-        acc.pop_back();
-      }
-    }
-    if (done) out.push_back(acc);
-  }
-
-  void ProductMerges(
-      const std::vector<std::vector<std::vector<std::pair<int, int>>>>&
-          merges,
-      std::size_t x, std::vector<std::size_t>& pick) {
-    if (Stopped()) return;
-    if (x == merges.size()) {
-      BuildMemAndResolveReads(merges, pick);
-      return;
-    }
-    for (std::size_t i = 0; i < merges[x].size(); ++i) {
-      pick[x] = i;
-      ProductMerges(merges, x + 1, pick);
-      if (Stopped()) return;
-    }
-  }
-
-  // Phase C: fix store positions, then resolve read sources.
-  void BuildMemAndResolveReads(
-      const std::vector<std::vector<std::vector<std::pair<int, int>>>>&
-          merges,
-      const std::vector<std::size_t>& pick) {
-    DisGuess guess;
-    guess.threads.resize(chosen_.size());
-    for (std::size_t t = 0; t < chosen_.size(); ++t) {
-      guess.threads[t] = per_thread_paths_[t][chosen_[t]];
-    }
-    guess.mem.assign(sys_.num_vars, {});
-    for (std::size_t x = 0; x < sys_.num_vars; ++x) {
-      const auto& order = merges[x][pick[x]];
-      for (std::size_t p = 0; p < order.size(); ++p) {
-        auto [t, s] = order[p];
-        GuessStep& step = guess.threads[t].steps[s];
-        step.store_pos = static_cast<int>(p) + 1;
-        const Instr& instr = DisCfa(t).Edge(EdgeId(step.edge)).instr;
-        MemCell cell;
-        // Store value: for stores rv[reg]; for CAS rv[reg2]. rv is
-        // unchanged by both, so rv_after works.
-        cell.val = instr.kind == Instr::Kind::kCas
-                       ? step.rv_after[instr.reg2.index()]
-                       : step.rv_after[instr.reg.index()];
-        cell.thread = t;
-        cell.step_idx = s;
-        guess.mem[x].push_back(cell);
-      }
-    }
-    ResolveReads(guess, 0, 0);
-  }
-
-  // Recursively resolves read sources for thread t from step s on.
-  void ResolveReads(DisGuess& guess, std::size_t t, std::size_t s) {
-    if (Stopped()) return;
-    if (t == guess.threads.size()) {
-      Finalise(guess);
-      return;
-    }
-    if (s == guess.threads[t].steps.size()) {
-      ResolveReads(guess, t + 1, 0);
-      return;
-    }
-    GuessStep& step = guess.threads[t].steps[s];
-    const Instr& instr = DisCfa(t).Edge(EdgeId(step.edge)).instr;
-    if (instr.kind == Instr::Kind::kLoad) {
-      const std::size_t x = instr.var.index();
-      // Source: init message (value 0) or any matching dis store, or env.
-      if (step.read_value == kInitValue) {
-        step.read_from_env = false;
-        step.read_dis_pos = 0;
-        ResolveReads(guess, t, s + 1);
-      }
-      for (int p = 1; p <= guess.StoresOn(x); ++p) {
-        if (guess.mem[x][p - 1].val != step.read_value) continue;
-        step.read_from_env = false;
-        step.read_dis_pos = p;
-        ResolveReads(guess, t, s + 1);
-        if (Stopped()) return;
-      }
-      step.read_from_env = true;
-      step.read_dis_pos = -1;
-      ResolveReads(guess, t, s + 1);
-      step.read_from_env = false;  // restore
-      return;
-    }
-    if (instr.kind == Instr::Kind::kCas) {
-      const std::size_t x = instr.var.index();
-      const int p = step.store_pos;
-      // CAS on a dis message: adjacency forces the load at position p-1.
-      const Value below =
-          p - 1 == 0 ? kInitValue : guess.mem[x][p - 2].val;
-      if (below == step.read_value) {
-        step.read_from_env = false;
-        step.read_dis_pos = p - 1;
-        guess.mem[x][p - 1].glued = true;
-        ResolveReads(guess, t, s + 1);
-        guess.mem[x][p - 1].glued = false;
-        if (Stopped()) return;
-      }
-      // CAS on an env message: the clone sits directly below; no glue.
-      step.read_from_env = true;
-      step.read_dis_pos = -1;
-      ResolveReads(guess, t, s + 1);
-      step.read_from_env = false;
-      return;
-    }
-    ResolveReads(guess, t, s + 1);
-  }
-
-  void Finalise(DisGuess& guess) {
-    if (Stopped()) return;
-    Emit(DisGuess(guess));  // copy: the recursion keeps mutating `guess`
-  }
-
-  const SimplSystem& sys_;
-  const GuessEnumOptions& options_;
-  GuessSink sink_;
-  bool* complete_;
-  std::size_t global_index_ = 0;  // next guess's global enumeration index
-  std::size_t produced_ = 0;      // guesses this shard actually emitted
-  bool stopped_ = false;
-  std::vector<std::vector<ThreadGuess>> per_thread_paths_;
-  std::vector<std::size_t> chosen_;
-};
+  if (done) out->push_back(acc);
+}
 
 }  // namespace
 
 std::vector<DisGuess> EnumerateDisGuesses(const SimplSystem& sys,
                                           const GuessEnumOptions& options,
                                           bool* complete) {
-  *complete = true;
+  DisGuessCursor cursor(sys, options);
   std::vector<DisGuess> out;
-  GuessBuilder builder(
-      sys, options,
-      [&out](std::size_t, DisGuess&& g) {
-        out.push_back(std::move(g));
-        return true;
-      },
-      complete);
-  builder.Run();
+  while (const IndexedGuess* g = cursor.Next()) out.push_back(g->guess);
+  *complete = cursor.complete();
   return out;
 }
 
@@ -470,102 +227,211 @@ Expected<CursorCheckpoint> CursorCheckpoint::FromJson(std::string_view text) {
 // --- DisGuessCursor ---------------------------------------------------------
 
 DisGuessCursor::DisGuessCursor(const SimplSystem& sys,
-                               const GuessEnumOptions& options,
-                               std::size_t buffer_capacity)
-    : capacity_(buffer_capacity == 0 ? 1 : buffer_capacity) {
-  producer_ = std::jthread([this, &sys, opts = options] {
-    bool complete = true;
-    GuessBuilder builder(
-        sys, opts,
-        [this](std::size_t idx, DisGuess&& g) {
-          return Push(idx, std::move(g));
-        },
-        &complete);
-    builder.Run();
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      done_ = true;
-      complete_ = complete && !cancelled_;
+                               const GuessEnumOptions& options)
+    : sys_(sys), options_(options) {}
+
+const IndexedGuess* DisGuessCursor::Next() {
+  while (!done_) {
+    const bool more = started_ ? Step() : Start();
+    started_ = true;
+    if (!more) {
+      Finish(paths_complete_);
+      break;
     }
-    can_consume_.notify_all();
-  });
-}
-
-DisGuessCursor::~DisGuessCursor() {
-  Cancel();
-  // producer_ (jthread) joins on destruction.
-}
-
-bool DisGuessCursor::Push(std::size_t index, DisGuess&& guess) {
-  std::unique_lock<std::mutex> lock(m_);
-  can_produce_.wait(lock, [this] {
-    return buffer_.size() < capacity_ || cancelled_;
-  });
-  if (cancelled_) return false;
-  buffer_.push_back(IndexedGuess{index, std::move(guess)});
-  ++produced_;
-  lock.unlock();
-  can_consume_.notify_one();
-  return true;
-}
-
-std::size_t DisGuessCursor::NextChunk(std::size_t max_chunk,
-                                      std::vector<DisGuess>* out) {
-  std::unique_lock<std::mutex> lock(m_);
-  can_consume_.wait(lock,
-                    [this] { return !buffer_.empty() || done_ || cancelled_; });
-  if (cancelled_) return 0;
-  std::size_t n = 0;
-  while (n < max_chunk && !buffer_.empty()) {
-    out->push_back(std::move(buffer_.front().guess));
-    buffer_.pop_front();
-    ++n;
+    // The odometers hold the guess at global index next_index_; one at the
+    // cap means the cap cuts the enumeration. The cap is on the global
+    // index so every shard of the same system cuts the identical prefix.
+    if (next_index_ >= options_.max_guesses) {
+      Finish(false);
+      break;
+    }
+    const std::size_t idx = next_index_++;
+    // Shard/resume filters suppress emission only: the global index keeps
+    // counting so every worker agrees on which guess is which.
+    if (options_.shard_count > 1 &&
+        idx % options_.shard_count != options_.shard_index) {
+      continue;
+    }
+    if (idx < options_.start_index) continue;
+    current_.index = idx;
+    ++produced_;
+    return &current_;
   }
-  lock.unlock();
-  can_produce_.notify_all();
-  return n;
+  return nullptr;
 }
 
 std::size_t DisGuessCursor::NextChunk(std::size_t max_chunk,
                                       std::vector<IndexedGuess>* out) {
-  std::unique_lock<std::mutex> lock(m_);
-  can_consume_.wait(lock,
-                    [this] { return !buffer_.empty() || done_ || cancelled_; });
-  if (cancelled_) return 0;
   std::size_t n = 0;
-  while (n < max_chunk && !buffer_.empty()) {
-    out->push_back(std::move(buffer_.front()));
-    buffer_.pop_front();
-    ++n;
+  for (; n < max_chunk; ++n) {
+    const IndexedGuess* g = Next();
+    if (g == nullptr) break;
+    out->push_back(*g);
   }
-  lock.unlock();
-  can_produce_.notify_all();
   return n;
 }
 
 void DisGuessCursor::Cancel() {
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    cancelled_ = true;
-    buffer_.clear();
+  if (!done_) Finish(false);
+}
+
+void DisGuessCursor::Finish(bool complete) {
+  done_ = true;
+  complete_ = complete;
+}
+
+bool DisGuessCursor::Start() {
+  const std::size_t n = sys_.dis.size();
+  paths_.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    bool all = true;
+    EnumPaths(*sys_.dis[t], sys_.dom, options_.max_guesses, paths_[t], &all);
+    if (paths_[t].empty()) {
+      // No executable path: no guess at all (unless the cap is 0).
+      paths_complete_ = all;
+      return false;
+    }
+    paths_complete_ = paths_complete_ && all;
   }
-  can_produce_.notify_all();
-  can_consume_.notify_all();
+  path_digit_.assign(n, 0);
+  current_.guess.threads.resize(n);
+  current_.guess.mem.assign(sys_.num_vars, {});
+  ChoosePaths(0);
+  return true;
 }
 
-std::size_t DisGuessCursor::produced() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return produced_;
+bool DisGuessCursor::Step() {
+  for (std::size_t k = reads_.size(); k-- > 0;) {
+    if (++reads_[k].digit < reads_[k].sources.size()) {
+      ApplyRead(reads_[k]);
+      for (std::size_t j = k + 1; j < reads_.size(); ++j) {
+        reads_[j].digit = 0;
+        ApplyRead(reads_[j]);
+      }
+      return true;
+    }
+  }
+  for (std::size_t x = merges_.size(); x-- > 0;) {
+    if (++merge_digit_[x] < merges_[x].size()) {
+      ChooseMerges(x);
+      return true;
+    }
+  }
+  for (std::size_t t = paths_.size(); t-- > 0;) {
+    if (++path_digit_[t] < paths_[t].size()) {
+      ChoosePaths(t);
+      return true;
+    }
+  }
+  return false;
 }
 
-bool DisGuessCursor::exhausted() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return cancelled_ || (done_ && buffer_.empty());
+void DisGuessCursor::ChoosePaths(std::size_t t) {
+  std::vector<ThreadGuess>& threads = current_.guess.threads;
+  for (std::size_t u = t; u < threads.size(); ++u) {
+    if (u > t) path_digit_[u] = 0;
+    threads[u] = paths_[u][path_digit_[u]];
+  }
+  // Store events per variable and per thread, in program order.
+  std::vector<std::vector<std::vector<StoreEvent>>> events(
+      sys_.num_vars, std::vector<std::vector<StoreEvent>>(threads.size()));
+  reads_.clear();
+  for (std::size_t u = 0; u < threads.size(); ++u) {
+    const Cfa& cfa = *sys_.dis[u];
+    for (std::size_t s = 0; s < threads[u].steps.size(); ++s) {
+      const GuessStep& step = threads[u].steps[s];
+      const Instr& instr = cfa.Edge(EdgeId(step.edge)).instr;
+      const bool cas = instr.kind == Instr::Kind::kCas;
+      if (step.store_pos >= 0) {
+        events[instr.var.index()][u].push_back(
+            {static_cast<int>(u), static_cast<int>(s)});
+      }
+      if (cas || instr.kind == Instr::Kind::kLoad) {
+        ReadSlot r;
+        r.thread = u;
+        r.step = s;
+        r.var = instr.var.index();
+        r.cas = cas;
+        reads_.push_back(std::move(r));
+      }
+    }
+  }
+  merges_.assign(sys_.num_vars, {});
+  for (std::size_t x = 0; x < sys_.num_vars; ++x) {
+    std::erase_if(events[x], [](const std::vector<StoreEvent>& seq) {
+      return seq.empty();
+    });
+    std::vector<std::size_t> idx(events[x].size(), 0);
+    std::vector<StoreEvent> acc;
+    EnumMerges(events[x], idx, acc, &merges_[x]);
+  }
+  merge_digit_.assign(sys_.num_vars, 0);
+  ChooseMerges(0);
 }
 
-bool DisGuessCursor::complete() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return done_ && complete_;
+void DisGuessCursor::ChooseMerges(std::size_t x) {
+  for (std::size_t y = x; y < merges_.size(); ++y) {
+    if (y > x) merge_digit_[y] = 0;
+    ApplyMerge(y);
+  }
+  for (ReadSlot& r : reads_) {
+    SetSources(r);
+    ApplyRead(r);
+  }
+}
+
+void DisGuessCursor::ApplyMerge(std::size_t x) {
+  const std::vector<StoreEvent>& order = merges_[x][merge_digit_[x]];
+  std::vector<MemCell>& cells = current_.guess.mem[x];
+  cells.resize(order.size());
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const auto [t, s] = order[p];
+    GuessStep& step = current_.guess.threads[t].steps[s];
+    step.store_pos = static_cast<int>(p) + 1;
+    const Instr& instr = sys_.dis[t]->Edge(EdgeId(step.edge)).instr;
+    // Store value: for stores rv[reg]; for CAS rv[reg2]. rv is unchanged
+    // by both, so rv_after works.
+    cells[p].val = instr.kind == Instr::Kind::kCas
+                       ? step.rv_after[instr.reg2.index()]
+                       : step.rv_after[instr.reg.index()];
+    cells[p].thread = t;
+    cells[p].step_idx = s;
+    cells[p].glued = false;
+  }
+}
+
+void DisGuessCursor::SetSources(ReadSlot& r) {
+  const GuessStep& step = current_.guess.threads[r.thread].steps[r.step];
+  const std::vector<MemCell>& cells = current_.guess.mem[r.var];
+  r.sources.clear();
+  r.digit = 0;
+  if (r.cas) {
+    // CAS on a dis message: adjacency forces the load at position p-1.
+    const int p = step.store_pos;
+    const Value below = p == 1 ? kInitValue : cells[p - 2].val;
+    if (below == step.read_value) r.sources.push_back(p - 1);
+  } else {
+    // Init message (value 0), or any dis store of the value read.
+    if (step.read_value == kInitValue) r.sources.push_back(0);
+    for (std::size_t p = 1; p <= cells.size(); ++p) {
+      if (cells[p - 1].val == step.read_value) {
+        r.sources.push_back(static_cast<int>(p));
+      }
+    }
+  }
+  // Env (for a CAS, the env clone sits directly below: no glue).
+  r.sources.push_back(kEnvSource);
+}
+
+void DisGuessCursor::ApplyRead(const ReadSlot& r) {
+  GuessStep& step = current_.guess.threads[r.thread].steps[r.step];
+  const int source = r.sources[r.digit];
+  step.read_from_env = source == kEnvSource;
+  step.read_dis_pos = source;
+  if (r.cas) {
+    current_.guess.mem[r.var][static_cast<std::size_t>(step.store_pos) - 1]
+        .glued = source != kEnvSource;
+  }
 }
 
 std::string DisGuess::ToString(const SimplSystem& sys) const {

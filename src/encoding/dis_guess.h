@@ -12,15 +12,13 @@
 // The enumerator below realises the nondeterminism by exhaustive
 // enumeration with pruning; it is exponential in the dis programs (as the
 // NP guess must be) and intended for the small instances the Datalog
-// backend is exercised on. Two front ends share one enumeration core:
-//
-//   * EnumerateDisGuesses — materializes every guess into a vector
-//     (legacy API, fine for tests and small systems);
-//   * DisGuessCursor — streams guesses in enumeration order through a
-//     bounded buffer, so consumers (the parallel verification driver)
-//     pull chunks on demand instead of holding up to max_guesses = 200'000
-//     skeletons in memory, and can cancel enumeration the moment a verdict
-//     is decided.
+// backend is exercised on. DisGuessCursor is the enumeration: a
+// resumable state machine that steps one guess at a time on the caller's
+// thread and hands it out by reference, so a consumer (the verification
+// drivers) holds one skeleton, not up to max_guesses = 200'000 of them,
+// and stops the search the moment a verdict is decided by no longer
+// asking. EnumerateDisGuesses copies the cursor's sequence into a vector
+// (tests, small systems).
 //
 // Sharding & resume: the enumeration order is deterministic, so every
 // guess has a stable *global index*. GuessEnumOptions can restrict a
@@ -34,14 +32,11 @@
 #ifndef RAPAR_ENCODING_DIS_GUESS_H_
 #define RAPAR_ENCODING_DIS_GUESS_H_
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/expected.h"
@@ -136,79 +131,113 @@ struct CursorCheckpoint {
 // Enumerates all valid dis-run guesses of `sys` (up to the cap). Register
 // effects, assumes and CAS value-matching are checked during enumeration;
 // view feasibility is left to the Datalog derivation. Sets *complete to
-// false if the cap was hit. Thin wrapper over the streaming enumeration
-// core; yields exactly the DisGuessCursor sequence.
+// false if the cap cut the enumeration. Copies the DisGuessCursor
+// sequence.
 std::vector<DisGuess> EnumerateDisGuesses(const SimplSystem& sys,
                                           const GuessEnumOptions& options,
                                           bool* complete);
 
-// One streamed guess together with its global enumeration index (stable
-// across shard/resume filters — see GuessEnumOptions).
+// One guess together with its global enumeration index (stable across
+// shard/resume filters — see GuessEnumOptions).
 struct IndexedGuess {
   std::size_t index = 0;
   DisGuess guess;
 };
 
-// Resumable streaming enumeration: produces the same guesses in the same
-// order as EnumerateDisGuesses, but on demand. A producer thread runs the
-// enumeration into a bounded buffer (backpressure keeps memory constant in
-// the guess count); NextChunk pops guesses in order. Cancel() aborts the
-// remaining enumeration — the consumer's early exit (verdict decided)
-// propagates back into the exponential search instead of letting it run
-// to the cap.
+// The guess enumeration as a resumable state machine on the caller's
+// thread. The guesses of `sys` are the states of three nested odometers,
+// most significant digit first:
 //
-// `sys` must outlive the cursor. One consumer at a time (the parallel
-// driver pulls chunks from its dispatcher thread only).
+//   * paths:  one control path per dis thread (phase A, enumerated once),
+//             thread 0 most significant;
+//   * merges: per variable, one interleaving of the chosen paths' stores
+//             on it (its final dis modification order), variable 0 first;
+//   * reads:  per load or CAS step of the chosen paths, in thread-major
+//             step order, one read source: a load reads init (only when
+//             it reads 0), then each dis position holding its value in
+//             ascending order, then env; a CAS reads the dis message glued
+//             below its own store (when that holds its value), then env.
+//
+// Next() steps the odometers and rewrites the one guess the cursor holds
+// in place: a read digit rewrites one step's source (and a CAS's glue
+// bit), a merge digit rewrites store positions and the modification order
+// and resets the read digits, a path digit re-copies a thread's path and
+// rebuilds the interleavings. Not thread-safe: one thread drives a cursor.
+//
+// `sys` must outlive the cursor.
 class DisGuessCursor {
  public:
-  DisGuessCursor(const SimplSystem& sys, const GuessEnumOptions& options,
-                 std::size_t buffer_capacity = 1024);
-  ~DisGuessCursor();
+  DisGuessCursor(const SimplSystem& sys, const GuessEnumOptions& options);
 
   DisGuessCursor(const DisGuessCursor&) = delete;
   DisGuessCursor& operator=(const DisGuessCursor&) = delete;
 
-  // Appends up to `max_chunk` guesses to *out (preserving existing
-  // elements) and returns how many were appended. Blocks while the
-  // producer is still working; 0 means the enumeration is exhausted or
-  // was cancelled.
-  std::size_t NextChunk(std::size_t max_chunk, std::vector<DisGuess>* out);
+  // The next guess this cursor emits, with its global index, or nullptr
+  // once the enumeration is exhausted or cancelled. The guess is the
+  // cursor's own: it stays valid, unchanged, until the next call to Next
+  // or NextChunk.
+  const IndexedGuess* Next();
 
-  // Same, but with each guess's global enumeration index attached — the
-  // form the sharded drivers consume.
+  // Appends copies of the next up to `max_chunk` guesses to *out
+  // (preserving existing elements) and returns how many were appended;
+  // fewer than max_chunk only at the end, 0 once exhausted or cancelled.
   std::size_t NextChunk(std::size_t max_chunk, std::vector<IndexedGuess>* out);
 
-  // Stops the producer; subsequent NextChunk calls return 0 (guesses
-  // already buffered are discarded). Idempotent, safe from any thread.
+  // Ends the enumeration: Next returns nullptr from now on. Idempotent.
   void Cancel();
 
-  // Guesses handed to the buffer so far; equals the total enumeration
-  // count once exhausted() holds.
-  std::size_t produced() const;
+  // Guesses emitted so far; equals the total enumeration count once
+  // exhausted() holds.
+  std::size_t produced() const { return produced_; }
 
-  // NextChunk has returned 0: no further guesses will arrive.
-  bool exhausted() const;
+  // Next has returned nullptr or Cancel() was called: no further guesses.
+  bool exhausted() const { return done_; }
 
-  // The enumeration ran to completion without hitting max_guesses. Only
-  // meaningful once exhausted() holds; false when Cancel() arrived while
-  // the enumeration was still running (a Cancel after completion — e.g.
-  // the parallel driver's unconditional cleanup — leaves it true).
-  bool complete() const;
+  // The enumeration ran to its end with no guess at or beyond global
+  // index max_guesses. Only meaningful once exhausted() holds; false when
+  // Cancel() came before the end (a Cancel after the end leaves it true).
+  bool complete() const { return done_ && complete_; }
 
  private:
-  // Producer side; false = cancelled.
-  bool Push(std::size_t index, DisGuess&& guess);
+  // One load or CAS step of the chosen paths and the read sources it may
+  // take under the current modification orders (a read_dis_pos each,
+  // kEnvSource for env); `digit` indexes `sources`.
+  struct ReadSlot {
+    std::size_t thread = 0;
+    std::size_t step = 0;
+    std::size_t var = 0;
+    bool cas = false;
+    std::vector<int> sources;
+    std::size_t digit = 0;
+  };
+  // One store event: (dis thread, step index).
+  using StoreEvent = std::pair<int, int>;
+  static constexpr int kEnvSource = -1;
 
-  const std::size_t capacity_;
-  mutable std::mutex m_;
-  std::condition_variable can_produce_;
-  std::condition_variable can_consume_;
-  std::deque<IndexedGuess> buffer_;
+  bool Start();  // phase A and the first guess; false if there is none
+  bool Step();   // the odometers' successor; false after the last guess
+  void ChoosePaths(std::size_t t);   // path digits t.. changed
+  void ChooseMerges(std::size_t x);  // merge digits x.. changed
+  void ApplyMerge(std::size_t x);
+  void SetSources(ReadSlot& r);
+  void ApplyRead(const ReadSlot& r);
+  void Finish(bool complete);
+
+  const SimplSystem& sys_;
+  const GuessEnumOptions options_;
+  std::vector<std::vector<ThreadGuess>> paths_;  // per dis thread
+  std::vector<std::size_t> path_digit_;
+  // Per variable: every interleaving of its store events.
+  std::vector<std::vector<std::vector<StoreEvent>>> merges_;
+  std::vector<std::size_t> merge_digit_;
+  std::vector<ReadSlot> reads_;
+  IndexedGuess current_;
+  std::size_t next_index_ = 0;  // global index of the odometers' state
   std::size_t produced_ = 0;
-  bool done_ = false;       // producer finished (exhausted or cancelled)
-  bool cancelled_ = false;
-  bool complete_ = false;   // cap not hit; valid once done_
-  std::jthread producer_;   // last member: joins before state dies
+  bool paths_complete_ = true;  // no thread had more than max_guesses paths
+  bool started_ = false;
+  bool done_ = false;
+  bool complete_ = false;
 };
 
 }  // namespace rapar

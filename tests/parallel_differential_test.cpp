@@ -14,8 +14,8 @@
 // dates from the cross-guess delta solver it once compared; DESIGN.md §13
 // records that solver's removal.)
 //
-// Also pins the streaming enumerator to the legacy vector API: a
-// DisGuessCursor must yield exactly the EnumerateDisGuesses sequence.
+// Also pins the cursor's chunked API to the vector API: NextChunk must
+// yield exactly the EnumerateDisGuesses sequence with its indices.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -256,9 +256,9 @@ TEST(ParallelDifferentialTest, CursorYieldsTheVectorSequence) {
     const std::vector<DisGuess> all =
         EnumerateDisGuesses(sys, opts, &complete);
 
-    DisGuessCursor cursor(sys, opts, /*buffer_capacity=*/64);
-    std::vector<DisGuess> streamed;
-    std::vector<DisGuess> chunk;
+    DisGuessCursor cursor(sys, opts);
+    std::vector<IndexedGuess> streamed;
+    std::vector<IndexedGuess> chunk;
     // Ragged chunk sizes so chunk boundaries move around.
     std::size_t want = 1;
     for (;;) {
@@ -266,7 +266,7 @@ TEST(ParallelDifferentialTest, CursorYieldsTheVectorSequence) {
       const std::size_t n = cursor.NextChunk(want, &chunk);
       if (n == 0) break;
       ASSERT_LE(n, want) << bench.name;
-      for (DisGuess& g : chunk) streamed.push_back(std::move(g));
+      for (IndexedGuess& g : chunk) streamed.push_back(std::move(g));
       want = want % 7 + 1;
     }
     ASSERT_TRUE(cursor.exhausted()) << bench.name;
@@ -274,21 +274,21 @@ TEST(ParallelDifferentialTest, CursorYieldsTheVectorSequence) {
     EXPECT_EQ(cursor.produced(), all.size()) << bench.name;
     ASSERT_EQ(streamed.size(), all.size()) << bench.name;
     for (std::size_t i = 0; i < all.size(); ++i) {
-      ASSERT_EQ(streamed[i].ToString(sys), all[i].ToString(sys))
+      ASSERT_EQ(streamed[i].index, i) << bench.name;
+      ASSERT_EQ(streamed[i].guess.ToString(sys), all[i].ToString(sys))
           << bench.name << " guess " << i;
     }
   }
 }
 
 TEST(ParallelDifferentialTest, CursorCancelStopsProduction) {
-  // peterson-ra has 29 guesses; with a buffer of 4 and 2 consumed the
-  // producer is still blocked mid-enumeration when Cancel() lands, so
-  // complete() is deterministically false.
+  // peterson-ra has 29 guesses; with 2 consumed the enumeration is
+  // mid-way when Cancel() lands, so complete() is false.
   BenchmarkCase bench = PetersonRa();
   const SimplSystem& sys = bench.system.simpl();
   GuessEnumOptions opts;
-  DisGuessCursor cursor(sys, opts, /*buffer_capacity=*/4);
-  std::vector<DisGuess> chunk;
+  DisGuessCursor cursor(sys, opts);
+  std::vector<IndexedGuess> chunk;
   ASSERT_GT(cursor.NextChunk(2, &chunk), 0u);
   cursor.Cancel();
   chunk.clear();

@@ -207,7 +207,7 @@ TEST(ShardParityTest, ShardsPartitionTheEnumeration) {
   GuessEnumOptions opts;
 
   const auto stream = [&sys](const GuessEnumOptions& o) {
-    DisGuessCursor cursor(sys, o, /*buffer_capacity=*/64);
+    DisGuessCursor cursor(sys, o);
     std::vector<IndexedGuess> all;
     std::vector<IndexedGuess> chunk;
     while (cursor.NextChunk(16, &chunk) != 0) {
@@ -243,7 +243,7 @@ TEST(ShardParityTest, ResumeCursorYieldsExactlyTheRemainingSequence) {
   BenchmarkCase bench = PetersonRa();
   const SimplSystem& sys = bench.system.simpl();
   GuessEnumOptions opts;
-  DisGuessCursor full_cursor(sys, opts, /*buffer_capacity=*/64);
+  DisGuessCursor full_cursor(sys, opts);
   std::vector<IndexedGuess> full;
   std::vector<IndexedGuess> chunk;
   while (full_cursor.NextChunk(16, &chunk) != 0) {
@@ -254,7 +254,7 @@ TEST(ShardParityTest, ResumeCursorYieldsExactlyTheRemainingSequence) {
   for (const std::size_t start : {std::size_t{5}, std::size_t{17}}) {
     GuessEnumOptions ro = opts;
     ro.start_index = start;
-    DisGuessCursor cursor(sys, ro, /*buffer_capacity=*/64);
+    DisGuessCursor cursor(sys, ro);
     std::vector<IndexedGuess> tail;
     chunk.clear();
     while (cursor.NextChunk(16, &chunk) != 0) {
