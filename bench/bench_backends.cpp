@@ -7,8 +7,10 @@
 //
 // --json[=PATH] additionally writes the parallel-scaling table as JSON
 // (default PATH: BENCH_parallel.json) for CI artifact upload.
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -219,16 +221,19 @@ void PrintIndexAblation() {
 // counts must be bit-identical at every thread count (the determinism
 // rule of encoding/datalog_verifier.h); only the wall clock may change.
 // Safe instances are the interesting regime — every guess must be solved,
-// so the fan-out has real work to steal. With --json the rows are also
-// written to a JSON file for CI artifact upload.
+// so the fan-out has real work to steal. Each cell is timed kRuns times
+// and reported as the median with its range: the instances take 0.4-30
+// ms, where one timing can be several times another. With --json the
+// rows are also written to a JSON file for CI artifact upload.
 void PrintParallelScaling(const char* json_path) {
+  constexpr int kRuns = 5;
   Header("parallel scaling on the Datalog backend (worker threads)");
   std::printf("hardware threads: %u\n",
               std::thread::hardware_concurrency());
-  Row({"instance", "threads", "ms", "speedup", "verdict", "tuples",
-       "parity"},
+  Row({"instance", "threads", "median ms", "min-max ms", "speedup",
+       "verdict", "tuples", "parity"},
       13);
-  Rule(7, 13);
+  Rule(8, 13);
   auto fmt = [](double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.2f", v);
@@ -247,7 +252,7 @@ void PrintParallelScaling(const char* json_path) {
     opts.backend = Backend::kDatalog;
     opts.time_budget_ms = 60'000;
     opts.max_guesses = 30'000;
-    Verdict base;
+    std::optional<Verdict> base;
     double base_ms = 0;
     json += StrCat(first_workload ? "" : ",", "\n    {\"name\": \"", name,
                    "\", \"results\": [");
@@ -256,29 +261,36 @@ void PrintParallelScaling(const char* json_path) {
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
       opts.datalog.threads = threads;
       Verdict v;
-      const double ms = TimeMs([&] {
-        v = verifier.Run(goal, opts);
-      });
-      if (threads == 1) {
-        base = v;
-        base_ms = ms;
+      std::vector<double> runs_ms;
+      // The determinism contract, checked on every run: identical
+      // verdict, witness and aggregate statistics vs the first run at
+      // --threads=1.
+      bool parity = true;
+      for (int run = 0; run < kRuns; ++run) {
+        runs_ms.push_back(TimeMs([&] { v = verifier.Run(goal, opts); }));
+        if (!base.has_value()) base = v;
+        parity = parity && v.result == base->result &&
+                 v.witness == base->witness &&
+                 v.guesses() == base->guesses() &&
+                 v.tuples() == base->tuples() &&
+                 v.rule_firings() == base->rule_firings();
       }
-      // The determinism contract, checked on every row: identical
-      // verdict, witness and aggregate statistics vs --threads=1.
-      const bool parity = v.result == base.result &&
-                          v.witness == base.witness &&
-                          v.guesses() == base.guesses() &&
-                          v.tuples() == base.tuples() &&
-                          v.rule_firings() == base.rule_firings();
+      std::sort(runs_ms.begin(), runs_ms.end());
+      const double ms = runs_ms[kRuns / 2];
+      if (threads == 1) base_ms = ms;
       const double speedup = ms > 0 ? base_ms / ms : 0.0;
       const char* verdict =
           v.unsafe() ? "UNSAFE" : (v.safe() ? "SAFE" : "unknown");
       Row({threads == 1 ? name : "", std::to_string(threads), fmt(ms),
+           StrCat(fmt(runs_ms.front()), "-", fmt(runs_ms.back())),
            StrCat(fmt(speedup), "x"), verdict, std::to_string(v.tuples()),
            parity ? "ok" : "MISMATCH"},
           13);
       json += StrCat(first_row ? "" : ",", "\n      {\"threads\": ",
                      threads, ", \"ms\": ", fmt(ms),
+                     ", \"ms_min\": ", fmt(runs_ms.front()),
+                     ", \"ms_max\": ", fmt(runs_ms.back()),
+                     ", \"runs\": ", kRuns,
                      ", \"speedup\": ", fmt(speedup), ", \"verdict\": \"",
                      verdict, "\", \"tuples\": ", v.tuples(),
                      ", \"parity\": ", parity ? "true" : "false", "}");
@@ -301,9 +313,11 @@ void PrintParallelScaling(const char* json_path) {
         std::make_pair(q.goal_var, q.goal_value));
   }
   std::printf(
-      "(speedup = ms(threads=1) / ms; parity checks verdict, witness and "
-      "aggregate statistics against the serial run — 'ok' means "
-      "bit-identical)\n");
+      "(median and range of %d runs per cell; speedup = median "
+      "ms(threads=1) / median ms; parity checks every run's verdict, "
+      "witness and aggregate statistics against the first serial run — "
+      "'ok' means bit-identical)\n",
+      kRuns);
 
   json += "\n  ]\n}\n";
   if (json_path != nullptr) {

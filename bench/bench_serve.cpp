@@ -1,9 +1,8 @@
 // Serve-mode load generator: the standard benchmark catalog replayed
 // against a ServeSession in three regimes —
-//   cold: a fresh session per request (cold engine arena, empty cache),
-//   warm: one long-lived session with the verdict cache disabled (the
-//         datalog arena stays warm across requests, every request still
-//         runs the pipeline),
+//   cold: a fresh session per request (empty cache),
+//   warm: one long-lived session with the verdict cache disabled (every
+//         request still runs the whole pipeline, on engines of its own),
 //   hit:  one long-lived session with the cache on, second pass (every
 //         request replays the memoized envelope).
 // Every regime's verdict is checked against a one-shot SafetyVerifier
@@ -40,8 +39,7 @@ serve::ServeOptions SessionOpts(std::size_t cache_entries) {
   return o;
 }
 
-// One request line per catalog instance, datalog backend (the backend
-// whose arena the warm regime reuses).
+// One request line per catalog instance, datalog backend.
 std::string RequestLine(const BenchmarkCase& bench) {
   JsonWriter w;
   w.BeginObject();
@@ -85,9 +83,8 @@ void RunLoadGenerator(const char* json_path) {
   std::vector<BenchmarkCase> suite = StandardBenchmarks();
   std::vector<InstanceResult> results;
 
-  // Long-lived sessions: `warm` keeps the engine arena but re-runs the
-  // pipeline every time; `cached` answers the second pass from the
-  // verdict cache.
+  // Long-lived sessions: `warm` re-runs the pipeline every time;
+  // `cached` answers the second pass from the verdict cache.
   serve::ServeSession warm(SessionOpts(/*cache_entries=*/0));
   serve::ServeSession cached(SessionOpts(/*cache_entries=*/1024));
 
@@ -115,7 +112,7 @@ void RunLoadGenerator(const char* json_path) {
     r.verdict = VerdictOf(response);
     r.parity = r.verdict == oracle;
 
-    // warm: one priming call, then timed repetitions on the live arena.
+    // warm: one priming call, then timed repetitions on the live session.
     warm.HandleLine(line);
     for (int rep = 0; rep < kReps; ++rep) {
       const double ms = TimeMs([&] { response = warm.HandleLine(line); });
@@ -205,7 +202,7 @@ void BM_ServeWarmMiss(benchmark::State& state) {
   std::vector<BenchmarkCase> suite = StandardBenchmarks();
   serve::ServeSession session(SessionOpts(/*cache_entries=*/0));
   const std::string line = RequestLine(suite[0]);
-  session.HandleLine(line);  // warm the arena
+  session.HandleLine(line);  // prime the session
   for (auto _ : state) {
     benchmark::DoNotOptimize(session.HandleLine(line));
   }

@@ -29,8 +29,8 @@
 // serve runs the long-lived verification daemon (core/serve.h): one JSON
 // request per stdin line, one result envelope per stdout line (or a
 // {"requests":[...]} batch per line, answered as {"responses":[...]}),
-// with a persistent worker pool, warm per-worker Datalog engines and a
-// content-addressed verdict cache. EOF on stdin shuts it down (exit 0).
+// with a persistent worker pool and a content-addressed verdict cache.
+// EOF on stdin shuts it down (exit 0).
 // verify/mg with --backend=datalog additionally support multi-process
 // sharding of the guess scan (--shards=N spawns one subprocess per
 // residue class of the enumeration and merges the envelopes under

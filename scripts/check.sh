@@ -17,8 +17,9 @@ fi
 
 # The full suite under ASan+UBSan, plus libstdc++'s _GLIBCXX_ASSERTIONS
 # bounds checks (RAPAR_SANITIZE in CMakeLists.txt): an out-of-range []
-# on a std::vector — the engine's binding frame, its dispatch buckets —
-# aborts even where ASan sees a valid address. The suite includes the
+# on a std::vector — the engine's binding frame, its dispatch buckets,
+# its duplicate-table slots and index chains — aborts even where ASan
+# sees a valid address. The suite includes the
 # TMAI soundness differentials (small-set, relational and auto domains
 # vs the exact Datalog backend, plus certificate checking on the
 # catalog) — the pair-set/value-set indexing they exercise is exactly
@@ -32,16 +33,18 @@ ctest --preset asan-ubsan -j "$jobs"
 # guess enumeration runs on the dispatching thread) and the engine it
 # fans out, raced under TSan, plus the portfolio driver (TMAI prepass under the kAuto
 # domain — small-set plus the relational retry — then simplified vs
-# Datalog on a shared CancellationToken), and the goal-skip suite, whose
-# four-thread runs exercise the dispatcher's skipped and shared guesses.
+# Datalog on a shared CancellationToken), the goal-skip suite, whose
+# four-thread runs exercise the dispatcher's skipped and shared guesses,
+# and the serve session, whose pooled misses run the pipeline
+# concurrently with no lock around it.
 # Only the concurrency-relevant suites are built: the rest of the tree is
 # single-threaded and covered by the presets above.
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target parallel_differential_test datalog_index_differential_test \
-  tmai_soundness_test shard_parity_test goal_skip_test
+  tmai_soundness_test shard_parity_test goal_skip_test serve_test
 ctest --preset tsan \
-  -R 'ParallelDifferential|IndexDifferential|TmaiPortfolio|ShardParity|GoalSkip' \
+  -R 'ParallelDifferential|IndexDifferential|TmaiPortfolio|ShardParity|GoalSkip|ServeTest' \
   -j "$jobs"
 
 # Optional (CHECK_BENCH=1): reproduce the bench_backends tables and gate

@@ -28,7 +28,6 @@
 #include "core/param_system.h"
 #include "core/result_json.h"
 #include "core/verifier.h"
-#include "datalog/engine.h"
 #include "lang/parser.h"
 #include "obs/telemetry.h"
 #include "tmai/certcheck.h"
@@ -442,13 +441,6 @@ bool Definitive(const Verdict& v) {
   return v.result != Verdict::Result::kUnknown && v.stopped_phase.empty();
 }
 
-// Which warm-engine slot the calling thread owns. ThreadPool's worker
-// index is a process-wide thread_local, so a worker of some *other* pool
-// would alias our slots; Run()'s task wrapper tags its own workers with
-// the session they serve instead, and everyone else shares slot 0.
-thread_local const void* tl_serve_session = nullptr;
-thread_local int tl_serve_slot = 0;
-
 }  // namespace
 
 // --- session ----------------------------------------------------------------
@@ -461,9 +453,6 @@ struct ServeSession::Impl {
       if (threads == 0) threads = 1;
     }
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    // One warm engine per pool worker, plus slot 0 for calls from
-    // non-worker threads (serialized by slot0_m).
-    engines.resize((pool != nullptr ? pool->size() : 0) + 1);
   }
 
   struct CacheEntry {
@@ -545,14 +534,8 @@ struct ServeSession::Impl {
     evictions.fetch_add(1, std::memory_order_relaxed);
   }
 
-  dl::Engine* WarmEngine(int slot) {
-    return &engines[static_cast<std::size_t>(slot)];
-  }
-
   ServeOptions options;
   std::unique_ptr<ThreadPool> pool;
-  std::vector<dl::Engine> engines;
-  std::mutex slot0_m;  // serializes non-worker use of engines[0]
 
   std::mutex cache_m;
   std::list<CacheEntry> lru;  // front = most recently used
@@ -757,23 +740,12 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     }
   }
 
-  // --- miss: run the pipeline on a warm engine ---
+  // --- miss: run the pipeline ---
   im.misses.fetch_add(1, std::memory_order_relaxed);
   std::string rendered;
   try {
-    const int slot = tl_serve_session == &im ? tl_serve_slot : 0;
-    // Pool workers own their slot outright (one task at a time);
-    // everyone else shares slot 0 behind a lock.
-    std::unique_lock<std::mutex> slot0_lock;
-    if (slot == 0) {
-      slot0_lock = std::unique_lock<std::mutex>(im.slot0_m);
-    }
-    VerifierOptions vopts = req.vopts;
-    vopts.datalog.warm_engine = im.WarmEngine(slot);
-
     SafetyVerifier verifier(sys.value());
-    Verdict v = verifier.Run(goal, vopts);
-    if (slot0_lock.owns_lock()) slot0_lock.unlock();
+    Verdict v = verifier.Run(goal, req.vopts);
     v.telemetry.SetGauge(obs::metric::kPhaseParseMs, parse_ms);
 
     // Memoize before stamping: the stored verdict carries no
@@ -781,7 +753,6 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     VerifierOptions stored_opts = req.vopts;
     stored_opts.cancel = nullptr;
     stored_opts.obs.trace = nullptr;
-    stored_opts.datalog.warm_engine = nullptr;
 
     extras.cache = "miss";
     Verdict stamped = v;
@@ -883,8 +854,6 @@ void ServeSession::Run(std::istream& in, std::ostream& out) {
       window.push_back(slot);
     }
     impl_->pool->Submit([this, slot, &m, &cv] {
-      tl_serve_session = impl_.get();
-      tl_serve_slot = ThreadPool::CurrentWorkerIndex() + 1;
       std::string response;
       try {
         response = HandleLine(slot->line);

@@ -2,8 +2,7 @@
 //
 // A ServeSession reads newline-delimited JSON requests (one verify/mg
 // request per line), dispatches them onto a persistent work-stealing
-// ThreadPool whose workers keep one dl::Engine arena warm across
-// requests, and answers each with the standard versioned result envelope
+// ThreadPool, and answers each with the standard versioned result envelope
 // (core/result_json.h) on a single line — the same schema one-shot
 // `rapar_cli verify --format=json` emits, plus three serve-only fields
 // (`id` echo, `fingerprint`, `cache`).
@@ -87,8 +86,7 @@ namespace rapar::serve {
 
 struct ServeOptions {
   // Worker threads for the request pool. 0 = hardware concurrency;
-  // 1 = no pool, requests handled inline on the caller's thread. Each
-  // worker owns a warm dl::Engine reused across the requests it serves.
+  // 1 = no pool, requests handled inline on the caller's thread.
   unsigned threads = 0;
   // Verdict-cache bounds: maximum resident entries and an approximate
   // resident-bytes ceiling (canonical key + stored verdict). Either

@@ -362,7 +362,6 @@ Verdict RunDatalog(const ParamSystem& system,
   opts.engine = options.datalog.engine;
   opts.threads = options.datalog.threads;
   opts.batch_size = options.datalog.batch_size;
-  opts.warm_engine = options.datalog.warm_engine;
   opts.time_budget_ms = options.time_budget_ms;
   opts.trace = options.obs.trace;
   opts.cancel = options.cancel;

@@ -82,12 +82,6 @@ struct DatalogBackendOptions {
   // Guesses per work unit the parallel dispatcher pulls from the
   // enumerator (threads != 1); the serial loop pulls one at a time.
   std::size_t batch_size = 32;
-  // Borrowed warm engine for the serial path (threads == 1): arena and
-  // interned-fact reuse across Verify calls instead of a cold engine per
-  // request. Used by the serve daemon (core/serve.h), which keeps one
-  // engine per pool worker alive across requests. Ignored when
-  // threads != 1 — the parallel driver owns one engine per worker.
-  dl::Engine* warm_engine = nullptr;
   // ---- Sharding / checkpoint / resume (DESIGN.md §14) ----
   // Stride sharding of the guess enumeration: this run scans exactly the
   // global indices ≡ shard_index (mod shard_count). The default (0 of 1)

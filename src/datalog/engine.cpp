@@ -5,28 +5,23 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 namespace rapar::dl {
 
 // --- database ---------------------------------------------------------------
 
-// The slot table takes the low bits of a tuple's hash, and after
-// HashCombine those barely depend on the high bits of a cell, which is
-// where a packed view word (encoding/makep.h) differs: without the
-// SplitMix64 finalizer, linear probing clusters.
-std::size_t Database::HashTuple(const std::vector<Sym>& tuple) {
-  std::size_t h = 0x12345678;
-  for (const Sym s : tuple) HashCombine(h, s);
-  return SplitMix64(h);
+std::size_t Database::Hash(const std::vector<Sym>& tuple) {
+  TupleHash h;
+  for (const Sym s : tuple) h.Add(s);
+  return h.Value();
 }
 
 std::size_t Database::HashCells(const Ext& e, std::size_t ti) {
-  std::size_t h = 0x12345678;
+  TupleHash h;
   const Sym* row = e.pool.data() + ti * e.arity;
-  for (std::size_t c = 0; c < e.arity; ++c) HashCombine(h, row[c]);
-  return SplitMix64(h);
+  for (std::size_t c = 0; c < e.arity; ++c) h.Add(row[c]);
+  return h.Value();
 }
 
 bool Database::CellsEqual(const Ext& e, std::size_t ti,
@@ -38,19 +33,46 @@ bool Database::CellsEqual(const Ext& e, std::size_t ti,
   return true;
 }
 
+std::uint32_t Database::SlotOf(std::size_t hash, std::size_t mask,
+                               std::size_t ti) {
+  return (static_cast<std::uint32_t>(hash >> 32) &
+          ~static_cast<std::uint32_t>(mask)) |
+         static_cast<std::uint32_t>(ti + 1);
+}
+
 void Database::RebuildSlots(Ext& e) {
   std::size_t cap = e.slots.size() < 16 ? 16 : e.slots.size();
-  while (cap * 7 < (e.n + 1) * 8) cap <<= 1;
+  while (cap < (e.n + 1) * 2) cap <<= 1;
   e.slots.assign(cap, kEmptySlot);
   const std::size_t mask = cap - 1;
   for (std::size_t ti = 0; ti < e.n; ++ti) {
-    std::size_t i = HashCells(e, ti) & mask;
+    const std::size_t hash = HashCells(e, ti);
+    std::size_t i = hash & mask;
     while (e.slots[i] != kEmptySlot) i = (i + 1) & mask;
-    e.slots[i] = static_cast<std::uint32_t>(ti);
+    e.slots[i] = SlotOf(hash, mask, ti);
   }
 }
 
-bool Database::Insert(PredId pred, const std::vector<Sym>& tuple) {
+// At load a, linear probing costs about (1 + 1/(1-a))/2 probes for a hit
+// and (1 + 1/(1-a)^2)/2 for a miss: 1.5 and 2.5 at the half load kept
+// here, 4.5 and 32.5 at 7/8. Most emissions are duplicates. A probe
+// reads the pool only when the slot's hash bits match.
+std::size_t Database::FindSlot(const Ext& e, const std::vector<Sym>& tuple,
+                               std::size_t hash) {
+  const std::size_t mask = e.slots.size() - 1;
+  const std::uint32_t id_mask = static_cast<std::uint32_t>(mask);
+  const std::uint32_t bits = SlotOf(hash, mask, 0) & ~id_mask;
+  std::size_t i = hash & mask;
+  for (std::uint32_t s; (s = e.slots[i]) != kEmptySlot; i = (i + 1) & mask) {
+    if ((s & ~id_mask) == bits && CellsEqual(e, (s & id_mask) - 1, tuple)) {
+      break;
+    }
+  }
+  return i;
+}
+
+bool Database::Insert(PredId pred, const std::vector<Sym>& tuple,
+                      std::size_t hash) {
   Ext& e = exts_[pred];
   if (e.n == 0 && e.arity != tuple.size()) {
     // First tuple since the last reset: adopt this arity.
@@ -58,15 +80,12 @@ bool Database::Insert(PredId pred, const std::vector<Sym>& tuple) {
     e.pool.clear();
   }
   assert(e.arity == tuple.size() && "tuple arity mismatch");
-  // Grow at ~7/8 load (also covers the empty table).
-  if ((e.n + 1) * 8 > e.slots.size() * 7) RebuildSlots(e);
-  const std::size_t mask = e.slots.size() - 1;
-  std::size_t i = HashTuple(tuple) & mask;
-  while (e.slots[i] != kEmptySlot) {
-    if (CellsEqual(e, e.slots[i], tuple)) return false;
-    i = (i + 1) & mask;
-  }
-  e.slots[i] = static_cast<std::uint32_t>(e.n);
+  assert(hash == Hash(tuple) && "hash is not the tuple's TupleHash");
+  // Grow at half load (also covers the empty table).
+  if ((e.n + 1) * 2 > e.slots.size()) RebuildSlots(e);
+  const std::size_t i = FindSlot(e, tuple, hash);
+  if (e.slots[i] != kEmptySlot) return false;
+  e.slots[i] = SlotOf(hash, e.slots.size() - 1, e.n);
   e.pool.insert(e.pool.end(), tuple.begin(), tuple.end());
   ++e.n;
   return true;
@@ -76,13 +95,7 @@ bool Database::Contains(PredId pred, const std::vector<Sym>& tuple) const {
   const Ext& e = exts_[pred];
   if (e.n == 0 || e.slots.empty()) return false;
   if (e.arity != tuple.size()) return false;
-  const std::size_t mask = e.slots.size() - 1;
-  std::size_t i = HashTuple(tuple) & mask;
-  while (e.slots[i] != kEmptySlot) {
-    if (CellsEqual(e, e.slots[i], tuple)) return true;
-    i = (i + 1) & mask;
-  }
-  return false;
+  return e.slots[FindSlot(e, tuple, Hash(tuple))] != kEmptySlot;
 }
 
 void Database::Row(PredId pred, std::size_t ti, std::vector<Sym>* out) const {
@@ -177,21 +190,94 @@ bool Match(const std::vector<Term>& pattern, const Row& tuple, Bindings& env) {
 // --- reusable evaluator state -----------------------------------------------
 
 // A lazy index over one predicate's extension for one bound-position
-// signature (bit i set = argument i is a lookup key), grouping tuple ids
-// into per-key buckets in ascending tuple id. `consumed` counts how many
-// tuples of the extension have been folded in; probes catch the index up
+// signature (bit i set = argument i is a lookup key). `keys` is a
+// linear-probing table of the distinct keys, at most half full; a key is
+// compared against its first tuple in the pool, so no key is stored.
+// Each key's tuples are linked in ascending id through `next`, which
+// has one entry per tuple folded in so far; probes catch the index up
 // incrementally before reading, so emission stays O(1) and only
 // signatures a join actually demands are ever built.
 struct ArgIndex {
-  std::size_t consumed = 0;
-  std::unordered_map<std::vector<Sym>, std::vector<std::uint32_t>,
-                     rapar::VectorHash<Sym>>
-      buckets;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  struct Key {
+    std::uint32_t head = kNone;  // first tuple id; kNone = empty slot
+    std::uint32_t tail = kNone;  // last tuple id
+    std::uint32_t count = 0;     // tuples in the chain
+  };
+
+  explicit ArgIndex(std::uint64_t m) : mask(m) {
+    for (std::uint32_t i = 0; m != 0; m >>= 1, ++i) {
+      if (m & 1) pos.push_back(i);
+    }
+  }
 
   void Clear() {
-    consumed = 0;
-    buckets.clear();
+    num_keys = 0;
+    std::fill(keys.begin(), keys.end(), Key{});
+    next.clear();
   }
+
+  // The key table slot of the key whose j-th bound value is `val(j)`
+  // (hashed to `hash`), or the empty slot where it would go.
+  template <typename Val>
+  std::size_t Find(const Database& db, PredId pred, Val val,
+                   std::size_t hash) const {
+    const std::size_t m = keys.size() - 1;
+    std::size_t i = hash & m;
+    for (; keys[i].head != kNone; i = (i + 1) & m) {
+      const Sym* rep = db.At(pred, keys[i].head);
+      std::size_t j = 0;
+      while (j < pos.size() && rep[pos[j]] == val(j)) ++j;
+      if (j == pos.size()) break;
+    }
+    return i;
+  }
+
+  std::size_t HashOf(const Sym* row) const {
+    TupleHash h;
+    for (const std::uint32_t p : pos) h.Add(row[p]);
+    return h.Value();
+  }
+
+  // Folds tuples [next.size(), n) into their keys' chains.
+  void CatchUp(const Database& db, PredId pred, std::size_t n) {
+    for (std::size_t ti = next.size(); ti < n; ++ti) {
+      if ((num_keys + 1) * 2 > keys.size()) Grow(db, pred);
+      const Sym* row = db.At(pred, ti);
+      Key& k = keys[Find(
+          db, pred, [&](std::size_t j) { return row[pos[j]]; },
+          HashOf(row))];
+      const auto id = static_cast<std::uint32_t>(ti);
+      if (k.head == kNone) {
+        k.head = id;
+        ++num_keys;
+      } else {
+        next[k.tail] = id;
+      }
+      k.tail = id;
+      ++k.count;
+      next.push_back(kNone);
+    }
+  }
+
+  // Doubles the key table (16 slots at first) and re-places every key.
+  void Grow(const Database& db, PredId pred) {
+    std::vector<Key> old(keys.empty() ? 16 : keys.size() * 2);
+    old.swap(keys);
+    const std::size_t m = keys.size() - 1;
+    for (const Key& k : old) {
+      if (k.head == kNone) continue;
+      std::size_t i = HashOf(db.At(pred, k.head)) & m;
+      while (keys[i].head != kNone) i = (i + 1) & m;
+      keys[i] = k;
+    }
+  }
+
+  const std::uint64_t mask;
+  std::vector<std::uint32_t> pos;  // the set bits of `mask`, ascending
+  std::size_t num_keys = 0;
+  std::vector<Key> keys;
+  std::vector<std::uint32_t> next;  // per tuple id: the next with its key
 };
 
 // Where a popped tuple of one predicate is joined: the body occurrences
@@ -226,10 +312,11 @@ struct EvaluatorArena {
   std::vector<std::pair<Sym, std::uint32_t>> dispatch_sort;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> dispatch_occ;
   std::vector<std::uint32_t> max_var;  // per rule
-  // pred -> signature mask -> index.
-  std::vector<std::unordered_map<std::uint64_t, ArgIndex>> indexes;
+  // pred -> its indexes, one per signature mask in the order first
+  // probed. Heap-allocated so a probe's index stays put while a deeper
+  // probe adds one to the same predicate.
+  std::vector<std::vector<std::unique_ptr<ArgIndex>>> indexes;
   Bindings env;
-  std::vector<std::vector<std::uint32_t>> scratch;  // per join depth
   std::vector<Sym> keybuf;
   std::vector<std::uint32_t> order_buf;
   std::vector<char> picked;
@@ -311,17 +398,14 @@ class Evaluator {
     a_.rule_index.resize(np);
     for (auto& v : a_.rule_index) v.clear();
     a_.max_var.clear();
-    std::size_t max_body = 1;
     for (std::size_t ri = 0; ri < prog_.rules().size(); ++ri) {
       const Rule& r = prog_.rules()[ri];
       a_.max_var.push_back(static_cast<std::uint32_t>(NumVars(r)));
-      if (r.body.size() > max_body) max_body = r.body.size();
       for (std::size_t bi = 0; bi < r.body.size(); ++bi) {
         a_.rule_index[r.body[bi].pred].push_back(
             {static_cast<std::uint32_t>(ri), static_cast<std::uint32_t>(bi)});
       }
     }
-    if (a_.scratch.size() < max_body) a_.scratch.resize(max_body);
     a_.dispatch.resize(np);
     for (std::size_t p = 0; p < np; ++p) SetUpDispatch(static_cast<PredId>(p));
     a_.indexes.resize(np);
@@ -441,8 +525,8 @@ class Evaluator {
         total_tuples_ += a_.base_counts[p];
         // Indexes that consumed derived tuples are stale; EDB-only
         // indexes (consumed within the fact snapshot) survive rollback.
-        for (auto& [mask, ix] : a_.indexes[p]) {
-          if (ix.consumed > a_.base_counts[p]) ix.Clear();
+        for (auto& ix : a_.indexes[p]) {
+          if (ix->next.size() > a_.base_counts[p]) ix->Clear();
         }
       }
       // Replay the fresh seeding's exact worklist order.
@@ -462,7 +546,7 @@ class Evaluator {
     a_.facts_valid = false;
     a_.db.Reset(np);
     for (auto& per_pred : a_.indexes) {
-      for (auto& [mask, ix] : per_pred) ix.Clear();
+      for (auto& ix : per_pred) ix->Clear();
     }
     total_tuples_ = 0;
     seeding_firings_ = 0;
@@ -565,17 +649,24 @@ class Evaluator {
     if (options_.engine.use_index && atom.args.size() <= 64) {
       std::uint64_t mask = 0;
       a_.keybuf.clear();
+      TupleHash key_hash;
       for (std::size_t i = 0; i < atom.args.size(); ++i) {
         const Term& t = atom.args[i];
+        Sym v;
         if (t.kind == Term::Kind::kConst) {
-          mask |= std::uint64_t{1} << i;
-          a_.keybuf.push_back(t.val);
+          v = t.val;
         } else if (a_.env.Bound(t.val)) {
-          mask |= std::uint64_t{1} << i;
-          a_.keybuf.push_back(a_.env.Get(t.val));
+          v = a_.env.Get(t.val);
+        } else {
+          continue;
         }
+        mask |= std::uint64_t{1} << i;
+        a_.keybuf.push_back(v);
+        key_hash.Add(v);
       }
-      if (mask != 0) return ProbeIndexed(r, oi, atom, mask, n);
+      if (mask != 0) {
+        return ProbeIndexed(r, oi, atom, mask, key_hash.Value(), n);
+      }
     }
     for (std::size_t ti = 0; ti < n; ++ti) {
       if (stats_ != nullptr) ++stats_->join_attempts;
@@ -589,37 +680,23 @@ class Evaluator {
   }
 
   // Indexed probe: candidates come from the (pred, mask) index keyed by
-  // the bound argument values in `keybuf` instead of a full scan.
+  // the bound argument values in `keybuf` (hashed to `hash`) instead of a
+  // full scan. The walk stops at `n`: deeper probes may catch the index
+  // up and extend this chain past the snapshot.
   bool ProbeIndexed(const Rule& r, std::size_t oi, const Atom& atom,
-                    std::uint64_t mask, std::size_t n) {
-    auto [it, fresh] = a_.indexes[atom.pred].try_emplace(mask);
-    ArgIndex& ix = it->second;
-    if (fresh && stats_ != nullptr) ++stats_->index_builds;
-    // Catch the index up over tuples emitted since the last probe.
-    if (ix.consumed < n) {
-      for (std::size_t ti = ix.consumed; ti < n; ++ti) {
-        catchup_key_.clear();
-        const Sym* tup = a_.db.At(atom.pred, ti);
-        std::size_t i = 0;
-        for (std::uint64_t m = mask; m != 0; m >>= 1, ++i) {
-          if (m & 1) catchup_key_.push_back(tup[i]);
-        }
-        ix.buckets[catchup_key_].push_back(static_cast<std::uint32_t>(ti));
-      }
-      ix.consumed = n;
-    }
+                    std::uint64_t mask, std::size_t hash, std::size_t n) {
+    ArgIndex& ix = IndexFor(atom.pred, mask);
+    if (ix.next.size() < n) ix.CatchUp(a_.db, atom.pred, n);
     if (stats_ != nullptr) ++stats_->index_probes;
-    const auto bucket = ix.buckets.find(a_.keybuf);
-    if (bucket == ix.buckets.end()) return false;
-    // Copy the candidate list: recursion below may rehash the bucket map
-    // (deeper probes catch up the same index) or grow this bucket.
-    std::vector<std::uint32_t>& cands = a_.scratch[oi];
-    cands.clear();
-    for (const std::uint32_t ti : bucket->second) {
-      if (ti < n) cands.push_back(ti);
-    }
-    if (stats_ != nullptr) stats_->index_hits += cands.size();
-    for (const std::uint32_t ti : cands) {
+    if (ix.num_keys == 0) return false;  // the key table may not exist yet
+    // A copy: deeper probes may regrow the key table.
+    const ArgIndex::Key key = ix.keys[ix.Find(
+        a_.db, atom.pred, [&](std::size_t j) { return a_.keybuf[j]; },
+        hash)];
+    if (key.head == ArgIndex::kNone) return false;
+    // Caught up to n, the chain holds exactly the candidates below n.
+    if (stats_ != nullptr) stats_->index_hits += key.count;
+    for (std::uint32_t ti = key.head; ti < n; ti = ix.next[ti]) {
       if (stats_ != nullptr) ++stats_->join_attempts;
       const std::size_t mark = a_.env.Mark();
       if (Match(atom.args, a_.db.At(atom.pred, ti), a_.env)) {
@@ -628,6 +705,17 @@ class Evaluator {
       a_.env.Undo(mark);
     }
     return false;
+  }
+
+  // The predicate's index for `mask`, built (empty) on first demand.
+  ArgIndex& IndexFor(PredId pred, std::uint64_t mask) {
+    auto& list = a_.indexes[pred];
+    for (const auto& ix : list) {
+      if (ix->mask == mask) return *ix;
+    }
+    if (stats_ != nullptr) ++stats_->index_builds;
+    list.push_back(std::make_unique<ArgIndex>(mask));
+    return *list.back();
   }
 
   Sym Resolve(const Term& t) const {
@@ -665,11 +753,15 @@ class Evaluator {
 
   bool Emit(const Rule& r) {
     std::vector<Sym>& tuple = a_.emit_buf;
-    tuple.clear();
-    for (const Term& t : r.head.args) tuple.push_back(Resolve(t));
+    tuple.resize(r.head.args.size());
+    TupleHash hash;
+    for (std::size_t i = 0; i < tuple.size(); ++i) {
+      tuple[i] = Resolve(r.head.args[i]);
+      hash.Add(tuple[i]);
+    }
     if (stats_ != nullptr) ++stats_->rule_firings;
     if (seeding_) ++seeding_firings_;
-    if (!a_.db.Insert(r.head.pred, tuple)) return false;
+    if (!a_.db.Insert(r.head.pred, tuple, hash.Value())) return false;
     if (stats_ != nullptr) ++stats_->tuples;
     if (seeding_) ++seeding_tuples_;
     ++total_tuples_;
@@ -695,7 +787,6 @@ class Evaluator {
   bool* reused_out_;
   std::vector<Sym> goal_tuple_;
   std::vector<Sym> flat_;
-  std::vector<Sym> catchup_key_;
   std::size_t total_tuples_ = 0;
   bool seeding_ = false;
   std::size_t seeding_firings_ = 0;

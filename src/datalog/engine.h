@@ -13,6 +13,20 @@
 
 namespace rapar::dl {
 
+// The tuple hash of Database, fed one cell at a time so a caller can hash
+// a tuple while it assembles it (the engine hashes a rule head while
+// resolving it). HashCombine leaves the low bits, which pick a slot,
+// nearly independent of a cell's high bits, where packed view words
+// (encoding/makep.h) differ; the SplitMix64 finalizer mixes them in.
+class TupleHash {
+ public:
+  void Add(Sym s) { HashCombine(h_, s); }
+  std::size_t Value() const { return SplitMix64(h_); }
+
+ private:
+  std::size_t h_ = 0x12345678;
+};
+
 // Predicate extensions computed by evaluation.
 //
 // Storage is flat per predicate: one row-major pool (stride = arity) with
@@ -24,7 +38,8 @@ class Database {
   explicit Database(std::size_t num_preds) : exts_(num_preds) {}
 
   // Returns true if the tuple was new (and appended at index Size()-1).
-  bool Insert(PredId pred, const std::vector<Sym>& tuple);
+  // `hash` must be the TupleHash of the tuple's cells.
+  bool Insert(PredId pred, const std::vector<Sym>& tuple, std::size_t hash);
   bool Contains(PredId pred, const std::vector<Sym>& tuple) const;
 
   std::size_t Size(PredId pred) const { return exts_[pred].n; }
@@ -69,16 +84,28 @@ class Database {
     std::uint32_t arity = kNoArity;  // set on first insert
     std::size_t n = 0;               // stored tuples
     std::vector<Sym> pool;           // row-major: n * arity cells
-    // Open-addressing duplicate table over tuple ids (power-of-two size,
-    // linear probing); rebuilt on truncation.
+    // Linear-probing duplicate table over tuple ids: power-of-two size,
+    // at most half full; rebuilt on truncation.
     std::vector<std::uint32_t> slots;
   };
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+  // Tuple `ti`'s slot in a table of size mask + 1: ti + 1 in the bits of
+  // the mask (at most half full, it fits) and the top bits of the tuple's
+  // hash above them, so a probe past another tuple's slot rarely reads
+  // the pool.
+  static std::uint32_t SlotOf(std::size_t hash, std::size_t mask,
+                              std::size_t ti);
+  static constexpr std::uint32_t kEmptySlot = 0;
 
+  static std::size_t Hash(const std::vector<Sym>& tuple);
   static std::size_t HashCells(const Ext& e, std::size_t ti);
-  static std::size_t HashTuple(const std::vector<Sym>& tuple);
   static bool CellsEqual(const Ext& e, std::size_t ti,
                          const std::vector<Sym>& tuple);
+  // The slot holding `tuple` (hashed to `hash`), or the empty slot where
+  // it would go.
+  static std::size_t FindSlot(const Ext& e, const std::vector<Sym>& tuple,
+                              std::size_t hash);
+  // Re-places tuples 0..n-1 into a table of at least the current size
+  // that is at most half full after one more insert.
   static void RebuildSlots(Ext& e);
 
   std::vector<Ext> exts_;

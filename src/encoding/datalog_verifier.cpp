@@ -163,20 +163,14 @@ double MsBetween(std::chrono::steady_clock::time_point from,
 // Per-worker solver: owns the dl::Engine so arena reuse and EDB snapshot
 // rollback keep working across the guesses this worker happens to solve,
 // and the makeP encoder so env prefixes are emitted once per store
-// profile for this worker. A caller may lend a warm engine instead
-// (DatalogVerifierOptions::warm_engine, serve daemon), in which case
-// arena reuse extends across verifier invocations and the cumulative
-// fact_reuses counter is rebased so the verdict still reports this
-// request's reuses only.
+// profile for this worker. The engine lives as long as one verify call,
+// so every engine counter describes that call only.
 class GuessSolver {
  public:
   GuessSolver(const SimplSystem& sys, const DatalogVerifierOptions& options)
       : sys_(sys),
         options_(options),
-        encoder_(sys, MakePOptions{options.goal_message}),
-        engine_(options.warm_engine != nullptr ? *options.warm_engine
-                                               : own_engine_),
-        fact_reuse_base_(engine_.fact_reuses()) {
+        encoder_(sys, MakePOptions{options.goal_message}) {
     eval_.max_tuples = options.max_tuples_per_query;
     eval_.engine = options.engine;
     dlopt_.trace = options.trace;
@@ -252,7 +246,7 @@ class GuessSolver {
 
   // Adds this solver's engine reuses and per-phase times to `v`.
   void AddTotals(DatalogVerdict& v) const {
-    v.fact_reuses += engine_.fact_reuses() - fact_reuse_base_;
+    v.fact_reuses += engine_.fact_reuses();
     v.makep_ms += makep_ms_;
     v.dlopt_ms += dlopt_ms_;
     v.eval_ms += eval_ms_;
@@ -264,9 +258,7 @@ class GuessSolver {
   MakePEncoder encoder_;
   dl::EvalOptions eval_;
   dlopt::DlOptOptions dlopt_;
-  dl::Engine own_engine_;
-  dl::Engine& engine_;
-  const std::size_t fact_reuse_base_;
+  dl::Engine engine_;
   double makep_ms_ = 0.0;
   double dlopt_ms_ = 0.0;
   double eval_ms_ = 0.0;
@@ -797,12 +789,7 @@ DatalogVerdict DatalogVerify(const SimplSystem& sys,
     if (threads == 0) threads = 1;
   }
   if (threads == 1) return SerialVerify(sys, options);
-  // The parallel driver owns one engine per worker; a lent warm engine
-  // would be shared (and raced) across workers, so it only applies to
-  // the serial path.
-  DatalogVerifierOptions par = options;
-  par.warm_engine = nullptr;
-  return ParallelVerify(sys, par, threads);
+  return ParallelVerify(sys, options, threads);
 }
 
 }  // namespace rapar

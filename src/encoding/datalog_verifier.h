@@ -121,15 +121,6 @@ struct DatalogVerifierOptions {
   // uninterrupted verdict. Sets DatalogVerdict::scan_limit_hit when it
   // truncates the scan.
   std::size_t scan_limit = 0;
-  // Borrowed warm engine for the serial path (threads == 1): the solver
-  // reuses its arena and interned-fact table across *calls* instead of
-  // constructing a fresh engine per verify. Used by the serve daemon,
-  // which keeps one engine per pool worker alive across requests.
-  // Ignored when threads != 1 (the parallel driver owns one engine per
-  // worker already). Cumulative engine counters (index_builds,
-  // fact_reuses) are reported as deltas relative to the engine's state at
-  // solver construction, so verdict stats stay per-request.
-  dl::Engine* warm_engine = nullptr;
 };
 
 // How the parallel driver ran. threads == 1 means the serial loop, which

@@ -1,7 +1,15 @@
-// Datalog engine tests: textbook programs, natives, linearity, early exit.
+// Datalog engine tests: textbook programs, natives, linearity, early exit,
+// and the tuple store against a reference.
 #include "datalog/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace rapar::dl {
 namespace {
@@ -362,6 +370,148 @@ TEST(DatalogEngineTest, IdbPredsExcludesFactOnly) {
   std::vector<bool> idb = tc.prog.IdbPreds();
   EXPECT_FALSE(idb[tc.edge]);
   EXPECT_TRUE(idb[tc.path]);
+}
+
+// Reference model of a Database: each predicate's tuples in insertion
+// order plus their set.
+struct RefDb {
+  std::vector<std::vector<std::vector<Sym>>> order;
+  std::vector<std::set<std::vector<Sym>>> members;
+
+  explicit RefDb(std::size_t preds) : order(preds), members(preds) {}
+
+  bool Insert(PredId p, const std::vector<Sym>& t) {
+    if (!members[p].insert(t).second) return false;
+    order[p].push_back(t);
+    return true;
+  }
+  void TruncateTo(const std::vector<std::size_t>& keep) {
+    for (std::size_t p = 0; p < order.size(); ++p) {
+      const std::size_t k = p < keep.size() ? keep[p] : 0;
+      while (order[p].size() > k) {
+        members[p].erase(order[p].back());
+        order[p].pop_back();
+      }
+    }
+  }
+};
+
+bool Insert(Database& db, PredId p, const std::vector<Sym>& t) {
+  TupleHash h;
+  for (const Sym c : t) h.Add(c);
+  return db.Insert(p, t, h.Value());
+}
+
+// Every stored tuple is found at its insertion index, Contains agrees
+// with the reference on members and on `probes`, and sizes match.
+void ExpectSameStore(const Database& db, const RefDb& ref,
+                     const std::vector<std::vector<Sym>>& probes,
+                     const std::string& label) {
+  ASSERT_EQ(db.num_preds(), ref.order.size()) << label;
+  for (PredId p = 0; p < ref.order.size(); ++p) {
+    ASSERT_EQ(db.Size(p), ref.order[p].size()) << label << " pred " << p;
+    for (std::size_t ti = 0; ti < ref.order[p].size(); ++ti) {
+      const std::vector<Sym>& want = ref.order[p][ti];
+      const std::vector<Sym> got(db.At(p, ti), db.At(p, ti) + want.size());
+      ASSERT_EQ(got, want) << label << " pred " << p << " tuple " << ti;
+      ASSERT_TRUE(db.Contains(p, want)) << label << " pred " << p;
+    }
+    for (const std::vector<Sym>& t : probes) {
+      if (t.size() != p + 1) continue;
+      ASSERT_EQ(db.Contains(p, t), ref.members[p].count(t) == 1)
+          << label << " pred " << p;
+    }
+  }
+}
+
+// Predicate p has arity p + 1. Cells mix small symbols with packed-view
+// words whose high bits differ, as makeP emits them.
+std::vector<Sym> RandomTuple(Rng& rng, std::size_t arity, std::uint64_t dom) {
+  std::vector<Sym> t(arity);
+  for (Sym& c : t) {
+    const auto v = static_cast<Sym>(rng.Below(dom));
+    c = rng.Chance(1, 2) ? v : (v << 24) | 0x5u;
+  }
+  return t;
+}
+
+// Interleaves Insert, Contains, TruncateTo, Reset and SetNumPreds, with
+// enough distinct tuples that the tables grow several times between
+// rollbacks, and checks the whole store after each step. Truncations
+// keep a random prefix, often right after a growth.
+TEST(DatabaseTest, RandomOperationsMatchReference) {
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    std::size_t preds = 3;
+    Database db(preds);
+    RefDb ref(preds);
+    const std::uint64_t dom = 4 + rng.Below(6);
+    for (int step = 0; step < 400; ++step) {
+      const std::string label =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      std::vector<std::vector<Sym>> probes;
+      for (int i = 0; i < 6; ++i) {
+        const std::size_t arity = 1 + rng.Below(preds);
+        probes.push_back(RandomTuple(rng, arity, dom));
+      }
+      const std::uint64_t op = rng.Below(100);
+      if (op < 80) {
+        for (int i = 0; i < 12; ++i) {
+          const auto p = static_cast<PredId>(rng.Below(preds));
+          const std::vector<Sym> t = RandomTuple(rng, p + 1, dom);
+          ASSERT_EQ(Insert(db, p, t), ref.Insert(p, t)) << label;
+        }
+      } else if (op < 94) {
+        std::vector<std::size_t> keep(rng.Below(preds + 1));
+        for (std::size_t p = 0; p < keep.size(); ++p) {
+          keep[p] = rng.Below(ref.order[p].size() + 2);
+        }
+        db.TruncateTo(keep);
+        ref.TruncateTo(keep);
+      } else if (op < 97) {
+        db.Reset(preds);
+        ref = RefDb(preds);
+      } else if (preds == 3) {
+        db.SetNumPreds(4);
+        ref.order.resize(4);
+        ref.members.resize(4);
+        preds = 4;
+      } else if (ref.order[3].empty()) {
+        db.SetNumPreds(3);
+        ref.order.resize(3);
+        ref.members.resize(3);
+        preds = 3;
+      }
+      ExpectSameStore(db, ref, probes, label);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// One predicate through four growths (16 to 256 slots), then rolled back
+// to 10 of its 100 tuples and given the same 100 inserts again: the
+// removed tuples come back as new, at the end.
+TEST(DatabaseTest, TruncateAfterGrowthRestoresTheTable) {
+  Database db(1);
+  RefDb ref(1);
+  auto tuple = [](std::size_t i) {
+    return std::vector<Sym>{static_cast<Sym>(i % 7),
+                            static_cast<Sym>(i << 20)};
+  };
+  for (std::size_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(Insert(db, 0, tuple(i)));
+    ref.Insert(0, tuple(i));
+  }
+  std::vector<std::vector<Sym>> probes;
+  for (std::size_t i = 0; i < 120; ++i) probes.push_back(tuple(i));
+  ExpectSameStore(db, ref, probes, "filled");
+  db.TruncateTo({10});
+  ref.TruncateTo({10});
+  ExpectSameStore(db, ref, probes, "truncated");
+  for (std::size_t i = 0; i < 100; ++i) {
+    ASSERT_EQ(Insert(db, 0, tuple(i)), ref.Insert(0, tuple(i)));
+  }
+  ExpectSameStore(db, ref, probes, "refilled");
 }
 
 }  // namespace

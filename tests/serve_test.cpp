@@ -18,10 +18,13 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "core/benchmarks.h"
 #include "core/result_json.h"
 #include "core/serve.h"
 #include "core/verifier.h"
+#include "lowerbound/qbf.h"
+#include "lowerbound/tqbf_reduction.h"
 
 namespace rapar {
 namespace {
@@ -299,6 +302,47 @@ TEST(ServeTest, CacheDisabled) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.entries, 0u);
+}
+
+// A miss runs the pipeline on engines of its own: with the cache off, a
+// request answered after others reports the same engine counters as a
+// one-shot run. Index builds and EDB-snapshot reuses once carried over
+// from the previous request a worker served.
+TEST(ServeTest, EngineCountersDoNotDependOnEarlierRequests) {
+  Rng rng(0);
+  const Expected<ParamSystem> tqbf = TqbfSystem(RandomQbf(rng, 3, 3));
+  ASSERT_TRUE(tqbf.ok()) << tqbf.error();
+  const std::vector<BenchmarkCase> suite = StandardBenchmarks();
+  std::vector<const ParamSystem*> systems = {&tqbf.value()};
+  for (const BenchmarkCase& bench : suite) {
+    if (bench.name == "peterson-ra") systems.push_back(&bench.system);
+  }
+  ASSERT_EQ(systems.size(), 2u);
+
+  serve::ServeSession session(Opts(1, /*cache_entries=*/0));
+  for (const std::size_t i : {0, 1, 0}) {
+    RequestSpec spec;
+    spec.env = systems[i]->env_program().ToString();
+    for (const Program& dis : systems[i]->dis_programs()) {
+      spec.dis.push_back(dis.ToString());
+    }
+    spec.options_json = "{\"backend\":\"datalog\",\"time_budget_ms\":0}";
+    const JsonValue doc = Parse(session.HandleLine(RequestLine(spec)));
+    EXPECT_EQ(Str(doc, "cache"), "miss");
+
+    VerifierOptions opts;
+    opts.backend = Backend::kDatalog;
+    const Verdict oracle = SafetyVerifier(*systems[i]).Run(std::nullopt, opts);
+    EXPECT_EQ(Str(doc, "verdict"), VerdictName(oracle.result));
+    std::size_t engine_counters = 0;
+    for (const obs::Telemetry::Entry& e : oracle.telemetry.entries()) {
+      if (e.is_gauge || e.name.rfind("engine.", 0) != 0) continue;
+      ++engine_counters;
+      EXPECT_EQ(Counter(doc, e.name.c_str()), e.counter)
+          << "request system " << i << ": " << e.name;
+    }
+    EXPECT_GT(engine_counters, 0u);
+  }
 }
 
 TEST(ServeTest, NonDefinitiveVerdictsAreNotMemoized) {
