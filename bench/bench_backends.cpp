@@ -14,12 +14,9 @@
 #include <thread>
 
 #include "bench/bench_util.h"
-#include "common/json.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "core/benchmarks.h"
-#include "core/result_json.h"
-#include "core/shard.h"
 #include "core/verifier.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -324,175 +321,6 @@ void PrintParallelScaling(const char* json_path) {
     std::ofstream out(json_path);
     out << json;
     std::printf("wrote %s\n", json_path);
-  }
-}
-
-// Multi-shard scaling: stride sharding of the guess space at shard
-// counts 1/2/4, the in-process analogue of `rapar_cli verify
-// --shards=N`. Each family runs its shards concurrently (one worker
-// per shard, each a single-threaded Datalog scan over its residue
-// class), renders the per-shard envelopes and pushes them through the
-// real MergeShardEnvelopes path; parity compares the merged
-// verdict/exit_code/witness/guess count against the single-process
-// envelope. The gate: on the TQBF safety workload, 4 shards must reach
-// >= 1.5x over 1 shard ("SKIPPED" on machines with < 4 hardware
-// threads — a 2-core runner cannot demonstrate 4-way speedup). With
-// --json the rows and the gate land in BENCH_shards.json.
-void PrintShardScaling(bool write_json) {
-  Header("shard scaling on the Datalog backend (stride-sharded guesses)");
-  std::printf("hardware threads: %u\n",
-              std::thread::hardware_concurrency());
-  Row({"instance", "shards", "ms", "speedup", "verdict", "guesses",
-       "parity"},
-      13);
-  Rule(7, 13);
-  auto fmt = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", v);
-    return std::string(buf);
-  };
-  std::string json = "{\n  \"bench\": \"shard_scaling\",\n";
-  json += StrCat("  \"hardware_threads\": ",
-                 std::thread::hardware_concurrency(), ",\n");
-  json += "  \"workloads\": [";
-  bool first_workload = true;
-  bool all_parity = true;
-  double tqbf_speedup4 = 0.0;
-
-  // The single-process-comparable slice of the merged envelope (the
-  // remaining telemetry sums work performed, which legitimately exceeds
-  // the single-process prefix — shards do not cancel each other).
-  auto envelopes_agree = [](const std::string& single_env,
-                            const std::string& merged_env) {
-    Expected<JsonValue> s = ParseJson(single_env);
-    Expected<JsonValue> m = ParseJson(merged_env);
-    if (!s.ok() || !m.ok()) return false;
-    auto str = [](const JsonValue& doc, const char* key) {
-      const JsonValue* v = doc.Find(key);
-      return v != nullptr ? v->string : std::string("<missing>");
-    };
-    if (str(s.value(), "verdict") != str(m.value(), "verdict")) return false;
-    if (str(s.value(), "witness") != str(m.value(), "witness")) return false;
-    const JsonValue* st = s.value().Find("telemetry");
-    const JsonValue* mt = m.value().Find("telemetry");
-    if (st == nullptr || mt == nullptr) return false;
-    const JsonValue* sg = st->Find("verify.guesses");
-    const JsonValue* mg = mt->Find("verify.guesses");
-    if (sg == nullptr || mg == nullptr) return false;
-    return sg->uinteger == mg->uinteger;
-  };
-
-  auto run = [&](const ParamSystem& sys, const std::string& name,
-                 bool gated) {
-    SafetyVerifier verifier(sys);
-    auto shard_opts = [](std::size_t index, std::size_t count) {
-      VerifierOptions o;
-      o.backend = Backend::kDatalog;
-      o.datalog.threads = 1;
-      o.datalog.shard_index = index;
-      o.datalog.shard_count = count;
-      o.time_budget_ms = 60'000;
-      o.max_guesses = 30'000;
-      return o;
-    };
-    json += StrCat(first_workload ? "" : ",", "\n    {\"name\": \"", name,
-                   "\", \"results\": [");
-    first_workload = false;
-    bool first_row = true;
-    std::string single_env;
-    double base_ms = 0;
-    for (std::size_t shards : {std::size_t{1}, std::size_t{2},
-                               std::size_t{4}}) {
-      std::vector<std::string> envs(shards);
-      const double ms = TimeMs([&] {
-        std::vector<std::thread> workers;
-        for (std::size_t i = 0; i < shards; ++i) {
-          workers.emplace_back([&, i] {
-            const VerifierOptions o = shard_opts(i, shards);
-            const Verdict v = verifier.Run(std::nullopt, o);
-            envs[i] = VerdictToJson(v, o, "verify", sys.Signature());
-          });
-        }
-        for (std::thread& w : workers) w.join();
-      });
-      std::string verdict = "unknown";
-      std::string guesses = "-";
-      bool parity = false;
-      if (shards == 1) {
-        base_ms = ms;
-        single_env = envs[0];
-        Expected<JsonValue> doc = ParseJson(single_env);
-        if (doc.ok()) {
-          if (const JsonValue* v = doc.value().Find("verdict")) {
-            verdict = v->string;
-          }
-          if (const JsonValue* t = doc.value().Find("telemetry")) {
-            if (const JsonValue* g = t->Find("verify.guesses")) {
-              guesses = std::to_string(g->uinteger);
-            }
-          }
-        }
-        parity = true;  // the reference run is its own baseline
-      } else {
-        Expected<MergedShardEnvelope> merged =
-            MergeShardEnvelopes(envs, /*pretty=*/true);
-        if (merged.ok()) {
-          verdict = merged.value().verdict;
-          parity = envelopes_agree(single_env, merged.value().envelope_json);
-          Expected<JsonValue> doc = ParseJson(merged.value().envelope_json);
-          if (doc.ok()) {
-            if (const JsonValue* t = doc.value().Find("telemetry")) {
-              if (const JsonValue* g = t->Find("verify.guesses")) {
-                guesses = std::to_string(g->uinteger);
-              }
-            }
-          }
-        } else {
-          verdict = "merge error";
-        }
-      }
-      all_parity = all_parity && parity;
-      const double speedup = ms > 0 ? base_ms / ms : 0.0;
-      if (gated && shards == 4) tqbf_speedup4 = speedup;
-      Row({shards == 1 ? name : "", std::to_string(shards), fmt(ms),
-           StrCat(fmt(speedup), "x"), verdict, guesses,
-           parity ? "ok" : "MISMATCH"},
-          13);
-      json += StrCat(first_row ? "" : ",", "\n      {\"shards\": ", shards,
-                     ", \"ms\": ", fmt(ms), ", \"speedup\": ", fmt(speedup),
-                     ", \"verdict\": \"", verdict, "\", \"parity\": ",
-                     parity ? "true" : "false", "}");
-      first_row = false;
-    }
-    json += "\n    ]}";
-  };
-
-  const BenchmarkCase safe_pc = ProducerConsumerSafe(12);
-  run(safe_pc.system, safe_pc.name, /*gated=*/false);
-  Rng rng(42);
-  const Qbf qbf = RandomQbf(rng, 3, 3);
-  Expected<ParamSystem> tqbf = TqbfSystem(qbf);
-  if (tqbf.ok()) run(tqbf.value(), "tqbf(n=3) safety", /*gated=*/true);
-
-  const bool enough_cores = std::thread::hardware_concurrency() >= 4;
-  const char* gate = !enough_cores      ? "SKIPPED"
-                     : tqbf_speedup4 >= 1.5 ? "OK"
-                                            : "FAIL";
-  std::printf(
-      "(speedup = ms(1 shard) / ms; parity checks the merged envelope's "
-      "verdict, witness and guess count against the single-process run)\n");
-  std::printf("shard parity: %s, tqbf speedup at 4 shards: %sx, gate: %s\n",
-              all_parity ? "OK" : "MISMATCH", fmt(tqbf_speedup4).c_str(),
-              gate);
-
-  json += StrCat("\n  ],\n  \"totals\": {\n    \"parity\": \"",
-                 all_parity ? "OK" : "MISMATCH",
-                 "\",\n    \"tqbf_speedup_4\": ", fmt(tqbf_speedup4),
-                 ",\n    \"gate\": \"", gate, "\"\n  }\n}\n");
-  if (write_json) {
-    std::ofstream out("BENCH_shards.json");
-    out << json;
-    std::printf("wrote BENCH_shards.json\n");
   }
 }
 
@@ -935,7 +763,6 @@ static void PrintReproduction(const char* json_path) {
   rapar::PrintDlOptAblation();
   rapar::PrintIndexAblation();
   rapar::PrintParallelScaling(json_path);
-  rapar::PrintShardScaling(json_path != nullptr);
   rapar::PrintObsAblation(json_path != nullptr);
   rapar::PrintPortfolioAblation(json_path != nullptr);
   rapar::PrintDomainAblation(json_path != nullptr);

@@ -26,8 +26,14 @@ inline void Header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
+// One table row, each cell left-aligned in `width` columns. A cell as wide
+// as its column or wider still gets one space before the next cell, so
+// neighbouring cells never run together (the row then shifts right).
 inline void Row(const std::vector<std::string>& cells, int width = 22) {
-  for (const auto& c : cells) std::printf("%-*s", width, c.c_str());
+  for (const auto& c : cells) {
+    std::printf("%-*s", width, c.c_str());
+    if (c.size() >= static_cast<std::size_t>(width)) std::printf(" ");
+  }
   std::printf("\n");
 }
 

@@ -31,12 +31,11 @@
 // {"requests":[...]} batch per line, answered as {"responses":[...]}),
 // with a persistent worker pool and a content-addressed verdict cache.
 // EOF on stdin shuts it down (exit 0).
-// verify/mg with --backend=datalog additionally support multi-process
-// sharding of the guess scan (--shards=N spawns one subprocess per
-// residue class of the enumeration and merges the envelopes under
-// first-terminating-event-wins, bit-identical to a single-process run)
-// and checkpoint/resume (--checkpoint=FILE, --resume=FILE) — DESIGN.md
-// §14 and core/shard.h.
+// verify/mg with --backend=datalog additionally support checkpoint/resume
+// of the guess scan (--checkpoint=FILE, --resume=FILE, --scan-limit=N):
+// a checkpoint records the first unscanned guess and a digest of the
+// query (the printed post-unroll programs and the goal), and --resume
+// rejects a checkpoint taken for another query — DESIGN.md §8.
 //
 // Machine-readable output (--format=json) uses the stable envelopes of
 // core/result_json.h: verify/mg emit the verdict envelope (schema_version,
@@ -65,12 +64,13 @@
 #include "analysis/diagnostics.h"
 #include "analysis/footprint.h"
 #include "analysis/prepass.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "core/result_json.h"
 #include "core/serve.h"
-#include "core/shard.h"
 #include "core/verifier.h"
 #include "dlopt/dl_diagnostics.h"
+#include "encoding/dis_guess.h"
 #include "encoding/makep.h"
 #include "lang/classify.h"
 #include "lang/parser.h"
@@ -111,9 +111,7 @@ struct Options {
   long long cache_bytes = 64ll << 20;
   bool pretty = false;
   bool cert_revalidate = true;
-  // Sharding / checkpoint-resume (datalog backend only).
-  long long shards = 1;
-  long long shard_index = -1;  // -1 = unset: orchestrate all shards
+  // Checkpoint/resume (datalog backend only).
   std::string checkpoint_file;
   std::string resume_file;
   long long checkpoint_every = 0;  // 0 = default (64) when --checkpoint set
@@ -223,30 +221,21 @@ const FlagSpec kFlags[] = {
     {"--no-cert-revalidate", false, nullptr, "serve",
      "skip re-checking memoized TMAI certificates on cache hits",
      [](Options& o, const char*) { o.cert_revalidate = false; }},
-    {"--shards", true, "N", "verify mg",
-     "datalog backend: split the guess scan over N shard subprocesses "
-     "and merge their envelopes (first terminating event wins; "
-     "default 1 = no sharding)",
-     [](Options& o, const char* v) { ParseInt(v, &o.shards); }},
-    {"--shard-index", true, "I", "verify mg",
-     "run only shard I of --shards in this process (what the "
-     "orchestrator spawns; emits a per-shard envelope)",
-     [](Options& o, const char* v) { ParseInt(v, &o.shard_index); }},
     {"--checkpoint", true, "FILE", "verify mg",
-     "write scan checkpoints to FILE (atomic tmp+rename; with --shards "
-     "the orchestrator writes FILE.shard<i> per shard)",
+     "datalog backend: write scan checkpoints to FILE (atomic "
+     "tmp+rename)",
      [](Options& o, const char* v) { o.checkpoint_file = v; }},
     {"--resume", true, "FILE", "verify mg",
-     "resume the guess scan from a --checkpoint file (with --shards: "
-     "per-shard FILE.shard<i>; a missing file starts that shard fresh)",
+     "resume the guess scan from a --checkpoint file taken for the same "
+     "programs and goal",
      [](Options& o, const char* v) { o.resume_file = v; }},
     {"--checkpoint-every", true, "N", "verify mg",
-     "guess solves between periodic checkpoints (default 64 when "
+     "scanned guesses between periodic checkpoints (default 64 when "
      "--checkpoint is given)",
      [](Options& o, const char* v) { ParseInt(v, &o.checkpoint_every); }},
     {"--scan-limit", true, "N", "verify mg",
-     "stop after N guess solves this run and checkpoint (deterministic "
-     "truncation for kill-and-resume; 0 = unlimited)",
+     "stop after scanning N guesses this run and checkpoint "
+     "(deterministic truncation for kill-and-resume; 0 = unlimited)",
      [](Options& o, const char* v) { ParseInt(v, &o.scan_limit); }},
     {"--metrics", false, nullptr, "verify mg",
      "print the telemetry registry after the verdict",
@@ -551,8 +540,7 @@ rapar::Expected<rapar::ParamSystem> BuildSystem(const Options& opts) {
 // Usage/input failure on the verify/mg path: diagnostic on stderr and —
 // under --format=json — a minimal machine-readable error envelope on
 // stdout (schema_version, command, error, exit_code 3), so callers that
-// parse stdout (the shard orchestrator, scripts) never see a half
-// envelope. Always returns 3.
+// parse stdout never see a half envelope. Always returns 3.
 int FailVerify(const Options& opts, const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
   if (opts.format == "json") {
@@ -571,140 +559,34 @@ int FailVerify(const Options& opts, const std::string& message) {
   return 3;
 }
 
-// The multi-process orchestrator behind `verify --shards=N`: spawns one
-// `--shard-index=i` subprocess per shard (each a fresh copy of this
-// executable running the datalog backend over its residue class of the
-// guess enumeration), captures the per-shard JSON envelopes, and merges
-// them under first-terminating-event-wins (core/shard.h). The merged
-// verdict, witness and guess count are bit-identical to a single-process
-// run; per-shard checkpoints go to --checkpoint=FILE.shard<i>.
-int RunShardedVerify(const Options& opts, bool mg) {
-  const bool json = opts.format == "json";
-  const std::string exe = rapar::SelfExecutablePath();
-  if (exe.empty()) {
-    return FailVerify(opts, "--shards: cannot resolve own executable path");
+// Digest of the query a checkpoint belongs to: the printed post-unroll
+// env and dis programs plus the goal, which fix the guess enumeration a
+// checkpoint's next_index points into.
+std::string CheckpointQuery(const rapar::ParamSystem& sys,
+                            const Options& opts, bool mg) {
+  std::string canonical = "rapar-checkpoint-query-v1\ngoal=";
+  canonical += mg ? opts.goal_var + ':' + std::to_string(opts.goal_val)
+                  : std::string("assert");
+  canonical += "\nenv:\n" + sys.env_program().ToString();
+  for (const rapar::Program& dis : sys.dis_programs()) {
+    canonical += "dis:\n" + dis.ToString();
   }
-  if (!opts.trace_file.empty() || opts.metrics) {
-    std::fprintf(stderr,
-                 "note: --trace/--metrics are ignored with --shards "
-                 "(per-shard telemetry is in the merged envelope)\n");
-  }
-
-  std::vector<std::string> base;
-  base.push_back(exe);
-  base.push_back(mg ? "mg" : "verify");
-  base.push_back("--env=" + opts.env_file);
-  for (const std::string& d : opts.dis_files) base.push_back("--dis=" + d);
-  base.push_back("--backend=datalog");
-  if (opts.threads_set) {
-    base.push_back("--threads=" + std::to_string(opts.threads));
-  }
-  if (opts.unroll != 0) {
-    base.push_back("--unroll=" + std::to_string(opts.unroll));
-  }
-  base.push_back("--budget-ms=" + std::to_string(opts.budget_ms));
-  if (mg) {
-    base.push_back("--var=" + opts.goal_var);
-    base.push_back("--val=" + std::to_string(opts.goal_val));
-  }
-  if (opts.scan_limit > 0) {
-    base.push_back("--scan-limit=" + std::to_string(opts.scan_limit));
-  }
-  if (opts.checkpoint_every > 0) {
-    base.push_back("--checkpoint-every=" +
-                   std::to_string(opts.checkpoint_every));
-  }
-  base.push_back("--format=json");
-  base.push_back("--shards=" + std::to_string(opts.shards));
-
-  std::vector<std::vector<std::string>> argvs;
-  for (long long i = 0; i < opts.shards; ++i) {
-    std::vector<std::string> argv = base;
-    argv.push_back("--shard-index=" + std::to_string(i));
-    const std::string suffix = ".shard" + std::to_string(i);
-    if (!opts.checkpoint_file.empty()) {
-      argv.push_back("--checkpoint=" + opts.checkpoint_file + suffix);
-    }
-    if (!opts.resume_file.empty()) {
-      // A shard whose checkpoint never got written starts fresh.
-      const std::string path = opts.resume_file + suffix;
-      if (std::ifstream(path).good()) argv.push_back("--resume=" + path);
-    }
-    argvs.push_back(std::move(argv));
-  }
-
-  rapar::Expected<std::vector<rapar::ShardProcessResult>> procs =
-      rapar::RunShardProcesses(argvs);
-  if (!procs.ok()) return FailVerify(opts, "--shards: " + procs.error());
-
-  std::vector<std::string> envelopes;
-  for (std::size_t i = 0; i < procs.value().size(); ++i) {
-    const rapar::ShardProcessResult& p = procs.value()[i];
-    if (p.exit_code != 0 && p.exit_code != 1 && p.exit_code != 2) {
-      // The child's own diagnostic already went to the shared stderr.
-      return FailVerify(opts, "shard " + std::to_string(i) +
-                                  " failed (exit " +
-                                  std::to_string(p.exit_code) + ")");
-    }
-    envelopes.push_back(p.stdout_text);
-  }
-
-  rapar::Expected<rapar::MergedShardEnvelope> merged =
-      rapar::MergeShardEnvelopes(envelopes, /*pretty=*/true);
-  if (!merged.ok()) return FailVerify(opts, "--shards: " + merged.error());
-
-  if (json) {
-    std::fputs(merged.value().envelope_json.c_str(), stdout);
-  } else {
-    std::printf("%s (merged over %lld shards)\n",
-                merged.value().verdict.c_str(), opts.shards);
-    if (opts.witness && merged.value().verdict == "unsafe") {
-      rapar::Expected<rapar::JsonValue> doc =
-          rapar::ParseJson(merged.value().envelope_json);
-      if (doc.ok()) {
-        if (const rapar::JsonValue* w = doc.value().Find("witness")) {
-          if (w->is_string()) {
-            std::printf("witness:\n%s", w->string.c_str());
-          }
-        }
-      }
-    }
-  }
-  return merged.value().exit_code;
+  return rapar::FingerprintDigest(canonical);
 }
 
 int RunVerify(const Options& opts, bool mg) {
   if (opts.env_file.empty()) return GlobalUsage();
   const bool json = opts.format == "json";
 
-  // Sharding / checkpoint-resume validation, then orchestrator dispatch.
-  // All of it is datalog-only: the stride shards and checkpoints are
-  // positions in the makeP guess enumeration, which the other backends
-  // do not scan.
-  const bool wants_shard_machinery =
-      opts.shards != 1 || opts.shard_index >= 0 ||
+  // Checkpoint/resume is datalog-only: a checkpoint is a position in
+  // the makeP guess enumeration, which the other backends do not scan.
+  const bool wants_checkpoints =
       !opts.checkpoint_file.empty() || !opts.resume_file.empty() ||
       opts.checkpoint_every > 0 || opts.scan_limit > 0;
-  if (wants_shard_machinery && opts.backend != "datalog") {
+  if (wants_checkpoints && opts.backend != "datalog") {
     return FailVerify(opts,
-                      "--shards/--shard-index/--checkpoint/--resume/"
-                      "--checkpoint-every/--scan-limit require "
-                      "--backend=datalog");
-  }
-  if (opts.shards < 1) {
-    return FailVerify(opts, "--shards must be >= 1");
-  }
-  if (opts.shard_index >= 0 && opts.shards <= 1) {
-    return FailVerify(opts, "--shard-index requires --shards=N with N > 1");
-  }
-  if (opts.shard_index >= opts.shards) {
-    return FailVerify(
-        opts, "--shard-index must be in [0, --shards): got " +
-                  std::to_string(opts.shard_index) + " of " +
-                  std::to_string(opts.shards));
-  }
-  if (opts.shards > 1 && opts.shard_index < 0) {
-    return RunShardedVerify(opts, mg);
+                      "--checkpoint/--resume/--checkpoint-every/"
+                      "--scan-limit require --backend=datalog");
   }
 
   // The recorder must outlive the whole run so the parse phase is on the
@@ -771,50 +653,6 @@ int RunVerify(const Options& opts, bool mg) {
   vopts.time_budget_ms = opts.budget_ms;
   vopts.obs.trace = trace;
 
-  // Single-process shard / checkpoint / resume wiring (validated above:
-  // datalog backend only). --shards=1 without --shard-index is the
-  // default single-shard scan and emits a byte-identical envelope.
-  if (opts.shard_index >= 0) {
-    vopts.datalog.shard_index = static_cast<std::size_t>(opts.shard_index);
-    vopts.datalog.shard_count = static_cast<std::size_t>(opts.shards);
-  }
-  if (opts.scan_limit > 0) {
-    vopts.datalog.scan_limit = static_cast<std::size_t>(opts.scan_limit);
-  }
-  if (!opts.resume_file.empty()) {
-    rapar::Expected<rapar::CursorCheckpoint> cp =
-        rapar::LoadCheckpointFile(opts.resume_file);
-    if (!cp.ok()) {
-      return FailVerify(opts, opts.resume_file + ": " + cp.error());
-    }
-    if (cp.value().shard_index != vopts.datalog.shard_index ||
-        cp.value().shard_count != vopts.datalog.shard_count) {
-      return FailVerify(
-          opts, opts.resume_file + ": checkpoint is for shard " +
-                    std::to_string(cp.value().shard_index) + " of " +
-                    std::to_string(cp.value().shard_count) +
-                    ", run is shard " +
-                    std::to_string(vopts.datalog.shard_index) + " of " +
-                    std::to_string(vopts.datalog.shard_count));
-    }
-    vopts.datalog.start_index = cp.value().next_index;
-    vopts.datalog.resume_scanned_base = cp.value().scanned;
-  }
-  if (!opts.checkpoint_file.empty()) {
-    vopts.datalog.checkpoint_every =
-        opts.checkpoint_every > 0
-            ? static_cast<std::size_t>(opts.checkpoint_every)
-            : 64;
-    const std::string cp_path = opts.checkpoint_file;
-    vopts.datalog.checkpoint_sink =
-        [cp_path](const rapar::CursorCheckpoint& cp) {
-          rapar::Expected<bool> r = rapar::SaveCheckpointFile(cp_path, cp);
-          if (!r.ok()) {
-            std::fprintf(stderr, "checkpoint: %s\n", r.error().c_str());
-          }
-        };
-  }
-
   std::optional<std::pair<rapar::VarId, rapar::Value>> goal;
   if (mg) {
     rapar::VarId var = sys.value().vars().Find(opts.goal_var);
@@ -823,6 +661,44 @@ int RunVerify(const Options& opts, bool mg) {
       return 3;
     }
     goal = std::pair{var, static_cast<rapar::Value>(opts.goal_val)};
+  }
+
+  // Checkpoint/resume wiring (validated above: datalog backend only).
+  if (opts.scan_limit > 0) {
+    vopts.datalog.scan_limit = static_cast<std::size_t>(opts.scan_limit);
+  }
+  if (!opts.resume_file.empty() || !opts.checkpoint_file.empty()) {
+    const std::string query = CheckpointQuery(sys.value(), opts, mg);
+    if (!opts.resume_file.empty()) {
+      rapar::Expected<rapar::CursorCheckpoint> cp =
+          rapar::LoadCheckpointFile(opts.resume_file);
+      if (!cp.ok()) {
+        return FailVerify(opts, opts.resume_file + ": " + cp.error());
+      }
+      if (cp.value().query != query) {
+        return FailVerify(opts, opts.resume_file +
+                                    ": checkpoint was taken for another "
+                                    "query (digest " + cp.value().query +
+                                    ", this run is " + query + ")");
+      }
+      vopts.datalog.start_index = cp.value().next_index;
+    }
+    if (!opts.checkpoint_file.empty()) {
+      vopts.datalog.checkpoint_every =
+          opts.checkpoint_every > 0
+              ? static_cast<std::size_t>(opts.checkpoint_every)
+              : 64;
+      vopts.datalog.checkpoint_sink =
+          [path = opts.checkpoint_file,
+           query](const rapar::CursorCheckpoint& position) {
+            rapar::CursorCheckpoint cp = position;
+            cp.query = query;
+            rapar::Expected<bool> r = rapar::SaveCheckpointFile(path, cp);
+            if (!r.ok()) {
+              std::fprintf(stderr, "checkpoint: %s\n", r.error().c_str());
+            }
+          };
+    }
   }
   rapar::SafetyVerifier verifier(sys.value());
   rapar::Verdict v = verifier.Run(goal, vopts);

@@ -97,22 +97,10 @@ std::string VerdictToJson(const Verdict& v, const VerifierOptions& options,
     w.Key("certificate");
     tmai::WriteCertificateJson(*v.certificate, &w);
   }
-  // Sharding / checkpoint-resume sections. Activity-gated like
-  // width_report: a default single-shard, no-resume run emits neither
-  // key, so pre-shard envelopes (and the goldens over them) are
-  // byte-for-byte unchanged at kResultSchemaVersion = 1. The
-  // --shards orchestrator merges per-shard envelopes on this section
-  // (core/shard.h) and replaces it with the per-shard summary.
-  if (v.telemetry.Has(obs::metric::kShardCount)) {
-    w.Key("shard").BeginObject();
-    w.Key("index").UInt(v.telemetry.counter(obs::metric::kShardIndex));
-    w.Key("count").UInt(v.telemetry.counter(obs::metric::kShardCount));
-    if (v.telemetry.Has(obs::metric::kShardTerminatingIndex)) {
-      w.Key("terminating_index")
-          .UInt(v.telemetry.counter(obs::metric::kShardTerminatingIndex));
-    }
-    w.EndObject();
-  }
+  // Checkpoint/resume section. Activity-gated like width_report: a run
+  // that neither resumes nor writes checkpoints emits no key, so plain
+  // envelopes (and the goldens over them) keep their key set at
+  // kResultSchemaVersion = 1.
   if (v.telemetry.Has(obs::metric::kCheckpointResumeOffset) ||
       v.telemetry.Has(obs::metric::kCheckpointWrites)) {
     w.Key("checkpoint").BeginObject();

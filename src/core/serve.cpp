@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <istream>
@@ -373,24 +372,6 @@ std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
     s += "dis:\n" + dis.ToString();
   }
   return s;
-}
-
-// 128-bit display digest of the canonical string (two independent
-// FNV-1a lanes, SplitMix64-finalized). The cache is keyed by the full
-// canonical string, so the digest is an address label, not a
-// correctness-critical hash.
-std::string FingerprintDigest(std::string_view canonical) {
-  std::uint64_t a = 0xcbf29ce484222325ull;
-  std::uint64_t b = 0x9e3779b97f4a7c15ull;
-  for (const unsigned char c : canonical) {
-    a = (a ^ c) * 0x100000001b3ull;
-    b = (b ^ (c + 0x9dull)) * 0x100000001b3ull;
-  }
-  char buf[36];
-  std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                static_cast<unsigned long long>(SplitMix64(a)),
-                static_cast<unsigned long long>(SplitMix64(b)));
-  return buf;
 }
 
 // One-line error envelope; the daemon answers it and keeps serving.

@@ -24,6 +24,10 @@ namespace {
 
 namespace metric = obs::metric;
 
+// Verdict::stopped_phase of a Datalog scan that --scan-limit stopped: a
+// requested stop, not an expired deadline.
+constexpr char kScanLimitPhase[] = "scan-limit";
+
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -105,16 +109,9 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetGauge(metric::kPhaseMakePMs, dv.makep_ms);
   t.SetGauge(metric::kPhaseDlOptMs, dv.dlopt_ms);
   t.SetGauge(metric::kPhaseEvalMs, dv.eval_ms);
-  // Shard/checkpoint metrics are activity-gated (like kBudgetAbortedGuess) so
-  // default single-shard envelopes — and the goldens over them — are
-  // byte-for-byte unchanged.
-  if (dv.shard_count > 1) {
-    t.SetCounter(metric::kShardIndex, dv.shard_index);
-    t.SetCounter(metric::kShardCount, dv.shard_count);
-    if (dv.terminating_index != kNoGuessIndex) {
-      t.SetCounter(metric::kShardTerminatingIndex, dv.terminating_index);
-    }
-  }
+  // Checkpoint metrics are activity-gated (like kBudgetAbortedGuess) so
+  // default envelopes — and the goldens over them — are byte-for-byte
+  // unchanged.
   if (dv.resume_offset != 0) {
     t.SetCounter(metric::kCheckpointResumeOffset, dv.resume_offset);
   }
@@ -265,7 +262,9 @@ std::string Verdict::ToString() const {
   if (budget_aborted_guess() != kNoGuessIndex) {
     out += StrCat(" [budget aborted at guess ", budget_aborted_guess(), "]");
   }
-  if (!stopped_phase.empty()) {
+  if (stopped_phase == kScanLimitPhase) {
+    out += " [scan limit hit]";
+  } else if (!stopped_phase.empty()) {
     out += StrCat(" [deadline hit in ", stopped_phase, "]");
   }
   return out;
@@ -351,10 +350,7 @@ Verdict RunDatalog(const ParamSystem& system,
   DatalogVerifierOptions opts;
   opts.goal_message = goal;
   opts.guess.max_guesses = options.max_guesses;
-  opts.guess.shard_index = options.datalog.shard_index;
-  opts.guess.shard_count = options.datalog.shard_count;
   opts.guess.start_index = options.datalog.start_index;
-  opts.resume_scanned_base = options.datalog.resume_scanned_base;
   opts.checkpoint_every = options.datalog.checkpoint_every;
   opts.checkpoint_sink = options.datalog.checkpoint_sink;
   opts.scan_limit = options.datalog.scan_limit;
@@ -377,7 +373,7 @@ Verdict RunDatalog(const ParamSystem& system,
   if (dv.deadline_hit) {
     v.stopped_phase = "solve";
   } else if (dv.scan_limit_hit) {
-    v.stopped_phase = "scan-limit";
+    v.stopped_phase = kScanLimitPhase;
   }
   if (dv.unsafe) {
     v.result = Verdict::Result::kUnsafe;
@@ -662,15 +658,6 @@ Verdict SafetyVerifier::Run(std::optional<std::pair<VarId, Value>> goal,
   }
   v.telemetry.SetGauge(obs::metric::kPhaseTotalMs, MsSince(start));
   return v;
-}
-
-Verdict SafetyVerifier::Verify(const VerifierOptions& options) const {
-  return Run(std::nullopt, options);
-}
-
-Verdict SafetyVerifier::VerifyMessageGeneration(
-    VarId var, Value val, const VerifierOptions& options) const {
-  return Run(std::pair<VarId, Value>{var, val}, options);
 }
 
 }  // namespace rapar

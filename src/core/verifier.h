@@ -9,9 +9,7 @@
 //
 // Run() is the single entry point: the goal selects the question
 // (std::nullopt = assert-false reachability, a (var, val) pair = Message
-// Generation), VerifierOptions::backend selects the engine. The legacy
-// Verify()/VerifyMessageGeneration() wrappers survive as deprecated
-// aliases of Run().
+// Generation), VerifierOptions::backend selects the engine.
 //
 // Backends:
 //   kSimplifiedExplorer — saturation over the simplified semantics (§3);
@@ -82,27 +80,20 @@ struct DatalogBackendOptions {
   // Guesses per work unit the parallel dispatcher pulls from the
   // enumerator (threads != 1); the serial loop pulls one at a time.
   std::size_t batch_size = 32;
-  // ---- Sharding / checkpoint / resume (DESIGN.md §14) ----
-  // Stride sharding of the guess enumeration: this run scans exactly the
-  // global indices ≡ shard_index (mod shard_count). The default (0 of 1)
-  // scans everything. The `rapar_cli verify --shards=N` orchestrator
-  // merges per-shard envelopes under first-terminating-event-wins.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
+  // ---- Checkpoint / resume (DESIGN.md §8) ----
   // Resume: skip global indices below start_index (scanned by a previous
-  // run) and carry its solve count so guess accounting matches an
-  // uninterrupted run. Both typically come from a CursorCheckpoint.
+  // run, typically a CursorCheckpoint's next_index); the guess count
+  // includes them, so it matches an uninterrupted run.
   std::size_t start_index = 0;
-  std::size_t resume_scanned_base = 0;
-  // Periodic checkpoint emission: every `checkpoint_every` solves (0 =
-  // off) plus whenever the scan stops without a definitive verdict, a
-  // CursorCheckpoint goes through the sink (the CLI writes it to
-  // --checkpoint=FILE atomically).
+  // Periodic checkpoint emission: every `checkpoint_every` scanned
+  // guesses (0 = off) plus whenever the scan stops without a definitive
+  // verdict, a CursorCheckpoint goes through the sink (the CLI stamps its
+  // query digest and writes it to --checkpoint=FILE atomically).
   std::size_t checkpoint_every = 0;
   std::function<void(const CursorCheckpoint&)> checkpoint_sink;
-  // Stop after this many solves in this invocation (0 = unlimited);
-  // deterministic truncation for kill-and-resume (stopped_phase becomes
-  // "scan-limit").
+  // Stop after this many scanned guesses in this invocation (0 =
+  // unlimited); deterministic truncation for kill-and-resume
+  // (stopped_phase becomes "scan-limit").
   std::size_t scan_limit = 0;
 };
 
@@ -180,9 +171,10 @@ struct Verdict {
   // instance (Datalog backend only).
   std::string width_report;
   // Phase a wall-clock deadline stopped ("explore" for the state-space
-  // backends, "solve" for the Datalog guess scan, "fixpoint" for TMAI);
-  // empty when no deadline fired. A non-empty value implies the search
-  // was truncated.
+  // backends, "solve" for the Datalog guess scan, "fixpoint" for TMAI),
+  // or "scan-limit" when DatalogBackendOptions::scan_limit stopped the
+  // guess scan; empty when neither fired. A non-empty value implies the
+  // search was truncated.
   std::string stopped_phase;
   // Which backend actually produced this verdict ("simplified",
   // "datalog", "concrete", "tmai", "portfolio:<winner>"). Filled by
@@ -238,13 +230,6 @@ class SafetyVerifier {
   // dispatch targets in verifier.cpp.
   Verdict Run(std::optional<std::pair<VarId, Value>> goal,
               const VerifierOptions& options = {}) const;
-
-  // Deprecated: thin wrapper over Run(std::nullopt, options).
-  Verdict Verify(const VerifierOptions& options = {}) const;
-
-  // Deprecated: thin wrapper over Run(std::pair{var, val}, options).
-  Verdict VerifyMessageGeneration(VarId var, Value val,
-                                  const VerifierOptions& options = {}) const;
 
  private:
   const ParamSystem& system_;

@@ -290,15 +290,13 @@ void Accumulate(DatalogVerdict& v, const GuessOutcome& o) {
   }
 }
 
-// Seals the verdict for a terminating event at *global* guess index
-// `idx`. `scanned` is the guess count to report (resume base + solves up
-// to and including the terminating one); with single-shard, no-resume
-// options it equals idx + 1.
-void FinishEarly(DatalogVerdict& v, std::size_t idx, std::size_t scanned,
+// Seals the verdict for a terminating event at global guess index `idx`.
+// `guesses` is the guess count to report (the resume offset plus the
+// guesses scanned up to and including the terminating one).
+void FinishEarly(DatalogVerdict& v, std::size_t idx, std::size_t guesses,
                  const GuessOutcome& o) {
-  v.guesses = scanned;
+  v.guesses = guesses;
   v.parallel.early_exit_index = idx;
-  v.terminating_index = idx;
   if (o.derived) {
     v.unsafe = true;
     v.witness_guess = o.witness;
@@ -319,27 +317,16 @@ void FetchMin(std::atomic<std::size_t>& a, std::size_t v) {
 
 // Emits a scan-position checkpoint through the configured sink (no-op
 // without one) and counts the write. `next_index` is the first global
-// index a resumed run must look at; `scanned` the cumulative solve count
-// to seed resume_scanned_base with.
+// index a resumed run must look at.
 void EmitCheckpoint(const DatalogVerifierOptions& options,
                     DatalogVerdict& verdict, std::size_t next_index,
-                    std::size_t scanned, bool exhausted) {
+                    bool exhausted) {
   if (!options.checkpoint_sink) return;
   CursorCheckpoint cp;
-  cp.shard_index = options.guess.shard_index;
-  cp.shard_count = options.guess.shard_count;
   cp.next_index = next_index;
-  cp.scanned = scanned;
   cp.exhausted = exhausted;
   options.checkpoint_sink(cp);
   ++verdict.checkpoint_writes;
-}
-
-// Stamps the shard identity / resume offset this run scans under.
-void StampShard(DatalogVerdict& v, const DatalogVerifierOptions& options) {
-  v.shard_index = options.guess.shard_index;
-  v.shard_count = options.guess.shard_count;
-  v.resume_offset = options.guess.start_index;
 }
 
 // --- serial driver ----------------------------------------------------------
@@ -352,7 +339,7 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
                             const DatalogVerifierOptions& options) {
   DatalogVerdict verdict;
   verdict.parallel.threads = 1;
-  StampShard(verdict, options);
+  verdict.resume_offset = options.guess.start_index;
   DisGuessCursor cursor(sys, options.guess);
   GuessSolver solver(sys, options);
   GuessClasses classes(solver.encoder(), options.enable_dlopt);
@@ -360,36 +347,34 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   std::vector<ClassOutcome> class_outcomes;
   const Deadline deadline(options.time_budget_ms);
 
-  // Scan position. `scanned` is the verdict's guess accounting (resume
-  // base + solves here); `next_unscanned` the first global index a
-  // resumed run must revisit. With default options scanned == global
-  // index, preserving the legacy counts exactly.
-  std::size_t scanned = options.resume_scanned_base;
+  // Scan position: the first global index a resumed run must revisit.
+  // The cursor emits consecutive indices from start_index on, so it is
+  // also the verdict's guess count.
+  std::size_t next_unscanned = options.guess.start_index;
   std::size_t solves_this_run = 0;
   std::size_t since_checkpoint = 0;
-  std::size_t next_unscanned = options.guess.start_index;
 
   while (const IndexedGuess* ig = cursor.Next()) {
     const std::size_t idx = ig->index;
     if (deadline.Expired()) {
       verdict.deadline_hit = true;
       verdict.exhaustive = false;
-      verdict.guesses = scanned;
+      verdict.guesses = next_unscanned;
       solver.AddTotals(verdict);
       obs::TraceInstant(options.trace, "deadline",
                         StrCat("{\"guess\":", idx, "}"));
-      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
+      EmitCheckpoint(options, verdict, next_unscanned, false);
       return verdict;
     }
     if (options.cancel != nullptr && options.cancel->cancelled()) {
       // External cancel: truncated like a deadline, but deadline_hit
       // stays false — no budget expired.
       verdict.exhaustive = false;
-      verdict.guesses = scanned;
+      verdict.guesses = next_unscanned;
       solver.AddTotals(verdict);
       obs::TraceInstant(options.trace, "cancelled",
                         StrCat("{\"guess\":", idx, "}"));
-      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
+      EmitCheckpoint(options, verdict, next_unscanned, false);
       return verdict;
     }
     const bool first = solves_this_run == 0;
@@ -412,7 +397,6 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
         }
         break;
     }
-    ++scanned;
     ++solves_this_run;
     ++since_checkpoint;
     next_unscanned = idx + 1;
@@ -421,47 +405,46 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
       obs::TraceInstant(options.trace,
                         o.derived ? "early_exit" : "budget_abort",
                         StrCat("{\"guess\":", idx, "}"));
-      FinishEarly(verdict, idx, scanned, o);
+      FinishEarly(verdict, idx, next_unscanned, o);
       solver.AddTotals(verdict);
       if (o.budget_aborted) {
         // Restartable: a rerun with a larger budget resumes *at* the
-        // aborted guess, so its (discarded) solve is not in `scanned`.
-        EmitCheckpoint(options, verdict, idx, scanned - 1, false);
+        // aborted guess.
+        EmitCheckpoint(options, verdict, idx, false);
       }
       return verdict;
     }
     if (options.scan_limit != 0 && solves_this_run >= options.scan_limit) {
       verdict.scan_limit_hit = true;
       verdict.exhaustive = false;
-      verdict.guesses = scanned;
+      verdict.guesses = next_unscanned;
       solver.AddTotals(verdict);
       obs::TraceInstant(options.trace, "scan_limit",
                         StrCat("{\"guess\":", idx, "}"));
-      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
+      EmitCheckpoint(options, verdict, next_unscanned, false);
       return verdict;
     }
     if (options.checkpoint_every != 0 &&
         since_checkpoint >= options.checkpoint_every) {
       since_checkpoint = 0;
-      EmitCheckpoint(options, verdict, next_unscanned, scanned, false);
+      EmitCheckpoint(options, verdict, next_unscanned, false);
     }
   }
-  verdict.guesses = options.resume_scanned_base + cursor.produced();
+  verdict.guesses = next_unscanned;
   verdict.exhaustive = cursor.complete();
   solver.AddTotals(verdict);
   // complete() means nothing is left to resume; a hit enumeration cap
   // leaves a resumable position (rerun with a larger max_guesses).
-  EmitCheckpoint(options, verdict, next_unscanned, verdict.guesses,
-                 cursor.complete());
+  EmitCheckpoint(options, verdict, next_unscanned, cursor.complete());
   return verdict;
 }
 
 // --- parallel driver --------------------------------------------------------
 
 struct Batch {
-  // Global enumeration index of each guess in the chunk (one entry per
-  // outcome slot; non-contiguous under sharding).
-  std::vector<std::size_t> indices;
+  // Global enumeration index of the chunk's first guess; slot i holds
+  // guess first + i.
+  std::size_t first = 0;
   std::vector<GuessOutcome> outcomes;  // one slot per guess in the chunk
   // Shared guesses as (slot, class); their outcomes are filled in from
   // the class representatives' once the pool quiesces.
@@ -481,7 +464,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   ThreadPool pool(threads);
   const unsigned workers = pool.size();
   verdict.parallel.threads = workers;
-  StampShard(verdict, options);
+  verdict.resume_offset = options.guess.start_index;
 
   std::vector<std::unique_ptr<GuessSolver>> solvers;
   solvers.reserve(workers);
@@ -519,19 +502,17 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   // Backpressure: bound the chunks owned by queued/running tasks.
   std::counting_semaphore<> slots(static_cast<std::ptrdiff_t>(workers) * 4);
 
-  // Contiguous-completed frontier over the dispatch order: the longest
-  // prefix of fully-solved batches. Everything at or below it is done, so
-  // it is a safe (conservative) resume point. Only the dispatcher appends
-  // to `batches`; workers touch the atomic `done` counters only.
-  const auto frontier = [&](std::size_t* next, std::size_t* count) {
-    *next = options.guess.start_index;
-    *count = 0;
+  // Contiguous-completed frontier over the dispatch order: one past the
+  // longest prefix of fully-solved batches. Everything below it is done,
+  // so it is a safe (conservative) resume point. Only the dispatcher
+  // appends to `batches`; workers touch the atomic `done` counters only.
+  const auto frontier = [&] {
+    std::size_t next = options.guess.start_index;
     for (const Batch& b : batches) {
-      if (b.done.load(std::memory_order_acquire) != b.indices.size()) break;
-      if (b.indices.empty()) continue;
-      *next = b.indices.back() + 1;
-      *count += b.indices.size();
+      if (b.done.load(std::memory_order_acquire) != b.outcomes.size()) break;
+      next = b.first + b.outcomes.size();
     }
+    return next;
   };
 
   // Index of the first solve of this run — the one that renders the
@@ -542,7 +523,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   // any thread count.
   std::size_t dispatched = 0;
   bool scan_limited = false;
-  std::size_t cp_frontier_count = 0;  // frontier solves already checkpointed
+  std::size_t cp_next = options.guess.start_index;  // last checkpointed
 
   while (!cancel.cancelled()) {
     if (deadline.Expired()) {
@@ -570,17 +551,17 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
     std::vector<std::pair<std::size_t, DisGuess>> work;
     std::vector<std::size_t> opened;  // slots whose guess opens a class
     std::size_t decided = 0;
-    while (slot == nullptr || slot->indices.size() < want) {
+    while (slot == nullptr || slot->outcomes.size() < want) {
       const IndexedGuess* ig = cursor.Next();
       if (ig == nullptr) break;
       const std::size_t idx = ig->index;
       if (slot == nullptr) {
         std::lock_guard<std::mutex> lock(batches_m);
         slot = &batches.emplace_back();
+        slot->first = idx;
         if (first_index == kNoGuessIndex) first_index = idx;
       }
-      const std::size_t i = slot->indices.size();
-      slot->indices.push_back(idx);
+      const std::size_t i = slot->outcomes.size();
       slot->outcomes.emplace_back();
       const GuessClasses::Class c = classes.Next(ig->guess, idx == first_index);
       switch (c.kind) {
@@ -604,7 +585,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
     // Classes are numbered in the order they open, so reps[id] is the
     // outcome slot of class id's representative.
     for (const std::size_t i : opened) reps.push_back(&slot->outcomes[i]);
-    dispatched += slot->indices.size();
+    dispatched += slot->outcomes.size();
     slot->done.store(decided, std::memory_order_release);
     slots.acquire();
     pool.Submit([&, slot, work = std::move(work)] {
@@ -613,7 +594,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
       try {
         for (std::size_t k = 0; k < work.size(); ++k) {
           const auto& [i, guess] = work[k];
-          const std::size_t idx = slot->indices[i];
+          const std::size_t idx = slot->first + i;
           if (idx > stop_idx.load(std::memory_order_relaxed)) {
             skipped.Add(work.size() - k);
             break;
@@ -656,13 +637,10 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
     });
     if (options.checkpoint_every != 0 && options.checkpoint_sink &&
         stop_idx.load(std::memory_order_relaxed) == kNoGuessIndex) {
-      std::size_t f_next = 0;
-      std::size_t f_count = 0;
-      frontier(&f_next, &f_count);
-      if (f_count - cp_frontier_count >= options.checkpoint_every) {
-        cp_frontier_count = f_count;
-        EmitCheckpoint(options, verdict, f_next,
-                       options.resume_scanned_base + f_count, false);
+      const std::size_t f_next = frontier();
+      if (f_next - cp_next >= options.checkpoint_every) {
+        cp_next = f_next;
+        EmitCheckpoint(options, verdict, f_next, false);
       }
     }
   }
@@ -692,8 +670,8 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   for (const Batch& b : batches) {
     for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
       const GuessOutcome& o = b.outcomes[i];
-      if (o.evaluated && o.terminating() && b.indices[i] < stop) {
-        stop = b.indices[i];
+      if (o.evaluated && o.terminating() && b.first + i < stop) {
+        stop = b.first + i;
         event = &o;
       }
     }
@@ -708,7 +686,7 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   for (const Batch& b : batches) {
     for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
       const GuessOutcome& o = b.outcomes[i];
-      if (b.indices[i] > stop) {
+      if (b.first + i > stop) {
         verdict.parallel.discarded += o.solved() ? 1 : 0;
         continue;
       }
@@ -721,15 +699,14 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   }
   for (const auto& solver : solvers) solver->AddTotals(verdict);
 
-  const std::size_t base = options.resume_scanned_base;
+  const std::size_t base = options.guess.start_index;
   if (event != nullptr) {
     // Deadline-free runs evaluate exactly the emitted indices <= stop, so
-    // base + evaluated matches the serial driver's scanned count.
+    // base + evaluated matches the serial driver's guess count.
     FinishEarly(verdict, stop, base + evaluated, *event);
     if (!event->derived) {
-      // Budget abort: restartable at the aborted guess (its discarded
-      // solve is excluded from the resume base, it will be redone).
-      EmitCheckpoint(options, verdict, stop, base + evaluated - 1, false);
+      // Budget abort: restartable at the aborted guess.
+      EmitCheckpoint(options, verdict, stop, false);
     }
   } else if (deadline_fired.load(std::memory_order_relaxed)) {
     verdict.deadline_hit = true;
@@ -741,20 +718,14 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
                       StrCat("{\"solves\":", evaluated, "}"));
     // Resume conservatively from the contiguous-completed frontier;
     // solves in the ragged tail beyond it will be redone.
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, base + f_count, false);
+    EmitCheckpoint(options, verdict, frontier(), false);
   } else if (ext_cancelled.load(std::memory_order_relaxed)) {
     // External cancel: truncated, inconclusive, no deadline blame.
     verdict.exhaustive = false;
     verdict.guesses = base + evaluated;
     obs::TraceInstant(options.trace, "cancelled",
                       StrCat("{\"solves\":", evaluated, "}"));
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, base + f_count, false);
+    EmitCheckpoint(options, verdict, frontier(), false);
   } else if (scan_limited) {
     // Every dispatched guess was solved (no event, no deadline), so the
     // frontier covers the full dispatched prefix.
@@ -763,18 +734,11 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
     verdict.guesses = base + evaluated;
     obs::TraceInstant(options.trace, "scan_limit",
                       StrCat("{\"solves\":", evaluated, "}"));
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, base + f_count, false);
+    EmitCheckpoint(options, verdict, frontier(), false);
   } else {
     verdict.guesses = base + cursor.produced();
     verdict.exhaustive = cursor.complete();
-    std::size_t f_next = 0;
-    std::size_t f_count = 0;
-    frontier(&f_next, &f_count);
-    EmitCheckpoint(options, verdict, f_next, verdict.guesses,
-                   cursor.complete());
+    EmitCheckpoint(options, verdict, frontier(), cursor.complete());
   }
   return verdict;
 }

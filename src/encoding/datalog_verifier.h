@@ -33,6 +33,12 @@
 // one exception of index_builds and fact_reuses, which depend on the
 // subsequence of guesses a worker happens to see and are therefore the
 // only verdict fields that may vary with the thread count.
+//
+// Checkpoint/resume: a scan that stops without a verdict (scan_limit,
+// deadline, cancel, budget abort, enumeration cap) hands a
+// CursorCheckpoint to checkpoint_sink. A run started at its next_index
+// (GuessEnumOptions::start_index) reaches the verdict and guess count of
+// the uninterrupted scan and scans no guess below that index again.
 #ifndef RAPAR_ENCODING_DATALOG_VERIFIER_H_
 #define RAPAR_ENCODING_DATALOG_VERIFIER_H_
 
@@ -97,23 +103,20 @@ struct DatalogVerifierOptions {
   // Cancel-truncated runs are exempt from the determinism rule like
   // deadline-truncated ones.
   const CancellationToken* cancel = nullptr;
-  // ---- Sharding / checkpoint / resume (DESIGN.md §14) ----
-  // The shard identity and resume offset travel in `guess`
-  // (GuessEnumOptions::shard_index/shard_count/start_index). The fields
-  // below layer verdict accounting and checkpoint emission on top.
+  // ---- Checkpoint / resume (DESIGN.md §8) ----
+  // The resume offset travels in `guess` (GuessEnumOptions::start_index):
+  // the verdict's `guesses` counts from it, so a resumed scan reports the
+  // same totals as an uninterrupted one. The fields below add checkpoint
+  // emission and a deterministic stop.
   //
-  // Guess accounting carried over from previous runs of this shard: the
-  // verdict's `guesses` is resume_scanned_base + solves-this-run, so a
-  // resumed scan reports the same totals as an uninterrupted one.
-  std::size_t resume_scanned_base = 0;
   // Emit a CursorCheckpoint through checkpoint_sink every
-  // `checkpoint_every` solves (0 = no periodic checkpoints). A final
-  // checkpoint is also emitted whenever the scan stops without a
+  // `checkpoint_every` scanned guesses (0 = no periodic checkpoints). A
+  // final checkpoint is also emitted whenever the scan stops without a
   // definitive verdict (deadline, cancel, budget abort, scan limit,
   // enumeration cap) and — with exhausted = true — on a completed scan.
   std::size_t checkpoint_every = 0;
   std::function<void(const CursorCheckpoint&)> checkpoint_sink;
-  // Stop after solving this many guesses in this invocation (0 =
+  // Stop after scanning this many guesses in this invocation (0 =
   // unlimited). Deterministic at every thread count — the parallel
   // dispatcher bounds *dispatch* to the first scan_limit guesses of the
   // enumeration order — which makes kill-and-resume testable without
@@ -152,13 +155,10 @@ struct DatalogVerdict {
   // regardless of how much of the guess space was scanned) and false
   // after a budget abort or a hit enumeration cap.
   bool exhaustive = true;
-  // Guesses scanned (resume_scanned_base + solves this run). With the
-  // default single-shard, no-resume options this is the legacy count: on
-  // early termination (witness found or budget aborted at index i) it is
-  // i + 1 — the enumeration stops as soon as the verdict is decided —
-  // otherwise the full enumeration count. Sharded runs count only their
-  // residue class; summing a full shard family's exhaustive counts gives
-  // the single-process total.
+  // Guesses scanned, counting the start_index guesses a resumed run
+  // skips as scanned: on early termination (witness found or budget
+  // aborted at index i) it is i + 1 — the enumeration stops as soon as
+  // the verdict is decided — otherwise the full enumeration count.
   std::size_t guesses = 0;
   // Scanned guesses split into those solved (makeP, dlopt, eval), those
   // skipped because MakePEncoder::MayDerive ruled the goal out, and those
@@ -169,7 +169,7 @@ struct DatalogVerdict {
   // full pipeline's: a shared guess adds its representative's. Only
   // total_rules, total_rules_after, the dlopt counts and the phase times
   // cover the solved guesses alone. On a complete scan or an early exit
-  // the three sum to `guesses` less resume_scanned_base.
+  // the three sum to `guesses` less the resume offset.
   std::size_t queries_evaluated = 0;
   std::size_t solves_skipped = 0;
   std::size_t solves_shared = 0;
@@ -208,17 +208,9 @@ struct DatalogVerdict {
   bool scan_limit_hit = false;
   // Checkpoints emitted through checkpoint_sink during this run.
   std::size_t checkpoint_writes = 0;
-  // Echo of the shard identity / resume offset this run scanned under
-  // (GuessEnumOptions), for telemetry and envelope reporting.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
+  // Echo of the resume offset this run scanned from
+  // (GuessEnumOptions::start_index), for telemetry and envelope reporting.
   std::size_t resume_offset = 0;
-  // Global enumeration index of the terminating event (witness or budget
-  // abort), kNoGuessIndex when none. Per-shard runs report it so the
-  // orchestrator's merge — the shard with the *minimum* terminating
-  // index wins — reproduces the single-process first-terminating-event
-  // rule bit for bit.
-  std::size_t terminating_index = kNoGuessIndex;
   // Aggregate optimizer statistics over the scanned prefix (zero when
   // dlopt is disabled; rules_before/after mirror total_rules{,_after}).
   dlopt::DlOptStats dlopt;

@@ -1,6 +1,13 @@
 #include "encoding/dis_guess.h"
 
-#include <initializer_list>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "common/json.h"
@@ -159,10 +166,8 @@ std::string CursorCheckpoint::ToJson(bool pretty) const {
   w.BeginObject();
   w.Key("schema_version").Int(kSchemaVersion);
   w.Key("kind").String("rapar-cursor-checkpoint");
-  w.Key("shard_index").UInt(shard_index);
-  w.Key("shard_count").UInt(shard_count);
+  w.Key("query").String(query);
   w.Key("next_index").UInt(next_index);
-  w.Key("scanned").UInt(scanned);
   w.Key("exhausted").Bool(exhausted);
   w.EndObject();
   std::string out = w.TakeString();
@@ -190,38 +195,86 @@ Expected<CursorCheckpoint> CursorCheckpoint::FromJson(std::string_view text) {
                            " unsupported (expected ", kSchemaVersion, ")"));
   }
   CursorCheckpoint cp;
-  auto read_uint = [&v](const char* key, std::size_t* out) -> const char* {
-    const JsonValue* field = v.Find(key);
-    if (field == nullptr || !field->is_number()) return "missing";
-    if (field->number_is_uint) {
-      *out = static_cast<std::size_t>(field->uinteger);
-    } else if (field->number_is_int && field->integer >= 0) {
-      *out = static_cast<std::size_t>(field->integer);
-    } else {
-      return "negative or non-integer";
-    }
-    return nullptr;
-  };
-  for (const auto& [key, out] :
-       std::initializer_list<std::pair<const char*, std::size_t*>>{
-           {"shard_index", &cp.shard_index},
-           {"shard_count", &cp.shard_count},
-           {"next_index", &cp.next_index},
-           {"scanned", &cp.scanned}}) {
-    if (const char* err = read_uint(key, out)) {
-      return E::Error(StrCat("checkpoint: field '", key, "' ", err));
-    }
+  const JsonValue* query = v.Find("query");
+  if (query == nullptr || !query->is_string()) {
+    return E::Error("checkpoint: field 'query' missing or not a string");
+  }
+  cp.query = query->string;
+  const JsonValue* next = v.Find("next_index");
+  if (next == nullptr || !next->is_number()) {
+    return E::Error("checkpoint: field 'next_index' missing");
+  }
+  if (next->number_is_uint) {
+    cp.next_index = static_cast<std::size_t>(next->uinteger);
+  } else if (next->number_is_int && next->integer >= 0) {
+    cp.next_index = static_cast<std::size_t>(next->integer);
+  } else {
+    return E::Error(
+        "checkpoint: field 'next_index' negative or non-integer");
   }
   const JsonValue* ex = v.Find("exhausted");
   if (ex == nullptr || !ex->is_bool()) {
     return E::Error("checkpoint: field 'exhausted' missing or not a boolean");
   }
   cp.exhausted = ex->boolean;
-  if (cp.shard_count == 0 || cp.shard_index >= cp.shard_count) {
-    return E::Error(StrCat("checkpoint: shard_index ", cp.shard_index,
-                           " out of range for shard_count ", cp.shard_count));
-  }
   return E{std::move(cp)};
+}
+
+namespace {
+
+std::string ErrnoText(const char* what) {
+  return StrCat(what, ": ", std::strerror(errno));
+}
+
+}  // namespace
+
+Expected<CursorCheckpoint> LoadCheckpointFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Expected<CursorCheckpoint>::Error(
+        StrCat("cannot read checkpoint file '", path, "'"));
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return CursorCheckpoint::FromJson(buf.str());
+}
+
+Expected<bool> SaveCheckpointFile(const std::string& path,
+                                  const CursorCheckpoint& cp) {
+  const std::string tmp = path + ".tmp";
+  const std::string text = cp.ToJson();
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Expected<bool>::Error(ErrnoText("checkpoint open"));
+  }
+  const char* p = text.data();
+  std::size_t left = text.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const std::string err = ErrnoText("checkpoint write");
+      ::close(fd);
+      ::unlink(tmp.c_str());
+      return Expected<bool>::Error(err);
+    }
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  // fsync before rename: the rename must never publish a torn file.
+  if (::fsync(fd) != 0) {
+    const std::string err = ErrnoText("checkpoint fsync");
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return Expected<bool>::Error(err);
+  }
+  ::close(fd);
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string err = ErrnoText("checkpoint rename");
+    ::unlink(tmp.c_str());
+    return Expected<bool>::Error(err);
+  }
+  return true;
 }
 
 // --- DisGuessCursor ---------------------------------------------------------
@@ -240,18 +293,13 @@ const IndexedGuess* DisGuessCursor::Next() {
     }
     // The odometers hold the guess at global index next_index_; one at the
     // cap means the cap cuts the enumeration. The cap is on the global
-    // index so every shard of the same system cuts the identical prefix.
+    // index so a resumed scan cuts the same prefix as an uninterrupted one.
     if (next_index_ >= options_.max_guesses) {
       Finish(false);
       break;
     }
     const std::size_t idx = next_index_++;
-    // Shard/resume filters suppress emission only: the global index keeps
-    // counting so every worker agrees on which guess is which.
-    if (options_.shard_count > 1 &&
-        idx % options_.shard_count != options_.shard_index) {
-      continue;
-    }
+    // Resume suppresses emission only: the global index keeps counting.
     if (idx < options_.start_index) continue;
     current_.index = idx;
     ++produced_;

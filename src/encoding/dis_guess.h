@@ -20,15 +20,14 @@
 // asking. EnumerateDisGuesses copies the cursor's sequence into a vector
 // (tests, small systems).
 //
-// Sharding & resume: the enumeration order is deterministic, so every
-// guess has a stable *global index*. GuessEnumOptions can restrict a
-// cursor to one residue class of that order (shard i of N sees exactly
-// the indices ≡ i mod N) and/or skip a prefix (start_index, for resuming
-// an aborted scan). Both filters only suppress *emission* — the global
-// index keeps counting, so all shards agree on which guess is which and
-// the max_guesses cap cuts the same global prefix everywhere. A
-// CursorCheckpoint serializes a scan position (shard identity + first
-// unscanned global index) as versioned JSON.
+// Resume: the enumeration order is deterministic, so every guess has a
+// stable *global index*. GuessEnumOptions::start_index skips a prefix of
+// that order (for resuming an aborted scan); it only suppresses
+// *emission*, so the global index keeps counting and the max_guesses cap
+// cuts the same prefix as in an uninterrupted run. A CursorCheckpoint
+// serializes a scan position (the first unscanned global index, bound to
+// the query it was taken for) as versioned JSON, and
+// SaveCheckpointFile/LoadCheckpointFile keep it in a file.
 #ifndef RAPAR_ENCODING_DIS_GUESS_H_
 #define RAPAR_ENCODING_DIS_GUESS_H_
 
@@ -93,40 +92,42 @@ struct DisGuess {
 
 struct GuessEnumOptions {
   // Hard cap on the *global* enumeration index: enumeration stops once
-  // max_guesses guesses exist in the global order, regardless of how many
-  // this shard emitted. With shard_count = 1 and start_index = 0 this is
-  // exactly the legacy "number of guesses produced" cap.
+  // max_guesses guesses exist in the global order, however many of them
+  // a resumed cursor emitted. With start_index = 0 this is exactly the
+  // number of guesses produced.
   std::size_t max_guesses = 200'000;
-  // Stride sharding: emit only guesses whose global index ≡ shard_index
-  // (mod shard_count). The default (0 of 1) emits everything.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  // Resume: additionally suppress guesses with global index < start_index
-  // (they were scanned by a previous run).
+  // Resume: suppress guesses with global index < start_index (they were
+  // scanned by a previous run).
   std::size_t start_index = 0;
 };
 
-// A serializable scan position: enough to reconstruct the remaining
-// enumeration of one shard. `next_index` is the first global index not
-// yet scanned by this shard's run (every index of the shard's residue
-// class below it is done); `scanned` carries the shard's cumulative
-// solve count across prior runs so a resumed verdict's guess accounting
-// matches an uninterrupted run; `exhausted` means the enumeration
-// finished and there is nothing to resume.
+// A serializable scan position. `query` is a digest of the query the
+// scan answers (the caller computes it; a checkpoint is only valid for
+// the query it was taken for). `next_index` is the first global index not
+// yet scanned (every index below it is done), so it is also the number
+// of guesses scanned so far. `exhausted` means the enumeration finished
+// and there is nothing to resume.
 struct CursorCheckpoint {
-  static constexpr int kSchemaVersion = 1;
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
+  static constexpr int kSchemaVersion = 2;
+  std::string query;
   std::size_t next_index = 0;
-  std::size_t scanned = 0;
   bool exhausted = false;
 
   // Versioned JSON via common/json. FromJson validates shape, schema
-  // version and field ranges (shard_index < shard_count, a corrupted or
-  // version-mismatched document is an error, never a zeroed checkpoint).
+  // version and field types: a corrupted or version-mismatched document
+  // is an error, never a zeroed checkpoint.
   std::string ToJson(bool pretty = false) const;
   static Expected<CursorCheckpoint> FromJson(std::string_view text);
 };
+
+// Reads and validates a checkpoint file (CursorCheckpoint::FromJson).
+Expected<CursorCheckpoint> LoadCheckpointFile(const std::string& path);
+
+// Writes atomically: to `path`.tmp, fsync, then rename over `path` — a
+// kill mid-write leaves the previous checkpoint intact, never a torn
+// one. Returns an error message on IO failure.
+Expected<bool> SaveCheckpointFile(const std::string& path,
+                                  const CursorCheckpoint& cp);
 
 // Enumerates all valid dis-run guesses of `sys` (up to the cap). Register
 // effects, assumes and CAS value-matching are checked during enumeration;
@@ -138,7 +139,7 @@ std::vector<DisGuess> EnumerateDisGuesses(const SimplSystem& sys,
                                           bool* complete);
 
 // One guess together with its global enumeration index (stable across
-// shard/resume filters — see GuessEnumOptions).
+// resumed runs — see GuessEnumOptions).
 struct IndexedGuess {
   std::size_t index = 0;
   DisGuess guess;

@@ -120,15 +120,9 @@ inline constexpr char kPortfolioSimplifiedMs[] = "portfolio.simplified_ms";
 inline constexpr char kPortfolioDatalogMs[] = "portfolio.datalog_ms";
 inline constexpr char kPortfolioCancelled[] = "portfolio.cancelled";
 
-// Guess-space sharding & checkpoint/resume (DESIGN.md §14). Present only
-// when a run actually shards (shard.count > 1), resumes (nonzero
-// checkpoint.resume_offset) or writes checkpoints, so default envelopes
-// are unchanged. shard.terminating_index is the *global* enumeration
-// index of the shard's terminating event — the orchestrator's
-// min-over-shards merge key.
-inline constexpr char kShardIndex[] = "shard.index";
-inline constexpr char kShardCount[] = "shard.count";
-inline constexpr char kShardTerminatingIndex[] = "shard.terminating_index";
+// Checkpoint/resume (DESIGN.md §8). Present only when a run resumes
+// (nonzero checkpoint.resume_offset) or writes checkpoints, so default
+// envelopes are unchanged.
 inline constexpr char kCheckpointWrites[] = "checkpoint.writes";
 inline constexpr char kCheckpointResumeOffset[] = "checkpoint.resume_offset";
 

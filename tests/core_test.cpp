@@ -195,15 +195,21 @@ TEST(BenchmarkSuiteTest, ProducerConsumerSafeVariantIsSafe) {
   EXPECT_TRUE(verifier.Run(std::nullopt, opts).safe());
 }
 
-// The pre-Run entry points survive as thin wrappers; they must keep
-// answering exactly what Run answers until they are removed.
-TEST(BenchmarkSuiteTest, DeprecatedWrappersDelegateToRun) {
-  BenchmarkCase pc = ProducerConsumer(1);
-  SafetyVerifier verifier(pc.system);
-  EXPECT_EQ(verifier.Verify().result, verifier.Run(std::nullopt).result);
-  VarId x = pc.system.vars().Find("x");
-  EXPECT_EQ(verifier.VerifyMessageGeneration(x, 1).result,
-            verifier.Run(std::pair{x, Value{1}}).result);
+// A --scan-limit stop is requested, not a deadline: the text says so,
+// while the JSON stopped_phase keeps its "scan-limit" value.
+TEST(BenchmarkSuiteTest, VerdictToStringNamesScanLimitStop) {
+  BenchmarkCase bench = DekkerCas();
+  SafetyVerifier verifier(bench.system);
+  VerifierOptions opts;
+  opts.backend = Backend::kDatalog;
+  opts.datalog.threads = 1;
+  opts.datalog.scan_limit = 5;
+  const Verdict v = verifier.Run(std::nullopt, opts);
+  EXPECT_EQ(v.result, Verdict::Result::kUnknown);
+  EXPECT_EQ(v.stopped_phase, "scan-limit");
+  const std::string text = v.ToString();
+  EXPECT_NE(text.find("[scan limit hit]"), std::string::npos) << text;
+  EXPECT_EQ(text.find("deadline"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // same global index and the same guess (as ToString prints it), and at
 // the end the same produced() and complete(), on the benchmark catalog,
 // 200 systems of the guess-heavy shape, 100 with CAS in the dis thread,
-// one with no dis thread and 60 with two dis threads, under every cap,
-// shard and resume setting below.
+// one with no dis thread and 60 with two dis threads, under every cap
+// and resume setting below.
 //
 // The cursor's complete() differs from the reference's flag where the
 // reference was wrong: a cap equal to the number of guesses cuts
@@ -80,9 +80,8 @@ void ExpectMatchesReference(const SimplSystem& sys,
 }
 
 // Every setting on one system: the default cap, caps 1, 7, total - 1,
-// total and total + 1, each shard of three, and resuming at 5 and at
-// total - 1, where `total` is the reference's guess count at the default
-// cap.
+// total and total + 1, and resuming at 5 and at total - 1, where `total`
+// is the reference's guess count at the default cap.
 void CheckSystem(const SimplSystem& sys, const std::string& label) {
   std::vector<std::string> texts;
   const Reference full = RunReference(sys, GuessEnumOptions{}, &texts);
@@ -114,12 +113,6 @@ void CheckSystem(const SimplSystem& sys, const std::string& label) {
     o.max_guesses = cap;
     check(o, cap == total + 1 ? past : RunReference(sys, o),
           "cap " + std::to_string(cap));
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    GuessEnumOptions o;
-    o.shard_index = i;
-    o.shard_count = 3;
-    check(o, RunReference(sys, o), "shard " + std::to_string(i) + "/3");
   }
   for (const std::size_t start : {std::size_t{5}, total - 1}) {
     GuessEnumOptions o;

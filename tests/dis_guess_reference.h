@@ -165,8 +165,8 @@ class GuessBuilder {
   const Cfa& DisCfa(std::size_t t) const { return *sys_.dis[t]; }
 
   // Enumeration must stop: the cap was hit or the sink cancelled. The
-  // cap is on the global index so every shard of the same system cuts
-  // the identical prefix of the enumeration order.
+  // cap is on the global index so a resumed run cuts the same prefix of
+  // the enumeration order.
   bool Stopped() {
     if (stopped_) return true;
     if (global_index_ >= options_.max_guesses) {
@@ -179,12 +179,7 @@ class GuessBuilder {
 
   void Emit(DisGuess&& guess) {
     const std::size_t idx = global_index_++;
-    // Shard/resume filters suppress emission only: the global index keeps
-    // counting so every worker agrees on which guess is which.
-    if (options_.shard_count > 1 &&
-        idx % options_.shard_count != options_.shard_index) {
-      return;
-    }
+    // Resume suppresses emission only: the global index keeps counting.
     if (idx < options_.start_index) return;
     if (!sink_(idx, std::move(guess))) {
       stopped_ = true;
@@ -377,7 +372,7 @@ class GuessBuilder {
   GuessSink sink_;
   bool* complete_;
   std::size_t global_index_ = 0;  // next guess's global enumeration index
-  std::size_t produced_ = 0;      // guesses this shard actually emitted
+  std::size_t produced_ = 0;      // guesses actually emitted
   bool stopped_ = false;
   std::vector<std::vector<ThreadGuess>> per_thread_paths_;
   std::vector<std::size_t> chosen_;

@@ -115,9 +115,8 @@ TEST(JsonSchemaTest, VerdictEnvelopeUnsafeDatalog) {
   EXPECT_EQ(doc.value().Find("exit_code")->integer, 1);
   // Certificate-free envelopes keep the exact pre-certificate key set.
   EXPECT_EQ(doc.value().Find("certificate"), nullptr);
-  // Same contract for the activity-gated PR 10 sections: a default
-  // single-shard, no-resume run keeps the exact pre-shard key set.
-  EXPECT_EQ(doc.value().Find("shard"), nullptr);
+  // Same contract for the activity-gated checkpoint section: a run that
+  // neither resumes nor checkpoints has no such key.
   EXPECT_EQ(doc.value().Find("checkpoint"), nullptr);
   EXPECT_EQ(doc.value().Find("command")->string, "verify");
   EXPECT_EQ(doc.value().Find("system")->string, bench.system.Signature());
@@ -160,23 +159,21 @@ TEST(JsonSchemaTest, VerdictEnvelopeSafeSimplified) {
   EXPECT_TRUE(doc.value().Find("stopped_phase")->is_null());
   // Safe, but not via TMAI: no certificate key, same as before PR 7.
   EXPECT_EQ(doc.value().Find("certificate"), nullptr);
-  EXPECT_EQ(doc.value().Find("shard"), nullptr);
   EXPECT_EQ(doc.value().Find("checkpoint"), nullptr);
   const JsonValue* t = doc.value().Find("telemetry");
   EXPECT_NE(t->Find("verify.states"), nullptr);
 }
 
-// Sharded-run golden: when a run scans one residue class of the guess
-// enumeration (and checkpoints its position), the envelope gains the
-// "shard" and "checkpoint" sections — still under kResultSchemaVersion,
-// with the shapes the --shards orchestrator merges on.
+// Resumed-run golden: when a run resumes from a checkpoint position and
+// checkpoints its own, the envelope gains the "checkpoint" section — still
+// under kResultSchemaVersion. No run has a "shard" section: multi-process
+// sharding is gone (DESIGN.md §14).
 TEST(JsonSchemaTest, VerdictEnvelopeShardAndCheckpointSections) {
   BenchmarkCase bench = DekkerFences();
   SafetyVerifier verifier(bench.system);
   VerifierOptions opts;
   opts.backend = Backend::kDatalog;
-  opts.datalog.shard_index = 1;
-  opts.datalog.shard_count = 2;
+  opts.datalog.start_index = 1;
   opts.datalog.checkpoint_every = 1;
   opts.datalog.checkpoint_sink = [](const CursorCheckpoint&) {};
   const Verdict v = verifier.Run(std::nullopt, opts);
@@ -185,13 +182,8 @@ TEST(JsonSchemaTest, VerdictEnvelopeShardAndCheckpointSections) {
       VerdictToJson(v, opts, "verify", bench.system.Signature());
   Expected<JsonValue> doc = ParseJson(json);
   ASSERT_TRUE(doc.ok()) << doc.error();
-  CheckVerdictEnvelope(doc.value(), "sharded/datalog");
-
-  const JsonValue* shard = doc.value().Find("shard");
-  ASSERT_NE(shard, nullptr);
-  ASSERT_TRUE(shard->is_object());
-  EXPECT_EQ(shard->Find("index")->uinteger, 1u);
-  EXPECT_EQ(shard->Find("count")->uinteger, 2u);
+  CheckVerdictEnvelope(doc.value(), "resumed/datalog");
+  EXPECT_EQ(doc.value().Find("shard"), nullptr);
 
   const JsonValue* checkpoint = doc.value().Find("checkpoint");
   ASSERT_NE(checkpoint, nullptr);
@@ -199,6 +191,7 @@ TEST(JsonSchemaTest, VerdictEnvelopeShardAndCheckpointSections) {
   ASSERT_NE(checkpoint->Find("writes"), nullptr);
   EXPECT_GT(checkpoint->Find("writes")->uinteger, 0u);
   ASSERT_NE(checkpoint->Find("resume_offset"), nullptr);
+  EXPECT_EQ(checkpoint->Find("resume_offset")->uinteger, 1u);
 }
 
 // A Datalog scan longer than the 1 ms budget (generated_systems.h); the
