@@ -8,6 +8,7 @@
 // --json[=PATH] additionally writes the parallel-scaling table as JSON
 // (default PATH: BENCH_parallel.json) for CI artifact upload.
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -102,8 +103,10 @@ void PrintDlOptAblation() {
     const double ms_off = TimeMs([&] {
       off = verifier.Run(goal, opts);
     });
-    const std::size_t before = on.dlopt().rules_before;
-    const std::size_t after = on.dlopt().rules_after;
+    const std::uint64_t before =
+        on.telemetry.counter(obs::metric::kDlOptRulesBefore);
+    const std::uint64_t after =
+        on.telemetry.counter(obs::metric::kDlOptRulesAfter);
     const double pct =
         before == 0 ? 0.0
                     : 100.0 * static_cast<double>(before - after) /
@@ -174,19 +177,21 @@ void PrintIndexAblation() {
     opts.datalog.engine.reorder_joins = false;
     opts.datalog.engine.reuse_facts = false;
     const double ms_off = TimeMs([&] { off = verify(); });
-    const double ratio =
-        on.join_attempts() == 0
-            ? 0.0
-            : static_cast<double>(off.join_attempts()) /
-                  static_cast<double>(on.join_attempts());
+    const std::uint64_t joins_on =
+        on.telemetry.counter(obs::metric::kJoinAttempts);
+    const std::uint64_t joins_off =
+        off.telemetry.counter(obs::metric::kJoinAttempts);
+    const double ratio = joins_on == 0 ? 0.0
+                                       : static_cast<double>(joins_off) /
+                                             static_cast<double>(joins_on);
     char speedup[32];
     std::snprintf(speedup, sizeof speedup, "%.1fx", ratio);
     const char* v = on.unsafe() ? "UNSAFE" : (on.safe() ? "SAFE" : "unknown");
     const char* v2 =
         off.unsafe() ? "UNSAFE" : (off.safe() ? "SAFE" : "unknown");
-    Row({name, std::to_string(on.join_attempts()),
-         std::to_string(off.join_attempts()), speedup, fmt_ms(ms_on),
-         fmt_ms(ms_off), StrCat(v, v == v2 ? "" : " (MISMATCH)")},
+    Row({name, std::to_string(joins_on), std::to_string(joins_off),
+         speedup, fmt_ms(ms_on), fmt_ms(ms_off),
+         StrCat(v, v == v2 ? "" : " (MISMATCH)")},
         15);
   };
   for (int z : {4, 8, 12}) {
@@ -267,10 +272,13 @@ void PrintParallelScaling(const char* json_path) {
         runs_ms.push_back(TimeMs([&] { v = verifier.Run(goal, opts); }));
         if (!base.has_value()) base = v;
         parity = parity && v.result == base->result &&
-                 v.witness == base->witness &&
-                 v.guesses() == base->guesses() &&
-                 v.tuples() == base->tuples() &&
-                 v.rule_firings() == base->rule_firings();
+                 v.witness == base->witness;
+        for (const char* counter : {obs::metric::kGuesses,
+                                    obs::metric::kTuples,
+                                    obs::metric::kRuleFirings}) {
+          parity = parity && v.telemetry.counter(counter) ==
+                                 base->telemetry.counter(counter);
+        }
       }
       std::sort(runs_ms.begin(), runs_ms.end());
       const double ms = runs_ms[kRuns / 2];
@@ -278,9 +286,10 @@ void PrintParallelScaling(const char* json_path) {
       const double speedup = ms > 0 ? base_ms / ms : 0.0;
       const char* verdict =
           v.unsafe() ? "UNSAFE" : (v.safe() ? "SAFE" : "unknown");
+      const std::uint64_t tuples = v.telemetry.counter(obs::metric::kTuples);
       Row({threads == 1 ? name : "", std::to_string(threads), fmt(ms),
            StrCat(fmt(runs_ms.front()), "-", fmt(runs_ms.back())),
-           StrCat(fmt(speedup), "x"), verdict, std::to_string(v.tuples()),
+           StrCat(fmt(speedup), "x"), verdict, std::to_string(tuples),
            parity ? "ok" : "MISMATCH"},
           13);
       json += StrCat(first_row ? "" : ",", "\n      {\"threads\": ",
@@ -289,7 +298,7 @@ void PrintParallelScaling(const char* json_path) {
                      ", \"ms_max\": ", fmt(runs_ms.back()),
                      ", \"runs\": ", kRuns,
                      ", \"speedup\": ", fmt(speedup), ", \"verdict\": \"",
-                     verdict, "\", \"tuples\": ", v.tuples(),
+                     verdict, "\", \"tuples\": ", tuples,
                      ", \"parity\": ", parity ? "true" : "false", "}");
       first_row = false;
     }
@@ -423,175 +432,6 @@ void PrintObsAblation(bool write_json) {
   }
 }
 
-// Portfolio ablation: the racing driver (TMAI prepass, then simplified
-// vs Datalog under a shared CancellationToken) against each backend
-// alone. Three acceptance properties are on display: the win-rate
-// breakdown (which stage actually answered), verdict parity against the
-// exact Datalog backend on every instance, and the latency totals
-// against the best single backend — "best single" is suite-level (the
-// better of running the whole suite on simplified only or Datalog
-// only), the choice a user without the portfolio would have to make up
-// front. The race may only cost thread spawn plus the losers'
-// cancellation-notice latency, so the totals ratio is gated at 1.05x in
-// CI; the per-instance vs_best column compares against the per-instance
-// oracle best and is informative only. With --json the table is written
-// to BENCH_portfolio.json.
-void PrintPortfolioAblation(bool write_json) {
-  Header("portfolio ablation (racing driver vs single backends)");
-  Row({"instance", "winner", "ms(port)", "ms(simpl)", "ms(datalog)",
-       "vs_best", "parity"},
-      14);
-  Rule(7, 14);
-  auto fmt = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", v);
-    return std::string(buf);
-  };
-  std::string json = "{\n  \"bench\": \"portfolio\",\n  \"rows\": [";
-  bool first_row = true;
-  int wins_tmai = 0, wins_simplified = 0, wins_datalog = 0;
-  double total_portfolio_ms = 0, total_simplified_ms = 0,
-         total_datalog_ms = 0, total_oracle_ms = 0;
-  bool all_parity = true;
-
-  auto run = [&](const ParamSystem& sys, const std::string& name,
-                 std::optional<std::pair<VarId, Value>> goal) {
-    SafetyVerifier verifier(sys);
-    VerifierOptions opts;
-    opts.time_budget_ms = 20'000;
-    opts.max_guesses = 30'000;
-    // Best-of-2 per measurement: the CI gate compares totals at 1.05x,
-    // so single-run scheduler noise on the heavy rows must not decide
-    // it.
-    auto verify = [&](Backend backend, double* ms) {
-      opts.backend = backend;
-      Verdict v;
-      for (int rep = 0; rep < 2; ++rep) {
-        const double t = TimeMs([&] {
-          v = verifier.Run(goal, opts);
-        });
-        if (rep == 0 || t < *ms) *ms = t;
-      }
-      return v;
-    };
-    double ms_p = 0, ms_s = 0, ms_d = 0;
-    const Verdict pv = verify(Backend::kPortfolio, &ms_p);
-    const Verdict sv = verify(Backend::kSimplifiedExplorer, &ms_s);
-    const Verdict dv = verify(Backend::kDatalog, &ms_d);
-    (void)sv;
-    // Winner is the suffix of the "portfolio:<stage>" backend tag.
-    std::string winner = pv.backend;
-    const std::string prefix = "portfolio:";
-    if (winner.rfind(prefix, 0) == 0) winner = winner.substr(prefix.size());
-    if (winner == "tmai") ++wins_tmai;
-    else if (winner == "simplified") ++wins_simplified;
-    else ++wins_datalog;
-    const double oracle_ms = ms_s < ms_d ? ms_s : ms_d;
-    total_portfolio_ms += ms_p;
-    total_simplified_ms += ms_s;
-    total_datalog_ms += ms_d;
-    total_oracle_ms += oracle_ms;
-    const double ratio = oracle_ms > 0 ? ms_p / oracle_ms : 0.0;
-    // Parity is against the exact backend: the race must not change
-    // the verdict (TMAI is sound, the other two are exact).
-    const bool parity = pv.result == dv.result;
-    all_parity = all_parity && parity;
-    const char* v =
-        pv.unsafe() ? "UNSAFE" : (pv.safe() ? "SAFE" : "unknown");
-    Row({name, winner, fmt(ms_p), fmt(ms_s), fmt(ms_d),
-         StrCat(fmt(ratio), "x"), parity ? "ok" : "MISMATCH"},
-        14);
-    json += StrCat(first_row ? "" : ",", "\n    {\"name\": \"", name,
-                   "\", \"winner\": \"", winner,
-                   "\", \"portfolio_ms\": ", fmt(ms_p),
-                   ", \"simplified_ms\": ", fmt(ms_s),
-                   ", \"datalog_ms\": ", fmt(ms_d),
-                   ", \"ratio_vs_oracle\": ", fmt(ratio), ", \"verdict\": \"",
-                   v, "\", \"parity\": ", parity ? "true" : "false", "}");
-    first_row = false;
-  };
-
-  for (const BenchmarkCase& bench : StandardBenchmarks()) {
-    run(bench.system, bench.name, std::nullopt);
-  }
-  for (int z : {4, 8}) {
-    const BenchmarkCase safe_pc = ProducerConsumerSafe(z);
-    run(safe_pc.system, safe_pc.name, std::nullopt);
-  }
-  // The heavy rows: the TQBF family dominates the totals, so the 1.05x
-  // gate measures the race on real work rather than on the fixed
-  // thread-spawn cost the sub-millisecond catalog rows amplify.
-  Rng rng(42);
-  const Qbf qbf = RandomQbf(rng, 3, 3);
-  Expected<ParamSystem> tqbf = TqbfSystem(qbf);
-  if (tqbf.ok()) run(tqbf.value(), "tqbf(n=3) safety", std::nullopt);
-  for (int level = 2; level <= qbf.n; ++level) {
-    TqbfWitnessQuery q = TqbfLevelQuery(qbf, level);
-    if (!q.system.ok()) continue;
-    run(q.system.value(), StrCat("tqbf(n=3) MG(a_", level, ")"),
-        std::make_pair(q.goal_var, q.goal_value));
-  }
-  const int total_wins = wins_tmai + wins_simplified + wins_datalog;
-  const double best_single_ms = total_simplified_ms < total_datalog_ms
-                                    ? total_simplified_ms
-                                    : total_datalog_ms;
-  const double total_ratio =
-      best_single_ms > 0 ? total_portfolio_ms / best_single_ms : 0.0;
-  const double ratio_vs_datalog =
-      total_datalog_ms > 0 ? total_portfolio_ms / total_datalog_ms : 0.0;
-  // The wall-clock gate needs actual parallelism: on a single hardware
-  // thread the racers time-slice one core, so the portfolio costs about
-  // the sum of the winner and the loser-until-cancel — roughly 2x by
-  // construction, and no implementation can do better. The gate is
-  // therefore skipped (not failed) there; CI runs on >= 2 cores.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const char* ratio_gate = hw < 2              ? "SKIPPED"
-                           : total_ratio <= 1.05 ? "OK"
-                                                 : "FAIL";
-  auto rate = [&](int wins) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f%%",
-                  total_wins > 0 ? 100.0 * wins / total_wins : 0.0);
-    return std::string(buf);
-  };
-  std::printf(
-      "wins: tmai %d (%s), simplified %d (%s), datalog %d (%s)\n"
-      "totals: portfolio %.2fms vs best-single %.2fms (%.2fx), vs "
-      "datalog-only %.2fms (%.2fx), vs per-instance oracle %.2fms; "
-      "parity %s; ratio gate (1.05x, %u hardware threads) %s\n",
-      wins_tmai, rate(wins_tmai).c_str(), wins_simplified,
-      rate(wins_simplified).c_str(), wins_datalog, rate(wins_datalog).c_str(),
-      total_portfolio_ms, best_single_ms, total_ratio, total_datalog_ms,
-      ratio_vs_datalog, total_oracle_ms, all_parity ? "OK" : "MISMATCH", hw,
-      ratio_gate);
-  std::printf(
-      "(winner = the portfolio stage that produced the verdict; vs_best "
-      "compares each row against the faster single exact backend on that "
-      "instance — the oracle a user cannot pick in advance; the gated "
-      "totals ratio instead compares whole-suite wall clock against the "
-      "better fixed choice of backend)\n");
-
-  json += StrCat(
-      "\n  ],\n  \"totals\": {\n    \"wins\": {\"tmai\": ", wins_tmai,
-      ", \"simplified\": ", wins_simplified, ", \"datalog\": ", wins_datalog,
-      "},\n    \"portfolio_ms\": ", fmt(total_portfolio_ms),
-      ",\n    \"simplified_ms\": ", fmt(total_simplified_ms),
-      ",\n    \"datalog_ms\": ", fmt(total_datalog_ms),
-      ",\n    \"best_single_ms\": ", fmt(best_single_ms),
-      ",\n    \"oracle_ms\": ", fmt(total_oracle_ms),
-      ",\n    \"ratio_vs_best\": ", fmt(total_ratio),
-      ",\n    \"ratio_vs_datalog\": ", fmt(ratio_vs_datalog),
-      ",\n    \"hardware_threads\": ", hw,
-      ",\n    \"ratio_gate\": \"", ratio_gate,
-      "\",\n    \"parity\": \"", all_parity ? "OK" : "MISMATCH",
-      "\"\n  }\n}\n");
-  if (write_json) {
-    std::ofstream out("BENCH_portfolio.json");
-    out << json;
-    std::printf("wrote BENCH_portfolio.json\n");
-  }
-}
-
 // TMAI domain ablation: the small-set value domain (PR 6) vs the
 // relational must-domain (tmai/relational.h) vs the kAuto retry policy,
 // on the benchmark catalog. Three acceptance properties are on display:
@@ -599,9 +439,7 @@ void PrintPortfolioAblation(bool write_json) {
 // small-set proves — it only adds precision; the jq gate in CI enforces
 // proof_rate_relational >= proof_rate_smallset), certificate validity
 // (every kSafe verdict ships a certificate the independent checker
-// accepts), and the portfolio win-rate shift (how many catalog races the
-// TMAI stage now short-circuits that it lost under small-set). Latency
-// shows what the precision costs: the relational fixpoint re-runs with
+// accepts). Latency shows what the precision costs: the relational fixpoint re-runs with
 // pairwise tracking and up to max_strengthen_rounds pruning rounds,
 // while kAuto pays that only on small-set kUnknown. With --json the
 // table is written to BENCH_tmai_domains.json.
@@ -701,33 +539,16 @@ void PrintDomainAblation(bool write_json) {
     first_row = false;
   }
 
-  // Portfolio win-rate shift: how often the inline TMAI stage decides
-  // the race before it starts, under the old domain vs the new default.
-  int wins_smallset = 0, wins_auto = 0;
-  for (const BenchmarkCase& bench : suite) {
-    SafetyVerifier verifier(bench.system);
-    VerifierOptions popts;
-    popts.backend = Backend::kPortfolio;
-    popts.time_budget_ms = 20'000;
-    popts.max_guesses = 30'000;
-    popts.tmai.domain = tmai::Domain::kSmallSet;
-    if (verifier.Run(std::nullopt, popts).backend == "portfolio:tmai") ++wins_smallset;
-    popts.tmai.domain = tmai::Domain::kAuto;
-    if (verifier.Run(std::nullopt, popts).backend == "portfolio:tmai") ++wins_auto;
-  }
-
   auto rate = [&](int proved) {
     return safe_cases > 0 ? static_cast<double>(proved) / safe_cases : 0.0;
   };
   std::printf(
       "proof rate on the %d expected-safe catalog cases: smallset %d "
       "(%.2f), relational %d (%.2f), auto %d (%.2f)\n"
-      "certificates: %d/%d valid; portfolio tmai-stage wins: smallset "
-      "%d/%zu, auto %d/%zu; parity %s\n",
+      "certificates: %d/%d valid; parity %s\n",
       safe_cases, proved_smallset, rate(proved_smallset), proved_relational,
       rate(proved_relational), proved_auto, rate(proved_auto), certs_valid,
-      certs_total, wins_smallset, suite.size(), wins_auto, suite.size(),
-      all_parity ? "OK" : "MISMATCH");
+      certs_total, all_parity ? "OK" : "MISMATCH");
   std::printf(
       "(cert = valid/emitted invariant certificates on that row, checked "
       "with tmai::CheckCertificate; parity requires no unsound proof, "
@@ -744,8 +565,6 @@ void PrintDomainAblation(bool write_json) {
       ",\n    \"proof_rate_auto\": ", fmt(rate(proved_auto)),
       ",\n    \"certificates_valid\": ", certs_valid,
       ",\n    \"certificates_total\": ", certs_total,
-      ",\n    \"portfolio_tmai_wins_smallset\": ", wins_smallset,
-      ",\n    \"portfolio_tmai_wins_auto\": ", wins_auto,
       ",\n    \"parity\": \"", all_parity ? "OK" : "MISMATCH",
       "\"\n  }\n}\n");
   if (write_json) {
@@ -764,7 +583,6 @@ static void PrintReproduction(const char* json_path) {
   rapar::PrintIndexAblation();
   rapar::PrintParallelScaling(json_path);
   rapar::PrintObsAblation(json_path != nullptr);
-  rapar::PrintPortfolioAblation(json_path != nullptr);
   rapar::PrintDomainAblation(json_path != nullptr);
 }
 

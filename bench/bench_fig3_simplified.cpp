@@ -8,6 +8,7 @@
 #include "bench/bench_util.h"
 #include "core/benchmarks.h"
 #include "core/verifier.h"
+#include "obs/telemetry.h"
 
 namespace rapar {
 namespace {
@@ -40,10 +41,11 @@ void PrintSweep() {
     const double conc_ms = TimeMs([&] { vc = verifier.Run(std::nullopt, copts); });
 
     Row({std::to_string(z), vs.unsafe() ? "UNSAFE" : "safe",
-         std::to_string(vs.states()), std::to_string(simpl_ms),
+         std::to_string(vs.telemetry.counter(obs::metric::kStates)), std::to_string(simpl_ms),
          vc.result == Verdict::Result::kUnknown
              ? "(budget)"
-             : std::to_string(vc.states()),
+             : std::to_string(
+                   vc.telemetry.counter(obs::metric::kStates)),
          std::to_string(conc_ms)},
         16);
   }

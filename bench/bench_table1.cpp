@@ -15,6 +15,7 @@
 #include "bench/bench_util.h"
 #include "core/benchmarks.h"
 #include "core/verifier.h"
+#include "obs/telemetry.h"
 #include "lowerbound/counter_machine.h"
 #include "lowerbound/qbf.h"
 #include "lowerbound/tqbf_reduction.h"
@@ -43,7 +44,7 @@ void PrintDecidableCell() {
     const double ms = TimeMs([&] { v = verifier.Run(std::nullopt, opts); });
     Row({bench.name, bench.paper_class,
          v.unsafe() ? "UNSAFE" : (v.safe() ? "SAFE" : "UNKNOWN"),
-         std::to_string(v.states()),
+         std::to_string(v.telemetry.counter(obs::metric::kStates)),
          std::to_string(static_cast<int>(ms * 1000) / 1000.0)},
         26);
   }

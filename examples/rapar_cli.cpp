@@ -157,9 +157,10 @@ const FlagSpec kFlags[] = {
      "simplified|datalog|concrete|tmai|portfolio (default simplified)",
      [](Options& o, const char* v) { o.backend = v; }},
     {"--threads", true, "N", "verify mg serve",
-     "concrete: env threads in the instance (default 2); datalog: worker "
-     "threads (default 0 = all hardware threads, 1 = serial); serve: "
-     "request-pool workers (default 0 = all hardware threads)",
+     "concrete: env threads in the instance (default 2); datalog and "
+     "portfolio: Datalog worker threads (default 1 = serial, 0 = all "
+     "hardware threads); serve: request-pool workers (default 0 = all "
+     "hardware threads)",
      [](Options& o, const char* v) {
        o.threads_set = true;
        ParseInt(v, &o.threads);
@@ -640,15 +641,13 @@ int RunVerify(const Options& opts, bool mg) {
   vopts.tmai.widening_delay = opts.tmai_widening_delay;
   vopts.tmai.value_set_limit = opts.tmai_value_set_limit;
   vopts.concrete.env_threads = opts.threads;
-  if (vopts.backend == rapar::Backend::kDatalog ||
-      vopts.backend == rapar::Backend::kPortfolio) {
-    // For the Datalog backend (raced by the portfolio) --threads selects
-    // the worker-pool size (0 = all hardware threads, also the default).
+  if (opts.threads_set && (vopts.backend == rapar::Backend::kDatalog ||
+                           vopts.backend == rapar::Backend::kPortfolio)) {
+    // For the Datalog backend (the portfolio's second stage) --threads
+    // selects the worker-pool size (0 = all hardware threads); without it
+    // the scan stays serial, as in the library and serve.
     vopts.datalog.threads =
-        opts.threads_set ? static_cast<unsigned>(opts.threads < 0
-                                                     ? 0
-                                                     : opts.threads)
-                         : 0;
+        static_cast<unsigned>(opts.threads < 0 ? 0 : opts.threads);
   }
   vopts.time_budget_ms = opts.budget_ms;
   vopts.obs.trace = trace;

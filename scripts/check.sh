@@ -53,9 +53,7 @@ ctest --preset asan-ubsan -j "$jobs"
 
 # The parallel verification driver (per-guess solves on the pool; the
 # guess enumeration runs on the dispatching thread) and the engine it
-# fans out, raced under TSan, plus the portfolio driver (TMAI prepass under the kAuto
-# domain — small-set plus the relational retry — then simplified vs
-# Datalog on a shared CancellationToken), the goal-skip suite, whose
+# fans out, raced under TSan, plus the goal-skip suite, whose
 # four-thread runs exercise the dispatcher's skipped and shared guesses,
 # and the serve session, whose pooled misses run the pipeline
 # concurrently with no lock around it.
@@ -64,9 +62,9 @@ ctest --preset asan-ubsan -j "$jobs"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target parallel_differential_test datalog_index_differential_test \
-  tmai_soundness_test shard_parity_test goal_skip_test serve_test
+  shard_parity_test goal_skip_test serve_test
 ctest --preset tsan \
-  -R 'ParallelDifferential|IndexDifferential|TmaiPortfolio|ShardParity|GoalSkip|ServeTest' \
+  -R 'ParallelDifferential|IndexDifferential|ShardParity|GoalSkip|ServeTest' \
   -j "$jobs"
 
 # Optional (CHECK_BENCH=1): reproduce the bench_backends tables and gate

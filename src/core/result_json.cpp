@@ -64,9 +64,9 @@ std::string VerdictToJson(const Verdict& v, const VerifierOptions& options,
   }
   w.Key("verdict").String(VerdictName(v.result));
   w.Key("exit_code").Int(VerdictExitCode(v));
-  // The backend that actually produced the verdict — distinct from the
-  // requested options.backend when the portfolio driver picked a winner
-  // ("portfolio:datalog" etc.).
+  // The backend that actually produced the verdict — for the portfolio
+  // the cascade stage that decided ("portfolio:tmai" or
+  // "portfolio:datalog"), distinct from the requested options.backend.
   w.Key("backend").String(v.backend.empty() ? BackendName(options.backend)
                                             : v.backend);
   w.Key("witness");

@@ -732,7 +732,6 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     // Memoize before stamping: the stored verdict carries no
     // session-cumulative counters.
     VerifierOptions stored_opts = req.vopts;
-    stored_opts.cancel = nullptr;
     stored_opts.obs.trace = nullptr;
 
     extras.cache = "miss";

@@ -24,6 +24,10 @@
 //                "tmai_value_set_limit": N, "max_states": N,
 //                "max_depth": N, "time_budget_ms": N, "max_guesses": N}}
 //
+// "portfolio" runs TMAI and, when TMAI cannot prove the system safe, the
+// Datalog backend, both on the worker that took the request; "threads"
+// sizes that Datalog stage's guess pool as it does for "datalog".
+//
 // Batch requests: a line whose top-level object has a "requests" member
 // bundles several requests into one round trip —
 //

@@ -1,15 +1,11 @@
 #include "core/verifier.h"
 
-#include <atomic>
 #include <chrono>
-#include <exception>
 #include <map>
 #include <memory>
-#include <stdexcept>
 
 #include "analysis/prepass.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "core/trace_render.h"
 #include "depgraph/dep_graph.h"
 #include "encoding/datalog_verifier.h"
@@ -27,6 +23,9 @@ namespace metric = obs::metric;
 // Verdict::stopped_phase of a Datalog scan that --scan-limit stopped: a
 // requested stop, not an expired deadline.
 constexpr char kScanLimitPhase[] = "scan-limit";
+// Verdict::stopped_phase of a TMAI fixpoint that did not converge within
+// tmai.max_iterations; TMAI reads no deadline.
+constexpr char kFixpointPhase[] = "fixpoint";
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -130,87 +129,53 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   }
 }
 
-}  // namespace
-
-std::size_t Verdict::states() const {
-  return telemetry.counter(metric::kStates);
-}
-std::size_t Verdict::guesses() const {
-  return telemetry.counter(metric::kGuesses);
-}
-std::size_t Verdict::tuples() const {
-  return telemetry.counter(metric::kTuples);
-}
-std::size_t Verdict::rule_firings() const {
-  return telemetry.counter(metric::kRuleFirings);
-}
-std::size_t Verdict::join_attempts() const {
-  return telemetry.counter(metric::kJoinAttempts);
-}
-std::size_t Verdict::index_probes() const {
-  return telemetry.counter(metric::kIndexProbes);
-}
-std::size_t Verdict::index_hits() const {
-  return telemetry.counter(metric::kIndexHits);
-}
-std::size_t Verdict::index_builds() const {
-  return telemetry.counter(metric::kIndexBuilds);
-}
-std::size_t Verdict::fact_reuses() const {
-  return telemetry.counter(metric::kFactReuses);
-}
-
-std::size_t Verdict::budget_aborted_guess() const {
-  return telemetry.Has(metric::kBudgetAbortedGuess)
-             ? static_cast<std::size_t>(
-                   telemetry.counter(metric::kBudgetAbortedGuess))
-             : kNoGuessIndex;
-}
-
-PrepassStats Verdict::prepass() const {
+// ToString's readers of the registry: the pre-pass, dlopt and parallel
+// blocks print through the stats structs' own formatting.
+PrepassStats PrepassOf(const obs::Telemetry& t) {
   PrepassStats s;
-  s.dead_edges_removed = telemetry.counter(metric::kPrepassDeadEdges);
-  s.guards_folded = telemetry.counter(metric::kPrepassGuardsFolded);
-  s.stores_sliced = telemetry.counter(metric::kPrepassStoresSliced);
-  s.assigns_dropped = telemetry.counter(metric::kPrepassAssignsDropped);
+  s.dead_edges_removed = t.counter(metric::kPrepassDeadEdges);
+  s.guards_folded = t.counter(metric::kPrepassGuardsFolded);
+  s.stores_sliced = t.counter(metric::kPrepassStoresSliced);
+  s.assigns_dropped = t.counter(metric::kPrepassAssignsDropped);
   return s;
 }
 
-::rapar::dlopt::DlOptStats Verdict::dlopt() const {
-  ::rapar::dlopt::DlOptStats s;
-  s.rules_before = telemetry.counter(metric::kDlOptRulesBefore);
-  s.rules_after = telemetry.counter(metric::kDlOptRulesAfter);
-  s.unproductive_removed = telemetry.counter(metric::kDlOptUnproductive);
-  s.unreachable_removed = telemetry.counter(metric::kDlOptUnreachable);
-  s.demand_removed = telemetry.counter(metric::kDlOptDemand);
-  s.duplicates_removed = telemetry.counter(metric::kDlOptDuplicates);
-  s.subsumed_removed = telemetry.counter(metric::kDlOptSubsumed);
-  s.copy_aliased_removed = telemetry.counter(metric::kDlOptCopyAliased);
-  s.preds_before = telemetry.counter(metric::kDlOptPredsBefore);
-  s.preds_after = telemetry.counter(metric::kDlOptPredsAfter);
+dlopt::DlOptStats DlOptOf(const obs::Telemetry& t) {
+  dlopt::DlOptStats s;
+  s.rules_before = t.counter(metric::kDlOptRulesBefore);
+  s.rules_after = t.counter(metric::kDlOptRulesAfter);
+  s.unproductive_removed = t.counter(metric::kDlOptUnproductive);
+  s.unreachable_removed = t.counter(metric::kDlOptUnreachable);
+  s.demand_removed = t.counter(metric::kDlOptDemand);
+  s.duplicates_removed = t.counter(metric::kDlOptDuplicates);
+  s.subsumed_removed = t.counter(metric::kDlOptSubsumed);
+  s.copy_aliased_removed = t.counter(metric::kDlOptCopyAliased);
+  s.preds_before = t.counter(metric::kDlOptPredsBefore);
+  s.preds_after = t.counter(metric::kDlOptPredsAfter);
   return s;
 }
 
-ParallelStats Verdict::parallel() const {
+ParallelStats ParallelOf(const obs::Telemetry& t) {
   ParallelStats p;
-  p.threads = telemetry.Has(metric::kParThreads)
-                  ? static_cast<unsigned>(
-                        telemetry.counter(metric::kParThreads))
+  p.threads = t.Has(metric::kParThreads)
+                  ? static_cast<unsigned>(t.counter(metric::kParThreads))
                   : 1;
-  p.batches = telemetry.counter(metric::kParBatches);
-  p.steals = telemetry.counter(metric::kParSteals);
-  p.solves = telemetry.counter(metric::kParSolves);
-  p.discarded = telemetry.counter(metric::kParDiscarded);
-  p.skipped = telemetry.counter(metric::kParSkipped);
-  p.early_exit_index =
-      telemetry.Has(metric::kParEarlyExitIndex)
-          ? static_cast<std::size_t>(
-                telemetry.counter(metric::kParEarlyExitIndex))
-          : kNoGuessIndex;
+  p.batches = t.counter(metric::kParBatches);
+  p.steals = t.counter(metric::kParSteals);
+  p.solves = t.counter(metric::kParSolves);
+  p.discarded = t.counter(metric::kParDiscarded);
+  p.skipped = t.counter(metric::kParSkipped);
+  p.early_exit_index = t.Has(metric::kParEarlyExitIndex)
+                           ? static_cast<std::size_t>(
+                                 t.counter(metric::kParEarlyExitIndex))
+                           : kNoGuessIndex;
   return p;
 }
 
+}  // namespace
+
 std::string Verdict::ToString() const {
+  const obs::Telemetry& t = telemetry;
   std::string out;
   switch (result) {
     case Result::kSafe:
@@ -223,28 +188,34 @@ std::string Verdict::ToString() const {
       out = "UNKNOWN";
       break;
   }
-  out += StrCat(" (states=", states());
-  if (guesses() > 0) out += StrCat(", guesses=", guesses());
-  if (tuples() > 0) out += StrCat(", tuples=", tuples());
+  out += StrCat(" (states=", t.counter(metric::kStates));
+  const std::uint64_t guesses = t.counter(metric::kGuesses);
+  if (guesses > 0) out += StrCat(", guesses=", guesses);
+  const std::uint64_t tuples = t.counter(metric::kTuples);
+  if (tuples > 0) out += StrCat(", tuples=", tuples);
   if (env_thread_bound.has_value()) {
     out += StrCat(", env-thread bound=", *env_thread_bound);
   }
   out += ")";
-  const PrepassStats pre = prepass();
+  const PrepassStats pre = PrepassOf(t);
   if (pre.Any()) out += StrCat(" [prepass: ", pre.ToString(), "]");
-  const ::rapar::dlopt::DlOptStats opt = dlopt();
+  const dlopt::DlOptStats opt = DlOptOf(t);
   if (opt.Any()) out += StrCat(" [dlopt: ", opt.ToString(), "]");
-  if (rule_firings() > 0 || join_attempts() > 0) {
-    out += StrCat(" [engine: firings=", rule_firings(),
-                  ", joins=", join_attempts());
-    if (index_builds() > 0) {
-      out += StrCat(", index probes=", index_probes(),
-                    " hits=", index_hits(), " builds=", index_builds());
+  const std::uint64_t firings = t.counter(metric::kRuleFirings);
+  const std::uint64_t joins = t.counter(metric::kJoinAttempts);
+  if (firings > 0 || joins > 0) {
+    out += StrCat(" [engine: firings=", firings, ", joins=", joins);
+    const std::uint64_t builds = t.counter(metric::kIndexBuilds);
+    if (builds > 0) {
+      out += StrCat(", index probes=", t.counter(metric::kIndexProbes),
+                    " hits=", t.counter(metric::kIndexHits),
+                    " builds=", builds);
     }
-    if (fact_reuses() > 0) out += StrCat(", edb reuses=", fact_reuses());
+    const std::uint64_t reuses = t.counter(metric::kFactReuses);
+    if (reuses > 0) out += StrCat(", edb reuses=", reuses);
     out += "]";
   }
-  const ParallelStats par = parallel();
+  const ParallelStats par = ParallelOf(t);
   if (par.Any()) {
     out += StrCat(" [parallel: threads=", par.threads,
                   ", batches=", par.batches,
@@ -259,11 +230,14 @@ std::string Verdict::ToString() const {
     }
     out += "]";
   }
-  if (budget_aborted_guess() != kNoGuessIndex) {
-    out += StrCat(" [budget aborted at guess ", budget_aborted_guess(), "]");
+  if (t.Has(metric::kBudgetAbortedGuess)) {
+    out += StrCat(" [budget aborted at guess ",
+                  t.counter(metric::kBudgetAbortedGuess), "]");
   }
   if (stopped_phase == kScanLimitPhase) {
     out += " [scan limit hit]";
+  } else if (stopped_phase == kFixpointPhase) {
+    out += " [fixpoint did not converge]";
   } else if (!stopped_phase.empty()) {
     out += StrCat(" [deadline hit in ", stopped_phase, "]");
   }
@@ -289,7 +263,6 @@ Verdict RunSimplified(const ParamSystem& system,
   opts.max_states = options.max_states;
   opts.max_depth = options.max_depth;
   opts.time_budget_ms = options.time_budget_ms;
-  opts.cancel = options.cancel;
   SimplResult r;
   {
     obs::ScopedSpan span(options.obs.trace, "explore");
@@ -360,7 +333,6 @@ Verdict RunDatalog(const ParamSystem& system,
   opts.batch_size = options.datalog.batch_size;
   opts.time_budget_ms = options.time_budget_ms;
   opts.trace = options.obs.trace;
-  opts.cancel = options.cancel;
   DatalogVerdict dv;
   {
     obs::ScopedSpan span(options.obs.trace, "solve");
@@ -492,123 +464,29 @@ Verdict RunTmai(const ParamSystem& system,
     // The abstraction reached the goal, or the fixpoint was cut short —
     // either way TMAI cannot conclude anything (it never answers unsafe).
     v.result = Verdict::Result::kUnknown;
-    if (!r.converged) v.stopped_phase = "fixpoint";
+    if (!r.converged) v.stopped_phase = kFixpointPhase;
   }
   return v;
 }
 
+// The portfolio cascade, on the calling thread. TMAI goes first: it is
+// sound for kSafe only and finishes in microseconds on typical inputs.
+// Whatever it does not prove goes to the exact Datalog backend, whose
+// verdict is returned unchanged but for its backend name (DESIGN.md §10,
+// §15). The trace recorder stays attached to both stages.
 Verdict RunPortfolio(const ParamSystem& system,
                      std::optional<std::pair<VarId, Value>> goal,
                      const VerifierOptions& options) {
-  // Stage 0: TMAI inline. It finishes in microseconds on typical inputs,
-  // so racing it buys nothing; a kSafe answer skips the race entirely.
   const auto tmai_start = std::chrono::steady_clock::now();
-  VerifierOptions topts = options;
-  topts.backend = Backend::kTmai;
-  Verdict tv = RunTmai(system, goal, topts);
+  Verdict v = RunTmai(system, goal, options);
   const double tmai_ms = MsSince(tmai_start);
-  if (tv.safe()) {
-    tv.backend = "portfolio:tmai";
-    tv.telemetry.SetCounter(metric::kPortfolioWinnerTmai, 1);
-    tv.telemetry.SetGauge(metric::kPortfolioTmaiMs, tmai_ms);
-    tv.telemetry.SetCounter(metric::kPortfolioCancelled, 0);
-    return tv;
+  if (v.safe()) {
+    v.backend = "portfolio:tmai";
+  } else {
+    v = RunDatalog(system, goal, options);
+    v.backend = "portfolio:datalog";
   }
-
-  // Stage 1: race the two exact backends with a shared cancel. The first
-  // definitive verdict (kSafe or kUnsafe — both backends are sound and
-  // complete, so any definitive answer is correct) claims the win and
-  // cancels the other; if neither is definitive the Datalog verdict is
-  // reported so portfolio results stay bit-identical to --backend=datalog
-  // on inconclusive runs.
-  CancellationToken cancel;
-  struct Entry {
-    Verdict verdict;
-    double ms = 0;
-    bool done = false;
-    std::string error;
-  };
-  constexpr int kSimpl = 0;
-  constexpr int kData = 1;
-  Entry entries[2];
-  std::atomic<int> winner{-1};
-  const auto race_start = std::chrono::steady_clock::now();
-
-  auto race = [&](int slot) {
-    Entry& e = entries[slot];
-    try {
-      VerifierOptions child = options;
-      child.cancel = &cancel;
-      // The recorder is not synchronized; raced backends run untraced.
-      child.obs.trace = nullptr;
-      if (slot == kSimpl) {
-        child.backend = Backend::kSimplifiedExplorer;
-        e.verdict = RunSimplified(system, goal, child);
-      } else {
-        child.backend = Backend::kDatalog;
-        e.verdict = RunDatalog(system, goal, child);
-      }
-      e.ms = MsSince(race_start);
-      e.done = true;
-      if (e.verdict.result != Verdict::Result::kUnknown) {
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, slot)) {
-          cancel.Cancel();
-        }
-      }
-    } catch (const std::exception& ex) {
-      e.ms = MsSince(race_start);
-      e.error = ex.what();
-    }
-  };
-
-  {
-    ThreadPool pool(2);
-    pool.Submit([&] { race(kSimpl); });
-    pool.Submit([&] { race(kData); });
-    pool.Wait();
-  }
-
-  int won = winner.load(std::memory_order_acquire);
-  if (won < 0) {
-    // No definitive answer. Fall back to the Datalog verdict (its
-    // stopped_phase explains the truncation); if Datalog itself threw,
-    // try the simplified one before giving up.
-    if (entries[kData].done) {
-      won = kData;
-    } else if (entries[kSimpl].done) {
-      won = kSimpl;
-    } else {
-      throw std::runtime_error(
-          StrCat("portfolio: every backend failed (datalog: ",
-                 entries[kData].error,
-                 "; simplified: ", entries[kSimpl].error, ")"));
-    }
-  }
-
-  Verdict v = std::move(entries[won].verdict);
-  v.backend = won == kSimpl ? "portfolio:simplified" : "portfolio:datalog";
-  obs::Telemetry& t = v.telemetry;
-  t.SetCounter(metric::kPortfolioWinnerTmai, 0);
-  t.SetCounter(metric::kPortfolioWinnerSimplified, won == kSimpl ? 1 : 0);
-  t.SetCounter(metric::kPortfolioWinnerDatalog, won == kData ? 1 : 0);
-  t.SetGauge(metric::kPortfolioTmaiMs, tmai_ms);
-  if (entries[kSimpl].done) {
-    t.SetGauge(metric::kPortfolioSimplifiedMs, entries[kSimpl].ms);
-  }
-  if (entries[kData].done) {
-    t.SetGauge(metric::kPortfolioDatalogMs, entries[kData].ms);
-  }
-  // Losers that came back inconclusive after the winner fired were
-  // (cooperatively) cancelled rather than genuinely stuck.
-  std::size_t cancelled = 0;
-  for (int slot : {kSimpl, kData}) {
-    if (slot != won && entries[slot].done &&
-        entries[slot].verdict.result == Verdict::Result::kUnknown) {
-      ++cancelled;
-    }
-  }
-  t.SetCounter(metric::kPortfolioCancelled, cancelled);
+  v.telemetry.SetGauge(metric::kPortfolioTmaiMs, tmai_ms);
   return v;
 }
 

@@ -22,15 +22,13 @@
 //                         tmai/tmai.h): sound for kSafe, never kUnsafe;
 //                         answers kUnknown when the abstraction reaches
 //                         the error location.
-//   kPortfolio          — races TMAI, the simplified explorer and the
-//                         Datalog backend; first definitive answer wins
-//                         and the losers are cancelled cooperatively.
+//   kPortfolio          — a cascade on the calling thread: TMAI first, and
+//                         when it cannot prove kSafe, the Datalog backend,
+//                         whose verdict is returned unchanged.
 //
 // Results carry a single obs::Telemetry registry with every statistic the
-// run produced under a stable dotted name (see obs/telemetry.h). The
-// pre-telemetry flat counter fields survive as deprecated accessor
-// methods that read the registry back; new code should query
-// Verdict::telemetry directly.
+// run produced under a stable dotted name (see obs/telemetry.h); query
+// Verdict::telemetry for the counts.
 #ifndef RAPAR_CORE_VERIFIER_H_
 #define RAPAR_CORE_VERIFIER_H_
 
@@ -41,7 +39,6 @@
 #include <utility>
 
 #include "analysis/prepass.h"
-#include "common/cancellation.h"
 #include "core/param_system.h"
 #include "datalog/engine.h"
 #include "dlopt/optimize.h"
@@ -104,7 +101,7 @@ struct ConcreteBackendOptions {
 };
 
 // Knobs that only the TMAI backend reads (see tmai/tmai.h). The
-// portfolio backend runs TMAI with the same knobs as its first stage.
+// portfolio cascade runs TMAI with the same knobs as its first stage.
 struct TmaiBackendOptions {
   // Interference fixpoint rounds before giving up (kUnknown).
   int max_iterations = 64;
@@ -140,14 +137,11 @@ struct VerifierOptions {
   ConcreteBackendOptions concrete;
   TmaiBackendOptions tmai;
   ObsOptions obs;
-  // Borrowed external cancellation (advisory): when it fires, backends
-  // stop at the next check and the verdict degrades to kUnknown. Null
-  // disables. The portfolio driver uses this to cancel losing backends.
-  const CancellationToken* cancel = nullptr;
   // Resource bounds (apply per backend as applicable). time_budget_ms is
-  // a wall-clock deadline enforced cooperatively by every backend; on
-  // expiry the verdict degrades to kUnknown and Verdict::stopped_phase
-  // names the phase that was cut short.
+  // a wall-clock deadline that the explorers and the Datalog guess scan
+  // enforce cooperatively; on expiry the verdict degrades to kUnknown and
+  // Verdict::stopped_phase names the phase that was cut short. TMAI reads
+  // no deadline: tmai.max_iterations bounds it instead.
   std::size_t max_states = 1'000'000;
   int max_depth = 100'000;
   long long time_budget_ms = 0;
@@ -171,15 +165,16 @@ struct Verdict {
   // instance (Datalog backend only).
   std::string width_report;
   // Phase a wall-clock deadline stopped ("explore" for the state-space
-  // backends, "solve" for the Datalog guess scan, "fixpoint" for TMAI),
-  // or "scan-limit" when DatalogBackendOptions::scan_limit stopped the
-  // guess scan; empty when neither fired. A non-empty value implies the
-  // search was truncated.
+  // backends, "solve" for the Datalog guess scan), "scan-limit" when
+  // DatalogBackendOptions::scan_limit stopped the guess scan, or
+  // "fixpoint" when TMAI's fixpoint did not converge within
+  // tmai.max_iterations; empty when none of these fired. A non-empty
+  // value implies the search was truncated.
   std::string stopped_phase;
   // Which backend actually produced this verdict ("simplified",
-  // "datalog", "concrete", "tmai", "portfolio:<winner>"). Filled by
-  // every Run* path so envelopes stay unambiguous when the portfolio
-  // driver or a budget/deadline is involved.
+  // "datalog", "concrete", "tmai", or "portfolio:tmai" /
+  // "portfolio:datalog" for the cascade stage that decided). Filled by
+  // every Run* path so envelopes stay unambiguous.
   std::string backend;
   // Every statistic of the run, keyed by the stable names in
   // obs/telemetry.h (verify.*, engine.*, datalog.*, prepass.*, dlopt.*,
@@ -187,34 +182,10 @@ struct Verdict {
   obs::Telemetry telemetry;
   // Machine-checkable invariant certificate justifying a TMAI kSafe
   // verdict (tmai/certcheck.h). Set only when the TMAI backend (directly
-  // or as the winning portfolio stage) proved safety; null otherwise, so
+  // or as the portfolio's first stage) proved safety; null otherwise, so
   // certificate-free JSON envelopes are unchanged. Re-validate with
   // `rapar_cli certcheck` or tmai::CheckCertificate.
   std::shared_ptr<const tmai::Certificate> certificate;
-
-  // --- deprecated accessors --------------------------------------------
-  // The pre-obs flat fields, reconstructed from `telemetry`. Kept so the
-  // migration is mechanical (`v.states` -> `v.states()`); prefer
-  // telemetry.counter(obs::metric::...) in new code.
-  std::size_t states() const;   // explored abstract/concrete states
-  std::size_t guesses() const;  // Datalog backend: makeP executions
-  std::size_t tuples() const;   // Datalog backend: derived tuples
-  std::size_t rule_firings() const;
-  std::size_t join_attempts() const;
-  std::size_t index_probes() const;
-  std::size_t index_hits() const;
-  std::size_t index_builds() const;
-  std::size_t fact_reuses() const;
-  // Index of the guess whose query blew the tuple budget; kNoGuessIndex
-  // when no abort occurred.
-  std::size_t budget_aborted_guess() const;
-  // What the analysis pre-pass pruned.
-  PrepassStats prepass() const;
-  // What the Datalog program optimizer pruned, summed over all evaluated
-  // query instances.
-  ::rapar::dlopt::DlOptStats dlopt() const;
-  // Parallel-driver telemetry (threads, batches, steals, early exit).
-  ParallelStats parallel() const;
 
   std::string ToString() const;
 };

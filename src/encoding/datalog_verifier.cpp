@@ -366,17 +366,6 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
       EmitCheckpoint(options, verdict, next_unscanned, false);
       return verdict;
     }
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      // External cancel: truncated like a deadline, but deadline_hit
-      // stays false — no budget expired.
-      verdict.exhaustive = false;
-      verdict.guesses = next_unscanned;
-      solver.AddTotals(verdict);
-      obs::TraceInstant(options.trace, "cancelled",
-                        StrCat("{\"guess\":", idx, "}"));
-      EmitCheckpoint(options, verdict, next_unscanned, false);
-      return verdict;
-    }
     const bool first = solves_this_run == 0;
     const GuessClasses::Class c = classes.Next(ig->guess, first);
     GuessOutcome o;
@@ -490,7 +479,6 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   std::atomic<std::size_t> stop_idx{kNoGuessIndex};
   const Deadline deadline(options.time_budget_ms);
   std::atomic<bool> deadline_fired{false};
-  std::atomic<bool> ext_cancelled{false};
   ShardedCounter solves;
   ShardedCounter skipped;
 
@@ -528,11 +516,6 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
   while (!cancel.cancelled()) {
     if (deadline.Expired()) {
       deadline_fired.store(true, std::memory_order_relaxed);
-      cancel.Cancel();
-      break;
-    }
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      ext_cancelled.store(true, std::memory_order_relaxed);
       cancel.Cancel();
       break;
     }
@@ -601,12 +584,6 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
           }
           if (deadline.Expired()) {
             deadline_fired.store(true, std::memory_order_relaxed);
-            cancel.Cancel();
-            skipped.Add(work.size() - k);
-            break;
-          }
-          if (options.cancel != nullptr && options.cancel->cancelled()) {
-            ext_cancelled.store(true, std::memory_order_relaxed);
             cancel.Cancel();
             skipped.Add(work.size() - k);
             break;
@@ -718,13 +695,6 @@ DatalogVerdict ParallelVerify(const SimplSystem& sys,
                       StrCat("{\"solves\":", evaluated, "}"));
     // Resume conservatively from the contiguous-completed frontier;
     // solves in the ragged tail beyond it will be redone.
-    EmitCheckpoint(options, verdict, frontier(), false);
-  } else if (ext_cancelled.load(std::memory_order_relaxed)) {
-    // External cancel: truncated, inconclusive, no deadline blame.
-    verdict.exhaustive = false;
-    verdict.guesses = base + evaluated;
-    obs::TraceInstant(options.trace, "cancelled",
-                      StrCat("{\"solves\":", evaluated, "}"));
     EmitCheckpoint(options, verdict, frontier(), false);
   } else if (scan_limited) {
     // Every dispatched guess was solved (no event, no deadline), so the

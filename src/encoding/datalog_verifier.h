@@ -35,7 +35,7 @@
 // only verdict fields that may vary with the thread count.
 //
 // Checkpoint/resume: a scan that stops without a verdict (scan_limit,
-// deadline, cancel, budget abort, enumeration cap) hands a
+// deadline, budget abort, enumeration cap) hands a
 // CursorCheckpoint to checkpoint_sink. A run started at its next_index
 // (GuessEnumOptions::start_index) reaches the verdict and guess count of
 // the uninterrupted scan and scans no guess below that index again.
@@ -47,7 +47,6 @@
 #include <optional>
 #include <string>
 
-#include "common/cancellation.h"
 #include "datalog/engine.h"
 #include "dlopt/optimize.h"
 #include "encoding/makep.h"
@@ -97,12 +96,6 @@ struct DatalogVerifierOptions {
   // makep/dlopt/eval phases, plus instant markers for early exit, budget
   // abort and deadline expiry. Null = no tracing, near-zero cost.
   obs::TraceRecorder* trace = nullptr;
-  // Borrowed external cancellation (advisory), polled wherever the
-  // deadline is. On cancel the scan stops, exhaustive becomes false but
-  // deadline_hit stays false — the caller asked, no budget expired.
-  // Cancel-truncated runs are exempt from the determinism rule like
-  // deadline-truncated ones.
-  const CancellationToken* cancel = nullptr;
   // ---- Checkpoint / resume (DESIGN.md §8) ----
   // The resume offset travels in `guess` (GuessEnumOptions::start_index):
   // the verdict's `guesses` counts from it, so a resumed scan reports the
@@ -112,8 +105,8 @@ struct DatalogVerifierOptions {
   // Emit a CursorCheckpoint through checkpoint_sink every
   // `checkpoint_every` scanned guesses (0 = no periodic checkpoints). A
   // final checkpoint is also emitted whenever the scan stops without a
-  // definitive verdict (deadline, cancel, budget abort, scan limit,
-  // enumeration cap) and — with exhausted = true — on a completed scan.
+  // definitive verdict (deadline, budget abort, scan limit, enumeration
+  // cap) and — with exhausted = true — on a completed scan.
   std::size_t checkpoint_every = 0;
   std::function<void(const CursorCheckpoint&)> checkpoint_sink;
   // Stop after scanning this many guesses in this invocation (0 =

@@ -319,10 +319,6 @@ std::size_t DisGuessCursor::NextChunk(std::size_t max_chunk,
   return n;
 }
 
-void DisGuessCursor::Cancel() {
-  if (!done_) Finish(false);
-}
-
 void DisGuessCursor::Finish(bool complete) {
   done_ = true;
   complete_ = complete;

@@ -174,29 +174,24 @@ class DisGuessCursor {
   DisGuessCursor& operator=(const DisGuessCursor&) = delete;
 
   // The next guess this cursor emits, with its global index, or nullptr
-  // once the enumeration is exhausted or cancelled. The guess is the
-  // cursor's own: it stays valid, unchanged, until the next call to Next
-  // or NextChunk.
+  // once the enumeration is exhausted. The guess is the cursor's own: it
+  // stays valid, unchanged, until the next call to Next or NextChunk.
   const IndexedGuess* Next();
 
   // Appends copies of the next up to `max_chunk` guesses to *out
   // (preserving existing elements) and returns how many were appended;
-  // fewer than max_chunk only at the end, 0 once exhausted or cancelled.
+  // fewer than max_chunk only at the end, 0 once exhausted.
   std::size_t NextChunk(std::size_t max_chunk, std::vector<IndexedGuess>* out);
-
-  // Ends the enumeration: Next returns nullptr from now on. Idempotent.
-  void Cancel();
 
   // Guesses emitted so far; equals the total enumeration count once
   // exhausted() holds.
   std::size_t produced() const { return produced_; }
 
-  // Next has returned nullptr or Cancel() was called: no further guesses.
+  // Next has returned nullptr: no further guesses.
   bool exhausted() const { return done_; }
 
   // The enumeration ran to its end with no guess at or beyond global
-  // index max_guesses. Only meaningful once exhausted() holds; false when
-  // Cancel() came before the end (a Cancel after the end leaves it true).
+  // index max_guesses. Only meaningful once exhausted() holds.
   bool complete() const { return done_ && complete_; }
 
  private:

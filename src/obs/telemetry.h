@@ -35,7 +35,7 @@ namespace rapar::obs {
 //   dlopt.*    — query-driven program optimizer (dlopt::DlOptStats)
 //   parallel.* — work-stealing guess driver (ParallelStats)
 //   tmai.*     — thread-modular abstract interpretation (tmai/tmai.h)
-//   portfolio.*— backend race driver (per-backend outcome + latency)
+//   portfolio.*— TMAI → Datalog cascade (what its TMAI stage cost)
 //   phase.*    — per-phase wall-clock gauges, milliseconds
 namespace metric {
 inline constexpr char kStates[] = "verify.states";
@@ -108,17 +108,10 @@ inline constexpr char kCertcheckValid[] = "certcheck.valid";
 inline constexpr char kCertcheckNodes[] = "certcheck.nodes_checked";
 inline constexpr char kCertcheckEdges[] = "certcheck.edges_checked";
 
-// Portfolio race driver: which backend answered first, and each raced
-// backend's outcome (0 = lost/cancelled, 1 = produced the verdict) and
-// wall-clock latency in milliseconds.
-inline constexpr char kPortfolioWinnerTmai[] = "portfolio.winner_tmai";
-inline constexpr char kPortfolioWinnerSimplified[] =
-    "portfolio.winner_simplified";
-inline constexpr char kPortfolioWinnerDatalog[] = "portfolio.winner_datalog";
+// Portfolio cascade: wall-clock milliseconds of its TMAI stage, pre-pass
+// included, whichever stage decided. The envelope's "backend" field
+// names that stage ("portfolio:tmai" or "portfolio:datalog").
 inline constexpr char kPortfolioTmaiMs[] = "portfolio.tmai_ms";
-inline constexpr char kPortfolioSimplifiedMs[] = "portfolio.simplified_ms";
-inline constexpr char kPortfolioDatalogMs[] = "portfolio.datalog_ms";
-inline constexpr char kPortfolioCancelled[] = "portfolio.cancelled";
 
 // Checkpoint/resume (DESIGN.md §8). Present only when a run resumes
 // (nonzero checkpoint.resume_offset) or writes checkpoints, so default

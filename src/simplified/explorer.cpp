@@ -10,15 +10,13 @@ namespace rapar {
 
 namespace {
 
-// Shared deadline + external-cancellation bookkeeping.
+// Shared deadline bookkeeping.
 struct Budget {
   std::chrono::steady_clock::time_point deadline;
   bool limited = false;
   std::size_t ticks = 0;
-  const CancellationToken* cancel = nullptr;
 
-  explicit Budget(long long ms, const CancellationToken* cancel_token)
-      : cancel(cancel_token) {
+  explicit Budget(long long ms) {
     if (ms > 0) {
       limited = true;
       deadline =
@@ -26,17 +24,15 @@ struct Budget {
     }
   }
   bool Expired() {
-    if ((limited || cancel != nullptr) && (++ticks & 63) == 0) {
-      if (limited && std::chrono::steady_clock::now() > deadline) hit = true;
-      if (cancel != nullptr && cancel->cancelled()) cancelled = true;
+    if (limited && (++ticks & 63) == 0 &&
+        std::chrono::steady_clock::now() > deadline) {
+      hit = true;
     }
-    return hit || cancelled;
+    return hit;
   }
   // Latched on the first expiry so callers can attribute a truncated
-  // search to the budget rather than the state/depth caps or an
-  // external cancel.
+  // search to the budget rather than the state/depth caps.
   bool hit = false;
-  bool cancelled = false;
 };
 
 bool GoalIn(const SimplConfig& cfg,
@@ -143,7 +139,7 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
   reachable_dis_de_.clear();
   generated_messages_.clear();
   SimplResult result;
-  Budget budget(options.time_budget_ms, options.cancel);
+  Budget budget(options.time_budget_ms);
 
   struct NodeInfo {
     std::int64_t parent;
@@ -215,7 +211,7 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
                             const std::vector<SimplStep>& steps_from_parent,
                             std::size_t states_now) {
     if (!outcome.complete) {
-      // Saturation only aborts on budget expiry or external cancel.
+      // Saturation only aborts on budget expiry.
       result.exhaustive = false;
       result.budget_hit = budget.hit;
     }

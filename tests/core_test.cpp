@@ -212,5 +212,23 @@ TEST(BenchmarkSuiteTest, VerdictToStringNamesScanLimitStop) {
   EXPECT_EQ(text.find("deadline"), std::string::npos) << text;
 }
 
+// TMAI reads no deadline: a fixpoint cut short by tmai.max_iterations is
+// printed as such, not as an expired deadline ("fixpoint" stays the
+// stopped_phase).
+TEST(BenchmarkSuiteTest, VerdictToStringNamesFixpointStop) {
+  BenchmarkCase bench = ProducerConsumer(1);
+  SafetyVerifier verifier(bench.system);
+  VerifierOptions opts;
+  opts.backend = Backend::kTmai;
+  opts.tmai.max_iterations = 1;
+  const Verdict v = verifier.Run(std::nullopt, opts);
+  EXPECT_EQ(v.result, Verdict::Result::kUnknown);
+  ASSERT_EQ(v.stopped_phase, "fixpoint");
+  const std::string text = v.ToString();
+  EXPECT_NE(text.find("[fixpoint did not converge]"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("deadline"), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace rapar

@@ -221,13 +221,14 @@ TEST(GuessScanTest, ScanEndingExactlyAtTheCapIsComplete) {
         {"dekker-cas", &dekker_cas.system}}) {
     const Verdict full = VerifyDatalog(*sys, std::nullopt, 200'000);
     ASSERT_TRUE(full.safe()) << name;
-    const std::size_t total = full.guesses();
+    const std::size_t total =
+        full.telemetry.counter(obs::metric::kGuesses);
     ASSERT_GT(total, 1u) << name;
     const Verdict cut = VerifyDatalog(*sys, std::nullopt, total - 1);
     EXPECT_EQ(cut.result, Verdict::Result::kUnknown) << name;
     const Verdict at = VerifyDatalog(*sys, std::nullopt, total);
     EXPECT_TRUE(at.safe()) << name;
-    EXPECT_EQ(at.guesses(), total) << name;
+    EXPECT_EQ(at.telemetry.counter(obs::metric::kGuesses), total) << name;
   }
 }
 
@@ -249,7 +250,7 @@ TEST(GuessScanTest, SerialTelemetryIsDeterministic) {
   for (const auto& c : cases) {
     const Verdict a = VerifyDatalog(*c.sys, c.goal, 200'000);
     const Verdict b = VerifyDatalog(*c.sys, c.goal, 200'000);
-    EXPECT_EQ(a.parallel().batches, 0u) << c.name;
+    EXPECT_EQ(a.telemetry.counter(obs::metric::kParBatches), 0u) << c.name;
     std::size_t counters = 0;
     for (const obs::Telemetry::Entry& e : a.telemetry.entries()) {
       if (e.is_gauge) continue;

@@ -57,7 +57,8 @@ void CheckVerdictEnvelope(const JsonValue& doc, const char* label) {
   EXPECT_TRUE(stopped->is_null() || stopped->is_string()) << label;
 
   // The backend that actually produced the verdict: one of the plain
-  // backend names, or "portfolio:<winner>" when the race decided.
+  // backend names, or "portfolio:<stage>" for the cascade stage that
+  // decided.
   const std::set<std::string> backends = {"simplified", "datalog",
                                           "concrete", "tmai", "portfolio"};
   const JsonValue* produced = doc.Find("backend");
@@ -326,16 +327,20 @@ TEST(JsonSchemaTest, VerdictEnvelopePortfolioNamesTheWinner) {
   Expected<JsonValue> doc = ParseJson(json);
   ASSERT_TRUE(doc.ok()) << doc.error();
   CheckVerdictEnvelope(doc.value(), "unsafe/portfolio");
-  const std::string backend = doc.value().Find("backend")->string;
-  EXPECT_TRUE(backend == "portfolio:simplified" ||
-              backend == "portfolio:datalog")
-      << backend;
+  // TMAI cannot prove an UNSAFE system safe, so Datalog decides.
+  EXPECT_EQ(doc.value().Find("backend")->string, "portfolio:datalog");
   EXPECT_EQ(doc.value().Find("options")->Find("backend")->string,
             "portfolio");
+  // The TMAI stage's cost is the one portfolio key; the "backend" field
+  // already names the stage that decided.
   const JsonValue* t = doc.value().Find("telemetry");
   EXPECT_NE(t->Find("portfolio.tmai_ms"), nullptr);
-  EXPECT_NE(t->Find("portfolio.winner_simplified"), nullptr);
-  EXPECT_NE(t->Find("portfolio.winner_datalog"), nullptr);
+  for (const char* gone :
+       {"portfolio.winner_tmai", "portfolio.winner_simplified",
+        "portfolio.winner_datalog", "portfolio.simplified_ms",
+        "portfolio.datalog_ms", "portfolio.cancelled"}) {
+    EXPECT_EQ(t->Find(gone), nullptr) << gone;
+  }
 }
 
 TEST(JsonSchemaTest, DiagnosticsEnvelope) {

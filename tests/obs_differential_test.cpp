@@ -27,11 +27,12 @@ void ExpectIdentical(const Verdict& a, const Verdict& b, const char* label) {
   EXPECT_EQ(a.witness, b.witness) << label;
   EXPECT_EQ(a.env_thread_bound, b.env_thread_bound) << label;
   EXPECT_EQ(a.stopped_phase, b.stopped_phase) << label;
-  EXPECT_EQ(a.guesses(), b.guesses()) << label;
-  EXPECT_EQ(a.tuples(), b.tuples()) << label;
-  EXPECT_EQ(a.rule_firings(), b.rule_firings()) << label;
-  EXPECT_EQ(a.join_attempts(), b.join_attempts()) << label;
-  EXPECT_EQ(a.states(), b.states()) << label;
+  for (const char* name : {obs::metric::kGuesses, obs::metric::kTuples,
+                           obs::metric::kRuleFirings,
+                           obs::metric::kJoinAttempts, obs::metric::kStates}) {
+    EXPECT_EQ(a.telemetry.counter(name), b.telemetry.counter(name))
+        << label << " " << name;
+  }
 }
 
 TEST(ObsDifferentialTest, TraceOnOffIdenticalDatalog) {
@@ -89,13 +90,14 @@ TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
   VerifierOptions full = opts;
   const Verdict complete = verifier.Run(std::nullopt, full);
   ASSERT_EQ(complete.result, Verdict::Result::kSafe);
-  ASSERT_EQ(complete.guesses(), 3750u);
+  ASSERT_EQ(complete.telemetry.counter(obs::metric::kGuesses), 3750u);
   opts.time_budget_ms = 1;
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kUnknown);
   EXPECT_EQ(v.stopped_phase, "solve");
   EXPECT_TRUE(v.witness.empty());
-  EXPECT_LT(v.guesses(), complete.guesses());
+  EXPECT_LT(v.telemetry.counter(obs::metric::kGuesses),
+            complete.telemetry.counter(obs::metric::kGuesses));
   EXPECT_NE(v.ToString().find("[deadline hit in solve]"), std::string::npos);
 }
 

@@ -281,22 +281,5 @@ TEST(ParallelDifferentialTest, CursorYieldsTheVectorSequence) {
   }
 }
 
-TEST(ParallelDifferentialTest, CursorCancelStopsProduction) {
-  // peterson-ra has 29 guesses; with 2 consumed the enumeration is
-  // mid-way when Cancel() lands, so complete() is false.
-  BenchmarkCase bench = PetersonRa();
-  const SimplSystem& sys = bench.system.simpl();
-  GuessEnumOptions opts;
-  DisGuessCursor cursor(sys, opts);
-  std::vector<IndexedGuess> chunk;
-  ASSERT_GT(cursor.NextChunk(2, &chunk), 0u);
-  cursor.Cancel();
-  chunk.clear();
-  EXPECT_EQ(cursor.NextChunk(16, &chunk), 0u);
-  EXPECT_TRUE(cursor.exhausted());
-  EXPECT_FALSE(cursor.complete());
-  EXPECT_LT(cursor.produced(), 29u);
-}
-
 }  // namespace
 }  // namespace rapar
