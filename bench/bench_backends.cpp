@@ -5,14 +5,12 @@
 // realises the PSPACE argument, the concrete path is the baseline whose
 // state space the parameterization removes.
 //
-// --json[=PATH] additionally writes the parallel-scaling table as JSON
-// (default PATH: BENCH_parallel.json) for CI artifact upload.
-#include <algorithm>
+// --json additionally writes the observability and TMAI domain tables as
+// JSON (BENCH_obs.json, BENCH_tmai_domains.json) for CI artifact upload.
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
@@ -216,121 +214,6 @@ void PrintIndexAblation() {
       "(joins = Verdict join_attempts summed over guesses; 'on' is the "
       "default tuning — indexes + reordering + EDB snapshot reuse; 'off' "
       "is the plain scan evaluator)\n");
-}
-
-// Parallel guess-level verification: the work-stealing driver at 1/2/4/8
-// worker threads on guess-heavy workloads. The verdict, witness and tuple
-// counts must be bit-identical at every thread count (the determinism
-// rule of encoding/datalog_verifier.h); only the wall clock may change.
-// Safe instances are the interesting regime — every guess must be solved,
-// so the fan-out has real work to steal. Each cell is timed kRuns times
-// and reported as the median with its range: the instances take 0.4-30
-// ms, where one timing can be several times another. With --json the
-// rows are also written to a JSON file for CI artifact upload.
-void PrintParallelScaling(const char* json_path) {
-  constexpr int kRuns = 5;
-  Header("parallel scaling on the Datalog backend (worker threads)");
-  std::printf("hardware threads: %u\n",
-              std::thread::hardware_concurrency());
-  Row({"instance", "threads", "median ms", "min-max ms", "speedup",
-       "verdict", "tuples", "parity"},
-      13);
-  Rule(8, 13);
-  auto fmt = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", v);
-    return std::string(buf);
-  };
-  std::string json = "{\n  \"bench\": \"parallel_scaling\",\n";
-  json += StrCat("  \"hardware_threads\": ",
-                 std::thread::hardware_concurrency(), ",\n");
-  json += "  \"workloads\": [";
-  bool first_workload = true;
-
-  auto run = [&](const ParamSystem& sys, const std::string& name,
-                 std::optional<std::pair<VarId, Value>> goal) {
-    SafetyVerifier verifier(sys);
-    VerifierOptions opts;
-    opts.backend = Backend::kDatalog;
-    opts.time_budget_ms = 60'000;
-    opts.max_guesses = 30'000;
-    std::optional<Verdict> base;
-    double base_ms = 0;
-    json += StrCat(first_workload ? "" : ",", "\n    {\"name\": \"", name,
-                   "\", \"results\": [");
-    first_workload = false;
-    bool first_row = true;
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      opts.datalog.threads = threads;
-      Verdict v;
-      std::vector<double> runs_ms;
-      // The determinism contract, checked on every run: identical
-      // verdict, witness and aggregate statistics vs the first run at
-      // --threads=1.
-      bool parity = true;
-      for (int run = 0; run < kRuns; ++run) {
-        runs_ms.push_back(TimeMs([&] { v = verifier.Run(goal, opts); }));
-        if (!base.has_value()) base = v;
-        parity = parity && v.result == base->result &&
-                 v.witness == base->witness;
-        for (const char* counter : {obs::metric::kGuesses,
-                                    obs::metric::kTuples,
-                                    obs::metric::kRuleFirings}) {
-          parity = parity && v.telemetry.counter(counter) ==
-                                 base->telemetry.counter(counter);
-        }
-      }
-      std::sort(runs_ms.begin(), runs_ms.end());
-      const double ms = runs_ms[kRuns / 2];
-      if (threads == 1) base_ms = ms;
-      const double speedup = ms > 0 ? base_ms / ms : 0.0;
-      const char* verdict =
-          v.unsafe() ? "UNSAFE" : (v.safe() ? "SAFE" : "unknown");
-      const std::uint64_t tuples = v.telemetry.counter(obs::metric::kTuples);
-      Row({threads == 1 ? name : "", std::to_string(threads), fmt(ms),
-           StrCat(fmt(runs_ms.front()), "-", fmt(runs_ms.back())),
-           StrCat(fmt(speedup), "x"), verdict, std::to_string(tuples),
-           parity ? "ok" : "MISMATCH"},
-          13);
-      json += StrCat(first_row ? "" : ",", "\n      {\"threads\": ",
-                     threads, ", \"ms\": ", fmt(ms),
-                     ", \"ms_min\": ", fmt(runs_ms.front()),
-                     ", \"ms_max\": ", fmt(runs_ms.back()),
-                     ", \"runs\": ", kRuns,
-                     ", \"speedup\": ", fmt(speedup), ", \"verdict\": \"",
-                     verdict, "\", \"tuples\": ", tuples,
-                     ", \"parity\": ", parity ? "true" : "false", "}");
-      first_row = false;
-    }
-    json += "\n    ]}";
-  };
-
-  for (int z : {8, 12}) {
-    const BenchmarkCase safe_pc = ProducerConsumerSafe(z);
-    run(safe_pc.system, safe_pc.name, std::nullopt);
-  }
-  Rng rng(42);
-  const Qbf qbf = RandomQbf(rng, 3, 3);
-  Expected<ParamSystem> tqbf = TqbfSystem(qbf);
-  if (tqbf.ok()) run(tqbf.value(), "tqbf(n=3) safety", std::nullopt);
-  TqbfWitnessQuery q = TqbfLevelQuery(qbf, qbf.n);
-  if (q.system.ok()) {
-    run(q.system.value(), StrCat("tqbf(n=3) MG(a_", qbf.n, ")"),
-        std::make_pair(q.goal_var, q.goal_value));
-  }
-  std::printf(
-      "(median and range of %d runs per cell; speedup = median "
-      "ms(threads=1) / median ms; parity checks every run's verdict, "
-      "witness and aggregate statistics against the first serial run — "
-      "'ok' means bit-identical)\n",
-      kRuns);
-
-  json += "\n  ]\n}\n";
-  if (json_path != nullptr) {
-    std::ofstream out(json_path);
-    out << json;
-    std::printf("wrote %s\n", json_path);
-  }
 }
 
 // Observability ablation: the same verify with no trace sink installed
@@ -577,13 +460,12 @@ void PrintDomainAblation(bool write_json) {
 }  // namespace
 }  // namespace rapar
 
-static void PrintReproduction(const char* json_path) {
+static void PrintReproduction(bool write_json) {
   rapar::PrintComparison();
   rapar::PrintDlOptAblation();
   rapar::PrintIndexAblation();
-  rapar::PrintParallelScaling(json_path);
-  rapar::PrintObsAblation(json_path != nullptr);
-  rapar::PrintDomainAblation(json_path != nullptr);
+  rapar::PrintObsAblation(write_json);
+  rapar::PrintDomainAblation(write_json);
 }
 
 static void BM_Backend(benchmark::State& state) {
@@ -608,22 +490,20 @@ static void BM_Backend(benchmark::State& state) {
 BENCHMARK(BM_Backend)
     ->ArgsProduct({{0, 2, 6, 8}, {0, 1, 2}});
 
-// RAPAR_BENCH_MAIN plus a --json[=PATH] flag (stripped before the
+// RAPAR_BENCH_MAIN plus a --json flag (stripped before the
 // google-benchmark flag parser sees it).
 int main(int argc, char** argv) {
-  const char* json_path = nullptr;
+  bool write_json = false;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_parallel.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
+      write_json = true;
     } else {
       argv[out++] = argv[i];
     }
   }
   argc = out;
-  PrintReproduction(json_path);
+  PrintReproduction(write_json);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

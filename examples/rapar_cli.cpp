@@ -157,9 +157,8 @@ const FlagSpec kFlags[] = {
      "simplified|datalog|concrete|tmai|portfolio (default simplified)",
      [](Options& o, const char* v) { o.backend = v; }},
     {"--threads", true, "N", "verify mg serve",
-     "concrete: env threads in the instance (default 2); datalog and "
-     "portfolio: Datalog worker threads (default 1 = serial, 0 = all "
-     "hardware threads); serve: request-pool workers (default 0 = all "
+     "verify/mg with --backend=concrete: env threads in the instance "
+     "(1-4096, default 2); serve: request-pool workers (default 0 = all "
      "hardware threads)",
      [](Options& o, const char* v) {
        o.threads_set = true;
@@ -589,6 +588,17 @@ int RunVerify(const Options& opts, bool mg) {
                       "--checkpoint/--resume/--checkpoint-every/"
                       "--scan-limit require --backend=datalog");
   }
+  // --threads is the concrete backend's env-thread count; serve's
+  // env_threads option accepts the same range.
+  if (opts.threads_set && opts.backend != "concrete") {
+    return FailVerify(opts, "flag --threads requires --backend=concrete");
+  }
+  if (opts.threads < 1 || opts.threads > 4096) {
+    return FailVerify(opts,
+                      "flag --threads expects an env-thread count in "
+                      "[1, 4096], got '" +
+                          std::to_string(opts.threads) + "'");
+  }
 
   // The recorder must outlive the whole run so the parse phase is on the
   // trace too.
@@ -641,14 +651,6 @@ int RunVerify(const Options& opts, bool mg) {
   vopts.tmai.widening_delay = opts.tmai_widening_delay;
   vopts.tmai.value_set_limit = opts.tmai_value_set_limit;
   vopts.concrete.env_threads = opts.threads;
-  if (opts.threads_set && (vopts.backend == rapar::Backend::kDatalog ||
-                           vopts.backend == rapar::Backend::kPortfolio)) {
-    // For the Datalog backend (the portfolio's second stage) --threads
-    // selects the worker-pool size (0 = all hardware threads); without it
-    // the scan stays serial, as in the library and serve.
-    vopts.datalog.threads =
-        static_cast<unsigned>(opts.threads < 0 ? 0 : opts.threads);
-  }
   vopts.time_budget_ms = opts.budget_ms;
   vopts.obs.trace = trace;
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full hygiene check: build + test the default preset, then the test
-# suite again under ASan+UBSan, then the concurrency-sensitive suites
-# under ThreadSanitizer, then (optionally, CHECK_WERROR=1) verify the
+# suite again under ASan+UBSan, then the serve suite under
+# ThreadSanitizer, then (optionally, CHECK_WERROR=1) verify the
 # tree is warning-clean with -Werror. CI (.github/workflows/ci.yml) runs
 # the same presets.
 set -euo pipefail
@@ -51,21 +51,12 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"
 
-# The parallel verification driver (per-guess solves on the pool; the
-# guess enumeration runs on the dispatching thread) and the engine it
-# fans out, raced under TSan, plus the goal-skip suite, whose
-# four-thread runs exercise the dispatcher's skipped and shared guesses,
-# and the serve session, whose pooled misses run the pipeline
-# concurrently with no lock around it.
-# Only the concurrency-relevant suites are built: the rest of the tree is
-# single-threaded and covered by the presets above.
+# The serve session under TSan: its pooled misses run the pipeline
+# concurrently with no lock around it. Only serve_test is built: the
+# rest of the tree is single-threaded and covered by the presets above.
 cmake --preset tsan
-cmake --build --preset tsan -j "$jobs" \
-  --target parallel_differential_test datalog_index_differential_test \
-  shard_parity_test goal_skip_test serve_test
-ctest --preset tsan \
-  -R 'ParallelDifferential|IndexDifferential|ShardParity|GoalSkip|ServeTest' \
-  -j "$jobs"
+cmake --build --preset tsan -j "$jobs" --target serve_test
+ctest --preset tsan -R ServeTest -j "$jobs"
 
 # Optional (CHECK_BENCH=1): reproduce the bench_backends tables and gate
 # the TMAI domain ablation the way CI does — relational proof rate must

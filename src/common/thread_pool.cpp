@@ -1,23 +1,15 @@
 #include "common/thread_pool.h"
 
+#include <cassert>
 #include <utility>
 
 namespace rapar {
 
-namespace {
-// -1 off-pool; set once per worker thread before its loop starts.
-thread_local int tl_worker_index = -1;
-}  // namespace
-
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  deques_.resize(threads);
+  assert(threads > 0);
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -27,59 +19,27 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   work_cv_.notify_all();
-  // jthread joins on destruction; workers drain their queues first.
+  // jthread joins on destruction; workers drain the queue first.
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(m_);
-    deques_[next_deque_].push_back(std::move(task));
-    next_deque_ = (next_deque_ + 1) % static_cast<unsigned>(deques_.size());
-    ++pending_;
+    queue_.push_back(std::move(task));
   }
   work_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(m_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-std::size_t ThreadPool::steals() const {
-  std::lock_guard<std::mutex> lock(m_);
-  return steals_;
-}
-
-int ThreadPool::CurrentWorkerIndex() { return tl_worker_index; }
-
-std::function<void()> ThreadPool::Take(unsigned me) {
-  if (!deques_[me].empty()) {
-    std::function<void()> task = std::move(deques_[me].back());
-    deques_[me].pop_back();
-    return task;
-  }
-  for (std::size_t off = 1; off < deques_.size(); ++off) {
-    auto& victim = deques_[(me + off) % deques_.size()];
-    if (!victim.empty()) {
-      std::function<void()> task = std::move(victim.front());
-      victim.pop_front();
-      ++steals_;
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPool::WorkerLoop(unsigned me) {
-  tl_worker_index = static_cast<int>(me);
+void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(m_);
   for (;;) {
-    if (std::function<void()> task = Take(me)) {
+    if (!queue_.empty()) {
+      std::function<void()> task = std::move(queue_.front());
+      queue_.pop_front();
       lock.unlock();
       task();
-      task = nullptr;  // release captures before reporting completion
+      task = nullptr;  // release captures before taking the lock again
       lock.lock();
-      if (--pending_ == 0) idle_cv_.notify_all();
       continue;
     }
     if (stopping_) return;

@@ -1,15 +1,12 @@
-// Fixed-size work-stealing thread pool (C++20 std::jthread, no external
-// dependencies). Tasks are submitted round-robin onto per-worker deques;
-// a worker pops its own deque LIFO (cache-warm) and steals FIFO from the
-// others when it runs dry. Built for the Datalog verifier's fan-out —
-// coarse, independent batches of per-guess solves — so the queues are
-// mutex-guarded rather than lock-free: task granularity is milliseconds,
-// queue operations are nanoseconds.
+// Fixed-size thread pool over one FIFO queue (C++20 std::jthread, no
+// external dependencies). Workers take tasks in submission order, so the
+// serve session's pooled requests start in arrival order, the order its
+// writer answers them in. Tasks are whole requests (milliseconds), so one
+// mutex-guarded queue costs nothing measurable.
 #ifndef RAPAR_COMMON_THREAD_POOL_H_
 #define RAPAR_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -20,50 +17,27 @@ namespace rapar {
 
 class ThreadPool {
  public:
-  // `threads` = 0 resolves to std::thread::hardware_concurrency() (minimum
-  // 1). The pool starts its workers immediately and keeps them until
+  // Starts `threads` (at least 1) workers and keeps them until
   // destruction.
-  explicit ThreadPool(unsigned threads = 0);
+  explicit ThreadPool(unsigned threads);
   // Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  unsigned size() const { return static_cast<unsigned>(deques_.size()); }
+  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
   // Enqueues a task. Never blocks; callers that need backpressure bound
-  // their in-flight count themselves (the Datalog driver uses a counting
-  // semaphore sized to a small multiple of the pool).
+  // their in-flight count themselves (serve keeps a window of slots).
   void Submit(std::function<void()> task);
 
-  // Blocks until every task submitted so far has finished. Establishes
-  // happens-before with the completed tasks, so their results may be read
-  // without further synchronization.
-  void Wait();
-
-  // Tasks a worker took from another worker's deque.
-  std::size_t steals() const;
-
-  // Index of the calling pool worker in [0, size()), or -1 when called
-  // from a thread that is not a worker of any pool. Lets per-worker state
-  // (one dl::Engine per worker) be indexed without locks: a worker runs
-  // one task at a time, so its slot is never shared.
-  static int CurrentWorkerIndex();
-
  private:
-  void WorkerLoop(unsigned me);
-  // Pops the next task for worker `me` (own deque back, else steal a
-  // front); null when everything is empty. Caller holds m_.
-  std::function<void()> Take(unsigned me);
+  void WorkerLoop();
 
-  mutable std::mutex m_;
+  std::mutex m_;
   std::condition_variable work_cv_;  // workers sleep here
-  std::condition_variable idle_cv_;  // Wait() sleeps here
-  std::vector<std::deque<std::function<void()>>> deques_;
-  std::size_t pending_ = 0;  // submitted but not yet finished
-  std::size_t steals_ = 0;
-  unsigned next_deque_ = 0;  // round-robin submission target
+  std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
   std::vector<std::jthread> workers_;
 };

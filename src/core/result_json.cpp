@@ -92,15 +92,14 @@ std::string VerdictToJson(const Verdict& v, const VerifierOptions& options,
   }
   // Invariant certificate justifying a TMAI kSafe verdict. Like
   // width_report the key is conditional: certificate-free envelopes keep
-  // the exact key set of earlier schema-version-1 releases.
+  // the key set they had before certificates existed.
   if (v.certificate != nullptr) {
     w.Key("certificate");
     tmai::WriteCertificateJson(*v.certificate, &w);
   }
   // Checkpoint/resume section. Activity-gated like width_report: a run
   // that neither resumes nor writes checkpoints emits no key, so plain
-  // envelopes (and the goldens over them) keep their key set at
-  // kResultSchemaVersion = 1.
+  // envelopes (and the goldens over them) keep their key set.
   if (v.telemetry.Has(obs::metric::kCheckpointResumeOffset) ||
       v.telemetry.Has(obs::metric::kCheckpointWrites)) {
     w.Key("checkpoint").BeginObject();
@@ -114,8 +113,6 @@ std::string VerdictToJson(const Verdict& v, const VerifierOptions& options,
   w.Key("enable_prepass").Bool(options.enable_prepass);
   w.Key("datalog").BeginObject();
   w.Key("enable_dlopt").Bool(options.datalog.enable_dlopt);
-  w.Key("threads").UInt(options.datalog.threads);
-  w.Key("batch_size").UInt(options.datalog.batch_size);
   w.EndObject();
   w.Key("concrete").BeginObject();
   w.Key("env_threads").Int(options.concrete.env_threads);

@@ -15,6 +15,8 @@
 // Versioning contract: fields may be ADDED under the same
 // schema_version; renaming or removing one (or changing a type) bumps
 // kResultSchemaVersion. Consumers should ignore unknown fields.
+// Version 2 removed options.datalog.threads and options.datalog.batch_size
+// with the parallel guess driver (DESIGN.md §16).
 #ifndef RAPAR_CORE_RESULT_JSON_H_
 #define RAPAR_CORE_RESULT_JSON_H_
 
@@ -28,7 +30,7 @@
 
 namespace rapar {
 
-inline constexpr int kResultSchemaVersion = 1;
+inline constexpr int kResultSchemaVersion = 2;
 
 // "safe", "unsafe" or "unknown".
 const char* VerdictName(Verdict::Result r);

@@ -128,14 +128,10 @@ bool GetString(const JsonValue& obj, const char* key, std::string* out,
 }
 
 // Decodes the request object into a Request. Defaults mirror the CLI
-// (30s budget, simplified backend) except datalog.threads, which
-// defaults to 1: the daemon parallelizes *across* requests, so each
-// request runs the serial loop on a warm per-worker engine unless the
-// client asks otherwise.
+// (30s budget, simplified backend).
 Request DecodeRequest(const JsonValue& doc) {
   Request req;
   req.vopts.time_budget_ms = 30'000;
-  req.vopts.datalog.threads = 1;
 
   if (const JsonValue* id = doc.Find("id")) {
     JsonWriter w;
@@ -213,7 +209,7 @@ Request DecodeRequest(const JsonValue& doc) {
   // range-checked here so an out-of-range value answers a decode error.
   req.backend_name = "simplified";
   req.tmai_domain_name = "auto";
-  long long threads = 1, batch_size = 32, env_threads = 2;
+  long long env_threads = 2;
   long long max_states = -1, max_depth = -1, max_guesses = -1;
   long long time_budget_ms = 30'000, unroll = 0;
   long long tmai_iters = 64, tmai_delay = 8, tmai_vset = 16;
@@ -226,7 +222,7 @@ Request DecodeRequest(const JsonValue& doc) {
     // misspelled or retired knob never silently runs with its default.
     static constexpr std::string_view kOptionKeys[] = {
         "backend", "tmai_domain", "enable_prepass", "enable_dlopt",
-        "threads", "batch_size", "env_threads", "unroll",
+        "env_threads", "unroll",
         "tmai_max_iterations", "tmai_widening_delay", "tmai_value_set_limit",
         "max_states", "max_depth", "time_budget_ms", "max_guesses"};
     for (const auto& member : opts->members) {
@@ -242,9 +238,6 @@ Request DecodeRequest(const JsonValue& doc) {
                  &req.error) ||
         !GetBool(*opts, "enable_dlopt", &req.vopts.datalog.enable_dlopt,
                  &req.error) ||
-        !GetIntRange(*opts, "threads", &threads, -1, 1 << 16, &req.error) ||
-        !GetIntRange(*opts, "batch_size", &batch_size, 0, 1 << 24,
-                     &req.error) ||
         !GetIntRange(*opts, "env_threads", &env_threads, 1, 4096,
                      &req.error) ||
         !GetIntRange(*opts, "unroll", &unroll, 0, 1'000'000, &req.error) ||
@@ -287,10 +280,6 @@ Request DecodeRequest(const JsonValue& doc) {
     req.error = "unknown TMAI domain \"" + req.tmai_domain_name + "\"";
     return req;
   }
-  req.vopts.datalog.threads =
-      threads < 0 ? 0u : static_cast<unsigned>(threads);
-  req.vopts.datalog.batch_size =
-      batch_size <= 0 ? 1 : static_cast<std::size_t>(batch_size);
   req.vopts.concrete.env_threads = static_cast<int>(env_threads);
   req.vopts.tmai.max_iterations = static_cast<int>(tmai_iters);
   req.vopts.tmai.widening_delay = static_cast<int>(tmai_delay);
@@ -332,10 +321,7 @@ Expected<ParamSystem> BuildSystem(const Request& req) {
 // exactly when they run the same verification — the pretty-printed
 // programs (post-unroll, so `unroll` is captured structurally as well as
 // textually), the class signature, the goal, and every option field that
-// reaches a backend. datalog.threads and batch_size are deliberately
-// excluded: the verdict is thread-count independent by the determinism
-// rule (encoding/datalog_verifier.h), so scheduling knobs must not
-// fragment the cache.
+// reaches a backend.
 std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
   const VerifierOptions& vo = req.vopts;
   std::string s;

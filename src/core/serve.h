@@ -1,8 +1,8 @@
 // Verification service: the long-running daemon behind `rapar_cli serve`.
 //
 // A ServeSession reads newline-delimited JSON requests (one verify/mg
-// request per line), dispatches them onto a persistent work-stealing
-// ThreadPool, and answers each with the standard versioned result envelope
+// request per line), dispatches them onto a persistent ThreadPool
+// (one FIFO queue), and answers each with the standard versioned result envelope
 // (core/result_json.h) on a single line — the same schema one-shot
 // `rapar_cli verify --format=json` emits, plus three serve-only fields
 // (`id` echo, `fingerprint`, `cache`).
@@ -18,15 +18,14 @@
 //    "var": "<name>", "val": N,   // mg goal message
 //    "options": {"backend": "simplified|datalog|concrete|tmai|portfolio",
 //                "unroll": K, "enable_prepass": B, "enable_dlopt": B,
-//                "threads": N, "batch_size": N, "env_threads": N,
+//                "env_threads": N,
 //                "tmai_domain": "smallset|relational|auto",
 //                "tmai_max_iterations": N, "tmai_widening_delay": N,
 //                "tmai_value_set_limit": N, "max_states": N,
 //                "max_depth": N, "time_budget_ms": N, "max_guesses": N}}
 //
 // "portfolio" runs TMAI and, when TMAI cannot prove the system safe, the
-// Datalog backend, both on the worker that took the request; "threads"
-// sizes that Datalog stage's guess pool as it does for "datalog".
+// Datalog backend, both on the worker that took the request.
 //
 // Batch requests: a line whose top-level object has a "requests" member
 // bundles several requests into one round trip —
@@ -63,15 +62,14 @@
 // a deadline is wall-clock state, not a fact about the program. See
 // DESIGN.md §12 for the cache-correctness argument.
 //
-// Replay contract: a hit renders the memoized entry verbatim — including
-// the echoed "options" object, so fingerprint-excluded scheduling knobs
-// (threads, batch_size) report the values the entry was computed with,
-// not the current request's. This is intentional: modulo telemetry and
-// the cache marker, a hit is byte-identical to the miss that populated
-// it, which is what the catalog-replay differential asserts. Telemetry
-// is the exception — cache/serve counters and the parse-time gauge are
-// re-stamped from the current request (the programs really were
-// re-parsed to compute the fingerprint).
+// Replay contract: a hit renders the memoized entry verbatim, so modulo
+// telemetry and the cache marker it is byte-identical to the miss that
+// populated it, which is what the catalog-replay differential asserts.
+// Every echoed option is part of the fingerprint, so the echo is the
+// current request's too. Telemetry is the exception — cache/serve
+// counters and the parse-time gauge are re-stamped from the current
+// request (the programs really were re-parsed to compute the
+// fingerprint).
 #ifndef RAPAR_CORE_SERVE_H_
 #define RAPAR_CORE_SERVE_H_
 

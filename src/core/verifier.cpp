@@ -117,20 +117,10 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   if (dv.checkpoint_writes != 0) {
     t.SetCounter(metric::kCheckpointWrites, dv.checkpoint_writes);
   }
-  const ParallelStats& p = dv.parallel;
-  t.SetCounter(metric::kParThreads, p.threads);
-  t.SetCounter(metric::kParBatches, p.batches);
-  t.SetCounter(metric::kParSteals, p.steals);
-  t.SetCounter(metric::kParSolves, p.solves);
-  t.SetCounter(metric::kParDiscarded, p.discarded);
-  t.SetCounter(metric::kParSkipped, p.skipped);
-  if (p.early_exit_index != kNoGuessIndex) {
-    t.SetCounter(metric::kParEarlyExitIndex, p.early_exit_index);
-  }
 }
 
-// ToString's readers of the registry: the pre-pass, dlopt and parallel
-// blocks print through the stats structs' own formatting.
+// ToString's readers of the registry: the pre-pass and dlopt blocks
+// print through the stats structs' own formatting.
 PrepassStats PrepassOf(const obs::Telemetry& t) {
   PrepassStats s;
   s.dead_edges_removed = t.counter(metric::kPrepassDeadEdges);
@@ -153,23 +143,6 @@ dlopt::DlOptStats DlOptOf(const obs::Telemetry& t) {
   s.preds_before = t.counter(metric::kDlOptPredsBefore);
   s.preds_after = t.counter(metric::kDlOptPredsAfter);
   return s;
-}
-
-ParallelStats ParallelOf(const obs::Telemetry& t) {
-  ParallelStats p;
-  p.threads = t.Has(metric::kParThreads)
-                  ? static_cast<unsigned>(t.counter(metric::kParThreads))
-                  : 1;
-  p.batches = t.counter(metric::kParBatches);
-  p.steals = t.counter(metric::kParSteals);
-  p.solves = t.counter(metric::kParSolves);
-  p.discarded = t.counter(metric::kParDiscarded);
-  p.skipped = t.counter(metric::kParSkipped);
-  p.early_exit_index = t.Has(metric::kParEarlyExitIndex)
-                           ? static_cast<std::size_t>(
-                                 t.counter(metric::kParEarlyExitIndex))
-                           : kNoGuessIndex;
-  return p;
 }
 
 }  // namespace
@@ -213,21 +186,6 @@ std::string Verdict::ToString() const {
     }
     const std::uint64_t reuses = t.counter(metric::kFactReuses);
     if (reuses > 0) out += StrCat(", edb reuses=", reuses);
-    out += "]";
-  }
-  const ParallelStats par = ParallelOf(t);
-  if (par.Any()) {
-    out += StrCat(" [parallel: threads=", par.threads,
-                  ", batches=", par.batches,
-                  ", steals=", par.steals,
-                  ", solves=", par.solves);
-    if (par.discarded > 0) {
-      out += StrCat(", discarded=", par.discarded);
-    }
-    if (par.skipped > 0) out += StrCat(", skipped=", par.skipped);
-    if (par.early_exit_index != kNoGuessIndex) {
-      out += StrCat(", early exit at guess ", par.early_exit_index);
-    }
     out += "]";
   }
   if (t.Has(metric::kBudgetAbortedGuess)) {
@@ -329,8 +287,6 @@ Verdict RunDatalog(const ParamSystem& system,
   opts.scan_limit = options.datalog.scan_limit;
   opts.enable_dlopt = options.datalog.enable_dlopt;
   opts.engine = options.datalog.engine;
-  opts.threads = options.datalog.threads;
-  opts.batch_size = options.datalog.batch_size;
   opts.time_budget_ms = options.time_budget_ms;
   opts.trace = options.obs.trace;
   DatalogVerdict dv;

@@ -69,14 +69,13 @@ struct DatalogBackendOptions {
   // All on by default; the bench_backends index ablation flips them off
   // to measure the effect.
   dl::EngineOptions engine;
-  // Worker threads for the per-guess solves. 1 = legacy serial loop,
-  // 0 = std::thread::hardware_concurrency(), N > 1 = work-stealing pool
-  // of N workers. Verdict, witness and aggregate statistics are
-  // thread-count independent (see encoding/datalog_verifier.h).
-  unsigned threads = 1;
-  // Guesses per work unit the parallel dispatcher pulls from the
-  // enumerator (threads != 1); the serial loop pulls one at a time.
-  std::size_t batch_size = 32;
+  // Not a knob: the verifier reads no batch size. rabench's traced
+  // replay (rabench/traced_main.cpp) drains its cursor in chunks of
+  // `vo.datalog.batch_size`, and the benchmark's files change only in a
+  // benchmark change of their own; that change gives the replay its own
+  // chunk size and deletes this constant (a benchmark follow-up in
+  // ROADMAP.md item 1).
+  static constexpr std::size_t batch_size = 32;
   // ---- Checkpoint / resume (DESIGN.md §8) ----
   // Resume: skip global indices below start_index (scanned by a previous
   // run, typically a CursorCheckpoint's next_index); the guess count
@@ -178,7 +177,7 @@ struct Verdict {
   std::string backend;
   // Every statistic of the run, keyed by the stable names in
   // obs/telemetry.h (verify.*, engine.*, datalog.*, prepass.*, dlopt.*,
-  // parallel.*, phase.*).
+  // tmai.*, phase.*).
   obs::Telemetry telemetry;
   // Machine-checkable invariant certificate justifying a TMAI kSafe
   // verdict (tmai/certcheck.h). Set only when the TMAI backend (directly

@@ -1,24 +1,13 @@
 #include "encoding/datalog_verifier.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <semaphore>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/cancellation.h"
-#include "common/sharded_counter.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "datalog/engine.h"
 #include "dlopt/pred_graph.h"
 #include "dlopt/width.h"
@@ -46,12 +35,8 @@ class Deadline {
   std::chrono::steady_clock::time_point at_;
 };
 
-// Everything one guess contributes to the verdict. Produced by exactly one
-// worker (or by the dispatcher, for a guess that is not solved), read only
-// after the pool has quiesced; schedule-independent except for
-// stats.index_builds (see the header's determinism rule).
+// Everything one guess contributes to the verdict.
 struct GuessOutcome {
-  bool evaluated = false;
   // Scanned without makeP, dlopt or eval: MakePEncoder::MayDerive ruled
   // the goal out, so the optimized program would have had no rules and
   // every count below is the full pipeline's.
@@ -72,12 +57,10 @@ struct GuessOutcome {
   std::string width_report;  // filled for guess 0 only
 
   bool terminating() const { return derived || budget_aborted; }
-  bool solved() const { return evaluated && !skipped && !shared; }
 };
 
 GuessOutcome SkippedOutcome() {
   GuessOutcome o;
-  o.evaluated = true;
   o.skipped = true;
   return o;
 }
@@ -85,14 +68,13 @@ GuessOutcome SkippedOutcome() {
 // What the later guesses of a class take from its representative; a run
 // keeps one per class.
 struct ClassOutcome {
-  bool evaluated = false;
   bool derived = false;
   bool budget_aborted = false;
   dl::EvalStats stats;
 };
 
 ClassOutcome ClassOutcomeOf(const GuessOutcome& rep) {
-  ClassOutcome c{rep.evaluated, rep.derived, rep.budget_aborted, rep.stats};
+  ClassOutcome c{rep.derived, rep.budget_aborted, rep.stats};
   // Indexes the engine built: work done, not a property of the program
   // (an engine keeps the indexes of earlier solves), so none here.
   c.stats.index_builds = 0;
@@ -101,7 +83,6 @@ ClassOutcome ClassOutcomeOf(const GuessOutcome& rep) {
 
 GuessOutcome SharedOutcome(const ClassOutcome& c) {
   GuessOutcome o;
-  o.evaluated = c.evaluated;
   o.shared = true;
   o.derived = c.derived;
   o.budget_aborted = c.budget_aborted;
@@ -160,11 +141,11 @@ double MsBetween(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// Per-worker solver: owns the dl::Engine so arena reuse and EDB snapshot
-// rollback keep working across the guesses this worker happens to solve,
-// and the makeP encoder so env prefixes are emitted once per store
-// profile for this worker. The engine lives as long as one verify call,
-// so every engine counter describes that call only.
+// The run's solver: owns the dl::Engine so arena reuse and EDB snapshot
+// rollback keep working across the guesses it solves, and the makeP
+// encoder so env prefixes are emitted once per store profile. The engine
+// lives as long as one verify call, so every engine counter describes
+// that call only.
 class GuessSolver {
  public:
   GuessSolver(const SimplSystem& sys, const DatalogVerifierOptions& options)
@@ -183,7 +164,6 @@ class GuessSolver {
     using Clock = std::chrono::steady_clock;
     obs::ScopedSpan span(options_.trace, "guess");
     GuessOutcome out;
-    out.evaluated = true;
     const Clock::time_point makep_start = Clock::now();
     MakePResult q = [&] {
       obs::ScopedSpan s(options_.trace, "makep");
@@ -296,7 +276,6 @@ void Accumulate(DatalogVerdict& v, const GuessOutcome& o) {
 void FinishEarly(DatalogVerdict& v, std::size_t idx, std::size_t guesses,
                  const GuessOutcome& o) {
   v.guesses = guesses;
-  v.parallel.early_exit_index = idx;
   if (o.derived) {
     v.unsafe = true;
     v.witness_guess = o.witness;
@@ -305,13 +284,6 @@ void FinishEarly(DatalogVerdict& v, std::size_t idx, std::size_t guesses,
   } else {
     v.exhaustive = false;
     v.budget_aborted_guess = idx;
-  }
-}
-
-void FetchMin(std::atomic<std::size_t>& a, std::size_t v) {
-  std::size_t cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
 }
 
@@ -329,16 +301,12 @@ void EmitCheckpoint(const DatalogVerifierOptions& options,
   ++verdict.checkpoint_writes;
 }
 
-// --- serial driver ----------------------------------------------------------
+}  // namespace
 
-// threads == 1: the legacy in-order loop on the calling thread, one
-// engine; each guess is classified and solved where the cursor holds it.
-// The parallel driver's results are defined to match this path bit for
-// bit (modulo index_builds/fact_reuses).
-DatalogVerdict SerialVerify(const SimplSystem& sys,
-                            const DatalogVerifierOptions& options) {
+// Classifies and solves each guess where the cursor holds it.
+DatalogVerdict DatalogVerify(const SimplSystem& sys,
+                             const DatalogVerifierOptions& options) {
   DatalogVerdict verdict;
-  verdict.parallel.threads = 1;
   verdict.resume_offset = options.guess.start_index;
   DisGuessCursor cursor(sys, options.guess);
   GuessSolver solver(sys, options);
@@ -380,7 +348,6 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
         break;
       case GuessClasses::Kind::kSolve:
         o = solver.Solve(ig->guess, idx, /*want_width_report=*/first);
-        ++verdict.parallel.solves;
         if (c.id != GuessClasses::kNoClass) {
           class_outcomes.push_back(ClassOutcomeOf(o));
         }
@@ -426,304 +393,6 @@ DatalogVerdict SerialVerify(const SimplSystem& sys,
   // leaves a resumable position (rerun with a larger max_guesses).
   EmitCheckpoint(options, verdict, next_unscanned, cursor.complete());
   return verdict;
-}
-
-// --- parallel driver --------------------------------------------------------
-
-struct Batch {
-  // Global enumeration index of the chunk's first guess; slot i holds
-  // guess first + i.
-  std::size_t first = 0;
-  std::vector<GuessOutcome> outcomes;  // one slot per guess in the chunk
-  // Shared guesses as (slot, class); their outcomes are filled in from
-  // the class representatives' once the pool quiesces.
-  std::vector<std::pair<std::size_t, std::size_t>> members;
-  std::string error;                   // first worker exception, if any
-  // Guesses of this chunk decided so far (the skipped and shared ones at
-  // dispatch) — the dispatcher's checkpoint frontier advances over the
-  // longest prefix of fully-decided batches. A shared guess's
-  // representative sits in the same batch or an earlier one.
-  std::atomic<std::size_t> done{0};
-};
-
-DatalogVerdict ParallelVerify(const SimplSystem& sys,
-                              const DatalogVerifierOptions& options,
-                              unsigned threads) {
-  DatalogVerdict verdict;
-  ThreadPool pool(threads);
-  const unsigned workers = pool.size();
-  verdict.parallel.threads = workers;
-  verdict.resume_offset = options.guess.start_index;
-
-  std::vector<std::unique_ptr<GuessSolver>> solvers;
-  solvers.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    solvers.push_back(std::make_unique<GuessSolver>(sys, options));
-  }
-  // The dispatcher classifies every guess before any worker sees it, in
-  // enumeration order, with an encoder of its own.
-  const MakePEncoder class_encoder(sys, MakePOptions{options.goal_message});
-  GuessClasses classes(class_encoder, options.enable_dlopt);
-  // Per class, the slot of its representative's outcome.
-  std::vector<const GuessOutcome*> reps;
-
-  const std::size_t batch_size =
-      options.batch_size == 0 ? 1 : options.batch_size;
-  DisGuessCursor cursor(sys, options.guess);
-
-  // First terminating event wins: the token is the fast "something
-  // happened" flag, stop_idx the exact ordered cut-off. A worker may skip
-  // a guess only when its index is strictly above stop_idx, so the final
-  // minimum's prefix is always fully evaluated.
-  CancellationToken cancel;
-  std::atomic<std::size_t> stop_idx{kNoGuessIndex};
-  const Deadline deadline(options.time_budget_ms);
-  std::atomic<bool> deadline_fired{false};
-  ShardedCounter solves;
-  ShardedCounter skipped;
-
-  // Batch slots live in a deque (stable addresses) created by the
-  // dispatcher before Submit and read after Wait; each is written by
-  // exactly one task in between.
-  std::deque<Batch> batches;
-  std::mutex batches_m;
-  // Backpressure: bound the chunks owned by queued/running tasks.
-  std::counting_semaphore<> slots(static_cast<std::ptrdiff_t>(workers) * 4);
-
-  // Contiguous-completed frontier over the dispatch order: one past the
-  // longest prefix of fully-solved batches. Everything below it is done,
-  // so it is a safe (conservative) resume point. Only the dispatcher
-  // appends to `batches`; workers touch the atomic `done` counters only.
-  const auto frontier = [&] {
-    std::size_t next = options.guess.start_index;
-    for (const Batch& b : batches) {
-      if (b.done.load(std::memory_order_acquire) != b.outcomes.size()) break;
-      next = b.first + b.outcomes.size();
-    }
-    return next;
-  };
-
-  // Index of the first solve of this run — the one that renders the
-  // width report (set before the first Submit, read-only afterwards).
-  std::size_t first_index = kNoGuessIndex;
-  // scan_limit bounds *dispatch*: the first scan_limit guesses of the
-  // enumeration order are handed out, nothing beyond — deterministic at
-  // any thread count.
-  std::size_t dispatched = 0;
-  bool scan_limited = false;
-  std::size_t cp_next = options.guess.start_index;  // last checkpointed
-
-  while (!cancel.cancelled()) {
-    if (deadline.Expired()) {
-      deadline_fired.store(true, std::memory_order_relaxed);
-      cancel.Cancel();
-      break;
-    }
-    std::size_t want = batch_size;
-    if (options.scan_limit != 0) {
-      if (dispatched >= options.scan_limit) {
-        scan_limited = true;
-        break;
-      }
-      want = std::min(want, options.scan_limit - dispatched);
-    }
-    // Pull the chunk guess by guess and classify each where the cursor
-    // holds it; only the guesses to solve are copied, as (slot, guess)
-    // pairs for a worker.
-    Batch* slot = nullptr;
-    std::vector<std::pair<std::size_t, DisGuess>> work;
-    std::vector<std::size_t> opened;  // slots whose guess opens a class
-    std::size_t decided = 0;
-    while (slot == nullptr || slot->outcomes.size() < want) {
-      const IndexedGuess* ig = cursor.Next();
-      if (ig == nullptr) break;
-      const std::size_t idx = ig->index;
-      if (slot == nullptr) {
-        std::lock_guard<std::mutex> lock(batches_m);
-        slot = &batches.emplace_back();
-        slot->first = idx;
-        if (first_index == kNoGuessIndex) first_index = idx;
-      }
-      const std::size_t i = slot->outcomes.size();
-      slot->outcomes.emplace_back();
-      const GuessClasses::Class c = classes.Next(ig->guess, idx == first_index);
-      switch (c.kind) {
-        case GuessClasses::Kind::kSkip:
-          slot->outcomes[i] = SkippedOutcome();
-          TraceDecided(options.trace, idx, "skipped");
-          ++decided;
-          break;
-        case GuessClasses::Kind::kShare:
-          slot->members.emplace_back(i, c.id);
-          TraceDecided(options.trace, idx, "shared");
-          ++decided;
-          break;
-        case GuessClasses::Kind::kSolve:
-          if (c.id != GuessClasses::kNoClass) opened.push_back(i);
-          work.emplace_back(i, ig->guess);
-          break;
-      }
-    }
-    if (slot == nullptr) break;
-    // Classes are numbered in the order they open, so reps[id] is the
-    // outcome slot of class id's representative.
-    for (const std::size_t i : opened) reps.push_back(&slot->outcomes[i]);
-    dispatched += slot->outcomes.size();
-    slot->done.store(decided, std::memory_order_release);
-    slots.acquire();
-    pool.Submit([&, slot, work = std::move(work)] {
-      const int w = ThreadPool::CurrentWorkerIndex();
-      GuessSolver& solver = *solvers[static_cast<std::size_t>(w)];
-      try {
-        for (std::size_t k = 0; k < work.size(); ++k) {
-          const auto& [i, guess] = work[k];
-          const std::size_t idx = slot->first + i;
-          if (idx > stop_idx.load(std::memory_order_relaxed)) {
-            skipped.Add(work.size() - k);
-            break;
-          }
-          if (deadline.Expired()) {
-            deadline_fired.store(true, std::memory_order_relaxed);
-            cancel.Cancel();
-            skipped.Add(work.size() - k);
-            break;
-          }
-          GuessOutcome o = solver.Solve(
-              guess, idx, /*want_width_report=*/idx == first_index);
-          solves.Add(1);
-          const bool terminating = o.terminating();
-          const bool derived = o.derived;
-          slot->outcomes[i] = std::move(o);
-          slot->done.fetch_add(1, std::memory_order_release);
-          if (terminating) {
-            FetchMin(stop_idx, idx);
-            cancel.Cancel();
-            obs::TraceInstant(options.trace,
-                              derived ? "early_exit" : "budget_abort",
-                              StrCat("{\"guess\":", idx, "}"));
-            // Indices above idx in this batch can no longer matter.
-            skipped.Add(work.size() - k - 1);
-            break;
-          }
-        }
-      } catch (const std::exception& e) {
-        slot->error = e.what();
-        cancel.Cancel();
-      }
-      slots.release();
-    });
-    if (options.checkpoint_every != 0 && options.checkpoint_sink &&
-        stop_idx.load(std::memory_order_relaxed) == kNoGuessIndex) {
-      const std::size_t f_next = frontier();
-      if (f_next - cp_next >= options.checkpoint_every) {
-        cp_next = f_next;
-        EmitCheckpoint(options, verdict, f_next, false);
-      }
-    }
-  }
-  // Terminating events only occur in dispatched chunks, and chunks are
-  // dispatched in enumeration order — once the token fires, every index
-  // at or below the eventual minimum has already been handed out, so the
-  // rest of the enumeration is never stepped.
-  pool.Wait();
-
-  for (const Batch& b : batches) {
-    if (!b.error.empty()) {
-      throw std::runtime_error("datalog verifier worker failed: " + b.error);
-    }
-  }
-  for (Batch& b : batches) {
-    for (const auto& [i, id] : b.members) {
-      b.outcomes[i] = SharedOutcome(ClassOutcomeOf(*reps[id]));
-    }
-  }
-
-  // The deterministic stop: the lowest-index terminating outcome. This can
-  // only be lower than the racy stop_idx snapshot workers saw, never
-  // higher, and its whole prefix is evaluated (skips happen strictly above
-  // some stop_idx value >= the final minimum).
-  std::size_t stop = kNoGuessIndex;
-  const GuessOutcome* event = nullptr;
-  for (const Batch& b : batches) {
-    for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
-      const GuessOutcome& o = b.outcomes[i];
-      if (o.evaluated && o.terminating() && b.first + i < stop) {
-        stop = b.first + i;
-        event = &o;
-      }
-    }
-  }
-
-  verdict.parallel.batches = batches.size();
-  verdict.parallel.steals = pool.steals();
-  verdict.parallel.solves = solves.Total();
-  verdict.parallel.skipped = skipped.Total();
-
-  std::size_t evaluated = 0;
-  for (const Batch& b : batches) {
-    for (std::size_t i = 0; i < b.outcomes.size(); ++i) {
-      const GuessOutcome& o = b.outcomes[i];
-      if (b.first + i > stop) {
-        verdict.parallel.discarded += o.solved() ? 1 : 0;
-        continue;
-      }
-      // A deadline abort can leave unevaluated gaps below `stop`; in
-      // deadline-free runs every index at or below it was solved.
-      if (!o.evaluated) continue;
-      ++evaluated;
-      Accumulate(verdict, o);
-    }
-  }
-  for (const auto& solver : solvers) solver->AddTotals(verdict);
-
-  const std::size_t base = options.guess.start_index;
-  if (event != nullptr) {
-    // Deadline-free runs evaluate exactly the emitted indices <= stop, so
-    // base + evaluated matches the serial driver's guess count.
-    FinishEarly(verdict, stop, base + evaluated, *event);
-    if (!event->derived) {
-      // Budget abort: restartable at the aborted guess.
-      EmitCheckpoint(options, verdict, stop, false);
-    }
-  } else if (deadline_fired.load(std::memory_order_relaxed)) {
-    verdict.deadline_hit = true;
-    verdict.exhaustive = false;
-    // Not a clean prefix (workers stop where the deadline caught them);
-    // report the number of solves that made it into the aggregates.
-    verdict.guesses = base + evaluated;
-    obs::TraceInstant(options.trace, "deadline",
-                      StrCat("{\"solves\":", evaluated, "}"));
-    // Resume conservatively from the contiguous-completed frontier;
-    // solves in the ragged tail beyond it will be redone.
-    EmitCheckpoint(options, verdict, frontier(), false);
-  } else if (scan_limited) {
-    // Every dispatched guess was solved (no event, no deadline), so the
-    // frontier covers the full dispatched prefix.
-    verdict.scan_limit_hit = true;
-    verdict.exhaustive = false;
-    verdict.guesses = base + evaluated;
-    obs::TraceInstant(options.trace, "scan_limit",
-                      StrCat("{\"solves\":", evaluated, "}"));
-    EmitCheckpoint(options, verdict, frontier(), false);
-  } else {
-    verdict.guesses = base + cursor.produced();
-    verdict.exhaustive = cursor.complete();
-    EmitCheckpoint(options, verdict, frontier(), cursor.complete());
-  }
-  return verdict;
-}
-
-}  // namespace
-
-DatalogVerdict DatalogVerify(const SimplSystem& sys,
-                             const DatalogVerifierOptions& options) {
-  unsigned threads = options.threads;
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  if (threads == 1) return SerialVerify(sys, options);
-  return ParallelVerify(sys, options, threads);
 }
 
 }  // namespace rapar

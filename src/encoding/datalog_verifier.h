@@ -2,37 +2,17 @@
 // nondeterministic guesses and evaluates each emitted query instance.
 // Unsafe iff some execution of makeP yields (Prog, g) with Prog ⊢ g.
 //
-// The guesses are mutually independent, so the driver fans them out: the
-// calling thread steps a DisGuessCursor, which holds one guess at a time,
-// and copies only the guesses that need a solve into chunks; a
-// work-stealing ThreadPool solves the chunks with one dl::Engine per
-// worker (arena and EDB-snapshot reuse stay intact within a worker), and
-// the first terminating event — a derived goal or a blown tuple budget —
-// cancels the remaining work. The serial loop (threads == 1) solves each
-// guess where the cursor holds it. Every guess is solved as its own fresh fixpoint,
-// except that with dlopt on the guess skeleton decides two kinds of
-// guesses before makeP (DESIGN.md §6): one that cannot derive the goal is
-// skipped, and one whose class key an earlier guess of the run already
-// had shares that guess's solve. Both decisions are made in enumeration
-// order, by the serial loop or the parallel dispatcher, so they do not
-// depend on the schedule. The only result an engine carries from one
-// solve to the next is its seeded-EDB snapshot
-// (dl::EngineOptions::reuse_facts).
-//
-// Determinism rule: the verdict, witness guess, guesses-scanned count and
-// the aggregate statistics are *independent of the thread count*. The
-// driver reports the lowest-enumeration-index terminating guess, and a
-// worker may skip a guess only when its index is provably above the
-// current minimum, so every guess below the reported stop index is
-// evaluated exactly once regardless of scheduling. Statistics aggregate
-// the per-guess results of exactly the prefix [0, stop index] in
-// enumeration order; racing solves beyond it are discarded (counted in
-// ParallelStats::discarded). The per-guess numbers themselves are
-// schedule-independent because a solve's stats do not depend on which
-// engine runs it (PR 3 made EDB-snapshot reuse stats-neutral) — with the
-// one exception of index_builds and fact_reuses, which depend on the
-// subsequence of guesses a worker happens to see and are therefore the
-// only verdict fields that may vary with the thread count.
+// One loop on the calling thread scans the guesses in enumeration order:
+// it steps a DisGuessCursor, which holds one guess at a time, and solves
+// each guess where the cursor holds it on one dl::Engine, stopping at the
+// first terminating event — a derived goal or a blown tuple budget.
+// Every guess is solved as its own fresh fixpoint, except that with
+// dlopt on the guess skeleton decides two kinds of guesses before makeP
+// (DESIGN.md §6): one that cannot derive the goal is skipped, and one
+// whose class key an earlier guess of the run already had shares that
+// guess's solve. The only result the engine carries from one solve to
+// the next is its seeded-EDB snapshot (dl::EngineOptions::reuse_facts),
+// which leaves every derivation count unchanged.
 //
 // Checkpoint/resume: a scan that stops without a verdict (scan_limit,
 // deadline, budget abort, enumeration cap) hands a
@@ -74,23 +54,11 @@ struct DatalogVerifierOptions {
   // encoded or solved, and a guess with the class key of an earlier guess
   // takes that guess's outcome instead of being solved.
   bool enable_dlopt = true;
-  // Worker threads for the per-guess solves. 1 (default) runs the legacy
-  // serial loop on the calling thread; 0 resolves to
-  // std::thread::hardware_concurrency(); N > 1 uses a work-stealing pool
-  // of N workers. The verdict, witness and aggregate statistics are
-  // identical for every value (see the determinism rule above).
-  unsigned threads = 1;
-  // Guesses per work unit the parallel dispatcher pulls from the
-  // enumerator. Small enough to load-balance, large enough to amortize
-  // dispatch. The serial loop pulls one guess at a time and ignores it.
-  std::size_t batch_size = 32;
   // Wall-clock budget in milliseconds; 0 = unlimited. Enforced
   // cooperatively at guess granularity: the deadline is checked before
-  // every solve (and by the parallel dispatcher between chunks), so a
-  // single long solve can overshoot it. On expiry the scan stops,
-  // exhaustive becomes false and DatalogVerdict::deadline_hit is set.
-  // Deadline-truncated runs are wall-clock dependent and therefore exempt
-  // from the determinism rule above.
+  // every solve, so a single long solve can overshoot it. On expiry the
+  // scan stops, exhaustive becomes false and DatalogVerdict::deadline_hit
+  // is set.
   long long time_budget_ms = 0;
   // Optional span sink (obs/trace.h): per-guess "guess" spans with nested
   // makep/dlopt/eval phases, plus instant markers for early exit, budget
@@ -110,35 +78,11 @@ struct DatalogVerifierOptions {
   std::size_t checkpoint_every = 0;
   std::function<void(const CursorCheckpoint&)> checkpoint_sink;
   // Stop after scanning this many guesses in this invocation (0 =
-  // unlimited). Deterministic at every thread count — the parallel
-  // dispatcher bounds *dispatch* to the first scan_limit guesses of the
-  // enumeration order — which makes kill-and-resume testable without
-  // real kills: a truncated run plus a resumed run must reproduce the
-  // uninterrupted verdict. Sets DatalogVerdict::scan_limit_hit when it
-  // truncates the scan.
+  // unlimited). Deterministic, which makes kill-and-resume testable
+  // without real kills: a truncated run plus a resumed run must reproduce
+  // the uninterrupted verdict. Sets DatalogVerdict::scan_limit_hit when
+  // it truncates the scan.
   std::size_t scan_limit = 0;
-};
-
-// How the parallel driver ran. threads == 1 means the serial loop, which
-// dispatches no chunks: batches, steals, discarded and skipped stay 0.
-struct ParallelStats {
-  unsigned threads = 1;
-  std::size_t batches = 0;  // guess chunks dispatched
-  std::size_t steals = 0;   // ThreadPool deque steals
-  // Guesses solved (incl. discarded ones). Skipped and shared guesses
-  // are decided before any solve and are not counted.
-  std::size_t solves = 0;
-  // Solves that raced past the deterministic stop prefix; their stats are
-  // excluded from the verdict aggregates.
-  std::size_t discarded = 0;
-  // Guesses to solve that a worker dropped after the early exit fired
-  // (not the guesses counted in DatalogVerdict::solves_skipped).
-  std::size_t skipped = 0;
-  // Index of the terminating guess (witness or budget abort);
-  // kNoGuessIndex when every guess was scanned.
-  std::size_t early_exit_index = kNoGuessIndex;
-
-  bool Any() const { return threads > 1; }
 };
 
 struct DatalogVerdict {
@@ -167,7 +111,7 @@ struct DatalogVerdict {
   std::size_t solves_skipped = 0;
   std::size_t solves_shared = 0;
   // Aggregate Datalog statistics over the scanned prefix (per guess,
-  // summed in enumeration order; thread-count independent).
+  // summed in enumeration order).
   std::size_t total_tuples = 0;
   std::size_t total_rules = 0;        // emitted by makeP, pre-dlopt
   std::size_t total_rules_after = 0;  // evaluated after dlopt pruning
@@ -175,9 +119,7 @@ struct DatalogVerdict {
   std::size_t join_attempts = 0;
   // Argument-hash index counters (zero when EngineOptions::use_index is
   // off) and the number of solves seeded from a previous guess's EDB
-  // snapshot instead of re-inserting every fact. index_builds and
-  // fact_reuses depend on the per-worker guess subsequence, so they are
-  // the only fields that may vary with DatalogVerifierOptions::threads.
+  // snapshot instead of re-inserting every fact.
   std::size_t index_probes = 0;
   std::size_t index_hits = 0;
   std::size_t index_builds = 0;
@@ -207,11 +149,9 @@ struct DatalogVerdict {
   // Aggregate optimizer statistics over the scanned prefix (zero when
   // dlopt is disabled; rules_before/after mirror total_rules{,_after}).
   dlopt::DlOptStats dlopt;
-  // Wall-clock milliseconds each solver spent in makeP, in dlopt (with
-  // the engine's join hints) and in evaluation, summed over every solve
-  // this run issued — over all workers when threads > 1, discarded solves
-  // included, skipped and shared guesses not. Timings: exempt from the
-  // determinism rule.
+  // Wall-clock milliseconds spent in makeP, in dlopt (with the engine's
+  // join hints) and in evaluation, summed over the solved guesses;
+  // skipped and shared guesses run none of the three.
   double makep_ms = 0.0;
   double dlopt_ms = 0.0;
   double eval_ms = 0.0;
@@ -221,8 +161,6 @@ struct DatalogVerdict {
   std::string width_report;
   // The witnessing guess (pretty-printed) when unsafe.
   std::string witness_guess;
-  // Parallel-driver telemetry (threads, batches, steals, early exit).
-  ParallelStats parallel;
 };
 
 DatalogVerdict DatalogVerify(const SimplSystem& sys,

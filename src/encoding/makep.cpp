@@ -198,8 +198,7 @@ class Builder {
   // Decodes an expression native's inputs (every env register, as
   // symbols offset by `off`) into register values without allocating.
   // The buffer is per thread, not per closure: the closure stays
-  // immutable, since copies of one program's natives run on different
-  // workers.
+  // immutable, and serve evaluates programs on several threads at once.
   static std::span<const Value> Registers(std::span<const Sym> in, Sym off) {
     thread_local std::vector<Value> rv;
     rv.resize(in.size());

@@ -4,10 +4,9 @@
 // counters and double gauges — that replaces the flat, ever-growing
 // counter fields previously bolted onto Verdict one PR at a time. Every
 // stat the backends produce (search sizes, engine counters, prepass and
-// dlopt pruning, parallel-driver telemetry, per-phase wall-clock) lives
-// here under a stable dotted name; `rapar_cli verify --metrics` and
-// `--format=json` render it, and the deprecated Verdict accessors
-// (core/verifier.h) reconstruct the legacy structs from it.
+// dlopt pruning, per-phase wall-clock) lives here under a stable dotted
+// name; `rapar_cli verify --metrics` and `--format=json` render it, and
+// Verdict::ToString (core/verifier.cpp) reads its text from it.
 //
 // Names are part of the machine-readable schema: once shipped in a
 // release they may be added to but not renamed. The canonical list is
@@ -33,7 +32,6 @@ namespace rapar::obs {
 //   datalog.*  — Theorem 4.1 driver (guess enumeration, makeP, budgets)
 //   prepass.*  — CFA pre-pass pruning (PrepassStats)
 //   dlopt.*    — query-driven program optimizer (dlopt::DlOptStats)
-//   parallel.* — work-stealing guess driver (ParallelStats)
 //   tmai.*     — thread-modular abstract interpretation (tmai/tmai.h)
 //   portfolio.*— TMAI → Datalog cascade (what its TMAI stage cost)
 //   phase.*    — per-phase wall-clock gauges, milliseconds
@@ -79,15 +77,6 @@ inline constexpr char kDlOptSubsumed[] = "dlopt.subsumed_removed";
 inline constexpr char kDlOptCopyAliased[] = "dlopt.copy_aliased_removed";
 inline constexpr char kDlOptPredsBefore[] = "dlopt.preds_before";
 inline constexpr char kDlOptPredsAfter[] = "dlopt.preds_after";
-
-inline constexpr char kParThreads[] = "parallel.threads";
-inline constexpr char kParBatches[] = "parallel.batches";
-inline constexpr char kParSteals[] = "parallel.steals";
-inline constexpr char kParSolves[] = "parallel.solves";
-inline constexpr char kParDiscarded[] = "parallel.discarded";
-inline constexpr char kParSkipped[] = "parallel.skipped";
-// Present only when a terminating event cut the enumeration short.
-inline constexpr char kParEarlyExitIndex[] = "parallel.early_exit_index";
 
 inline constexpr char kTmaiIterations[] = "tmai.iterations";
 inline constexpr char kTmaiConverged[] = "tmai.converged";
@@ -141,8 +130,7 @@ inline constexpr char kPhaseSolveMs[] = "phase.solve_ms";
 // The Datalog guess loop's split of solve time per layer of the Theorem
 // 4.1 pipeline: makeP, dlopt (with join hints) and engine evaluation,
 // each summed over the run's solved guesses only: a skipped or shared
-// guess runs none of the three. Under threads > 1 they sum over workers,
-// so together they can exceed phase.solve_ms.
+// guess runs none of the three.
 inline constexpr char kPhaseMakePMs[] = "phase.makep_ms";
 inline constexpr char kPhaseDlOptMs[] = "phase.dlopt_ms";
 inline constexpr char kPhaseEvalMs[] = "phase.eval_ms";

@@ -11,9 +11,9 @@
 //      ablation row keeps this honest (≤ 5% is the acceptance bar; the
 //      observed cost is noise-level).
 //   2. Trustworthy when on. Spans are steady-clock timed and tagged with
-//      a small per-thread id, so the per-guess spans of the work-stealing
-//      pool land on their worker's track and nest correctly under the
-//      driver's phase spans in Perfetto.
+//      a small per-thread id, so spans recorded on different threads land
+//      on their own tracks and nest correctly under the driver's phase
+//      spans in Perfetto.
 //   3. Verdict-neutral. Recording only appends to a buffer; nothing the
 //      verifier computes depends on it (tests/obs_differential_test.cpp
 //      asserts bit-identical verdicts with tracing on vs off).

@@ -53,8 +53,8 @@
 namespace rapar::tmai {
 
 // Versions the "certificate" JSON object independently of the result
-// envelope's kResultSchemaVersion (the envelope stays at version 1;
-// the key is additive).
+// envelope's kResultSchemaVersion (adding the key did not bump the
+// envelope's version).
 inline constexpr int kCertificateSchemaVersion = 1;
 
 struct Certificate {

@@ -202,7 +202,6 @@ TEST(BenchmarkSuiteTest, VerdictToStringNamesScanLimitStop) {
   SafetyVerifier verifier(bench.system);
   VerifierOptions opts;
   opts.backend = Backend::kDatalog;
-  opts.datalog.threads = 1;
   opts.datalog.scan_limit = 5;
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kUnknown);

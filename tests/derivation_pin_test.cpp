@@ -46,7 +46,6 @@ Pinned Measure(const ParamSystem& sys,
                std::optional<std::pair<VarId, Value>> goal) {
   VerifierOptions options;
   options.backend = Backend::kDatalog;
-  options.datalog.threads = 1;
   const Verdict v = SafetyVerifier(sys).Run(goal, options);
   const obs::Telemetry& t = v.telemetry;
   return Pinned{std::string(VerdictName(v.result)),

@@ -16,9 +16,9 @@
 //   (c) the verifier's verdict, witness, guess count, tuples, firings,
 //       join attempts, index probes and hits equal a guess-by-guess
 //       replay (MakeP -> OptimizeForQuery -> PredGraph::Build and
-//       MakeJoinHints -> Solve, stopping at the first derivation), at
-//       threads 1 and 4, and the verifier skips and shares exactly the
-//       guesses the replay finds rejected and keyed like an earlier one;
+//       MakeJoinHints -> Solve, stopping at the first derivation), and
+//       the verifier skips and shares exactly the guesses the replay
+//       finds rejected and keyed like an earlier one;
 //   (d) on each generated corpus, the skipped guesses and the solved
 //       plus shared guesses are each at least a quarter of the guesses
 //       scanned;
@@ -198,38 +198,31 @@ Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
   return out;
 }
 
-// (c) at threads 1 and 4, plus the verifier's own accounting: every
-// scanned guess is solved, skipped or shared, and it skips and shares
-// exactly the guesses the replay saw MayDerive reject and keyed like an
-// earlier one.
+// (c), plus the verifier's own accounting: every scanned guess is
+// solved, skipped or shared, and it skips and shares exactly the guesses
+// the replay saw MayDerive reject and keyed like an earlier one.
 void CheckQuery(const SimplSystem& sys, const Goal& goal,
                 const std::string& label, Tally* tally) {
   std::size_t rejected = 0;
   std::size_t shared = 0;
   const Scan replay = Replay(sys, goal, &rejected, &shared, label);
-  for (unsigned threads : {1u, 4u}) {
-    DatalogVerifierOptions options;
-    options.goal_message = goal;
-    options.guess.max_guesses = kMaxGuesses;
-    options.threads = threads;
-    const DatalogVerdict v = DatalogVerify(sys, options);
-    const std::string where = label + " threads=" + std::to_string(threads);
-    ExpectSameScan(Scan{v.unsafe, v.witness_guess, v.guesses, v.total_tuples,
-                        v.rule_firings, v.join_attempts, v.index_probes,
-                        v.index_hits},
-                   replay, where);
-    EXPECT_EQ(v.queries_evaluated + v.solves_skipped + v.solves_shared,
-              v.guesses)
-        << where;
-    EXPECT_EQ(v.solves_skipped, rejected) << where;
-    EXPECT_EQ(v.solves_shared, shared) << where;
-    if (threads == 1) {
-      tally->scanned += v.guesses;
-      tally->skipped += v.solves_skipped;
-      tally->solved += v.queries_evaluated;
-      tally->shared += v.solves_shared;
-    }
-  }
+  DatalogVerifierOptions options;
+  options.goal_message = goal;
+  options.guess.max_guesses = kMaxGuesses;
+  const DatalogVerdict v = DatalogVerify(sys, options);
+  ExpectSameScan(Scan{v.unsafe, v.witness_guess, v.guesses, v.total_tuples,
+                      v.rule_firings, v.join_attempts, v.index_probes,
+                      v.index_hits},
+                 replay, label);
+  EXPECT_EQ(v.queries_evaluated + v.solves_skipped + v.solves_shared,
+            v.guesses)
+      << label;
+  EXPECT_EQ(v.solves_skipped, rejected) << label;
+  EXPECT_EQ(v.solves_shared, shared) << label;
+  tally->scanned += v.guesses;
+  tally->skipped += v.solves_skipped;
+  tally->solved += v.queries_evaluated;
+  tally->shared += v.solves_shared;
 }
 
 // (d) and (f)

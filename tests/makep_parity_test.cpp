@@ -1,6 +1,6 @@
 // Parity of the per-verify makeP encoder and of the consuming optimizer.
 //
-// The Datalog guess loop encodes guesses with one MakePEncoder per worker
+// The Datalog guess loop encodes guesses with one MakePEncoder per run
 // (the env prefix is emitted once per store profile and copied per
 // guess) and moves each program into dlopt::OptimizeForQuery. Both are
 // refactors of what the loop evaluates, so for every enumerated guess:

@@ -2,16 +2,14 @@
 // gracefully:
 //
 //   1. Tracing on vs off produces bit-identical verdicts, witnesses and
-//      aggregate statistics — at one worker thread and at eight. The
-//      recorder only appends to a buffer; nothing the verifier computes
-//      may depend on it.
+//      aggregate statistics. The recorder only appends to a buffer;
+//      nothing the verifier computes may depend on it.
 //   2. A wall-clock deadline (VerifierOptions::time_budget_ms) aborts
 //      each backend cooperatively: the verdict degrades to kUnknown and
 //      Verdict::stopped_phase names the phase that was cut short
 //      ("solve" for the Datalog guess loop, "explore" for the
-//      explorers). Deadline runs are exempt from the thread-count
-//      determinism rule (the abort point is timing-dependent); the
-//      verdict kind and stopped_phase still must not depend on tracing.
+//      explorers). The abort point is timing-dependent; the verdict kind
+//      and stopped_phase are not.
 #include <gtest/gtest.h>
 
 #include "core/benchmarks.h"
@@ -36,25 +34,20 @@ void ExpectIdentical(const Verdict& a, const Verdict& b, const char* label) {
 }
 
 TEST(ObsDifferentialTest, TraceOnOffIdenticalDatalog) {
-  for (unsigned threads : {1u, 8u}) {
-    for (bool safe_case : {false, true}) {
-      BenchmarkCase bench =
-          safe_case ? ProducerConsumerSafe(6) : ProducerConsumer(6);
-      SafetyVerifier verifier(bench.system);
-      VerifierOptions opts;
-      opts.backend = Backend::kDatalog;
-      opts.datalog.threads = threads;
+  for (bool safe_case : {false, true}) {
+    BenchmarkCase bench =
+        safe_case ? ProducerConsumerSafe(6) : ProducerConsumer(6);
+    SafetyVerifier verifier(bench.system);
+    VerifierOptions opts;
+    opts.backend = Backend::kDatalog;
 
-      const Verdict off = verifier.Run(std::nullopt, opts);
-      obs::TraceRecorder rec;
-      opts.obs.trace = &rec;
-      const Verdict on = verifier.Run(std::nullopt, opts);
+    const Verdict off = verifier.Run(std::nullopt, opts);
+    obs::TraceRecorder rec;
+    opts.obs.trace = &rec;
+    const Verdict on = verifier.Run(std::nullopt, opts);
 
-      const std::string label =
-          bench.name + " threads=" + std::to_string(threads);
-      ExpectIdentical(off, on, label.c_str());
-      EXPECT_GT(rec.size(), 0u) << label;
-    }
+    ExpectIdentical(off, on, bench.name.c_str());
+    EXPECT_GT(rec.size(), 0u) << bench.name;
   }
 }
 
@@ -86,7 +79,6 @@ TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
   SafetyVerifier verifier(system);
   VerifierOptions opts;
   opts.backend = Backend::kDatalog;
-  opts.datalog.threads = 1;
   VerifierOptions full = opts;
   const Verdict complete = verifier.Run(std::nullopt, full);
   ASSERT_EQ(complete.result, Verdict::Result::kSafe);
@@ -99,19 +91,6 @@ TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
   EXPECT_LT(v.telemetry.counter(obs::metric::kGuesses),
             complete.telemetry.counter(obs::metric::kGuesses));
   EXPECT_NE(v.ToString().find("[deadline hit in solve]"), std::string::npos);
-}
-
-TEST(ObsDifferentialTest, DeadlineAbortsDatalogParallel) {
-  const ParamSystem system = ManyGuessSafeSystem();
-  SafetyVerifier verifier(system);
-  VerifierOptions opts;
-  opts.backend = Backend::kDatalog;
-  opts.datalog.threads = 4;
-  opts.time_budget_ms = 1;
-  const Verdict v = verifier.Run(std::nullopt, opts);
-  EXPECT_EQ(v.result, Verdict::Result::kUnknown);
-  EXPECT_EQ(v.stopped_phase, "solve");
-  EXPECT_TRUE(v.witness.empty());
 }
 
 // The saturation explorer checks its budget every few expansion steps;

@@ -296,7 +296,7 @@ TEST(TelemetryTest, VerdictPhaseGaugesAndAccessors) {
 // guess skeleton rules the goal out (datalog.solves_skipped) or shared
 // with an earlier guess of its class (datalog.solves_shared), on a
 // complete scan (dekker-cas, SAFE) and on an early exit (peterson-ra,
-// UNSAFE at guess 29), at one worker and at four.
+// UNSAFE at guess 29).
 TEST(TelemetryTest, ScannedGuessesAreSolvedOrSkipped) {
   namespace metric = obs::metric;
   const std::vector<BenchmarkCase> catalog = StandardBenchmarks();
@@ -305,25 +305,18 @@ TEST(TelemetryTest, ScannedGuessesAreSolvedOrSkipped) {
         std::find_if(catalog.begin(), catalog.end(),
                      [&](const BenchmarkCase& c) { return c.name == name; });
     ASSERT_NE(it, catalog.end()) << name;
-    for (unsigned threads : {1u, 4u}) {
-      VerifierOptions opts;
-      opts.backend = Backend::kDatalog;
-      opts.datalog.threads = threads;
-      const Verdict v = SafetyVerifier(it->system).Run(std::nullopt, opts);
-      const std::string label =
-          std::string(name) + " threads=" + std::to_string(threads);
-      const std::uint64_t solved = v.telemetry.counter(metric::kQueries);
-      const std::uint64_t skipped =
-          v.telemetry.counter(metric::kSolvesSkipped);
-      const std::uint64_t shared = v.telemetry.counter(metric::kSolvesShared);
-      EXPECT_TRUE(v.telemetry.Has(metric::kSolvesSkipped)) << label;
-      EXPECT_TRUE(v.telemetry.Has(metric::kSolvesShared)) << label;
-      EXPECT_EQ(solved + skipped + shared,
-                v.telemetry.counter(metric::kGuesses))
-          << label;
-      EXPECT_GT(solved, 0u) << label;
-      EXPECT_GT(skipped, 0u) << label;
-    }
+    VerifierOptions opts;
+    opts.backend = Backend::kDatalog;
+    const Verdict v = SafetyVerifier(it->system).Run(std::nullopt, opts);
+    const std::uint64_t solved = v.telemetry.counter(metric::kQueries);
+    const std::uint64_t skipped = v.telemetry.counter(metric::kSolvesSkipped);
+    const std::uint64_t shared = v.telemetry.counter(metric::kSolvesShared);
+    EXPECT_TRUE(v.telemetry.Has(metric::kSolvesSkipped)) << name;
+    EXPECT_TRUE(v.telemetry.Has(metric::kSolvesShared)) << name;
+    EXPECT_EQ(solved + skipped + shared, v.telemetry.counter(metric::kGuesses))
+        << name;
+    EXPECT_GT(solved, 0u) << name;
+    EXPECT_GT(skipped, 0u) << name;
   }
 }
 

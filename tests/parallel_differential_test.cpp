@@ -1,21 +1,15 @@
-// Differential check: the parallel guess-level verification driver must
-// be invisible in the verdict. Runs the Datalog backend at thread counts
-// 1 / 2 / 8 across the benchmark catalog and a corpus of random systems,
-// demanding bit-identical unsafe / exhaustive / witness_guess / guesses
-// and identical aggregated engine statistics — the executable counterpart
-// of the determinism rule in encoding/datalog_verifier.h. index_builds
-// and fact_reuses are the two documented exceptions (they depend on which
-// guesses a worker happens to see) and are excluded.
-//
-// DeltaParityTest extends the check to the one state a worker's engine
-// carries from guess to guess: its seeded-EDB snapshot (dl::EngineOptions::
-// reuse_facts). Snapshot chains at 1 / 2 / 8 threads and cold seeding at
-// 2 / 8 threads must match the cold single-thread scan. (The suite's name
-// dates from the cross-guess delta solver it once compared; DESIGN.md §13
-// records that solver's removal.)
+// DeltaParityTest: the one state the verifier's engine carries from
+// guess to guess is its seeded-EDB snapshot (dl::EngineOptions::
+// reuse_facts). A scan that rolls back to the snapshot must match a scan
+// that seeds every guess cold — verdict, witness, guesses-scanned count
+// and every aggregate statistic but index_builds and fact_reuses — on the
+// benchmark catalog and 200 random systems. (The suite's name dates from
+// the cross-guess delta solver it once compared; DESIGN.md §13 records
+// that solver's removal.)
 //
 // Also pins the cursor's chunked API to the vector API: NextChunk must
-// yield exactly the EnumerateDisGuesses sequence with its indices.
+// yield exactly the EnumerateDisGuesses sequence with its indices, and a
+// budget abort to one guess index however the scan reaches it.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,22 +24,19 @@
 namespace rapar {
 namespace {
 
-DatalogVerdict VerifyAt(const SimplSystem& sys, unsigned threads,
-                        std::size_t max_guesses, std::size_t max_tuples,
-                        std::size_t batch_size = 32,
+DatalogVerdict VerifyAt(const SimplSystem& sys, std::size_t max_guesses,
+                        std::size_t max_tuples,
                         std::optional<std::pair<VarId, Value>> goal = {},
                         bool reuse_facts = true) {
   DatalogVerifierOptions opts;
   opts.goal_message = goal;
   opts.guess.max_guesses = max_guesses;
   opts.max_tuples_per_query = max_tuples;
-  opts.threads = threads;
-  opts.batch_size = batch_size;
   opts.engine.reuse_facts = reuse_facts;
   return DatalogVerify(sys, opts);
 }
 
-// Everything that must not depend on the thread count.
+// Everything that must not depend on snapshot reuse.
 void ExpectIdentical(const DatalogVerdict& base, const DatalogVerdict& v,
                      const std::string& label) {
   EXPECT_EQ(base.unsafe, v.unsafe) << label;
@@ -62,61 +53,7 @@ void ExpectIdentical(const DatalogVerdict& base, const DatalogVerdict& v,
   EXPECT_EQ(base.index_probes, v.index_probes) << label;
   EXPECT_EQ(base.index_hits, v.index_hits) << label;
   EXPECT_EQ(base.width_report, v.width_report) << label;
-  EXPECT_EQ(base.parallel.early_exit_index, v.parallel.early_exit_index)
-      << label;
-  // index_builds and fact_reuses intentionally not compared.
-}
-
-TEST(ParallelDifferentialTest, BenchmarkCatalogIdenticalAcrossThreadCounts) {
-  for (BenchmarkCase& bench : StandardBenchmarks()) {
-    const DatalogVerdict base =
-        VerifyAt(bench.system.simpl(), 1, 2'000, 500'000);
-    for (unsigned threads : {2u, 8u}) {
-      const DatalogVerdict v =
-          VerifyAt(bench.system.simpl(), threads, 2'000, 500'000);
-      ExpectIdentical(base, v,
-                      bench.name + " @" + std::to_string(threads));
-      EXPECT_EQ(v.parallel.threads, threads) << bench.name;
-    }
-  }
-}
-
-TEST(ParallelDifferentialTest, SmallBatchesStressTheEarlyExitOrdering) {
-  // batch_size 1 maximizes the interleaving of chunk dispatch and the
-  // first-unsafe-wins cutoff; the witness must still be the
-  // lowest-enumeration-index one.
-  BenchmarkCase bench = ProducerConsumer(2);
-  const DatalogVerdict base =
-      VerifyAt(bench.system.simpl(), 1, 2'000, 500'000, /*batch_size=*/1);
-  ASSERT_TRUE(base.unsafe);
-  for (unsigned threads : {2u, 3u, 8u}) {
-    const DatalogVerdict v = VerifyAt(bench.system.simpl(), threads, 2'000,
-                                      500'000, /*batch_size=*/1);
-    ExpectIdentical(base, v, "pc-unsafe @" + std::to_string(threads));
-  }
-}
-
-TEST(ParallelDifferentialTest, BudgetAbortStopsAtTheSameGuessEverywhere) {
-  // A tiny tuple budget forces an abort (on the first query — the makeP
-  // shape is uniform across guesses, so the first one blows first); every
-  // thread count must report the same aborted index, and the scan must
-  // stop there instead of evaluating the remaining guesses (peterson-ra
-  // has 29).
-  BenchmarkCase bench = PetersonRa();
-  const DatalogVerdict base =
-      VerifyAt(bench.system.simpl(), 1, 2'000, /*max_tuples=*/3);
-  ASSERT_NE(base.budget_aborted_guess, kNoGuessIndex);
-  EXPECT_FALSE(base.exhaustive);
-  EXPECT_FALSE(base.unsafe);
-  EXPECT_EQ(base.guesses, base.budget_aborted_guess + 1);
-  const DatalogVerdict full =
-      VerifyAt(bench.system.simpl(), 1, 2'000, /*max_tuples=*/500'000);
-  EXPECT_LT(base.guesses, full.guesses) << "abort did not stop the scan";
-  for (unsigned threads : {2u, 8u}) {
-    const DatalogVerdict v =
-        VerifyAt(bench.system.simpl(), threads, 2'000, /*max_tuples=*/3);
-    ExpectIdentical(base, v, "budget @" + std::to_string(threads));
-  }
+  // index_builds and fact_reuses count the reuse itself.
 }
 
 // The 200-seed random corpus. `check(sys, goal, label)` compares one
@@ -165,44 +102,19 @@ void CheckRandomCorpus(Check check) {
   EXPECT_GT(exhaustive_seen, 100);
 }
 
-TEST(ParallelDifferentialTest, RandomSystemsIdenticalAcrossTwoHundredSeeds) {
-  CheckRandomCorpus([](const SimplSystem& sys,
-                       std::optional<std::pair<VarId, Value>> goal,
-                       const std::string& label) {
-    const DatalogVerdict base =
-        VerifyAt(sys, 1, 500, 200'000, /*batch_size=*/8, goal);
-    for (unsigned threads : {2u, 8u}) {
-      const DatalogVerdict v =
-          VerifyAt(sys, threads, 500, 200'000, /*batch_size=*/8, goal);
-      ExpectIdentical(base, v, label + " @" + std::to_string(threads));
-    }
-    return base;
-  });
-}
-
-// Cold single-thread baseline vs every snapshot-chain configuration.
+// Cold seeding vs the snapshot chain, both at one worker.
 DatalogVerdict ExpectChainsIdentical(
-    const SimplSystem& sys, std::size_t max_tuples, std::size_t batch_size,
+    const SimplSystem& sys, std::size_t max_tuples,
     std::optional<std::pair<VarId, Value>> goal, const std::string& name) {
-  const DatalogVerdict base = VerifyAt(sys, 1, 2'000, max_tuples, batch_size,
-                                       goal, /*reuse_facts=*/false);
-  struct {
-    unsigned threads;
-    bool reuse_facts;
-  } const configs[] = {{1, true}, {2, true}, {8, true}, {2, false}, {8, false}};
-  for (const auto& cfg : configs) {
-    const DatalogVerdict v = VerifyAt(sys, cfg.threads, 2'000, max_tuples,
-                                      batch_size, goal, cfg.reuse_facts);
-    ExpectIdentical(base, v,
-                    name + " @" + std::to_string(cfg.threads) +
-                        (cfg.reuse_facts ? " reuse" : " cold"));
-  }
+  const DatalogVerdict base =
+      VerifyAt(sys, 2'000, max_tuples, goal, /*reuse_facts=*/false);
+  ExpectIdentical(base, VerifyAt(sys, 2'000, max_tuples, goal), name);
   return base;
 }
 
 TEST(DeltaParityTest, BenchmarkCatalogIdenticalToSnapshotRollback) {
   for (BenchmarkCase& bench : StandardBenchmarks()) {
-    ExpectChainsIdentical(bench.system.simpl(), 500'000, 32, {}, bench.name);
+    ExpectChainsIdentical(bench.system.simpl(), 500'000, {}, bench.name);
   }
 }
 
@@ -213,8 +125,8 @@ TEST(DeltaParityTest, DeltaChainActuallyEngagesOnTheCatalog) {
   std::size_t rolled_back = 0;
   for (BenchmarkCase& bench : StandardBenchmarks()) {
     const SimplSystem& sys = bench.system.simpl();
-    rolled_back += VerifyAt(sys, 1, 2'000, 500'000).fact_reuses;
-    EXPECT_EQ(VerifyAt(sys, 1, 2'000, 500'000, 32, {}, false).fact_reuses, 0u)
+    rolled_back += VerifyAt(sys, 2'000, 500'000).fact_reuses;
+    EXPECT_EQ(VerifyAt(sys, 2'000, 500'000, {}, false).fact_reuses, 0u)
         << bench.name;
   }
   EXPECT_GT(rolled_back, 0u) << "no catalog scan reused an EDB snapshot";
@@ -225,17 +137,61 @@ TEST(DeltaParityTest, BudgetAbortStopsAtTheSameGuess) {
   // solve must abort at the same index with the same stats.
   BenchmarkCase bench = PetersonRa();
   const DatalogVerdict base = ExpectChainsIdentical(
-      bench.system.simpl(), /*max_tuples=*/3, 32, {}, "budget");
+      bench.system.simpl(), /*max_tuples=*/3, {}, "budget");
   EXPECT_NE(base.budget_aborted_guess, kNoGuessIndex);
   EXPECT_FALSE(base.exhaustive);
 }
 
+TEST(ParallelDifferentialTest, BudgetAbortStopsAtTheSameGuessEverywhere) {
+  // A tiny tuple budget forces an abort (on the first query — the makeP
+  // shape is uniform across guesses, so the first one blows first); the
+  // scan must stop there instead of evaluating the remaining guesses
+  // (peterson-ra has 29). Every way of reaching the guess must report the
+  // same aborted index: snapshot rollback, cold seeding, and a rerun
+  // resumed at the checkpoint the abort itself emits.
+  BenchmarkCase bench = PetersonRa();
+  const SimplSystem& sys = bench.system.simpl();
+  DatalogVerifierOptions opts;
+  opts.guess.max_guesses = 2'000;
+  opts.max_tuples_per_query = 3;
+  std::vector<CursorCheckpoint> checkpoints;
+  opts.checkpoint_sink = [&](const CursorCheckpoint& cp) {
+    checkpoints.push_back(cp);
+  };
+  const DatalogVerdict base = DatalogVerify(sys, opts);
+  ASSERT_NE(base.budget_aborted_guess, kNoGuessIndex);
+  EXPECT_FALSE(base.exhaustive);
+  EXPECT_FALSE(base.unsafe);
+  EXPECT_EQ(base.guesses, base.budget_aborted_guess + 1);
+  const DatalogVerdict full = VerifyAt(sys, 2'000, /*max_tuples=*/500'000);
+  EXPECT_LT(base.guesses, full.guesses) << "abort did not stop the scan";
+
+  ExpectIdentical(base, VerifyAt(sys, 2'000, /*max_tuples=*/3, {},
+                                 /*reuse_facts=*/false),
+                  "budget cold");
+
+  // The abort's checkpoint points *at* the aborted guess, so a rerun
+  // with the same budget aborts there again after scanning only it.
+  ASSERT_EQ(checkpoints.size(), 1u);
+  EXPECT_FALSE(checkpoints[0].exhausted);
+  ASSERT_EQ(checkpoints[0].next_index, base.budget_aborted_guess);
+  DatalogVerifierOptions resumed_opts = opts;
+  resumed_opts.checkpoint_sink = nullptr;
+  resumed_opts.guess.start_index = checkpoints[0].next_index;
+  const DatalogVerdict resumed = DatalogVerify(sys, resumed_opts);
+  EXPECT_EQ(resumed.budget_aborted_guess, base.budget_aborted_guess);
+  EXPECT_EQ(resumed.guesses, base.guesses);
+  EXPECT_FALSE(resumed.exhaustive);
+  EXPECT_FALSE(resumed.unsafe);
+  EXPECT_EQ(resumed.resume_offset, base.budget_aborted_guess);
+}
+
 TEST(DeltaParityTest, SmallBatchesStressTheEarlyExitOrdering) {
-  // batch_size 1 maximizes interleaving; the witness must still be the
-  // lowest-enumeration-index one when workers carry EDB snapshots.
+  // An early exit: the witness must be the cold scan's, the
+  // lowest-enumeration-index one, when the engine carries EDB snapshots.
   BenchmarkCase bench = ProducerConsumer(2);
   const DatalogVerdict base = ExpectChainsIdentical(
-      bench.system.simpl(), 500'000, /*batch_size=*/1, {}, "pc-unsafe");
+      bench.system.simpl(), 500'000, {}, "pc-unsafe");
   EXPECT_TRUE(base.unsafe);
 }
 
@@ -243,7 +199,7 @@ TEST(DeltaParityTest, RandomSystemsIdenticalAcrossTwoHundredSeeds) {
   CheckRandomCorpus([](const SimplSystem& sys,
                        std::optional<std::pair<VarId, Value>> goal,
                        const std::string& label) {
-    return ExpectChainsIdentical(sys, 200'000, /*batch_size=*/8, goal, label);
+    return ExpectChainsIdentical(sys, 200'000, goal, label);
   });
 }
 

@@ -210,7 +210,7 @@ TEST(ServeTest, ErrorEnvelopes) {
                 "{\"backend\":\"quantum\"}"),
        "unknown backend"},
       {MakeLine("verify", kMpWriter, {}, "", -1,
-                "{\"threads\":\"many\"}"),
+                "{\"env_threads\":\"many\"}"),
        "must be an integer"},
       // 2^33: survives int64 parsing but not the narrowing to int — must
       // be a decode error, never a silently wrapped knob.
@@ -229,6 +229,10 @@ TEST(ServeTest, ErrorEnvelopes) {
        "unknown option \"delta_solve\""},
       {MakeLine("verify", kMpWriter, {}, "", -1, "{\"time_budget\":0}"),
        "unknown option \"time_budget\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1, "{\"threads\":4}"),
+       "unknown option \"threads\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1, "{\"batch_size\":8}"),
+       "unknown option \"batch_size\""},
   };
   for (const auto& c : cases) {
     const JsonValue doc = Parse(session.HandleLine(c.line));
@@ -262,15 +266,6 @@ TEST(ServeTest, FingerprintSensitivity) {
   const JsonValue simplified = Parse(session.HandleLine(RequestLine(spec)));
   EXPECT_NE(Str(simplified, "fingerprint"), Str(datalog, "fingerprint"));
   EXPECT_EQ(Str(simplified, "cache"), "miss");
-
-  // datalog.threads is a scheduling knob, not an input: by the
-  // determinism rule the verdict cannot depend on it, so it must not
-  // fragment the cache.
-  spec.options_json = "{\"backend\":\"datalog\",\"threads\":4}";
-  const JsonValue threaded = Parse(session.HandleLine(RequestLine(spec)));
-  EXPECT_EQ(Str(threaded, "fingerprint"), Str(datalog, "fingerprint"));
-  EXPECT_EQ(Str(threaded, "cache"), "hit");
-  EXPECT_EQ(StripVolatile(threaded), StripVolatile(datalog));
 
   // A removed option key is a request error, not a silent default.
   spec.options_json =

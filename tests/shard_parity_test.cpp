@@ -3,9 +3,9 @@
 // the rest of the enumeration, a checkpoint round-trips through JSON and
 // its file and a corrupt or foreign-format one is rejected, and a scan
 // killed at a checkpoint resumes to the same verdict and guess count
-// without rescanning the guesses it already scanned — with the serial and
-// the parallel driver. (The suite kept its name from when it also covered
-// multi-process sharding, which DESIGN.md §14 records as removed.)
+// without rescanning the guesses it already scanned. (The suite kept its
+// name from when it also covered multi-process sharding, which DESIGN.md
+// §14 records as removed.)
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -145,7 +145,6 @@ TEST(ShardParityTest, ScanLimitCheckpointResumesToSameVerdictWithoutRescan) {
   BenchmarkCase bench = DekkerCas();
   DatalogVerifierOptions base;
   base.guess.max_guesses = 2'000;
-  base.threads = 1;
 
   const DatalogVerdict full = DatalogVerify(bench.system.simpl(), base);
   ASSERT_FALSE(full.unsafe);
@@ -180,39 +179,6 @@ TEST(ShardParityTest, ScanLimitCheckpointResumesToSameVerdictWithoutRescan) {
                 v2.queries_evaluated + v2.solves_skipped + v2.solves_shared,
             full.queries_evaluated + full.solves_skipped + full.solves_shared)
       << "resume rescanned already-scanned guesses";
-}
-
-TEST(ShardParityTest, ParallelScanLimitResumesToSameVerdict) {
-  // Same kill-and-resume contract under the parallel dispatcher: the
-  // checkpoint frontier is conservative (contiguous completed batches),
-  // so the resumed run may redo a ragged tail but must land on the same
-  // verdict and guess count.
-  BenchmarkCase bench = DekkerCas();
-  DatalogVerifierOptions base;
-  base.guess.max_guesses = 2'000;
-  base.threads = 1;
-  const DatalogVerdict full = DatalogVerify(bench.system.simpl(), base);
-
-  DatalogVerifierOptions first = base;
-  first.threads = 2;
-  first.batch_size = 4;
-  first.scan_limit = 12;
-  std::optional<CursorCheckpoint> cp;
-  first.checkpoint_sink = [&](const CursorCheckpoint& c) { cp = c; };
-  const DatalogVerdict v1 = DatalogVerify(bench.system.simpl(), first);
-  EXPECT_TRUE(v1.scan_limit_hit);
-  ASSERT_TRUE(cp.has_value());
-  EXPECT_FALSE(cp->exhausted);
-  EXPECT_LE(cp->next_index, 12u);
-
-  DatalogVerifierOptions second = base;
-  second.threads = 2;
-  second.batch_size = 4;
-  second.guess.start_index = cp->next_index;
-  const DatalogVerdict v2 = DatalogVerify(bench.system.simpl(), second);
-  EXPECT_EQ(v2.unsafe, full.unsafe);
-  EXPECT_EQ(v2.exhaustive, full.exhaustive);
-  EXPECT_EQ(v2.guesses, full.guesses);
 }
 
 }  // namespace

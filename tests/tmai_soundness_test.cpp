@@ -8,9 +8,8 @@
 //    answer fails the run.
 //  * TmaiPortfolioTest — the portfolio runs TMAI, then Datalog, so it
 //    answers "portfolio:tmai" exactly when TMAI alone proves kSafe and
-//    otherwise returns the Datalog backend's verdict bit for bit, at
-//    Datalog worker counts 1 and 8; at one worker two runs of a query
-//    give the same envelope apart from gauges.
+//    otherwise returns the Datalog backend's verdict bit for bit, and
+//    two runs of a query give the same envelope apart from gauges.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -208,10 +207,8 @@ std::string EnvelopeWithoutGauges(Verdict v, const VerifierOptions& options) {
 
 // The portfolio is the cascade TMAI, then Datalog: "portfolio:tmai"
 // exactly when TMAI alone answers kSafe, otherwise the Datalog backend's
-// verdict with the same witness and counts. Checked at Datalog worker
-// counts 1 and 8 against a one-worker Datalog run (the counts do not
-// depend on the worker count); at one worker a second run must give the
-// same envelope apart from gauges. Returns whether TMAI decided.
+// verdict with the same witness and counts, and a second run must give
+// the same envelope apart from gauges. Returns whether TMAI decided.
 bool ExpectPortfolioIsTheCascade(const SafetyVerifier& verifier,
                                  std::optional<std::pair<VarId, Value>> goal,
                                  const std::string& label) {
@@ -221,35 +218,28 @@ bool ExpectPortfolioIsTheCascade(const SafetyVerifier& verifier,
   VerifierOptions dopts;
   dopts.backend = Backend::kDatalog;
   const Verdict dv = verifier.Run(goal, dopts);
-  for (unsigned threads : {1u, 8u}) {
-    const std::string at =
-        label + " at datalog threads " + std::to_string(threads);
-    VerifierOptions popts;
-    popts.backend = Backend::kPortfolio;
-    popts.datalog.threads = threads;
-    const Verdict pv = verifier.Run(goal, popts);
-    EXPECT_EQ(pv.result, dv.result)
-        << at << ": portfolio " << pv.ToString() << " vs datalog "
-        << dv.ToString();
-    if (tmai_safe) {
-      EXPECT_EQ(pv.backend, "portfolio:tmai") << at;
-    } else {
-      EXPECT_EQ(pv.backend, "portfolio:datalog") << at;
-      EXPECT_EQ(pv.witness, dv.witness) << at;
-      EXPECT_EQ(pv.stopped_phase, dv.stopped_phase) << at;
-      for (const char* name : {obs::metric::kGuesses, obs::metric::kTuples,
-                               obs::metric::kRuleFirings}) {
-        EXPECT_TRUE(pv.telemetry.Has(name)) << at << " " << name;
-        EXPECT_EQ(pv.telemetry.counter(name), dv.telemetry.counter(name))
-            << at << " " << name;
-      }
-    }
-    if (threads == 1) {
-      EXPECT_EQ(EnvelopeWithoutGauges(verifier.Run(goal, popts), popts),
-                EnvelopeWithoutGauges(pv, popts))
-          << at;
+  VerifierOptions popts;
+  popts.backend = Backend::kPortfolio;
+  const Verdict pv = verifier.Run(goal, popts);
+  EXPECT_EQ(pv.result, dv.result)
+      << label << ": portfolio " << pv.ToString() << " vs datalog "
+      << dv.ToString();
+  if (tmai_safe) {
+    EXPECT_EQ(pv.backend, "portfolio:tmai") << label;
+  } else {
+    EXPECT_EQ(pv.backend, "portfolio:datalog") << label;
+    EXPECT_EQ(pv.witness, dv.witness) << label;
+    EXPECT_EQ(pv.stopped_phase, dv.stopped_phase) << label;
+    for (const char* name : {obs::metric::kGuesses, obs::metric::kTuples,
+                             obs::metric::kRuleFirings}) {
+      EXPECT_TRUE(pv.telemetry.Has(name)) << label << " " << name;
+      EXPECT_EQ(pv.telemetry.counter(name), dv.telemetry.counter(name))
+          << label << " " << name;
     }
   }
+  EXPECT_EQ(EnvelopeWithoutGauges(verifier.Run(goal, popts), popts),
+            EnvelopeWithoutGauges(pv, popts))
+      << label;
   return tmai_safe;
 }
 
