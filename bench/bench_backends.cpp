@@ -139,9 +139,9 @@ void PrintDlOptAblation() {
 }
 
 // Evaluation-core tuning (dl::EngineOptions) on vs off: argument-hash
-// join indexes + cheapest-first body ordering + EDB snapshot reuse vs
-// the plain nested-loop scan. join_attempts counts candidate tuples
-// tested during body matching — the quantity indexing is built to cut.
+// join indexes + cheapest-first body ordering vs the plain nested-loop
+// scan. join_attempts counts candidate tuples tested during body
+// matching — the quantity indexing is built to cut.
 // Verdicts must be identical (the tuning is result-preserving).
 void PrintIndexAblation() {
   Header("engine index ablation on the Datalog backend (join attempts)");
@@ -173,7 +173,6 @@ void PrintIndexAblation() {
     const double ms_on = TimeMs([&] { on = verify(); });
     opts.datalog.engine.use_index = false;
     opts.datalog.engine.reorder_joins = false;
-    opts.datalog.engine.reuse_facts = false;
     const double ms_off = TimeMs([&] { off = verify(); });
     const std::uint64_t joins_on =
         on.telemetry.counter(obs::metric::kJoinAttempts);
@@ -212,8 +211,8 @@ void PrintIndexAblation() {
   }
   std::printf(
       "(joins = Verdict join_attempts summed over guesses; 'on' is the "
-      "default tuning — indexes + reordering + EDB snapshot reuse; 'off' "
-      "is the plain scan evaluator)\n");
+      "default tuning — indexes + reordering; 'off' is the plain scan "
+      "evaluator)\n");
 }
 
 // Observability ablation: the same verify with no trace sink installed

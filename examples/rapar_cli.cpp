@@ -56,14 +56,11 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include <optional>
 #include <utility>
 
 #include "analysis/diagnostics.h"
 #include "analysis/footprint.h"
-#include "analysis/prepass.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "core/result_json.h"
@@ -110,7 +107,6 @@ struct Options {
   long long cache_entries = 1024;
   long long cache_bytes = 64ll << 20;
   bool pretty = false;
-  bool cert_revalidate = true;
   // Checkpoint/resume (datalog backend only).
   std::string checkpoint_file;
   std::string resume_file;
@@ -218,9 +214,6 @@ const FlagSpec kFlags[] = {
     {"--pretty", false, nullptr, "serve",
      "indent response envelopes (default: one response per line)",
      [](Options& o, const char*) { o.pretty = true; }},
-    {"--no-cert-revalidate", false, nullptr, "serve",
-     "skip re-checking memoized TMAI certificates on cache hits",
-     [](Options& o, const char*) { o.cert_revalidate = false; }},
     {"--checkpoint", true, "FILE", "verify mg",
      "datalog backend: write scan checkpoints to FILE (atomic "
      "tmp+rename)",
@@ -593,10 +586,11 @@ int RunVerify(const Options& opts, bool mg) {
   if (opts.threads_set && opts.backend != "concrete") {
     return FailVerify(opts, "flag --threads requires --backend=concrete");
   }
-  if (opts.threads < 1 || opts.threads > 4096) {
+  constexpr int kMaxThreads = rapar::ConcreteBackendOptions::kMaxEnvThreads;
+  if (opts.threads < 1 || opts.threads > kMaxThreads) {
     return FailVerify(opts,
-                      "flag --threads expects an env-thread count in "
-                      "[1, 4096], got '" +
+                      "flag --threads expects an env-thread count in [1, " +
+                          std::to_string(kMaxThreads) + "], got '" +
                           std::to_string(opts.threads) + "'");
   }
 
@@ -774,29 +768,15 @@ int CertCheck(const Options& opts) {
     std::fprintf(stderr, "%s\n", sys.error().c_str());
     return 3;
   }
-  // Replicate SafetyVerifier's preparation: the certificate was produced
-  // against the prepassed CFAs, with the MG goal variable (if any)
-  // protected from store slicing.
-  rapar::SimplSystem simpl = sys.value().simpl();
-  const rapar::VarId protect =
-      cert.value().check_assert
-          ? rapar::VarId::Invalid()
-          : rapar::VarId(cert.value().goal_var);
-  rapar::PrepassResult pre =
-      rapar::RunPrepass(*simpl.env, simpl.dis, protect);
-  std::unique_ptr<rapar::Cfa> env_owned;
-  std::vector<std::unique_ptr<rapar::Cfa>> dis_owned;
-  if (pre.stats.Any()) {
-    env_owned = std::make_unique<rapar::Cfa>(std::move(pre.env));
-    simpl.env = env_owned.get();
-    simpl.dis.clear();
-    for (rapar::Cfa& d : pre.dis) {
-      dis_owned.push_back(std::make_unique<rapar::Cfa>(std::move(d)));
-      simpl.dis.push_back(dis_owned.back().get());
-    }
-  }
+  // SafetyVerifier's preparation: the certificate was produced against
+  // the prepassed CFAs, with the MG goal variable (if any) protected
+  // from store slicing.
+  const rapar::PreparedSystem prep = rapar::PrepareSystem(
+      sys.value().simpl(), /*run_prepass=*/true,
+      cert.value().check_assert ? rapar::VarId::Invalid()
+                                : rapar::VarId(cert.value().goal_var));
   const rapar::tmai::TmaiSystem tsys =
-      rapar::tmai::TmaiSystem::FromSimpl(simpl);
+      rapar::tmai::TmaiSystem::FromSimpl(prep.simpl);
 
   const rapar::tmai::CertCheckResult res =
       rapar::tmai::CheckCertificate(tsys, cert.value());
@@ -979,7 +959,6 @@ int Serve(const Options& opts) {
                           ? 0
                           : static_cast<std::size_t>(opts.cache_bytes);
   sopts.pretty = opts.pretty;
-  sopts.revalidate_certificates = opts.cert_revalidate;
   rapar::serve::ServeSession session(sopts);
   session.Run(std::cin, std::cout);
   return 0;

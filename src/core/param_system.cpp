@@ -114,4 +114,22 @@ std::string ParamSystem::Signature() const {
   return out;
 }
 
+PreparedSystem PrepareSystem(const SimplSystem& base, bool run_prepass,
+                             VarId protect) {
+  PreparedSystem p;
+  p.simpl = base;
+  if (!run_prepass) return p;
+  PrepassResult r = RunPrepass(*base.env, base.dis, protect);
+  p.stats = r.stats;
+  if (!r.stats.Any()) return p;  // nothing pruned: keep original CFAs
+  p.env = std::make_unique<Cfa>(std::move(r.env));
+  p.simpl.env = p.env.get();
+  p.simpl.dis.clear();
+  for (Cfa& d : r.dis) {
+    p.dis.push_back(std::make_unique<Cfa>(std::move(d)));
+    p.simpl.dis.push_back(p.dis.back().get());
+  }
+  return p;
+}
+
 }  // namespace rapar

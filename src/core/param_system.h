@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/prepass.h"
 #include "common/expected.h"
 #include "lang/cfa.h"
 #include "lang/classify.h"
@@ -97,6 +98,25 @@ class ParamSystem {
   std::vector<std::unique_ptr<Cfa>> dis_cfas_;
   SimplSystem simpl_;
 };
+
+// The system view a backend runs against: `base` itself, or one rebuilt
+// over pruned CFA copies owned here. unique_ptr storage keeps the Cfa
+// addresses stable if the struct moves.
+struct PreparedSystem {
+  SimplSystem simpl;
+  PrepassStats stats;
+  std::unique_ptr<Cfa> env;
+  std::vector<std::unique_ptr<Cfa>> dis;
+};
+
+// With `run_prepass`, runs the pre-pass (analysis/prepass.h) over `base`
+// with the goal variable `protect` (VarId::Invalid() when there is none)
+// kept from store slicing, and keeps the original CFAs when it pruned
+// nothing. SafetyVerifier, the serve cache's certificate re-check and
+// `rapar_cli certcheck` all prepare through here, so a certificate is
+// checked against the CFAs it was proved on.
+PreparedSystem PrepareSystem(const SimplSystem& base, bool run_prepass,
+                             VarId protect);
 
 }  // namespace rapar
 

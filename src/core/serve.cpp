@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/prepass.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
@@ -238,8 +237,8 @@ Request DecodeRequest(const JsonValue& doc) {
                  &req.error) ||
         !GetBool(*opts, "enable_dlopt", &req.vopts.datalog.enable_dlopt,
                  &req.error) ||
-        !GetIntRange(*opts, "env_threads", &env_threads, 1, 4096,
-                     &req.error) ||
+        !GetIntRange(*opts, "env_threads", &env_threads, 1,
+                     ConcreteBackendOptions::kMaxEnvThreads, &req.error) ||
         !GetIntRange(*opts, "unroll", &unroll, 0, 1'000'000, &req.error) ||
         !GetIntRange(*opts, "tmai_max_iterations", &tmai_iters, 0, kKnobMax,
                      &req.error) ||
@@ -341,7 +340,6 @@ std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
   s += "\nengine=";
   s += vo.datalog.engine.use_index ? '1' : '0';
   s += vo.datalog.engine.reorder_joins ? '1' : '0';
-  s += vo.datalog.engine.reuse_facts ? '1' : '0';
   s += "\ntmai=" + req.tmai_domain_name + ':' +
        std::to_string(vo.tmai.max_iterations) + ':' +
        std::to_string(vo.tmai.widening_delay) + ':' +
@@ -376,28 +374,15 @@ std::string ErrorLine(const std::string& id_json, const std::string& message,
 }
 
 // Re-validates a memoized certificate against the freshly parsed system,
-// replicating the verifier's preparation (same prepass, same goal-var
-// protection — mirrors rapar_cli certcheck).
+// prepared as the verifier prepared it: the pre-pass only if the
+// memoized request ran it, with the certificate's goal variable
+// protected.
 bool RevalidateCertificate(const ParamSystem& sys, bool ran_prepass,
                            const tmai::Certificate& cert) {
-  SimplSystem simpl = sys.simpl();
-  std::unique_ptr<Cfa> env_owned;
-  std::vector<std::unique_ptr<Cfa>> dis_owned;
-  if (ran_prepass) {
-    const VarId protect =
-        cert.check_assert ? VarId::Invalid() : VarId(cert.goal_var);
-    PrepassResult pre = RunPrepass(*simpl.env, simpl.dis, protect);
-    if (pre.stats.Any()) {
-      env_owned = std::make_unique<Cfa>(std::move(pre.env));
-      simpl.env = env_owned.get();
-      simpl.dis.clear();
-      for (Cfa& d : pre.dis) {
-        dis_owned.push_back(std::make_unique<Cfa>(std::move(d)));
-        simpl.dis.push_back(dis_owned.back().get());
-      }
-    }
-  }
-  const tmai::TmaiSystem tsys = tmai::TmaiSystem::FromSimpl(simpl);
+  const PreparedSystem prep = PrepareSystem(
+      sys.simpl(), ran_prepass,
+      cert.check_assert ? VarId::Invalid() : VarId(cert.goal_var));
+  const tmai::TmaiSystem tsys = tmai::TmaiSystem::FromSimpl(prep.simpl);
   return tmai::CheckCertificate(tsys, cert).valid;
 }
 
@@ -685,7 +670,6 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
       Impl::CacheEntry entry;
       if (!im.LookupOrBeginFlight(canonical, &entry, &flight)) break;
       if (entry.verdict.certificate != nullptr &&
-          im.options.revalidate_certificates &&
           !RevalidateCertificate(sys.value(), entry.vopts.enable_prepass,
                                  *entry.verdict.certificate)) {
         // The memoized proof no longer checks out against this request's

@@ -99,11 +99,6 @@ struct ServeOptions {
   // Indent response envelopes (default off: one response per line, the
   // wire format).
   bool pretty = false;
-  // Re-validate a memoized TMAI certificate against the freshly parsed
-  // request system before replaying it (tmai::CheckCertificate); a
-  // failed check evicts the entry and re-runs the pipeline. On by
-  // default — it is the cache's end-to-end self-check.
-  bool revalidate_certificates = true;
 };
 
 // Session-cumulative cache counters (also stamped into every response's

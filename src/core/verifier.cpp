@@ -2,7 +2,7 @@
 
 #include <chrono>
 #include <map>
-#include <memory>
+#include <stdexcept>
 
 #include "analysis/prepass.h"
 #include "common/strings.h"
@@ -33,47 +33,26 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The system view a backend runs against: either the ParamSystem's own
-// SimplSystem, or one rebuilt over pruned CFA copies owned here. unique_ptr
-// storage keeps the Cfa addresses stable if the struct moves.
-struct PreparedSystem {
-  SimplSystem simpl;
-  PrepassStats stats;
-  std::unique_ptr<Cfa> env;
-  std::vector<std::unique_ptr<Cfa>> dis;
-};
-
 PreparedSystem Prepare(const ParamSystem& system,
                        std::optional<std::pair<VarId, Value>> goal,
                        const VerifierOptions& options,
                        obs::Telemetry& telemetry) {
   obs::ScopedSpan span(options.obs.trace, "prepass");
   const auto start = std::chrono::steady_clock::now();
-  PreparedSystem p;
-  p.simpl = system.simpl();
-  if (!options.enable_prepass) {
-    telemetry.SetGauge(metric::kPhasePrepassMs, MsSince(start));
-    return p;
+  PreparedSystem p = PrepareSystem(
+      system.simpl(), options.enable_prepass,
+      goal.has_value() ? goal->first : VarId::Invalid());
+  if (options.enable_prepass) {
+    telemetry.SetCounter(metric::kPrepassDeadEdges,
+                         p.stats.dead_edges_removed);
+    telemetry.SetCounter(metric::kPrepassGuardsFolded,
+                         p.stats.guards_folded);
+    telemetry.SetCounter(metric::kPrepassStoresSliced,
+                         p.stats.stores_sliced);
+    telemetry.SetCounter(metric::kPrepassAssignsDropped,
+                         p.stats.assigns_dropped);
   }
-  PrepassResult r = RunPrepass(*p.simpl.env, p.simpl.dis,
-                               goal.has_value() ? goal->first
-                                                : VarId::Invalid());
-  p.stats = r.stats;
-  telemetry.SetCounter(metric::kPrepassDeadEdges,
-                       r.stats.dead_edges_removed);
-  telemetry.SetCounter(metric::kPrepassGuardsFolded, r.stats.guards_folded);
-  telemetry.SetCounter(metric::kPrepassStoresSliced, r.stats.stores_sliced);
-  telemetry.SetCounter(metric::kPrepassAssignsDropped,
-                       r.stats.assigns_dropped);
   telemetry.SetGauge(metric::kPhasePrepassMs, MsSince(start));
-  if (!r.stats.Any()) return p;  // nothing pruned: keep original CFAs
-  p.env = std::make_unique<Cfa>(std::move(r.env));
-  p.simpl.env = p.env.get();
-  p.simpl.dis.clear();
-  for (Cfa& d : r.dis) {
-    p.dis.push_back(std::make_unique<Cfa>(std::move(d)));
-    p.simpl.dis.push_back(p.dis.back().get());
-  }
   return p;
 }
 
@@ -93,7 +72,6 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetCounter(metric::kIndexProbes, dv.index_probes);
   t.SetCounter(metric::kIndexHits, dv.index_hits);
   t.SetCounter(metric::kIndexBuilds, dv.index_builds);
-  t.SetCounter(metric::kFactReuses, dv.fact_reuses);
   const dlopt::DlOptStats& o = dv.dlopt;
   t.SetCounter(metric::kDlOptRulesBefore, o.rules_before);
   t.SetCounter(metric::kDlOptRulesAfter, o.rules_after);
@@ -101,7 +79,6 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetCounter(metric::kDlOptUnreachable, o.unreachable_removed);
   t.SetCounter(metric::kDlOptDemand, o.demand_removed);
   t.SetCounter(metric::kDlOptDuplicates, o.duplicates_removed);
-  t.SetCounter(metric::kDlOptSubsumed, o.subsumed_removed);
   t.SetCounter(metric::kDlOptCopyAliased, o.copy_aliased_removed);
   t.SetCounter(metric::kDlOptPredsBefore, o.preds_before);
   t.SetCounter(metric::kDlOptPredsAfter, o.preds_after);
@@ -138,7 +115,6 @@ dlopt::DlOptStats DlOptOf(const obs::Telemetry& t) {
   s.unreachable_removed = t.counter(metric::kDlOptUnreachable);
   s.demand_removed = t.counter(metric::kDlOptDemand);
   s.duplicates_removed = t.counter(metric::kDlOptDuplicates);
-  s.subsumed_removed = t.counter(metric::kDlOptSubsumed);
   s.copy_aliased_removed = t.counter(metric::kDlOptCopyAliased);
   s.preds_before = t.counter(metric::kDlOptPredsBefore);
   s.preds_after = t.counter(metric::kDlOptPredsAfter);
@@ -184,8 +160,6 @@ std::string Verdict::ToString() const {
                     " hits=", t.counter(metric::kIndexHits),
                     " builds=", builds);
     }
-    const std::uint64_t reuses = t.counter(metric::kFactReuses);
-    if (reuses > 0) out += StrCat(", edb reuses=", reuses);
     out += "]";
   }
   if (t.Has(metric::kBudgetAbortedGuess)) {
@@ -317,18 +291,24 @@ Verdict RunDatalog(const ParamSystem& system,
 Verdict RunConcrete(const ParamSystem& system,
                     std::optional<std::pair<VarId, Value>> goal,
                     const VerifierOptions& options) {
+  const int env_threads = options.concrete.env_threads;
+  if (env_threads < 1 ||
+      env_threads > ConcreteBackendOptions::kMaxEnvThreads) {
+    throw std::invalid_argument(
+        StrCat("concrete.env_threads must be in [1, ",
+               ConcreteBackendOptions::kMaxEnvThreads, "], got ",
+               env_threads));
+  }
   Verdict v;
   v.backend = "concrete";
   const PreparedSystem prep = Prepare(system, goal, options, v.telemetry);
   std::vector<const Cfa*> threads;
-  for (int i = 0; i < options.concrete.env_threads; ++i) {
-    threads.push_back(prep.simpl.env);
-  }
+  for (int i = 0; i < env_threads; ++i) threads.push_back(prep.simpl.env);
   threads.insert(threads.end(), prep.simpl.dis.begin(),
                  prep.simpl.dis.end());
   RaExplorer explorer(
       threads, system.dom(), system.vars().size(),
-      {0, static_cast<std::size_t>(options.concrete.env_threads)});
+      {0, static_cast<std::size_t>(env_threads)});
   RaExplorerOptions opts;
   opts.max_states = options.max_states;
   opts.max_depth = options.max_depth;

@@ -60,14 +60,13 @@ enum class Backend {
 // Knobs that only the Datalog backend reads.
 struct DatalogBackendOptions {
   // Optimize every emitted query instance (dead-rule, demand
-  // specialization, dedup/subsumption — see src/dlopt/optimize.h) before
-  // evaluation. Verdict-preserving; pruned counts land in the dlopt.*
-  // metrics.
+  // specialization, dedup, copy aliasing — see src/dlopt/optimize.h)
+  // before evaluation. Verdict-preserving; pruned counts land in the
+  // dlopt.* metrics.
   bool enable_dlopt = true;
-  // Evaluation-core tuning — argument-hash join indexes, cheapest-first
-  // body ordering, EDB snapshot reuse across guesses (dl::EngineOptions).
-  // All on by default; the bench_backends index ablation flips them off
-  // to measure the effect.
+  // Evaluation-core tuning — argument-hash join indexes and cheapest-first
+  // body ordering (dl::EngineOptions). Both on by default; the
+  // bench_backends index ablation flips them off to measure the effect.
   dl::EngineOptions engine;
   // Not a knob: the verifier reads no batch size. rabench's traced
   // replay (rabench/traced_main.cpp) drains its cursor in chunks of
@@ -95,7 +94,10 @@ struct DatalogBackendOptions {
 
 // Knobs that only the concrete (standard-RA) backend reads.
 struct ConcreteBackendOptions {
-  // Number of env threads in the verified instance.
+  static constexpr int kMaxEnvThreads = 4096;
+  // Number of env threads in the verified instance, in [1,
+  // kMaxEnvThreads] (the range the CLI's --threads and serve's
+  // env_threads accept); Run throws std::invalid_argument outside it.
   int env_threads = 2;
 };
 
@@ -197,7 +199,9 @@ class SafetyVerifier {
   // asks assert-false reachability, a (var, val) pair asks Message
   // Generation (§4.1) — and options.backend selects the engine. The
   // per-backend Run* entry points this replaced live on as file-local
-  // dispatch targets in verifier.cpp.
+  // dispatch targets in verifier.cpp. Throws std::invalid_argument,
+  // before any exploration, when the concrete backend is asked for an
+  // env-thread count outside [1, kMaxEnvThreads].
   Verdict Run(std::optional<std::pair<VarId, Value>> goal,
               const VerifierOptions& options = {}) const;
 

@@ -80,8 +80,7 @@ struct Native {
   // `tag`, `inputs` and `output` compute the same function. Emitters must
   // make the tag capture everything `fn` closes over (e.g. "assume:r0==1",
   // not just "assume"); an empty tag means "unknown function" and compares
-  // equal to nothing, which keeps rule dedup/subsumption (src/dlopt/)
-  // conservative.
+  // equal to nothing, which keeps rule dedup (src/dlopt/) conservative.
   std::string tag;
   std::vector<Term> inputs;
   std::optional<VarSym> output;

@@ -119,17 +119,6 @@ void Database::Reset(std::size_t num_preds) {
   }
 }
 
-void Database::TruncateTo(const std::vector<std::size_t>& keep) {
-  for (std::size_t p = 0; p < exts_.size(); ++p) {
-    Ext& e = exts_[p];
-    const std::size_t k = p < keep.size() ? keep[p] : 0;
-    if (e.n <= k) continue;
-    e.n = k;
-    e.pool.resize(k * e.arity);
-    RebuildSlots(e);
-  }
-}
-
 namespace {
 
 // Rule-local variable binding frame. Every bound slot is on the trail, so
@@ -298,8 +287,7 @@ struct Dispatch {
 
 // State that persists across Engine::Solve calls: the database, worklist,
 // binding frames, join-order scratch and join indexes keep their
-// allocations, and the seeded-EDB snapshot lets a solve whose fact set
-// matches the previous one skip re-seeding.
+// allocations.
 struct EvaluatorArena {
   Database db{0};
   std::deque<std::pair<PredId, std::uint32_t>> work;
@@ -325,51 +313,15 @@ struct EvaluatorArena {
   std::vector<Sym> popbuf;               // worklist-pop tuple buffer
   std::vector<Sym> emit_buf;             // head-tuple buffer
   std::vector<Sym> native_in;            // a kCall native's inputs
-
-  // Seeded-EDB snapshot of the previous solve. `facts_valid` holds only
-  // when `db`'s first `base_counts[p]` tuples of every predicate are
-  // exactly the facts described by `fact_flat` (flattened, exact — no
-  // fingerprint collisions).
-  bool facts_valid = false;
-  std::vector<Sym> fact_flat;
-  std::vector<std::size_t> base_counts;
-  // (pred, tuple index) of each seeded fact in emission order: reuse
-  // replays the exact worklist of a fresh seeding, so derivation order —
-  // and with it early-exit statistics — is identical either way.
-  std::vector<std::pair<PredId, std::uint32_t>> fact_order;
-  std::size_t fact_firings = 0;
-  std::size_t fact_tuples = 0;
 };
 
 namespace {
 
-// Flattens the program's facts (pred, args...) for exact EDB-reuse
-// comparison across solves. Deliberately excludes the predicate count:
-// the Datalog backend's per-guess programs share their EDB but differ in
-// derived-only predicates (guess-specific dis-chain lengths), and the
-// rollback adapts the database's predicate count separately.
-void FlattenFacts(const Program& prog, std::vector<Sym>* out) {
-  out->clear();
-  for (const Rule& r : prog.rules()) {
-    if (!r.IsFact()) continue;
-    out->push_back(r.head.pred);
-    out->push_back(static_cast<Sym>(r.head.args.size()));
-    for (const Term& t : r.head.args) out->push_back(t.val);
-  }
-}
-
 class Evaluator {
  public:
   Evaluator(const Program& prog, const Atom* goal, EvalStats* stats,
-            const EvalOptions& options, EvaluatorArena& a, bool allow_reuse,
-            bool* reused_out)
-      : prog_(prog),
-        goal_(goal),
-        stats_(stats),
-        options_(options),
-        a_(a),
-        allow_reuse_(allow_reuse && options.engine.reuse_facts),
-        reused_out_(reused_out) {}
+            const EvalOptions& options, EvaluatorArena& a)
+      : prog_(prog), goal_(goal), stats_(stats), options_(options), a_(a) {}
 
   // Returns true if the goal was derived (always false without a goal or
   // with early_exit off; Query's fallback membership check covers those).
@@ -379,9 +331,7 @@ class Evaluator {
     if (goal_ != nullptr) {
       for (const Term& t : goal_->args) goal_tuple_.push_back(t.val);
     }
-    bool reused = false;
-    if (SeedFacts(&reused)) return true;
-    if (reused_out_ != nullptr) *reused_out_ = reused;
+    if (SeedFacts()) return true;
     // Body-less rules with natives seed like facts, after native eval.
     for (const Rule& r : prog_.rules()) {
       if (!r.body.empty() || r.IsFact()) continue;
@@ -495,81 +445,21 @@ class Evaluator {
     return false;
   }
 
-  // Seeds the EDB: either rolls the database back to the previous solve's
-  // fact snapshot (same fact set) or re-inserts every fact. Returns true
-  // when a fact is the goal and evaluation can stop immediately.
-  bool SeedFacts(bool* reused) {
-    FlattenFacts(prog_, &flat_);
-    const std::size_t np = prog_.num_preds();
-    bool can_reuse = allow_reuse_ && a_.facts_valid && flat_ == a_.fact_flat;
-    if (can_reuse) {
-      // Roll back to the fact snapshot and adapt the predicate count.
-      // Matching fact sequences guarantee every fact predicate exists in
-      // both programs, so extensions dropped by a shrink are empty.
-      a_.db.TruncateTo(a_.base_counts);
-      a_.db.SetNumPreds(np);
-      a_.base_counts.resize(np, 0);
-      if (goal_ != nullptr && options_.early_exit &&
-          a_.db.Contains(goal_->pred, goal_tuple_)) {
-        // A goal that is itself a fact would early-exit partway through a
-        // fresh seeding; take the fresh path so statistics stay identical
-        // whether or not the snapshot is reused (the solve is trivially
-        // cheap either way).
-        can_reuse = false;
-      }
-    }
-    if (can_reuse) {
-      *reused = true;
-      total_tuples_ = 0;
-      for (std::size_t p = 0; p < a_.base_counts.size(); ++p) {
-        total_tuples_ += a_.base_counts[p];
-        // Indexes that consumed derived tuples are stale; EDB-only
-        // indexes (consumed within the fact snapshot) survive rollback.
-        for (auto& ix : a_.indexes[p]) {
-          if (ix->next.size() > a_.base_counts[p]) ix->Clear();
-        }
-      }
-      // Replay the fresh seeding's exact worklist order.
-      a_.work.insert(a_.work.end(), a_.fact_order.begin(),
-                     a_.fact_order.end());
-      if (stats_ != nullptr) {
-        stats_->rule_firings += a_.fact_firings;
-        stats_->tuples += a_.fact_tuples;
-      }
-      if (options_.max_tuples != 0 && total_tuples_ > options_.max_tuples) {
-        throw BudgetExceeded(options_.max_tuples);
-      }
-      return false;
-    }
-    // Fresh seeding: the snapshot is invalid until completed.
-    *reused = false;
-    a_.facts_valid = false;
-    a_.db.Reset(np);
+  // Seeds the EDB into an emptied database: every fact is inserted in
+  // program order, and every index is emptied (its allocations stay).
+  // Returns true when a fact is the goal and evaluation can stop
+  // immediately.
+  bool SeedFacts() {
+    a_.db.Reset(prog_.num_preds());
     for (auto& per_pred : a_.indexes) {
       for (auto& ix : per_pred) ix->Clear();
     }
     total_tuples_ = 0;
-    seeding_firings_ = 0;
-    seeding_tuples_ = 0;
-    seeding_ = true;
     for (const Rule& r : prog_.rules()) {
       if (!r.IsFact()) continue;
       a_.env.Reset(0);
-      if (EvalNativesAndEmit(r)) {
-        seeding_ = false;
-        return true;  // a fact was the goal; snapshot stays invalid
-      }
+      if (EvalNativesAndEmit(r)) return true;
     }
-    seeding_ = false;
-    a_.fact_flat = std::move(flat_);
-    a_.base_counts.assign(np, 0);
-    for (std::size_t p = 0; p < np; ++p) {
-      a_.base_counts[p] = a_.db.Size(static_cast<PredId>(p));
-    }
-    a_.fact_order.assign(a_.work.begin(), a_.work.end());
-    a_.fact_firings = seeding_firings_;
-    a_.fact_tuples = seeding_tuples_;
-    a_.facts_valid = true;
     return false;
   }
 
@@ -760,10 +650,8 @@ class Evaluator {
       hash.Add(tuple[i]);
     }
     if (stats_ != nullptr) ++stats_->rule_firings;
-    if (seeding_) ++seeding_firings_;
     if (!a_.db.Insert(r.head.pred, tuple, hash.Value())) return false;
     if (stats_ != nullptr) ++stats_->tuples;
-    if (seeding_) ++seeding_tuples_;
     ++total_tuples_;
     const std::size_t idx = a_.db.Size(r.head.pred) - 1;
     a_.work.push_back({r.head.pred, static_cast<std::uint32_t>(idx)});
@@ -783,25 +671,17 @@ class Evaluator {
   EvalStats* stats_;
   const EvalOptions& options_;
   EvaluatorArena& a_;
-  const bool allow_reuse_;
-  bool* reused_out_;
   std::vector<Sym> goal_tuple_;
-  std::vector<Sym> flat_;
   std::size_t total_tuples_ = 0;
-  bool seeding_ = false;
-  std::size_t seeding_firings_ = 0;
-  std::size_t seeding_tuples_ = 0;
 };
 
 // Shared driver behind Query/Eval/Engine::Solve. `goal` may be null (full
-// fixpoint). When `reused` is non-null it reports whether the EDB snapshot
-// was rolled back instead of re-seeded.
+// fixpoint).
 bool RunEvaluation(const Program& prog, const Atom* goal, EvalStats* stats,
-                   const EvalOptions& options, EvaluatorArena& arena,
-                   bool allow_reuse, bool* reused) {
+                   const EvalOptions& options, EvaluatorArena& arena) {
   ValidateProgram(prog);
   if (goal != nullptr) ValidateGoal(prog, *goal);
-  Evaluator ev(prog, goal, stats, options, arena, allow_reuse, reused);
+  Evaluator ev(prog, goal, stats, options, arena);
   if (ev.Run()) return true;
   if (goal == nullptr) return false;
   // Fixpoint reached without early exit; check membership.
@@ -819,8 +699,7 @@ bool Query(const Program& prog, const Atom& goal, EvalStats* stats,
            const EvalOptions& options) {
   if (stats != nullptr) *stats = EvalStats{};
   EvaluatorArena arena;
-  return RunEvaluation(prog, &goal, stats, options, arena,
-                       /*allow_reuse=*/false, nullptr);
+  return RunEvaluation(prog, &goal, stats, options, arena);
 }
 
 Database Eval(const Program& prog, EvalStats* stats,
@@ -829,8 +708,7 @@ Database Eval(const Program& prog, EvalStats* stats,
   EvalOptions opts = options;
   opts.early_exit = false;
   EvaluatorArena arena;
-  RunEvaluation(prog, nullptr, stats, opts, arena, /*allow_reuse=*/false,
-                nullptr);
+  RunEvaluation(prog, nullptr, stats, opts, arena);
   return std::move(arena.db);
 }
 
@@ -842,20 +720,9 @@ Engine& Engine::operator=(Engine&&) noexcept = default;
 bool Engine::Solve(const Program& prog, const Atom& goal,
                    const EvalOptions& options) {
   last_ = EvalStats{};
-  ++solves_;
-  bool reused = false;
-  try {
-    const bool derived = RunEvaluation(prog, &goal, &last_, options, *arena_,
-                                       /*allow_reuse=*/true, &reused);
-    if (reused) ++fact_reuses_;
-    total_ += last_;
-    return derived;
-  } catch (...) {
-    // Budget blown mid-evaluation: keep what the aborted solve did.
-    if (reused) ++fact_reuses_;
-    total_ += last_;
-    throw;
-  }
+  // A budget blown mid-evaluation throws with last_ holding what the
+  // aborted solve did.
+  return RunEvaluation(prog, &goal, &last_, options, *arena_);
 }
 
 }  // namespace rapar::dl

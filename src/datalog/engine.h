@@ -63,20 +63,10 @@ class Database {
 
   std::size_t num_preds() const { return exts_.size(); }
 
-  // Empties every extension, keeping allocated pool/slot capacity so a
-  // reusing caller (Engine) avoids re-allocation churn across solves.
+  // Empties every extension and sets the predicate count, keeping
+  // allocated pool/slot capacity so a reusing caller (Engine) avoids
+  // re-allocation churn across solves.
   void Reset(std::size_t num_preds);
-
-  // Grows or shrinks the predicate count, preserving existing extensions.
-  // The EDB-reuse rollback uses this when consecutive programs share facts
-  // but differ in derived-only predicates (the Datalog backend's per-guess
-  // dis-chain predicates). Extensions being dropped must already be empty.
-  void SetNumPreds(std::size_t num_preds) { exts_.resize(num_preds); }
-
-  // Removes, per predicate, every tuple inserted after the first
-  // `keep[pred]` ones (insertion order). Engine uses this to roll a
-  // database back to its seeded-EDB snapshot between solves.
-  void TruncateTo(const std::vector<std::size_t>& keep);
 
  private:
   struct Ext {
@@ -85,7 +75,7 @@ class Database {
     std::size_t n = 0;               // stored tuples
     std::vector<Sym> pool;           // row-major: n * arity cells
     // Linear-probing duplicate table over tuple ids: power-of-two size,
-    // at most half full; rebuilt on truncation.
+    // at most half full.
     std::vector<std::uint32_t> slots;
   };
   // Tuple `ti`'s slot in a table of size mask + 1: ti + 1 in the bits of
@@ -120,17 +110,6 @@ struct EvalStats {
   std::size_t index_hits = 0;    // candidate tuples indexed lookups yielded
   std::size_t index_builds = 0;  // distinct (predicate, signature) indexes
   bool goal_found = false;
-
-  EvalStats& operator+=(const EvalStats& o) {
-    tuples += o.tuples;
-    rule_firings += o.rule_firings;
-    join_attempts += o.join_attempts;
-    index_probes += o.index_probes;
-    index_hits += o.index_hits;
-    index_builds += o.index_builds;
-    goal_found = goal_found || o.goal_found;
-    return *this;
-  }
 };
 
 // Thrown when evaluation derives more than EvalOptions::max_tuples tuples.
@@ -167,10 +146,6 @@ struct EngineOptions {
   // Order the remaining body atoms cheapest-first (live extension
   // cardinality, boundness, growth class) per delta instantiation.
   bool reorder_joins = true;
-  // Engine only: when consecutive Solve calls share the same fact set,
-  // roll the database back to the seeded-EDB snapshot instead of
-  // rebuilding it from scratch.
-  bool reuse_facts = true;
 };
 
 struct EvalOptions {
@@ -179,7 +154,7 @@ struct EvalOptions {
   // Abort evaluation (BudgetExceeded) after this many derived tuples
   // (0 = unlimited).
   std::size_t max_tuples = 0;
-  // Evaluation-core tuning (indexes, join order, EDB reuse).
+  // Evaluation-core tuning (indexes, join order).
   EngineOptions engine;
   // Optional growth classification for the join planner; must outlive the
   // call. When null the engine computes its
@@ -210,16 +185,12 @@ struct EvaluatorArena;
 
 // A reusable solver handle for callers that evaluate many query instances
 // (the Datalog verifier runs one per makeP guess). Per-solve statistics
-// are reset on every Solve — previously a reused stats struct silently
-// accumulated across solves — while `total_stats` keeps the running sums.
+// are reset on every Solve.
 //
 // The engine owns an evaluator arena: the database, worklist, binding
-// frames and join indexes persist across Solve calls, so repeated solves
-// reuse their allocations. Every Solve computes a fresh fixpoint; the
-// only result carried across solves is the seeded EDB: when the next
-// program's fact set equals the previous one, the database is rolled back
-// to its fact snapshot (keeping the still-clean indexes) instead of
-// re-seeded (EngineOptions::reuse_facts).
+// frames and join indexes keep their allocations across Solve calls, so
+// repeated solves reuse them. No result carries over: every Solve seeds
+// the program's facts afresh and computes its own fixpoint.
 class Engine {
  public:
   Engine();
@@ -236,18 +207,9 @@ class Engine {
 
   // Statistics of the most recent Solve only.
   const EvalStats& last_stats() const { return last_; }
-  // Running sums over all Solve calls on this engine.
-  const EvalStats& total_stats() const { return total_; }
-  std::size_t solves() const { return solves_; }
-  // Solves whose EDB seeding was satisfied from the previous solve's
-  // fact snapshot (reuse_facts).
-  std::size_t fact_reuses() const { return fact_reuses_; }
 
  private:
   EvalStats last_;
-  EvalStats total_;
-  std::size_t solves_ = 0;
-  std::size_t fact_reuses_ = 0;
   std::unique_ptr<EvaluatorArena> arena_;
 };
 

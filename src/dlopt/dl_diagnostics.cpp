@@ -70,12 +70,6 @@ DlAnalysis AnalyzeDlProgram(const dl::Program& prog, const dl::Atom& goal,
                     "' (equal to an earlier rule up to variable "
                     "renaming)"));
         break;
-      case RemovalCause::kSubsumed:
-        emit(Severity::kNote, "RA024",
-             StrCat("subsumed rule: '", rule,
-                    "' — a more general surviving rule derives every "
-                    "instance it derives"));
-        break;
       case RemovalCause::kCopyAliased:
         emit(Severity::kNote, "RA027",
              StrCat("copy rule inlined: '", rule,

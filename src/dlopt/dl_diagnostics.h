@@ -12,7 +12,7 @@
 //   RA022  note     rule head specialises outside the demanded constant
 //                   cone (magic-sets-lite would never ask for it)
 //   RA023  warning  duplicate rule (equal up to variable renaming)
-//   RA024  note     rule subsumed by a more general rule
+//   RA024  retired (the θ-subsumption pass was removed); never reused
 //   RA025  error    range-restriction violation: unbound head variable or
 //                   native input — the rule is not evaluable
 //   RA026  note     per-SCC width classification (which solver applies,

@@ -21,7 +21,6 @@ DlOptStats& DlOptStats::operator+=(const DlOptStats& o) {
   unreachable_removed += o.unreachable_removed;
   demand_removed += o.demand_removed;
   duplicates_removed += o.duplicates_removed;
-  subsumed_removed += o.subsumed_removed;
   copy_aliased_removed += o.copy_aliased_removed;
   preds_before += o.preds_before;
   preds_after += o.preds_after;
@@ -32,9 +31,8 @@ std::string DlOptStats::ToString() const {
   return StrCat("rules ", rules_before, " -> ", rules_after,
                 " (unreachable ", unreachable_removed, ", unproductive ",
                 unproductive_removed, ", demand ", demand_removed,
-                ", dup ", duplicates_removed, ", subsumed ",
-                subsumed_removed, ", aliased ", copy_aliased_removed,
-                ")");
+                ", dup ", duplicates_removed, ", aliased ",
+                copy_aliased_removed, ")");
 }
 
 namespace {
@@ -134,47 +132,30 @@ class Optimizer {
       return fn();
     };
 
-    // Passes 1–3 shrink each other's inputs; iterate to fixpoint, then
-    // run the (pricier) structural passes once and give the cheap passes
-    // one more chance on their output.
+    // Passes 1–3 and 5 shrink each other's inputs; iterate to fixpoint,
+    // then run the (pricier) duplicate pass once and give the cheap passes
+    // one more chance on its output.
     auto cheap_passes = [&, this] {
       bool changed = false;
-      if (options_.dead_rule_elimination) {
-        changed |= timed("dlopt:unproductive", [&] {
-          return DropUnproductive(&stats.unproductive_removed);
-        });
-        changed |= timed("dlopt:unreachable", [&] {
-          return DropUnreachable(&stats.unreachable_removed);
-        });
-      }
-      if (options_.demand_specialization) {
-        changed |= timed("dlopt:demand", [&] {
-          return DropUndemanded(&stats.demand_removed);
-        });
-      }
-      if (options_.copy_alias_elimination) {
-        changed |= timed("dlopt:copy_alias", [&] {
-          return DropCopyAliases(&stats.copy_aliased_removed);
-        });
-      }
+      changed |= timed("dlopt:unproductive", [&] {
+        return DropUnproductive(&stats.unproductive_removed);
+      });
+      changed |= timed("dlopt:unreachable", [&] {
+        return DropUnreachable(&stats.unreachable_removed);
+      });
+      changed |= timed("dlopt:demand", [&] {
+        return DropUndemanded(&stats.demand_removed);
+      });
+      changed |= timed("dlopt:copy_alias", [&] {
+        return DropCopyAliases(&stats.copy_aliased_removed);
+      });
       return changed;
     };
     bool changed = true;
     while (changed) changed = cheap_passes();
-    if (options_.duplicate_elimination) {
-      if (timed("dlopt:duplicates", [&] {
-            return DropDuplicates(&stats.duplicates_removed);
-          })) {
-        changed = true;
-      }
-    }
-    if (options_.subsumption_elimination) {
-      if (timed("dlopt:subsumption", [&] {
-            return DropSubsumed(&stats.subsumed_removed);
-          })) {
-        changed = true;
-      }
-    }
+    changed = timed("dlopt:duplicates", [&] {
+      return DropDuplicates(&stats.duplicates_removed);
+    });
     while (changed) changed = cheap_passes();
 
     // Count before the survivors are moved out of rules_.
@@ -492,35 +473,6 @@ class Optimizer {
     return changed;
   }
 
-  // Head-predicate groups are independent (a removal in one group changes
-  // no other group's candidates), so they are visited in predicate order.
-  bool DropSubsumed(std::size_t* count) {
-    GroupByHead();
-    bool changed = false;
-    for (std::size_t p = 0; p < prog_.num_preds(); ++p) {
-      const std::size_t begin = head_start_[p];
-      const std::size_t end = head_start_[p + 1];
-      if (end - begin < 2 || end - begin > options_.max_subsumption_group) {
-        continue;
-      }
-      for (std::size_t a = begin; a < end; ++a) {
-        const std::size_t j = by_head_[a];
-        if (!Alive(j)) continue;
-        for (std::size_t b = begin; b < end; ++b) {
-          const std::size_t i = by_head_[b];
-          if (i == j || !Alive(i)) continue;
-          if (matcher_.Subsumes(rules_[i], rules_[j])) {
-            cause_[j] = RemovalCause::kSubsumed;
-            ++*count;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-    return changed;
-  }
-
   dl::Program prog_;  // rules moved out into rules_; tables stay
   const dl::Atom goal_;
   const DlOptOptions& options_;
@@ -530,7 +482,6 @@ class Optimizer {
   std::vector<RemovalCause> cause_;
   // Scratch reused across passes and rounds.
   Demand demand_;
-  SubsumptionMatcher matcher_;
   // One flag per predicate: mentioned or reachable, depending on the
   // pass using it.
   std::vector<bool> pred_flag_;

@@ -2,7 +2,7 @@
 //
 // `OptimizeForQuery` rewrites a program into a smaller one with the same
 // answer to a fixed ground query — verdict-preserving by construction,
-// checked by tests/dlopt_differential_test.cpp. Four transformations, to
+// checked by tests/dlopt_differential_test.cpp. Five transformations, to
 // fixpoint:
 //
 //   1. unproductive-rule elimination — a body atom that unifies with the
@@ -22,7 +22,7 @@
 //      surviving rule or the query can consume. For the makeP encoding
 //      this specialises on the ground arguments of the dis guess: control
 //      locations, read values, goal variable/value;
-//   4. duplicate & subsumed-rule removal (rule_checks.h);
+//   4. duplicate-rule removal (rule_checks.h);
 //   5. copy-rule aliasing — a predicate whose single deriving rule is an
 //      identity copy  p(X0..Xn) :- q(X0..Xn)  (distinct variables, no
 //      natives, no facts for p) is extensionally equal to q; every
@@ -51,14 +51,6 @@ class TraceRecorder;
 namespace rapar::dlopt {
 
 struct DlOptOptions {
-  bool dead_rule_elimination = true;   // passes 1 + 2
-  bool demand_specialization = true;   // pass 3
-  bool duplicate_elimination = true;   // pass 4a
-  bool subsumption_elimination = true; // pass 4b
-  bool copy_alias_elimination = true;  // pass 5
-  // Subsumption is quadratic per head predicate; groups larger than this
-  // skip it (duplicate removal still applies).
-  std::size_t max_subsumption_group = 64;
   // Optional span sink: each pass invocation is recorded as a
   // "dlopt:<pass>" span (obs/trace.h). Null = no tracing, no cost.
   obs::TraceRecorder* trace = nullptr;
@@ -72,7 +64,6 @@ struct DlOptStats {
   std::size_t unreachable_removed = 0;
   std::size_t demand_removed = 0;
   std::size_t duplicates_removed = 0;
-  std::size_t subsumed_removed = 0;
   std::size_t copy_aliased_removed = 0;
   // Predicates mentioned by rules before vs after.
   std::size_t preds_before = 0;
@@ -82,7 +73,7 @@ struct DlOptStats {
   bool Any() const { return removed() > 0; }
   DlOptStats& operator+=(const DlOptStats& o);
   // "rules 120 -> 45 (unreachable 50, unproductive 10, demand 12, dup 2,
-  // subsumed 1)".
+  // aliased 1)".
   std::string ToString() const;
 };
 
@@ -94,7 +85,6 @@ enum class RemovalCause : std::uint8_t {
   kUnreachable,
   kUndemanded,
   kDuplicate,
-  kSubsumed,
   kCopyAliased,
 };
 

@@ -1,6 +1,5 @@
 #include "dlopt/rule_checks.h"
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/strings.h"
@@ -72,103 +71,6 @@ void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
       key.push_back('.');
     }
   }
-}
-
-bool SubsumptionMatcher::MatchTerm(const dl::Term& g, const dl::Term& s) {
-  if (g.kind == dl::Term::Kind::kConst) {
-    return s.kind == dl::Term::Kind::kConst && s.val == g.val;
-  }
-  if (bound_[g.val]) return map_[g.val] == s;
-  bound_[g.val] = true;
-  map_[g.val] = s;
-  trail_.push_back(g.val);
-  return true;
-}
-
-bool SubsumptionMatcher::MatchAtom(const dl::Atom& g, const dl::Atom& s) {
-  if (g.pred != s.pred || g.args.size() != s.args.size()) return false;
-  for (std::size_t i = 0; i < g.args.size(); ++i) {
-    if (!MatchTerm(g.args[i], s.args[i])) return false;
-  }
-  return true;
-}
-
-bool SubsumptionMatcher::MatchNative(const dl::Native& g,
-                                     const dl::Native& s) {
-  if (g.tag.empty() || g.op != s.op || g.shift != s.shift ||
-      g.width != s.width || g.tag != s.tag) {
-    return false;
-  }
-  if (g.inputs.size() != s.inputs.size()) return false;
-  if (g.output.has_value() != s.output.has_value()) return false;
-  for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-    if (!MatchTerm(g.inputs[i], s.inputs[i])) return false;
-  }
-  if (g.output.has_value() && !MatchTerm(dl::V(*g.output), dl::V(*s.output))) {
-    return false;
-  }
-  return true;
-}
-
-void SubsumptionMatcher::Undo(std::size_t mark) {
-  while (trail_.size() > mark) {
-    bound_[trail_.back()] = false;
-    trail_.pop_back();
-  }
-}
-
-// θ(body(general)) ⊆ body(specific), as sets: each general atom maps to
-// *some* specific atom (reuse allowed).
-bool SubsumptionMatcher::Body(std::size_t at) {
-  if (at == general_->body.size()) return Natives(0);
-  if (--budget_ < 0) return false;
-  for (const dl::Atom& cand : specific_->body) {
-    const std::size_t mark = trail_.size();
-    if (MatchAtom(general_->body[at], cand) && Body(at + 1)) return true;
-    Undo(mark);
-  }
-  return false;
-}
-
-bool SubsumptionMatcher::Natives(std::size_t at) {
-  if (at == general_->natives.size()) return true;
-  if (--budget_ < 0) return false;
-  for (const dl::Native& cand : specific_->natives) {
-    const std::size_t mark = trail_.size();
-    if (MatchNative(general_->natives[at], cand) && Natives(at + 1)) {
-      return true;
-    }
-    Undo(mark);
-  }
-  return false;
-}
-
-bool SubsumptionMatcher::Subsumes(const dl::Rule& general,
-                                  const dl::Rule& specific) {
-  // A rule with an unknown (untagged) native cannot be proved harmless in
-  // either role.
-  for (const dl::Native& n : general.natives) {
-    if (n.tag.empty()) return false;
-  }
-  if (general.body.size() > specific.body.size()) return false;
-  if (general.natives.size() > specific.natives.size()) return false;
-  general_ = &general;
-  specific_ = &specific;
-  budget_ = kBudget;
-  const std::size_t vars = dl::NumVars(general);
-  if (map_.size() < vars) {
-    map_.resize(vars);
-    bound_.resize(vars);
-  }
-  std::fill(bound_.begin(), bound_.begin() + static_cast<long>(vars), false);
-  trail_.clear();
-  if (!MatchAtom(general.head, specific.head)) return false;
-  return Body(0);
-}
-
-bool Subsumes(const dl::Rule& general, const dl::Rule& specific) {
-  SubsumptionMatcher matcher;
-  return matcher.Subsumes(general, specific);
 }
 
 std::vector<RangeRestrictionViolation> ValidateRangeRestriction(

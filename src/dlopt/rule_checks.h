@@ -3,13 +3,10 @@
 //   * canonicalisation & duplicate detection — rules equal up to a
 //     renaming of their (rule-local) variables are interchangeable; makeP
 //     can emit duplicates when distinct CFA edges compile to the same
-//     rule (e.g. two nop edges between the same locations);
-//   * subsumption — r subsumes r' when some substitution θ maps head(r)
-//     onto head(r') and θ(body(r)) ⊆ body(r') with θ(natives(r)) ⊆
-//     natives(r'): every instance r' derives, r derives too, so r' is
-//     redundant. Natives compare by (op, field spec, tag, inputs,
-//     output) and only when the tag is non-empty — an empty tag is an
-//     unknown function and defeats both checks (conservative);
+//     rule (e.g. two nop edges between the same locations). Natives
+//     compare by (op, field spec, tag, inputs, output) and only when the
+//     tag is non-empty — an empty tag is an unknown function and never
+//     matches (conservative);
 //   * range restriction — every head variable must be bound by a body
 //     atom or a native output, and every native input must be bound by
 //     the body or an *earlier* native's output (the engine's evaluation
@@ -36,37 +33,6 @@ std::string CanonicalRuleKey(const dl::Rule& rule);
 // the caller may reuse across calls.
 void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
                             std::vector<std::uint32_t>& renumber);
-
-// True if `general` subsumes `specific` (see above). Reflexive on
-// fully-tagged rules; conservative (may return false for genuinely
-// subsumed pairs — the matcher does not search all body multisets beyond
-// a backtracking budget of kBudget steps per pair).
-bool Subsumes(const dl::Rule& general, const dl::Rule& specific);
-
-// Subsumes() for many pairs: the substitution and its undo trail are
-// reused, so a warm matcher checks a pair without allocating.
-class SubsumptionMatcher {
- public:
-  static constexpr int kBudget = 10'000;
-
-  bool Subsumes(const dl::Rule& general, const dl::Rule& specific);
-
- private:
-  bool MatchTerm(const dl::Term& g, const dl::Term& s);
-  bool MatchAtom(const dl::Atom& g, const dl::Atom& s);
-  bool MatchNative(const dl::Native& g, const dl::Native& s);
-  void Undo(std::size_t mark);
-  bool Body(std::size_t at);
-  bool Natives(std::size_t at);
-
-  const dl::Rule* general_ = nullptr;
-  const dl::Rule* specific_ = nullptr;
-  int budget_ = 0;
-  // θ: general's variable v maps to map_[v] when bound_[v].
-  std::vector<dl::Term> map_;
-  std::vector<bool> bound_;
-  std::vector<dl::VarSym> trail_;  // bound variables, in binding order
-};
 
 struct RangeRestrictionViolation {
   std::size_t rule_index = 0;

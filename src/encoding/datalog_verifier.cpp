@@ -141,11 +141,10 @@ double MsBetween(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// The run's solver: owns the dl::Engine so arena reuse and EDB snapshot
-// rollback keep working across the guesses it solves, and the makeP
-// encoder so env prefixes are emitted once per store profile. The engine
-// lives as long as one verify call, so every engine counter describes
-// that call only.
+// The run's solver: owns the dl::Engine so its arena's allocations serve
+// every guess it solves, and the makeP encoder so env prefixes are
+// emitted once per store profile. The engine lives as long as one verify
+// call, so every engine counter describes that call only.
 class GuessSolver {
  public:
   GuessSolver(const SimplSystem& sys, const DatalogVerifierOptions& options)
@@ -224,9 +223,8 @@ class GuessSolver {
     return out;
   }
 
-  // Adds this solver's engine reuses and per-phase times to `v`.
+  // Adds this solver's per-phase times to `v`.
   void AddTotals(DatalogVerdict& v) const {
-    v.fact_reuses += engine_.fact_reuses();
     v.makep_ms += makep_ms_;
     v.dlopt_ms += dlopt_ms_;
     v.eval_ms += eval_ms_;

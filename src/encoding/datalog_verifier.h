@@ -10,9 +10,8 @@
 // dlopt on the guess skeleton decides two kinds of guesses before makeP
 // (DESIGN.md §6): one that cannot derive the goal is skipped, and one
 // whose class key an earlier guess of the run already had shares that
-// guess's solve. The only result the engine carries from one solve to
-// the next is its seeded-EDB snapshot (dl::EngineOptions::reuse_facts),
-// which leaves every derivation count unchanged.
+// guess's solve. The engine carries no result from one solve to the
+// next, only its allocations.
 //
 // Checkpoint/resume: a scan that stops without a verdict (scan_limit,
 // deadline, budget abort, enumeration cap) hands a
@@ -44,7 +43,7 @@ struct DatalogVerifierOptions {
   // Tuple budget per query evaluation (0 = unlimited).
   std::size_t max_tuples_per_query = 2'000'000;
   // Evaluation-core tuning (argument-hash indexes, cheapest-first join
-  // ordering, EDB snapshot reuse across guesses); see dl::EngineOptions.
+  // ordering); see dl::EngineOptions.
   dl::EngineOptions engine;
   // Run the query-driven program optimizer (src/dlopt/) on every emitted
   // (Prog, g) before evaluation. Verdict-preserving by construction
@@ -118,12 +117,10 @@ struct DatalogVerdict {
   std::size_t rule_firings = 0;
   std::size_t join_attempts = 0;
   // Argument-hash index counters (zero when EngineOptions::use_index is
-  // off) and the number of solves seeded from a previous guess's EDB
-  // snapshot instead of re-inserting every fact.
+  // off).
   std::size_t index_probes = 0;
   std::size_t index_hits = 0;
   std::size_t index_builds = 0;
-  std::size_t fact_reuses = 0;
   // Budget-abort semantics: when a query blows max_tuples_per_query the
   // scan *stops* at that guess — its index is recorded here, exhaustive
   // becomes false, and the remaining guesses are not evaluated (a witness

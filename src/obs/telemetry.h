@@ -60,7 +60,6 @@ inline constexpr char kJoinAttempts[] = "engine.join_attempts";
 inline constexpr char kIndexProbes[] = "engine.index_probes";
 inline constexpr char kIndexHits[] = "engine.index_hits";
 inline constexpr char kIndexBuilds[] = "engine.index_builds";
-inline constexpr char kFactReuses[] = "engine.fact_reuses";
 
 inline constexpr char kPrepassDeadEdges[] = "prepass.dead_edges_removed";
 inline constexpr char kPrepassGuardsFolded[] = "prepass.guards_folded";
@@ -73,7 +72,6 @@ inline constexpr char kDlOptUnproductive[] = "dlopt.unproductive_removed";
 inline constexpr char kDlOptUnreachable[] = "dlopt.unreachable_removed";
 inline constexpr char kDlOptDemand[] = "dlopt.demand_removed";
 inline constexpr char kDlOptDuplicates[] = "dlopt.duplicates_removed";
-inline constexpr char kDlOptSubsumed[] = "dlopt.subsumed_removed";
 inline constexpr char kDlOptCopyAliased[] = "dlopt.copy_aliased_removed";
 inline constexpr char kDlOptPredsBefore[] = "dlopt.preds_before";
 inline constexpr char kDlOptPredsAfter[] = "dlopt.preds_after";

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/benchmarks.h"
 #include "lang/parser.h"
 
@@ -167,6 +170,28 @@ TEST(BenchmarkSuiteTest, ConcreteBackendConfirmsBugsWithinBound) {
   copts.concrete.env_threads = static_cast<int>(*v.env_thread_bound);
   Verdict vc = verifier.Run(std::nullopt, copts);
   EXPECT_TRUE(vc.unsafe());
+}
+
+// An env-thread count outside [1, kMaxEnvThreads] is invalid input, not
+// an instance: Run throws before exploring (0 threads would explore only
+// the dis threads and answer SAFE for this UNSAFE system; -1 would
+// wrap). 4097 is checked only through the throw.
+TEST(BenchmarkSuiteTest, ConcreteBackendRejectsEnvThreadsOutOfRange) {
+  BenchmarkCase pc = ProducerConsumer(2);
+  SafetyVerifier verifier(pc.system);
+  VerifierOptions opts;
+  opts.backend = Backend::kConcrete;
+  for (const int n : {-1, 0, ConcreteBackendOptions::kMaxEnvThreads + 1}) {
+    opts.concrete.env_threads = n;
+    try {
+      verifier.Run(std::nullopt, opts);
+      ADD_FAILURE() << "env_threads " << n << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("concrete.env_threads"), std::string::npos) << what;
+      EXPECT_NE(what.find("[1, 4096]"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(BenchmarkSuiteTest, VerdictToStringMentionsResult) {

@@ -262,31 +262,28 @@ TEST(DatalogEngineTest, IndexReducesJoinAttempts) {
 }
 
 TEST(DatalogEngineTest, EngineReusesFactSnapshotAcrossSolves) {
+  // A warm engine seeds every solve afresh: the same program solves to
+  // the same fixpoint again, and a different fact set is seen in full.
   TcProgram tc;
   Engine engine;
   EXPECT_FALSE(engine.Solve(tc.prog, Atom{tc.path, {C(tc.d), C(tc.a)}}));
-  EXPECT_EQ(engine.fact_reuses(), 0u);
   const std::size_t first = engine.last_stats().tuples;
   EXPECT_FALSE(engine.Solve(tc.prog, Atom{tc.path, {C(tc.d), C(tc.a)}}));
-  EXPECT_EQ(engine.fact_reuses(), 1u);
-  EXPECT_EQ(engine.last_stats().tuples, first);  // same fixpoint either way
+  EXPECT_EQ(engine.last_stats().tuples, first);
 
-  // A different fact set invalidates the snapshot.
   TcProgram other;
   other.prog.AddFact(Atom{other.edge, {C(other.d), C(other.a)}});
   EXPECT_TRUE(
       engine.Solve(other.prog, Atom{other.path, {C(other.d), C(other.b)}}));
-  EXPECT_EQ(engine.fact_reuses(), 1u);
 }
 
 TEST(DatalogEngineTest, EngineReusesAcrossDifferentDerivedPredicates) {
   // The Datalog backend's per-guess programs share their EDB but differ
-  // in derived-only predicates; reuse must survive a predicate-count
-  // change in both directions (grow, then shrink).
+  // in derived-only predicates; a warm engine must follow a
+  // predicate-count change in both directions (grow, then shrink).
   TcProgram a;
   Engine engine;
   EXPECT_FALSE(engine.Solve(a.prog, Atom{a.path, {C(a.d), C(a.a)}}));
-  EXPECT_EQ(engine.fact_reuses(), 0u);
 
   TcProgram b;
   PredId twohop = b.prog.AddPred("twohop", 2);
@@ -295,21 +292,9 @@ TEST(DatalogEngineTest, EngineReusesAcrossDifferentDerivedPredicates) {
       {Atom{b.edge, {V(0), V(1)}}, Atom{b.edge, {V(1), V(2)}}},
       {}});
   EXPECT_TRUE(engine.Solve(b.prog, Atom{twohop, {C(b.a), C(b.c)}}));
-  EXPECT_EQ(engine.fact_reuses(), 1u);
 
   TcProgram c;
   EXPECT_TRUE(engine.Solve(c.prog, Atom{c.path, {C(c.a), C(c.d)}}));
-  EXPECT_EQ(engine.fact_reuses(), 2u);
-}
-
-TEST(DatalogEngineTest, EngineReuseDisabledNeverRollsBack) {
-  TcProgram tc;
-  Engine engine;
-  EvalOptions opts;
-  opts.engine.reuse_facts = false;
-  EXPECT_FALSE(engine.Solve(tc.prog, Atom{tc.path, {C(tc.d), C(tc.a)}}, opts));
-  EXPECT_FALSE(engine.Solve(tc.prog, Atom{tc.path, {C(tc.d), C(tc.a)}}, opts));
-  EXPECT_EQ(engine.fact_reuses(), 0u);
 }
 
 TEST(DatalogEngineTest, ProgramPrinting) {
@@ -385,15 +370,6 @@ struct RefDb {
     order[p].push_back(t);
     return true;
   }
-  void TruncateTo(const std::vector<std::size_t>& keep) {
-    for (std::size_t p = 0; p < order.size(); ++p) {
-      const std::size_t k = p < keep.size() ? keep[p] : 0;
-      while (order[p].size() > k) {
-        members[p].erase(order[p].back());
-        order[p].pop_back();
-      }
-    }
-  }
 };
 
 bool Insert(Database& db, PredId p, const std::vector<Sym>& t) {
@@ -435,10 +411,10 @@ std::vector<Sym> RandomTuple(Rng& rng, std::size_t arity, std::uint64_t dom) {
   return t;
 }
 
-// Interleaves Insert, Contains, TruncateTo, Reset and SetNumPreds, with
-// enough distinct tuples that the tables grow several times between
-// rollbacks, and checks the whole store after each step. Truncations
-// keep a random prefix, often right after a growth.
+// Interleaves Insert, Contains and Reset (to three or four predicates),
+// with enough distinct tuples that the tables grow several times between
+// resets, and checks the whole store after each step. A reset keeps the
+// grown slot tables, which the inserts after it refill.
 TEST(DatabaseTest, RandomOperationsMatchReference) {
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(seed);
@@ -461,26 +437,10 @@ TEST(DatabaseTest, RandomOperationsMatchReference) {
           const std::vector<Sym> t = RandomTuple(rng, p + 1, dom);
           ASSERT_EQ(Insert(db, p, t), ref.Insert(p, t)) << label;
         }
-      } else if (op < 94) {
-        std::vector<std::size_t> keep(rng.Below(preds + 1));
-        for (std::size_t p = 0; p < keep.size(); ++p) {
-          keep[p] = rng.Below(ref.order[p].size() + 2);
-        }
-        db.TruncateTo(keep);
-        ref.TruncateTo(keep);
-      } else if (op < 97) {
+      } else {
+        if (op >= 97) preds = preds == 3 ? 4 : 3;
         db.Reset(preds);
         ref = RefDb(preds);
-      } else if (preds == 3) {
-        db.SetNumPreds(4);
-        ref.order.resize(4);
-        ref.members.resize(4);
-        preds = 4;
-      } else if (ref.order[3].empty()) {
-        db.SetNumPreds(3);
-        ref.order.resize(3);
-        ref.members.resize(3);
-        preds = 3;
       }
       ExpectSameStore(db, ref, probes, label);
       if (HasFatalFailure()) return;
@@ -488,9 +448,9 @@ TEST(DatabaseTest, RandomOperationsMatchReference) {
   }
 }
 
-// One predicate through four growths (16 to 256 slots), then rolled back
-// to 10 of its 100 tuples and given the same 100 inserts again: the
-// removed tuples come back as new, at the end.
+// One predicate through four growths (16 to 256 slots), then reset and
+// given the same 100 inserts again: in the 256-slot table the reset
+// kept, every tuple comes back as new, in insertion order.
 TEST(DatabaseTest, TruncateAfterGrowthRestoresTheTable) {
   Database db(1);
   RefDb ref(1);
@@ -505,9 +465,9 @@ TEST(DatabaseTest, TruncateAfterGrowthRestoresTheTable) {
   std::vector<std::vector<Sym>> probes;
   for (std::size_t i = 0; i < 120; ++i) probes.push_back(tuple(i));
   ExpectSameStore(db, ref, probes, "filled");
-  db.TruncateTo({10});
-  ref.TruncateTo({10});
-  ExpectSameStore(db, ref, probes, "truncated");
+  db.Reset(1);
+  ref = RefDb(1);
+  ExpectSameStore(db, ref, probes, "reset");
   for (std::size_t i = 0; i < 100; ++i) {
     ASSERT_EQ(Insert(db, 0, tuple(i)), ref.Insert(0, tuple(i)));
   }

@@ -3,9 +3,9 @@
 // self-joins, which exercise the delta-at-each-position path), evaluation
 // with argument-hash indexes + cheapest-first ordering must derive exactly
 // the same database and answer every ground query identically to the
-// plain scan evaluator. Also: Engine fact-snapshot reuse across repeated
-// solves — from any warm pool state, and across guess-like fact and rule
-// deltas — must not change answers or any per-solve counter.
+// plain scan evaluator. Also: a warm Engine solving again — from any
+// warm pool state, and across guess-like fact and rule deltas — must
+// answer like a fresh Engine, with the same per-solve counters.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -152,29 +152,6 @@ TEST_P(IndexDifferentialTest, IndexedMatchesScanDatabase) {
   }
 }
 
-TEST_P(IndexDifferentialTest, EngineReuseMatchesFreshSolves) {
-  Rng rng(GetParam() + 9000);
-  Program prog = RandomDatalog(rng, 3, 3, 5, GetParam() % 2 == 0);
-  Atom goal{0, {}};
-  goal.args.assign(prog.pred(0).arity, C(0));
-
-  Engine reusing;  // reuse_facts on (default)
-  EvalOptions no_reuse;
-  no_reuse.engine.reuse_facts = false;
-  Engine fresh;
-  for (int i = 0; i < 3; ++i) {
-    const bool a = reusing.Solve(prog, goal);
-    const bool b = fresh.Solve(prog, goal, no_reuse);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(reusing.last_stats().tuples, fresh.last_stats().tuples) << i;
-    EXPECT_EQ(reusing.last_stats().rule_firings,
-              fresh.last_stats().rule_firings)
-        << i;
-    EXPECT_EQ(reusing.last_stats().goal_found, fresh.last_stats().goal_found);
-  }
-  EXPECT_EQ(fresh.fact_reuses(), 0u);
-}
-
 // Exact per-solve counters: everything the row store and its lazy indexes
 // can influence.
 void ExpectSameCounters(const EvalStats& a, const EvalStats& b,
@@ -186,6 +163,22 @@ void ExpectSameCounters(const EvalStats& a, const EvalStats& b,
   EXPECT_EQ(a.index_probes, b.index_probes) << label;
 }
 
+TEST_P(IndexDifferentialTest, EngineReuseMatchesFreshSolves) {
+  Rng rng(GetParam() + 9000);
+  Program prog = RandomDatalog(rng, 3, 3, 5, GetParam() % 2 == 0);
+  Atom goal{0, {}};
+  goal.args.assign(prog.pred(0).arity, C(0));
+
+  Engine warm;
+  for (int i = 0; i < 3; ++i) {
+    Engine fresh;
+    EXPECT_EQ(warm.Solve(prog, goal), fresh.Solve(prog, goal)) << i;
+    EXPECT_EQ(warm.last_stats().goal_found, fresh.last_stats().goal_found);
+    ExpectSameCounters(warm.last_stats(), fresh.last_stats(),
+                       "solve " + std::to_string(i));
+  }
+}
+
 // The engine has one relation layout (DESIGN.md §13); the matrix is the
 // pool states a solve can start from.
 TEST_P(IndexDifferentialTest, StorageMatrixMatchesHashDatabase) {
@@ -193,17 +186,16 @@ TEST_P(IndexDifferentialTest, StorageMatrixMatchesHashDatabase) {
   const bool self_join = GetParam() % 3 == 0;
   Program prog = RandomDatalog(rng, /*preds=*/4, /*consts=*/3, /*rules=*/7,
                                self_join);
-  // A different program (and fact set): solving it in between discards
-  // the snapshot and leaves the pool and indexes warm with other tuples.
+  // A different program (and fact set): solving it in between leaves the
+  // pool and indexes warm with other tuples.
   const Program other = RandomDatalog(rng, 4, 3, 7, !self_join);
 
   EvalStats hash_stats;
   Eval(prog, &hash_stats);
 
-  // The states a solve can start from: a cold arena, a pool rolled back
-  // to the EDB snapshot (EDB-only indexes survive, the rest are cleared)
-  // and a pool reset after a different fact set. Each must derive the
-  // cold hash database with the same derivation sequence.
+  // The states a solve can start from: a cold arena, an arena warm from
+  // the same program and one warm from a different fact set. Each must
+  // derive the cold hash database with the same derivation sequence.
   EvalOptions full;
   full.early_exit = false;
   Engine warm;
@@ -217,10 +209,9 @@ TEST_P(IndexDifferentialTest, StorageMatrixMatchesHashDatabase) {
                          "solve " + std::to_string(i));
     }
   }
-  EXPECT_EQ(warm.fact_reuses(), 2u);
 
   // Every ground probe answers like a cold Query, with the same counters,
-  // from the warm engine's rolled-back pool.
+  // from the warm engine's pool.
   Rng probe_rng(GetParam() + 277);
   for (int probe = 0; probe < 4; ++probe) {
     const PredId p = static_cast<PredId>(probe_rng.Below(prog.num_preds()));
@@ -244,10 +235,9 @@ TEST_P(IndexDifferentialTest, DeltaSolveMatrixMatchesFreshSolves) {
   goal.args.assign(base.pred(0).arity, C(0));
 
   // A guess-like sequence of deltas: each step adds facts to the base
-  // program (a fact delta, so the engine re-seeds), and each step's
-  // variant adds one rule over the same facts (a rule delta, so the
-  // engine rolls back to the step's EDB snapshot under a different rule
-  // set — the shape of consecutive makeP guesses).
+  // program (a fact delta), and each step's variant adds one rule over
+  // the same facts (a rule delta) — the shape of consecutive makeP
+  // guesses.
   std::vector<Program> steps;
   for (int g = 0; g < 4; ++g) {
     Program p = base;
@@ -277,34 +267,18 @@ TEST_P(IndexDifferentialTest, DeltaSolveMatrixMatchesFreshSolves) {
     steps.push_back(std::move(p));
   }
 
-  EvalOptions fresh_opts;
-  fresh_opts.engine.reuse_facts = false;
-  Engine reusing;
-  Engine fresh;
-  std::size_t goal_is_fact = 0;
+  // The warm engine's derivation sequence — not just its fixpoint —
+  // matches a fresh engine's on every step.
+  Engine warm;
   for (std::size_t i = 0; i < steps.size(); ++i) {
-    const bool a = reusing.Solve(steps[i], goal);
-    const bool b = fresh.Solve(steps[i], goal, fresh_opts);
-    EXPECT_EQ(a, b) << "step=" << i;
-    EXPECT_EQ(reusing.last_stats().goal_found, fresh.last_stats().goal_found)
+    Engine fresh;
+    EXPECT_EQ(warm.Solve(steps[i], goal), fresh.Solve(steps[i], goal))
         << "step=" << i;
-    // Rollback replays the fresh seeding's worklist, so the derivation
-    // sequence — not just the fixpoint — matches a cold solve.
-    ExpectSameCounters(reusing.last_stats(), fresh.last_stats(),
+    EXPECT_EQ(warm.last_stats().goal_found, fresh.last_stats().goal_found)
+        << "step=" << i;
+    ExpectSameCounters(warm.last_stats(), fresh.last_stats(),
                        "step " + std::to_string(i));
-    for (const Rule& r : steps[i].rules()) {
-      if (r.IsFact() && r.head == goal) {
-        ++goal_is_fact;
-        break;
-      }
-    }
   }
-  // A goal that is itself a fact takes the fresh path; otherwise every
-  // rule-delta variant rolls back.
-  if (goal_is_fact == 0) {
-    EXPECT_EQ(reusing.fact_reuses(), steps.size() / 2);
-  }
-  EXPECT_EQ(fresh.fact_reuses(), 0u);
 }
 
 // A three-hop self-join, path(X, W) :- path(X, Y), path(Y, Z),

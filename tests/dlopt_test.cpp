@@ -153,36 +153,6 @@ TEST(RuleChecksTest, UntaggedNativesNeverCollide) {
   Rule r1 = make();
   Rule r2 = make();
   EXPECT_NE(CanonicalRuleKey(r1), CanonicalRuleKey(r2));
-  EXPECT_FALSE(Subsumes(r1, r2));
-}
-
-TEST(RuleChecksTest, SubsumptionFindsMoreGeneralRule) {
-  Program prog;
-  PredId p = prog.AddPred("p", 1);
-  PredId q = prog.AddPred("q", 2);
-  Sym k = prog.ConstSym("k");
-  // General: p(X) :- q(X, Y).  Specific: p(X) :- q(X, k), q(X, X).
-  Rule general{Atom{p, {V(0)}}, {Atom{q, {V(0), V(1)}}}, {}};
-  Rule specific{Atom{p, {V(0)}},
-                {Atom{q, {V(0), C(k)}}, Atom{q, {V(0), V(0)}}},
-                {}};
-  EXPECT_TRUE(Subsumes(general, specific));
-  EXPECT_FALSE(Subsumes(specific, general));
-  // Reflexive on native-free rules.
-  EXPECT_TRUE(Subsumes(general, general));
-}
-
-TEST(RuleChecksTest, SubsumptionRespectsNativeTags) {
-  Program prog;
-  PredId p = prog.AddPred("p", 1);
-  PredId q = prog.AddPred("q", 1);
-  Rule plain{Atom{p, {V(0)}}, {Atom{q, {V(0)}}}, {}};
-  Rule guarded{Atom{p, {V(0)}}, {Atom{q, {V(0)}}}, {}};
-  guarded.natives.push_back(TaggedCheck("even", {V(0)}));
-  // The unguarded rule derives everything the guarded one does...
-  EXPECT_TRUE(Subsumes(plain, guarded));
-  // ...but not vice versa: the native restricts.
-  EXPECT_FALSE(Subsumes(guarded, plain));
 }
 
 TEST(RuleChecksTest, NativeOpIsPartOfItsIdentity) {
@@ -210,9 +180,6 @@ TEST(RuleChecksTest, NativeOpIsPartOfItsIdentity) {
   const Rule call = make(Native::Op::kCall);
   EXPECT_EQ(CanonicalRuleKey(max), CanonicalRuleKey(make(Native::Op::kMax)));
   EXPECT_NE(CanonicalRuleKey(max), CanonicalRuleKey(call));
-  EXPECT_TRUE(Subsumes(max, max));
-  EXPECT_FALSE(Subsumes(max, call));
-  EXPECT_FALSE(Subsumes(call, max));
 }
 
 TEST(RuleChecksTest, NativeFieldIsPartOfItsIdentity) {
@@ -238,11 +205,6 @@ TEST(RuleChecksTest, NativeFieldIsPartOfItsIdentity) {
   EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(word));
   EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(next));
   EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(make(0, 4)));
-  EXPECT_TRUE(Subsumes(low, low));
-  for (const Rule* other : {&word, &next}) {
-    EXPECT_FALSE(Subsumes(low, *other));
-    EXPECT_FALSE(Subsumes(*other, low));
-  }
 }
 
 TEST(RuleChecksTest, RangeRestrictionViolations) {
@@ -508,11 +470,15 @@ TEST(OptimizeTest, RemovesDuplicatesAndSubsumed) {
   prog.AddRule(Rule{Atom{p, {V(0)}}, {Atom{q, {V(0), V(1)}}}, {}});
   // Duplicate of the rule above, different variable numbering.
   prog.AddRule(Rule{Atom{p, {V(7)}}, {Atom{q, {V(7), V(3)}}}, {}});
-  // Strictly more specific: subsumed by the general rule.
+  // Strictly more specific than the general rule, but not a duplicate:
+  // the optimizer has no subsumption pass, so it stays.
   prog.AddRule(Rule{Atom{p, {V(0)}}, {Atom{q, {V(0), C(k)}}}, {}});
   OptimizeResult r = OptimizeForQuery(prog, Atom{p, {C(a)}});
   EXPECT_EQ(r.stats.duplicates_removed, 1u);
-  EXPECT_EQ(r.stats.subsumed_removed, 1u);
+  ASSERT_EQ(r.cause.size(), 4u);
+  EXPECT_EQ(r.cause[2], RemovalCause::kDuplicate);
+  EXPECT_EQ(r.cause[3], RemovalCause::kKept);
+  EXPECT_EQ(r.prog.size(), 3u);
   EXPECT_TRUE(dl::Query(r.prog, Atom{p, {C(a)}}));
 }
 
@@ -525,24 +491,6 @@ TEST(OptimizeTest, StatsToStringIsReadable) {
   DlOptStats sum = r.stats;
   sum += r.stats;
   EXPECT_EQ(sum.rules_before, 2 * r.stats.rules_before);
-}
-
-TEST(OptimizeTest, DisabledPassesLeaveTheProgramAlone) {
-  TcProgram tc;
-  DlOptOptions off;
-  off.dead_rule_elimination = false;
-  off.demand_specialization = false;
-  off.duplicate_elimination = false;
-  off.subsumption_elimination = false;
-  off.copy_alias_elimination = false;
-  OptimizeResult r =
-      OptimizeForQuery(tc.prog, Atom{tc.path, {C(tc.a), C(tc.d)}}, off);
-  EXPECT_EQ(r.prog.size(), tc.prog.size());
-  EXPECT_FALSE(r.stats.Any());
-  EXPECT_TRUE(std::all_of(r.cause.begin(), r.cause.end(),
-                          [](RemovalCause c) {
-                            return c == RemovalCause::kKept;
-                          }));
 }
 
 TEST(OptimizeTest, CopyAliasChainCollapsesToItsSource) {
@@ -645,11 +593,11 @@ TEST(EngineStatsTest, EngineTracksLastAndTotal) {
   const std::size_t one = engine.last_stats().tuples;
   EXPECT_GT(one, 0u);
   EXPECT_FALSE(engine.Solve(tc.prog, Atom{tc.path, {C(tc.d), C(tc.a)}}));
-  EXPECT_EQ(engine.solves(), 2u);
-  EXPECT_EQ(engine.total_stats().tuples,
-            one + engine.last_stats().tuples);
   EXPECT_FALSE(engine.last_stats().goal_found);
-  EXPECT_TRUE(engine.total_stats().goal_found);
+  // The second solve's counts are its own, as a cold Query counts them.
+  dl::EvalStats cold;
+  EXPECT_FALSE(dl::Query(tc.prog, Atom{tc.path, {C(tc.d), C(tc.a)}}, &cold));
+  EXPECT_EQ(engine.last_stats().tuples, cold.tuples);
 }
 
 TEST(EngineStatsTest, BudgetAbortStillRecordsPartialStats) {
@@ -660,8 +608,7 @@ TEST(EngineStatsTest, BudgetAbortStillRecordsPartialStats) {
   EXPECT_THROW(
       engine.Solve(tc.prog, Atom{tc.path, {C(tc.d), C(tc.a)}}, opts),
       std::runtime_error);
-  EXPECT_GT(engine.total_stats().tuples, 0u);
-  EXPECT_EQ(engine.solves(), 1u);
+  EXPECT_GT(engine.last_stats().tuples, 0u);
 }
 
 }  // namespace
