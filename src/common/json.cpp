@@ -11,38 +11,44 @@
 
 namespace rapar {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (unsigned char c : s) {
+namespace {
+
+// Appends `s` to `out` escaped for a JSON string literal (quotes not
+// included): runs of bytes that need no escaping go in with one append.
+void AppendEscaped(std::string_view s, std::string* out) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"");
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\");
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n");
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r");
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t");
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out->append(buf);
+      }
     }
   }
-  return out;
+  out->append(s.data() + run, s.size() - run);
 }
+
+}  // namespace
 
 void JsonWriter::Newline() {
   if (!pretty_) return;
@@ -117,7 +123,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
   if (pretty_) Newline();
   stack_.back().has_value = true;
   out_ += '"';
-  out_ += JsonEscape(key);
+  AppendEscaped(key, &out_);
   out_ += pretty_ ? "\": " : "\":";
   after_key_ = true;
   return *this;
@@ -126,7 +132,7 @@ JsonWriter& JsonWriter::Key(std::string_view key) {
 JsonWriter& JsonWriter::String(std::string_view value) {
   BeforeValue();
   out_ += '"';
-  out_ += JsonEscape(value);
+  AppendEscaped(value, &out_);
   out_ += '"';
   return *this;
 }

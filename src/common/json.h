@@ -19,10 +19,6 @@
 
 namespace rapar {
 
-// Escapes `s` for inclusion inside a JSON string literal (quotes not
-// included).
-std::string JsonEscape(std::string_view s);
-
 // Streaming JSON writer with bracket/comma bookkeeping. Values are
 // written in call order; Key must precede every value inside an object.
 // With pretty=true, objects and arrays break onto indented lines.

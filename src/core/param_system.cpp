@@ -52,6 +52,7 @@ Expected<ParamSystem> ParamSystem::Builder::Build() const {
   // final before this point: CFAs and explorers require every program to
   // see the full variable universe).
   sys.env_program_ = WithVars(env, sys.vars_);
+  std::vector<Classification> dis_classes;
   for (Program& d : dis) {
     Program unified = WithVars(d, sys.vars_);
     Classification c = Classify(unified);
@@ -62,7 +63,9 @@ Expected<ParamSystem> ParamSystem::Builder::Build() const {
                    "' has loops; set UnrollDis(k) to bound them"));
       }
       unified = UnrollProgram(unified, unroll_);
+      c = Classify(unified);
     }
+    dis_classes.push_back(std::move(c));
     sys.dis_programs_.push_back(std::move(unified));
   }
 
@@ -76,6 +79,14 @@ Expected<ParamSystem> ParamSystem::Builder::Build() const {
                " puts the system in env(cas), undecidable (Theorem 1.1); "
                "rejected"));
   }
+
+  sys.signature_ = StrCat("env(", env_class.ToString(), ")");
+  for (std::size_t i = 0; i < dis_classes.size(); ++i) {
+    sys.signature_ +=
+        StrCat(" || dis", i + 1, "(", dis_classes[i].ToString(), ")");
+  }
+  sys.signature_ +=
+      StrCat("  [", ClassifySystem(env_class, dis_classes).ToString(), "]");
 
   sys.env_cfa_ = std::make_unique<Cfa>(Cfa::Build(sys.env_program_));
   for (const Program& d : sys.dis_programs_) {
@@ -99,19 +110,6 @@ int ParamSystem::Q0() const {
   for (const auto& d : dis_cfas_) dis_size += d->edges().size();
   return static_cast<int>(dom_ * static_cast<Value>(vars_.size()) +
                           static_cast<Value>(dis_size));
-}
-
-std::string ParamSystem::Signature() const {
-  Classification env_class = Classify(env_program_);
-  std::string out = StrCat("env(", env_class.ToString(), ")");
-  std::vector<Classification> dis_classes;
-  for (std::size_t i = 0; i < dis_programs_.size(); ++i) {
-    dis_classes.push_back(Classify(dis_programs_[i]));
-    out += StrCat(" || dis", i + 1, "(", dis_classes.back().ToString(), ")");
-  }
-  // Append the paper's Table 1 class of the whole system.
-  out += StrCat("  [", ClassifySystem(env_class, dis_classes).ToString(), "]");
-  return out;
 }
 
 PreparedSystem PrepareSystem(const SimplSystem& base, bool run_prepass,

@@ -76,8 +76,10 @@ class ParamSystem {
   // Q0 = |Dom|·|Var| + |dis| (§4.2).
   int Q0() const;
 
-  // Class signature, e.g. "env(nocas) || dis1(acyc) || dis2(nocas,acyc)".
-  std::string Signature() const;
+  // Class signature, e.g. "env(nocas) || dis1(acyc) || dis2(nocas,acyc)",
+  // followed by the Table 1 class of the whole system. Composed once by
+  // Build from the classifications it validates with.
+  const std::string& Signature() const { return signature_; }
 
   // ParamSystem is movable but not copyable (CFAs are owned & referenced
   // by simpl_).
@@ -97,6 +99,7 @@ class ParamSystem {
   std::unique_ptr<Cfa> env_cfa_;
   std::vector<std::unique_ptr<Cfa>> dis_cfas_;
   SimplSystem simpl_;
+  std::string signature_;
 };
 
 // The system view a backend runs against: `base` itself, or one rebuilt

@@ -313,24 +313,23 @@ Expected<ParamSystem> BuildSystem(const Request& req) {
   return builder.Build();
 }
 
-// --- fingerprinting ---------------------------------------------------------
+// --- cache keys -------------------------------------------------------------
 
-// The canonical normalization of a request: every input the backends can
-// observe, in a fixed order. Two requests get the same canonical string
-// exactly when they run the same verification — the pretty-printed
-// programs (post-unroll, so `unroll` is captured structurally as well as
-// textually), the class signature, the goal, and every option field that
-// reaches a backend.
-std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
+// The option header both cache keys start with: the command, the goal and
+// every option field that reaches a backend, in a fixed order. Both keys
+// call this one function, so an option added to one key cannot be left
+// out of the other. The goal variable is length-prefixed (the request key
+// is built before the variable is looked up in the programs); every other
+// field is a number or a name from a fixed set.
+void AppendOptionHeader(const Request& req, std::string* out) {
   const VerifierOptions& vo = req.vopts;
-  std::string s;
-  s.reserve(512);
-  s += "rapar-fingerprint-v1\n";
+  std::string& s = *out;
   s += "command=";
   s += req.mg ? "mg" : "verify";
   s += '\n';
   if (req.mg) {
-    s += "goal=" + req.goal_var + ':' + std::to_string(req.goal_val) + '\n';
+    s += "goal=" + std::to_string(req.goal_var.size()) + ':' + req.goal_var +
+         ':' + std::to_string(req.goal_val) + '\n';
   }
   s += "backend=" + req.backend_name + '\n';
   s += "prepass=";
@@ -350,11 +349,51 @@ std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
        std::to_string(vo.max_guesses) + '\n';
   s += "env_threads=" + std::to_string(vo.concrete.env_threads) + '\n';
   s += "unroll=" + std::to_string(req.unroll) + '\n';
-  s += "signature=" + sys.Signature() + '\n';
-  s += "env:\n" + sys.env_program().ToString();
+}
+
+// The canonical normalization of a request: every input the backends can
+// observe, in a fixed order. Two requests get the same canonical string
+// exactly when they run the same verification — the pretty-printed
+// programs (post-unroll, so `unroll` is captured structurally as well as
+// textually), the class signature, the goal, and every option field that
+// reaches a backend.
+std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
+  std::string s;
+  s.reserve(512);
+  s += "rapar-fingerprint-v1\n";
+  AppendOptionHeader(req, &s);
+  s += "signature=";
+  s += sys.Signature();
+  s += "\nenv:\n";
+  s += sys.env_program().ToString();
   for (const Program& dis : sys.dis_programs()) {
-    s += "dis:\n" + dis.ToString();
+    s += "dis:\n";
+    s += dis.ToString();
   }
+  return s;
+}
+
+// The request as sent: the option header, then the env and dis texts
+// exactly as decoded (file contents for env_file/dis_files, never the
+// paths), each length-prefixed so the key decodes only one way. The
+// canonical request is a function of exactly these fields, so equal
+// request keys have equal canonical requests, and a repeat found by its
+// request key can be answered without parsing.
+std::string RequestKey(const Request& req) {
+  std::size_t size = 256 + req.env_text.size();
+  for (const std::string& d : req.dis_texts) size += 32 + d.size();
+  std::string s;
+  s.reserve(size);
+  s += "rapar-request-v1\n";
+  AppendOptionHeader(req, &s);
+  const auto append_text = [&s](const char* tag, const std::string& text) {
+    s += tag;
+    s += std::to_string(text.size());
+    s += '\n';
+    s += text;
+  };
+  append_text("env:", req.env_text);
+  for (const std::string& d : req.dis_texts) append_text("dis:", d);
   return s;
 }
 
@@ -407,8 +446,12 @@ struct ServeSession::Impl {
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   }
 
+  // A memoized verdict. It never changes once cached: the LRU list and
+  // both indexes share it, and a hit copies the pointer under cache_m and
+  // reads the entry outside it.
   struct CacheEntry {
-    std::string key;  // canonical request (owns the map's key view)
+    std::string key;          // canonical request (cache_index's key view)
+    std::string request_key;  // the filling miss's (alias_index's key view)
     std::string digest;
     std::string command;
     std::string signature;
@@ -416,6 +459,8 @@ struct ServeSession::Impl {
     VerifierOptions vopts;  // borrowed pointers cleared
     std::size_t bytes = 0;
   };
+  using EntryPtr = std::shared_ptr<const CacheEntry>;
+  using LruList = std::list<EntryPtr>;
 
   // Single-flight marker: an identical request is already running the
   // pipeline; twins wait for it instead of duplicating the work, then
@@ -426,19 +471,34 @@ struct ServeSession::Impl {
     bool done = false;  // guarded by cache_m
   };
 
-  // Probes the cache for `key`. On a hit, refreshes LRU order and copies
-  // the entry to *out. On a miss, registers this caller as the key's
-  // single flight (waiting out any current flight first) and returns
-  // false — the caller must run the pipeline and call FinishFlight.
-  bool LookupOrBeginFlight(const std::string& key, CacheEntry* out,
-                           std::shared_ptr<Inflight>* flight) {
+  // The entry a miss with exactly this request key filled, unless it
+  // carries a certificate: a certificate hit re-checks the proof against
+  // a freshly parsed system, so it takes the canonical path. Refreshes
+  // LRU order; nullptr when there is no such entry.
+  EntryPtr LookupAlias(const std::string& request_key) {
+    std::lock_guard<std::mutex> lock(cache_m);
+    auto it = alias_index.find(request_key);
+    if (it == alias_index.end() ||
+        (*it->second)->verdict.certificate != nullptr) {
+      return nullptr;
+    }
+    lru.splice(lru.begin(), lru, it->second);
+    return *it->second;
+  }
+
+  // Probes the cache for the canonical `key`. On a hit, refreshes LRU
+  // order and returns the entry. On a miss, registers this caller as the
+  // key's single flight (waiting out any current flight first) and
+  // returns nullptr — the caller must run the pipeline and call
+  // FinishFlight.
+  EntryPtr LookupOrBeginFlight(const std::string& key,
+                               std::shared_ptr<Inflight>* flight) {
     std::unique_lock<std::mutex> lock(cache_m);
     for (;;) {
       auto it = cache_index.find(key);
       if (it != cache_index.end()) {
         lru.splice(lru.begin(), lru, it->second);
-        *out = *it->second;
-        return true;
+        return *it->second;
       }
       auto fit = inflight.find(key);
       if (fit == inflight.end()) break;
@@ -449,25 +509,25 @@ struct ServeSession::Impl {
     }
     *flight = std::make_shared<Inflight>();
     inflight.emplace(key, *flight);
-    return false;
+    return nullptr;
   }
 
   // Ends `key`'s flight, memoizing `entry` when provided, and wakes the
-  // waiting twins.
+  // waiting twins. Equal request keys have equal canonical keys, so an
+  // entry whose canonical key is new brings a request key that no
+  // resident entry holds.
   void FinishFlight(const std::string& key,
-                    const std::shared_ptr<Inflight>& flight,
-                    std::optional<CacheEntry> entry) {
+                    const std::shared_ptr<Inflight>& flight, EntryPtr entry) {
     std::lock_guard<std::mutex> lock(cache_m);
-    if (entry.has_value() && cache_index.count(entry->key) == 0) {
+    if (entry != nullptr && cache_index.count(entry->key) == 0) {
       cache_bytes += entry->bytes;
-      lru.push_front(std::move(*entry));
-      cache_index.emplace(lru.front().key, lru.begin());
+      lru.push_front(std::move(entry));
+      const CacheEntry& filled = *lru.front();
+      cache_index.emplace(filled.key, lru.begin());
+      alias_index.emplace(filled.request_key, lru.begin());
       while (lru.size() > options.cache_entries ||
              (cache_bytes > options.cache_bytes && lru.size() > 1)) {
-        const CacheEntry& victim = lru.back();
-        cache_bytes -= victim.bytes;
-        cache_index.erase(victim.key);
-        lru.pop_back();
+        Unlink(std::prev(lru.end()));
         evictions.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -480,19 +540,30 @@ struct ServeSession::Impl {
     std::lock_guard<std::mutex> lock(cache_m);
     auto it = cache_index.find(key);
     if (it == cache_index.end()) return;
-    cache_bytes -= it->second->bytes;
-    lru.erase(it->second);
-    cache_index.erase(it);
+    Unlink(it->second);
     evictions.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // Drops one resident entry from the LRU list and both indexes. Caller
+  // holds cache_m.
+  void Unlink(LruList::iterator it) {
+    const CacheEntry& victim = **it;
+    cache_bytes -= victim.bytes;
+    cache_index.erase(victim.key);
+    alias_index.erase(victim.request_key);
+    lru.erase(it);
   }
 
   ServeOptions options;
   std::unique_ptr<ThreadPool> pool;
 
   std::mutex cache_m;
-  std::list<CacheEntry> lru;  // front = most recently used
-  std::unordered_map<std::string_view, std::list<CacheEntry>::iterator>
-      cache_index;
+  LruList lru;  // front = most recently used
+  // Canonical request -> entry, and the request key of the miss that
+  // filled an entry -> that entry (one alias per entry). Both guarded by
+  // cache_m, updated together on fill, eviction and Erase.
+  std::unordered_map<std::string_view, LruList::iterator> cache_index;
+  std::unordered_map<std::string_view, LruList::iterator> alias_index;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight;
   std::size_t cache_bytes = 0;
 
@@ -606,30 +677,6 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     return ErrorLine(req.id_json, req.error, pretty);
   }
 
-  const auto parse_start = std::chrono::steady_clock::now();
-  Expected<ParamSystem> sys = BuildSystem(req);
-  if (!sys.ok()) {
-    im.errors.fetch_add(1, std::memory_order_relaxed);
-    return ErrorLine(req.id_json, sys.error(), pretty);
-  }
-  std::optional<std::pair<VarId, Value>> goal;
-  if (req.mg) {
-    const VarId var = sys.value().vars().Find(req.goal_var);
-    if (!var.valid()) {
-      im.errors.fetch_add(1, std::memory_order_relaxed);
-      return ErrorLine(req.id_json,
-                       "unknown variable '" + req.goal_var + "'", pretty);
-    }
-    goal = {var, static_cast<Value>(req.goal_val)};
-  }
-  const double parse_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - parse_start)
-                              .count();
-
-  const std::string canonical = CanonicalRequest(req, sys.value());
-  const std::string digest = FingerprintDigest(canonical);
-  const char* command = req.mg ? "mg" : "verify";
-
   // Stamps the session-cumulative cache/serve counters; called on a copy
   // of the verdict so the memoized entry stays stamp-free and replays
   // identically no matter when it is hit.
@@ -654,7 +701,6 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
 
   EnvelopeExtras extras;
   extras.id_json = req.id_json;
-  extras.fingerprint = digest;
 
   // Envelopes end with '\n' (the one-shot CLI contract); the line
   // protocol owns the terminator, so strip it here.
@@ -663,31 +709,70 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     return s;
   };
 
+  // Answers from a memoized entry. Only the parse gauge, which holds what
+  // this request spent parsing, and the cache/serve counters are stamped;
+  // everything else — including the echoed options object — replays the
+  // entry verbatim (see serve.h for the replay contract).
+  const auto replay = [&](const Impl::CacheEntry& entry, double parse_ms) {
+    im.hits.fetch_add(1, std::memory_order_relaxed);
+    Verdict v = entry.verdict;
+    v.telemetry.SetGauge(obs::metric::kPhaseParseMs, parse_ms);
+    stamp(v, /*hit=*/true);
+    extras.fingerprint = entry.digest;
+    extras.cache = "hit";
+    return one_line(VerdictToJson(v, entry.vopts, entry.command,
+                                  entry.signature, pretty, &extras));
+  };
+
+  // --- alias hit: a repeat of the request that filled an entry ---
+  std::string request_key;
+  if (im.options.cache_entries != 0) {
+    request_key = RequestKey(req);
+    if (const Impl::EntryPtr entry = im.LookupAlias(request_key)) {
+      return replay(*entry, /*parse_ms=*/0.0);
+    }
+  }
+
+  const auto parse_start = std::chrono::steady_clock::now();
+  Expected<ParamSystem> sys = BuildSystem(req);
+  if (!sys.ok()) {
+    im.errors.fetch_add(1, std::memory_order_relaxed);
+    return ErrorLine(req.id_json, sys.error(), pretty);
+  }
+  std::optional<std::pair<VarId, Value>> goal;
+  if (req.mg) {
+    const VarId var = sys.value().vars().Find(req.goal_var);
+    if (!var.valid()) {
+      im.errors.fetch_add(1, std::memory_order_relaxed);
+      return ErrorLine(req.id_json,
+                       "unknown variable '" + req.goal_var + "'", pretty);
+    }
+    goal = {var, static_cast<Value>(req.goal_val)};
+  }
+  const double parse_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - parse_start)
+                              .count();
+
+  const std::string canonical = CanonicalRequest(req, sys.value());
+  const std::string digest = FingerprintDigest(canonical);
+  const char* command = req.mg ? "mg" : "verify";
+  extras.fingerprint = digest;
+
   // --- cache probe (single-flight per canonical request) ---
   std::shared_ptr<Impl::Inflight> flight;
   if (im.options.cache_entries != 0) {
     for (;;) {
-      Impl::CacheEntry entry;
-      if (!im.LookupOrBeginFlight(canonical, &entry, &flight)) break;
-      if (entry.verdict.certificate != nullptr &&
-          !RevalidateCertificate(sys.value(), entry.vopts.enable_prepass,
-                                 *entry.verdict.certificate)) {
+      const Impl::EntryPtr entry = im.LookupOrBeginFlight(canonical, &flight);
+      if (entry == nullptr) break;
+      if (entry->verdict.certificate != nullptr &&
+          !RevalidateCertificate(sys.value(), entry->vopts.enable_prepass,
+                                 *entry->verdict.certificate)) {
         // The memoized proof no longer checks out against this request's
         // system: drop the entry and recompute.
         im.Erase(canonical);
         continue;
       }
-      im.hits.fetch_add(1, std::memory_order_relaxed);
-      Verdict v = entry.verdict;
-      // This request parsed its programs afresh before the probe, so the
-      // parse gauge is re-measured; everything else — including the
-      // echoed options object — replays the memoized rendering verbatim
-      // (see serve.h for the replay contract).
-      v.telemetry.SetGauge(obs::metric::kPhaseParseMs, parse_ms);
-      stamp(v, /*hit=*/true);
-      extras.cache = "hit";
-      return one_line(VerdictToJson(v, entry.vopts, entry.command,
-                                    entry.signature, pretty, &extras));
+      return replay(*entry, parse_ms);
     }
   }
 
@@ -712,16 +797,18 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
                                       &extras));
 
     if (flight != nullptr) {
-      std::optional<Impl::CacheEntry> entry;
+      std::shared_ptr<Impl::CacheEntry> entry;
       if (Definitive(v)) {
-        entry.emplace();
+        entry = std::make_shared<Impl::CacheEntry>();
         entry->key = canonical;
+        entry->request_key = std::move(request_key);
         entry->digest = digest;
         entry->command = command;
         entry->signature = sys.value().Signature();
         entry->verdict = std::move(v);
         entry->vopts = stored_opts;
-        entry->bytes = entry->key.size() + rendered.size();
+        entry->bytes =
+            entry->key.size() + entry->request_key.size() + rendered.size();
       }
       const std::shared_ptr<Impl::Inflight> f = std::move(flight);
       im.FinishFlight(canonical, f, std::move(entry));
@@ -729,12 +816,12 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   } catch (const std::exception& e) {
     // Never strand the twins waiting on this flight, and answer the
     // error with the request's id echo still attached.
-    if (flight != nullptr) im.FinishFlight(canonical, flight, std::nullopt);
+    if (flight != nullptr) im.FinishFlight(canonical, flight, nullptr);
     im.errors.fetch_add(1, std::memory_order_relaxed);
     return ErrorLine(req.id_json, std::string("internal error: ") + e.what(),
                      pretty);
   } catch (...) {
-    if (flight != nullptr) im.FinishFlight(canonical, flight, std::nullopt);
+    if (flight != nullptr) im.FinishFlight(canonical, flight, nullptr);
     im.errors.fetch_add(1, std::memory_order_relaxed);
     return ErrorLine(req.id_json, "internal error", pretty);
   }

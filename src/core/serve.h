@@ -54,8 +54,14 @@
 // requests are fingerprinted by a canonical normalization — the pretty-
 // printed programs (post-unroll), the system's class signature, the goal,
 // and every option field that reaches the backends — so two requests
-// collide exactly when they would run the same verification. Hits replay
-// the memoized verdict (certificate re-validated via
+// collide exactly when they would run the same verification. Each entry
+// is also indexed by the request key of the miss that filled it: the
+// same option header followed by the env and dis texts as decoded (file
+// contents, never paths). A repeat of that request is answered from the
+// entry without parsing, building or canonicalizing anything; any other
+// hit (reformatted program text, or an entry carrying a TMAI
+// certificate) parses and probes by the canonical key. Hits replay the
+// memoized verdict (a certificate re-validated via
 // tmai::CheckCertificate, cache/serve telemetry re-stamped); misses run
 // the pipeline and populate a bounded LRU. Only definitive verdicts
 // (safe/unsafe with no truncation) are memoized — an unknown produced by
@@ -65,11 +71,11 @@
 // Replay contract: a hit renders the memoized entry verbatim, so modulo
 // telemetry and the cache marker it is byte-identical to the miss that
 // populated it, which is what the catalog-replay differential asserts.
-// Every echoed option is part of the fingerprint, so the echo is the
-// current request's too. Telemetry is the exception — cache/serve
-// counters and the parse-time gauge are re-stamped from the current
-// request (the programs really were re-parsed to compute the
-// fingerprint).
+// Every echoed option is part of both keys, so the echo is the current
+// request's too. Telemetry is the exception — cache/serve counters are
+// re-stamped from the session, and the parse-time gauge holds what this
+// request spent parsing: 0 on a hit answered by its request key, the
+// measured parse and build on a hit that went through the canonical key.
 #ifndef RAPAR_CORE_SERVE_H_
 #define RAPAR_CORE_SERVE_H_
 
@@ -91,9 +97,9 @@ struct ServeOptions {
   // 1 = no pool, requests handled inline on the caller's thread.
   unsigned threads = 0;
   // Verdict-cache bounds: maximum resident entries and an approximate
-  // resident-bytes ceiling (canonical key + stored verdict). Either
-  // bound evicts least-recently-used entries; cache_entries = 0 disables
-  // the cache entirely.
+  // resident-bytes ceiling (canonical key + request key + rendered
+  // verdict). Either bound evicts least-recently-used entries;
+  // cache_entries = 0 disables the cache entirely.
   std::size_t cache_entries = 1024;
   std::size_t cache_bytes = 64u << 20;
   // Indent response envelopes (default off: one response per line, the

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/benchmarks.h"
+#include "generated_systems.h"
+#include "lang/classify.h"
 #include "lang/parser.h"
 
 namespace rapar {
@@ -109,6 +113,56 @@ TEST(ParamSystemTest, SignatureAndBudgets) {
   // Consumer has exactly one store (y := one).
   EXPECT_EQ(pc.system.TimestampBudget(), 1);
   EXPECT_GT(pc.system.Q0(), 0);
+}
+
+// The signature recomposed from a fresh Classify of every built program;
+// Build stores one composed from the classifications it validated with.
+std::string RecomposedSignature(const ParamSystem& sys) {
+  const Classification env = Classify(sys.env_program());
+  std::string out = "env(" + env.ToString() + ")";
+  std::vector<Classification> dis;
+  for (std::size_t i = 0; i < sys.dis_programs().size(); ++i) {
+    dis.push_back(Classify(sys.dis_programs()[i]));
+    out += " || dis" + std::to_string(i + 1) + "(" + dis.back().ToString() +
+           ")";
+  }
+  out += "  [" + ClassifySystem(env, dis).ToString() + "]";
+  return out;
+}
+
+TEST(ParamSystemTest, StoredSignatureMatchesRecomposedClassification) {
+  for (const BenchmarkCase& bench : StandardBenchmarks()) {
+    EXPECT_EQ(bench.system.Signature(), RecomposedSignature(bench.system))
+        << bench.name;
+  }
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const ParamSystem plain = RandGuessySystem(seed);
+    EXPECT_EQ(plain.Signature(), RecomposedSignature(plain)) << seed;
+    const ParamSystem cas = RandGuessySystem(seed, 3, /*dis_cas=*/true);
+    EXPECT_EQ(cas.Signature(), RecomposedSignature(cas)) << seed;
+    const ParamSystem two = RandGuessyTwoDisSystem(seed);
+    EXPECT_EQ(two.Signature(), RecomposedSignature(two)) << seed;
+  }
+  // A looping dis program is classified again after UnrollDis changed
+  // it: the signature names the unrolled, loop-free program.
+  Program dis = MustParse(R"(
+    program dis
+    vars x
+    regs r
+    dom 2
+    begin
+      loop { r := x; x := r }
+    end
+  )");
+  ASSERT_FALSE(Classify(dis).loop_free);
+  Program env =
+      MustParse("program e\nvars x\nregs r\ndom 2\nbegin\nskip\nend");
+  auto sys = ParamSystem::Builder().Env(env).Dis(dis).UnrollDis(2).Build();
+  ASSERT_TRUE(sys.ok()) << sys.error();
+  EXPECT_EQ(sys.value().Signature(), RecomposedSignature(sys.value()));
+  EXPECT_NE(sys.value().Signature().find("dis1(nocas,acyc"),
+            std::string::npos)
+      << sys.value().Signature();
 }
 
 // --- Verifier on the benchmark suite -----------------------------------------

@@ -84,12 +84,31 @@ TEST(JsonNumbers, FractionalAndExponentStayDouble) {
 TEST(JsonStrings, ControlCharsRoundTrip) {
   std::string s;
   for (int c = 0; c < 0x20; ++c) s.push_back(static_cast<char>(c));
-  s += "\"\\/ plain";
+  s += "\"\\/ plain \xC3\xA9\xE6\x97\xA5";
+  // The exact bytes: newline, carriage return and tab by their short
+  // escapes, every other control character as a u-escape with four
+  // lowercase hex digits, '"' and the backslash backslashed, '/' and
+  // UTF-8 verbatim.
+  const std::string escaped =
+      "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+      "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+      "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+      "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+      "\\\"\\\\/ plain \xC3\xA9\xE6\x97\xA5";
   JsonWriter w;
   w.String(s);
+  EXPECT_EQ(w.str(), "\"" + escaped + "\"");
   auto parsed = ParseJson(w.str());
   ASSERT_TRUE(parsed.ok()) << parsed.error();
   EXPECT_EQ(parsed.value().string, s);
+
+  JsonWriter k;
+  k.BeginObject().Key(s).Int(1).EndObject();
+  EXPECT_EQ(k.str(), "{\"" + escaped + "\":1}");
+  auto object = ParseJson(k.str());
+  ASSERT_TRUE(object.ok()) << object.error();
+  ASSERT_EQ(object.value().members.size(), 1u);
+  EXPECT_EQ(object.value().members[0].first, s);
 }
 
 TEST(JsonStrings, NonAsciiUtf8PassesThrough) {

@@ -1,15 +1,20 @@
 // End-to-end tests for the verification service (core/serve.h): request
 // decoding, the content-addressed verdict cache (fingerprint
-// sensitivity, LRU eviction, single-flight coalescing), the catalog
+// sensitivity, LRU eviction, single-flight coalescing, hits by the
+// request as sent and by the canonical key), the catalog
 // replay differential — every standard benchmark served twice must be
 // 100% cache hits on the second pass with envelopes identical to the
 // first modulo telemetry, and both must agree with a one-shot
 // SafetyVerifier run — and ordered concurrent Run().
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <mutex>
 #include <sstream>
 #include <streambuf>
@@ -127,6 +132,12 @@ std::uint64_t Counter(const JsonValue& doc, const char* name) {
   return c != nullptr ? c->uinteger : ~std::uint64_t{0};
 }
 
+double Gauge(const JsonValue& doc, const char* name) {
+  const JsonValue* t = doc.Find("telemetry");
+  const JsonValue* g = t != nullptr ? t->Find(name) : nullptr;
+  return g != nullptr && g->is_number() ? g->number : -1.0;
+}
+
 // Re-emits `doc` minus the members that legitimately differ between a
 // miss and the hit that replays it (telemetry counters/timings and the
 // cache marker itself).
@@ -171,12 +182,83 @@ TEST(ServeTest, MissThenHit) {
   EXPECT_EQ(Counter(second, "cache.hits"), 1u);
   EXPECT_EQ(Str(second, "fingerprint"), Str(first, "fingerprint"));
   EXPECT_EQ(StripVolatile(second), StripVolatile(first));
+  // The repeat is answered from the request as sent: nothing is parsed.
+  EXPECT_EQ(Gauge(second, "phase.parse_ms"), 0.0);
 
   const serve::CacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
+}
+
+// DESIGN.md §12's collision property: the canonical key holds the
+// programs as parsed, so the same programs re-sent with comments and
+// blank lines hit the entry the first text filled, with its fingerprint.
+// Such a repeat is not the request that filled the entry, so it parses;
+// and it adds no alias (one per entry), so a second copy parses too.
+TEST(ServeTest, ReformattedProgramsHitTheFilledEntry) {
+  serve::ServeSession session(Opts(1));
+  const JsonValue first =
+      Parse(session.HandleLine(MakeLine("verify", kMpWriter, {kMpReader})));
+  ASSERT_EQ(Str(first, "cache"), "miss");
+
+  const std::string reformatted = MakeLine(
+      "verify", std::string("// the MP writer\n\n") + kMpWriter + "\n\n",
+      {std::string("# reader\n\n") + kMpReader});
+  for (int round = 0; round < 2; ++round) {
+    const JsonValue again = Parse(session.HandleLine(reformatted));
+    EXPECT_EQ(Str(again, "cache"), "hit") << round;
+    EXPECT_EQ(Str(again, "fingerprint"), Str(first, "fingerprint")) << round;
+    EXPECT_EQ(StripVolatile(again), StripVolatile(first)) << round;
+    EXPECT_GT(Gauge(again, "phase.parse_ms"), 0.0) << round;
+  }
+  const serve::CacheStats stats = session.cache_stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
+// The request key holds what env_file names, not the path: the same line
+// sent after the file changed is a miss and answers the new program.
+TEST(ServeTest, EnvFileRepeatAfterTheFileChangedIsAMiss) {
+  const std::string path = testing::TempDir() + "/serve_test_env_" +
+                           std::to_string(::getpid()) + ".rap";
+  const auto write_env = [&path](const char* text) {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  };
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("command").String("verify");
+  w.Key("env_file").String(path);
+  w.Key("dis").BeginArray().String(kMpReader).EndArray();
+  w.EndObject();
+  const std::string line = w.TakeString();
+  serve::ServeSession session(Opts(1));
+
+  write_env(kMpWriter);
+  const JsonValue first = Parse(session.HandleLine(line));
+  EXPECT_EQ(Str(first, "cache"), "miss");
+  EXPECT_EQ(Str(first, "verdict"), "safe");
+  const JsonValue repeat = Parse(session.HandleLine(line));
+  EXPECT_EQ(Str(repeat, "cache"), "hit");
+
+  // The writer without its flag store: the reader sees x == 1, y == 0.
+  write_env(
+      "program writer\n"
+      "vars x y\n"
+      "regs one\n"
+      "dom 2\n"
+      "begin\n"
+      "  one := 1;\n"
+      "  x := one\n"
+      "end\n");
+  const JsonValue changed = Parse(session.HandleLine(line));
+  EXPECT_EQ(Str(changed, "cache"), "miss");
+  EXPECT_EQ(Str(changed, "verdict"), "unsafe");
+  EXPECT_NE(Str(changed, "fingerprint"), Str(first, "fingerprint"));
+  std::remove(path.c_str());
 }
 
 TEST(ServeTest, MgRequest) {
@@ -266,6 +348,12 @@ TEST(ServeTest, FingerprintSensitivity) {
   const JsonValue simplified = Parse(session.HandleLine(RequestLine(spec)));
   EXPECT_NE(Str(simplified, "fingerprint"), Str(datalog, "fingerprint"));
   EXPECT_EQ(Str(simplified, "cache"), "miss");
+
+  // So is the same env and options with another dis list.
+  spec.dis.clear();
+  const JsonValue no_dis = Parse(session.HandleLine(RequestLine(spec)));
+  EXPECT_NE(Str(no_dis, "fingerprint"), Str(simplified, "fingerprint"));
+  EXPECT_EQ(Str(no_dis, "cache"), "miss");
 
   // A removed option key is a request error, not a silent default.
   spec.options_json =
@@ -374,6 +462,8 @@ TEST(ServeTest, CertificateReplaysByteIdentical) {
   EXPECT_EQ(Str(second, "cache"), "hit");
   EXPECT_EQ(Reemit(second.Find("certificate")),
             Reemit(first.Find("certificate")));
+  // The re-check needs the parsed system, so a certificate hit parses.
+  EXPECT_GT(Gauge(second, "phase.parse_ms"), 0.0);
 }
 
 // The tentpole differential: the whole standard benchmark catalog served
@@ -581,6 +671,45 @@ TEST(ServeTest, ConcurrentRunOrdersResponsesAndCoalesces) {
   const serve::CacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 9u);
+}
+
+// Pooled hits and evictions on a two-entry cache: with three canonical
+// requests (one also sent reformatted) in rotation, workers look entries
+// up by request key and by canonical key while others fill and evict
+// them. Every response carries its program's verdict, whichever path
+// answered it.
+TEST(ServeTest, ConcurrentHitsAndEvictionsKeepVerdicts) {
+  const std::string programs[] = {
+      MakeLine("verify", kMpWriter, {kMpReader}),
+      MakeLine("mg", kMpWriter, {}, "x", 1),
+      MakeLine("mg", kMpWriter, {}, "y", 1),
+      MakeLine("verify", std::string("// reformatted\n") + kMpWriter,
+               {kMpReader}),
+  };
+  const char* verdicts[] = {"safe", "unsafe", "unsafe", "safe"};
+  constexpr int kRounds = 16;
+  std::ostringstream input;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const std::string& p : programs) input << p << "\n";
+  }
+
+  serve::ServeSession session(Opts(4, /*cache_entries=*/2));
+  std::istringstream in(input.str());
+  std::ostringstream out;
+  session.Run(in, out);
+
+  std::istringstream result(out.str());
+  std::string line;
+  int count = 0;
+  while (std::getline(result, line)) {
+    EXPECT_EQ(Str(Parse(line), "verdict"), verdicts[count % 4]) << line;
+    ++count;
+  }
+  EXPECT_EQ(count, 4 * kRounds);
+  const serve::CacheStats stats = session.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, 4u * kRounds);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.entries, 2u);
 }
 
 }  // namespace
