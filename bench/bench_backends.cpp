@@ -7,7 +7,6 @@
 //
 // --json additionally writes the observability and TMAI domain tables as
 // JSON (BENCH_obs.json, BENCH_tmai_domains.json) for CI artifact upload.
-#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -67,152 +66,6 @@ void PrintComparison() {
       "(the Datalog backend may report 'unknown' when the guess "
       "enumeration exceeds its cap; 'concrete' verdicts are instance-"
       "level, not parameterized)\n");
-}
-
-// Datalog backend with the query-driven optimizer (src/dlopt/) on vs
-// off: rules emitted by makeP vs rules actually evaluated, and the
-// wall-clock effect. The TQBF family appears twice — the plain safety
-// verdict (whose encoding is nearly tight) and the per-level witness MG
-// queries of Theorem 5.1's induction, where backward demand slices away
-// every role below the queried level.
-void PrintDlOptAblation() {
-  Header("dlopt ablation on the Datalog backend (rules emitted vs evaluated)");
-  Row({"instance", "emitted", "evaluated", "pruned", "ms(on)", "ms(off)",
-       "verdict"},
-      15);
-  Rule(7, 15);
-  auto fmt_ms = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", v);
-    return std::string(buf);
-  };
-  auto run = [&](const ParamSystem& sys, const std::string& name,
-                 std::optional<std::pair<VarId, Value>> goal) {
-    SafetyVerifier verifier(sys);
-    VerifierOptions opts;
-    opts.backend = Backend::kDatalog;
-    opts.time_budget_ms = 20'000;
-    opts.max_guesses = 30'000;
-    Verdict on, off;
-    const double ms_on = TimeMs([&] {
-      on = verifier.Run(goal, opts);
-    });
-    opts.datalog.enable_dlopt = false;
-    const double ms_off = TimeMs([&] {
-      off = verifier.Run(goal, opts);
-    });
-    const std::uint64_t before =
-        on.telemetry.counter(obs::metric::kDlOptRulesBefore);
-    const std::uint64_t after =
-        on.telemetry.counter(obs::metric::kDlOptRulesAfter);
-    const double pct =
-        before == 0 ? 0.0
-                    : 100.0 * static_cast<double>(before - after) /
-                          static_cast<double>(before);
-    char pruned[32];
-    std::snprintf(pruned, sizeof pruned, "%.0f%%", pct);
-    const char* v = on.unsafe() ? "UNSAFE" : (on.safe() ? "SAFE" : "unknown");
-    const char* v2 =
-        off.unsafe() ? "UNSAFE" : (off.safe() ? "SAFE" : "unknown");
-    Row({name, std::to_string(before), std::to_string(after), pruned,
-         fmt_ms(ms_on), fmt_ms(ms_off),
-         StrCat(v, v == v2 ? "" : " (MISMATCH)")},
-        15);
-  };
-  for (const BenchmarkCase& bench : StandardBenchmarks()) {
-    run(bench.system, bench.name, std::nullopt);
-  }
-  Rng rng(42);
-  const Qbf qbf = RandomQbf(rng, 3, 3);
-  Expected<ParamSystem> tqbf = TqbfSystem(qbf);
-  if (tqbf.ok()) run(tqbf.value(), "tqbf(n=3) safety", std::nullopt);
-  for (int level = 0; level <= qbf.n; ++level) {
-    TqbfWitnessQuery q = TqbfLevelQuery(qbf, level);
-    if (!q.system.ok()) continue;
-    run(q.system.value(), StrCat("tqbf(n=3) MG(a_", level, ")"),
-        std::make_pair(q.goal_var, q.goal_value));
-  }
-  std::printf(
-      "(emitted/evaluated are Verdict dlopt counts summed over guesses; "
-      "the MG rows query the level-i witness message of the Theorem 5.1 "
-      "induction — demand slicing drops the roles below level i)\n");
-}
-
-// Evaluation-core tuning (dl::EngineOptions) on vs off: argument-hash
-// join indexes + cheapest-first body ordering vs the plain nested-loop
-// scan. join_attempts counts candidate tuples tested during body
-// matching — the quantity indexing is built to cut.
-// Verdicts must be identical (the tuning is result-preserving).
-void PrintIndexAblation() {
-  Header("engine index ablation on the Datalog backend (join attempts)");
-  Row({"instance", "joins(on)", "joins(off)", "speedup", "ms(on)", "ms(off)",
-       "verdict"},
-      15);
-  Rule(7, 15);
-  auto fmt_ms = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", v);
-    return std::string(buf);
-  };
-  auto run = [&](const ParamSystem& sys, const std::string& name,
-                 std::optional<std::pair<VarId, Value>> goal) {
-    SafetyVerifier verifier(sys);
-    VerifierOptions opts;
-    opts.backend = Backend::kDatalog;
-    opts.time_budget_ms = 20'000;
-    opts.max_guesses = 30'000;
-    // Evaluate the raw emitted query instances: with the dlopt rule
-    // pruning on, little join work is left on the small instances and
-    // the engine ablation would mostly measure the optimizer. Its
-    // effect is measured separately in PrintDlOptAblation.
-    opts.datalog.enable_dlopt = false;
-    auto verify = [&] {
-      return verifier.Run(goal, opts);
-    };
-    Verdict on, off;
-    const double ms_on = TimeMs([&] { on = verify(); });
-    opts.datalog.engine.use_index = false;
-    opts.datalog.engine.reorder_joins = false;
-    const double ms_off = TimeMs([&] { off = verify(); });
-    const std::uint64_t joins_on =
-        on.telemetry.counter(obs::metric::kJoinAttempts);
-    const std::uint64_t joins_off =
-        off.telemetry.counter(obs::metric::kJoinAttempts);
-    const double ratio = joins_on == 0 ? 0.0
-                                       : static_cast<double>(joins_off) /
-                                             static_cast<double>(joins_on);
-    char speedup[32];
-    std::snprintf(speedup, sizeof speedup, "%.1fx", ratio);
-    const char* v = on.unsafe() ? "UNSAFE" : (on.safe() ? "SAFE" : "unknown");
-    const char* v2 =
-        off.unsafe() ? "UNSAFE" : (off.safe() ? "SAFE" : "unknown");
-    Row({name, std::to_string(joins_on), std::to_string(joins_off),
-         speedup, fmt_ms(ms_on), fmt_ms(ms_off),
-         StrCat(v, v == v2 ? "" : " (MISMATCH)")},
-        15);
-  };
-  for (int z : {4, 8, 12}) {
-    // The unsafe instance early-exits on the first witness guess; the
-    // safe variant must run every guess to a full fixpoint — the
-    // join-heavy regime the indexes target.
-    const BenchmarkCase unsafe_pc = ProducerConsumer(z);
-    run(unsafe_pc.system, unsafe_pc.name, std::nullopt);
-    const BenchmarkCase safe_pc = ProducerConsumerSafe(z);
-    run(safe_pc.system, safe_pc.name, std::nullopt);
-  }
-  Rng rng(42);
-  const Qbf qbf = RandomQbf(rng, 3, 3);
-  Expected<ParamSystem> tqbf = TqbfSystem(qbf);
-  if (tqbf.ok()) run(tqbf.value(), "tqbf(n=3) safety", std::nullopt);
-  TqbfWitnessQuery q = TqbfLevelQuery(qbf, qbf.n);
-  if (q.system.ok()) {
-    run(q.system.value(), StrCat("tqbf(n=3) MG(a_", qbf.n, ")"),
-        std::make_pair(q.goal_var, q.goal_value));
-  }
-  std::printf(
-      "(joins = Verdict join_attempts summed over guesses; 'on' is the "
-      "default tuning — indexes + reordering; 'off' is the plain scan "
-      "evaluator)\n");
 }
 
 // Observability ablation: the same verify with no trace sink installed
@@ -461,8 +314,6 @@ void PrintDomainAblation(bool write_json) {
 
 static void PrintReproduction(bool write_json) {
   rapar::PrintComparison();
-  rapar::PrintDlOptAblation();
-  rapar::PrintIndexAblation();
   rapar::PrintObsAblation(write_json);
   rapar::PrintDomainAblation(write_json);
 }

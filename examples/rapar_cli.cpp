@@ -12,9 +12,9 @@
 // Every subcommand answers `--help` with its own flag list. Flags are
 // declared once in the kFlags table below — name, arity, applicable
 // subcommands, help text — so parsing, validation and help stay in sync.
-// An unknown flag, one that does not apply to the subcommand, or an
-// integer flag whose value is not an integer of its field's type is a
-// usage error: exit 3.
+// An unknown flag, one that does not apply to the subcommand, an integer
+// flag whose value is not an integer of its field's type, or a negative
+// count, size or budget is a usage error: exit 3.
 //
 // lint runs the analysis passes (reachability, liveness, constant
 // propagation, footprints) and reports diagnostics in compiler format.
@@ -85,16 +85,15 @@ struct Options {
   std::string env_file;
   std::vector<std::string> dis_files;
   std::vector<std::string> files;  // classify / bare lint inputs
+  // verify/mg: the library's defaults with the flags below applied, and
+  // the CLI's own 30 s budget, which ParseArgs sets.
+  rapar::VerifierOptions vopts;
   std::string backend = "simplified";
-  int threads = 2;
-  bool threads_set = false;
   std::string tmai_domain = "auto";
-  int tmai_max_iterations = 64;
-  int tmai_widening_delay = 8;
-  int tmai_value_set_limit = 16;
+  // verify/mg: the concrete backend's env threads; serve: pool workers.
+  std::optional<int> threads;
   std::string cert_file;
   int unroll = 0;
-  long long budget_ms = 30'000;
   bool witness = false;
   std::string goal_var;
   int goal_val = -1;
@@ -104,14 +103,11 @@ struct Options {
   std::string trace_file;
   bool metrics = false;
   bool help = false;
-  long long cache_entries = 1024;
-  long long cache_bytes = 64ll << 20;
-  bool pretty = false;
+  rapar::serve::ServeOptions serve;
   // Checkpoint/resume (datalog backend only).
   std::string checkpoint_file;
   std::string resume_file;
   long long checkpoint_every = 0;  // 0 = default (64) when --checkpoint set
-  long long scan_limit = 0;
 };
 
 // --- declarative flag table -------------------------------------------------
@@ -126,8 +122,11 @@ struct FlagSpec {
   void (*apply)(Options&, const char*);
 };
 
-// Thrown by ParseInt; ParseArgs reports it as a usage error.
-struct NotAnInteger {};
+// Thrown by ParseInt and ParseCount; ParseArgs reports it as a usage
+// error naming what the flag expects.
+struct BadInteger {
+  const char* expected;
+};
 
 // Parses all of `v` into *out. Unlike std::atoi, which reads "one" as 0
 // and "30s" as 30 and is undefined out of range, this rejects trailing
@@ -136,7 +135,18 @@ template <typename T>
 void ParseInt(const char* v, T* out) {
   const char* end = v + std::strlen(v);
   const auto [ptr, ec] = std::from_chars(v, end, *out);
-  if (ec != std::errc() || ptr != end) throw NotAnInteger{};
+  if (ec != std::errc() || ptr != end) throw BadInteger{"an integer"};
+}
+
+// ParseInt for counts, sizes, bounds and budgets: a negative value is a
+// usage error, never a silent default or "unlimited".
+template <typename T>
+void ParseCount(const char* v, T* out) {
+  long long n = 0;
+  ParseInt(v, &n);
+  if (n < 0) throw BadInteger{"a non-negative integer"};
+  if (!std::in_range<T>(n)) throw BadInteger{"an integer"};
+  *out = static_cast<T>(n);
 }
 
 constexpr char kAllCommands[] =
@@ -156,10 +166,7 @@ const FlagSpec kFlags[] = {
      "verify/mg with --backend=concrete: env threads in the instance "
      "(1-4096, default 2); serve: request-pool workers (default 0 = all "
      "hardware threads)",
-     [](Options& o, const char* v) {
-       o.threads_set = true;
-       ParseInt(v, &o.threads);
-     }},
+     [](Options& o, const char* v) { ParseInt(v, &o.threads.emplace()); }},
     {"--unroll", true, "K", "verify mg dump-datalog dlanalyze certcheck",
      "unroll bound for dis loops (default 0 = reject loops)",
      [](Options& o, const char* v) { ParseInt(v, &o.unroll); }},
@@ -169,21 +176,27 @@ const FlagSpec kFlags[] = {
      [](Options& o, const char* v) { o.tmai_domain = v; }},
     {"--tmai-max-iterations", true, "N", "verify mg",
      "TMAI interference fixpoint rounds before giving up (default 64)",
-     [](Options& o, const char* v) { ParseInt(v, &o.tmai_max_iterations); }},
+     [](Options& o, const char* v) {
+       ParseCount(v, &o.vopts.tmai.max_iterations);
+     }},
     {"--tmai-widening-delay", true, "N", "verify mg",
      "TMAI joins at one CFA node before disjuncts widen (default 8)",
-     [](Options& o, const char* v) { ParseInt(v, &o.tmai_widening_delay); }},
+     [](Options& o, const char* v) {
+       ParseCount(v, &o.vopts.tmai.widening_delay);
+     }},
     {"--tmai-value-set-limit", true, "N", "verify mg",
      "TMAI explicit value-set size beyond which a set becomes top "
      "(default 16)",
-     [](Options& o, const char* v) { ParseInt(v, &o.tmai_value_set_limit); }},
+     [](Options& o, const char* v) {
+       ParseCount(v, &o.vopts.tmai.value_set_limit);
+     }},
     {"--cert", true, "FILE", "certcheck",
      "certificate JSON to validate (bare object, or a verify/mg "
      "--format=json envelope containing one)",
      [](Options& o, const char* v) { o.cert_file = v; }},
     {"--budget-ms", true, "N", "verify mg",
      "wall-clock budget in ms, 0 = unlimited (default 30000)",
-     [](Options& o, const char* v) { ParseInt(v, &o.budget_ms); }},
+     [](Options& o, const char* v) { ParseCount(v, &o.vopts.time_budget_ms); }},
     {"--witness", false, nullptr, "verify mg",
      "print the witness run on UNSAFE",
      [](Options& o, const char*) { o.witness = true; }},
@@ -207,13 +220,15 @@ const FlagSpec kFlags[] = {
     {"--cache-entries", true, "N", "serve",
      "verdict-cache capacity in entries, 0 disables the cache "
      "(default 1024)",
-     [](Options& o, const char* v) { ParseInt(v, &o.cache_entries); }},
+     [](Options& o, const char* v) {
+       ParseCount(v, &o.serve.cache_entries);
+     }},
     {"--cache-bytes", true, "N", "serve",
      "verdict-cache resident-bytes ceiling (default 67108864)",
-     [](Options& o, const char* v) { ParseInt(v, &o.cache_bytes); }},
+     [](Options& o, const char* v) { ParseCount(v, &o.serve.cache_bytes); }},
     {"--pretty", false, nullptr, "serve",
      "indent response envelopes (default: one response per line)",
-     [](Options& o, const char*) { o.pretty = true; }},
+     [](Options& o, const char*) { o.serve.pretty = true; }},
     {"--checkpoint", true, "FILE", "verify mg",
      "datalog backend: write scan checkpoints to FILE (atomic "
      "tmp+rename)",
@@ -225,11 +240,13 @@ const FlagSpec kFlags[] = {
     {"--checkpoint-every", true, "N", "verify mg",
      "scanned guesses between periodic checkpoints (default 64 when "
      "--checkpoint is given)",
-     [](Options& o, const char* v) { ParseInt(v, &o.checkpoint_every); }},
+     [](Options& o, const char* v) { ParseCount(v, &o.checkpoint_every); }},
     {"--scan-limit", true, "N", "verify mg",
      "stop after scanning N guesses this run and checkpoint "
      "(deterministic truncation for kill-and-resume; 0 = unlimited)",
-     [](Options& o, const char* v) { ParseInt(v, &o.scan_limit); }},
+     [](Options& o, const char* v) {
+       ParseCount(v, &o.vopts.datalog.scan_limit);
+     }},
     {"--metrics", false, nullptr, "verify mg",
      "print the telemetry registry after the verdict",
      [](Options& o, const char*) { o.metrics = true; }},
@@ -298,6 +315,7 @@ int CommandHelp(const std::string& cmd) {
 // error) on a usage error.
 int ParseArgs(int argc, char** argv, Options* opts) {
   if (argc < 2) return GlobalUsage();
+  opts->vopts.time_budget_ms = 30'000;
   opts->command = argv[1];
   if (opts->command == "--help" || opts->command == "-h") {
     GlobalUsage();
@@ -356,9 +374,9 @@ int ParseArgs(int argc, char** argv, Options* opts) {
     }
     try {
       spec->apply(*opts, value);
-    } catch (const NotAnInteger&) {
-      std::fprintf(stderr, "flag %s expects an integer, got '%s'\n",
-                   name.c_str(), value);
+    } catch (const BadInteger& e) {
+      std::fprintf(stderr, "flag %s expects %s, got '%s'\n", name.c_str(),
+                   e.expected, value);
       return 3;
     }
   }
@@ -575,7 +593,7 @@ int RunVerify(const Options& opts, bool mg) {
   // the makeP guess enumeration, which the other backends do not scan.
   const bool wants_checkpoints =
       !opts.checkpoint_file.empty() || !opts.resume_file.empty() ||
-      opts.checkpoint_every > 0 || opts.scan_limit > 0;
+      opts.checkpoint_every > 0 || opts.vopts.datalog.scan_limit > 0;
   if (wants_checkpoints && opts.backend != "datalog") {
     return FailVerify(opts,
                       "--checkpoint/--resume/--checkpoint-every/"
@@ -583,15 +601,18 @@ int RunVerify(const Options& opts, bool mg) {
   }
   // --threads is the concrete backend's env-thread count; serve's
   // env_threads option accepts the same range.
-  if (opts.threads_set && opts.backend != "concrete") {
-    return FailVerify(opts, "flag --threads requires --backend=concrete");
-  }
-  constexpr int kMaxThreads = rapar::ConcreteBackendOptions::kMaxEnvThreads;
-  if (opts.threads < 1 || opts.threads > kMaxThreads) {
-    return FailVerify(opts,
-                      "flag --threads expects an env-thread count in [1, " +
-                          std::to_string(kMaxThreads) + "], got '" +
-                          std::to_string(opts.threads) + "'");
+  if (opts.threads.has_value()) {
+    if (opts.backend != "concrete") {
+      return FailVerify(opts, "flag --threads requires --backend=concrete");
+    }
+    constexpr int kMaxThreads =
+        rapar::ConcreteBackendOptions::kMaxEnvThreads;
+    if (*opts.threads < 1 || *opts.threads > kMaxThreads) {
+      return FailVerify(
+          opts, "flag --threads expects an env-thread count in [1, " +
+                    std::to_string(kMaxThreads) + "], got '" +
+                    std::to_string(*opts.threads) + "'");
+    }
   }
 
   // The recorder must outlive the whole run so the parse phase is on the
@@ -615,37 +636,23 @@ int RunVerify(const Options& opts, bool mg) {
   }
   if (!json) std::printf("system: %s\n", sys.value().Signature().c_str());
 
-  rapar::VerifierOptions vopts;
-  if (opts.backend == "simplified") {
-    vopts.backend = rapar::Backend::kSimplifiedExplorer;
-  } else if (opts.backend == "datalog") {
-    vopts.backend = rapar::Backend::kDatalog;
-  } else if (opts.backend == "concrete") {
-    vopts.backend = rapar::Backend::kConcrete;
-  } else if (opts.backend == "tmai") {
-    vopts.backend = rapar::Backend::kTmai;
-  } else if (opts.backend == "portfolio") {
-    vopts.backend = rapar::Backend::kPortfolio;
-  } else {
+  rapar::VerifierOptions vopts = opts.vopts;
+  const std::optional<rapar::Backend> backend =
+      rapar::ParseBackend(opts.backend);
+  if (!backend.has_value()) {
     std::fprintf(stderr, "unknown backend '%s'\n", opts.backend.c_str());
     return 3;
   }
-  if (opts.tmai_domain == "smallset") {
-    vopts.tmai.domain = rapar::tmai::Domain::kSmallSet;
-  } else if (opts.tmai_domain == "relational") {
-    vopts.tmai.domain = rapar::tmai::Domain::kRelational;
-  } else if (opts.tmai_domain == "auto") {
-    vopts.tmai.domain = rapar::tmai::Domain::kAuto;
-  } else {
+  vopts.backend = *backend;
+  const std::optional<rapar::tmai::Domain> domain =
+      rapar::tmai::ParseDomain(opts.tmai_domain);
+  if (!domain.has_value()) {
     std::fprintf(stderr, "unknown TMAI domain '%s'\n",
                  opts.tmai_domain.c_str());
     return 3;
   }
-  vopts.tmai.max_iterations = opts.tmai_max_iterations;
-  vopts.tmai.widening_delay = opts.tmai_widening_delay;
-  vopts.tmai.value_set_limit = opts.tmai_value_set_limit;
-  vopts.concrete.env_threads = opts.threads;
-  vopts.time_budget_ms = opts.budget_ms;
+  vopts.tmai.domain = *domain;
+  if (opts.threads.has_value()) vopts.concrete.env_threads = *opts.threads;
   vopts.obs.trace = trace;
 
   std::optional<std::pair<rapar::VarId, rapar::Value>> goal;
@@ -659,9 +666,6 @@ int RunVerify(const Options& opts, bool mg) {
   }
 
   // Checkpoint/resume wiring (validated above: datalog backend only).
-  if (opts.scan_limit > 0) {
-    vopts.datalog.scan_limit = static_cast<std::size_t>(opts.scan_limit);
-  }
   if (!opts.resume_file.empty() || !opts.checkpoint_file.empty()) {
     const std::string query = CheckpointQuery(sys.value(), opts, mg);
     if (!opts.resume_file.empty()) {
@@ -947,18 +951,17 @@ int DlAnalyze(const Options& opts) {
 // stdin, one result envelope per stdout line (core/serve.h has the wire
 // protocol). Runs until EOF on stdin.
 int Serve(const Options& opts) {
-  rapar::serve::ServeOptions sopts;
-  sopts.threads = opts.threads_set
-                      ? static_cast<unsigned>(opts.threads < 0 ? 0
-                                                               : opts.threads)
-                      : 0;
-  sopts.cache_entries = opts.cache_entries < 0
-                            ? 0
-                            : static_cast<std::size_t>(opts.cache_entries);
-  sopts.cache_bytes = opts.cache_bytes < 0
-                          ? 0
-                          : static_cast<std::size_t>(opts.cache_bytes);
-  sopts.pretty = opts.pretty;
+  rapar::serve::ServeOptions sopts = opts.serve;
+  if (opts.threads.has_value()) {
+    if (*opts.threads < 0) {
+      std::fprintf(stderr,
+                   "flag --threads expects a non-negative worker count, "
+                   "got '%d'\n",
+                   *opts.threads);
+      return 3;
+    }
+    sopts.threads = static_cast<unsigned>(*opts.threads);
+  }
   rapar::serve::ServeSession session(sopts);
   session.Run(std::cin, std::cout);
   return 0;

@@ -58,15 +58,17 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" --target serve_test
 ctest --preset tsan -R ServeTest -j "$jobs"
 
-# Optional (CHECK_BENCH=1): reproduce the bench_backends tables and gate
-# the TMAI domain ablation the way CI does — relational proof rate must
-# dominate small-set, all certificates valid, verdict parity. Needs jq.
+# Optional (CHECK_BENCH=1): reproduce the bench_backends tables (backend
+# comparison, observability overhead, TMAI domains), fail on a MISMATCH
+# row, and gate the TMAI domain table the way CI does — relational proof
+# rate must dominate small-set, all certificates valid, verdict parity.
+# Needs jq.
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
   cmake --build --preset default -j "$jobs" --target bench_backends
   (cd build && ./bench/bench_backends --json --benchmark_filter=NONE \
     | tee ../BENCH_tables.txt)
   if grep -q MISMATCH BENCH_tables.txt; then
-    echo "check.sh: bench ablation produced diverging results" >&2
+    echo "check.sh: a bench table produced diverging results" >&2
     exit 1
   fi
   jq -e '.totals.proof_rate_relational >= .totals.proof_rate_smallset

@@ -5,8 +5,6 @@
 
 namespace rapar {
 
-namespace {
-
 const char* BackendName(Backend b) {
   switch (b) {
     case Backend::kSimplifiedExplorer:
@@ -23,7 +21,13 @@ const char* BackendName(Backend b) {
   return "unknown";
 }
 
-}  // namespace
+std::optional<Backend> ParseBackend(std::string_view name) {
+  for (Backend b : {Backend::kSimplifiedExplorer, Backend::kDatalog,
+                    Backend::kConcrete, Backend::kTmai, Backend::kPortfolio}) {
+    if (name == BackendName(b)) return b;
+  }
+  return std::nullopt;
+}
 
 const char* VerdictName(Verdict::Result r) {
   switch (r) {
@@ -111,9 +115,6 @@ std::string VerdictToJson(const Verdict& v, const VerifierOptions& options,
   w.Key("options").BeginObject();
   w.Key("backend").String(BackendName(options.backend));
   w.Key("enable_prepass").Bool(options.enable_prepass);
-  w.Key("datalog").BeginObject();
-  w.Key("enable_dlopt").Bool(options.datalog.enable_dlopt);
-  w.EndObject();
   w.Key("concrete").BeginObject();
   w.Key("env_threads").Int(options.concrete.env_threads);
   w.EndObject();

@@ -16,10 +16,13 @@
 // schema_version; renaming or removing one (or changing a type) bumps
 // kResultSchemaVersion. Consumers should ignore unknown fields.
 // Version 2 removed options.datalog.threads and options.datalog.batch_size
-// with the parallel guess driver (DESIGN.md §16).
+// with the parallel guess driver (DESIGN.md §16); version 3 removed the
+// options.datalog object together with the Datalog backend's unoptimized
+// mode, the switch it still echoed (DESIGN.md §18).
 #ifndef RAPAR_CORE_RESULT_JSON_H_
 #define RAPAR_CORE_RESULT_JSON_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,10 +33,16 @@
 
 namespace rapar {
 
-inline constexpr int kResultSchemaVersion = 2;
+inline constexpr int kResultSchemaVersion = 3;
 
 // "safe", "unsafe" or "unknown".
 const char* VerdictName(Verdict::Result r);
+// "simplified", "datalog", "concrete", "tmai" or "portfolio": the names
+// the CLI's --backend and serve's "backend" option take, and the
+// envelope's options.backend.
+const char* BackendName(Backend b);
+// The backend BackendName gives `name`; nullopt for any other name.
+std::optional<Backend> ParseBackend(std::string_view name);
 // The CLI exit code the verdict maps to (0 / 1 / 2).
 int VerdictExitCode(const Verdict& v);
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -48,8 +49,6 @@ struct Request {
   long long goal_val = -1;
   int unroll = 0;
   VerifierOptions vopts;
-  std::string backend_name;      // normalized, for the fingerprint
-  std::string tmai_domain_name;  // normalized, for the fingerprint
   std::string error;
 };
 
@@ -66,26 +65,19 @@ const JsonValue* FindMember(const JsonValue& obj, const char* key) {
   return obj.Find(key);
 }
 
-// Integer member with type checking; leaves *out untouched when absent.
-bool GetInt(const JsonValue& obj, const char* key, long long* out,
-            std::string* error) {
-  const JsonValue* v = FindMember(obj, key);
-  if (v == nullptr) return true;
-  if (!v->is_number() || !v->number_is_int) {
-    *error = std::string("field '") + key + "' must be an integer";
-    return false;
-  }
-  *out = v->integer;
-  return true;
-}
-
 // Ceiling for option knobs that narrow to int downstream: far beyond any
 // operational setting, comfortably inside int32.
 constexpr long long kKnobMax = 1'000'000'000;
+// Ceiling for the knobs that stay 64-bit (state and guess caps, the
+// budget): only the lower bound matters.
+constexpr long long kCountMax = std::numeric_limits<long long>::max();
 
-// GetInt plus a [min, max] check: untrusted clients must get a decode
-// error on out-of-range values, never a silently wrapped narrow cast.
-bool GetIntRange(const JsonValue& obj, const char* key, long long* out,
+// Integer member in [min, max], stored into *out (an integer type that
+// holds the whole range); leaves *out untouched when absent. Untrusted
+// clients must get a decode error on out-of-range values, never a
+// silently wrapped narrow cast or a default in place of a negative count.
+template <typename T>
+bool GetIntRange(const JsonValue& obj, const char* key, T* out,
                  long long min, long long max, std::string* error) {
   const JsonValue* v = FindMember(obj, key);
   if (v == nullptr) return true;
@@ -98,7 +90,7 @@ bool GetIntRange(const JsonValue& obj, const char* key, long long* out,
              std::to_string(min) + ", " + std::to_string(max) + "]";
     return false;
   }
-  *out = v->integer;
+  *out = static_cast<T>(v->integer);
   return true;
 }
 
@@ -126,8 +118,9 @@ bool GetString(const JsonValue& obj, const char* key, std::string* out,
   return true;
 }
 
-// Decodes the request object into a Request. Defaults mirror the CLI
-// (30s budget, simplified backend).
+// Decodes the request object into a Request: the library's
+// VerifierOptions defaults, except for the daemon's 30 s budget (the
+// CLI's too).
 Request DecodeRequest(const JsonValue& doc) {
   Request req;
   req.vopts.time_budget_ms = 30'000;
@@ -203,15 +196,10 @@ Request DecodeRequest(const JsonValue& doc) {
     return req;
   }
 
-  // Options object: same knobs the CLI flag table exposes. Fields that
-  // narrow to int (or otherwise feed fixed-width knobs) are
-  // range-checked here so an out-of-range value answers a decode error.
-  req.backend_name = "simplified";
-  req.tmai_domain_name = "auto";
-  long long env_threads = 2;
-  long long max_states = -1, max_depth = -1, max_guesses = -1;
-  long long time_budget_ms = 30'000, unroll = 0;
-  long long tmai_iters = 64, tmai_delay = 8, tmai_vset = 16;
+  // Options object. Every integer is range-checked here, so an
+  // out-of-range value answers a decode error.
+  std::string backend = BackendName(req.vopts.backend);
+  std::string tmai_domain = tmai::DomainName(req.vopts.tmai.domain);
   if (const JsonValue* opts = doc.Find("options")) {
     if (!opts->is_object()) {
       req.error = "field 'options' must be an object";
@@ -220,8 +208,7 @@ Request DecodeRequest(const JsonValue& doc) {
     // Every key read below. Anything else is a decode error, so a
     // misspelled or retired knob never silently runs with its default.
     static constexpr std::string_view kOptionKeys[] = {
-        "backend", "tmai_domain", "enable_prepass", "enable_dlopt",
-        "env_threads", "unroll",
+        "backend", "tmai_domain", "enable_prepass", "env_threads", "unroll",
         "tmai_max_iterations", "tmai_widening_delay", "tmai_value_set_limit",
         "max_states", "max_depth", "time_budget_ms", "max_guesses"};
     for (const auto& member : opts->members) {
@@ -231,67 +218,47 @@ Request DecodeRequest(const JsonValue& doc) {
         return req;
       }
     }
-    if (!GetString(*opts, "backend", &req.backend_name, &req.error) ||
-        !GetString(*opts, "tmai_domain", &req.tmai_domain_name, &req.error) ||
-        !GetBool(*opts, "enable_prepass", &req.vopts.enable_prepass,
-                 &req.error) ||
-        !GetBool(*opts, "enable_dlopt", &req.vopts.datalog.enable_dlopt,
-                 &req.error) ||
-        !GetIntRange(*opts, "env_threads", &env_threads, 1,
+    VerifierOptions& vo = req.vopts;
+    long long max_depth = -1;
+    if (!GetString(*opts, "backend", &backend, &req.error) ||
+        !GetString(*opts, "tmai_domain", &tmai_domain, &req.error) ||
+        !GetBool(*opts, "enable_prepass", &vo.enable_prepass, &req.error) ||
+        !GetIntRange(*opts, "env_threads", &vo.concrete.env_threads, 1,
                      ConcreteBackendOptions::kMaxEnvThreads, &req.error) ||
-        !GetIntRange(*opts, "unroll", &unroll, 0, 1'000'000, &req.error) ||
-        !GetIntRange(*opts, "tmai_max_iterations", &tmai_iters, 0, kKnobMax,
+        !GetIntRange(*opts, "unroll", &req.unroll, 0, 1'000'000,
                      &req.error) ||
-        !GetIntRange(*opts, "tmai_widening_delay", &tmai_delay, 0, kKnobMax,
+        !GetIntRange(*opts, "tmai_max_iterations", &vo.tmai.max_iterations,
+                     0, kKnobMax, &req.error) ||
+        !GetIntRange(*opts, "tmai_widening_delay", &vo.tmai.widening_delay,
+                     0, kKnobMax, &req.error) ||
+        !GetIntRange(*opts, "tmai_value_set_limit",
+                     &vo.tmai.value_set_limit, 0, kKnobMax, &req.error) ||
+        !GetIntRange(*opts, "max_states", &vo.max_states, 0, kCountMax,
                      &req.error) ||
-        !GetIntRange(*opts, "tmai_value_set_limit", &tmai_vset, 0, kKnobMax,
-                     &req.error) ||
-        !GetInt(*opts, "max_states", &max_states, &req.error) ||
         !GetIntRange(*opts, "max_depth", &max_depth, -1, kKnobMax,
                      &req.error) ||
-        !GetInt(*opts, "time_budget_ms", &time_budget_ms, &req.error) ||
-        !GetInt(*opts, "max_guesses", &max_guesses, &req.error)) {
+        !GetIntRange(*opts, "time_budget_ms", &vo.time_budget_ms, 0,
+                     kCountMax, &req.error) ||
+        !GetIntRange(*opts, "max_guesses", &vo.max_guesses, 0, kCountMax,
+                     &req.error)) {
       return req;
     }
+    // -1 keeps the default depth cap.
+    if (max_depth >= 0) vo.max_depth = static_cast<int>(max_depth);
   }
 
-  if (req.backend_name == "simplified") {
-    req.vopts.backend = Backend::kSimplifiedExplorer;
-  } else if (req.backend_name == "datalog") {
-    req.vopts.backend = Backend::kDatalog;
-  } else if (req.backend_name == "concrete") {
-    req.vopts.backend = Backend::kConcrete;
-  } else if (req.backend_name == "tmai") {
-    req.vopts.backend = Backend::kTmai;
-  } else if (req.backend_name == "portfolio") {
-    req.vopts.backend = Backend::kPortfolio;
-  } else {
-    req.error = "unknown backend \"" + req.backend_name + "\"";
+  const std::optional<Backend> parsed_backend = ParseBackend(backend);
+  if (!parsed_backend.has_value()) {
+    req.error = "unknown backend \"" + backend + "\"";
     return req;
   }
-  if (req.tmai_domain_name == "smallset") {
-    req.vopts.tmai.domain = tmai::Domain::kSmallSet;
-  } else if (req.tmai_domain_name == "relational") {
-    req.vopts.tmai.domain = tmai::Domain::kRelational;
-  } else if (req.tmai_domain_name == "auto") {
-    req.vopts.tmai.domain = tmai::Domain::kAuto;
-  } else {
-    req.error = "unknown TMAI domain \"" + req.tmai_domain_name + "\"";
+  req.vopts.backend = *parsed_backend;
+  const std::optional<tmai::Domain> domain = tmai::ParseDomain(tmai_domain);
+  if (!domain.has_value()) {
+    req.error = "unknown TMAI domain \"" + tmai_domain + "\"";
     return req;
   }
-  req.vopts.concrete.env_threads = static_cast<int>(env_threads);
-  req.vopts.tmai.max_iterations = static_cast<int>(tmai_iters);
-  req.vopts.tmai.widening_delay = static_cast<int>(tmai_delay);
-  req.vopts.tmai.value_set_limit = static_cast<int>(tmai_vset);
-  if (max_states >= 0) {
-    req.vopts.max_states = static_cast<std::size_t>(max_states);
-  }
-  if (max_depth >= 0) req.vopts.max_depth = static_cast<int>(max_depth);
-  req.vopts.time_budget_ms = time_budget_ms;
-  if (max_guesses >= 0) {
-    req.vopts.max_guesses = static_cast<std::size_t>(max_guesses);
-  }
-  req.unroll = static_cast<int>(unroll);
+  req.vopts.tmai.domain = *domain;
   return req;
 }
 
@@ -331,16 +298,13 @@ void AppendOptionHeader(const Request& req, std::string* out) {
     s += "goal=" + std::to_string(req.goal_var.size()) + ':' + req.goal_var +
          ':' + std::to_string(req.goal_val) + '\n';
   }
-  s += "backend=" + req.backend_name + '\n';
-  s += "prepass=";
+  s += "backend=";
+  s += BackendName(vo.backend);
+  s += "\nprepass=";
   s += vo.enable_prepass ? '1' : '0';
-  s += "\ndlopt=";
-  s += vo.datalog.enable_dlopt ? '1' : '0';
-  s += "\nengine=";
-  s += vo.datalog.engine.use_index ? '1' : '0';
-  s += vo.datalog.engine.reorder_joins ? '1' : '0';
-  s += "\ntmai=" + req.tmai_domain_name + ':' +
-       std::to_string(vo.tmai.max_iterations) + ':' +
+  s += "\ntmai=";
+  s += tmai::DomainName(vo.tmai.domain);
+  s += ':' + std::to_string(vo.tmai.max_iterations) + ':' +
        std::to_string(vo.tmai.widening_delay) + ':' +
        std::to_string(vo.tmai.value_set_limit) + '\n';
   s += "limits=" + std::to_string(vo.max_states) + ':' +

@@ -17,8 +17,7 @@
 //    "dis": ["<text>", ...],      // or "dis_files": ["<path>", ...]
 //    "var": "<name>", "val": N,   // mg goal message
 //    "options": {"backend": "simplified|datalog|concrete|tmai|portfolio",
-//                "unroll": K, "enable_prepass": B, "enable_dlopt": B,
-//                "env_threads": N,
+//                "unroll": K, "enable_prepass": B, "env_threads": N,
 //                "tmai_domain": "smallset|relational|auto",
 //                "tmai_max_iterations": N, "tmai_widening_delay": N,
 //                "tmai_value_set_limit": N, "max_states": N,
@@ -45,8 +44,11 @@
 // Malformed requests answer a one-line error envelope (command "error",
 // exit_code 3) and the daemon keeps serving. Integer option fields are
 // range-checked during decoding: an out-of-range value (e.g. an
-// "env_threads" that would not survive the narrowing cast) is a decode
-// error, never a silently wrapped knob. Internal failures — a backend
+// "env_threads" that would not survive the narrowing cast, or a negative
+// "max_states", "max_guesses" or "time_budget_ms") is a decode error,
+// never a silently wrapped knob or a default. Unset options take the
+// VerifierOptions defaults, except "time_budget_ms", which defaults to
+// 30000 (the CLI's default too). Internal failures — a backend
 // exception, an allocation failure mid-render — answer the same error
 // envelope: errors never kill the stream.
 //

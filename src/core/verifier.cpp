@@ -259,8 +259,6 @@ Verdict RunDatalog(const ParamSystem& system,
   opts.checkpoint_every = options.datalog.checkpoint_every;
   opts.checkpoint_sink = options.datalog.checkpoint_sink;
   opts.scan_limit = options.datalog.scan_limit;
-  opts.enable_dlopt = options.datalog.enable_dlopt;
-  opts.engine = options.datalog.engine;
   opts.time_budget_ms = options.time_budget_ms;
   opts.trace = options.obs.trace;
   DatalogVerdict dv;

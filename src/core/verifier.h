@@ -59,22 +59,15 @@ enum class Backend {
 
 // Knobs that only the Datalog backend reads.
 struct DatalogBackendOptions {
-  // Optimize every emitted query instance (dead-rule, demand
-  // specialization, dedup, copy aliasing — see src/dlopt/optimize.h)
-  // before evaluation. Verdict-preserving; pruned counts land in the
-  // dlopt.* metrics.
-  bool enable_dlopt = true;
-  // Evaluation-core tuning — argument-hash join indexes and cheapest-first
-  // body ordering (dl::EngineOptions). Both on by default; the
-  // bench_backends index ablation flips them off to measure the effect.
-  dl::EngineOptions engine;
-  // Not a knob: the verifier reads no batch size. rabench's traced
-  // replay (rabench/traced_main.cpp) drains its cursor in chunks of
-  // `vo.datalog.batch_size`, and the benchmark's files change only in a
-  // benchmark change of their own; that change gives the replay its own
-  // chunk size and deletes this constant (a benchmark follow-up in
-  // ROADMAP.md item 1).
+  // Not knobs: the verifier reads neither. rabench's traced replay
+  // (rabench/traced_main.cpp) drains its cursor in chunks of
+  // `vo.datalog.batch_size` and evaluates with `vo.datalog.engine` (the
+  // dl::EngineOptions defaults the verifier solves with), and the
+  // benchmark's files change only in a benchmark change of their own;
+  // that change gives the replay its own values and deletes both
+  // constants (a benchmark follow-up in ROADMAP.md item 1).
   static constexpr std::size_t batch_size = 32;
+  static constexpr dl::EngineOptions engine{};
   // ---- Checkpoint / resume (DESIGN.md §8) ----
   // Resume: skip global indices below start_index (scanned by a previous
   // run, typically a CursorCheckpoint's next_index); the guess count
@@ -162,8 +155,9 @@ struct Verdict {
   // the bug (from the witness dependency graph); unset when safe or not
   // computed.
   std::optional<long long> env_thread_bound;
-  // Static width/solver classification of the first optimized query
-  // instance (Datalog backend only).
+  // Static width/solver classification of the optimized program of the
+  // first guess the Datalog backend solves; empty when it solves none
+  // and on the other backends.
   std::string width_report;
   // Phase a wall-clock deadline stopped ("explore" for the state-space
   // backends, "solve" for the Datalog guess scan), "scan-limit" when

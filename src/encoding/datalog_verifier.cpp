@@ -1,12 +1,12 @@
 #include "encoding/datalog_verifier.h"
 
 #include <chrono>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/strings.h"
 #include "datalog/engine.h"
 #include "dlopt/pred_graph.h"
@@ -15,25 +15,6 @@
 namespace rapar {
 
 namespace {
-
-// Cooperative wall-clock deadline (time_budget_ms). Checked once per
-// solve, so the clock read is negligible next to the work it bounds.
-class Deadline {
- public:
-  explicit Deadline(long long ms) {
-    if (ms > 0) {
-      limited_ = true;
-      at_ = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    }
-  }
-  bool Expired() const {
-    return limited_ && std::chrono::steady_clock::now() > at_;
-  }
-
- private:
-  bool limited_ = false;
-  std::chrono::steady_clock::time_point at_;
-};
 
 // Everything one guess contributes to the verdict.
 struct GuessOutcome {
@@ -53,8 +34,7 @@ struct GuessOutcome {
   std::size_t rules_after = 0;
   dlopt::DlOptStats dlopt;
   dl::EvalStats stats;
-  std::string witness;       // filled when derived
-  std::string width_report;  // filled for guess 0 only
+  std::string witness;  // filled when derived
 
   bool terminating() const { return derived || budget_aborted; }
 };
@@ -102,36 +82,28 @@ void TraceDecided(obs::TraceRecorder* trace, std::size_t index,
 // Sorts one run's guesses, in the enumeration order they are fed in,
 // into those skipped (MakePEncoder::MayDerive rules the goal out), those
 // solved and those shared: a guess whose class key an earlier solved
-// guess opened takes that guess's outcome (DESIGN.md §6). Skipping and
-// sharing follow enable_dlopt, since the lemmas are about the optimized
-// program. The run's first guess is always solved, for the width report.
+// guess opened takes that guess's outcome (DESIGN.md §6).
 class GuessClasses {
  public:
   enum class Kind { kSkip, kSolve, kShare };
-  static constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
   struct Class {
-    Kind kind = Kind::kSolve;
-    // kShare: the class whose representative's outcome the guess takes.
-    // kSolve: the class the guess opens, or kNoClass. Classes are numbered
-    // in the order they open.
-    std::size_t id = kNoClass;
+    Kind kind = Kind::kSkip;
+    // kSolve: the class the guess opens; kShare: the class whose
+    // representative's outcome the guess takes. Classes are numbered in
+    // the order they open.
+    std::size_t id = 0;
   };
 
-  GuessClasses(const MakePEncoder& encoder, bool enabled)
-      : encoder_(encoder), enabled_(enabled) {}
+  explicit GuessClasses(const MakePEncoder& encoder) : encoder_(encoder) {}
 
-  Class Next(const DisGuess& guess, bool first) {
-    if (!enabled_) return {};
-    if (!encoder_.MayDerive(guess, &key_)) {
-      return {first ? Kind::kSolve : Kind::kSkip, kNoClass};
-    }
+  Class Next(const DisGuess& guess) {
+    if (!encoder_.MayDerive(guess, &key_)) return {Kind::kSkip};
     const auto [it, opened] = ids_.try_emplace(key_, ids_.size());
     return {opened ? Kind::kSolve : Kind::kShare, it->second};
   }
 
  private:
   const MakePEncoder& encoder_;
-  const bool enabled_;
   std::unordered_map<std::string, std::size_t> ids_;
   std::string key_;  // scratch
 };
@@ -152,14 +124,12 @@ class GuessSolver {
         options_(options),
         encoder_(sys, MakePOptions{options.goal_message}) {
     eval_.max_tuples = options.max_tuples_per_query;
-    eval_.engine = options.engine;
     dlopt_.trace = options.trace;
   }
 
   const MakePEncoder& encoder() const { return encoder_; }
 
-  GuessOutcome Solve(const DisGuess& guess, std::size_t index,
-                     bool want_width_report) {
+  GuessOutcome Solve(const DisGuess& guess, std::size_t index) {
     using Clock = std::chrono::steady_clock;
     obs::ScopedSpan span(options_.trace, "guess");
     GuessOutcome out;
@@ -171,37 +141,32 @@ class GuessSolver {
     out.rules_emitted = q.prog->size();
 
     const Clock::time_point dlopt_start = Clock::now();
-    const dl::Program* prog = q.prog.get();
     dlopt::OptimizeResult opt;
+    dlopt::PredGraph graph;
     dl::JoinHints hints;
-    std::optional<dlopt::PredGraph> graph;
-    eval_.hints = nullptr;
-    if (options_.enable_dlopt) {
+    {
       obs::ScopedSpan s(options_.trace, "dlopt");
       opt = dlopt::OptimizeForQuery(std::move(*q.prog), q.goal, dlopt_);
-      out.dlopt = opt.stats;
-      prog = &opt.prog;
       // The width/SCC classification doubles as the engine's join-order
       // growth hint (EDB < non-recursive IDB < recursive IDB).
-      graph.emplace(dlopt::PredGraph::Build(*prog));
-      hints = dlopt::MakeJoinHints(*graph);
-      eval_.hints = &hints;
+      graph = dlopt::PredGraph::Build(opt.prog);
+      hints = dlopt::MakeJoinHints(graph);
     }
-    out.rules_after = prog->size();
+    out.dlopt = opt.stats;
+    out.rules_after = opt.prog.size();
+    eval_.hints = &hints;
     const Clock::time_point dlopt_end = Clock::now();
-    if (want_width_report) {
-      // Reuse the join-hint graph instead of building a second one for
-      // the report (they describe the same optimized program).
-      if (!graph.has_value()) graph.emplace(dlopt::PredGraph::Build(*prog));
-      out.width_report = dlopt::AnalyzeWidth(*prog, *graph, q.goal.pred)
-                             .ToString(*prog, *graph);
+    if (width_report_.empty()) {
+      // The run's first solve; the report reuses the join-hint graph.
+      width_report_ = dlopt::AnalyzeWidth(opt.prog, graph, q.goal.pred)
+                          .ToString(opt.prog, graph);
     }
 
     const Clock::time_point eval_start = Clock::now();
     {
       obs::ScopedSpan s(options_.trace, "eval");
       try {
-        out.derived = engine_.Solve(*prog, q.goal, eval_);
+        out.derived = engine_.Solve(opt.prog, q.goal, eval_);
       } catch (const dl::BudgetExceeded&) {
         out.budget_aborted = true;  // partial stats of the solve still count
       }
@@ -223,11 +188,12 @@ class GuessSolver {
     return out;
   }
 
-  // Adds this solver's per-phase times to `v`.
+  // Adds this solver's per-phase times and its width report to `v`.
   void AddTotals(DatalogVerdict& v) const {
     v.makep_ms += makep_ms_;
     v.dlopt_ms += dlopt_ms_;
     v.eval_ms += eval_ms_;
+    v.width_report = width_report_;
   }
 
  private:
@@ -240,6 +206,9 @@ class GuessSolver {
   double makep_ms_ = 0.0;
   double dlopt_ms_ = 0.0;
   double eval_ms_ = 0.0;
+  // The width classification of the first solved guess's optimized
+  // program; empty until a guess is solved.
+  std::string width_report_;
 };
 
 // Folds one evaluated guess into the verdict aggregates (enumeration
@@ -263,9 +232,6 @@ void Accumulate(DatalogVerdict& v, const GuessOutcome& o) {
   v.index_probes += o.stats.index_probes;
   v.index_hits += o.stats.index_hits;
   v.index_builds += o.stats.index_builds;
-  if (v.width_report.empty() && !o.width_report.empty()) {
-    v.width_report = o.width_report;
-  }
 }
 
 // Seals the verdict for a terminating event at global guess index `idx`.
@@ -308,7 +274,7 @@ DatalogVerdict DatalogVerify(const SimplSystem& sys,
   verdict.resume_offset = options.guess.start_index;
   DisGuessCursor cursor(sys, options.guess);
   GuessSolver solver(sys, options);
-  GuessClasses classes(solver.encoder(), options.enable_dlopt);
+  GuessClasses classes(solver.encoder());
   // Per class, what its later guesses take.
   std::vector<ClassOutcome> class_outcomes;
   const Deadline deadline(options.time_budget_ms);
@@ -317,7 +283,7 @@ DatalogVerdict DatalogVerify(const SimplSystem& sys,
   // The cursor emits consecutive indices from start_index on, so it is
   // also the verdict's guess count.
   std::size_t next_unscanned = options.guess.start_index;
-  std::size_t solves_this_run = 0;
+  std::size_t scanned_this_run = 0;
   std::size_t since_checkpoint = 0;
 
   while (const IndexedGuess* ig = cursor.Next()) {
@@ -332,8 +298,7 @@ DatalogVerdict DatalogVerify(const SimplSystem& sys,
       EmitCheckpoint(options, verdict, next_unscanned, false);
       return verdict;
     }
-    const bool first = solves_this_run == 0;
-    const GuessClasses::Class c = classes.Next(ig->guess, first);
+    const GuessClasses::Class c = classes.Next(ig->guess);
     GuessOutcome o;
     switch (c.kind) {
       case GuessClasses::Kind::kSkip:
@@ -345,13 +310,11 @@ DatalogVerdict DatalogVerify(const SimplSystem& sys,
         TraceDecided(options.trace, idx, "shared");
         break;
       case GuessClasses::Kind::kSolve:
-        o = solver.Solve(ig->guess, idx, /*want_width_report=*/first);
-        if (c.id != GuessClasses::kNoClass) {
-          class_outcomes.push_back(ClassOutcomeOf(o));
-        }
+        o = solver.Solve(ig->guess, idx);
+        class_outcomes.push_back(ClassOutcomeOf(o));
         break;
     }
-    ++solves_this_run;
+    ++scanned_this_run;
     ++since_checkpoint;
     next_unscanned = idx + 1;
     Accumulate(verdict, o);
@@ -368,7 +331,7 @@ DatalogVerdict DatalogVerify(const SimplSystem& sys,
       }
       return verdict;
     }
-    if (options.scan_limit != 0 && solves_this_run >= options.scan_limit) {
+    if (options.scan_limit != 0 && scanned_this_run >= options.scan_limit) {
       verdict.scan_limit_hit = true;
       verdict.exhaustive = false;
       verdict.guesses = next_unscanned;

@@ -3,15 +3,15 @@
 // Unsafe iff some execution of makeP yields (Prog, g) with Prog ⊢ g.
 //
 // One loop on the calling thread scans the guesses in enumeration order:
-// it steps a DisGuessCursor, which holds one guess at a time, and solves
-// each guess where the cursor holds it on one dl::Engine, stopping at the
-// first terminating event — a derived goal or a blown tuple budget.
-// Every guess is solved as its own fresh fixpoint, except that with
-// dlopt on the guess skeleton decides two kinds of guesses before makeP
-// (DESIGN.md §6): one that cannot derive the goal is skipped, and one
-// whose class key an earlier guess of the run already had shares that
-// guess's solve. The engine carries no result from one solve to the
-// next, only its allocations.
+// it steps a DisGuessCursor, which holds one guess at a time, and decides
+// each guess where the cursor holds it, stopping at the first terminating
+// event — a derived goal or a blown tuple budget. Every guess is decided
+// the same way (DESIGN.md §6): one that cannot derive the goal
+// (MakePEncoder::MayDerive) is skipped, one whose class key an earlier
+// guess of the run already had shares that guess's solve, and any other
+// is solved — makeP, dlopt's OptimizeForQuery, join hints, then a fresh
+// fixpoint on the run's one dl::Engine, which carries no result from one
+// solve to the next, only its allocations.
 //
 // Checkpoint/resume: a scan that stops without a verdict (scan_limit,
 // deadline, budget abort, enumeration cap) hands a
@@ -26,7 +26,6 @@
 #include <optional>
 #include <string>
 
-#include "datalog/engine.h"
 #include "dlopt/optimize.h"
 #include "encoding/makep.h"
 #include "obs/trace.h"
@@ -42,17 +41,6 @@ struct DatalogVerifierOptions {
   GuessEnumOptions guess;
   // Tuple budget per query evaluation (0 = unlimited).
   std::size_t max_tuples_per_query = 2'000'000;
-  // Evaluation-core tuning (argument-hash indexes, cheapest-first join
-  // ordering); see dl::EngineOptions.
-  dl::EngineOptions engine;
-  // Run the query-driven program optimizer (src/dlopt/) on every emitted
-  // (Prog, g) before evaluation. Verdict-preserving by construction
-  // (tests/dlopt_differential_test.cpp checks it); off only for debugging
-  // or differential testing. With it on, a guess whose optimized program
-  // is provably empty (MakePEncoder::MayDerive) is scanned without being
-  // encoded or solved, and a guess with the class key of an earlier guess
-  // takes that guess's outcome instead of being solved.
-  bool enable_dlopt = true;
   // Wall-clock budget in milliseconds; 0 = unlimited. Enforced
   // cooperatively at guess granularity: the deadline is checked before
   // every solve, so a single long solve can overshoot it. On expiry the
@@ -98,14 +86,14 @@ struct DatalogVerdict {
   std::size_t guesses = 0;
   // Scanned guesses split into those solved (makeP, dlopt, eval), those
   // skipped because MakePEncoder::MayDerive ruled the goal out, and those
-  // that shared the solve of an earlier guess with their class key (both
-  // only with enable_dlopt; DESIGN.md §6). A skipped guess's optimized
-  // program has no rules, and a shared guess's is its representative's
-  // up to predicate numbering, so the derivation counts below are the
-  // full pipeline's: a shared guess adds its representative's. Only
-  // total_rules, total_rules_after, the dlopt counts and the phase times
-  // cover the solved guesses alone. On a complete scan or an early exit
-  // the three sum to `guesses` less the resume offset.
+  // that shared the solve of an earlier guess with their class key
+  // (DESIGN.md §6). A skipped guess's optimized program has no rules, and
+  // a shared guess's is its representative's up to predicate numbering,
+  // so the derivation counts below are the full pipeline's: a shared
+  // guess adds its representative's. Only total_rules,
+  // total_rules_after, the dlopt counts and the phase times cover the
+  // solved guesses alone. On a complete scan or an early exit the three
+  // sum to `guesses` less the resume offset.
   std::size_t queries_evaluated = 0;
   std::size_t solves_skipped = 0;
   std::size_t solves_shared = 0;
@@ -116,8 +104,7 @@ struct DatalogVerdict {
   std::size_t total_rules_after = 0;  // evaluated after dlopt pruning
   std::size_t rule_firings = 0;
   std::size_t join_attempts = 0;
-  // Argument-hash index counters (zero when EngineOptions::use_index is
-  // off).
+  // Argument-hash index counters.
   std::size_t index_probes = 0;
   std::size_t index_hits = 0;
   std::size_t index_builds = 0;
@@ -143,8 +130,8 @@ struct DatalogVerdict {
   // Echo of the resume offset this run scanned from
   // (GuessEnumOptions::start_index), for telemetry and envelope reporting.
   std::size_t resume_offset = 0;
-  // Aggregate optimizer statistics over the scanned prefix (zero when
-  // dlopt is disabled; rules_before/after mirror total_rules{,_after}).
+  // Aggregate optimizer statistics over the solved guesses
+  // (rules_before/after mirror total_rules{,_after}).
   dlopt::DlOptStats dlopt;
   // Wall-clock milliseconds spent in makeP, in dlopt (with the engine's
   // join hints) and in evaluation, summed over the solved guesses;
@@ -152,9 +139,9 @@ struct DatalogVerdict {
   double makep_ms = 0.0;
   double dlopt_ms = 0.0;
   double eval_ms = 0.0;
-  // Static width/solver classification of the first guess's optimized
-  // program (the makeP shape is uniform across guesses), empty when no
-  // guess was evaluated.
+  // Static width/solver classification of the first solved guess's
+  // optimized program (the makeP shape is uniform across guesses), empty
+  // when the run solved no guess.
   std::string width_report;
   // The witnessing guess (pretty-printed) when unsafe.
   std::string witness_guess;

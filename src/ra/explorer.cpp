@@ -1,9 +1,10 @@
 #include "ra/explorer.h"
 
 #include <cassert>
-#include <chrono>
 #include <deque>
 #include <unordered_map>
+
+#include "common/deadline.h"
 
 namespace rapar {
 
@@ -168,15 +169,11 @@ RaResult RaExplorer::CheckSafety(const RaExplorerOptions& options) {
   frontier.push_back(0);
   note_config(init);
 
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options.time_budget_ms);
-  std::size_t ticks = 0;
+  Deadline deadline(options.time_budget_ms);
 
   std::vector<Successor> succs;
   while (!frontier.empty()) {
-    if (options.time_budget_ms > 0 && (++ticks & 63) == 0 &&
-        std::chrono::steady_clock::now() > deadline) {
+    if (deadline.Poll()) {
       result.exhaustive = false;
       result.budget_hit = true;
       result.states = seen.size();

@@ -2,38 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <deque>
 #include <unordered_map>
+
+#include "common/deadline.h"
 
 namespace rapar {
 
 namespace {
-
-// Shared deadline bookkeeping.
-struct Budget {
-  std::chrono::steady_clock::time_point deadline;
-  bool limited = false;
-  std::size_t ticks = 0;
-
-  explicit Budget(long long ms) {
-    if (ms > 0) {
-      limited = true;
-      deadline =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
-    }
-  }
-  bool Expired() {
-    if (limited && (++ticks & 63) == 0 &&
-        std::chrono::steady_clock::now() > deadline) {
-      hit = true;
-    }
-    return hit;
-  }
-  // Latched on the first expiry so callers can attribute a truncated
-  // search to the budget rather than the state/depth caps.
-  bool hit = false;
-};
 
 bool GoalIn(const SimplConfig& cfg,
             const std::optional<std::pair<VarId, Value>>& goal) {
@@ -80,7 +56,7 @@ struct SaturationOutcome {
 static SaturationOutcome SaturateEnv(
     const SimplSystem& sys, SimplConfig& cfg, ViewChoice policy,
     const std::optional<std::pair<VarId, Value>>& goal,
-    std::vector<SimplStep>& log, Budget& budget) {
+    std::vector<SimplStep>& log, Deadline& deadline) {
   SaturationOutcome outcome;
   outcome.goal = GoalIn(cfg, goal);
   if (outcome.goal) return outcome;
@@ -93,7 +69,7 @@ static SaturationOutcome SaturateEnv(
     // sorted set grows, so every application re-resolves its index.
     const std::vector<LocalCfg> snapshot = cfg.env_cfgs();
     for (const LocalCfg& value : snapshot) {
-      if (budget.Expired()) {
+      if (deadline.Poll()) {
         outcome.complete = false;
         return outcome;
       }
@@ -139,7 +115,7 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
   reachable_dis_de_.clear();
   generated_messages_.clear();
   SimplResult result;
-  Budget budget(options.time_budget_ms);
+  Deadline deadline(options.time_budget_ms);
 
   struct NodeInfo {
     std::int64_t parent;
@@ -213,7 +189,7 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
     if (!outcome.complete) {
       // Saturation only aborts on budget expiry.
       result.exhaustive = false;
-      result.budget_hit = budget.hit;
+      result.budget_hit = deadline.hit();
     }
     if (outcome.violation && !result.violation) {
       result.violation = true;
@@ -245,7 +221,7 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
     SimplConfig init = InitialConfig(sys_);
     std::vector<SimplStep> log;
     SaturationOutcome outcome = SaturateEnv(
-        sys_, init, options.policy, options.goal, log, budget);
+        sys_, init, options.policy, options.goal, log, deadline);
     states.push_back(std::move(init));
     info.push_back(NodeInfo{-1, std::move(log), 0});
     by_dis_part[states[0].DisPartHash()].push_back(0);
@@ -260,15 +236,15 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
     }
     if (!outcome.complete) {
       result.exhaustive = false;
-      result.budget_hit = budget.hit;
+      result.budget_hit = deadline.hit();
     }
   }
 
   std::vector<SimplStep> dis_steps;
   while (!frontier.empty()) {
-    if (budget.Expired()) {
+    if (deadline.Poll()) {
       result.exhaustive = false;
-      result.budget_hit = budget.hit;
+      result.budget_hit = deadline.hit();
       result.states = states.size();
       return result;
     }
@@ -291,7 +267,7 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
       std::vector<SimplStep> log;
       log.push_back(dstep);
       SaturationOutcome outcome = SaturateEnv(
-          sys_, next, options.policy, options.goal, log, budget);
+          sys_, next, options.policy, options.goal, log, deadline);
 
       if (dstep.violation && !result.violation) {
         result.violation = true;

@@ -540,13 +540,13 @@ Expected<Certificate> ParseCertificateJson(const JsonValue& v) {
 
   f = v.Find("domain");
   if (f == nullptr || !f->is_string()) return err("missing domain");
-  if (f->string == DomainName(Domain::kSmallSet)) {
-    cert.domain = Domain::kSmallSet;
-  } else if (f->string == DomainName(Domain::kRelational)) {
-    cert.domain = Domain::kRelational;
-  } else {
+  // A certificate names the domain that proved it; kAuto is a retry
+  // policy, not a domain.
+  const std::optional<Domain> domain = ParseDomain(f->string);
+  if (!domain.has_value() || *domain == Domain::kAuto) {
     return err("unknown domain");
   }
+  cert.domain = *domain;
 
   f = v.Find("check_assert");
   if (f == nullptr || !f->is_bool()) return err("missing check_assert");

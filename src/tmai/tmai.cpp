@@ -542,6 +542,13 @@ const char* DomainName(Domain d) {
   return "smallset";
 }
 
+std::optional<Domain> ParseDomain(std::string_view name) {
+  for (Domain d : {Domain::kSmallSet, Domain::kRelational, Domain::kAuto}) {
+    if (name == DomainName(d)) return d;
+  }
+  return std::nullopt;
+}
+
 bool AbsState::SubsumedBy(const AbsState& o) const {
   for (std::size_t i = 0; i < regs.size(); ++i) {
     if (!regs[i].SubsetOf(o.regs[i])) return false;

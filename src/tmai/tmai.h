@@ -39,6 +39,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "lang/cfa.h"
@@ -60,7 +62,11 @@ enum class Domain {
   kAuto,
 };
 
+// "smallset", "relational" or "auto": the names the CLI's --tmai-domain,
+// serve's "tmai_domain" option and certificates use.
 const char* DomainName(Domain d);
+// The domain DomainName gives `name`; nullopt for any other name.
+std::optional<Domain> ParseDomain(std::string_view name);
 
 struct TmaiOptions {
   // Interference fixpoint rounds before giving up (kUnknown).

@@ -237,7 +237,7 @@ TEST(GuessScanTest, ScanEndingExactlyAtTheCapIsComplete) {
 TEST(GuessScanTest, SerialTelemetryIsDeterministic) {
   const ParamSystem dekker = Dekker();
   const BenchmarkCase dekker_cas = DekkerCas();
-  const ParamSystem generated = ManyGuessSafeSystem();
+  const ParamSystem generated = RandGuessySystem(272);
   const std::optional<std::pair<VarId, Value>> mg =
       GuessHeavyGoal(generated, 272);
   const struct {

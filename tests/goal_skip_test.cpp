@@ -122,8 +122,7 @@ void ExpectSameSolve(const Solved& got, const Solved& want,
 // The whole pipeline on every guess of the capped enumeration, checking
 // (a), (b) and (e) on each, up to the first guess that derives the goal.
 // Returns the replay's scan and, in *rejected, how many of its guesses
-// MayDerive rejects (the first one excluded: the verifier solves it for
-// its width report) and, in *shared, how many have the key of an earlier
+// MayDerive rejects and, in *shared, how many have the key of an earlier
 // guess.
 Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
             std::size_t* shared, const std::string& label) {
@@ -179,7 +178,7 @@ Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
       EXPECT_EQ(st.index_probes, 0u) << where;
       EXPECT_EQ(st.index_hits, 0u) << where;
       EXPECT_EQ(st.index_builds, 0u) << where;
-      if (k != 0) ++*rejected;
+      ++*rejected;
     }
     // (b)
     EXPECT_TRUE(may_derive || !derived) << where;
@@ -242,7 +241,7 @@ TEST(GoalSkipTest, CatalogMatchesReplay) {
   for (const BenchmarkCase& bench : StandardBenchmarks()) {
     CheckQuery(bench.system.simpl(), std::nullopt, bench.name, &tally);
   }
-  // dekker-cas alone makes 383 of its 384 guesses skippable.
+  // dekker-cas alone makes all 384 of its guesses skippable.
   EXPECT_GT(tally.skipped, 0u);
   EXPECT_GT(tally.solved, 0u);
 }

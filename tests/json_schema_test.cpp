@@ -28,7 +28,7 @@ void CheckVerdictEnvelope(const JsonValue& doc, const char* label) {
   ASSERT_NE(schema, nullptr) << label;
   EXPECT_TRUE(schema->number_is_int) << label;
   EXPECT_EQ(schema->integer, kResultSchemaVersion) << label;
-  EXPECT_EQ(schema->integer, 2) << label;
+  EXPECT_EQ(schema->integer, 3) << label;
 
   ASSERT_NE(doc.Find("tool"), nullptr) << label;
   EXPECT_EQ(doc.Find("tool")->string, "rapar") << label;
@@ -81,12 +81,9 @@ void CheckVerdictEnvelope(const JsonValue& doc, const char* label) {
   ASSERT_NE(options->Find("backend"), nullptr) << label;
   EXPECT_TRUE(backends.count(options->Find("backend")->string)) << label;
   ASSERT_NE(options->Find("enable_prepass"), nullptr) << label;
-  const JsonValue* datalog = options->Find("datalog");
-  ASSERT_NE(datalog, nullptr) << label;
-  ASSERT_TRUE(datalog->is_object()) << label;
-  // Version 2: enable_dlopt is the only Datalog option echoed.
-  EXPECT_NE(datalog->Find("enable_dlopt"), nullptr) << label;
-  EXPECT_EQ(datalog->members.size(), 1u) << label;
+  // Version 3: no Datalog option is echoed; the last one, the switch to
+  // the backend's unoptimized mode, went with that mode.
+  EXPECT_EQ(options->Find("datalog"), nullptr) << label;
   const JsonValue* concrete = options->Find("concrete");
   ASSERT_NE(concrete, nullptr) << label;
   EXPECT_NE(concrete->Find("env_threads"), nullptr) << label;

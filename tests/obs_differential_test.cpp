@@ -12,6 +12,8 @@
 //      and stopped_phase are not.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/benchmarks.h"
 #include "core/verifier.h"
 #include "generated_systems.h"
@@ -82,7 +84,7 @@ TEST(ObsDifferentialTest, DeadlineAbortsDatalogSerial) {
   VerifierOptions full = opts;
   const Verdict complete = verifier.Run(std::nullopt, full);
   ASSERT_EQ(complete.result, Verdict::Result::kSafe);
-  ASSERT_EQ(complete.telemetry.counter(obs::metric::kGuesses), 3750u);
+  ASSERT_EQ(complete.telemetry.counter(obs::metric::kGuesses), 63000u);
   opts.time_budget_ms = 1;
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kUnknown);
@@ -131,6 +133,23 @@ TEST(ObsDifferentialTest, NoBudgetMeansNoDeadline) {
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kSafe);
   EXPECT_TRUE(v.stopped_phase.empty());
+}
+
+// Serve and the CLI accept any non-negative 64-bit budget. One longer
+// than the steady clock can count from now never expires; adding it to
+// the clock would overflow.
+TEST(ObsDifferentialTest, BudgetBeyondTheClockMeansNoDeadline) {
+  BenchmarkCase bench = ProducerConsumerSafe(6);
+  SafetyVerifier verifier(bench.system);
+  for (Backend backend : {Backend::kDatalog, Backend::kSimplifiedExplorer,
+                          Backend::kConcrete}) {
+    VerifierOptions opts;
+    opts.backend = backend;
+    opts.time_budget_ms = std::numeric_limits<long long>::max();
+    const Verdict v = verifier.Run(std::nullopt, opts);
+    EXPECT_NE(v.result, Verdict::Result::kUnknown) << v.backend;
+    EXPECT_TRUE(v.stopped_phase.empty()) << v.backend;
+  }
 }
 
 }  // namespace

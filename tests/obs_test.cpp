@@ -295,12 +295,13 @@ TEST(TelemetryTest, VerdictPhaseGaugesAndAccessors) {
 // Every scanned guess is solved (datalog.queries), skipped because the
 // guess skeleton rules the goal out (datalog.solves_skipped) or shared
 // with an earlier guess of its class (datalog.solves_shared), on a
-// complete scan (dekker-cas, SAFE) and on an early exit (peterson-ra,
-// UNSAFE at guess 29).
+// complete scan (dekker-cas, SAFE: no guess can reach an assert, so it
+// solves none) and on an early exit (peterson-ra, UNSAFE at guess 29).
 TEST(TelemetryTest, ScannedGuessesAreSolvedOrSkipped) {
   namespace metric = obs::metric;
   const std::vector<BenchmarkCase> catalog = StandardBenchmarks();
   for (const char* name : {"dekker-cas", "peterson-ra"}) {
+    const bool solves = std::string(name) == "peterson-ra";
     const auto it =
         std::find_if(catalog.begin(), catalog.end(),
                      [&](const BenchmarkCase& c) { return c.name == name; });
@@ -315,7 +316,7 @@ TEST(TelemetryTest, ScannedGuessesAreSolvedOrSkipped) {
     EXPECT_TRUE(v.telemetry.Has(metric::kSolvesShared)) << name;
     EXPECT_EQ(solved + skipped + shared, v.telemetry.counter(metric::kGuesses))
         << name;
-    EXPECT_GT(solved, 0u) << name;
+    EXPECT_EQ(solved > 0, solves) << name;
     EXPECT_GT(skipped, 0u) << name;
   }
 }

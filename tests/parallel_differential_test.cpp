@@ -46,7 +46,8 @@ DatalogVerdict VerifyAt(const SimplSystem& sys, std::size_t max_guesses,
 // the capped enumeration up to the first derivation or budget abort.
 // The verifier's skipped and shared guesses are solved here too;
 // DESIGN.md §6 proves their derivation counts equal (goal_skip_test
-// checks it guess by guess).
+// checks it guess by guess). The width report is the first solved
+// guess's, which is the first guess MayDerive accepts.
 DatalogVerdict FreshReplay(const SimplSystem& sys, std::size_t max_guesses,
                            std::size_t max_tuples, Goal goal) {
   GuessEnumOptions ge;
@@ -54,6 +55,8 @@ DatalogVerdict FreshReplay(const SimplSystem& sys, std::size_t max_guesses,
   bool complete = false;
   const std::vector<DisGuess> guesses = EnumerateDisGuesses(sys, ge, &complete);
   const MakePOptions mp{goal};
+  const MakePEncoder encoder(sys, mp);
+  std::string key;
   dl::EvalOptions eval;
   eval.max_tuples = max_tuples;
   DatalogVerdict out;
@@ -64,7 +67,7 @@ DatalogVerdict FreshReplay(const SimplSystem& sys, std::size_t max_guesses,
     const dlopt::OptimizeResult opt = dlopt::OptimizeForQuery(*q.prog, q.goal);
     const dlopt::PredGraph graph = dlopt::PredGraph::Build(opt.prog);
     const dl::JoinHints hints = dlopt::MakeJoinHints(graph);
-    if (k == 0) {
+    if (out.width_report.empty() && encoder.MayDerive(guesses[k], &key)) {
       out.width_report = dlopt::AnalyzeWidth(opt.prog, graph, q.goal.pred)
                              .ToString(opt.prog, graph);
     }

@@ -302,6 +302,15 @@ TEST(ServeTest, ErrorEnvelopes) {
       {MakeLine("verify", kMpWriter, {}, "", -1,
                 "{\"tmai_max_iterations\":-8589934592}"),
        "out of range"},
+      // Negative caps and budgets: never the default, never "no
+      // deadline".
+      {MakeLine("verify", kMpWriter, {}, "", -1, "{\"max_states\":-1}"),
+       "field 'max_states' out of range"},
+      {MakeLine("verify", kMpWriter, {}, "", -1, "{\"max_guesses\":-1}"),
+       "field 'max_guesses' out of range"},
+      {MakeLine("verify", kMpWriter, {}, "", -1,
+                "{\"time_budget_ms\":-1}"),
+       "field 'time_budget_ms' out of range"},
       // Keys outside the decoded set: removed knobs and misspellings
       // must not silently run with defaults.
       {MakeLine("verify", kMpWriter, {}, "", -1,
@@ -315,6 +324,9 @@ TEST(ServeTest, ErrorEnvelopes) {
        "unknown option \"threads\""},
       {MakeLine("verify", kMpWriter, {}, "", -1, "{\"batch_size\":8}"),
        "unknown option \"batch_size\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1,
+                "{\"enable_dlopt\":false}"),
+       "unknown option \"enable_dlopt\""},
   };
   for (const auto& c : cases) {
     const JsonValue doc = Parse(session.HandleLine(c.line));

@@ -138,10 +138,8 @@ TEST(ShardParityTest, ScanLimitCheckpointResumesToSameVerdictWithoutRescan) {
   // 10 guesses (the deterministic stand-in for a kill), capture the
   // checkpoint, resume from it, and demand (a) the same verdict and
   // guess count as the uninterrupted run and (b) an exact work split —
-  // guesses scanned (solved or skipped) before + after == uninterrupted
-  // total, i.e. no guess was scanned twice. Solves alone do not add up:
-  // each run solves its first guess for the width report, where the
-  // uninterrupted run skips guess 10.
+  // guesses scanned (solved, skipped or shared) before + after ==
+  // uninterrupted total, i.e. no guess was scanned twice.
   BenchmarkCase bench = DekkerCas();
   DatalogVerifierOptions base;
   base.guess.max_guesses = 2'000;
