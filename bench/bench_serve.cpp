@@ -40,7 +40,6 @@ using benchutil::TimeMs;
 
 serve::ServeOptions SessionOpts(std::size_t cache_entries) {
   serve::ServeOptions o;
-  o.threads = 1;
   o.cache_entries = cache_entries;
   return o;
 }

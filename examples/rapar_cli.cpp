@@ -7,14 +7,15 @@
 //   rapar_cli classify FILE...
 //   rapar_cli lint [--env FILE] [--dis FILE]... [FILE...]
 //   rapar_cli certcheck --env FILE [--dis FILE]... --cert FILE
-//   rapar_cli serve [--threads N] [--cache-entries N] [--cache-bytes N]
+//   rapar_cli serve [--cache-entries N] [--cache-bytes N] [--pretty]
 //
 // Every subcommand answers `--help` with its own flag list. Flags are
 // declared once in the kFlags table below — name, arity, applicable
 // subcommands, help text — so parsing, validation and help stay in sync.
 // An unknown flag, one that does not apply to the subcommand, an integer
-// flag whose value is not an integer of its field's type, or a negative
-// count, size or budget is a usage error: exit 3.
+// flag whose value is not an integer of its field's type, a negative
+// count, size or budget, or an --unroll bound above 1000000 is a usage
+// error: exit 3.
 //
 // lint runs the analysis passes (reachability, liveness, constant
 // propagation, footprints) and reports diagnostics in compiler format.
@@ -29,8 +30,8 @@
 // serve runs the long-lived verification daemon (core/serve.h): one JSON
 // request per stdin line, one result envelope per stdout line (or a
 // {"requests":[...]} batch per line, answered as {"responses":[...]}),
-// with a persistent worker pool and a content-addressed verdict cache.
-// EOF on stdin shuts it down (exit 0).
+// each request answered in turn on the main thread, with a
+// content-addressed verdict cache. EOF on stdin shuts it down (exit 0).
 // verify/mg with --backend=datalog additionally support checkpoint/resume
 // of the guess scan (--checkpoint=FILE, --resume=FILE, --scan-limit=N):
 // a checkpoint records the first unscanned guess and a digest of the
@@ -52,6 +53,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -63,6 +65,7 @@
 #include "analysis/footprint.h"
 #include "common/hash.h"
 #include "common/json.h"
+#include "core/param_system.h"
 #include "core/result_json.h"
 #include "core/serve.h"
 #include "core/verifier.h"
@@ -90,7 +93,7 @@ struct Options {
   rapar::VerifierOptions vopts;
   std::string backend = "simplified";
   std::string tmai_domain = "auto";
-  // verify/mg: the concrete backend's env threads; serve: pool workers.
+  // verify/mg: the concrete backend's env threads.
   std::optional<int> threads;
   std::string cert_file;
   int unroll = 0;
@@ -125,7 +128,7 @@ struct FlagSpec {
 // Thrown by ParseInt and ParseCount; ParseArgs reports it as a usage
 // error naming what the flag expects.
 struct BadInteger {
-  const char* expected;
+  std::string expected;
 };
 
 // Parses all of `v` into *out. Unlike std::atoi, which reads "one" as 0
@@ -139,12 +142,17 @@ void ParseInt(const char* v, T* out) {
 }
 
 // ParseInt for counts, sizes, bounds and budgets: a negative value is a
-// usage error, never a silent default or "unlimited".
+// usage error, never a silent default or "unlimited"; so is a value above
+// `max`.
 template <typename T>
-void ParseCount(const char* v, T* out) {
+void ParseCount(const char* v, T* out,
+                long long max = std::numeric_limits<long long>::max()) {
   long long n = 0;
   ParseInt(v, &n);
   if (n < 0) throw BadInteger{"a non-negative integer"};
+  if (n > max) {
+    throw BadInteger{"an integer in [0, " + std::to_string(max) + "]"};
+  }
   if (!std::in_range<T>(n)) throw BadInteger{"an integer"};
   *out = static_cast<T>(n);
 }
@@ -162,14 +170,15 @@ const FlagSpec kFlags[] = {
     {"--backend", true, "B", "verify mg",
      "simplified|datalog|concrete|tmai|portfolio (default simplified)",
      [](Options& o, const char* v) { o.backend = v; }},
-    {"--threads", true, "N", "verify mg serve",
-     "verify/mg with --backend=concrete: env threads in the instance "
-     "(1-4096, default 2); serve: request-pool workers (default 0 = all "
-     "hardware threads)",
+    {"--threads", true, "N", "verify mg",
+     "with --backend=concrete: env threads in the instance (1-4096, "
+     "default 2)",
      [](Options& o, const char* v) { ParseInt(v, &o.threads.emplace()); }},
     {"--unroll", true, "K", "verify mg dump-datalog dlanalyze certcheck",
-     "unroll bound for dis loops (default 0 = reject loops)",
-     [](Options& o, const char* v) { ParseInt(v, &o.unroll); }},
+     "unroll bound for dis loops (0-1000000, default 0 = reject loops)",
+     [](Options& o, const char* v) {
+       ParseCount(v, &o.unroll, rapar::ParamSystem::Builder::kMaxUnroll);
+     }},
     {"--tmai-domain", true, "D", "verify mg",
      "TMAI abstract domain: smallset|relational|auto (default auto = "
      "small-set first, relational retry on unknown)",
@@ -290,8 +299,8 @@ int GlobalUsage() {
       "  rapar_cli classify FILE...\n"
       "  rapar_cli lint [--env FILE] [--dis FILE]... [FILE...]\n"
       "  rapar_cli certcheck --env FILE [--dis FILE]... --cert FILE\n"
-      "  rapar_cli serve [--threads N] [--cache-entries N] "
-      "[--cache-bytes N]\n"
+      "  rapar_cli serve [--cache-entries N] [--cache-bytes N] "
+      "[--pretty]\n"
       "run `rapar_cli <command> --help` for the command's flags\n");
   return 3;
 }
@@ -376,7 +385,7 @@ int ParseArgs(int argc, char** argv, Options* opts) {
       spec->apply(*opts, value);
     } catch (const BadInteger& e) {
       std::fprintf(stderr, "flag %s expects %s, got '%s'\n", name.c_str(),
-                   e.expected, value);
+                   e.expected.c_str(), value);
       return 3;
     }
   }
@@ -951,18 +960,7 @@ int DlAnalyze(const Options& opts) {
 // stdin, one result envelope per stdout line (core/serve.h has the wire
 // protocol). Runs until EOF on stdin.
 int Serve(const Options& opts) {
-  rapar::serve::ServeOptions sopts = opts.serve;
-  if (opts.threads.has_value()) {
-    if (*opts.threads < 0) {
-      std::fprintf(stderr,
-                   "flag --threads expects a non-negative worker count, "
-                   "got '%d'\n",
-                   *opts.threads);
-      return 3;
-    }
-    sopts.threads = static_cast<unsigned>(*opts.threads);
-  }
-  rapar::serve::ServeSession session(sopts);
+  rapar::serve::ServeSession session(opts.serve);
   session.Run(std::cin, std::cout);
   return 0;
 }

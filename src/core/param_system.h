@@ -39,6 +39,9 @@ class ParamSystem {
       dis_.push_back(std::move(program));
       return *this;
     }
+    // The largest unroll bound the CLI's --unroll and serve's "unroll"
+    // option accept: far beyond any bound a guess scan finishes under.
+    static constexpr int kMaxUnroll = 1'000'000;
     // Unroll bound applied to dis programs that contain loops (default 0:
     // reject loops).
     Builder& UnrollDis(int k) {

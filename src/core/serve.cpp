@@ -1,29 +1,23 @@
 #include "core/serve.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <fstream>
 #include <istream>
 #include <iterator>
 #include <limits>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/json.h"
-#include "common/thread_pool.h"
 #include "core/param_system.h"
 #include "core/result_json.h"
 #include "core/verifier.h"
@@ -225,8 +219,8 @@ Request DecodeRequest(const JsonValue& doc) {
         !GetBool(*opts, "enable_prepass", &vo.enable_prepass, &req.error) ||
         !GetIntRange(*opts, "env_threads", &vo.concrete.env_threads, 1,
                      ConcreteBackendOptions::kMaxEnvThreads, &req.error) ||
-        !GetIntRange(*opts, "unroll", &req.unroll, 0, 1'000'000,
-                     &req.error) ||
+        !GetIntRange(*opts, "unroll", &req.unroll, 0,
+                     ParamSystem::Builder::kMaxUnroll, &req.error) ||
         !GetIntRange(*opts, "tmai_max_iterations", &vo.tmai.max_iterations,
                      0, kKnobMax, &req.error) ||
         !GetIntRange(*opts, "tmai_widening_delay", &vo.tmai.widening_delay,
@@ -401,18 +395,10 @@ bool Definitive(const Verdict& v) {
 // --- session ----------------------------------------------------------------
 
 struct ServeSession::Impl {
-  explicit Impl(const ServeOptions& opts) : options(opts) {
-    unsigned threads = opts.threads;
-    if (threads == 0) {
-      threads = std::thread::hardware_concurrency();
-      if (threads == 0) threads = 1;
-    }
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  }
+  explicit Impl(const ServeOptions& opts) : options(opts) {}
 
-  // A memoized verdict. It never changes once cached: the LRU list and
-  // both indexes share it, and a hit copies the pointer under cache_m and
-  // reads the entry outside it.
+  // A memoized verdict. It never changes once cached; the LRU list owns
+  // it and both indexes point into the list.
   struct CacheEntry {
     std::string key;          // canonical request (cache_index's key view)
     std::string request_key;  // the filling miss's (alias_index's key view)
@@ -423,119 +409,77 @@ struct ServeSession::Impl {
     VerifierOptions vopts;  // borrowed pointers cleared
     std::size_t bytes = 0;
   };
-  using EntryPtr = std::shared_ptr<const CacheEntry>;
-  using LruList = std::list<EntryPtr>;
-
-  // Single-flight marker: an identical request is already running the
-  // pipeline; twins wait for it instead of duplicating the work, then
-  // re-probe the cache (a definitive result lands there; a
-  // non-memoizable one makes the waiter run itself).
-  struct Inflight {
-    std::condition_variable cv;
-    bool done = false;  // guarded by cache_m
-  };
+  using LruList = std::list<CacheEntry>;
 
   // The entry a miss with exactly this request key filled, unless it
   // carries a certificate: a certificate hit re-checks the proof against
   // a freshly parsed system, so it takes the canonical path. Refreshes
   // LRU order; nullptr when there is no such entry.
-  EntryPtr LookupAlias(const std::string& request_key) {
-    std::lock_guard<std::mutex> lock(cache_m);
+  const CacheEntry* LookupAlias(const std::string& request_key) {
     auto it = alias_index.find(request_key);
     if (it == alias_index.end() ||
-        (*it->second)->verdict.certificate != nullptr) {
+        it->second->verdict.certificate != nullptr) {
       return nullptr;
     }
     lru.splice(lru.begin(), lru, it->second);
-    return *it->second;
+    return &*it->second;
   }
 
-  // Probes the cache for the canonical `key`. On a hit, refreshes LRU
-  // order and returns the entry. On a miss, registers this caller as the
-  // key's single flight (waiting out any current flight first) and
-  // returns nullptr — the caller must run the pipeline and call
-  // FinishFlight.
-  EntryPtr LookupOrBeginFlight(const std::string& key,
-                               std::shared_ptr<Inflight>* flight) {
-    std::unique_lock<std::mutex> lock(cache_m);
-    for (;;) {
-      auto it = cache_index.find(key);
-      if (it != cache_index.end()) {
-        lru.splice(lru.begin(), lru, it->second);
-        return *it->second;
-      }
-      auto fit = inflight.find(key);
-      if (fit == inflight.end()) break;
-      const std::shared_ptr<Inflight> running = fit->second;
-      running->cv.wait(lock, [&] { return running->done; });
-      // Loop: the twin's definitive verdict is in the cache now; a
-      // non-definitive one leaves a miss and we run it ourselves.
-    }
-    *flight = std::make_shared<Inflight>();
-    inflight.emplace(key, *flight);
-    return nullptr;
+  // The entry for the canonical `key`, with its LRU order refreshed;
+  // nullptr on a miss.
+  const CacheEntry* Lookup(const std::string& key) {
+    auto it = cache_index.find(key);
+    if (it == cache_index.end()) return nullptr;
+    lru.splice(lru.begin(), lru, it->second);
+    return &*it->second;
   }
 
-  // Ends `key`'s flight, memoizing `entry` when provided, and wakes the
-  // waiting twins. Equal request keys have equal canonical keys, so an
-  // entry whose canonical key is new brings a request key that no
-  // resident entry holds.
-  void FinishFlight(const std::string& key,
-                    const std::shared_ptr<Inflight>& flight, EntryPtr entry) {
-    std::lock_guard<std::mutex> lock(cache_m);
-    if (entry != nullptr && cache_index.count(entry->key) == 0) {
-      cache_bytes += entry->bytes;
-      lru.push_front(std::move(entry));
-      const CacheEntry& filled = *lru.front();
-      cache_index.emplace(filled.key, lru.begin());
-      alias_index.emplace(filled.request_key, lru.begin());
-      while (lru.size() > options.cache_entries ||
-             (cache_bytes > options.cache_bytes && lru.size() > 1)) {
-        Unlink(std::prev(lru.end()));
-        evictions.fetch_add(1, std::memory_order_relaxed);
-      }
+  // Memoizes the entry a miss filled, then evicts least-recently-used
+  // entries down to the bounds. The miss found no entry under its
+  // canonical key, and equal request keys have equal canonical keys, so
+  // its request key is new too.
+  void Insert(CacheEntry entry) {
+    cache_bytes += entry.bytes;
+    lru.push_front(std::move(entry));
+    cache_index.emplace(lru.front().key, lru.begin());
+    alias_index.emplace(lru.front().request_key, lru.begin());
+    while (lru.size() > options.cache_entries ||
+           (cache_bytes > options.cache_bytes && lru.size() > 1)) {
+      Unlink(std::prev(lru.end()));
+      ++evictions;
     }
-    inflight.erase(key);
-    flight->done = true;
-    flight->cv.notify_all();
   }
 
   void Erase(const std::string& key) {
-    std::lock_guard<std::mutex> lock(cache_m);
     auto it = cache_index.find(key);
     if (it == cache_index.end()) return;
     Unlink(it->second);
-    evictions.fetch_add(1, std::memory_order_relaxed);
+    ++evictions;
   }
 
-  // Drops one resident entry from the LRU list and both indexes. Caller
-  // holds cache_m.
+  // Drops one resident entry from the LRU list and both indexes.
   void Unlink(LruList::iterator it) {
-    const CacheEntry& victim = **it;
-    cache_bytes -= victim.bytes;
-    cache_index.erase(victim.key);
-    alias_index.erase(victim.request_key);
+    cache_bytes -= it->bytes;
+    cache_index.erase(it->key);
+    alias_index.erase(it->request_key);
     lru.erase(it);
   }
 
   ServeOptions options;
-  std::unique_ptr<ThreadPool> pool;
 
-  std::mutex cache_m;
   LruList lru;  // front = most recently used
   // Canonical request -> entry, and the request key of the miss that
-  // filled an entry -> that entry (one alias per entry). Both guarded by
-  // cache_m, updated together on fill, eviction and Erase.
+  // filled an entry -> that entry (one alias per entry), updated together
+  // on fill, eviction and Erase.
   std::unordered_map<std::string_view, LruList::iterator> cache_index;
   std::unordered_map<std::string_view, LruList::iterator> alias_index;
-  std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight;
   std::size_t cache_bytes = 0;
 
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> evictions{0};
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> errors{0};
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t requests = 0;
+  std::uint64_t errors = 0;
 };
 
 ServeSession::ServeSession(const ServeOptions& options)
@@ -545,10 +489,9 @@ ServeSession::~ServeSession() = default;
 
 CacheStats ServeSession::cache_stats() const {
   CacheStats cs;
-  cs.hits = impl_->hits.load(std::memory_order_relaxed);
-  cs.misses = impl_->misses.load(std::memory_order_relaxed);
-  cs.evictions = impl_->evictions.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(impl_->cache_m);
+  cs.hits = impl_->hits;
+  cs.misses = impl_->misses;
+  cs.evictions = impl_->evictions;
   cs.bytes = impl_->cache_bytes;
   cs.entries = impl_->lru.size();
   return cs;
@@ -562,23 +505,23 @@ std::string ServeSession::HandleLine(std::string_view line) {
   try {
     return HandleLineImpl(line);
   } catch (const std::exception& e) {
-    impl_->errors.fetch_add(1, std::memory_order_relaxed);
+    ++impl_->errors;
     return ErrorLine("", std::string("internal error: ") + e.what(),
                      impl_->options.pretty);
   } catch (...) {
-    impl_->errors.fetch_add(1, std::memory_order_relaxed);
+    ++impl_->errors;
     return ErrorLine("", "internal error", impl_->options.pretty);
   }
 }
 
 std::string ServeSession::HandleLineImpl(std::string_view line) {
   Impl& im = *impl_;
-  im.requests.fetch_add(1, std::memory_order_relaxed);
+  ++im.requests;
   const bool pretty = im.options.pretty;
 
   Expected<JsonValue> doc = ParseJson(line);
   if (!doc.ok()) {
-    im.errors.fetch_add(1, std::memory_order_relaxed);
+    ++im.errors;
     return ErrorLine("", "invalid request JSON: " + doc.error(), pretty);
   }
 
@@ -594,15 +537,14 @@ std::string ServeSession::HandleLineImpl(std::string_view line) {
         batch_id = w.TakeString();
       }
       if (!reqs->is_array() || reqs->items.empty()) {
-        im.errors.fetch_add(1, std::memory_order_relaxed);
+        ++im.errors;
         return ErrorLine(batch_id,
                          "field 'requests' must be a non-empty array",
                          pretty);
       }
       // The line was counted once above; count the remaining elements so
       // serve.requests reflects verifications asked, not stdin lines.
-      im.requests.fetch_add(reqs->items.size() - 1,
-                            std::memory_order_relaxed);
+      im.requests += reqs->items.size() - 1;
       JsonWriter w(pretty);
       w.BeginObject();
       if (!batch_id.empty()) w.Key("id").Raw(batch_id);
@@ -615,11 +557,11 @@ std::string ServeSession::HandleLineImpl(std::string_view line) {
         try {
           resp = HandleRequestDoc(item);
         } catch (const std::exception& e) {
-          im.errors.fetch_add(1, std::memory_order_relaxed);
+          ++im.errors;
           resp = ErrorLine("", std::string("internal error: ") + e.what(),
                            pretty);
         } catch (...) {
-          im.errors.fetch_add(1, std::memory_order_relaxed);
+          ++im.errors;
           resp = ErrorLine("", "internal error", pretty);
         }
         w.Raw(resp);
@@ -637,7 +579,7 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   const bool pretty = im.options.pretty;
   Request req = DecodeRequest(doc);
   if (!req.error.empty()) {
-    im.errors.fetch_add(1, std::memory_order_relaxed);
+    ++im.errors;
     return ErrorLine(req.id_json, req.error, pretty);
   }
 
@@ -647,20 +589,12 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   const auto stamp = [&im](Verdict& v, bool hit) {
     obs::Telemetry& t = v.telemetry;
     t.SetCounter(obs::metric::kCacheHit, hit ? 1 : 0);
-    t.SetCounter(obs::metric::kCacheHits,
-                 im.hits.load(std::memory_order_relaxed));
-    t.SetCounter(obs::metric::kCacheMisses,
-                 im.misses.load(std::memory_order_relaxed));
-    t.SetCounter(obs::metric::kCacheEvictions,
-                 im.evictions.load(std::memory_order_relaxed));
-    {
-      std::lock_guard<std::mutex> lock(im.cache_m);
-      t.SetCounter(obs::metric::kCacheBytes, im.cache_bytes);
-    }
-    t.SetCounter(obs::metric::kServeRequests,
-                 im.requests.load(std::memory_order_relaxed));
-    t.SetCounter(obs::metric::kServeErrors,
-                 im.errors.load(std::memory_order_relaxed));
+    t.SetCounter(obs::metric::kCacheHits, im.hits);
+    t.SetCounter(obs::metric::kCacheMisses, im.misses);
+    t.SetCounter(obs::metric::kCacheEvictions, im.evictions);
+    t.SetCounter(obs::metric::kCacheBytes, im.cache_bytes);
+    t.SetCounter(obs::metric::kServeRequests, im.requests);
+    t.SetCounter(obs::metric::kServeErrors, im.errors);
   };
 
   EnvelopeExtras extras;
@@ -678,7 +612,7 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   // everything else — including the echoed options object — replays the
   // entry verbatim (see serve.h for the replay contract).
   const auto replay = [&](const Impl::CacheEntry& entry, double parse_ms) {
-    im.hits.fetch_add(1, std::memory_order_relaxed);
+    ++im.hits;
     Verdict v = entry.verdict;
     v.telemetry.SetGauge(obs::metric::kPhaseParseMs, parse_ms);
     stamp(v, /*hit=*/true);
@@ -689,10 +623,11 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   };
 
   // --- alias hit: a repeat of the request that filled an entry ---
+  const bool cache_on = im.options.cache_entries != 0;
   std::string request_key;
-  if (im.options.cache_entries != 0) {
+  if (cache_on) {
     request_key = RequestKey(req);
-    if (const Impl::EntryPtr entry = im.LookupAlias(request_key)) {
+    if (const Impl::CacheEntry* entry = im.LookupAlias(request_key)) {
       return replay(*entry, /*parse_ms=*/0.0);
     }
   }
@@ -700,14 +635,14 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   const auto parse_start = std::chrono::steady_clock::now();
   Expected<ParamSystem> sys = BuildSystem(req);
   if (!sys.ok()) {
-    im.errors.fetch_add(1, std::memory_order_relaxed);
+    ++im.errors;
     return ErrorLine(req.id_json, sys.error(), pretty);
   }
   std::optional<std::pair<VarId, Value>> goal;
   if (req.mg) {
     const VarId var = sys.value().vars().Find(req.goal_var);
     if (!var.valid()) {
-      im.errors.fetch_add(1, std::memory_order_relaxed);
+      ++im.errors;
       return ErrorLine(req.id_json,
                        "unknown variable '" + req.goal_var + "'", pretty);
     }
@@ -722,26 +657,22 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   const char* command = req.mg ? "mg" : "verify";
   extras.fingerprint = digest;
 
-  // --- cache probe (single-flight per canonical request) ---
-  std::shared_ptr<Impl::Inflight> flight;
-  if (im.options.cache_entries != 0) {
-    for (;;) {
-      const Impl::EntryPtr entry = im.LookupOrBeginFlight(canonical, &flight);
-      if (entry == nullptr) break;
-      if (entry->verdict.certificate != nullptr &&
-          !RevalidateCertificate(sys.value(), entry->vopts.enable_prepass,
-                                 *entry->verdict.certificate)) {
-        // The memoized proof no longer checks out against this request's
-        // system: drop the entry and recompute.
-        im.Erase(canonical);
-        continue;
+  // --- cache probe by the canonical request ---
+  if (cache_on) {
+    if (const Impl::CacheEntry* entry = im.Lookup(canonical)) {
+      if (entry->verdict.certificate == nullptr ||
+          RevalidateCertificate(sys.value(), entry->vopts.enable_prepass,
+                                *entry->verdict.certificate)) {
+        return replay(*entry, parse_ms);
       }
-      return replay(*entry, parse_ms);
+      // The memoized proof no longer checks out against this request's
+      // system: drop the entry and recompute.
+      im.Erase(canonical);
     }
   }
 
   // --- miss: run the pipeline ---
-  im.misses.fetch_add(1, std::memory_order_relaxed);
+  ++im.misses;
   std::string rendered;
   try {
     SafetyVerifier verifier(sys.value());
@@ -760,33 +691,26 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
                                       sys.value().Signature(), pretty,
                                       &extras));
 
-    if (flight != nullptr) {
-      std::shared_ptr<Impl::CacheEntry> entry;
-      if (Definitive(v)) {
-        entry = std::make_shared<Impl::CacheEntry>();
-        entry->key = canonical;
-        entry->request_key = std::move(request_key);
-        entry->digest = digest;
-        entry->command = command;
-        entry->signature = sys.value().Signature();
-        entry->verdict = std::move(v);
-        entry->vopts = stored_opts;
-        entry->bytes =
-            entry->key.size() + entry->request_key.size() + rendered.size();
-      }
-      const std::shared_ptr<Impl::Inflight> f = std::move(flight);
-      im.FinishFlight(canonical, f, std::move(entry));
+    if (cache_on && Definitive(v)) {
+      Impl::CacheEntry entry;
+      entry.key = canonical;
+      entry.request_key = std::move(request_key);
+      entry.digest = digest;
+      entry.command = command;
+      entry.signature = sys.value().Signature();
+      entry.verdict = std::move(v);
+      entry.vopts = stored_opts;
+      entry.bytes =
+          entry.key.size() + entry.request_key.size() + rendered.size();
+      im.Insert(std::move(entry));
     }
   } catch (const std::exception& e) {
-    // Never strand the twins waiting on this flight, and answer the
-    // error with the request's id echo still attached.
-    if (flight != nullptr) im.FinishFlight(canonical, flight, nullptr);
-    im.errors.fetch_add(1, std::memory_order_relaxed);
+    // Answer the error with the request's id echo still attached.
+    ++im.errors;
     return ErrorLine(req.id_json, std::string("internal error: ") + e.what(),
                      pretty);
   } catch (...) {
-    if (flight != nullptr) im.FinishFlight(canonical, flight, nullptr);
-    im.errors.fetch_add(1, std::memory_order_relaxed);
+    ++im.errors;
     return ErrorLine(req.id_json, "internal error", pretty);
   }
   return rendered;
@@ -794,95 +718,13 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
 
 void ServeSession::Run(std::istream& in, std::ostream& out) {
   std::string line;
-  const auto blank = [](const std::string& s) {
-    return s.find_first_not_of(" \t\r") == std::string::npos;
-  };
-
-  if (impl_->pool == nullptr) {
-    while (std::getline(in, line)) {
-      if (blank(line)) continue;
-      out << HandleLine(line) << '\n';
-      out.flush();
-    }
-    return;
-  }
-
-  // Concurrent requests, ordered responses: a bounded window of
-  // in-flight slots. A dedicated writer thread drains completed slots
-  // from the front of the window the moment they finish — independently
-  // of input arrival, because a synchronous client (send one request,
-  // wait for the answer) must receive response N without having to send
-  // line N+1 or close the stream first.
-  struct Slot {
-    std::string line;
-    std::string response;
-    bool done = false;
-  };
-  std::mutex m;
-  std::condition_variable cv;
-  std::deque<std::shared_ptr<Slot>> window;
-  bool eof = false;
-  const std::size_t max_inflight =
-      static_cast<std::size_t>(impl_->pool->size()) * 4;
-
-  std::thread writer([&] {
-    std::unique_lock<std::mutex> lock(m);
-    for (;;) {
-      cv.wait(lock, [&] {
-        return (!window.empty() && window.front()->done) ||
-               (eof && window.empty());
-      });
-      if (window.empty()) return;  // EOF reached and fully drained
-      while (!window.empty() && window.front()->done) {
-        const std::shared_ptr<Slot> slot = window.front();
-        window.pop_front();
-        cv.notify_all();  // a window slot freed: wake the reader
-        lock.unlock();
-        out << slot->response << '\n';
-        out.flush();
-        lock.lock();
-      }
-    }
-  });
-
   while (std::getline(in, line)) {
-    if (blank(line)) continue;
-    auto slot = std::make_shared<Slot>();
-    slot->line = line;
-    {
-      std::unique_lock<std::mutex> lock(m);
-      cv.wait(lock, [&] { return window.size() < max_inflight; });
-      window.push_back(slot);
-    }
-    impl_->pool->Submit([this, slot, &m, &cv] {
-      std::string response;
-      try {
-        response = HandleLine(slot->line);
-      } catch (...) {
-        // HandleLine answers errors in-band; this is the last-resort
-        // guard that keeps an escaping exception from terminating the
-        // pool's jthread and stranding the writer on a never-done slot.
-        impl_->errors.fetch_add(1, std::memory_order_relaxed);
-        response = ErrorLine("", "internal error", impl_->options.pretty);
-      }
-      {
-        std::lock_guard<std::mutex> guard(m);
-        slot->response = std::move(response);
-        slot->done = true;
-        // Notify while holding the lock: the writer may drain this slot,
-        // see the window empty, and let Run() destroy `cv` the moment
-        // the mutex is released — a notify after unlock would race the
-        // destruction.
-        cv.notify_all();
-      }
-    });
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    // Flushed per response: a synchronous client that waits for answer N
+    // before sending line N+1 must not wait on the buffer.
+    out << HandleLine(line) << '\n';
+    out.flush();
   }
-  {
-    std::lock_guard<std::mutex> lock(m);
-    eof = true;
-  }
-  cv.notify_all();
-  writer.join();
 }
 
 }  // namespace rapar::serve

@@ -1,11 +1,11 @@
 // Verification service: the long-running daemon behind `rapar_cli serve`.
 //
 // A ServeSession reads newline-delimited JSON requests (one verify/mg
-// request per line), dispatches them onto a persistent ThreadPool
-// (one FIFO queue), and answers each with the standard versioned result envelope
-// (core/result_json.h) on a single line — the same schema one-shot
-// `rapar_cli verify --format=json` emits, plus three serve-only fields
-// (`id` echo, `fingerprint`, `cache`).
+// request per line), handles each in arrival order on the thread that
+// drives the session, and answers each with the standard versioned result
+// envelope (core/result_json.h) on a single line — the same schema
+// one-shot `rapar_cli verify --format=json` emits, plus three serve-only
+// fields (`id` echo, `fingerprint`, `cache`).
 //
 // Request schema (all fields except "command" optional; unknown top-level
 // fields are ignored, mirroring the envelope's versioning contract, but
@@ -24,7 +24,7 @@
 //                "max_depth": N, "time_budget_ms": N, "max_guesses": N}}
 //
 // "portfolio" runs TMAI and, when TMAI cannot prove the system safe, the
-// Datalog backend, both on the worker that took the request.
+// Datalog backend, both on the session's thread.
 //
 // Batch requests: a line whose top-level object has a "requests" member
 // bundles several requests into one round trip —
@@ -35,11 +35,11 @@
 // the response envelopes in request order. Each element is exactly the
 // envelope the same request would have received on its own line
 // (including per-request id echo and error envelopes for malformed
-// elements — one bad element never fails its siblings), and the batch
-// shares the verdict cache's single-flight coalescing, so duplicate
-// requests inside one batch run the pipeline once. Lines without a
-// top-level "requests" member are byte-identical to the pre-batch
-// protocol.
+// elements — one bad element never fails its siblings). Elements run in
+// order through the same verdict cache, so a definitive request repeated
+// inside one batch is answered from the entry its first copy filled.
+// Lines without a top-level "requests" member are byte-identical to the
+// pre-batch protocol.
 //
 // Malformed requests answer a one-line error envelope (command "error",
 // exit_code 3) and the daemon keeps serving. Integer option fields are
@@ -95,8 +95,10 @@ struct JsonValue;
 namespace rapar::serve {
 
 struct ServeOptions {
-  // Worker threads for the request pool. 0 = hardware concurrency;
-  // 1 = no pool, requests handled inline on the caller's thread.
+  // Read by nothing: a session handles its requests on the one thread
+  // that drives it. Kept only because the benchmark drivers
+  // (rabench/timed_main.cpp, rabench/traced_main.cpp) assign it; the
+  // benchmark change that drops those assignments deletes it.
   unsigned threads = 0;
   // Verdict-cache bounds: maximum resident entries and an approximate
   // resident-bytes ceiling (canonical key + request key + rendered
@@ -119,6 +121,9 @@ struct CacheStats {
   std::uint64_t entries = 0;  // current resident entries
 };
 
+// One thread drives a session, as with dl::Engine, MakePEncoder and
+// DisGuessCursor: HandleLine, Run and cache_stats must not be called
+// concurrently on one session.
 class ServeSession {
  public:
   explicit ServeSession(const ServeOptions& options = {});
@@ -128,17 +133,15 @@ class ServeSession {
   ServeSession& operator=(const ServeSession&) = delete;
 
   // Handles one request line and returns exactly one response line (no
-  // trailing newline). Thread-safe: Run() calls this from every pool
-  // worker concurrently. Never throws — an exception escaping the
-  // pipeline is answered as an error envelope, like a malformed request.
+  // trailing newline). Never throws — an exception escaping the pipeline
+  // is answered as an error envelope, like a malformed request.
   std::string HandleLine(std::string_view line);
 
-  // Reads requests from `in` until EOF and writes one response line per
-  // request to `out`, in request order. Requests are handled
-  // concurrently on the pool (bounded in-flight window); ordering is
-  // restored on output, and each response is written as soon as it
-  // reaches the front of the window — a synchronous request/response
-  // client never has to send more input to receive a finished answer.
+  // Reads requests from `in` until EOF, skipping blank lines, and answers
+  // each with HandleLine before reading the next: one response line per
+  // request on `out`, in request order, flushed as it is written, so a
+  // synchronous request/response client never has to send more input to
+  // receive its answer.
   void Run(std::istream& in, std::ostream& out);
 
   CacheStats cache_stats() const;

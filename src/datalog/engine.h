@@ -137,8 +137,11 @@ struct JoinHints {
   std::vector<std::uint8_t> growth;
 };
 
-// Evaluation-core tuning knobs, separate from the per-call limits in
-// EvalOptions so callers (VerifierOptions::engine) can ablate them.
+// Evaluation-core switches, separate from the per-call limits in
+// EvalOptions. The verifier always solves with the defaults; turning both
+// off gives the naive full-scan evaluation that the engine tests
+// (datalog_engine_test, datalog_differential_test,
+// datalog_index_differential_test) use as their reference.
 struct EngineOptions {
   // Build lazy per-(predicate, bound-position signature) join indexes and
   // probe them instead of scanning the full extension.

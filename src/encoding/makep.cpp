@@ -198,7 +198,8 @@ class Builder {
   // Decodes an expression native's inputs (every env register, as
   // symbols offset by `off`) into register values without allocating.
   // The buffer is per thread, not per closure: the closure stays
-  // immutable, and serve evaluates programs on several threads at once.
+  // immutable, so separate verifiers may still evaluate their programs
+  // on separate threads.
   static std::span<const Value> Registers(std::span<const Sym> in, Sym off) {
     thread_local std::vector<Value> rv;
     rv.resize(in.size());

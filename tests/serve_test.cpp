@@ -1,11 +1,11 @@
 // End-to-end tests for the verification service (core/serve.h): request
 // decoding, the content-addressed verdict cache (fingerprint
-// sensitivity, LRU eviction, single-flight coalescing, hits by the
+// sensitivity, LRU eviction, repeats answered from the cache, hits by the
 // request as sent and by the canonical key), the catalog
 // replay differential — every standard benchmark served twice must be
 // 100% cache hits on the second pass with envelopes identical to the
 // first modulo telemetry, and both must agree with a one-shot
-// SafetyVerifier run — and ordered concurrent Run().
+// SafetyVerifier run — and Run() answering a stream in order.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -71,9 +71,8 @@ struct RequestSpec {
   long long id = -1;
 };
 
-serve::ServeOptions Opts(unsigned threads, std::size_t cache_entries = 1024) {
+serve::ServeOptions Opts(std::size_t cache_entries = 1024) {
   serve::ServeOptions o;
-  o.threads = threads;
   o.cache_entries = cache_entries;
   return o;
 }
@@ -162,7 +161,7 @@ std::string Reemit(const JsonValue* v) {
 }
 
 TEST(ServeTest, MissThenHit) {
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
   RequestSpec spec;
   spec.env = kMpWriter;
   spec.dis = {kMpReader};
@@ -198,7 +197,7 @@ TEST(ServeTest, MissThenHit) {
 // Such a repeat is not the request that filled the entry, so it parses;
 // and it adds no alias (one per entry), so a second copy parses too.
 TEST(ServeTest, ReformattedProgramsHitTheFilledEntry) {
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
   const JsonValue first =
       Parse(session.HandleLine(MakeLine("verify", kMpWriter, {kMpReader})));
   ASSERT_EQ(Str(first, "cache"), "miss");
@@ -235,7 +234,7 @@ TEST(ServeTest, EnvFileRepeatAfterTheFileChangedIsAMiss) {
   w.Key("dis").BeginArray().String(kMpReader).EndArray();
   w.EndObject();
   const std::string line = w.TakeString();
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
 
   write_env(kMpWriter);
   const JsonValue first = Parse(session.HandleLine(line));
@@ -262,7 +261,7 @@ TEST(ServeTest, EnvFileRepeatAfterTheFileChangedIsAMiss) {
 }
 
 TEST(ServeTest, MgRequest) {
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
   RequestSpec spec;
   spec.command = "mg";
   spec.env = kMpWriter;
@@ -278,7 +277,7 @@ TEST(ServeTest, MgRequest) {
 }
 
 TEST(ServeTest, ErrorEnvelopes) {
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
   const struct {
     std::string line;
     const char* expect;
@@ -347,7 +346,7 @@ TEST(ServeTest, ErrorEnvelopes) {
 }
 
 TEST(ServeTest, FingerprintSensitivity) {
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
   RequestSpec spec;
   spec.env = kMpWriter;
   spec.dis = {kMpReader};
@@ -375,7 +374,7 @@ TEST(ServeTest, FingerprintSensitivity) {
 }
 
 TEST(ServeTest, EvictionWithSingleEntryCache) {
-  serve::ServeSession session(Opts(1, /*cache_entries=*/1));
+  serve::ServeSession session(Opts(/*cache_entries=*/1));
   const std::string a = MakeLine("verify", kMpWriter, {kMpReader});
   const std::string b = MakeLine("mg", kMpWriter, {}, "x", 1);
   EXPECT_EQ(Str(Parse(session.HandleLine(a)), "cache"), "miss");
@@ -389,7 +388,7 @@ TEST(ServeTest, EvictionWithSingleEntryCache) {
 }
 
 TEST(ServeTest, CacheDisabled) {
-  serve::ServeSession session(Opts(1, /*cache_entries=*/0));
+  serve::ServeSession session(Opts(/*cache_entries=*/0));
   const std::string line = MakeLine("verify", kMpWriter);
   EXPECT_EQ(Str(Parse(session.HandleLine(line)), "cache"), "miss");
   EXPECT_EQ(Str(Parse(session.HandleLine(line)), "cache"), "miss");
@@ -414,7 +413,7 @@ TEST(ServeTest, EngineCountersDoNotDependOnEarlierRequests) {
   }
   ASSERT_EQ(systems.size(), 2u);
 
-  serve::ServeSession session(Opts(1, /*cache_entries=*/0));
+  serve::ServeSession session(Opts(/*cache_entries=*/0));
   for (const std::size_t i : {0, 1, 0}) {
     RequestSpec spec;
     spec.env = systems[i]->env_program().ToString();
@@ -441,7 +440,7 @@ TEST(ServeTest, EngineCountersDoNotDependOnEarlierRequests) {
 }
 
 TEST(ServeTest, NonDefinitiveVerdictsAreNotMemoized) {
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
   // One state is not enough to exhaust the safe MP pair: the verdict
   // degrades to unknown, which is wall-clock state, not a program fact.
   RequestSpec spec;
@@ -458,7 +457,7 @@ TEST(ServeTest, NonDefinitiveVerdictsAreNotMemoized) {
 }
 
 TEST(ServeTest, CertificateReplaysByteIdentical) {
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
   RequestSpec spec;
   spec.env = kMpWriter;
   spec.dis = {kMpReader};
@@ -485,7 +484,7 @@ TEST(ServeTest, CertificateReplaysByteIdentical) {
 // to the first modulo telemetry.
 TEST(ServeTest, CatalogReplayDifferential) {
   std::vector<BenchmarkCase> suite = StandardBenchmarks();
-  serve::ServeSession session(Opts(1));
+  serve::ServeSession session(Opts());
 
   std::vector<std::string> lines;
   std::vector<std::string> first_pass;
@@ -615,15 +614,16 @@ class LineCaptureBuf : public std::streambuf {
 };
 
 // Regression: a synchronous request/response client must receive
-// response N without sending request N+1 or closing the stream. The
-// pooled path used to drain completed slots only after reading the next
-// input line, deadlocking exactly this pattern.
+// response N without sending request N+1 or closing the stream. Run()
+// answers and flushes each line before it reads the next; a request pool
+// that once drained completed answers only after reading the next input
+// line deadlocked exactly this pattern.
 TEST(ServeTest, PooledRunAnswersWithoutFurtherInput) {
   BlockingInputBuf in_buf;
   LineCaptureBuf out_buf;
   std::istream in(&in_buf);
   std::ostream out(&out_buf);
-  serve::ServeSession session(Opts(4));
+  serve::ServeSession session(Opts());
   std::thread runner([&] { session.Run(in, out); });
 
   in_buf.Push(MakeLine("verify", kMpWriter, {kMpReader}) + "\n");
@@ -640,10 +640,9 @@ TEST(ServeTest, PooledRunAnswersWithoutFurtherInput) {
   EXPECT_EQ(Str(Parse(lines[1]), "verdict"), "unsafe");
 }
 
-// Concurrent Run(): responses come back in request order, and identical
-// concurrent requests coalesce through the single-flight cache — with 4
-// copies of each of 3 programs in flight at once, exactly 3 run the
-// pipeline and 9 hit.
+// Run() over a stream: responses come back in request order, and
+// identical requests share one pipeline run through the cache — of 4
+// copies of each of 3 programs, exactly 3 run the pipeline and 9 hit.
 TEST(ServeTest, ConcurrentRunOrdersResponsesAndCoalesces) {
   const std::string programs[] = {
       MakeLine("verify", kMpWriter, {kMpReader}),
@@ -655,7 +654,7 @@ TEST(ServeTest, ConcurrentRunOrdersResponsesAndCoalesces) {
   for (int round = 0; round < 4; ++round) {
     for (const std::string& p : programs) {
       // Same id for every copy of a program: ids are part of the
-      // response, not the fingerprint, so twins still coalesce.
+      // response, not the fingerprint, so copies still hit.
       std::string line = p;
       line.insert(1, "\"id\":" + std::to_string(id % 3) + ",");
       input << line << "\n";
@@ -663,7 +662,7 @@ TEST(ServeTest, ConcurrentRunOrdersResponsesAndCoalesces) {
     }
   }
 
-  serve::ServeSession session(Opts(4));
+  serve::ServeSession session(Opts());
   std::istringstream in(input.str());
   std::ostringstream out;
   session.Run(in, out);
@@ -685,8 +684,8 @@ TEST(ServeTest, ConcurrentRunOrdersResponsesAndCoalesces) {
   EXPECT_EQ(stats.hits, 9u);
 }
 
-// Pooled hits and evictions on a two-entry cache: with three canonical
-// requests (one also sent reformatted) in rotation, workers look entries
+// Hits and evictions on a two-entry cache: with three canonical
+// requests (one also sent reformatted) in rotation, requests look entries
 // up by request key and by canonical key while others fill and evict
 // them. Every response carries its program's verdict, whichever path
 // answered it.
@@ -705,7 +704,7 @@ TEST(ServeTest, ConcurrentHitsAndEvictionsKeepVerdicts) {
     for (const std::string& p : programs) input << p << "\n";
   }
 
-  serve::ServeSession session(Opts(4, /*cache_entries=*/2));
+  serve::ServeSession session(Opts(/*cache_entries=*/2));
   std::istringstream in(input.str());
   std::ostringstream out;
   session.Run(in, out);
