@@ -7,7 +7,7 @@
 //   rapar_cli classify FILE...
 //   rapar_cli lint [--env FILE] [--dis FILE]... [FILE...]
 //   rapar_cli certcheck --env FILE [--dis FILE]... --cert FILE
-//   rapar_cli serve [--cache-entries N] [--cache-bytes N] [--pretty]
+//   rapar_cli serve [--cache-entries N] [--cache-bytes N]
 //
 // Every subcommand answers `--help` with its own flag list. Flags are
 // declared once in the kFlags table below — name, arity, applicable
@@ -28,10 +28,9 @@
 // the static analysis of the emitted Datalog program; --dot prints the
 // predicate dependency graph in Graphviz format instead.
 // serve runs the long-lived verification daemon (core/serve.h): one JSON
-// request per stdin line, one result envelope per stdout line (or a
-// {"requests":[...]} batch per line, answered as {"responses":[...]}),
-// each request answered in turn on the main thread, with a
-// content-addressed verdict cache. EOF on stdin shuts it down (exit 0).
+// request per stdin line, one result envelope per stdout line, each
+// request answered in turn on the main thread, with a verdict cache keyed
+// by the request as sent. EOF on stdin shuts it down (exit 0).
 // verify/mg with --backend=datalog additionally support checkpoint/resume
 // of the guess scan (--checkpoint=FILE, --resume=FILE, --scan-limit=N):
 // a checkpoint records the first unscanned guess and a digest of the
@@ -235,9 +234,6 @@ const FlagSpec kFlags[] = {
     {"--cache-bytes", true, "N", "serve",
      "verdict-cache resident-bytes ceiling (default 67108864)",
      [](Options& o, const char* v) { ParseCount(v, &o.serve.cache_bytes); }},
-    {"--pretty", false, nullptr, "serve",
-     "indent response envelopes (default: one response per line)",
-     [](Options& o, const char*) { o.serve.pretty = true; }},
     {"--checkpoint", true, "FILE", "verify mg",
      "datalog backend: write scan checkpoints to FILE (atomic "
      "tmp+rename)",
@@ -299,8 +295,7 @@ int GlobalUsage() {
       "  rapar_cli classify FILE...\n"
       "  rapar_cli lint [--env FILE] [--dis FILE]... [FILE...]\n"
       "  rapar_cli certcheck --env FILE [--dis FILE]... --cert FILE\n"
-      "  rapar_cli serve [--cache-entries N] [--cache-bytes N] "
-      "[--pretty]\n"
+      "  rapar_cli serve [--cache-entries N] [--cache-bytes N]\n"
       "run `rapar_cli <command> --help` for the command's flags\n");
   return 3;
 }

@@ -86,9 +86,8 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
   rm -f serve_smoke.jsonl
 
   # serve replay bench: cache hits must be at least 2x faster than cold
-  # sessions across the catalog, with verdict parity in every regime and
-  # both hit regimes (request as sent, reformatted) answered from the
-  # cache.
+  # sessions across the catalog, with the one-shot verdict in both
+  # regimes and every hit answered from the cache.
   (cd build && ./bench/bench_serve --json --benchmark_filter=NONE)
   jq -e '.totals.speedup_hit >= 2 and .totals.parity == "OK"' \
     build/BENCH_serve.json

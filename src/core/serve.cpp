@@ -274,14 +274,15 @@ Expected<ParamSystem> BuildSystem(const Request& req) {
   return builder.Build();
 }
 
-// --- cache keys -------------------------------------------------------------
+// --- request key and fingerprint --------------------------------------------
 
-// The option header both cache keys start with: the command, the goal and
-// every option field that reaches a backend, in a fixed order. Both keys
-// call this one function, so an option added to one key cannot be left
-// out of the other. The goal variable is length-prefixed (the request key
-// is built before the variable is looked up in the programs); every other
-// field is a number or a name from a fixed set.
+// The option header the request key and the canonical request both start
+// with: the command, the goal and every option field that reaches a
+// backend, in a fixed order. Both call this one function, so an option
+// added to one cannot be left out of the other. The goal variable is
+// length-prefixed (the request key is built before the variable is looked
+// up in the programs); every other field is a number or a name from a
+// fixed set.
 void AppendOptionHeader(const Request& req, std::string* out) {
   const VerifierOptions& vo = req.vopts;
   std::string& s = *out;
@@ -309,10 +310,11 @@ void AppendOptionHeader(const Request& req, std::string* out) {
   s += "unroll=" + std::to_string(req.unroll) + '\n';
 }
 
-// The canonical normalization of a request: every input the backends can
-// observe, in a fixed order. Two requests get the same canonical string
-// exactly when they run the same verification — the pretty-printed
-// programs (post-unroll, so `unroll` is captured structurally as well as
+// The canonical normalization of a request, whose digest is the
+// envelope's `fingerprint`: every input the backends can observe, in a
+// fixed order. Two requests get the same canonical string exactly when
+// they run the same verification — the pretty-printed programs
+// (post-unroll, so `unroll` is captured structurally as well as
 // textually), the class signature, the goal, and every option field that
 // reaches a backend.
 std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
@@ -331,12 +333,12 @@ std::string CanonicalRequest(const Request& req, const ParamSystem& sys) {
   return s;
 }
 
-// The request as sent: the option header, then the env and dis texts
-// exactly as decoded (file contents for env_file/dis_files, never the
-// paths), each length-prefixed so the key decodes only one way. The
-// canonical request is a function of exactly these fields, so equal
-// request keys have equal canonical requests, and a repeat found by its
-// request key can be answered without parsing.
+// The cache key, the request as sent: the option header, then the env and
+// dis texts exactly as decoded (file contents for env_file/dis_files,
+// never the paths), each length-prefixed so the key decodes only one way.
+// The canonical request is a function of exactly these fields, so equal
+// request keys have equal canonical requests and fingerprints, and a
+// repeat found by its request key can be answered without parsing.
 std::string RequestKey(const Request& req) {
   std::size_t size = 256 + req.env_text.size();
   for (const std::string& d : req.dis_texts) size += 32 + d.size();
@@ -356,9 +358,8 @@ std::string RequestKey(const Request& req) {
 }
 
 // One-line error envelope; the daemon answers it and keeps serving.
-std::string ErrorLine(const std::string& id_json, const std::string& message,
-                      bool pretty) {
-  JsonWriter w(pretty);
+std::string ErrorLine(const std::string& id_json, const std::string& message) {
+  JsonWriter w;
   w.BeginObject();
   w.Key("schema_version").Int(kResultSchemaVersion);
   w.Key("tool").String("rapar");
@@ -398,10 +399,9 @@ struct ServeSession::Impl {
   explicit Impl(const ServeOptions& opts) : options(opts) {}
 
   // A memoized verdict. It never changes once cached; the LRU list owns
-  // it and both indexes point into the list.
+  // it and the index points into the list.
   struct CacheEntry {
-    std::string key;          // canonical request (cache_index's key view)
-    std::string request_key;  // the filling miss's (alias_index's key view)
+    std::string request_key;  // the filling miss's (the index's key view)
     std::string digest;
     std::string command;
     std::string signature;
@@ -411,38 +411,45 @@ struct ServeSession::Impl {
   };
   using LruList = std::list<CacheEntry>;
 
-  // The entry a miss with exactly this request key filled, unless it
-  // carries a certificate: a certificate hit re-checks the proof against
-  // a freshly parsed system, so it takes the canonical path. Refreshes
-  // LRU order; nullptr when there is no such entry.
-  const CacheEntry* LookupAlias(const std::string& request_key) {
-    auto it = alias_index.find(request_key);
-    if (it == alias_index.end() ||
-        it->second->verdict.certificate != nullptr) {
-      return nullptr;
+  // What --cache-bytes counts for an entry: its fixed size plus what it
+  // holds whose size does not depend on timing — the request key,
+  // digest, signature, witness, width report, telemetry names and the
+  // certificate (as its JSON rendering). The rendered envelope is not
+  // counted: its phase.*_ms gauges print a run-dependent number of
+  // digits.
+  static std::size_t Bytes(const CacheEntry& e) {
+    const Verdict& v = e.verdict;
+    std::size_t n = sizeof(CacheEntry) + e.request_key.size() +
+                    e.digest.size() + e.signature.size() + v.witness.size() +
+                    v.width_report.size();
+    for (const obs::Telemetry::Entry& t : v.telemetry.entries()) {
+      n += sizeof(t) + t.name.size();
     }
-    lru.splice(lru.begin(), lru, it->second);
-    return &*it->second;
+    if (v.certificate != nullptr) {
+      JsonWriter w;
+      tmai::WriteCertificateJson(*v.certificate, &w);
+      n += w.TakeString().size();
+    }
+    return n;
   }
 
-  // The entry for the canonical `key`, with its LRU order refreshed;
-  // nullptr on a miss.
-  const CacheEntry* Lookup(const std::string& key) {
-    auto it = cache_index.find(key);
-    if (it == cache_index.end()) return nullptr;
+  // The entry a miss with exactly this request key filled, with its LRU
+  // order refreshed; nullptr when there is none.
+  const CacheEntry* Lookup(const std::string& request_key) {
+    auto it = index.find(request_key);
+    if (it == index.end()) return nullptr;
     lru.splice(lru.begin(), lru, it->second);
     return &*it->second;
   }
 
   // Memoizes the entry a miss filled, then evicts least-recently-used
   // entries down to the bounds. The miss found no entry under its
-  // canonical key, and equal request keys have equal canonical keys, so
-  // its request key is new too.
+  // request key, so the key is new.
   void Insert(CacheEntry entry) {
+    entry.bytes = Bytes(entry);
     cache_bytes += entry.bytes;
     lru.push_front(std::move(entry));
-    cache_index.emplace(lru.front().key, lru.begin());
-    alias_index.emplace(lru.front().request_key, lru.begin());
+    index.emplace(lru.front().request_key, lru.begin());
     while (lru.size() > options.cache_entries ||
            (cache_bytes > options.cache_bytes && lru.size() > 1)) {
       Unlink(std::prev(lru.end()));
@@ -450,29 +457,25 @@ struct ServeSession::Impl {
     }
   }
 
-  void Erase(const std::string& key) {
-    auto it = cache_index.find(key);
-    if (it == cache_index.end()) return;
+  void Erase(const std::string& request_key) {
+    auto it = index.find(request_key);
+    if (it == index.end()) return;
     Unlink(it->second);
     ++evictions;
   }
 
-  // Drops one resident entry from the LRU list and both indexes.
+  // Drops one resident entry from the LRU list and the index.
   void Unlink(LruList::iterator it) {
     cache_bytes -= it->bytes;
-    cache_index.erase(it->key);
-    alias_index.erase(it->request_key);
+    index.erase(it->request_key);
     lru.erase(it);
   }
 
   ServeOptions options;
 
   LruList lru;  // front = most recently used
-  // Canonical request -> entry, and the request key of the miss that
-  // filled an entry -> that entry (one alias per entry), updated together
-  // on fill, eviction and Erase.
-  std::unordered_map<std::string_view, LruList::iterator> cache_index;
-  std::unordered_map<std::string_view, LruList::iterator> alias_index;
+  // Request key of the miss that filled an entry -> that entry.
+  std::unordered_map<std::string_view, LruList::iterator> index;
   std::size_t cache_bytes = 0;
 
   std::uint64_t hits = 0;
@@ -506,81 +509,26 @@ std::string ServeSession::HandleLine(std::string_view line) {
     return HandleLineImpl(line);
   } catch (const std::exception& e) {
     ++impl_->errors;
-    return ErrorLine("", std::string("internal error: ") + e.what(),
-                     impl_->options.pretty);
+    return ErrorLine("", std::string("internal error: ") + e.what());
   } catch (...) {
     ++impl_->errors;
-    return ErrorLine("", "internal error", impl_->options.pretty);
+    return ErrorLine("", "internal error");
   }
 }
 
 std::string ServeSession::HandleLineImpl(std::string_view line) {
   Impl& im = *impl_;
   ++im.requests;
-  const bool pretty = im.options.pretty;
 
   Expected<JsonValue> doc = ParseJson(line);
   if (!doc.ok()) {
     ++im.errors;
-    return ErrorLine("", "invalid request JSON: " + doc.error(), pretty);
+    return ErrorLine("", "invalid request JSON: " + doc.error());
   }
-
-  // --- batch: {"requests":[...]} answered as {"responses":[...]} ---
-  // Detected on the top-level member, so plain request lines take the
-  // single-request path below byte-for-byte unchanged.
-  if (doc.value().is_object()) {
-    if (const JsonValue* reqs = doc.value().Find("requests")) {
-      std::string batch_id;
-      if (const JsonValue* id = doc.value().Find("id")) {
-        JsonWriter w;
-        WriteJsonValue(*id, &w);
-        batch_id = w.TakeString();
-      }
-      if (!reqs->is_array() || reqs->items.empty()) {
-        ++im.errors;
-        return ErrorLine(batch_id,
-                         "field 'requests' must be a non-empty array",
-                         pretty);
-      }
-      // The line was counted once above; count the remaining elements so
-      // serve.requests reflects verifications asked, not stdin lines.
-      im.requests += reqs->items.size() - 1;
-      JsonWriter w(pretty);
-      w.BeginObject();
-      if (!batch_id.empty()) w.Key("id").Raw(batch_id);
-      w.Key("responses").BeginArray();
-      for (const JsonValue& item : reqs->items) {
-        // Same never-kill-the-stream contract per element as HandleLine
-        // has per line: one failing element answers its own error
-        // envelope and the rest of the batch still runs.
-        std::string resp;
-        try {
-          resp = HandleRequestDoc(item);
-        } catch (const std::exception& e) {
-          ++im.errors;
-          resp = ErrorLine("", std::string("internal error: ") + e.what(),
-                           pretty);
-        } catch (...) {
-          ++im.errors;
-          resp = ErrorLine("", "internal error", pretty);
-        }
-        w.Raw(resp);
-      }
-      w.EndArray();
-      w.EndObject();
-      return w.TakeString();
-    }
-  }
-  return HandleRequestDoc(doc.value());
-}
-
-std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
-  Impl& im = *impl_;
-  const bool pretty = im.options.pretty;
-  Request req = DecodeRequest(doc);
+  Request req = DecodeRequest(doc.value());
   if (!req.error.empty()) {
     ++im.errors;
-    return ErrorLine(req.id_json, req.error, pretty);
+    return ErrorLine(req.id_json, req.error);
   }
 
   // Stamps the session-cumulative cache/serve counters; called on a copy
@@ -619,15 +567,19 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     extras.fingerprint = entry.digest;
     extras.cache = "hit";
     return one_line(VerdictToJson(v, entry.vopts, entry.command,
-                                  entry.signature, pretty, &extras));
+                                  entry.signature, /*pretty=*/false,
+                                  &extras));
   };
 
-  // --- alias hit: a repeat of the request that filled an entry ---
+  // --- cache probe by the request as sent ---
+  // An entry without a certificate is answered without parsing anything.
   const bool cache_on = im.options.cache_entries != 0;
   std::string request_key;
+  const Impl::CacheEntry* entry = nullptr;
   if (cache_on) {
     request_key = RequestKey(req);
-    if (const Impl::CacheEntry* entry = im.LookupAlias(request_key)) {
+    entry = im.Lookup(request_key);
+    if (entry != nullptr && entry->verdict.certificate == nullptr) {
       return replay(*entry, /*parse_ms=*/0.0);
     }
   }
@@ -636,7 +588,7 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
   Expected<ParamSystem> sys = BuildSystem(req);
   if (!sys.ok()) {
     ++im.errors;
-    return ErrorLine(req.id_json, sys.error(), pretty);
+    return ErrorLine(req.id_json, sys.error());
   }
   std::optional<std::pair<VarId, Value>> goal;
   if (req.mg) {
@@ -644,7 +596,7 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     if (!var.valid()) {
       ++im.errors;
       return ErrorLine(req.id_json,
-                       "unknown variable '" + req.goal_var + "'", pretty);
+                       "unknown variable '" + req.goal_var + "'");
     }
     goal = {var, static_cast<Value>(req.goal_val)};
   }
@@ -652,27 +604,23 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
                               std::chrono::steady_clock::now() - parse_start)
                               .count();
 
-  const std::string canonical = CanonicalRequest(req, sys.value());
-  const std::string digest = FingerprintDigest(canonical);
-  const char* command = req.mg ? "mg" : "verify";
-  extras.fingerprint = digest;
-
-  // --- cache probe by the canonical request ---
-  if (cache_on) {
-    if (const Impl::CacheEntry* entry = im.Lookup(canonical)) {
-      if (entry->verdict.certificate == nullptr ||
-          RevalidateCertificate(sys.value(), entry->vopts.enable_prepass,
-                                *entry->verdict.certificate)) {
-        return replay(*entry, parse_ms);
-      }
-      // The memoized proof no longer checks out against this request's
-      // system: drop the entry and recompute.
-      im.Erase(canonical);
+  // --- certificate hit: re-check the memoized proof before replaying ---
+  if (entry != nullptr) {
+    if (RevalidateCertificate(sys.value(), entry->vopts.enable_prepass,
+                              *entry->verdict.certificate)) {
+      return replay(*entry, parse_ms);
     }
+    // The memoized proof no longer checks out against this request's
+    // system: drop the entry and recompute.
+    im.Erase(request_key);
   }
 
   // --- miss: run the pipeline ---
   ++im.misses;
+  const std::string digest =
+      FingerprintDigest(CanonicalRequest(req, sys.value()));
+  const char* command = req.mg ? "mg" : "verify";
+  extras.fingerprint = digest;
   std::string rendered;
   try {
     SafetyVerifier verifier(sys.value());
@@ -688,30 +636,26 @@ std::string ServeSession::HandleRequestDoc(const JsonValue& doc) {
     Verdict stamped = v;
     stamp(stamped, /*hit=*/false);
     rendered = one_line(VerdictToJson(stamped, stored_opts, command,
-                                      sys.value().Signature(), pretty,
-                                      &extras));
+                                      sys.value().Signature(),
+                                      /*pretty=*/false, &extras));
 
     if (cache_on && Definitive(v)) {
-      Impl::CacheEntry entry;
-      entry.key = canonical;
-      entry.request_key = std::move(request_key);
-      entry.digest = digest;
-      entry.command = command;
-      entry.signature = sys.value().Signature();
-      entry.verdict = std::move(v);
-      entry.vopts = stored_opts;
-      entry.bytes =
-          entry.key.size() + entry.request_key.size() + rendered.size();
-      im.Insert(std::move(entry));
+      Impl::CacheEntry fill;
+      fill.request_key = std::move(request_key);
+      fill.digest = digest;
+      fill.command = command;
+      fill.signature = sys.value().Signature();
+      fill.verdict = std::move(v);
+      fill.vopts = stored_opts;
+      im.Insert(std::move(fill));
     }
   } catch (const std::exception& e) {
     // Answer the error with the request's id echo still attached.
     ++im.errors;
-    return ErrorLine(req.id_json, std::string("internal error: ") + e.what(),
-                     pretty);
+    return ErrorLine(req.id_json, std::string("internal error: ") + e.what());
   } catch (...) {
     ++im.errors;
-    return ErrorLine(req.id_json, "internal error", pretty);
+    return ErrorLine(req.id_json, "internal error");
   }
   return rendered;
 }

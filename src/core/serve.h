@@ -26,20 +26,11 @@
 // "portfolio" runs TMAI and, when TMAI cannot prove the system safe, the
 // Datalog backend, both on the session's thread.
 //
-// Batch requests: a line whose top-level object has a "requests" member
-// bundles several requests into one round trip —
-//
-//   {"id": <any json>, "requests": [<request>, <request>, ...]}
-//
-// answered as one line {"id": ..., "responses": [<envelope>, ...]} with
-// the response envelopes in request order. Each element is exactly the
-// envelope the same request would have received on its own line
-// (including per-request id echo and error envelopes for malformed
-// elements — one bad element never fails its siblings). Elements run in
-// order through the same verdict cache, so a definitive request repeated
-// inside one batch is answered from the entry its first copy filled.
-// Lines without a top-level "requests" member are byte-identical to the
-// pre-batch protocol.
+// Every line is one request. A line that is not a request object — a
+// JSON array or scalar, or an object without "command" such as
+// {"requests":[...]} — answers one error envelope like any other
+// malformed request. There is no batch framing: a client sends N
+// requests as N lines.
 //
 // Malformed requests answer a one-line error envelope (command "error",
 // exit_code 3) and the daemon keeps serving. Integer option fields are
@@ -52,20 +43,21 @@
 // exception, an allocation failure mid-render — answer the same error
 // envelope: errors never kill the stream.
 //
-// In front of the pipeline sits a content-addressed verdict cache:
-// requests are fingerprinted by a canonical normalization — the pretty-
-// printed programs (post-unroll), the system's class signature, the goal,
-// and every option field that reaches the backends — so two requests
-// collide exactly when they would run the same verification. Each entry
-// is also indexed by the request key of the miss that filled it: the
-// same option header followed by the env and dis texts as decoded (file
-// contents, never paths). A repeat of that request is answered from the
-// entry without parsing, building or canonicalizing anything; any other
-// hit (reformatted program text, or an entry carrying a TMAI
-// certificate) parses and probes by the canonical key. Hits replay the
-// memoized verdict (a certificate re-validated via
-// tmai::CheckCertificate, cache/serve telemetry re-stamped); misses run
-// the pipeline and populate a bounded LRU. Only definitive verdicts
+// In front of the pipeline sits a verdict cache with one index, keyed by
+// the request as sent: the option header (the command, the goal and
+// every option field that reaches a backend) followed by the env and dis
+// texts as decoded (file contents, never paths). A repeat of the request
+// that filled an entry is answered from it without parsing, building or
+// canonicalizing anything, unless the entry carries a TMAI certificate:
+// then the request parses and the certificate is re-validated via
+// tmai::CheckCertificate before the entry replays (a failed check drops
+// the entry and recomputes). Any other request is a miss, a reformatted
+// copy of a cached program included; misses run the pipeline and
+// populate a bounded LRU. The envelope's `fingerprint` is the digest of
+// a canonical normalization — the pretty-printed programs (post-unroll),
+// the system's class signature, the goal and every option field that
+// reaches the backends — so a reformatted copy answers the same
+// fingerprint as the text it copies. Only definitive verdicts
 // (safe/unsafe with no truncation) are memoized — an unknown produced by
 // a deadline is wall-clock state, not a fact about the program. See
 // DESIGN.md §12 for the cache-correctness argument.
@@ -73,11 +65,11 @@
 // Replay contract: a hit renders the memoized entry verbatim, so modulo
 // telemetry and the cache marker it is byte-identical to the miss that
 // populated it, which is what the catalog-replay differential asserts.
-// Every echoed option is part of both keys, so the echo is the current
-// request's too. Telemetry is the exception — cache/serve counters are
-// re-stamped from the session, and the parse-time gauge holds what this
-// request spent parsing: 0 on a hit answered by its request key, the
-// measured parse and build on a hit that went through the canonical key.
+// Every echoed option is part of the request key, so the echo is the
+// current request's too. Telemetry is the exception — cache/serve
+// counters are re-stamped from the session, and the parse-time gauge
+// holds what this request spent parsing: 0 on a hit without a
+// certificate, the measured parse and build on a certificate hit.
 #ifndef RAPAR_CORE_SERVE_H_
 #define RAPAR_CORE_SERVE_H_
 
@@ -88,10 +80,6 @@
 #include <string>
 #include <string_view>
 
-namespace rapar {
-struct JsonValue;
-}
-
 namespace rapar::serve {
 
 struct ServeOptions {
@@ -101,14 +89,14 @@ struct ServeOptions {
   // benchmark change that drops those assignments deletes it.
   unsigned threads = 0;
   // Verdict-cache bounds: maximum resident entries and an approximate
-  // resident-bytes ceiling (canonical key + request key + rendered
-  // verdict). Either bound evicts least-recently-used entries;
-  // cache_entries = 0 disables the cache entirely.
+  // resident-bytes ceiling (each entry's fixed size plus its request key,
+  // digest, signature, witness, width report, telemetry names and
+  // certificate — nothing whose size depends on timing, so the figure and
+  // the eviction point are reproducible). Either bound evicts
+  // least-recently-used entries; cache_entries = 0 disables the cache
+  // entirely.
   std::size_t cache_entries = 1024;
   std::size_t cache_bytes = 64u << 20;
-  // Indent response envelopes (default off: one response per line, the
-  // wire format).
-  bool pretty = false;
 };
 
 // Session-cumulative cache counters (also stamped into every response's
@@ -149,9 +137,6 @@ class ServeSession {
  private:
   struct Impl;
   std::string HandleLineImpl(std::string_view line);
-  // One parsed request object -> one rendered envelope (no trailing
-  // newline). The single-request and batch paths share it.
-  std::string HandleRequestDoc(const JsonValue& doc);
   std::unique_ptr<Impl> impl_;
 };
 

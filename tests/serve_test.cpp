@@ -1,11 +1,12 @@
 // End-to-end tests for the verification service (core/serve.h): request
-// decoding, the content-addressed verdict cache (fingerprint
-// sensitivity, LRU eviction, repeats answered from the cache, hits by the
-// request as sent and by the canonical key), the catalog
-// replay differential — every standard benchmark served twice must be
-// 100% cache hits on the second pass with envelopes identical to the
-// first modulo telemetry, and both must agree with a one-shot
-// SafetyVerifier run — and Run() answering a stream in order.
+// decoding, the verdict cache keyed by the request as sent (fingerprint
+// sensitivity, LRU eviction, repeats answered from the cache, reformatted
+// copies that miss with the same fingerprint, a reproducible cache.bytes),
+// the catalog replay differential — every standard benchmark served twice
+// must be 100% cache hits on the second pass with envelopes identical to
+// the first modulo telemetry, and both must agree with a one-shot
+// SafetyVerifier run — Run() answering a stream in order, and a seeded
+// fuzz of the request line (ServeFuzzTest).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -97,6 +98,17 @@ std::string RequestLine(const RequestSpec& spec) {
   }
   w.EndObject();
   return w.TakeString();
+}
+
+// A verify request for `sys`, its programs printed as parsed.
+std::string SystemLine(const ParamSystem& sys, const std::string& options_json) {
+  RequestSpec spec;
+  spec.env = sys.env_program().ToString();
+  for (const Program& dis : sys.dis_programs()) {
+    spec.dis.push_back(dis.ToString());
+  }
+  spec.options_json = options_json;
+  return RequestLine(spec);
 }
 
 std::string MakeLine(const std::string& command, const std::string& env,
@@ -191,11 +203,12 @@ TEST(ServeTest, MissThenHit) {
   EXPECT_GT(stats.bytes, 0u);
 }
 
-// DESIGN.md §12's collision property: the canonical key holds the
-// programs as parsed, so the same programs re-sent with comments and
-// blank lines hit the entry the first text filled, with its fingerprint.
-// Such a repeat is not the request that filled the entry, so it parses;
-// and it adds no alias (one per entry), so a second copy parses too.
+// The cache is keyed by the request as sent, so the same programs re-sent
+// with comments and blank lines are a miss: the copy parses, runs the
+// pipeline and fills an entry of its own, which its own repeat hits. The
+// fingerprint digests the programs as parsed (DESIGN.md §12), so the copy
+// answers the first text's verdict and fingerprint, and its envelope
+// equals the first one modulo telemetry.
 TEST(ServeTest, ReformattedProgramsHitTheFilledEntry) {
   serve::ServeSession session(Opts());
   const JsonValue first =
@@ -205,17 +218,20 @@ TEST(ServeTest, ReformattedProgramsHitTheFilledEntry) {
   const std::string reformatted = MakeLine(
       "verify", std::string("// the MP writer\n\n") + kMpWriter + "\n\n",
       {std::string("# reader\n\n") + kMpReader});
-  for (int round = 0; round < 2; ++round) {
-    const JsonValue again = Parse(session.HandleLine(reformatted));
-    EXPECT_EQ(Str(again, "cache"), "hit") << round;
-    EXPECT_EQ(Str(again, "fingerprint"), Str(first, "fingerprint")) << round;
-    EXPECT_EQ(StripVolatile(again), StripVolatile(first)) << round;
-    EXPECT_GT(Gauge(again, "phase.parse_ms"), 0.0) << round;
-  }
+  const JsonValue copy = Parse(session.HandleLine(reformatted));
+  EXPECT_EQ(Str(copy, "cache"), "miss");
+  EXPECT_EQ(Str(copy, "verdict"), Str(first, "verdict"));
+  EXPECT_EQ(Str(copy, "fingerprint"), Str(first, "fingerprint"));
+  EXPECT_EQ(StripVolatile(copy), StripVolatile(first));
+  EXPECT_GT(Gauge(copy, "phase.parse_ms"), 0.0);
+
+  const JsonValue repeat = Parse(session.HandleLine(reformatted));
+  EXPECT_EQ(Str(repeat, "cache"), "hit");
+  EXPECT_EQ(Str(repeat, "fingerprint"), Str(first, "fingerprint"));
   const serve::CacheStats stats = session.cache_stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.entries, 2u);
 }
 
 // The request key holds what env_file names, not the path: the same line
@@ -415,13 +431,8 @@ TEST(ServeTest, EngineCountersDoNotDependOnEarlierRequests) {
 
   serve::ServeSession session(Opts(/*cache_entries=*/0));
   for (const std::size_t i : {0, 1, 0}) {
-    RequestSpec spec;
-    spec.env = systems[i]->env_program().ToString();
-    for (const Program& dis : systems[i]->dis_programs()) {
-      spec.dis.push_back(dis.ToString());
-    }
-    spec.options_json = "{\"backend\":\"datalog\",\"time_budget_ms\":0}";
-    const JsonValue doc = Parse(session.HandleLine(RequestLine(spec)));
+    const JsonValue doc = Parse(session.HandleLine(SystemLine(
+        *systems[i], "{\"backend\":\"datalog\",\"time_budget_ms\":0}")));
     EXPECT_EQ(Str(doc, "cache"), "miss");
 
     VerifierOptions opts;
@@ -489,13 +500,7 @@ TEST(ServeTest, CatalogReplayDifferential) {
   std::vector<std::string> lines;
   std::vector<std::string> first_pass;
   for (const BenchmarkCase& bench : suite) {
-    RequestSpec spec;
-    spec.env = bench.system.env_program().ToString();
-    for (const Program& dis : bench.system.dis_programs()) {
-      spec.dis.push_back(dis.ToString());
-    }
-    spec.options_json = "{\"time_budget_ms\":60000}";
-    lines.push_back(RequestLine(spec));
+    lines.push_back(SystemLine(bench.system, "{\"time_budget_ms\":60000}"));
   }
 
   for (std::size_t i = 0; i < suite.size(); ++i) {
@@ -541,6 +546,36 @@ TEST(ServeTest, CatalogReplayDifferential) {
   const serve::CacheStats stats = session.cache_stats();
   EXPECT_EQ(stats.hits, suite.size());
   EXPECT_EQ(stats.misses, suite.size());
+}
+
+// cache.bytes counts only what an entry holds whose size does not depend
+// on timing (not the rendered envelope, whose phase.*_ms gauges print a
+// run-dependent number of digits), so two fresh sessions fed the same
+// lines report the same figure on every response. The TMAI line fills an
+// entry with a certificate.
+TEST(ServeTest, CacheBytesAreReproducible) {
+  std::vector<std::string> lines;
+  for (const BenchmarkCase& bench : StandardBenchmarks()) {
+    lines.push_back(SystemLine(bench.system, "{\"time_budget_ms\":60000}"));
+  }
+  lines.push_back(MakeLine("verify", kMpWriter, {kMpReader}, "", -1,
+                           "{\"backend\":\"tmai\"}"));
+
+  std::vector<std::uint64_t> bytes[2];
+  for (std::vector<std::uint64_t>& run : bytes) {
+    serve::ServeSession session(Opts());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& line : lines) {
+        run.push_back(Counter(Parse(session.HandleLine(line)), "cache.bytes"));
+      }
+    }
+    EXPECT_EQ(session.cache_stats().bytes, run.back());
+  }
+  ASSERT_EQ(bytes[0].size(), 2 * lines.size());
+  for (std::size_t i = 0; i < bytes[0].size(); ++i) {
+    EXPECT_EQ(bytes[0][i], bytes[1][i]) << "response " << i;
+  }
+  EXPECT_GT(bytes[0].back(), 0u);
 }
 
 // istream buffer that blocks in underflow until more input is pushed —
@@ -618,7 +653,7 @@ class LineCaptureBuf : public std::streambuf {
 // answers and flushes each line before it reads the next; a request pool
 // that once drained completed answers only after reading the next input
 // line deadlocked exactly this pattern.
-TEST(ServeTest, PooledRunAnswersWithoutFurtherInput) {
+TEST(ServeTest, RunAnswersWithoutFurtherInput) {
   BlockingInputBuf in_buf;
   LineCaptureBuf out_buf;
   std::istream in(&in_buf);
@@ -643,7 +678,7 @@ TEST(ServeTest, PooledRunAnswersWithoutFurtherInput) {
 // Run() over a stream: responses come back in request order, and
 // identical requests share one pipeline run through the cache — of 4
 // copies of each of 3 programs, exactly 3 run the pipeline and 9 hit.
-TEST(ServeTest, ConcurrentRunOrdersResponsesAndCoalesces) {
+TEST(ServeTest, RunOrdersResponsesAndRepeatsHit) {
   const std::string programs[] = {
       MakeLine("verify", kMpWriter, {kMpReader}),
       MakeLine("mg", kMpWriter, {}, "x", 1),
@@ -684,12 +719,11 @@ TEST(ServeTest, ConcurrentRunOrdersResponsesAndCoalesces) {
   EXPECT_EQ(stats.hits, 9u);
 }
 
-// Hits and evictions on a two-entry cache: with three canonical
-// requests (one also sent reformatted) in rotation, requests look entries
-// up by request key and by canonical key while others fill and evict
-// them. Every response carries its program's verdict, whichever path
-// answered it.
-TEST(ServeTest, ConcurrentHitsAndEvictionsKeepVerdicts) {
+// Hits and evictions on a two-entry cache: four requests in rotation
+// (one of them a reformatted copy of another, so a request key of its
+// own) look entries up while others fill and evict them. Every response
+// carries its program's verdict, whether it hit or missed.
+TEST(ServeTest, HitsAndEvictionsKeepVerdicts) {
   const std::string programs[] = {
       MakeLine("verify", kMpWriter, {kMpReader}),
       MakeLine("mg", kMpWriter, {}, "x", 1),
@@ -721,6 +755,198 @@ TEST(ServeTest, ConcurrentHitsAndEvictionsKeepVerdicts) {
   EXPECT_EQ(stats.hits + stats.misses, 4u * kRounds);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 2u);
+}
+
+// --- request-line fuzzing ----------------------------------------------------
+//
+// The JSON request layer under bad input: every line gets exactly one
+// answer line, which parses as JSON and is either a verdict envelope or
+// an error envelope with exit code 3, and a valid request sent after each
+// bad line still answers its verdict. Program texts stay the MP pair and
+// one unparsable text; fuzzing the program language is parser_fuzz_test's
+// job.
+
+constexpr char kUnparsable[] = "program p\nbegin\n  nonsense !\nend\n";
+
+// The valid request sent after every bad line.
+std::string ValidLine() { return MakeLine("verify", kMpWriter, {kMpReader}); }
+
+std::string JsonString(const std::string& text) {
+  JsonWriter w;
+  w.String(text);
+  return w.TakeString();
+}
+
+// Sends each bad line followed by ValidLine() through Run() and checks the
+// contract above.
+void ExpectEachLineAnswered(const std::vector<std::string>& bad_lines) {
+  std::string input;
+  for (const std::string& bad : bad_lines) {
+    ASSERT_EQ(bad.find('\n'), std::string::npos) << bad;
+    ASSERT_NE(bad.find_first_not_of(" \t\r"), std::string::npos) << bad;
+    input += bad + '\n' + ValidLine() + '\n';
+  }
+  serve::ServeSession session(Opts());
+  std::istringstream in(input);
+  std::ostringstream out;
+  session.Run(in, out);
+
+  std::istringstream answers(out.str());
+  std::string answer;
+  std::size_t n = 0;
+  while (std::getline(answers, answer)) {
+    ASSERT_LT(n, 2 * bad_lines.size()) << "extra answer line: " << answer;
+    const std::string& request = bad_lines[n / 2];
+    const bool after_bad = n % 2 == 1;
+    ++n;
+    auto doc = ParseJson(answer);
+    ASSERT_TRUE(doc.ok()) << request << "\n-> " << answer;
+    const std::string command = Str(doc.value(), "command");
+    if (command == "error") {
+      const JsonValue* exit_code = doc.value().Find("exit_code");
+      ASSERT_NE(exit_code, nullptr) << request;
+      EXPECT_EQ(exit_code->integer, 3) << request;
+      EXPECT_FALSE(after_bad) << "the valid line after " << request
+                              << "\n-> " << answer;
+    } else {
+      EXPECT_TRUE(command == "verify" || command == "mg")
+          << request << "\n-> " << answer;
+      EXPECT_NE(doc.value().Find("verdict"), nullptr) << request;
+      if (after_bad) {
+        EXPECT_EQ(Str(doc.value(), "verdict"), "safe")
+            << "the valid line after " << request;
+      }
+    }
+  }
+  EXPECT_EQ(n, 2 * bad_lines.size());
+}
+
+// Every proper prefix of valid MP-pair lines (verify, mg, and one with an
+// id and an options object): none is a JSON document.
+TEST(ServeFuzzTest, EveryTruncationAnswersOneLine) {
+  RequestSpec with_options;
+  with_options.id = 12;
+  with_options.env = kMpWriter;
+  with_options.dis = {kMpReader};
+  with_options.options_json =
+      "{\"backend\":\"tmai\",\"unroll\":1,\"enable_prepass\":false,"
+      "\"max_states\":100000,\"time_budget_ms\":60000}";
+  const std::string valid_lines[] = {
+      ValidLine(),
+      MakeLine("mg", kMpWriter, {kMpReader}, "x", 1),
+      RequestLine(with_options),
+  };
+  std::vector<std::string> bad_lines;
+  for (const std::string& line : valid_lines) {
+    ASSERT_TRUE(ParseJson(line).ok()) << line;
+    for (std::size_t len = 1; len < line.size(); ++len) {
+      bad_lines.push_back(line.substr(0, len));
+    }
+  }
+  ExpectEachLineAnswered(bad_lines);
+}
+
+// Seeded: valid requests with one to three fields (top-level or option
+// keys) replaced by values of the wrong type or out of range, and
+// unrelated members added.
+TEST(ServeFuzzTest, WrongTypedAndOutOfRangeFields) {
+  const std::string fields[] = {
+      "id", "command", "env", "env_file", "dis", "dis_files", "var", "val",
+      "options", "requests"};
+  const std::string option_keys[] = {
+      "backend", "tmai_domain", "enable_prepass", "env_threads", "unroll",
+      "tmai_max_iterations", "tmai_widening_delay", "tmai_value_set_limit",
+      "max_states", "max_depth", "time_budget_ms", "max_guesses",
+      "no_such_option"};
+  const std::string values[] = {
+      "null", "true", "false", "0", "-1", "1", "2", "1.5", "-0.0", "1e308",
+      "-1e308", "2147483648", "-2147483649", "8589934592",
+      "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+      "18446744073709551616", "\"\"", "\"x\"", "\"verify\"", "\"mg\"",
+      "\"datalog\"", "\"tmai\"", "\"relational\"", "\"no-such-dir/p.rap\"",
+      JsonString(kMpWriter), JsonString(kMpReader), JsonString(kUnparsable),
+      "[]", "[1]", "[null]", "[\"x\"]", "[[]]",
+      "[" + JsonString(kMpReader) + "]", "[" + JsonString(kUnparsable) + "]",
+      "{}", "{\"a\":1}", "{\"backend\":7}", "{\"max_depth\":-2}"};
+  const auto pick = [](Rng& rng, const auto& pool) -> const std::string& {
+    return pool[rng.Below(std::size(pool))];
+  };
+
+  Rng rng(20260);
+  std::vector<std::string> bad_lines;
+  for (int round = 0; round < 600; ++round) {
+    // A valid verify or mg request as (key, raw JSON) members.
+    std::vector<std::pair<std::string, std::string>> members = {
+        {"command", rng.Chance(1, 2) ? "\"verify\"" : "\"mg\""},
+        {"env", JsonString(kMpWriter)},
+        {"dis", "[" + JsonString(kMpReader) + "]"},
+        {"var", "\"x\""},
+        {"val", "1"}};
+    std::vector<std::pair<std::string, std::string>> options;
+    const int mutations = rng.IntIn(1, 3);
+    for (int m = 0; m < mutations; ++m) {
+      const bool in_options = rng.Chance(1, 3);
+      auto& target = in_options ? options : members;
+      const std::string& key =
+          in_options ? pick(rng, option_keys) : pick(rng, fields);
+      const std::string& value = pick(rng, values);
+      bool replaced = false;
+      for (auto& member : target) {
+        if (member.first == key) {
+          member.second = value;
+          replaced = true;
+        }
+      }
+      if (!replaced) target.emplace_back(key, value);
+    }
+    std::string line = "{";
+    for (const auto& [key, value] : members) {
+      if (line.size() > 1) line += ',';
+      line += JsonString(key) + ':' + value;
+    }
+    if (!options.empty()) {
+      line += ",\"options\":{";
+      for (std::size_t i = 0; i < options.size(); ++i) {
+        if (i > 0) line += ',';
+        line += JsonString(options[i].first) + ':' + options[i].second;
+      }
+      line += '}';
+    }
+    line += '}';
+    bad_lines.push_back(std::move(line));
+  }
+  ExpectEachLineAnswered(bad_lines);
+}
+
+// Roots that are not request objects, {"requests":[...]} batch shapes (an
+// object without "command" answers one error line), and duplicate keys
+// (the first occurrence is the one read).
+TEST(ServeFuzzTest, NonObjectRootsBatchShapesAndDuplicateKeys) {
+  const std::string valid = ValidLine();
+  const std::string body = valid.substr(1, valid.size() - 2);
+  ExpectEachLineAnswered({
+      "null", "true", "0", "-1", "1.5", "\"verify\"", "[]", "[1,2]",
+      "[" + valid + "]", "[" + valid + "," + valid + "]", "{}", "{ }",
+      "\"" + std::string(64, 'x') + "\"", "{\"command\":null}",
+      "{\"requests\":[" + valid + "," + valid + "]}",
+      "{\"id\":7,\"requests\":[" + valid + "]}",
+      "{\"id\":7,\"requests\":[]}", "{\"requests\":{}}",
+      "{\"requests\":\"x\"}", "{\"requests\":null}",
+      "{\"requests\":[{\"command\":\"bogus\"}," + valid + "]}",
+      "{\"requests\":[" + valid + "]," + body + "}",
+      "{\"id\":1,\"id\":2," + body + "}",
+      "{\"command\":\"launch\"," + body + "}",
+      "{" + body + ",\"command\":\"launch\"}",
+      "{" + body + ",\"env\":" + JsonString(kUnparsable) + "}",
+      "{\"env\":" + JsonString(kUnparsable) + "," + body + "}",
+      "{" + body + ",\"options\":{\"backend\":\"datalog\"," +
+          "\"backend\":\"quantum\"}}",
+      "{" + body + ",\"options\":{\"backend\":\"quantum\"," +
+          "\"backend\":\"datalog\"}}",
+      "{" + body + ",\"options\":{},\"options\":7}",
+      "{" + body + ",\"options\":7,\"options\":{}}",
+      valid + valid, valid + " " + valid, valid + "]", "{" + valid + "}",
+  });
 }
 
 }  // namespace
