@@ -589,6 +589,16 @@ std::string CheckpointQuery(const rapar::ParamSystem& sys,
   return rapar::FingerprintDigest(canonical);
 }
 
+// A goal value outside the system's domain names a message no thread can
+// write: a usage error, not a vacuous SAFE. Empty when the value is in it.
+std::string GoalValueError(const Options& opts,
+                           const rapar::ParamSystem& sys) {
+  if (opts.goal_val < sys.dom()) return {};
+  return "--val " + std::to_string(opts.goal_val) +
+         " is outside the domain 0.." + std::to_string(sys.dom() - 1) +
+         " of the system";
+}
+
 int RunVerify(const Options& opts, bool mg) {
   if (opts.env_file.empty()) return GlobalUsage();
   const bool json = opts.format == "json";
@@ -663,9 +673,10 @@ int RunVerify(const Options& opts, bool mg) {
   if (mg) {
     rapar::VarId var = sys.value().vars().Find(opts.goal_var);
     if (!var.valid() || opts.goal_val < 0) {
-      std::fprintf(stderr, "mg requires --var (declared) and --val >= 0\n");
-      return 3;
+      return FailVerify(opts, "mg requires --var (declared) and --val >= 0");
     }
+    const std::string error = GoalValueError(opts, sys.value());
+    if (!error.empty()) return FailVerify(opts, error);
     goal = std::pair{var, static_cast<rapar::Value>(opts.goal_val)};
   }
 
@@ -849,6 +860,11 @@ int DumpDatalog(const Options& opts) {
                    opts.goal_var.c_str());
       return 3;
     }
+    const std::string error = GoalValueError(opts, sys.value());
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 3;
+    }
     mopts.goal_message = {var, static_cast<rapar::Value>(opts.goal_val)};
   }
   for (std::size_t i = 0; i < guesses.size(); ++i) {
@@ -891,6 +907,11 @@ int DlAnalyze(const Options& opts) {
     if (!var.valid()) {
       std::fprintf(stderr, "unknown variable '%s'\n",
                    opts.goal_var.c_str());
+      return 3;
+    }
+    const std::string error = GoalValueError(opts, sys.value());
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       return 3;
     }
     mopts.goal_message = {var, static_cast<rapar::Value>(opts.goal_val)};

@@ -598,6 +598,14 @@ std::string ServeSession::HandleLineImpl(std::string_view line) {
       return ErrorLine(req.id_json,
                        "unknown variable '" + req.goal_var + "'");
     }
+    if (req.goal_val >= sys.value().dom()) {
+      ++im.errors;
+      return ErrorLine(req.id_json,
+                       "\"val\" " + std::to_string(req.goal_val) +
+                           " is outside the domain 0.." +
+                           std::to_string(sys.value().dom() - 1) +
+                           " of the system");
+    }
     goal = {var, static_cast<Value>(req.goal_val)};
   }
   const double parse_ms = std::chrono::duration<double, std::milli>(

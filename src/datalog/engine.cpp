@@ -71,8 +71,7 @@ std::size_t Database::FindSlot(const Ext& e, const std::vector<Sym>& tuple,
   return i;
 }
 
-bool Database::Insert(PredId pred, const std::vector<Sym>& tuple,
-                      std::size_t hash) {
+bool Database::Insert(PredId pred, const std::vector<Sym>& tuple) {
   Ext& e = exts_[pred];
   if (e.n == 0 && e.arity != tuple.size()) {
     // First tuple since the last reset: adopt this arity.
@@ -80,9 +79,9 @@ bool Database::Insert(PredId pred, const std::vector<Sym>& tuple,
     e.pool.clear();
   }
   assert(e.arity == tuple.size() && "tuple arity mismatch");
-  assert(hash == Hash(tuple) && "hash is not the tuple's TupleHash");
   // Grow at half load (also covers the empty table).
   if ((e.n + 1) * 2 > e.slots.size()) RebuildSlots(e);
+  const std::size_t hash = Hash(tuple);
   const std::size_t i = FindSlot(e, tuple, hash);
   if (e.slots[i] != kEmptySlot) return false;
   e.slots[i] = SlotOf(hash, e.slots.size() - 1, e.n);
@@ -644,13 +643,11 @@ class Evaluator {
   bool Emit(const Rule& r) {
     std::vector<Sym>& tuple = a_.emit_buf;
     tuple.resize(r.head.args.size());
-    TupleHash hash;
     for (std::size_t i = 0; i < tuple.size(); ++i) {
       tuple[i] = Resolve(r.head.args[i]);
-      hash.Add(tuple[i]);
     }
     if (stats_ != nullptr) ++stats_->rule_firings;
-    if (!a_.db.Insert(r.head.pred, tuple, hash.Value())) return false;
+    if (!a_.db.Insert(r.head.pred, tuple)) return false;
     if (stats_ != nullptr) ++stats_->tuples;
     ++total_tuples_;
     const std::size_t idx = a_.db.Size(r.head.pred) - 1;

@@ -14,10 +14,10 @@
 namespace rapar::dl {
 
 // The tuple hash of Database, fed one cell at a time so a caller can hash
-// a tuple while it assembles it (the engine hashes a rule head while
-// resolving it). HashCombine leaves the low bits, which pick a slot,
-// nearly independent of a cell's high bits, where packed view words
-// (encoding/makep.h) differ; the SplitMix64 finalizer mixes them in.
+// a tuple while it assembles it (the engine hashes an index probe's key
+// while gathering its cells). HashCombine leaves the low bits, which pick
+// a slot, nearly independent of a cell's high bits, where packed view
+// words (encoding/makep.h) differ; the SplitMix64 finalizer mixes them in.
 class TupleHash {
  public:
   void Add(Sym s) { HashCombine(h_, s); }
@@ -38,8 +38,7 @@ class Database {
   explicit Database(std::size_t num_preds) : exts_(num_preds) {}
 
   // Returns true if the tuple was new (and appended at index Size()-1).
-  // `hash` must be the TupleHash of the tuple's cells.
-  bool Insert(PredId pred, const std::vector<Sym>& tuple, std::size_t hash);
+  bool Insert(PredId pred, const std::vector<Sym>& tuple);
   bool Contains(PredId pred, const std::vector<Sym>& tuple) const;
 
   std::size_t Size(PredId pred) const { return exts_[pred].n; }

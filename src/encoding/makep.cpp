@@ -35,9 +35,8 @@ Value StoredValue(const Instr& instr, const GuessStep& step) {
                                          : step.rv_after[instr.reg.index()];
 }
 
-bool WritesOrAsserts(Instr::Kind kind) {
-  return kind == Instr::Kind::kStore || kind == Instr::Kind::kCas ||
-         kind == Instr::Kind::kAssertFail;
+bool Writes(Instr::Kind kind) {
+  return kind == Instr::Kind::kStore || kind == Instr::Kind::kCas;
 }
 
 // Appends `n` as a LEB128 varint of its zigzag code, so the small
@@ -701,8 +700,7 @@ bool MakePEncoder::MayDerive(const DisGuess& guess, std::string* key) const {
         }
         const bool reads = instr.kind == Instr::Kind::kLoad ||
                            instr.kind == Instr::Kind::kCas;
-        const bool writes = instr.kind == Instr::Kind::kStore ||
-                            instr.kind == Instr::Kind::kCas;
+        const bool writes = Writes(instr.kind);
         if (!reads && !writes) continue;
         const std::size_t x = instr.var.index();
         if (reads) {
@@ -730,10 +728,154 @@ bool MakePEncoder::MayDerive(const DisGuess& guess, std::string* key) const {
     }
   }
   if (derives) {
+    DemandCut(guess);
     key->clear();
     AppendClassKey(guess, key);
   }
   return derives;
+}
+
+void MakePEncoder::DemandCut(const DisGuess& guess) const {
+  const std::size_t k = sys_.num_vars;
+  const std::size_t dom = static_cast<std::size_t>(sys_.dom);
+  // What the goal rules demand: unsafe() :- emp(gx, gv, ...) the emp tag
+  // gx; unsafe() :- dmp(gx, gv, ...) survives only when the init fact or
+  // an unblocked dis step writes (gx, gv), and then demands the dmp tag
+  // gx and the value gv. A goal value outside the domain matches neither
+  // and never indexes the value table.
+  const std::optional<std::pair<VarId, Value>>& goal = options_.goal_message;
+  bool goal_dmp = false;
+  std::size_t gx = 0;
+  std::size_t gv = 0;
+  if (goal.has_value()) {
+    gx = goal->first.index();
+    if (goal->second >= 0 && goal->second < sys_.dom) {
+      gv = static_cast<std::size_t>(goal->second);
+      goal_dmp = goal->second == kInitValue || written_[gx * dom + gv];
+    }
+  }
+  // Moves each cut down to one past the last step below it that asserts
+  // or writes a demanded dmp message; true if some cut moved.
+  bool any_value = true;  // the dmp value position is demanded as ⊤
+  const auto shrink = [&] {
+    bool moved = false;
+    for (std::size_t t = 0; t < guess.threads.size(); ++t) {
+      const std::vector<GuessStep>& steps = guess.threads[t].steps;
+      const Cfa& cfa = *sys_.dis[t];
+      std::size_t cut = cut_[t];
+      for (; cut > 0; --cut) {
+        const GuessStep& step = steps[cut - 1];
+        const Instr& instr = cfa.Edge(EdgeId(step.edge)).instr;
+        if (instr.kind == Instr::Kind::kAssertFail) break;
+        if (!Writes(instr.kind)) continue;
+        const Value stored = StoredValue(instr, step);
+        if (dmp_tags_[instr.var.index()] &&
+            (any_value || dmp_vals_[static_cast<std::size_t>(stored)])) {
+          break;
+        }
+      }
+      moved |= cut != cut_[t];
+      cut_[t] = cut;
+    }
+    return moved;
+  };
+  // The greatest fixpoint, from every set full and each cut at the
+  // blocked step: the first shrink stops at the last write or assert.
+  cut_.assign(passed_.begin(), passed_.end());
+  dmp_tags_.assign(k, true);
+  shrink();
+  do {
+    // What the rules that can survive demand: the goal rules, the reads
+    // of the dis steps below the cuts and the env's loads.
+    emp_outside_.assign(k, false);
+    dmp_tags_.assign(k, false);
+    dmp_vals_.assign(dom, false);
+    if (goal.has_value()) emp_outside_[gx] = true;
+    if (goal_dmp) {
+      dmp_tags_[gx] = true;
+      dmp_vals_[gv] = true;
+    }
+    for (std::size_t t = 0; t < guess.threads.size(); ++t) {
+      const std::vector<GuessStep>& steps = guess.threads[t].steps;
+      const Cfa& cfa = *sys_.dis[t];
+      for (std::size_t j = 0; j < cut_[t]; ++j) {
+        const GuessStep& step = steps[j];
+        const Instr& instr = cfa.Edge(EdgeId(step.edge)).instr;
+        if (instr.kind != Instr::Kind::kLoad &&
+            instr.kind != Instr::Kind::kCas) {
+          continue;
+        }
+        const std::size_t x = instr.var.index();
+        if (step.read_from_env) {
+          emp_outside_[x] = true;
+        } else {
+          dmp_tags_[x] = true;
+          dmp_vals_[static_cast<std::size_t>(step.read_value)] = true;
+        }
+      }
+    }
+    // An env load reads dmp(x, D, ...) with D a variable.
+    const std::vector<bool>& env_loads = EnvLoads(emp_outside_);
+    any_value = false;
+    for (std::size_t x = 0; x < k; ++x) {
+      if (!env_loads[x]) continue;
+      dmp_tags_[x] = true;
+      any_value = true;
+    }
+  } while (shrink());
+}
+
+const std::vector<bool>& MakePEncoder::EnvLoads(
+    const std::vector<bool>& emp_outside) const {
+  const auto [it, inserted] = env_loads_.try_emplace(emp_outside);
+  std::vector<bool>& loads = it->second;
+  if (!inserted) return loads;
+  // The greatest fixpoint of pass 3 on the live env rules, from every
+  // node and emp tag demanded. etp(to, ...) heads are demanded by node,
+  // emp(x, R, ...) heads by tag; productivity is ignored, so this
+  // demands at least what pass 3 does. (An emp tag matters only for a
+  // variable the env stores, and only those have emp heads.)
+  const Cfa& cfa = *sys_.env;
+  const std::vector<CfaEdge>& edges = cfa.edges();
+  std::vector<bool> nodes(cfa.num_nodes(), true);
+  std::vector<bool> emp(sys_.num_vars, true);
+  for (bool shrunk = true; shrunk;) {
+    std::vector<bool> next_nodes(cfa.num_nodes(), false);
+    std::vector<bool> next_emp = emp_outside;
+    for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+      if (edge_dead_[ei]) continue;
+      const CfaEdge& edge = edges[ei];
+      const Instr& instr = edge.instr;
+      // Whether a rule of the edge survives, which demands its source.
+      bool live = nodes[edge.to.index()];
+      switch (instr.kind) {
+        case Instr::Kind::kAssertFail:
+          live = true;  // unsafe() :- etp(from, ...)
+          break;
+        case Instr::Kind::kLoad:
+          if (live) next_emp[instr.var.index()] = true;
+          break;
+        case Instr::Kind::kStore:
+          live = live || emp[instr.var.index()];
+          break;
+        default:
+          break;
+      }
+      if (live) next_nodes[edge.from.index()] = true;
+    }
+    shrunk = next_nodes != nodes || next_emp != emp;
+    nodes.swap(next_nodes);
+    emp.swap(next_emp);
+  }
+  loads.assign(sys_.num_vars, false);
+  for (std::size_t ei = 0; ei < edges.size(); ++ei) {
+    const CfaEdge& edge = edges[ei];
+    if (!edge_dead_[ei] && edge.instr.kind == Instr::Kind::kLoad &&
+        nodes[edge.to.index()]) {
+      loads[edge.instr.var.index()] = true;
+    }
+  }
+  return loads;
 }
 
 void MakePEncoder::AppendClassKey(const DisGuess& guess,
@@ -745,18 +887,12 @@ void MakePEncoder::AppendClassKey(const DisGuess& guess,
     auto instr_of = [&](std::size_t j) -> const Instr& {
       return cfa.Edge(EdgeId(steps[j].edge)).instr;
     };
-    // C_t. The steps from the cut up to the blocked step neither write
-    // nor assert: their dtp heads feed only later steps of the chain, so
-    // dlopt removes them as unreachable. The steps from the blocked one
-    // on are unproductive.
-    std::size_t cut = passed_[t];
-    while (cut > 0 && !WritesOrAsserts(instr_of(cut - 1).kind)) --cut;
+    const std::size_t cut = cut_[t];
     AppendNumber(key, static_cast<std::int64_t>(cut));
     for (std::size_t j = 0; j < cut; ++j) {
       const GuessStep& step = steps[j];
       const Instr& instr = instr_of(j);
-      const bool writes = instr.kind == Instr::Kind::kStore ||
-                          instr.kind == Instr::Kind::kCas;
+      const bool writes = Writes(instr.kind);
       AppendNumber(key, step.edge);
       AppendNumber(key, step.read_value);
       AppendNumber(key, step.read_from_env ? -2 : step.read_dis_pos);

@@ -95,13 +95,16 @@ class MakePEncoder {
   // unblocked dis step asserts or writes the goal message.
   //
   // When the result is true, *key receives the guess's class key: the
-  // store profile, then per dis thread t the cut C_t, one past the last
-  // store, CAS or assert before the step where t blocks (0 if none), and
-  // for each step j < C_t its edge, read value, read source, store
-  // position and stored value. Guesses with equal keys optimize to the
-  // same program up to the numbering of the dtp predicates, so
-  // Engine::Solve gives them the same verdict and the same EvalStats
-  // (DESIGN.md §6). The result is a function of the key.
+  // store profile, then per dis thread t its demand cut D_t and for each
+  // step j < D_t its edge, read value, read source, store position and
+  // stored value. D_t is one past the last step before the one where t
+  // blocks that asserts or writes a message dlopt's demand pass (pass 3)
+  // keeps, 0 if none: a greatest fixpoint that mirrors pass 3 on the
+  // guess skeleton and demands at least what pass 3 does, so dlopt
+  // deletes every rule of the steps from D_t on. Guesses with equal keys
+  // optimize to the same program up to the numbering of the dtp
+  // predicates, so Engine::Solve gives them the same verdict and the
+  // same EvalStats (DESIGN.md §6). The result is a function of the key.
   bool MayDerive(const DisGuess& guess, std::string* key) const;
 
   // Distinct store profiles seen so far (one cached prefix each).
@@ -118,12 +121,27 @@ class MakePEncoder {
   bool env_asserts_ = false;
   std::unordered_map<std::string, dl::Program> prefixes_;
   std::string key_;  // profile-key scratch
-  // MayDerive scratch: per dis thread, the steps it gets past; per
-  // (variable, value), written by a dis step some thread gets past.
+  // MayDerive scratch: per dis thread, the steps it gets past and its
+  // demand cut; per (variable, value), written by a dis step some thread
+  // gets past; the emp tags demanded from outside the env, and the
+  // demanded dmp tags and dmp values.
   mutable std::vector<std::size_t> passed_;
+  mutable std::vector<std::size_t> cut_;
   mutable std::vector<bool> written_;
+  mutable std::vector<bool> emp_outside_;
+  mutable std::vector<bool> dmp_tags_;
+  mutable std::vector<bool> dmp_vals_;
+  // Per set of emp tags demanded from outside the env (one flag per
+  // variable): the variables whose env loads stay demanded. The env side
+  // of the demand fixpoint depends on a guess through that set alone.
+  mutable std::unordered_map<std::vector<bool>, std::vector<bool>> env_loads_;
 
-  // Appends the class key to *key once the fixpoint has filled passed_.
+  // Shrinks cut_ from passed_ to the demand cuts once the blocked-step
+  // fixpoint has filled passed_ and written_.
+  void DemandCut(const DisGuess& guess) const;
+  // The env side of DemandCut for the emp tags `emp_outside`, cached.
+  const std::vector<bool>& EnvLoads(const std::vector<bool>& emp_outside) const;
+  // Appends the class key to *key once DemandCut has filled cut_.
   void AppendClassKey(const DisGuess& guess, std::string* key) const;
 };
 

@@ -372,12 +372,6 @@ struct RefDb {
   }
 };
 
-bool Insert(Database& db, PredId p, const std::vector<Sym>& t) {
-  TupleHash h;
-  for (const Sym c : t) h.Add(c);
-  return db.Insert(p, t, h.Value());
-}
-
 // Every stored tuple is found at its insertion index, Contains agrees
 // with the reference on members and on `probes`, and sizes match.
 void ExpectSameStore(const Database& db, const RefDb& ref,
@@ -435,7 +429,7 @@ TEST(DatabaseTest, RandomOperationsMatchReference) {
         for (int i = 0; i < 12; ++i) {
           const auto p = static_cast<PredId>(rng.Below(preds));
           const std::vector<Sym> t = RandomTuple(rng, p + 1, dom);
-          ASSERT_EQ(Insert(db, p, t), ref.Insert(p, t)) << label;
+          ASSERT_EQ(db.Insert(p, t), ref.Insert(p, t)) << label;
         }
       } else {
         if (op >= 97) preds = preds == 3 ? 4 : 3;
@@ -459,7 +453,7 @@ TEST(DatabaseTest, TruncateAfterGrowthRestoresTheTable) {
                             static_cast<Sym>(i << 20)};
   };
   for (std::size_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(Insert(db, 0, tuple(i)));
+    ASSERT_TRUE(db.Insert(0, tuple(i)));
     ref.Insert(0, tuple(i));
   }
   std::vector<std::vector<Sym>> probes;
@@ -469,7 +463,7 @@ TEST(DatabaseTest, TruncateAfterGrowthRestoresTheTable) {
   ref = RefDb(1);
   ExpectSameStore(db, ref, probes, "reset");
   for (std::size_t i = 0; i < 100; ++i) {
-    ASSERT_EQ(Insert(db, 0, tuple(i)), ref.Insert(0, tuple(i)));
+    ASSERT_EQ(db.Insert(0, tuple(i)), ref.Insert(0, tuple(i)));
   }
   ExpectSameStore(db, ref, probes, "refilled");
 }

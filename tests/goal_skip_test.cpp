@@ -6,8 +6,10 @@
 // to the numbering of the dtp predicates. This suite checks the claims
 // guess by guess, against the whole pipeline run from outside, on the
 // benchmark catalog, on the guess-heavy shape with its
-// Message-Generation goals, on the same shape with CAS in the dis thread
-// and on a shape with two dis threads:
+// Message-Generation goals, on the same shape with CAS in the dis thread,
+// on a shape with two dis threads and on a hand-written system whose
+// guesses differ only in a write nothing demands (the class key cuts a
+// dis thread at its last demanded write or assert):
 //
 //   (a) every guess MayDerive rejects has an OptimizeForQuery(MakeP(g))
 //       with no rules, and Engine::Solve on it returns false with every
@@ -49,6 +51,7 @@
 #include "encoding/datalog_verifier.h"
 #include "encoding/makep.h"
 #include "generated_systems.h"
+#include "lang/parser.h"
 
 namespace rapar {
 namespace {
@@ -260,14 +263,34 @@ void CheckShape(std::uint64_t first, std::uint64_t last,
   ExpectGroupsLarge(tally);
 }
 
-// The guess-heavy shape: 200 seeds, split in two for ctest's
-// parallelism.
+// The guess-heavy shape on seeds 0-599, the band the benchmark corpus
+// draws its systems from, in shards of 100 for ctest's parallelism.
+ParamSystem GuessHeavySystem(std::uint64_t seed) {
+  return RandGuessySystem(seed);
+}
+
 TEST(GoalSkipTest, GuessHeavyShapeFirstHundred) {
-  CheckShape(0, 100, [](std::uint64_t s) { return RandGuessySystem(s); });
+  CheckShape(0, 100, GuessHeavySystem);
 }
 
 TEST(GoalSkipTest, GuessHeavyShapeSecondHundred) {
-  CheckShape(100, 200, [](std::uint64_t s) { return RandGuessySystem(s); });
+  CheckShape(100, 200, GuessHeavySystem);
+}
+
+TEST(GoalSkipTest, GuessHeavyShapeThirdHundred) {
+  CheckShape(200, 300, GuessHeavySystem);
+}
+
+TEST(GoalSkipTest, GuessHeavyShapeFourthHundred) {
+  CheckShape(300, 400, GuessHeavySystem);
+}
+
+TEST(GoalSkipTest, GuessHeavyShapeFifthHundred) {
+  CheckShape(400, 500, GuessHeavySystem);
+}
+
+TEST(GoalSkipTest, GuessHeavyShapeSixthHundred) {
+  CheckShape(500, 600, GuessHeavySystem);
 }
 
 TEST(GoalSkipTest, DisCasShapeMatchesReplay) {
@@ -278,6 +301,97 @@ TEST(GoalSkipTest, DisCasShapeMatchesReplay) {
 
 TEST(GoalSkipTest, TwoDisThreadShapeMatchesReplay) {
   CheckShape(0, 60, RandGuessyTwoDisSystem);
+}
+
+ParamSystem SystemOf(const std::string& env, const std::string& dis) {
+  const auto parse = [](const std::string& text) {
+    Expected<Program> p = ParseProgram(text);
+    EXPECT_TRUE(p.ok()) << (p.ok() ? "" : p.error());
+    return std::move(p).value();
+  };
+  ParamSystem::Builder builder;
+  builder.Env(parse(env)).Dis(parse(dis));
+  Expected<ParamSystem> sys = builder.Build();
+  EXPECT_TRUE(sys.ok()) << (sys.ok() ? "" : sys.error());
+  return std::move(sys).value();
+}
+
+// A dis thread that writes x, then y with 1 or 2 as its choice goes: its
+// two guesses differ in nothing but the branch taken after the write of x
+// and the value then written to y.
+constexpr char kChoiceWriter[] = R"(
+  program dis
+  vars x y
+  regs r
+  dom 3
+  begin
+    r := 1;
+    x := r;
+    choice { r := 1 } or { r := 2 };
+    y := r
+  end
+)";
+
+// Both guesses of kChoiceWriter under env `env`: whether MayDerive passes
+// them, whether their class keys are equal, and the verifier's counts,
+// checked against the replay.
+void CheckChoiceWriter(const std::string& env, bool keys_equal,
+                       const std::string& label) {
+  const ParamSystem sys = SystemOf(env, kChoiceWriter);
+  bool complete = false;
+  const std::vector<DisGuess> guesses =
+      EnumerateDisGuesses(sys.simpl(), {}, &complete);
+  ASSERT_TRUE(complete) << label;
+  ASSERT_EQ(guesses.size(), 2u) << label;
+  const MakePEncoder encoder(sys.simpl(), MakePOptions{});
+  std::string key0;
+  std::string key1;
+  ASSERT_TRUE(encoder.MayDerive(guesses[0], &key0)) << label;
+  ASSERT_TRUE(encoder.MayDerive(guesses[1], &key1)) << label;
+  EXPECT_EQ(key0 == key1, keys_equal) << label;
+  Tally tally;
+  CheckQuery(sys.simpl(), std::nullopt, label, &tally);
+  EXPECT_EQ(tally.scanned, 2u) << label;
+  EXPECT_EQ(tally.skipped, 0u) << label;
+  EXPECT_EQ(tally.shared, keys_equal ? 1u : 0u) << label;
+  EXPECT_EQ(tally.solved, keys_equal ? 1u : 2u) << label;
+}
+
+// Envs that assert after reading x = 2, which nothing writes, so every
+// guess of kChoiceWriter passes MayDerive and the scan visits both. The
+// second also reads y on the way to the assert.
+constexpr char kEnvReadsX[] = R"(
+  program env
+  vars x y
+  regs a
+  dom 3
+  begin
+    a := x;
+    assume (a == 2);
+    assert false
+  end
+)";
+constexpr char kEnvReadsYThenX[] = R"(
+  program env
+  vars x y
+  regs a b
+  dom 3
+  begin
+    b := y;
+    a := x;
+    assume (a == 2);
+    assert false
+  end
+)";
+
+TEST(GoalSkipTest, DemandCutSharesGuessesThatDifferInUndemandedWrites) {
+  // Nothing demands y: no env load reads it, no dis step reads it and the
+  // goal is the assert. dlopt deletes the chain after the write of x, so
+  // the guesses share one solve.
+  CheckChoiceWriter(kEnvReadsX, /*keys_equal=*/true, "y undemanded");
+  // An env load of y on the way to the assert demands every write of y,
+  // so the guesses stay apart.
+  CheckChoiceWriter(kEnvReadsYThenX, /*keys_equal=*/false, "y demanded");
 }
 
 }  // namespace

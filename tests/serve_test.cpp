@@ -303,6 +303,9 @@ TEST(ServeTest, ErrorEnvelopes) {
       {"{\"command\":\"verify\"}", "missing env program"},
       {"{\"id\":7,\"command\":\"verify\",\"env\":\"nonsense !\"}", "env:"},
       {MakeLine("mg", kMpWriter, {}, "zz", 1), "unknown variable"},
+      // mp_writer has dom 2: no thread can write 7.
+      {MakeLine("mg", kMpWriter, {}, "x", 7),
+       "\"val\" 7 is outside the domain 0..1"},
       {MakeLine("verify", kMpWriter, {}, "", -1,
                 "{\"backend\":\"quantum\"}"),
        "unknown backend"},
