@@ -174,10 +174,11 @@ void PrintObsAblation(bool write_json) {
 // small-set proves — it only adds precision; the jq gate in CI enforces
 // proof_rate_relational >= proof_rate_smallset), certificate validity
 // (every kSafe verdict ships a certificate the independent checker
-// accepts). Latency shows what the precision costs: the relational fixpoint re-runs with
-// pairwise tracking and up to max_strengthen_rounds pruning rounds,
-// while kAuto pays that only on small-set kUnknown. With --json the
-// table is written to BENCH_tmai_domains.json.
+// accepts). Latency shows what the precision costs: the relational
+// fixpoint re-runs with pairwise tracking and up to three pruning rounds
+// (kMaxStrengthenRounds in tmai/relational.cpp), while kAuto pays that
+// only on small-set kUnknown. With --json the table is written to
+// BENCH_tmai_domains.json.
 void PrintDomainAblation(bool write_json) {
   Header("TMAI domain ablation (small-set vs relational vs auto)");
   Row({"instance", "smallset", "ms", "relational", "ms", "auto", "ms",

@@ -14,7 +14,8 @@
 // subcommands, help text — so parsing, validation and help stay in sync.
 // An unknown flag, one that does not apply to the subcommand, an integer
 // flag whose value is not an integer of its field's type, a negative
-// count, size or budget, or an --unroll bound above 1000000 is a usage
+// count, size or budget, an --unroll bound above 1000000, a --format other
+// than text or json, or --var without --val (or the reverse) is a usage
 // error: exit 3.
 //
 // lint runs the analysis passes (reachability, liveness, constant
@@ -39,10 +40,12 @@
 //
 // Machine-readable output (--format=json) uses the stable envelopes of
 // core/result_json.h: verify/mg emit the verdict envelope (schema_version,
-// verdict, exit_code, witness, options echo, telemetry), lint/dlanalyze
-// the diagnostics envelope. --trace=FILE writes a Chrome trace-event JSON
-// of the run (open in Perfetto or chrome://tracing); --metrics prints the
-// telemetry registry after the verdict.
+// verdict, exit_code, witness, options echo, telemetry), or the error
+// envelope for a usage or input error found once the flags are read;
+// lint/dlanalyze emit the diagnostics envelope. --trace=FILE writes a
+// Chrome trace-event JSON of the run (open in Perfetto or
+// chrome://tracing); --metrics prints the telemetry registry after the
+// verdict.
 //
 // Exit code: 0 = SAFE, 1 = UNSAFE, 2 = UNKNOWN, 3 = usage/input error.
 // For lint/dlanalyze: 0 = clean (notes allowed), 1 = warnings/errors.
@@ -50,20 +53,18 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
-#include <string>
-#include <vector>
-
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "analysis/diagnostics.h"
 #include "analysis/footprint.h"
 #include "common/hash.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "core/param_system.h"
 #include "core/result_json.h"
 #include "core/serve.h"
@@ -82,6 +83,8 @@
 
 namespace {
 
+using Goal = std::pair<rapar::VarId, rapar::Value>;
+
 struct Options {
   std::string command;
   std::string env_file;
@@ -98,7 +101,7 @@ struct Options {
   int unroll = 0;
   bool witness = false;
   std::string goal_var;
-  int goal_val = -1;
+  std::optional<int> goal_val;
   std::string format = "text";
   int guess_index = 0;
   bool dot = false;
@@ -124,9 +127,10 @@ struct FlagSpec {
   void (*apply)(Options&, const char*);
 };
 
-// Thrown by ParseInt and ParseCount; ParseArgs reports it as a usage
-// error naming what the flag expects.
-struct BadInteger {
+// Thrown by a flag's apply when the value is not one the flag takes
+// (ParseInt, ParseCount, --format); ParseArgs reports it as a usage error
+// naming what the flag expects.
+struct BadValue {
   std::string expected;
 };
 
@@ -137,7 +141,7 @@ template <typename T>
 void ParseInt(const char* v, T* out) {
   const char* end = v + std::strlen(v);
   const auto [ptr, ec] = std::from_chars(v, end, *out);
-  if (ec != std::errc() || ptr != end) throw BadInteger{"an integer"};
+  if (ec != std::errc() || ptr != end) throw BadValue{"an integer"};
 }
 
 // ParseInt for counts, sizes, bounds and budgets: a negative value is a
@@ -148,11 +152,11 @@ void ParseCount(const char* v, T* out,
                 long long max = std::numeric_limits<long long>::max()) {
   long long n = 0;
   ParseInt(v, &n);
-  if (n < 0) throw BadInteger{"a non-negative integer"};
+  if (n < 0) throw BadValue{"a non-negative integer"};
   if (n > max) {
-    throw BadInteger{"an integer in [0, " + std::to_string(max) + "]"};
+    throw BadValue{"an integer in [0, " + std::to_string(max) + "]"};
   }
-  if (!std::in_range<T>(n)) throw BadInteger{"an integer"};
+  if (!std::in_range<T>(n)) throw BadValue{"an integer"};
   *out = static_cast<T>(n);
 }
 
@@ -212,11 +216,16 @@ const FlagSpec kFlags[] = {
      "goal message variable",
      [](Options& o, const char* v) { o.goal_var = v; }},
     {"--val", true, "N", "mg dump-datalog dlanalyze", "goal message value",
-     [](Options& o, const char* v) { ParseInt(v, &o.goal_val); }},
+     [](Options& o, const char* v) { ParseInt(v, &o.goal_val.emplace()); }},
     {"--format", true, "F", "verify mg lint dlanalyze certcheck",
      "text|json (default text); json uses the stable schema of "
      "core/result_json.h",
-     [](Options& o, const char* v) { o.format = v; }},
+     [](Options& o, const char* v) {
+       if (std::strcmp(v, "text") != 0 && std::strcmp(v, "json") != 0) {
+         throw BadValue{"text or json"};
+       }
+       o.format = v;
+     }},
     {"--guess", true, "N", "dlanalyze", "which makeP guess to analyze",
      [](Options& o, const char* v) { ParseInt(v, &o.guess_index); }},
     {"--dot", false, nullptr, "dlanalyze",
@@ -378,7 +387,7 @@ int ParseArgs(int argc, char** argv, Options* opts) {
     }
     try {
       spec->apply(*opts, value);
-    } catch (const BadInteger& e) {
+    } catch (const BadValue& e) {
       std::fprintf(stderr, "flag %s expects %s, got '%s'\n", name.c_str(),
                    e.expected.c_str(), value);
       return 3;
@@ -387,24 +396,15 @@ int ParseArgs(int argc, char** argv, Options* opts) {
   return 0;
 }
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
 int Classify(const Options& opts) {
   if (opts.files.empty()) return GlobalUsage();
   for (const std::string& path : opts.files) {
-    std::string text;
-    if (!ReadFile(path, &text)) {
+    const std::optional<std::string> text = rapar::ReadFile(path);
+    if (!text.has_value()) {
       std::fprintf(stderr, "cannot read %s\n", path.c_str());
       return 3;
     }
-    rapar::Expected<rapar::Program> p = rapar::ParseProgram(text);
+    rapar::Expected<rapar::Program> p = rapar::ParseProgram(*text);
     if (!p.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(), p.error().c_str());
       return 3;
@@ -438,10 +438,12 @@ int Lint(const Options& opts) {
   if (inputs.empty()) return GlobalUsage();
 
   for (Input& in : inputs) {
-    if (!ReadFile(in.path, &in.text)) {
+    std::optional<std::string> text = rapar::ReadFile(in.path);
+    if (!text.has_value()) {
       std::fprintf(stderr, "cannot read %s\n", in.path.c_str());
       return 3;
     }
+    in.text = std::move(*text);
     rapar::Expected<rapar::Program> p = rapar::ParseProgram(in.text);
     if (!p.ok()) {
       std::fprintf(stderr, "%s: %s\n", in.path.c_str(), p.error().c_str());
@@ -523,53 +525,63 @@ int Lint(const Options& opts) {
   return warnings > 0 ? 1 : 0;
 }
 
-rapar::Expected<rapar::ParamSystem> BuildSystem(const Options& opts) {
-  std::string env_text;
-  if (!ReadFile(opts.env_file, &env_text)) {
-    return rapar::Expected<rapar::ParamSystem>::Error(
-        "cannot read env file '" + opts.env_file + "'");
+// What verify, mg, certcheck, dump-datalog and dlanalyze run on: the
+// system the --env and --dis files build and the MG goal message --var and
+// --val name (none without the flags).
+struct Query {
+  rapar::ParamSystem system;
+  std::optional<Goal> goal;
+};
+
+// Loads the query through the library's builder and goal resolver. The
+// goal flags come together, and `goal_required` (mg) needs them; an
+// unreadable or unparsable file, an undeclared variable and a value
+// outside the domain are errors too, each naming what is wrong.
+rapar::Expected<Query> LoadQuery(const Options& opts, bool goal_required) {
+  using E = rapar::Expected<Query>;
+  const bool has_var = !opts.goal_var.empty();
+  if (has_var != opts.goal_val.has_value()) {
+    return E::Error(has_var ? "flag --var requires --val"
+                            : "flag --val requires --var");
   }
-  rapar::Expected<rapar::Program> env = rapar::ParseProgram(env_text);
-  if (!env.ok()) {
-    return rapar::Expected<rapar::ParamSystem>::Error(opts.env_file + ": " +
-                                                      env.error());
+  if (goal_required && !has_var) {
+    return E::Error(opts.command + " requires --var NAME and --val N");
   }
-  rapar::ParamSystem::Builder builder;
-  builder.Env(std::move(env).value()).UnrollDis(opts.unroll);
-  for (const std::string& path : opts.dis_files) {
-    std::string text;
-    if (!ReadFile(path, &text)) {
-      return rapar::Expected<rapar::ParamSystem>::Error(
-          "cannot read dis file '" + path + "'");
+  std::vector<std::string> texts;  // env first, then each dis
+  for (std::size_t i = 0; i <= opts.dis_files.size(); ++i) {
+    const std::string& path = i == 0 ? opts.env_file : opts.dis_files[i - 1];
+    std::optional<std::string> text = rapar::ReadFile(path);
+    if (!text.has_value()) {
+      return E::Error(rapar::StrCat("cannot read ", i == 0 ? "env" : "dis",
+                                    " file '", path, "'"));
     }
-    rapar::Expected<rapar::Program> dis = rapar::ParseProgram(text);
-    if (!dis.ok()) {
-      return rapar::Expected<rapar::ParamSystem>::Error(path + ": " +
-                                                        dis.error());
-    }
-    builder.Dis(std::move(dis).value());
+    texts.push_back(std::move(*text));
   }
-  return builder.Build();
+  std::vector<rapar::ProgramSource> dis;
+  for (std::size_t i = 0; i < opts.dis_files.size(); ++i) {
+    dis.push_back({opts.dis_files[i], texts[i + 1]});
+  }
+  rapar::Expected<rapar::ParamSystem> sys =
+      rapar::BuildSystem({opts.env_file, texts[0]}, dis, opts.unroll);
+  if (!sys.ok()) return E::Error(sys.error());
+  std::optional<Goal> goal;
+  if (has_var) {
+    rapar::Expected<Goal> resolved = rapar::ResolveGoal(
+        sys.value(), opts.goal_var, *opts.goal_val, "--val");
+    if (!resolved.ok()) return E::Error(resolved.error());
+    goal = resolved.value();
+  }
+  return Query{std::move(sys).value(), goal};
 }
 
 // Usage/input failure on the verify/mg path: diagnostic on stderr and —
-// under --format=json — a minimal machine-readable error envelope on
-// stdout (schema_version, command, error, exit_code 3), so callers that
-// parse stdout never see a half envelope. Always returns 3.
+// under --format=json — the error envelope (core/result_json.h) on
+// stdout, so callers that parse stdout never see a half envelope. Always
+// returns 3.
 int FailVerify(const Options& opts, const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
   if (opts.format == "json") {
-    rapar::JsonWriter w(/*pretty=*/true);
-    w.BeginObject();
-    w.Key("schema_version").Int(rapar::kResultSchemaVersion);
-    w.Key("tool").String("rapar");
-    w.Key("command").String(opts.command);
-    w.Key("error").String(message);
-    w.Key("exit_code").Int(3);
-    w.EndObject();
-    std::string out = w.TakeString();
-    out += '\n';
-    std::fputs(out.c_str(), stdout);
+    std::fputs(rapar::ErrorToJson(opts.command, message).c_str(), stdout);
   }
   return 3;
 }
@@ -580,7 +592,7 @@ int FailVerify(const Options& opts, const std::string& message) {
 std::string CheckpointQuery(const rapar::ParamSystem& sys,
                             const Options& opts, bool mg) {
   std::string canonical = "rapar-checkpoint-query-v1\ngoal=";
-  canonical += mg ? opts.goal_var + ':' + std::to_string(opts.goal_val)
+  canonical += mg ? opts.goal_var + ':' + std::to_string(*opts.goal_val)
                   : std::string("assert");
   canonical += "\nenv:\n" + sys.env_program().ToString();
   for (const rapar::Program& dis : sys.dis_programs()) {
@@ -589,26 +601,33 @@ std::string CheckpointQuery(const rapar::ParamSystem& sys,
   return rapar::FingerprintDigest(canonical);
 }
 
-// A goal value outside the system's domain names a message no thread can
-// write: a usage error, not a vacuous SAFE. Empty when the value is in it.
-std::string GoalValueError(const Options& opts,
-                           const rapar::ParamSystem& sys) {
-  if (opts.goal_val < sys.dom()) return {};
-  return "--val " + std::to_string(opts.goal_val) +
-         " is outside the domain 0.." + std::to_string(sys.dom() - 1) +
-         " of the system";
-}
-
 int RunVerify(const Options& opts, bool mg) {
-  if (opts.env_file.empty()) return GlobalUsage();
+  if (opts.env_file.empty()) {
+    GlobalUsage();
+    return FailVerify(opts, opts.command + " requires --env FILE");
+  }
   const bool json = opts.format == "json";
+
+  rapar::VerifierOptions vopts = opts.vopts;
+  const std::optional<rapar::Backend> backend =
+      rapar::ParseBackend(opts.backend);
+  if (!backend.has_value()) {
+    return FailVerify(opts, "unknown backend '" + opts.backend + "'");
+  }
+  vopts.backend = *backend;
+  const std::optional<rapar::tmai::Domain> domain =
+      rapar::tmai::ParseDomain(opts.tmai_domain);
+  if (!domain.has_value()) {
+    return FailVerify(opts, "unknown TMAI domain '" + opts.tmai_domain + "'");
+  }
+  vopts.tmai.domain = *domain;
 
   // Checkpoint/resume is datalog-only: a checkpoint is a position in
   // the makeP guess enumeration, which the other backends do not scan.
   const bool wants_checkpoints =
       !opts.checkpoint_file.empty() || !opts.resume_file.empty() ||
       opts.checkpoint_every > 0 || opts.vopts.datalog.scan_limit > 0;
-  if (wants_checkpoints && opts.backend != "datalog") {
+  if (wants_checkpoints && vopts.backend != rapar::Backend::kDatalog) {
     return FailVerify(opts,
                       "--checkpoint/--resume/--checkpoint-every/"
                       "--scan-limit require --backend=datalog");
@@ -616,7 +635,7 @@ int RunVerify(const Options& opts, bool mg) {
   // --threads is the concrete backend's env-thread count; serve's
   // env_threads option accepts the same range.
   if (opts.threads.has_value()) {
-    if (opts.backend != "concrete") {
+    if (vopts.backend != rapar::Backend::kConcrete) {
       return FailVerify(opts, "flag --threads requires --backend=concrete");
     }
     constexpr int kMaxThreads =
@@ -627,6 +646,7 @@ int RunVerify(const Options& opts, bool mg) {
                     std::to_string(kMaxThreads) + "], got '" +
                     std::to_string(*opts.threads) + "'");
     }
+    vopts.concrete.env_threads = *opts.threads;
   }
 
   // The recorder must outlive the whole run so the parse phase is on the
@@ -634,55 +654,24 @@ int RunVerify(const Options& opts, bool mg) {
   rapar::obs::TraceRecorder recorder;
   rapar::obs::TraceRecorder* trace =
       opts.trace_file.empty() ? nullptr : &recorder;
+  vopts.obs.trace = trace;
 
   const auto parse_start = std::chrono::steady_clock::now();
-  rapar::Expected<rapar::ParamSystem> sys = [&] {
+  rapar::Expected<Query> loaded = [&] {
     rapar::obs::ScopedSpan span(trace, "parse");
-    return BuildSystem(opts);
+    return LoadQuery(opts, /*goal_required=*/mg);
   }();
   const double parse_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - parse_start)
           .count();
-  if (!sys.ok()) {
-    std::fprintf(stderr, "%s\n", sys.error().c_str());
-    return 3;
-  }
-  if (!json) std::printf("system: %s\n", sys.value().Signature().c_str());
-
-  rapar::VerifierOptions vopts = opts.vopts;
-  const std::optional<rapar::Backend> backend =
-      rapar::ParseBackend(opts.backend);
-  if (!backend.has_value()) {
-    std::fprintf(stderr, "unknown backend '%s'\n", opts.backend.c_str());
-    return 3;
-  }
-  vopts.backend = *backend;
-  const std::optional<rapar::tmai::Domain> domain =
-      rapar::tmai::ParseDomain(opts.tmai_domain);
-  if (!domain.has_value()) {
-    std::fprintf(stderr, "unknown TMAI domain '%s'\n",
-                 opts.tmai_domain.c_str());
-    return 3;
-  }
-  vopts.tmai.domain = *domain;
-  if (opts.threads.has_value()) vopts.concrete.env_threads = *opts.threads;
-  vopts.obs.trace = trace;
-
-  std::optional<std::pair<rapar::VarId, rapar::Value>> goal;
-  if (mg) {
-    rapar::VarId var = sys.value().vars().Find(opts.goal_var);
-    if (!var.valid() || opts.goal_val < 0) {
-      return FailVerify(opts, "mg requires --var (declared) and --val >= 0");
-    }
-    const std::string error = GoalValueError(opts, sys.value());
-    if (!error.empty()) return FailVerify(opts, error);
-    goal = std::pair{var, static_cast<rapar::Value>(opts.goal_val)};
-  }
+  if (!loaded.ok()) return FailVerify(opts, loaded.error());
+  const rapar::ParamSystem& sys = loaded.value().system;
+  if (!json) std::printf("system: %s\n", sys.Signature().c_str());
 
   // Checkpoint/resume wiring (validated above: datalog backend only).
   if (!opts.resume_file.empty() || !opts.checkpoint_file.empty()) {
-    const std::string query = CheckpointQuery(sys.value(), opts, mg);
+    const std::string query = CheckpointQuery(sys, opts, mg);
     if (!opts.resume_file.empty()) {
       rapar::Expected<rapar::CursorCheckpoint> cp =
           rapar::LoadCheckpointFile(opts.resume_file);
@@ -714,19 +703,17 @@ int RunVerify(const Options& opts, bool mg) {
           };
     }
   }
-  rapar::SafetyVerifier verifier(sys.value());
-  rapar::Verdict v = verifier.Run(goal, vopts);
+  rapar::SafetyVerifier verifier(sys);
+  rapar::Verdict v = verifier.Run(loaded.value().goal, vopts);
   v.telemetry.SetGauge(rapar::obs::metric::kPhaseParseMs, parse_ms);
 
   if (trace != nullptr && !recorder.WriteFile(opts.trace_file)) {
-    std::fprintf(stderr, "cannot write trace file '%s'\n",
-                 opts.trace_file.c_str());
-    return 3;
+    return FailVerify(opts,
+                      "cannot write trace file '" + opts.trace_file + "'");
   }
 
   if (json) {
-    std::fputs(rapar::VerdictToJson(v, vopts, mg ? "mg" : "verify",
-                                    sys.value().Signature())
+    std::fputs(rapar::VerdictToJson(v, vopts, opts.command, sys.Signature())
                    .c_str(),
                stdout);
   } else {
@@ -756,12 +743,12 @@ int CertCheck(const Options& opts) {
   if (opts.env_file.empty() || opts.cert_file.empty()) return GlobalUsage();
   const bool json = opts.format == "json";
 
-  std::string cert_text;
-  if (!ReadFile(opts.cert_file, &cert_text)) {
+  const std::optional<std::string> cert_text = rapar::ReadFile(opts.cert_file);
+  if (!cert_text.has_value()) {
     std::fprintf(stderr, "cannot read %s\n", opts.cert_file.c_str());
     return 3;
   }
-  rapar::Expected<rapar::JsonValue> doc = rapar::ParseJson(cert_text);
+  rapar::Expected<rapar::JsonValue> doc = rapar::ParseJson(*cert_text);
   if (!doc.ok()) {
     std::fprintf(stderr, "%s: %s\n", opts.cert_file.c_str(),
                  doc.error().c_str());
@@ -782,16 +769,17 @@ int CertCheck(const Options& opts) {
     return 3;
   }
 
-  rapar::Expected<rapar::ParamSystem> sys = BuildSystem(opts);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "%s\n", sys.error().c_str());
+  rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
+  if (!query.ok()) {
+    std::fprintf(stderr, "%s\n", query.error().c_str());
     return 3;
   }
+  const rapar::ParamSystem& sys = query.value().system;
   // SafetyVerifier's preparation: the certificate was produced against
   // the prepassed CFAs, with the MG goal variable (if any) protected
   // from store slicing.
   const rapar::PreparedSystem prep = rapar::PrepareSystem(
-      sys.value().simpl(), /*run_prepass=*/true,
+      sys.simpl(), /*run_prepass=*/true,
       cert.value().check_assert ? rapar::VarId::Invalid()
                                 : rapar::VarId(cert.value().goal_var));
   const rapar::tmai::TmaiSystem tsys =
@@ -810,7 +798,7 @@ int CertCheck(const Options& opts) {
     w.Key("schema_version").Int(rapar::kResultSchemaVersion);
     w.Key("tool").String("rapar");
     w.Key("command").String("certcheck");
-    w.Key("system").String(sys.value().Signature());
+    w.Key("system").String(sys.Signature());
     w.Key("valid").Bool(res.valid);
     w.Key("error");
     if (res.error.empty()) {
@@ -839,13 +827,14 @@ int CertCheck(const Options& opts) {
 
 int DumpDatalog(const Options& opts) {
   if (opts.env_file.empty()) return GlobalUsage();
-  rapar::Expected<rapar::ParamSystem> sys = BuildSystem(opts);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "%s\n", sys.error().c_str());
+  rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
+  if (!query.ok()) {
+    std::fprintf(stderr, "%s\n", query.error().c_str());
     return 3;
   }
+  const rapar::ParamSystem& sys = query.value().system;
   // Walk the whole enumeration for its count, keeping the first four.
-  rapar::DisGuessCursor cursor(sys.value().simpl(), rapar::GuessEnumOptions{});
+  rapar::DisGuessCursor cursor(sys.simpl(), rapar::GuessEnumOptions{});
   std::vector<rapar::DisGuess> guesses;
   while (const rapar::IndexedGuess* g = cursor.Next()) {
     if (guesses.size() < 4) guesses.push_back(g->guess);
@@ -853,25 +842,11 @@ int DumpDatalog(const Options& opts) {
   std::printf("// %zu makeP guess(es)%s\n", cursor.produced(),
               cursor.complete() ? "" : " (capped)");
   rapar::MakePOptions mopts;
-  if (!opts.goal_var.empty() && opts.goal_val >= 0) {
-    rapar::VarId var = sys.value().vars().Find(opts.goal_var);
-    if (!var.valid()) {
-      std::fprintf(stderr, "unknown variable '%s'\n",
-                   opts.goal_var.c_str());
-      return 3;
-    }
-    const std::string error = GoalValueError(opts, sys.value());
-    if (!error.empty()) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 3;
-    }
-    mopts.goal_message = {var, static_cast<rapar::Value>(opts.goal_val)};
-  }
+  mopts.goal_message = query.value().goal;
   for (std::size_t i = 0; i < guesses.size(); ++i) {
     std::printf("\n// ---- guess %zu ----\n%s\n", i,
-                guesses[i].ToString(sys.value().simpl()).c_str());
-    rapar::MakePResult q =
-        rapar::MakeP(sys.value().simpl(), guesses[i], mopts);
+                guesses[i].ToString(sys.simpl()).c_str());
+    rapar::MakePResult q = rapar::MakeP(sys.simpl(), guesses[i], mopts);
     std::printf("%s", q.prog->ToString().c_str());
   }
   if (cursor.produced() > guesses.size()) {
@@ -883,13 +858,14 @@ int DumpDatalog(const Options& opts) {
 
 int DlAnalyze(const Options& opts) {
   if (opts.env_file.empty()) return GlobalUsage();
-  rapar::Expected<rapar::ParamSystem> sys = BuildSystem(opts);
-  if (!sys.ok()) {
-    std::fprintf(stderr, "%s\n", sys.error().c_str());
+  rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
+  if (!query.ok()) {
+    std::fprintf(stderr, "%s\n", query.error().c_str());
     return 3;
   }
+  const rapar::ParamSystem& sys = query.value().system;
   // Walk the whole enumeration for its count, keeping guess N.
-  rapar::DisGuessCursor cursor(sys.value().simpl(), rapar::GuessEnumOptions{});
+  rapar::DisGuessCursor cursor(sys.simpl(), rapar::GuessEnumOptions{});
   std::optional<rapar::DisGuess> found;
   while (const rapar::IndexedGuess* g = cursor.Next()) {
     if (static_cast<long long>(g->index) == opts.guess_index) {
@@ -902,21 +878,8 @@ int DlAnalyze(const Options& opts) {
     return 3;
   }
   rapar::MakePOptions mopts;
-  if (!opts.goal_var.empty() && opts.goal_val >= 0) {
-    rapar::VarId var = sys.value().vars().Find(opts.goal_var);
-    if (!var.valid()) {
-      std::fprintf(stderr, "unknown variable '%s'\n",
-                   opts.goal_var.c_str());
-      return 3;
-    }
-    const std::string error = GoalValueError(opts, sys.value());
-    if (!error.empty()) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 3;
-    }
-    mopts.goal_message = {var, static_cast<rapar::Value>(opts.goal_val)};
-  }
-  rapar::MakePResult q = rapar::MakeP(sys.value().simpl(), *found, mopts);
+  mopts.goal_message = query.value().goal;
+  rapar::MakePResult q = rapar::MakeP(sys.simpl(), *found, mopts);
   rapar::dlopt::DlAnalysis a =
       rapar::dlopt::AnalyzeDlProgram(*q.prog, q.goal);
 
@@ -954,10 +917,10 @@ int DlAnalyze(const Options& opts) {
     return errors + warnings > 0 ? 1 : 0;
   }
 
-  std::printf("system: %s\n", sys.value().Signature().c_str());
+  std::printf("system: %s\n", sys.Signature().c_str());
   std::printf("// guess %d of %zu%s\n%s\n", opts.guess_index,
               cursor.produced(), cursor.complete() ? "" : " (capped)",
-              found->ToString(sys.value().simpl()).c_str());
+              found->ToString(sys.simpl()).c_str());
   std::printf("== dependency graph ==\n%s",
               a.graph.ToText(*q.prog).c_str());
   std::printf("== width / solver classification ==\n%s",

@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <fstream>
 
 namespace rapar {
 
@@ -51,6 +52,14 @@ std::string SourceCaret(const std::string& text, int line, int col) {
   std::string caret(static_cast<std::size_t>(col - 1), ' ');
   caret += '^';
   return StrCat("  ", num, " | ", src, "\n  ", gutter, " | ", caret);
+}
+
+std::optional<std::string> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 }  // namespace rapar

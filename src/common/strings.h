@@ -4,6 +4,7 @@
 
 #include <charconv>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -70,6 +71,10 @@ std::vector<std::string> SplitWhitespace(const std::string& s);
 // programs). Shared by parser errors and analysis diagnostics so both
 // render source context identically.
 std::string SourceCaret(const std::string& text, int line, int col);
+
+// The whole contents of the file at `path`; nullopt when it cannot be
+// opened. The one file reader of the library and its front ends.
+std::optional<std::string> ReadFile(const std::string& path);
 
 }  // namespace rapar
 

@@ -1,6 +1,7 @@
 #include "core/param_system.h"
 
 #include "common/strings.h"
+#include "lang/parser.h"
 #include "lang/transform.h"
 #include "lang/unroll.h"
 
@@ -110,6 +111,41 @@ int ParamSystem::Q0() const {
   for (const auto& d : dis_cfas_) dis_size += d->edges().size();
   return static_cast<int>(dom_ * static_cast<Value>(vars_.size()) +
                           static_cast<Value>(dis_size));
+}
+
+Expected<ParamSystem> BuildSystem(const ProgramSource& env,
+                                  const std::vector<ProgramSource>& dis,
+                                  int unroll) {
+  ParamSystem::Builder builder;
+  builder.UnrollDis(unroll);
+  for (std::size_t i = 0; i <= dis.size(); ++i) {
+    const ProgramSource& source = i == 0 ? env : dis[i - 1];
+    Expected<Program> program = ParseProgram(std::string(source.text));
+    if (!program.ok()) {
+      return Expected<ParamSystem>::Error(
+          StrCat(source.label, ": ", program.error()));
+    }
+    if (i == 0) {
+      builder.Env(std::move(program).value());
+    } else {
+      builder.Dis(std::move(program).value());
+    }
+  }
+  return builder.Build();
+}
+
+Expected<std::pair<VarId, Value>> ResolveGoal(const ParamSystem& sys,
+                                              std::string_view var,
+                                              long long val,
+                                              std::string_view val_name) {
+  using E = Expected<std::pair<VarId, Value>>;
+  const VarId id = sys.vars().Find(std::string(var));
+  if (!id.valid()) return E::Error(StrCat("unknown variable '", var, "'"));
+  if (val < 0 || val >= sys.dom()) {
+    return E::Error(StrCat(val_name, " ", val, " is outside the domain 0..",
+                           sys.dom() - 1, " of the system"));
+  }
+  return std::pair{id, static_cast<Value>(val)};
 }
 
 PreparedSystem PrepareSystem(const SimplSystem& base, bool run_prepass,

@@ -11,6 +11,8 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/prepass.h"
@@ -115,12 +117,35 @@ struct PreparedSystem {
   std::vector<std::unique_ptr<Cfa>> dis;
 };
 
+// One program text and the name its parse errors carry: the file path
+// for `rapar_cli`, "env" or "dis[i]" for serve's requests.
+struct ProgramSource {
+  std::string label;
+  std::string_view text;
+};
+
+// The one way a front end builds a query's system: parses `env` and each
+// of `dis` and builds the system, dis loops unrolled up to `unroll`. A
+// parse error reads "<label>: <error>"; anything else is Build's error.
+Expected<ParamSystem> BuildSystem(const ProgramSource& env,
+                                  const std::vector<ProgramSource>& dis,
+                                  int unroll);
+
+// Resolves the MG goal message (var, val) against `sys`: `var` must be
+// declared and 0 <= val < dom, since a value outside the domain names a
+// message no thread can write. `val_name` is how the caller spells the
+// value in the error ("--val" for the CLI, "\"val\"" for serve).
+Expected<std::pair<VarId, Value>> ResolveGoal(const ParamSystem& sys,
+                                              std::string_view var,
+                                              long long val,
+                                              std::string_view val_name);
+
 // With `run_prepass`, runs the pre-pass (analysis/prepass.h) over `base`
 // with the goal variable `protect` (VarId::Invalid() when there is none)
 // kept from store slicing, and keeps the original CFAs when it pruned
-// nothing. SafetyVerifier, the serve cache's certificate re-check and
-// `rapar_cli certcheck` all prepare through here, so a certificate is
-// checked against the CFAs it was proved on.
+// nothing. SafetyVerifier, which checks each TMAI certificate where it is
+// made, and `rapar_cli certcheck` both prepare through here, so a
+// certificate is checked against the CFAs it was proved on.
 PreparedSystem PrepareSystem(const SimplSystem& base, bool run_prepass,
                              VarId protect);
 

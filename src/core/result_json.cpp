@@ -131,6 +131,22 @@ std::string VerdictToJson(const Verdict& v, const VerifierOptions& options,
   return out;
 }
 
+std::string ErrorToJson(std::string_view command, std::string_view message,
+                        bool pretty, std::string_view id_json) {
+  JsonWriter w(pretty);
+  w.BeginObject();
+  w.Key("schema_version").Int(kResultSchemaVersion);
+  w.Key("tool").String("rapar");
+  w.Key("command").String(command);
+  if (!id_json.empty()) w.Key("id").Raw(id_json);
+  w.Key("error").String(message);
+  w.Key("exit_code").Int(3);
+  w.EndObject();
+  std::string out = w.TakeString();
+  out += '\n';
+  return out;
+}
+
 std::string DiagnosticsToJson(
     std::string_view command,
     const std::vector<std::pair<std::string, Diagnostic>>& diagnostics) {

@@ -1,7 +1,8 @@
 // Stable machine-readable result envelopes (--format=json).
 //
-// Two shapes, shared by rapar_cli and the golden-schema tests so the
-// emitters cannot drift from what the tests pin down:
+// Three shapes, shared by rapar_cli, the serve daemon and the
+// golden-schema tests so the emitters cannot drift from what the tests
+// pin down:
 //
 //   VerdictToJson      — verify/mg: schema_version, tool, command, system
 //                        signature, verdict, exit_code, the backend that
@@ -11,6 +12,9 @@
 //   DiagnosticsToJson  — lint/dlanalyze: schema_version, tool, command,
 //                        diagnostics array (file, line, col, code,
 //                        severity, message) and a severity summary.
+//   ErrorToJson        — a verify/mg usage or input error, and every
+//                        serve error: schema_version, tool, command, the
+//                        request id (serve), error and exit_code 3.
 //
 // Versioning contract: fields may be ADDED under the same
 // schema_version; renaming or removing one (or changing a type) bumps
@@ -71,6 +75,12 @@ std::string VerdictToJson(const Verdict& v, const VerifierOptions& options,
                           std::string_view system_signature,
                           bool pretty = true,
                           const EnvelopeExtras* extras = nullptr);
+
+// Renders the error envelope. `command` is the failing command ("verify",
+// "mg"; serve answers "error"); `id_json` is EnvelopeExtras::id_json
+// (empty = omitted); `pretty` as for VerdictToJson.
+std::string ErrorToJson(std::string_view command, std::string_view message,
+                        bool pretty = true, std::string_view id_json = {});
 
 // Renders the diagnostics envelope for lint/dlanalyze. Each entry pairs
 // the file the diagnostic is about (or a pseudo-file like "makeP") with

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <limits>
@@ -10,7 +9,6 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -18,10 +16,10 @@
 
 #include "common/hash.h"
 #include "common/json.h"
+#include "common/strings.h"
 #include "core/param_system.h"
 #include "core/result_json.h"
 #include "core/verifier.h"
-#include "lang/parser.h"
 #include "obs/telemetry.h"
 #include "tmai/certcheck.h"
 #include "tmai/tmai.h"
@@ -46,19 +44,6 @@ struct Request {
   std::string error;
 };
 
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-const JsonValue* FindMember(const JsonValue& obj, const char* key) {
-  return obj.Find(key);
-}
-
 // Ceiling for option knobs that narrow to int downstream: far beyond any
 // operational setting, comfortably inside int32.
 constexpr long long kKnobMax = 1'000'000'000;
@@ -73,7 +58,7 @@ constexpr long long kCountMax = std::numeric_limits<long long>::max();
 template <typename T>
 bool GetIntRange(const JsonValue& obj, const char* key, T* out,
                  long long min, long long max, std::string* error) {
-  const JsonValue* v = FindMember(obj, key);
+  const JsonValue* v = obj.Find(key);
   if (v == nullptr) return true;
   if (!v->is_number() || !v->number_is_int) {
     *error = std::string("field '") + key + "' must be an integer";
@@ -90,7 +75,7 @@ bool GetIntRange(const JsonValue& obj, const char* key, T* out,
 
 bool GetBool(const JsonValue& obj, const char* key, bool* out,
              std::string* error) {
-  const JsonValue* v = FindMember(obj, key);
+  const JsonValue* v = obj.Find(key);
   if (v == nullptr) return true;
   if (!v->is_bool()) {
     *error = std::string("field '") + key + "' must be a boolean";
@@ -102,7 +87,7 @@ bool GetBool(const JsonValue& obj, const char* key, bool* out,
 
 bool GetString(const JsonValue& obj, const char* key, std::string* out,
                std::string* error) {
-  const JsonValue* v = FindMember(obj, key);
+  const JsonValue* v = obj.Find(key);
   if (v == nullptr) return true;
   if (!v->is_string()) {
     *error = std::string("field '") + key + "' must be a string";
@@ -143,10 +128,13 @@ Request DecodeRequest(const JsonValue& doc) {
   std::string env_file;
   if (!GetString(doc, "env", &req.env_text, &req.error)) return req;
   if (!GetString(doc, "env_file", &env_file, &req.error)) return req;
-  if (req.env_text.empty() && !env_file.empty() &&
-      !ReadFile(env_file, &req.env_text)) {
-    req.error = "cannot read env file '" + env_file + "'";
-    return req;
+  if (req.env_text.empty() && !env_file.empty()) {
+    std::optional<std::string> text = ReadFile(env_file);
+    if (!text.has_value()) {
+      req.error = "cannot read env file '" + env_file + "'";
+      return req;
+    }
+    req.env_text = std::move(*text);
   }
   if (req.env_text.empty()) {
     req.error = "missing env program (\"env\" text or \"env_file\" path)";
@@ -171,13 +159,14 @@ Request DecodeRequest(const JsonValue& doc) {
       return req;
     }
     for (const JsonValue& item : dis_files->items) {
-      std::string text;
-      if (!item.is_string() || !ReadFile(item.string, &text)) {
+      std::optional<std::string> text;
+      if (item.is_string()) text = ReadFile(item.string);
+      if (!text.has_value()) {
         req.error = "cannot read dis file" +
                     (item.is_string() ? " '" + item.string + "'" : "");
         return req;
       }
-      req.dis_texts.push_back(std::move(text));
+      req.dis_texts.push_back(std::move(*text));
     }
   }
 
@@ -254,24 +243,6 @@ Request DecodeRequest(const JsonValue& doc) {
   }
   req.vopts.tmai.domain = *domain;
   return req;
-}
-
-Expected<ParamSystem> BuildSystem(const Request& req) {
-  Expected<Program> env = ParseProgram(req.env_text);
-  if (!env.ok()) {
-    return Expected<ParamSystem>::Error("env: " + env.error());
-  }
-  ParamSystem::Builder builder;
-  builder.Env(std::move(env).value()).UnrollDis(req.unroll);
-  for (std::size_t i = 0; i < req.dis_texts.size(); ++i) {
-    Expected<Program> dis = ParseProgram(req.dis_texts[i]);
-    if (!dis.ok()) {
-      return Expected<ParamSystem>::Error("dis[" + std::to_string(i) +
-                                          "]: " + dis.error());
-    }
-    builder.Dis(std::move(dis).value());
-  }
-  return builder.Build();
 }
 
 // --- request key and fingerprint --------------------------------------------
@@ -357,31 +328,19 @@ std::string RequestKey(const Request& req) {
   return s;
 }
 
-// One-line error envelope; the daemon answers it and keeps serving.
-std::string ErrorLine(const std::string& id_json, const std::string& message) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("schema_version").Int(kResultSchemaVersion);
-  w.Key("tool").String("rapar");
-  w.Key("command").String("error");
-  if (!id_json.empty()) w.Key("id").Raw(id_json);
-  w.Key("error").String(message);
-  w.Key("exit_code").Int(3);
-  w.EndObject();
-  return w.TakeString();
+// Envelopes end with '\n' (the one-shot CLI contract); the line protocol
+// owns the terminator, so a response drops it.
+std::string OneLine(std::string envelope) {
+  if (!envelope.empty() && envelope.back() == '\n') envelope.pop_back();
+  return envelope;
 }
 
-// Re-validates a memoized certificate against the freshly parsed system,
-// prepared as the verifier prepared it: the pre-pass only if the
-// memoized request ran it, with the certificate's goal variable
-// protected.
-bool RevalidateCertificate(const ParamSystem& sys, bool ran_prepass,
-                           const tmai::Certificate& cert) {
-  const PreparedSystem prep = PrepareSystem(
-      sys.simpl(), ran_prepass,
-      cert.check_assert ? VarId::Invalid() : VarId(cert.goal_var));
-  const tmai::TmaiSystem tsys = tmai::TmaiSystem::FromSimpl(prep.simpl);
-  return tmai::CheckCertificate(tsys, cert).valid;
+// Counts an error and answers its one-line error envelope; the daemon
+// keeps serving.
+std::string AnswerError(std::uint64_t* errors, std::string_view id_json,
+                        std::string_view message) {
+  ++*errors;
+  return OneLine(ErrorToJson("error", message, /*pretty=*/false, id_json));
 }
 
 // A verdict is memoizable only when it is a fact about the program:
@@ -457,13 +416,6 @@ struct ServeSession::Impl {
     }
   }
 
-  void Erase(const std::string& request_key) {
-    auto it = index.find(request_key);
-    if (it == index.end()) return;
-    Unlink(it->second);
-    ++evictions;
-  }
-
   // Drops one resident entry from the LRU list and the index.
   void Unlink(LruList::iterator it) {
     cache_bytes -= it->bytes;
@@ -508,11 +460,10 @@ std::string ServeSession::HandleLine(std::string_view line) {
   try {
     return HandleLineImpl(line);
   } catch (const std::exception& e) {
-    ++impl_->errors;
-    return ErrorLine("", std::string("internal error: ") + e.what());
+    return AnswerError(&impl_->errors, "",
+                       std::string("internal error: ") + e.what());
   } catch (...) {
-    ++impl_->errors;
-    return ErrorLine("", "internal error");
+    return AnswerError(&impl_->errors, "", "internal error");
   }
 }
 
@@ -522,13 +473,11 @@ std::string ServeSession::HandleLineImpl(std::string_view line) {
 
   Expected<JsonValue> doc = ParseJson(line);
   if (!doc.ok()) {
-    ++im.errors;
-    return ErrorLine("", "invalid request JSON: " + doc.error());
+    return AnswerError(&im.errors, "", "invalid request JSON: " + doc.error());
   }
   Request req = DecodeRequest(doc.value());
   if (!req.error.empty()) {
-    ++im.errors;
-    return ErrorLine(req.id_json, req.error);
+    return AnswerError(&im.errors, req.id_json, req.error);
   }
 
   // Stamps the session-cumulative cache/serve counters; called on a copy
@@ -548,82 +497,52 @@ std::string ServeSession::HandleLineImpl(std::string_view line) {
   EnvelopeExtras extras;
   extras.id_json = req.id_json;
 
-  // Envelopes end with '\n' (the one-shot CLI contract); the line
-  // protocol owns the terminator, so strip it here.
-  const auto one_line = [](std::string s) {
-    if (!s.empty() && s.back() == '\n') s.pop_back();
-    return s;
-  };
-
-  // Answers from a memoized entry. Only the parse gauge, which holds what
-  // this request spent parsing, and the cache/serve counters are stamped;
-  // everything else — including the echoed options object — replays the
-  // entry verbatim (see serve.h for the replay contract).
-  const auto replay = [&](const Impl::CacheEntry& entry, double parse_ms) {
-    ++im.hits;
-    Verdict v = entry.verdict;
-    v.telemetry.SetGauge(obs::metric::kPhaseParseMs, parse_ms);
-    stamp(v, /*hit=*/true);
-    extras.fingerprint = entry.digest;
-    extras.cache = "hit";
-    return one_line(VerdictToJson(v, entry.vopts, entry.command,
-                                  entry.signature, /*pretty=*/false,
-                                  &extras));
-  };
-
   // --- cache probe by the request as sent ---
-  // An entry without a certificate is answered without parsing anything.
+  // A hit answers from the memoized entry without parsing anything: the
+  // parse gauge reads 0 and the cache/serve counters are stamped;
+  // everything else — the echoed options object and any certificate,
+  // which the verifier checked before the entry was filled, included —
+  // replays verbatim (see serve.h for the replay contract).
   const bool cache_on = im.options.cache_entries != 0;
   std::string request_key;
-  const Impl::CacheEntry* entry = nullptr;
   if (cache_on) {
     request_key = RequestKey(req);
-    entry = im.Lookup(request_key);
-    if (entry != nullptr && entry->verdict.certificate == nullptr) {
-      return replay(*entry, /*parse_ms=*/0.0);
+    if (const Impl::CacheEntry* entry = im.Lookup(request_key)) {
+      ++im.hits;
+      Verdict v = entry->verdict;
+      v.telemetry.SetGauge(obs::metric::kPhaseParseMs, 0.0);
+      stamp(v, /*hit=*/true);
+      extras.fingerprint = entry->digest;
+      extras.cache = "hit";
+      return OneLine(VerdictToJson(v, entry->vopts, entry->command,
+                                   entry->signature, /*pretty=*/false,
+                                   &extras));
     }
   }
 
+  // --- miss: parse, build, run the pipeline ---
   const auto parse_start = std::chrono::steady_clock::now();
-  Expected<ParamSystem> sys = BuildSystem(req);
-  if (!sys.ok()) {
-    ++im.errors;
-    return ErrorLine(req.id_json, sys.error());
+  std::vector<ProgramSource> dis;
+  dis.reserve(req.dis_texts.size());
+  for (std::size_t i = 0; i < req.dis_texts.size(); ++i) {
+    dis.push_back({StrCat("dis[", i, "]"), req.dis_texts[i]});
   }
+  Expected<ParamSystem> sys = BuildSystem({"env", req.env_text}, dis,
+                                          req.unroll);
+  if (!sys.ok()) return AnswerError(&im.errors, req.id_json, sys.error());
   std::optional<std::pair<VarId, Value>> goal;
   if (req.mg) {
-    const VarId var = sys.value().vars().Find(req.goal_var);
-    if (!var.valid()) {
-      ++im.errors;
-      return ErrorLine(req.id_json,
-                       "unknown variable '" + req.goal_var + "'");
+    Expected<std::pair<VarId, Value>> resolved =
+        ResolveGoal(sys.value(), req.goal_var, req.goal_val, "\"val\"");
+    if (!resolved.ok()) {
+      return AnswerError(&im.errors, req.id_json, resolved.error());
     }
-    if (req.goal_val >= sys.value().dom()) {
-      ++im.errors;
-      return ErrorLine(req.id_json,
-                       "\"val\" " + std::to_string(req.goal_val) +
-                           " is outside the domain 0.." +
-                           std::to_string(sys.value().dom() - 1) +
-                           " of the system");
-    }
-    goal = {var, static_cast<Value>(req.goal_val)};
+    goal = resolved.value();
   }
   const double parse_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - parse_start)
                               .count();
 
-  // --- certificate hit: re-check the memoized proof before replaying ---
-  if (entry != nullptr) {
-    if (RevalidateCertificate(sys.value(), entry->vopts.enable_prepass,
-                              *entry->verdict.certificate)) {
-      return replay(*entry, parse_ms);
-    }
-    // The memoized proof no longer checks out against this request's
-    // system: drop the entry and recompute.
-    im.Erase(request_key);
-  }
-
-  // --- miss: run the pipeline ---
   ++im.misses;
   const std::string digest =
       FingerprintDigest(CanonicalRequest(req, sys.value()));
@@ -643,9 +562,9 @@ std::string ServeSession::HandleLineImpl(std::string_view line) {
     extras.cache = "miss";
     Verdict stamped = v;
     stamp(stamped, /*hit=*/false);
-    rendered = one_line(VerdictToJson(stamped, stored_opts, command,
-                                      sys.value().Signature(),
-                                      /*pretty=*/false, &extras));
+    rendered = OneLine(VerdictToJson(stamped, stored_opts, command,
+                                     sys.value().Signature(),
+                                     /*pretty=*/false, &extras));
 
     if (cache_on && Definitive(v)) {
       Impl::CacheEntry fill;
@@ -659,11 +578,10 @@ std::string ServeSession::HandleLineImpl(std::string_view line) {
     }
   } catch (const std::exception& e) {
     // Answer the error with the request's id echo still attached.
-    ++im.errors;
-    return ErrorLine(req.id_json, std::string("internal error: ") + e.what());
+    return AnswerError(&im.errors, req.id_json,
+                       std::string("internal error: ") + e.what());
   } catch (...) {
-    ++im.errors;
-    return ErrorLine(req.id_json, "internal error");
+    return AnswerError(&im.errors, req.id_json, "internal error");
   }
   return rendered;
 }

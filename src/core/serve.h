@@ -48,10 +48,9 @@
 // every option field that reaches a backend) followed by the env and dis
 // texts as decoded (file contents, never paths). A repeat of the request
 // that filled an entry is answered from it without parsing, building or
-// canonicalizing anything, unless the entry carries a TMAI certificate:
-// then the request parses and the certificate is re-validated via
-// tmai::CheckCertificate before the entry replays (a failed check drops
-// the entry and recomputes). Any other request is a miss, a reformatted
+// canonicalizing anything, an entry with a TMAI certificate included:
+// SafetyVerifier::Run checks every certificate where it is made, before
+// the miss fills the entry. Any other request is a miss, a reformatted
 // copy of a cached program included; misses run the pipeline and
 // populate a bounded LRU. The envelope's `fingerprint` is the digest of
 // a canonical normalization — the pretty-printed programs (post-unroll),
@@ -62,14 +61,13 @@
 // a deadline is wall-clock state, not a fact about the program. See
 // DESIGN.md §12 for the cache-correctness argument.
 //
-// Replay contract: a hit renders the memoized entry verbatim, so modulo
-// telemetry and the cache marker it is byte-identical to the miss that
-// populated it, which is what the catalog-replay differential asserts.
-// Every echoed option is part of the request key, so the echo is the
-// current request's too. Telemetry is the exception — cache/serve
-// counters are re-stamped from the session, and the parse-time gauge
-// holds what this request spent parsing: 0 on a hit without a
-// certificate, the measured parse and build on a certificate hit.
+// Replay contract: every hit replays without parsing. It renders the
+// memoized entry verbatim, so modulo telemetry and the cache marker it is
+// byte-identical to the miss that populated it, which is what the
+// catalog-replay differential asserts. Every echoed option is part of the
+// request key, so the echo is the current request's too. Telemetry is the
+// exception — cache/serve counters are re-stamped from the session, and
+// the parse-time gauge reads 0, what the hit spent parsing.
 #ifndef RAPAR_CORE_SERVE_H_
 #define RAPAR_CORE_SERVE_H_
 

@@ -12,6 +12,7 @@
 #include "ra/explorer.h"
 #include "simplified/explorer.h"
 #include "simplified/witness_min.h"
+#include "tmai/certcheck.h"
 #include "tmai/tmai.h"
 
 namespace rapar {
@@ -374,6 +375,17 @@ Verdict RunTmai(const ParamSystem& system,
     const auto start = std::chrono::steady_clock::now();
     r = tmai::RunTmai(tsys, tgoal, topts);
     v.telemetry.SetGauge(metric::kPhaseSolveMs, MsSince(start));
+  }
+  // A certificate leaves the verifier only once the independent checker
+  // (tmai/certcheck.h) has accepted it against the system it was proved
+  // on; a proof the checker rejects is no proof, so the answer degrades
+  // to kUnknown.
+  if (r.certificate != nullptr) {
+    obs::ScopedSpan span(options.obs.trace, "certcheck");
+    if (!tmai::CheckCertificate(tsys, *r.certificate).valid) {
+      r.safe = false;
+      r.certificate = nullptr;
+    }
   }
   v.telemetry.SetCounter(metric::kTmaiIterations, r.iterations);
   v.telemetry.SetCounter(metric::kTmaiConverged, r.converged ? 1 : 0);

@@ -21,7 +21,8 @@
 //   kTmai               — thread-modular abstract interpretation (see
 //                         tmai/tmai.h): sound for kSafe, never kUnsafe;
 //                         answers kUnknown when the abstraction reaches
-//                         the error location.
+//                         the error location. A kSafe carries an
+//                         invariant certificate that Run has checked.
 //   kPortfolio          — a cascade on the calling thread: TMAI first, and
 //                         when it cannot prove kSafe, the Datalog backend,
 //                         whose verdict is returned unchanged.
@@ -178,8 +179,10 @@ struct Verdict {
   // Machine-checkable invariant certificate justifying a TMAI kSafe
   // verdict (tmai/certcheck.h). Set only when the TMAI backend (directly
   // or as the portfolio's first stage) proved safety; null otherwise, so
-  // certificate-free JSON envelopes are unchanged. Re-validate with
-  // `rapar_cli certcheck` or tmai::CheckCertificate.
+  // certificate-free JSON envelopes are unchanged. Run returns one only
+  // after tmai::CheckCertificate accepted it against the system it was
+  // proved on (a rejected one turns the verdict into kUnknown); anyone
+  // can check it again with `rapar_cli certcheck`.
   std::shared_ptr<const tmai::Certificate> certificate;
 
   std::string ToString() const;

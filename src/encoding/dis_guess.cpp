@@ -6,8 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include "common/json.h"
@@ -229,14 +228,12 @@ std::string ErrnoText(const char* what) {
 }  // namespace
 
 Expected<CursorCheckpoint> LoadCheckpointFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> text = ReadFile(path);
+  if (!text.has_value()) {
     return Expected<CursorCheckpoint>::Error(
         StrCat("cannot read checkpoint file '", path, "'"));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return CursorCheckpoint::FromJson(buf.str());
+  return CursorCheckpoint::FromJson(*text);
 }
 
 Expected<bool> SaveCheckpointFile(const std::string& path,

@@ -98,9 +98,9 @@ void FinishConverged(const TmaiSystem& sys, const TmaiGoal& goal,
                      const RelationalContext* rel, Domain domain,
                      TmaiResult* result);
 
-// The relational driver: tracking round, then up to
-// `opts.max_strengthen_rounds` pruning rounds against the previous
-// round's frozen tables. Implemented in relational.cpp.
+// The relational driver: tracking round, then up to three pruning rounds
+// against the previous round's frozen tables. Implemented in
+// relational.cpp.
 TmaiResult RunTmaiRelational(const TmaiSystem& sys, const TmaiGoal& goal,
                              const TmaiOptions& opts);
 

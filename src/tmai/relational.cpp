@@ -186,6 +186,11 @@ RelationalContext BuildRelationalContext(const TmaiSystem& sys,
   return rel;
 }
 
+// Strengthening rounds (full re-fixpoints whose pruning rules read the
+// previous round's frozen tables) before giving up. Round 0 — tracking
+// without pruning — is not counted.
+constexpr int kMaxStrengthenRounds = 3;
+
 TmaiResult RunTmaiRelational(const TmaiSystem& sys, const TmaiGoal& goal,
                              const TmaiOptions& opts) {
   TmaiResult result;
@@ -211,7 +216,7 @@ TmaiResult RunTmaiRelational(const TmaiSystem& sys, const TmaiGoal& goal,
   // was pruned with — then the checker replays exactly this round).
   TmaiResult safe_result;
   bool have_safe = false;
-  for (int round = 1; round <= opts.max_strengthen_rounds; ++round) {
+  for (int round = 1; round <= kMaxStrengthenRounds; ++round) {
     RelationalContext rel =
         BuildRelationalContext(sys, prev.tables, prev.must);
     FixpointRun cur = RunFixpoint(sys, opts, /*track_pairs=*/true, &rel);

@@ -211,6 +211,9 @@ ThreadReport ClassifyThread(TransferCtx c,
   return r;
 }
 
+// Disjuncts kept per CFA node before merging into their join.
+constexpr std::size_t kMaxDisjuncts = 16;
+
 // Disjunctive join with subsumption, a disjunct cap, and widening after
 // `widening_delay` joins at the same node.
 bool JoinNodeState(const TransferCtx& c, NodeState& into, NodeState& from,
@@ -232,8 +235,7 @@ bool JoinNodeState(const TransferCtx& c, NodeState& into, NodeState& from,
   into.joins++;
   *max_disjuncts_seen = std::max(*max_disjuncts_seen, into.djs.size());
   const bool widen = into.joins > c.opts->widening_delay;
-  if (widen ||
-      into.djs.size() > static_cast<std::size_t>(c.opts->max_disjuncts)) {
+  if (widen || into.djs.size() > kMaxDisjuncts) {
     AbsState merged = std::move(into.djs.front());
     for (std::size_t i = 1; i < into.djs.size(); ++i) {
       merged.MergeWith(into.djs[i]);

@@ -76,14 +76,8 @@ struct TmaiOptions {
   int widening_delay = 8;
   // Explicit value-set size beyond which a set becomes top.
   int value_set_limit = 16;
-  // Disjuncts kept per CFA node before merging into their join.
-  int max_disjuncts = 16;
   // Abstract domain (see Domain above).
   Domain domain = Domain::kSmallSet;
-  // Relational only: strengthening rounds (full re-fixpoints whose
-  // pruning rules read the previous round's frozen tables) before
-  // giving up. Round 0 — tracking without pruning — is not counted.
-  int max_strengthen_rounds = 3;
   // Emit an invariant certificate (tmai/certcheck.h) on kSafe.
   bool emit_certificate = true;
 };

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/benchmarks.h"
@@ -103,6 +104,63 @@ TEST(ParamSystemTest, DisLoopsRequireUnrollBound) {
     ASSERT_TRUE(sys.ok()) << sys.error();
     EXPECT_TRUE(Classify(sys.value().dis_programs()[0]).loop_free);
   }
+}
+
+// BuildSystem, the one query builder of the CLI and serve: a parse error
+// names the program by the caller's label (a file path, or "env" /
+// "dis[i]"), and the unroll bound reaches the builder.
+TEST(ParamSystemTest, BuildSystemLabelsParseErrors) {
+  const std::string env =
+      "program e\nvars x\nregs r\ndom 2\nbegin\nr := x\nend";
+  const std::string loop =
+      "program d\nvars x\nregs r\ndom 2\nbegin\nloop { r := x }\nend";
+  const std::string bad = "program p\nbegin nonsense\n";
+  const auto error = [](const Expected<ParamSystem>& sys) {
+    return sys.ok() ? std::string("ok") : sys.error();
+  };
+  EXPECT_EQ(error(BuildSystem({"progs/env.rap", bad}, {}, 0))
+                .rfind("progs/env.rap: expected 'vars'", 0),
+            0u);
+  EXPECT_EQ(error(BuildSystem({"env", bad}, {}, 0)).rfind("env: ", 0), 0u);
+  EXPECT_EQ(error(BuildSystem({"env", env}, {{"dis[0]", env}, {"dis[1]", bad}},
+                              0))
+                .rfind("dis[1]: ", 0),
+            0u);
+  // Anything else is Build's error; the unroll bound reaches it.
+  EXPECT_NE(error(BuildSystem({"env", env}, {{"dis[0]", loop}}, 0))
+                .find("has loops"),
+            std::string::npos);
+  const Expected<ParamSystem> sys =
+      BuildSystem({"env", env}, {{"dis[0]", loop}}, 2);
+  ASSERT_TRUE(sys.ok()) << sys.error();
+  EXPECT_TRUE(Classify(sys.value().dis_programs()[0]).loop_free);
+}
+
+// ResolveGoal, the one MG goal check of the CLI and serve: the variable is
+// declared and 0 <= val < dom; the error spells the value as the caller
+// does.
+TEST(ParamSystemTest, ResolveGoalChecksVariableAndDomain) {
+  const Expected<ParamSystem> sys = BuildSystem(
+      {"env", "program e\nvars x y\nregs r\ndom 3\nbegin\nr := y\nend"},
+      {}, 0);
+  ASSERT_TRUE(sys.ok()) << sys.error();
+  const Expected<std::pair<VarId, Value>> goal =
+      ResolveGoal(sys.value(), "y", 2, "--val");
+  ASSERT_TRUE(goal.ok()) << goal.error();
+  EXPECT_EQ(goal.value().first, VarId(1));
+  EXPECT_EQ(goal.value().second, 2);
+  const auto error = [&](const char* var, long long val,
+                         const char* val_name) {
+    const Expected<std::pair<VarId, Value>> g =
+        ResolveGoal(sys.value(), var, val, val_name);
+    return g.ok() ? std::string("ok") : g.error();
+  };
+  EXPECT_EQ(error("zz", 1, "--val"), "unknown variable 'zz'");
+  EXPECT_EQ(error("x", -1, "--val"),
+            "--val -1 is outside the domain 0..2 of the system");
+  EXPECT_EQ(error("x", 3, "\"val\""),
+            "\"val\" 3 is outside the domain 0..2 of the system");
+  EXPECT_EQ(error("x", 0, "--val"), "ok");
 }
 
 TEST(ParamSystemTest, SignatureAndBudgets) {
