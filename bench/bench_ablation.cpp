@@ -1,11 +1,8 @@
-// Ablations of the design choices DESIGN.md calls out for the simplified
-// explorer:
-//   * covering-based pruning (subsumption over the monotone env parts)
-//     vs plain equality dedup;
-//   * minimal vs exhaustive gap-choice policy for the ⁺-timestamps.
-// Both are optimisations justified by monotonicity arguments; the
-// ablation quantifies what they buy while tests (equivalence_test,
-// simplified_explorer_test) check they do not change verdicts.
+// Ablation of the simplified explorer's gap-choice policy for the
+// ⁺-timestamps: minimal vs exhaustive. The minimal policy is justified by
+// a monotonicity argument; the ablation quantifies what it buys while
+// tests (equivalence_test, simplified_explorer_test) check it does not
+// change verdicts.
 #include "bench/bench_util.h"
 #include "core/benchmarks.h"
 #include "lowerbound/qbf.h"
@@ -26,10 +23,9 @@ struct Cell {
   bool ok = false;
 };
 
-Cell RunConfig(const SimplSystem& sys, bool covering, ViewChoice policy) {
+Cell RunConfig(const SimplSystem& sys, ViewChoice policy) {
   SimplExplorer ex(sys);
   SimplExplorerOptions opts;
-  opts.use_covering = covering;
   opts.policy = policy;
   opts.stop_on_violation = false;
   opts.max_states = 60'000;
@@ -43,11 +39,9 @@ Cell RunConfig(const SimplSystem& sys, bool covering, ViewChoice policy) {
 }
 
 void PrintAblation() {
-  Header("Ablation: covering and gap-choice policy (full exploration)");
-  Row({"instance", "cover+min", "cover+all", "nocover+min",
-       "nocover+all"},
-      22);
-  Rule(5, 22);
+  Header("Ablation: gap-choice policy (full exploration)");
+  Row({"instance", "minimal", "all"}, 22);
+  Rule(3, 22);
 
   struct Item {
     std::string name;
@@ -74,17 +68,13 @@ void PrintAblation() {
       std::snprintf(buf, sizeof buf, "%zu st / %.1fms", c.states, c.ms);
       return std::string(buf);
     };
-    Row({item.name,
-         fmt(RunConfig(item.system.simpl(), true, ViewChoice::kMinimal)),
-         fmt(RunConfig(item.system.simpl(), true, ViewChoice::kAll)),
-         fmt(RunConfig(item.system.simpl(), false, ViewChoice::kMinimal)),
-         fmt(RunConfig(item.system.simpl(), false, ViewChoice::kAll))},
+    Row({item.name, fmt(RunConfig(item.system.simpl(), ViewChoice::kMinimal)),
+         fmt(RunConfig(item.system.simpl(), ViewChoice::kAll))},
         22);
   }
   std::printf(
-      "(states counts abstract configurations after env saturation; "
-      "covering prunes subsumed configurations, the minimal policy "
-      "collapses the gap nondeterminism)\n");
+      "(states counts abstract configurations after env saturation; the "
+      "minimal policy collapses the gap nondeterminism)\n");
 }
 
 }  // namespace
@@ -94,17 +84,15 @@ static void PrintReproduction() { rapar::PrintAblation(); }
 
 static void BM_Ablation(benchmark::State& state) {
   rapar::BenchmarkCase bench = rapar::ProducerConsumer(3);
-  const bool covering = state.range(0) != 0;
-  const rapar::ViewChoice policy = state.range(1) != 0
-                                       ? rapar::ViewChoice::kAll
-                                       : rapar::ViewChoice::kMinimal;
+  const bool all = state.range(0) != 0;
+  const rapar::ViewChoice policy =
+      all ? rapar::ViewChoice::kAll : rapar::ViewChoice::kMinimal;
   for (auto _ : state) {
-    rapar::Cell c = rapar::RunConfig(bench.system.simpl(), covering, policy);
+    rapar::Cell c = rapar::RunConfig(bench.system.simpl(), policy);
     benchmark::DoNotOptimize(c.states);
   }
-  state.SetLabel(std::string(covering ? "cover" : "nocover") + "/" +
-                 (state.range(1) != 0 ? "all" : "min"));
+  state.SetLabel(all ? "all" : "min");
 }
-BENCHMARK(BM_Ablation)->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_Ablation)->Arg(0)->Arg(1);
 
 RAPAR_BENCH_MAIN()

@@ -41,8 +41,9 @@
 // Machine-readable output (--format=json) uses the stable envelopes of
 // core/result_json.h: verify/mg emit the verdict envelope (schema_version,
 // verdict, exit_code, witness, options echo, telemetry), or the error
-// envelope for a usage or input error found once the flags are read;
-// lint/dlanalyze emit the diagnostics envelope. --trace=FILE writes a
+// envelope for a usage or input error — a bad flag included, wherever
+// --format=json stands on the line; lint/dlanalyze emit the diagnostics
+// envelope. --trace=FILE writes a
 // Chrome trace-event JSON of the run (open in Perfetto or
 // chrome://tracing); --metrics prints the telemetry registry after the
 // verdict.
@@ -94,7 +95,6 @@ struct Options {
   // the CLI's own 30 s budget, which ParseArgs sets.
   rapar::VerifierOptions vopts;
   std::string backend = "simplified";
-  std::string tmai_domain = "auto";
   // verify/mg: the concrete backend's env threads.
   std::optional<int> threads;
   std::string cert_file;
@@ -181,26 +181,6 @@ const FlagSpec kFlags[] = {
      "unroll bound for dis loops (0-1000000, default 0 = reject loops)",
      [](Options& o, const char* v) {
        ParseCount(v, &o.unroll, rapar::ParamSystem::Builder::kMaxUnroll);
-     }},
-    {"--tmai-domain", true, "D", "verify mg",
-     "TMAI abstract domain: smallset|relational|auto (default auto = "
-     "small-set first, relational retry on unknown)",
-     [](Options& o, const char* v) { o.tmai_domain = v; }},
-    {"--tmai-max-iterations", true, "N", "verify mg",
-     "TMAI interference fixpoint rounds before giving up (default 64)",
-     [](Options& o, const char* v) {
-       ParseCount(v, &o.vopts.tmai.max_iterations);
-     }},
-    {"--tmai-widening-delay", true, "N", "verify mg",
-     "TMAI joins at one CFA node before disjuncts widen (default 8)",
-     [](Options& o, const char* v) {
-       ParseCount(v, &o.vopts.tmai.widening_delay);
-     }},
-    {"--tmai-value-set-limit", true, "N", "verify mg",
-     "TMAI explicit value-set size beyond which a set becomes top "
-     "(default 16)",
-     [](Options& o, const char* v) {
-       ParseCount(v, &o.vopts.tmai.value_set_limit);
      }},
     {"--cert", true, "FILE", "certcheck",
      "certificate JSON to validate (bare object, or a verify/mg "
@@ -324,8 +304,31 @@ int CommandHelp(const std::string& cmd) {
   return 0;
 }
 
+// Usage/input failure: diagnostic on stderr and — with `json` — the
+// error envelope (core/result_json.h) on stdout, so callers that parse
+// stdout never see a half envelope. Always returns 3.
+int Fail(const std::string& command, bool json, const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  if (json) std::fputs(rapar::ErrorToJson(command, message).c_str(), stdout);
+  return 3;
+}
+
+// True if `--format=json` or `--format json` appears anywhere in argv,
+// before or after whatever flag ParseArgs stops at.
+bool JsonRequested(int argc, char** argv) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--format=json") == 0) return true;
+    if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc &&
+        std::strcmp(argv[i + 1], "json") == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 // Parses argv into `opts`. Returns 0 on success, 3 (after printing the
-// error) on a usage error.
+// error) on a usage error; verify/mg answer a usage error with the JSON
+// error envelope too when --format=json appears anywhere on the line.
 int ParseArgs(int argc, char** argv, Options* opts) {
   if (argc < 2) return GlobalUsage();
   opts->vopts.time_budget_ms = 30'000;
@@ -338,16 +341,18 @@ int ParseArgs(int argc, char** argv, Options* opts) {
     std::fprintf(stderr, "unknown command: %s\n", opts->command.c_str());
     return GlobalUsage();
   }
+  const bool json = (opts->command == "verify" || opts->command == "mg") &&
+                    JsonRequested(argc, argv);
+  const auto fail = [&](const std::string& message) {
+    return Fail(opts->command, json, message);
+  };
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.empty()) continue;
     if (arg[0] != '-') {
       if (opts->command != "classify" && opts->command != "lint") {
-        std::fprintf(stderr,
-                     "unexpected argument '%s' (command %s takes no "
-                     "positional arguments)\n",
-                     arg.c_str(), opts->command.c_str());
-        return 3;
+        return fail("unexpected argument '" + arg + "' (command " +
+                    opts->command + " takes no positional arguments)");
       }
       opts->files.push_back(arg);
       continue;
@@ -361,14 +366,10 @@ int ParseArgs(int argc, char** argv, Options* opts) {
       inline_value = argv[i] + eq + 1;
     }
     const FlagSpec* spec = FindFlag(name);
-    if (spec == nullptr) {
-      std::fprintf(stderr, "unknown flag: %s\n", name.c_str());
-      return 3;
-    }
+    if (spec == nullptr) return fail("unknown flag: " + name);
     if (!CommandIn(opts->command, spec->commands)) {
-      std::fprintf(stderr, "flag %s does not apply to command %s\n",
-                   name.c_str(), opts->command.c_str());
-      return 3;
+      return fail("flag " + name + " does not apply to command " +
+                  opts->command);
     }
     const char* value = nullptr;
     if (spec->takes_value) {
@@ -377,20 +378,17 @@ int ParseArgs(int argc, char** argv, Options* opts) {
       } else if (i + 1 < argc) {
         value = argv[++i];
       } else {
-        std::fprintf(stderr, "flag %s expects a value (%s)\n", name.c_str(),
-                     spec->value_name);
-        return 3;
+        return fail("flag " + name + " expects a value (" +
+                    spec->value_name + ")");
       }
     } else if (inline_value != nullptr) {
-      std::fprintf(stderr, "flag %s takes no value\n", name.c_str());
-      return 3;
+      return fail("flag " + name + " takes no value");
     }
     try {
       spec->apply(*opts, value);
     } catch (const BadValue& e) {
-      std::fprintf(stderr, "flag %s expects %s, got '%s'\n", name.c_str(),
-                   e.expected.c_str(), value);
-      return 3;
+      return fail("flag " + name + " expects " + e.expected + ", got '" +
+                  value + "'");
     }
   }
   return 0;
@@ -574,16 +572,10 @@ rapar::Expected<Query> LoadQuery(const Options& opts, bool goal_required) {
   return Query{std::move(sys).value(), goal};
 }
 
-// Usage/input failure on the verify/mg path: diagnostic on stderr and —
-// under --format=json — the error envelope (core/result_json.h) on
-// stdout, so callers that parse stdout never see a half envelope. Always
-// returns 3.
+// Usage/input failure on the verify/mg path, found once the flags are
+// read: see Fail.
 int FailVerify(const Options& opts, const std::string& message) {
-  std::fprintf(stderr, "%s\n", message.c_str());
-  if (opts.format == "json") {
-    std::fputs(rapar::ErrorToJson(opts.command, message).c_str(), stdout);
-  }
-  return 3;
+  return Fail(opts.command, opts.format == "json", message);
 }
 
 // Digest of the query a checkpoint belongs to: the printed post-unroll
@@ -615,12 +607,6 @@ int RunVerify(const Options& opts, bool mg) {
     return FailVerify(opts, "unknown backend '" + opts.backend + "'");
   }
   vopts.backend = *backend;
-  const std::optional<rapar::tmai::Domain> domain =
-      rapar::tmai::ParseDomain(opts.tmai_domain);
-  if (!domain.has_value()) {
-    return FailVerify(opts, "unknown TMAI domain '" + opts.tmai_domain + "'");
-  }
-  vopts.tmai.domain = *domain;
 
   // Checkpoint/resume is datalog-only: a checkpoint is a position in
   // the makeP guess enumeration, which the other backends do not scan.

@@ -8,8 +8,9 @@
 # writes what it produces into OUT_DIR:
 #
 #   cli     kill-and-resume through a checkpoint, the serve daemon (miss,
-#           error envelope, hit, and a hit on a TMAI certificate entry) and
-#           a sample trace (sample.trace.json). Needs rapar_cli.
+#           error envelope, hit, and a hit on a TMAI certificate entry), a
+#           flag error's JSON envelope and a sample trace
+#           (sample.trace.json). Needs rapar_cli.
 #   tables  the bench_backends reproduction tables (bench-tables.txt,
 #           BENCH_obs.json, BENCH_tmai_domains.json) and the serve replay
 #           bench (BENCH_serve.json), each with its gate. Needs
@@ -75,6 +76,17 @@ smoke_cli() {
             and .[4].telemetry["phase.parse_ms"] == 0
             and .[4].telemetry["tmai.certificate"] == 1
             and .[4].certificate == .[3].certificate' serve_smoke.jsonl
+
+  # A flag error under --format=json answers the JSON error envelope on
+  # stdout, even when --format=json comes after the bad flag: here a
+  # removed TMAI flag (TMAI runs one fixed configuration). Exit 3.
+  status=0
+  "$cli" verify --backend tmai --tmai-domain=relational --format=json \
+    --env "$progs/mp_writer.rap" > flag_error_smoke.json 2> /dev/null \
+    || status=$?
+  [[ $status -eq 3 ]]
+  jq -e '.command == "verify" and .exit_code == 3
+         and .error == "unknown flag: --tmai-domain"' flag_error_smoke.json
 
   # A traced verify of the TQBF corpus, the deepest span nesting (parse /
   # prepass / dlopt passes / per-guess solves). Exit 1 is the expected

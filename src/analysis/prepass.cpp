@@ -9,14 +9,6 @@
 
 namespace rapar {
 
-PrepassStats& PrepassStats::operator+=(const PrepassStats& o) {
-  dead_edges_removed += o.dead_edges_removed;
-  guards_folded += o.guards_folded;
-  stores_sliced += o.stores_sliced;
-  assigns_dropped += o.assigns_dropped;
-  return *this;
-}
-
 std::string PrepassStats::ToString() const {
   return StrCat("removed ", dead_edges_removed, " dead edge",
                 dead_edges_removed == 1 ? "" : "s", ", folded ",
@@ -27,17 +19,16 @@ std::string PrepassStats::ToString() const {
 }
 
 Cfa PruneCfa(const Cfa& cfa, const std::vector<bool>& keep_stores,
-             PrepassStats* stats) {
+             PrepassStats& stats) {
   const ReachabilityResult reach = AnalyzeReachability(cfa);
   const LivenessResult live = AnalyzeLiveness(cfa);
 
-  PrepassStats local;
   std::vector<CfaEdge> edges;
   edges.reserve(cfa.edges().size());
   for (std::size_t i = 0; i < cfa.edges().size(); ++i) {
     const CfaEdge& edge = cfa.edges()[i];
     if (reach.edge_dead[i]) {
-      ++local.dead_edges_removed;
+      ++stats.dead_edges_removed;
       continue;
     }
     CfaEdge copy = edge;
@@ -50,19 +41,19 @@ Cfa PruneCfa(const Cfa& cfa, const std::vector<bool>& keep_stores,
       case Instr::Kind::kAssume:
         if (reach.guards[i] == GuardVerdict::kAlwaysTrue) {
           to_nop();
-          ++local.guards_folded;
+          ++stats.guards_folded;
         }
         break;
       case Instr::Kind::kStore:
         if (!keep_stores[edge.instr.var.index()]) {
           to_nop();
-          ++local.stores_sliced;
+          ++stats.stores_sliced;
         }
         break;
       case Instr::Kind::kAssign:
         if (live.assign_dead[i]) {
           to_nop();
-          ++local.assigns_dropped;
+          ++stats.assigns_dropped;
         }
         break;
       default:
@@ -70,7 +61,6 @@ Cfa PruneCfa(const Cfa& cfa, const std::vector<bool>& keep_stores,
     }
     edges.push_back(std::move(copy));
   }
-  if (stats != nullptr) *stats += local;
   return Cfa::FromParts(cfa.program(), cfa.num_nodes(), std::move(edges));
 }
 
@@ -85,10 +75,10 @@ PrepassResult RunPrepass(const Cfa& env, const std::vector<const Cfa*>& dis,
   if (protect_var.valid()) keep[protect_var.index()] = true;
 
   PrepassStats stats;
-  Cfa env_pruned = PruneCfa(env, keep, &stats);
+  Cfa env_pruned = PruneCfa(env, keep, stats);
   std::vector<Cfa> dis_pruned;
   dis_pruned.reserve(dis.size());
-  for (const Cfa* d : dis) dis_pruned.push_back(PruneCfa(*d, keep, &stats));
+  for (const Cfa* d : dis) dis_pruned.push_back(PruneCfa(*d, keep, stats));
   return PrepassResult{std::move(env_pruned), std::move(dis_pruned), stats};
 }
 

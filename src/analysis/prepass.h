@@ -40,7 +40,6 @@ struct PrepassStats {
                assigns_dropped >
            0;
   }
-  PrepassStats& operator+=(const PrepassStats& o);
   // "removed 2 dead edges, folded 1 guard, sliced 1 store, dropped 0 dead
   // assignments".
   std::string ToString() const;
@@ -49,9 +48,10 @@ struct PrepassStats {
 // Returns a pruned copy of `cfa`: dead edges removed, constantly-true
 // guards folded to nops, stores to variables outside `keep_stores` sliced
 // to nops, dead register assignments dropped to nops. Node ids (and hence
-// the entry) are preserved, so control locations keep their meaning.
+// the entry) are preserved, so control locations keep their meaning. Adds
+// what it pruned to `stats`.
 Cfa PruneCfa(const Cfa& cfa, const std::vector<bool>& keep_stores,
-             PrepassStats* stats);
+             PrepassStats& stats);
 
 // System-level pre-pass over env ‖ dis_1 ‖ … ‖ dis_n. Computes the
 // observed-variable set across all threads (env counts as its own

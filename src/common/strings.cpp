@@ -1,6 +1,5 @@
 #include "common/strings.h"
 
-#include <cctype>
 #include <fstream>
 
 namespace rapar {
@@ -12,23 +11,6 @@ std::string Join(const std::vector<std::string>& parts,
     if (i > 0) out += sep;
     out += parts[i];
   }
-  return out;
-}
-
-std::vector<std::string> SplitWhitespace(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!cur.empty()) {
-        out.push_back(cur);
-        cur.clear();
-      }
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
   return out;
 }
 

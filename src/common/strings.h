@@ -59,9 +59,6 @@ std::string StrCat(const Args&... args) {
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep);
 
-// Splits `s` on whitespace into tokens.
-std::vector<std::string> SplitWhitespace(const std::string& s);
-
 // Renders the 1-based `line` of `text` with a caret under 1-based `col`:
 //
 //    7 |       r := undeclared_name

@@ -182,7 +182,6 @@ Request DecodeRequest(const JsonValue& doc) {
   // Options object. Every integer is range-checked here, so an
   // out-of-range value answers a decode error.
   std::string backend = BackendName(req.vopts.backend);
-  std::string tmai_domain = tmai::DomainName(req.vopts.tmai.domain);
   if (const JsonValue* opts = doc.Find("options")) {
     if (!opts->is_object()) {
       req.error = "field 'options' must be an object";
@@ -191,9 +190,8 @@ Request DecodeRequest(const JsonValue& doc) {
     // Every key read below. Anything else is a decode error, so a
     // misspelled or retired knob never silently runs with its default.
     static constexpr std::string_view kOptionKeys[] = {
-        "backend", "tmai_domain", "enable_prepass", "env_threads", "unroll",
-        "tmai_max_iterations", "tmai_widening_delay", "tmai_value_set_limit",
-        "max_states", "max_depth", "time_budget_ms", "max_guesses"};
+        "backend",    "enable_prepass", "env_threads",    "unroll",
+        "max_states", "max_depth",      "time_budget_ms", "max_guesses"};
     for (const auto& member : opts->members) {
       if (std::find(std::begin(kOptionKeys), std::end(kOptionKeys),
                     member.first) == std::end(kOptionKeys)) {
@@ -204,18 +202,11 @@ Request DecodeRequest(const JsonValue& doc) {
     VerifierOptions& vo = req.vopts;
     long long max_depth = -1;
     if (!GetString(*opts, "backend", &backend, &req.error) ||
-        !GetString(*opts, "tmai_domain", &tmai_domain, &req.error) ||
         !GetBool(*opts, "enable_prepass", &vo.enable_prepass, &req.error) ||
         !GetIntRange(*opts, "env_threads", &vo.concrete.env_threads, 1,
                      ConcreteBackendOptions::kMaxEnvThreads, &req.error) ||
         !GetIntRange(*opts, "unroll", &req.unroll, 0,
                      ParamSystem::Builder::kMaxUnroll, &req.error) ||
-        !GetIntRange(*opts, "tmai_max_iterations", &vo.tmai.max_iterations,
-                     0, kKnobMax, &req.error) ||
-        !GetIntRange(*opts, "tmai_widening_delay", &vo.tmai.widening_delay,
-                     0, kKnobMax, &req.error) ||
-        !GetIntRange(*opts, "tmai_value_set_limit",
-                     &vo.tmai.value_set_limit, 0, kKnobMax, &req.error) ||
         !GetIntRange(*opts, "max_states", &vo.max_states, 0, kCountMax,
                      &req.error) ||
         !GetIntRange(*opts, "max_depth", &max_depth, -1, kKnobMax,
@@ -236,12 +227,6 @@ Request DecodeRequest(const JsonValue& doc) {
     return req;
   }
   req.vopts.backend = *parsed_backend;
-  const std::optional<tmai::Domain> domain = tmai::ParseDomain(tmai_domain);
-  if (!domain.has_value()) {
-    req.error = "unknown TMAI domain \"" + tmai_domain + "\"";
-    return req;
-  }
-  req.vopts.tmai.domain = *domain;
   return req;
 }
 
@@ -268,11 +253,13 @@ void AppendOptionHeader(const Request& req, std::string* out) {
   s += BackendName(vo.backend);
   s += "\nprepass=";
   s += vo.enable_prepass ? '1' : '0';
+  // TMAI's fixed configuration: no request sets it, but a change to it
+  // must still change every key and fingerprint.
   s += "\ntmai=";
-  s += tmai::DomainName(vo.tmai.domain);
-  s += ':' + std::to_string(vo.tmai.max_iterations) + ':' +
-       std::to_string(vo.tmai.widening_delay) + ':' +
-       std::to_string(vo.tmai.value_set_limit) + '\n';
+  s += tmai::DomainName(TmaiBackendOptions::domain);
+  s += ':' + std::to_string(TmaiBackendOptions::max_iterations) + ':' +
+       std::to_string(TmaiBackendOptions::widening_delay) + ':' +
+       std::to_string(TmaiBackendOptions::value_set_limit) + '\n';
   s += "limits=" + std::to_string(vo.max_states) + ':' +
        std::to_string(vo.max_depth) + ':' +
        std::to_string(vo.time_budget_ms) + ':' +
@@ -344,10 +331,11 @@ std::string AnswerError(std::uint64_t* errors, std::string_view id_json,
 }
 
 // A verdict is memoizable only when it is a fact about the program:
-// safe/unsafe with no truncation. An unknown (deadline, budget, cap) is
-// wall-clock state and must be recomputed.
+// safe or unsafe, which SafetyVerifier::Run never marks truncated. An
+// unknown (deadline, budget, cap) is wall-clock state and must be
+// recomputed.
 bool Definitive(const Verdict& v) {
-  return v.result != Verdict::Result::kUnknown && v.stopped_phase.empty();
+  return v.result != Verdict::Result::kUnknown;
 }
 
 }  // namespace

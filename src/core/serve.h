@@ -18,13 +18,15 @@
 //    "var": "<name>", "val": N,   // mg goal message
 //    "options": {"backend": "simplified|datalog|concrete|tmai|portfolio",
 //                "unroll": K, "enable_prepass": B, "env_threads": N,
-//                "tmai_domain": "smallset|relational|auto",
-//                "tmai_max_iterations": N, "tmai_widening_delay": N,
-//                "tmai_value_set_limit": N, "max_states": N,
-//                "max_depth": N, "time_budget_ms": N, "max_guesses": N}}
+//                "max_states": N, "max_depth": N, "time_budget_ms": N,
+//                "max_guesses": N}}
 //
 // "portfolio" runs TMAI and, when TMAI cannot prove the system safe, the
-// Datalog backend, both on the session's thread.
+// Datalog backend, both on the session's thread. TMAI runs one fixed
+// configuration (TmaiBackendOptions in core/verifier.h): it has no
+// option keys, and its retired keys ("tmai_domain",
+// "tmai_max_iterations", "tmai_widening_delay", "tmai_value_set_limit")
+// answer "unknown option" like every other key outside the list.
 //
 // Every line is one request. A line that is not a request object — a
 // JSON array or scalar, or an object without "command" such as

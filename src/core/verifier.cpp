@@ -365,10 +365,10 @@ Verdict RunTmai(const ParamSystem& system,
     tgoal.val = goal->second;
   }
   tmai::TmaiOptions topts;
-  topts.max_iterations = options.tmai.max_iterations;
-  topts.widening_delay = options.tmai.widening_delay;
-  topts.value_set_limit = options.tmai.value_set_limit;
-  topts.domain = options.tmai.domain;
+  topts.max_iterations = TmaiBackendOptions::max_iterations;
+  topts.widening_delay = TmaiBackendOptions::widening_delay;
+  topts.value_set_limit = TmaiBackendOptions::value_set_limit;
+  topts.domain = TmaiBackendOptions::domain;
   tmai::TmaiResult r;
   {
     obs::ScopedSpan span(options.obs.trace, "fixpoint");
@@ -392,8 +392,8 @@ Verdict RunTmai(const ParamSystem& system,
   v.telemetry.SetCounter(metric::kTmaiMaxDisjuncts, r.max_disjuncts_seen);
   v.telemetry.SetCounter(metric::kTmaiThreads, tsys.threads.size());
   // tmai.relational.* appear only when the relational engine actually ran
-  // (requested directly, or as the kAuto retry after a small-set
-  // kUnknown), keeping small-set envelopes byte-for-byte unchanged.
+  // (the kAuto retry after a small-set kUnknown), keeping small-set
+  // envelopes byte-for-byte unchanged.
   if (r.domain_used == tmai::Domain::kRelational || r.strengthen_rounds > 0 ||
       r.pruned_reads > 0) {
     v.telemetry.SetCounter(metric::kTmaiRelationalRounds, r.strengthen_rounds);
@@ -480,6 +480,10 @@ Verdict SafetyVerifier::Run(std::optional<std::pair<VarId, Value>> goal,
         break;
     }
   }
+  // A stop that fired after the answer was found cut nothing short: a
+  // kSafe or kUnsafe verdict is definitive, so only kUnknown names the
+  // phase that stopped.
+  if (v.result != Verdict::Result::kUnknown) v.stopped_phase.clear();
   v.telemetry.SetGauge(obs::metric::kPhaseTotalMs, MsSince(start));
   return v;
 }

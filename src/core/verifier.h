@@ -95,22 +95,21 @@ struct ConcreteBackendOptions {
   int env_threads = 2;
 };
 
-// Knobs that only the TMAI backend reads (see tmai/tmai.h). The
-// portfolio cascade runs TMAI with the same knobs as its first stage.
+// Not knobs: TMAI runs one configuration from every front door, the
+// kAuto cascade (small-set first, the relational domain only on a
+// small-set kUnknown; see tmai/tmai.h) with tmai::TmaiOptions' bounds,
+// and the portfolio cascade's first stage runs the same. RunTmai reads
+// these copies, serve's fingerprint header writes them, and rabench's
+// traced replay (rabench/traced_main.cpp) reads them through
+// `vo.tmai.*` to reproduce `tmai.iterations`; the benchmark change that
+// gives the replay the verifier's fixed configuration deletes them (a
+// benchmark follow-up in ROADMAP.md item 1).
 struct TmaiBackendOptions {
-  // Interference fixpoint rounds before giving up (kUnknown).
-  int max_iterations = 64;
-  // Joins at one CFA node before the disjuncts are widened.
-  int widening_delay = 8;
-  // Explicit value-set size beyond which a set becomes top.
-  int value_set_limit = 16;
-  // Abstract domain: kSmallSet is the PR6 per-variable value-set domain;
-  // kRelational layers the per-variable-pair must-domain on top
-  // (tmai/relational.h) and can prove mutual-exclusion properties the
-  // small-set domain cannot; kAuto (the verifier default) runs small-set
-  // first and retries relationally only on kUnknown, so easy proofs stay
-  // cheap.
-  tmai::Domain domain = tmai::Domain::kAuto;
+  static constexpr tmai::Domain domain = tmai::Domain::kAuto;
+  static constexpr int max_iterations = tmai::TmaiOptions{}.max_iterations;
+  static constexpr int widening_delay = tmai::TmaiOptions{}.widening_delay;
+  static constexpr int value_set_limit =
+      tmai::TmaiOptions{}.value_set_limit;
 };
 
 // Observability configuration. The recorder pointer is borrowed — the
@@ -134,9 +133,10 @@ struct VerifierOptions {
   ObsOptions obs;
   // Resource bounds (apply per backend as applicable). time_budget_ms is
   // a wall-clock deadline that the explorers and the Datalog guess scan
-  // enforce cooperatively; on expiry the verdict degrades to kUnknown and
-  // Verdict::stopped_phase names the phase that was cut short. TMAI reads
-  // no deadline: tmai.max_iterations bounds it instead.
+  // enforce cooperatively; on expiry without a definitive answer the
+  // verdict is kUnknown and Verdict::stopped_phase names the phase that
+  // was cut short. TMAI reads no deadline: tmai.max_iterations bounds it
+  // instead.
   std::size_t max_states = 1'000'000;
   int max_depth = 100'000;
   long long time_budget_ms = 0;
@@ -160,12 +160,13 @@ struct Verdict {
   // first guess the Datalog backend solves; empty when it solves none
   // and on the other backends.
   std::string width_report;
-  // Phase a wall-clock deadline stopped ("explore" for the state-space
-  // backends, "solve" for the Datalog guess scan), "scan-limit" when
+  // Why a kUnknown verdict stopped short: the phase a wall-clock deadline
+  // stopped ("explore" for the state-space backends, "solve" for the
+  // Datalog guess scan), "scan-limit" when
   // DatalogBackendOptions::scan_limit stopped the guess scan, or
   // "fixpoint" when TMAI's fixpoint did not converge within
-  // tmai.max_iterations; empty when none of these fired. A non-empty
-  // value implies the search was truncated.
+  // tmai.max_iterations. Empty when none of these fired, and always on
+  // kSafe and kUnsafe: an answer found before the stop is definitive.
   std::string stopped_phase;
   // Which backend actually produced this verdict ("simplified",
   // "datalog", "concrete", "tmai", or "portfolio:tmai" /

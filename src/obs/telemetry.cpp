@@ -25,11 +25,6 @@ void Telemetry::SetCounter(std::string_view name, std::uint64_t value) {
   e.counter = value;
 }
 
-void Telemetry::AddCounter(std::string_view name, std::uint64_t value) {
-  Entry& e = Upsert(name, /*is_gauge=*/false);
-  e.counter += value;
-}
-
 std::uint64_t Telemetry::counter(std::string_view name) const {
   const Entry* e = Lookup(name);
   return e == nullptr ? 0 : e->counter;
@@ -48,18 +43,6 @@ double Telemetry::gauge(std::string_view name) const {
 
 bool Telemetry::Has(std::string_view name) const {
   return Lookup(name) != nullptr;
-}
-
-void Telemetry::Merge(const Telemetry& other) {
-  for (const Entry& e : other.entries_) {
-    if (e.is_gauge) {
-      Entry& mine = Upsert(e.name, /*is_gauge=*/true);
-      mine.is_gauge = true;
-      mine.gauge += e.gauge;
-    } else {
-      AddCounter(e.name, e.counter);
-    }
-  }
 }
 
 void Telemetry::WriteJson(JsonWriter& w) const {

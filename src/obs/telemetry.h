@@ -150,23 +150,18 @@ class Telemetry {
     double gauge = 0.0;
   };
 
-  // Counters (monotone event counts; merged by addition).
+  // Counters (monotone event counts).
   void SetCounter(std::string_view name, std::uint64_t value);
-  void AddCounter(std::string_view name, std::uint64_t value);
   // 0 when absent.
   std::uint64_t counter(std::string_view name) const;
 
-  // Gauges (point-in-time doubles, e.g. phase durations in ms; merged by
-  // addition as well — summing durations is the useful aggregate).
+  // Gauges (point-in-time doubles, e.g. phase durations in ms).
   void SetGauge(std::string_view name, double value);
   double gauge(std::string_view name) const;
 
   bool Has(std::string_view name) const;
   bool empty() const { return entries_.empty(); }
   const std::vector<Entry>& entries() const { return entries_; }
-
-  // Folds `other` into this registry (counters and gauges add).
-  void Merge(const Telemetry& other);
 
   // Flat JSON object {"name": value, ...} in insertion order.
   void WriteJson(JsonWriter& w) const;

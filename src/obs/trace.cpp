@@ -43,13 +43,6 @@ std::size_t TraceRecorder::size() const {
   return events_.size();
 }
 
-std::vector<TraceEvent> TraceRecorder::TakeEvents() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TraceEvent> out;
-  out.swap(events_);
-  return out;
-}
-
 std::string TraceRecorder::ToChromeTraceJson() const {
   JsonWriter w;
   w.BeginObject();

@@ -59,7 +59,6 @@ class TraceRecorder {
   void RecordInstant(const char* name, std::string args_json = {});
 
   std::size_t size() const;
-  std::vector<TraceEvent> TakeEvents();
 
   // {"displayTimeUnit": "ms", "traceEvents": [...]} — the format
   // Perfetto and chrome://tracing load directly.

@@ -167,14 +167,13 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
     return ordered;
   };
 
-  auto covered = [&](const SimplConfig& cfg) {
+  // Dedup by equality within the configuration's dis-part bucket
+  // (DESIGN.md §2 says why not by covering).
+  auto seen = [&](const SimplConfig& cfg) {
     auto it = by_dis_part.find(cfg.DisPartHash());
     if (it == by_dis_part.end()) return false;
     for (std::size_t id : it->second) {
-      if (options.use_covering ? states[id].Covers(cfg)
-                               : states[id] == cfg) {
-        return true;
-      }
+      if (states[id] == cfg) return true;
     }
     return false;
   };
@@ -284,7 +283,7 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
         return result;
       }
 
-      if (covered(next)) continue;
+      if (seen(next)) continue;
 
       const std::size_t id = states.size();
       states.push_back(std::move(next));

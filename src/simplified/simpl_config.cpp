@@ -105,14 +105,6 @@ bool SimplConfig::AddEnvCfg(LocalCfg cfg) {
   return true;
 }
 
-bool SimplConfig::Covers(const SimplConfig& o) const {
-  if (!SameDisPart(o)) return false;
-  return std::includes(env_msgs_.begin(), env_msgs_.end(),
-                       o.env_msgs_.begin(), o.env_msgs_.end()) &&
-         std::includes(env_cfgs_.begin(), env_cfgs_.end(),
-                       o.env_cfgs_.begin(), o.env_cfgs_.end());
-}
-
 std::size_t SimplConfig::DisPartHash() const {
   std::size_t seed = 0x5eed5eed;
   for (const auto& seq : dis_mem_) {
@@ -127,21 +119,6 @@ std::size_t SimplConfig::DisPartHash() const {
     HashCombine(seed, t.node.value());
     HashCombine(seed, HashRange(t.rv));
     HashCombine(seed, t.view.Hash());
-  }
-  return seed;
-}
-
-std::size_t SimplConfig::Hash() const {
-  std::size_t seed = DisPartHash();
-  for (const EnvMsg& m : env_msgs_) {
-    HashCombine(seed, m.var.value());
-    HashCombine(seed, static_cast<std::size_t>(m.val));
-    HashCombine(seed, m.view.Hash());
-  }
-  for (const LocalCfg& c : env_cfgs_) {
-    HashCombine(seed, c.node.value());
-    HashCombine(seed, HashRange(c.rv));
-    HashCombine(seed, c.view.Hash());
   }
   return seed;
 }

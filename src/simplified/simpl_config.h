@@ -119,18 +119,9 @@ class SimplConfig {
            env_cfgs_ == o.env_cfgs_ && dis_threads_ == o.dis_threads_;
   }
 
-  // Subsumption: this config enables every behaviour of `o` (equal dis
-  // parts, superset env messages and env configurations). Used for
-  // covering-based pruning in the explorer.
-  bool Covers(const SimplConfig& o) const;
-  // True if the dis parts (memory + threads) coincide — the precondition
-  // for Covers to be meaningful.
-  bool SameDisPart(const SimplConfig& o) const {
-    return dis_mem_ == o.dis_mem_ && dis_threads_ == o.dis_threads_;
-  }
+  // Hash of the dis part (memory + threads): the explorer's bucket key
+  // for its equality dedup. Equal configurations hash equal.
   std::size_t DisPartHash() const;
-
-  std::size_t Hash() const;
 
   std::string ToString(const VarTable& vars) const;
 
@@ -143,10 +134,6 @@ class SimplConfig {
   std::vector<EnvMsg> env_msgs_;    // sorted, unique
   std::vector<LocalCfg> env_cfgs_;  // sorted, unique
   std::vector<LocalCfg> dis_threads_;
-};
-
-struct SimplConfigHash {
-  std::size_t operator()(const SimplConfig& c) const { return c.Hash(); }
 };
 
 }  // namespace rapar

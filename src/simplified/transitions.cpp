@@ -348,11 +348,4 @@ std::string SimplStep::ToString() const {
   return out;
 }
 
-std::string StepToString(const SimplSystem& sys, const SimplStep& step) {
-  const Cfa& cfa = ActorCfa(sys, step);
-  const Instr& instr = cfa.Edge(EdgeId(step.edge)).instr;
-  return StrCat(step.ToString(), " : ",
-                instr.ToString(cfa.program().vars(), cfa.program().regs()));
-}
-
 }  // namespace rapar

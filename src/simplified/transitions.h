@@ -70,9 +70,6 @@ void EnumerateActorSteps(const SimplSystem& sys, const SimplConfig& cfg,
 StepEffect ApplyStep(const SimplSystem& sys, SimplConfig& cfg,
                      const SimplStep& step);
 
-// Renders the step against the system (thread, instruction, choices).
-std::string StepToString(const SimplSystem& sys, const SimplStep& step);
-
 }  // namespace rapar
 
 #endif  // RAPAR_SIMPLIFIED_TRANSITIONS_H_

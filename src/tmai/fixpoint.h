@@ -91,12 +91,13 @@ FixpointRun RunFixpoint(const TmaiSystem& sys, const TmaiOptions& opts,
                         bool track_pairs, const RelationalContext* rel);
 
 // Classification + goal evaluation + certificate emission for a
-// converged run; fills reports/safe/assert_reachable/certificate on
-// `result` (which must already carry the iteration counters).
+// converged run; fills reports/safe/assert_reachable on `result` (which
+// must already carry the iteration counters), and the certificate when
+// the run is safe and `emit_certificate`.
 void FinishConverged(const TmaiSystem& sys, const TmaiGoal& goal,
                      const TmaiOptions& opts, const FixpointRun& run,
                      const RelationalContext* rel, Domain domain,
-                     TmaiResult* result);
+                     bool emit_certificate, TmaiResult* result);
 
 // The relational driver: tracking round, then up to three pruning rounds
 // against the previous round's frozen tables. Implemented in

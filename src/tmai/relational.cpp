@@ -204,7 +204,7 @@ TmaiResult RunTmaiRelational(const TmaiSystem& sys, const TmaiGoal& goal,
   result.max_disjuncts_seen = prev.max_disjuncts_seen;
   if (!prev.converged) return result;  // kUnknown
   FinishConverged(sys, goal, opts, prev, nullptr, Domain::kRelational,
-                  &result);
+                  /*emit_certificate=*/true, &result);
   if (result.safe) return result;
 
   // Strengthening rounds: re-run the full fixpoint with R1/R2 reading
@@ -227,10 +227,8 @@ TmaiResult RunTmaiRelational(const TmaiSystem& sys, const TmaiGoal& goal,
     if (!cur.converged) break;  // report the previous converged round
     result.pruned_reads = cur.pruned_reads;
     const bool stable = cur.tables == prev.tables && cur.must == prev.must;
-    TmaiOptions round_opts = opts;
-    round_opts.emit_certificate = opts.emit_certificate && stable;
-    FinishConverged(sys, goal, round_opts, cur, &rel, Domain::kRelational,
-                    &result);
+    FinishConverged(sys, goal, opts, cur, &rel, Domain::kRelational,
+                    /*emit_certificate=*/stable, &result);
     if (result.safe && stable) return result;
     if (result.safe && !have_safe) {
       // Sound verdict without a self-stable certificate (yet); keep

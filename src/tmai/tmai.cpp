@@ -488,7 +488,7 @@ FixpointRun RunFixpoint(const TmaiSystem& sys, const TmaiOptions& opts,
 void FinishConverged(const TmaiSystem& sys, const TmaiGoal& goal,
                      const TmaiOptions& opts, const FixpointRun& run,
                      const RelationalContext* rel, Domain domain,
-                     TmaiResult* result) {
+                     bool emit_certificate, TmaiResult* result) {
   assert(run.converged);
   const std::size_t T = sys.threads.size();
   result->converged = true;
@@ -524,7 +524,7 @@ void FinishConverged(const TmaiSystem& sys, const TmaiGoal& goal,
     }
     result->safe = !stored;
   }
-  if (result->safe && opts.emit_certificate) {
+  if (result->safe && emit_certificate) {
     result->certificate = BuildCertificate(sys, goal, opts, run.states,
                                            run.tables, run.must, domain);
   }
@@ -610,7 +610,8 @@ TmaiResult RunTmai(const TmaiSystem& sys, const TmaiGoal& goal,
   result.max_disjuncts_seen = run.max_disjuncts_seen;
   if (run.converged) {
     internal::FinishConverged(sys, goal, opts, run, nullptr,
-                              Domain::kSmallSet, &result);
+                              Domain::kSmallSet, /*emit_certificate=*/true,
+                              &result);
   }
   if (opts.domain == Domain::kAuto && !result.safe) {
     // Retry with the relational domain only on small-set kUnknown —

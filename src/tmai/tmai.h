@@ -62,8 +62,8 @@ enum class Domain {
   kAuto,
 };
 
-// "smallset", "relational" or "auto": the names the CLI's --tmai-domain,
-// serve's "tmai_domain" option and certificates use.
+// "smallset", "relational" or "auto": the names certificates and the
+// domain tables use.
 const char* DomainName(Domain d);
 // The domain DomainName gives `name`; nullopt for any other name.
 std::optional<Domain> ParseDomain(std::string_view name);
@@ -78,8 +78,6 @@ struct TmaiOptions {
   int value_set_limit = 16;
   // Abstract domain (see Domain above).
   Domain domain = Domain::kSmallSet;
-  // Emit an invariant certificate (tmai/certcheck.h) on kSafe.
-  bool emit_certificate = true;
 };
 
 // What "safe" means: assert-edge unreachability (default) or the
@@ -171,8 +169,9 @@ struct TmaiResult {
   std::size_t pruned_reads = 0;
   // Parallel to TmaiSystem::threads; populated only when converged.
   std::vector<ThreadReport> threads;
-  // Machine-checkable invariant certificate; set on kSafe when
-  // TmaiOptions::emit_certificate (see tmai/certcheck.h).
+  // Machine-checkable invariant certificate (see tmai/certcheck.h); set
+  // on kSafe, except when only relational strengthening rounds that were
+  // not self-stable proved it (relational.cpp).
   std::shared_ptr<const Certificate> certificate;
 };
 

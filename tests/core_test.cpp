@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "core/benchmarks.h"
 #include "generated_systems.h"
 #include "lang/classify.h"
@@ -348,15 +349,51 @@ TEST(BenchmarkSuiteTest, VerdictToStringNamesScanLimitStop) {
   EXPECT_EQ(text.find("deadline"), std::string::npos) << text;
 }
 
+// A deadline that fires after the answer is found cuts nothing short. The
+// concrete backend explores an MG query to the end and reads the goal off
+// the messages generated so far, so on ProducerConsumer(6), whose state
+// space is far past what 200 ms explores, the deadline fires with (y, 1)
+// long generated: a definitive UNSAFE, named by no stopped phase.
+TEST(BenchmarkSuiteTest, UnsafeFoundBeforeTheDeadlineIsNotTruncated) {
+  BenchmarkCase bench = ProducerConsumer(6);
+  const VarId y = bench.system.vars().Find("y");
+  ASSERT_TRUE(y.valid());
+  VerifierOptions opts;
+  opts.backend = Backend::kConcrete;
+  opts.concrete.env_threads = 5;
+  opts.time_budget_ms = 200;
+  const Verdict v =
+      SafetyVerifier(bench.system).Run(std::pair<VarId, Value>{y, 1}, opts);
+  EXPECT_EQ(v.result, Verdict::Result::kUnsafe);
+  EXPECT_EQ(v.stopped_phase, "");
+  const std::string text = v.ToString();
+  EXPECT_EQ(text.find("[deadline hit"), std::string::npos) << text;
+}
+
 // TMAI reads no deadline: a fixpoint cut short by tmai.max_iterations is
 // printed as such, not as an expired deadline ("fixpoint" stays the
-// stopped_phase).
+// stopped_phase). A chain of 63 dis threads, thread i passing x_i = 1 on
+// to x_{i+1}, needs one interference round per link: one link more than
+// the fixed 64 rounds converge on (62 threads converge at round 64).
 TEST(BenchmarkSuiteTest, VerdictToStringNamesFixpointStop) {
-  BenchmarkCase bench = ProducerConsumer(1);
-  SafetyVerifier verifier(bench.system);
+  constexpr int kLinks = 63;
+  std::string vars = "vars";
+  for (int i = 0; i <= kLinks; ++i) vars += StrCat(" x", i);
+  ParamSystem::Builder builder;
+  builder.Env(MustParse(StrCat("program env\n", vars,
+                               "\nregs one\ndom 2\nbegin\n"
+                               "  one := 1;\n  x0 := one\nend\n")));
+  for (int i = 0; i < kLinks; ++i) {
+    builder.Dis(MustParse(StrCat(
+        "program link", i, "\n", vars, "\nregs r s\ndom 2\nbegin\n  r := x",
+        i, ";\n  assume (r == 1);\n  s := 1;\n  x", i + 1,
+        " := s\nend\n")));
+  }
+  Expected<ParamSystem> system = builder.Build();
+  ASSERT_TRUE(system.ok()) << system.error();
+  SafetyVerifier verifier(system.value());
   VerifierOptions opts;
   opts.backend = Backend::kTmai;
-  opts.tmai.max_iterations = 1;
   const Verdict v = verifier.Run(std::nullopt, opts);
   EXPECT_EQ(v.result, Verdict::Result::kUnknown);
   ASSERT_EQ(v.stopped_phase, "fixpoint");

@@ -250,7 +250,7 @@ TEST(JsonSchemaTest, VerdictEnvelopeCarriesRelationalCertificate) {
   BenchmarkCase bench = PetersonHandover();
   SafetyVerifier verifier(bench.system);
   VerifierOptions opts;
-  opts.backend = Backend::kTmai;  // domain defaults to kAuto
+  opts.backend = Backend::kTmai;  // TMAI always runs the kAuto cascade
   const Verdict v = verifier.Run(std::nullopt, opts);
   ASSERT_TRUE(v.safe());
   ASSERT_NE(v.certificate, nullptr);

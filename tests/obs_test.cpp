@@ -104,11 +104,8 @@ TEST(TelemetryTest, CountersAndGauges) {
   EXPECT_FALSE(t.Has("verify.states"));
 
   t.SetCounter("verify.states", 10);
-  t.AddCounter("verify.states", 5);
-  t.AddCounter("verify.guesses", 3);
   t.SetGauge("phase.total_ms", 1.25);
-  EXPECT_EQ(t.counter("verify.states"), 15u);
-  EXPECT_EQ(t.counter("verify.guesses"), 3u);
+  EXPECT_EQ(t.counter("verify.states"), 10u);
   EXPECT_DOUBLE_EQ(t.gauge("phase.total_ms"), 1.25);
   EXPECT_TRUE(t.Has("phase.total_ms"));
   EXPECT_FALSE(t.empty());
@@ -125,19 +122,6 @@ TEST(TelemetryTest, InsertionOrderIsPreserved) {
   EXPECT_EQ(t.entries()[1].name, "a.first");
   EXPECT_EQ(t.entries()[2].name, "m.mid");
   EXPECT_EQ(t.entries()[0].counter, 4u);
-}
-
-TEST(TelemetryTest, MergeAdds) {
-  obs::Telemetry a, b;
-  a.SetCounter("c", 10);
-  a.SetGauge("g", 1.0);
-  b.SetCounter("c", 5);
-  b.SetCounter("only_b", 7);
-  b.SetGauge("g", 0.5);
-  a.Merge(b);
-  EXPECT_EQ(a.counter("c"), 15u);
-  EXPECT_EQ(a.counter("only_b"), 7u);
-  EXPECT_DOUBLE_EQ(a.gauge("g"), 1.5);
 }
 
 TEST(TelemetryTest, JsonAndTextRenderings) {

@@ -317,9 +317,6 @@ TEST(ServeTest, ErrorEnvelopes) {
       {MakeLine("verify", kMpWriter, {}, "", -1,
                 "{\"env_threads\":8589934592}"),
        "out of range"},
-      {MakeLine("verify", kMpWriter, {}, "", -1,
-                "{\"tmai_max_iterations\":-8589934592}"),
-       "out of range"},
       // Negative caps and budgets: never the default, never "no
       // deadline".
       {MakeLine("verify", kMpWriter, {}, "", -1, "{\"max_states\":-1}"),
@@ -345,6 +342,19 @@ TEST(ServeTest, ErrorEnvelopes) {
       {MakeLine("verify", kMpWriter, {}, "", -1,
                 "{\"enable_dlopt\":false}"),
        "unknown option \"enable_dlopt\""},
+      // TMAI runs one fixed configuration: its four keys are retired.
+      {MakeLine("verify", kMpWriter, {}, "", -1,
+                "{\"tmai_domain\":\"relational\"}"),
+       "unknown option \"tmai_domain\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1,
+                "{\"tmai_max_iterations\":-8589934592}"),
+       "unknown option \"tmai_max_iterations\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1,
+                "{\"tmai_widening_delay\":8}"),
+       "unknown option \"tmai_widening_delay\""},
+      {MakeLine("verify", kMpWriter, {}, "", -1,
+                "{\"tmai_value_set_limit\":16}"),
+       "unknown option \"tmai_value_set_limit\""},
   };
   for (const auto& c : cases) {
     const JsonValue doc = Parse(session.HandleLine(c.line));
@@ -362,6 +372,36 @@ TEST(ServeTest, ErrorEnvelopes) {
   EXPECT_EQ(with_id.Find("id")->integer, 7);
   // Errors never touch the cache.
   EXPECT_EQ(session.cache_stats().misses, 0u);
+}
+
+// A definitive UNSAFE is memoized even when the deadline fired after the
+// backend found it (BenchmarkSuiteTest.
+// UnsafeFoundBeforeTheDeadlineIsNotTruncated has the query): the miss
+// names no stopped phase and the repeat is a hit.
+TEST(ServeTest, UnsafeFoundBeforeTheDeadlineIsMemoized) {
+  const BenchmarkCase bench = ProducerConsumer(6);
+  RequestSpec spec;
+  spec.command = "mg";
+  spec.env = bench.system.env_program().ToString();
+  for (const Program& dis : bench.system.dis_programs()) {
+    spec.dis.push_back(dis.ToString());
+  }
+  spec.var = "y";
+  spec.val = 1;
+  spec.options_json =
+      "{\"backend\":\"concrete\",\"env_threads\":5,"
+      "\"time_budget_ms\":200}";
+  serve::ServeSession session(Opts());
+  const JsonValue first = Parse(session.HandleLine(RequestLine(spec)));
+  EXPECT_EQ(Str(first, "verdict"), "unsafe");
+  EXPECT_EQ(Str(first, "cache"), "miss");
+  const JsonValue* stopped = first.Find("stopped_phase");
+  ASSERT_NE(stopped, nullptr);
+  EXPECT_TRUE(stopped->is_null());
+  const JsonValue again = Parse(session.HandleLine(RequestLine(spec)));
+  EXPECT_EQ(Str(again, "cache"), "hit");
+  EXPECT_EQ(Str(again, "verdict"), "unsafe");
+  EXPECT_EQ(session.cache_stats().hits, 1u);
 }
 
 TEST(ServeTest, FingerprintSensitivity) {

@@ -1,5 +1,5 @@
 // Unit tests for SimplConfig: abstract timestamps, insertion/renumbering,
-// gap freezing, monotone sets, covering.
+// gap freezing, monotone sets, equality and the dis-part hash.
 #include "simplified/simpl_config.h"
 
 #include <gtest/gtest.h>
@@ -135,29 +135,9 @@ TEST_F(SimplConfigTest, AddEnvCfgDeduplicates) {
   EXPECT_FALSE(cfg_.AddEnvCfg(c));
 }
 
-TEST_F(SimplConfigTest, CoveringRequiresSameDisPartAndSupersets) {
-  SimplConfig bigger = cfg_;
-  EnvMsg em;
-  em.var = x_;
-  em.val = 1;
-  em.view = View(kVars);
-  em.view.Set(x_, PlusTs(0));
-  bigger.AddEnvMsg(em);
-
-  EXPECT_TRUE(bigger.Covers(cfg_));
-  EXPECT_FALSE(cfg_.Covers(bigger));
-  EXPECT_TRUE(cfg_.Covers(cfg_));
-
-  SimplConfig other_dis = cfg_;
-  View base(kVars);
-  other_dis.InsertDisMsg(x_, 0, 1, base, false);
-  EXPECT_FALSE(other_dis.Covers(cfg_));
-  EXPECT_FALSE(cfg_.Covers(other_dis));
-}
-
 TEST_F(SimplConfigTest, HashEqualityConsistency) {
   SimplConfig copy = cfg_;
-  EXPECT_EQ(cfg_.Hash(), copy.Hash());
+  EXPECT_EQ(cfg_.DisPartHash(), copy.DisPartHash());
   EXPECT_TRUE(cfg_ == copy);
   View base(kVars);
   copy.InsertDisMsg(x_, 0, 1, base, false);
