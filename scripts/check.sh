@@ -23,12 +23,16 @@ fi
 # bounds checks (RAPAR_SANITIZE in CMakeLists.txt): an out-of-range []
 # on a std::vector — the engine's binding frame, its dispatch buckets,
 # its duplicate-table slots and index chains — aborts even where ASan
-# sees a valid address. The suite includes the
+# sees a valid address. The suite includes the engine differentials
+# (IndexDifferential, DatalogDifferential: the indexed join core, which
+# joins in body order like the naive scan, against that scan and a
+# naive reference), the
 # TMAI soundness differentials (small-set, relational and auto domains
 # vs the exact Datalog backend, plus certificate checking on the
 # catalog) — the pair-set/value-set indexing they exercise is exactly
 # what the sanitizers watch — and the makeP encoder/optimizer parity
-# suite (MakePParity: cached env prefixes, programs moved into dlopt).
+# suite (MakePParity: cached env prefixes, programs moved into dlopt,
+# at most two body atoms per rule).
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$jobs"
 ctest --preset asan-ubsan -j "$jobs"

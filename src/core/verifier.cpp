@@ -392,8 +392,8 @@ Verdict RunTmai(const ParamSystem& system,
   v.telemetry.SetCounter(metric::kTmaiMaxDisjuncts, r.max_disjuncts_seen);
   v.telemetry.SetCounter(metric::kTmaiThreads, tsys.threads.size());
   // tmai.relational.* appear only when the relational engine actually ran
-  // (the kAuto retry after a small-set kUnknown), keeping small-set
-  // envelopes byte-for-byte unchanged.
+  // (the kAuto retry after a converged small-set kUnknown), keeping
+  // small-set envelopes byte-for-byte unchanged.
   if (r.domain_used == tmai::Domain::kRelational || r.strengthen_rounds > 0 ||
       r.pruned_reads > 0) {
     v.telemetry.SetCounter(metric::kTmaiRelationalRounds, r.strengthen_rounds);

@@ -285,8 +285,7 @@ struct Dispatch {
 };
 
 // State that persists across Engine::Solve calls: the database, worklist,
-// binding frames, join-order scratch and join indexes keep their
-// allocations.
+// binding frames and join indexes keep their allocations.
 struct EvaluatorArena {
   Database db{0};
   std::deque<std::pair<PredId, std::uint32_t>> work;
@@ -305,13 +304,9 @@ struct EvaluatorArena {
   std::vector<std::vector<std::unique_ptr<ArgIndex>>> indexes;
   Bindings env;
   std::vector<Sym> keybuf;
-  std::vector<std::uint32_t> order_buf;
-  std::vector<char> picked;
-  std::vector<char> planned_bound;
-  std::vector<std::uint8_t> own_growth;  // fallback hints (0 = EDB, 2 = IDB)
-  std::vector<Sym> popbuf;               // worklist-pop tuple buffer
-  std::vector<Sym> emit_buf;             // head-tuple buffer
-  std::vector<Sym> native_in;            // a kCall native's inputs
+  std::vector<Sym> popbuf;     // worklist-pop tuple buffer
+  std::vector<Sym> emit_buf;   // head-tuple buffer
+  std::vector<Sym> native_in;  // a kCall native's inputs
 };
 
 namespace {
@@ -359,12 +354,6 @@ class Evaluator {
     for (std::size_t p = 0; p < np; ++p) SetUpDispatch(static_cast<PredId>(p));
     a_.indexes.resize(np);
     a_.work.clear();
-    if (options_.hints == nullptr && options_.engine.reorder_joins) {
-      a_.own_growth.assign(np, 0);
-      for (const Rule& r : prog_.rules()) {
-        if (!r.IsFact()) a_.own_growth[r.head.pred] = 2;
-      }
-    }
   }
 
   // Picks predicate p's dispatch position — the first argument position
@@ -437,8 +426,7 @@ class Evaluator {
         const Rule& r = prog_.rules()[ri];
         a_.env.Reset(a_.max_var[ri]);
         if (!Match(r.body[bi].args, a_.popbuf, a_.env)) continue;
-        PlanOrder(r, ri, bi);
-        if (JoinOrdered(r, 0)) return true;
+        if (Join(r, bi, 0)) return true;
       }
     }
     return false;
@@ -462,75 +450,15 @@ class Evaluator {
     return false;
   }
 
-  std::uint8_t GrowthOf(PredId p) const {
-    if (options_.hints != nullptr && p < options_.hints->growth.size()) {
-      return options_.hints->growth[p];
-    }
-    return p < a_.own_growth.size() ? a_.own_growth[p] : 2;
-  }
-
-  // Chooses the join order for the body atoms other than the delta
-  // position `skip`: cheapest-first by (has a bound argument, live
-  // extension cardinality, growth class). With reordering disabled the
-  // original body order is kept (the legacy scan behavior).
-  void PlanOrder(const Rule& r, std::size_t ri, std::size_t skip) {
-    a_.order_buf.clear();
-    const std::size_t b = r.body.size();
-    if (b <= 1) return;
-    if (!options_.engine.reorder_joins) {
-      for (std::size_t i = 0; i < b; ++i) {
-        if (i != skip) a_.order_buf.push_back(static_cast<std::uint32_t>(i));
-      }
-      return;
-    }
-    a_.picked.assign(b, 0);
-    a_.picked[skip] = 1;
-    a_.planned_bound.assign(a_.max_var[ri], 0);
-    for (const Term& t : r.body[skip].args) {
-      if (t.kind == Term::Kind::kVar) a_.planned_bound[t.val] = 1;
-    }
-    for (std::size_t step = 1; step < b; ++step) {
-      std::size_t best = b;
-      bool best_bound = false;
-      std::size_t best_n = 0;
-      std::uint8_t best_growth = 0;
-      for (std::size_t i = 0; i < b; ++i) {
-        if (a_.picked[i]) continue;
-        const Atom& atom = r.body[i];
-        const std::size_t n = a_.db.Size(atom.pred);
-        bool has_bound = false;
-        for (const Term& t : atom.args) {
-          if (t.kind == Term::Kind::kConst ||
-              (t.kind == Term::Kind::kVar && a_.planned_bound[t.val])) {
-            has_bound = true;
-            break;
-          }
-        }
-        const std::uint8_t growth = GrowthOf(atom.pred);
-        const bool better =
-            best == b ||
-            std::make_tuple(!has_bound, n, growth) <
-                std::make_tuple(!best_bound, best_n, best_growth);
-        if (better) {
-          best = i;
-          best_bound = has_bound;
-          best_n = n;
-          best_growth = growth;
-        }
-      }
-      a_.picked[best] = 1;
-      a_.order_buf.push_back(static_cast<std::uint32_t>(best));
-      for (const Term& t : r.body[best].args) {
-        if (t.kind == Term::Kind::kVar) a_.planned_bound[t.val] = 1;
-      }
-    }
-  }
-
-  // Joins the body atoms in the planned order, starting at order index
-  // `oi`; then evaluates natives and emits the head.
-  bool JoinOrdered(const Rule& r, std::size_t oi) {
-    if (oi == a_.order_buf.size()) return EvalNativesAndEmit(r);
-    const Atom& atom = r.body[a_.order_buf[oi]];
+  // Joins the body atoms from position `bi` on in body order, skipping
+  // the delta's position `skip`; then evaluates natives and emits the
+  // head. makeP's rules have at most two body atoms (DESIGN.md §7), so
+  // with the delta fixed at most one atom is left and no order is to be
+  // chosen.
+  bool Join(const Rule& r, std::size_t skip, std::size_t bi) {
+    if (bi == skip) ++bi;
+    if (bi == r.body.size()) return EvalNativesAndEmit(r);
+    const Atom& atom = r.body[bi];
     // Size snapshot: the recursion below can Emit into atom.pred, growing
     // its extension. Tuples inserted mid-join are joined later via their
     // own worklist delta.
@@ -554,26 +482,27 @@ class Evaluator {
         key_hash.Add(v);
       }
       if (mask != 0) {
-        return ProbeIndexed(r, oi, atom, mask, key_hash.Value(), n);
+        return ProbeIndexed(r, skip, bi, mask, key_hash.Value(), n);
       }
     }
     for (std::size_t ti = 0; ti < n; ++ti) {
       if (stats_ != nullptr) ++stats_->join_attempts;
       const std::size_t mark = a_.env.Mark();
       if (Match(atom.args, a_.db.At(atom.pred, ti), a_.env)) {
-        if (JoinOrdered(r, oi + 1)) return true;
+        if (Join(r, skip, bi + 1)) return true;
       }
       a_.env.Undo(mark);
     }
     return false;
   }
 
-  // Indexed probe: candidates come from the (pred, mask) index keyed by
-  // the bound argument values in `keybuf` (hashed to `hash`) instead of a
-  // full scan. The walk stops at `n`: deeper probes may catch the index
-  // up and extend this chain past the snapshot.
-  bool ProbeIndexed(const Rule& r, std::size_t oi, const Atom& atom,
+  // Indexed probe of body atom `bi`: candidates come from the (pred,
+  // mask) index keyed by the bound argument values in `keybuf` (hashed to
+  // `hash`) instead of a full scan. The walk stops at `n`: deeper probes
+  // may catch the index up and extend this chain past the snapshot.
+  bool ProbeIndexed(const Rule& r, std::size_t skip, std::size_t bi,
                     std::uint64_t mask, std::size_t hash, std::size_t n) {
+    const Atom& atom = r.body[bi];
     ArgIndex& ix = IndexFor(atom.pred, mask);
     if (ix.next.size() < n) ix.CatchUp(a_.db, atom.pred, n);
     if (stats_ != nullptr) ++stats_->index_probes;
@@ -589,7 +518,7 @@ class Evaluator {
       if (stats_ != nullptr) ++stats_->join_attempts;
       const std::size_t mark = a_.env.Mark();
       if (Match(atom.args, a_.db.At(atom.pred, ti), a_.env)) {
-        if (JoinOrdered(r, oi + 1)) return true;
+        if (Join(r, skip, bi + 1)) return true;
       }
       a_.env.Undo(mark);
     }

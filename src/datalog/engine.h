@@ -1,4 +1,5 @@
 // Bottom-up (semi-naive) Datalog evaluation with argument-hash indexes.
+// Each delta tuple joins the rest of its rule's body in body order.
 #ifndef RAPAR_DATALOG_ENGINE_H_
 #define RAPAR_DATALOG_ENGINE_H_
 
@@ -127,27 +128,24 @@ class BudgetExceeded : public std::runtime_error {
   std::size_t budget_ = 0;
 };
 
-// Per-predicate growth class for the join planner: 0 = EDB (static once
-// facts are seeded), 1 = derived in a non-recursive SCC (stabilises once
-// its stratum saturates), 2 = derived and recursive. dlopt::MakeJoinHints
-// builds one from the width/SCC analysis; without hints the engine
-// derives a conservative 0/2 split from the rule heads.
+// Per-predicate growth class (0 = EDB, 1 = derived in a non-recursive
+// SCC, 2 = derived and recursive) from dlopt::MakeJoinHints. The engine
+// reads none of it: it joins body atoms in body order (DESIGN.md §7). It
+// stays only because rabench/traced_main.cpp still builds it and passes
+// it in EvalOptions::hints.
 struct JoinHints {
   std::vector<std::uint8_t> growth;
 };
 
 // Evaluation-core switches, separate from the per-call limits in
-// EvalOptions. The verifier always solves with the defaults; turning both
-// off gives the naive full-scan evaluation that the engine tests
+// EvalOptions. The verifier always solves with the defaults; turning the
+// index off gives the naive full-scan evaluation that the engine tests
 // (datalog_engine_test, datalog_differential_test,
 // datalog_index_differential_test) use as their reference.
 struct EngineOptions {
   // Build lazy per-(predicate, bound-position signature) join indexes and
   // probe them instead of scanning the full extension.
   bool use_index = true;
-  // Order the remaining body atoms cheapest-first (live extension
-  // cardinality, boundness, growth class) per delta instantiation.
-  bool reorder_joins = true;
 };
 
 struct EvalOptions {
@@ -156,11 +154,9 @@ struct EvalOptions {
   // Abort evaluation (BudgetExceeded) after this many derived tuples
   // (0 = unlimited).
   std::size_t max_tuples = 0;
-  // Evaluation-core tuning (indexes, join order).
+  // Evaluation-core tuning (indexes).
   EngineOptions engine;
-  // Optional growth classification for the join planner; must outlive the
-  // call. When null the engine computes its
-  // own conservative hints.
+  // Read by nothing; rabench/traced_main.cpp still sets it (JoinHints).
   const JoinHints* hints = nullptr;
 };
 

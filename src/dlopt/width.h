@@ -79,12 +79,12 @@ struct WidthReport {
 WidthReport AnalyzeWidth(const dl::Program& prog, const PredGraph& graph,
                          std::optional<dl::PredId> query = std::nullopt);
 
-// Join-planner hints for the evaluation engine, from the same
-// linearity/recursion classification the width report is built on:
-// EDB predicates (static extensions) rank 0, derived predicates in a
-// non-recursive SCC rank 1 (they stabilise once their stratum saturates),
-// mutually recursive predicates rank 2. The engine's cheapest-first body
-// ordering uses the rank as a growth tie-break (engine.h, JoinHints).
+// Per-predicate growth ranks from the same recursion classification the
+// width report is built on: EDB predicates rank 0, derived predicates in
+// a non-recursive SCC rank 1, mutually recursive predicates rank 2.
+// Nothing in the library reads them since the engine joins in body
+// order (engine.h, JoinHints); rabench/traced_main.cpp still builds
+// them in its "dlopt.hints" span.
 dl::JoinHints MakeJoinHints(const PredGraph& graph);
 
 }  // namespace rapar::dlopt

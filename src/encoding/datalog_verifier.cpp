@@ -142,22 +142,16 @@ class GuessSolver {
 
     const Clock::time_point dlopt_start = Clock::now();
     dlopt::OptimizeResult opt;
-    dlopt::PredGraph graph;
-    dl::JoinHints hints;
     {
       obs::ScopedSpan s(options_.trace, "dlopt");
       opt = dlopt::OptimizeForQuery(std::move(*q.prog), q.goal, dlopt_);
-      // The width/SCC classification doubles as the engine's join-order
-      // growth hint (EDB < non-recursive IDB < recursive IDB).
-      graph = dlopt::PredGraph::Build(opt.prog);
-      hints = dlopt::MakeJoinHints(graph);
     }
     out.dlopt = opt.stats;
     out.rules_after = opt.prog.size();
-    eval_.hints = &hints;
     const Clock::time_point dlopt_end = Clock::now();
     if (width_report_.empty()) {
-      // The run's first solve; the report reuses the join-hint graph.
+      // The run's first solve: its program's graph feeds the report only.
+      const dlopt::PredGraph graph = dlopt::PredGraph::Build(opt.prog);
       width_report_ = dlopt::AnalyzeWidth(opt.prog, graph, q.goal.pred)
                           .ToString(opt.prog, graph);
     }

@@ -9,9 +9,10 @@
 // the same way (DESIGN.md §6): one that cannot derive the goal
 // (MakePEncoder::MayDerive) is skipped, one whose class key an earlier
 // guess of the run already had shares that guess's solve, and any other
-// is solved — makeP, dlopt's OptimizeForQuery, join hints, then a fresh
-// fixpoint on the run's one dl::Engine, which carries no result from one
-// solve to the next, only its allocations.
+// is solved — makeP, dlopt's OptimizeForQuery, then a fresh fixpoint on
+// the run's one dl::Engine, which carries no result from one solve to the
+// next, only its allocations. The run's first solve also builds its
+// program's predicate graph, once, for the width report.
 //
 // Checkpoint/resume: a scan that stops without a verdict (scan_limit,
 // deadline, budget abort, enumeration cap) hands a
@@ -133,9 +134,9 @@ struct DatalogVerdict {
   // Aggregate optimizer statistics over the solved guesses
   // (rules_before/after mirror total_rules{,_after}).
   dlopt::DlOptStats dlopt;
-  // Wall-clock milliseconds spent in makeP, in dlopt (with the engine's
-  // join hints) and in evaluation, summed over the solved guesses;
-  // skipped and shared guesses run none of the three.
+  // Wall-clock milliseconds spent in makeP, in dlopt and in evaluation,
+  // summed over the solved guesses; skipped and shared guesses run none
+  // of the three.
   double makep_ms = 0.0;
   double dlopt_ms = 0.0;
   double eval_ms = 0.0;

@@ -126,9 +126,9 @@ inline constexpr char kPhaseParseMs[] = "phase.parse_ms";
 inline constexpr char kPhasePrepassMs[] = "phase.prepass_ms";
 inline constexpr char kPhaseSolveMs[] = "phase.solve_ms";
 // The Datalog guess loop's split of solve time per layer of the Theorem
-// 4.1 pipeline: makeP, dlopt (with join hints) and engine evaluation,
-// each summed over the run's solved guesses only: a skipped or shared
-// guess runs none of the three.
+// 4.1 pipeline: makeP, dlopt and engine evaluation, each summed over the
+// run's solved guesses only: a skipped or shared guess runs none of the
+// three.
 inline constexpr char kPhaseMakePMs[] = "phase.makep_ms";
 inline constexpr char kPhaseDlOptMs[] = "phase.dlopt_ms";
 inline constexpr char kPhaseEvalMs[] = "phase.eval_ms";

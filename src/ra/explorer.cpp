@@ -182,7 +182,6 @@ RaResult RaExplorer::CheckSafety(const RaExplorerOptions& options) {
     const std::size_t cur = frontier.front();
     frontier.pop_front();
     const int depth = info[cur].depth;
-    if (depth > result.depth_reached) result.depth_reached = depth;
     if (depth >= options.max_depth) {
       result.exhaustive = false;
       continue;

@@ -51,7 +51,6 @@ struct RaResult {
   // the state/depth caps).
   bool budget_hit = false;
   std::size_t states = 0;
-  int depth_reached = 0;
   // Witness run to the violation, if one was found.
   std::vector<RaTraceStep> witness;
 };

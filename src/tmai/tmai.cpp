@@ -613,11 +613,12 @@ TmaiResult RunTmai(const TmaiSystem& sys, const TmaiGoal& goal,
                               Domain::kSmallSet, /*emit_certificate=*/true,
                               &result);
   }
-  if (opts.domain == Domain::kAuto && !result.safe) {
-    // Retry with the relational domain only on small-set kUnknown —
-    // the fast path above stays untouched.
+  if (opts.domain == Domain::kAuto && run.converged && !result.safe) {
+    // Retry with the relational domain only on a converged small-set
+    // kUnknown — the fast path above stays untouched, and an unconverged
+    // run is not paid for twice.
     TmaiResult rel = internal::RunTmaiRelational(sys, goal, opts);
-    if (rel.safe || !result.converged) return rel;
+    if (rel.safe) return rel;
     // Keep the (converged) small-set reports for the lints, but
     // surface that the retry ran and what it pruned.
     result.strengthen_rounds = rel.strengthen_rounds;

@@ -54,8 +54,9 @@ namespace rapar::tmai {
 // original non-relational value-set domain; kRelational layers the
 // per-variable-pair must analysis of relational.h on top (more
 // precise, a few times slower); kAuto runs kSmallSet first and retries
-// kRelational only when the small-set fixpoint finished kUnknown, so
-// the fast path stays fast.
+// kRelational only when the small-set fixpoint converged to kUnknown, so
+// the fast path stays fast and a fixpoint that hit its iteration bound
+// is not run a second time.
 enum class Domain {
   kSmallSet,
   kRelational,

@@ -401,6 +401,8 @@ TEST(BenchmarkSuiteTest, VerdictToStringNamesFixpointStop) {
   EXPECT_NE(text.find("[fixpoint did not converge]"), std::string::npos)
       << text;
   EXPECT_EQ(text.find("deadline"), std::string::npos) << text;
+  // An unconverged small-set run is not retried relationally.
+  EXPECT_FALSE(v.telemetry.Has("tmai.relational.rounds"));
 }
 
 }  // namespace

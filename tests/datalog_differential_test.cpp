@@ -424,11 +424,10 @@ TEST_P(DatalogDifferentialNativeTest, NativesAndDispatchMatchNaiveReference) {
   Rng rng(GetParam());
   const Program prog = RandomNativeDatalog(rng);
   const std::set<GroundAtom> reference = NaiveEval(prog);
-  // Full fixpoint, with and without join indexes and reordering.
+  // Full fixpoint, with and without join indexes.
   EXPECT_EQ(Materialize(prog, Eval(prog)), reference) << prog.ToString();
   EvalOptions scan;
   scan.engine.use_index = false;
-  scan.engine.reorder_joins = false;
   EXPECT_EQ(Materialize(prog, Eval(prog, nullptr, scan)), reference)
       << prog.ToString();
   // Early-exit solves on one reused engine: every derivable atom, and

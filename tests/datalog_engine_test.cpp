@@ -250,7 +250,6 @@ TEST(DatalogEngineTest, IndexReducesJoinAttempts) {
   EvalStats indexed, scanned;
   EvalOptions scan;
   scan.engine.use_index = false;
-  scan.engine.reorder_joins = false;
   Eval(tc.prog, &scanned, scan);
   Eval(tc.prog, &indexed);
   EXPECT_EQ(indexed.tuples, scanned.tuples);

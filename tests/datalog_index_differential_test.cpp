@@ -1,11 +1,13 @@
-// Differential testing of the indexed, reordered join core against the
-// naive-scan configuration: on random programs (including forced
-// self-joins, which exercise the delta-at-each-position path), evaluation
-// with argument-hash indexes + cheapest-first ordering must derive exactly
-// the same database and answer every ground query identically to the
-// plain scan evaluator. Also: a warm Engine solving again — from any
-// warm pool state, and across guess-like fact and rule deltas — must
-// answer like a fresh Engine, with the same per-solve counters.
+// Differential testing of the indexed join core against the naive-scan
+// configuration: on random programs (including forced self-joins, which
+// exercise the delta-at-each-position path), evaluation with
+// argument-hash indexes must derive exactly the same database, with the
+// same firings in the same sequence, and answer every ground query
+// identically to the plain scan evaluator. Both join in body order, so
+// the index switch is all that tells the production configuration from
+// the reference. Also: a warm Engine solving again — from any warm pool
+// state, and across guess-like fact and rule deltas — must answer like a
+// fresh Engine, with the same per-solve counters.
 #include <gtest/gtest.h>
 
 #include <iterator>
@@ -21,10 +23,9 @@ namespace {
 
 using GroundAtom = std::vector<Sym>;  // [pred, args...]
 
-EvalOptions WithTuning(bool use_index, bool reorder) {
+EvalOptions WithIndex(bool use_index) {
   EvalOptions opts;
   opts.engine.use_index = use_index;
-  opts.engine.reorder_joins = reorder;
   return opts;
 }
 
@@ -116,21 +117,17 @@ TEST_P(IndexDifferentialTest, IndexedMatchesScanDatabase) {
   Program prog = RandomDatalog(rng, /*preds=*/4, /*consts=*/3, /*rules=*/7,
                                self_join);
 
-  EvalStats scan_stats, index_stats, full_stats;
-  Database scan_db = Eval(prog, &scan_stats, WithTuning(false, false));
-  Database index_db = Eval(prog, &index_stats, WithTuning(true, false));
-  Database full_db = Eval(prog, &full_stats, WithTuning(true, true));
+  EvalStats scan_stats, index_stats;
+  Database scan_db = Eval(prog, &scan_stats, WithIndex(false));
+  Database index_db = Eval(prog, &index_stats, WithIndex(true));
 
   const std::set<GroundAtom> reference = Materialize(prog, scan_db);
   EXPECT_EQ(Materialize(prog, index_db), reference) << prog.ToString();
-  EXPECT_EQ(Materialize(prog, full_db), reference) << prog.ToString();
-  // Same fixpoint: identical derived-tuple counts everywhere. With the
-  // body order unchanged an index probe visits a subset of the scanned
-  // candidates but the same matches in the same sequence, so firings are
-  // identical and join attempts can only shrink. (Reordering changes the
-  // emission sequence, so only the fixpoint is compared for full tuning.)
+  // Same fixpoint: identical derived-tuple counts. In the same body order
+  // an index probe visits a subset of the scanned candidates but the same
+  // matches in the same sequence, so firings are identical and join
+  // attempts can only shrink.
   EXPECT_EQ(index_stats.tuples, scan_stats.tuples);
-  EXPECT_EQ(full_stats.tuples, scan_stats.tuples);
   EXPECT_EQ(index_stats.rule_firings, scan_stats.rule_firings);
   EXPECT_LE(index_stats.join_attempts, scan_stats.join_attempts);
 
@@ -144,8 +141,8 @@ TEST_P(IndexDifferentialTest, IndexedMatchesScanDatabase) {
           C(static_cast<Sym>(probe_rng.Below(prog.num_consts()))));
     }
     EvalStats qs_scan, qs_index;
-    const bool scan = Query(prog, goal, &qs_scan, WithTuning(false, false));
-    const bool indexed = Query(prog, goal, &qs_index, WithTuning(true, true));
+    const bool scan = Query(prog, goal, &qs_scan, WithIndex(false));
+    const bool indexed = Query(prog, goal, &qs_index, WithIndex(true));
     EXPECT_EQ(indexed, scan) << prog.AtomToString(goal) << "\n"
                              << prog.ToString();
     EXPECT_EQ(qs_index.goal_found, qs_scan.goal_found);
@@ -307,8 +304,8 @@ TEST_P(IndexDifferentialTest, WalkStopsAtTheProbeSnapshot) {
                      Atom{path, {V(2), V(3)}}},
                     {}});
   EvalStats scan_stats, index_stats;
-  const Database scan = Eval(prog, &scan_stats, WithTuning(false, false));
-  const Database indexed = Eval(prog, &index_stats, WithTuning(true, false));
+  const Database scan = Eval(prog, &scan_stats, WithIndex(false));
+  const Database indexed = Eval(prog, &index_stats, WithIndex(true));
   EXPECT_EQ(Materialize(prog, indexed), Materialize(prog, scan));
   EXPECT_EQ(index_stats.rule_firings, scan_stats.rule_firings)
       << prog.ToString();
@@ -332,7 +329,7 @@ TEST(IndexSelfJoinTest, SamePredicateTwiceDerivesAllPairs) {
   prog.AddRule(
       Rule{Atom{pair, {V(0), V(1)}}, {Atom{n, {V(0)}}, Atom{n, {V(1)}}}, {}});
   for (bool use_index : {false, true}) {
-    Database db = Eval(prog, nullptr, WithTuning(use_index, use_index));
+    Database db = Eval(prog, nullptr, WithIndex(use_index));
     EXPECT_EQ(db.Tuples(pair).size(), 9u);
   }
 }
@@ -352,8 +349,8 @@ TEST(IndexSelfJoinTest, RecursiveSelfJoinReachesFixpoint) {
                     {Atom{path, {V(0), V(1)}}, Atom{path, {V(1), V(2)}}},
                     {}});
   EvalStats scan_stats, index_stats;
-  Database scan = Eval(prog, &scan_stats, WithTuning(false, false));
-  Database indexed = Eval(prog, &index_stats, WithTuning(true, true));
+  Database scan = Eval(prog, &scan_stats, WithIndex(false));
+  Database indexed = Eval(prog, &index_stats, WithIndex(true));
   EXPECT_EQ(scan.Tuples(path).size(), 10u);  // 4+3+2+1 pairs
   EXPECT_EQ(indexed.Tuples(path).size(), 10u);
   EXPECT_EQ(index_stats.tuples, scan_stats.tuples);

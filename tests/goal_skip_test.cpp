@@ -17,8 +17,8 @@
 //   (b) every guess whose program derives unsafe() passes MayDerive;
 //   (c) the verifier's verdict, witness, guess count, tuples, firings,
 //       join attempts, index probes and hits equal a guess-by-guess
-//       replay (MakeP -> OptimizeForQuery -> PredGraph::Build and
-//       MakeJoinHints -> Solve, stopping at the first derivation), and
+//       replay (MakeP -> OptimizeForQuery -> Solve, stopping at the
+//       first derivation), and
 //       the verifier skips and shares exactly the guesses the replay
 //       finds rejected and keyed like an earlier one;
 //   (d) on each generated corpus, the skipped guesses and the solved
@@ -46,8 +46,6 @@
 #include "core/benchmarks.h"
 #include "datalog/engine.h"
 #include "dlopt/optimize.h"
-#include "dlopt/pred_graph.h"
-#include "dlopt/width.h"
 #include "encoding/datalog_verifier.h"
 #include "encoding/makep.h"
 #include "generated_systems.h"
@@ -148,9 +146,6 @@ Scan Replay(const SimplSystem& sys, const Goal& goal, std::size_t* rejected,
   for (std::size_t k = 0; k < guesses.size(); ++k) {
     const MakePResult q = MakeP(sys, guesses[k], mp);
     const dlopt::OptimizeResult opt = dlopt::OptimizeForQuery(*q.prog, q.goal);
-    const dlopt::PredGraph graph = dlopt::PredGraph::Build(opt.prog);
-    const dl::JoinHints hints = dlopt::MakeJoinHints(graph);
-    eval.hints = &hints;
     bool derived = false;
     try {
       derived = engine.Solve(opt.prog, q.goal, eval);

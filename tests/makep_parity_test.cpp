@@ -8,12 +8,17 @@
 //   1. the encoder's program equals a fresh MakeP(sys, g) — rule text,
 //      declaration order, constants and native tags;
 //   2. optimizing the moved-in program gives the same surviving rules,
-//      per-rule removal causes and statistics as optimizing a copy.
+//      per-rule removal causes and statistics as optimizing a copy;
+//   3. every rule of the emitted and of the optimized program has at most
+//      two body atoms (Lemma 4.2's thread-message join), so the engine,
+//      which joins the rest of a body in body order once a delta fixes
+//      one atom, never has an order to choose (DESIGN.md §7).
 //
-// Inputs: the benchmark catalog and 200 seeded random systems, each under
-// an assert goal and a Message-Generation goal. Dekker-CAS contributes
-// CAS-glued gaps and guesses spread over several store profiles, so the
-// encoder's prefix cache both misses and hits.
+// Inputs: the benchmark catalog, 200 seeded random systems and one
+// TQBF(n=3) reduction, each under an assert goal and a Message-Generation
+// goal. Dekker-CAS contributes CAS-glued gaps and guesses spread over
+// several store profiles, so the encoder's prefix cache both misses and
+// hits.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -27,6 +32,8 @@
 #include "encoding/dis_guess.h"
 #include "encoding/makep.h"
 #include "lang/random_program.h"
+#include "lowerbound/qbf.h"
+#include "lowerbound/tqbf_reduction.h"
 
 namespace rapar {
 namespace {
@@ -42,6 +49,13 @@ std::string Render(const dl::Program& prog) {
     out += "\n";
   }
   return out;
+}
+
+// Property 3: no rule of `prog` joins more than two body atoms.
+void ExpectBinaryJoins(const dl::Program& prog, const std::string& at) {
+  for (const dl::Rule& r : prog.rules()) {
+    EXPECT_LE(r.body.size(), 2u) << at << ": " << prog.RuleToString(r);
+  }
 }
 
 struct SystemStats {
@@ -75,6 +89,7 @@ SystemStats CheckSystem(const SimplSystem& sys, const Goal& goal,
     EXPECT_EQ(encoded.goal, fresh.goal) << at;
     const std::string fresh_text = Render(*fresh.prog);
     EXPECT_EQ(Render(*encoded.prog), fresh_text) << at;
+    ExpectBinaryJoins(*fresh.prog, at + " emitted");
 
     const dlopt::OptimizeResult copied =
         dlopt::OptimizeForQuery(*fresh.prog, fresh.goal);
@@ -82,6 +97,7 @@ SystemStats CheckSystem(const SimplSystem& sys, const Goal& goal,
     const dlopt::OptimizeResult moved =
         dlopt::OptimizeForQuery(std::move(*encoded.prog), encoded.goal);
     EXPECT_EQ(Render(moved.prog), Render(copied.prog)) << at;
+    ExpectBinaryJoins(moved.prog, at + " optimized");
     EXPECT_EQ(moved.cause, copied.cause) << at;
     EXPECT_EQ(moved.stats.ToString(), copied.stats.ToString()) << at;
     EXPECT_EQ(moved.stats.preds_before, copied.stats.preds_before) << at;
@@ -96,11 +112,20 @@ SystemStats CheckSystem(const SimplSystem& sys, const Goal& goal,
 Goal FirstVarGoal() { return std::pair<VarId, Value>{VarId(0), 1}; }
 
 TEST(MakePParityTest, CatalogUnderAssertAndMgGoals) {
-  for (const BenchmarkCase& bench : StandardBenchmarks()) {
+  const std::vector<BenchmarkCase> catalog = StandardBenchmarks();
+  std::vector<std::pair<std::string, const SimplSystem*>> inputs;
+  for (const BenchmarkCase& bench : catalog) {
+    inputs.emplace_back(bench.name, &bench.system.simpl());
+  }
+  // One more input: a TQBF(n=3) reduction, the tqbf-eval workload's shape.
+  Rng rng(0);
+  const Expected<ParamSystem> tqbf = TqbfSystem(RandomQbf(rng, 3, 3));
+  ASSERT_TRUE(tqbf.ok()) << tqbf.error();
+  inputs.emplace_back("tqbf", &tqbf.value().simpl());
+  for (const auto& [name, simpl] : inputs) {
     for (const Goal& goal : {Goal{}, FirstVarGoal()}) {
-      const std::string label =
-          bench.name + (goal.has_value() ? " mg" : " assert");
-      CheckSystem(bench.system.simpl(), goal, 400, label);
+      const std::string label = name + (goal.has_value() ? " mg" : " assert");
+      CheckSystem(*simpl, goal, 400, label);
     }
   }
 }

@@ -41,9 +41,9 @@ DatalogVerdict VerifyAt(const SimplSystem& sys, std::size_t max_guesses,
   return DatalogVerify(sys, opts);
 }
 
-// The scan from outside: MakeP -> OptimizeForQuery -> PredGraph::Build
-// and MakeJoinHints -> Solve on a fresh dl::Engine, for every guess of
-// the capped enumeration up to the first derivation or budget abort.
+// The scan from outside: MakeP -> OptimizeForQuery -> Solve on a fresh
+// dl::Engine, for every guess of the capped enumeration up to the first
+// derivation or budget abort.
 // The verifier's skipped and shared guesses are solved here too;
 // DESIGN.md §6 proves their derivation counts equal (goal_skip_test
 // checks it guess by guess). The width report is the first solved
@@ -65,13 +65,11 @@ DatalogVerdict FreshReplay(const SimplSystem& sys, std::size_t max_guesses,
   for (std::size_t k = 0; k < guesses.size(); ++k) {
     const MakePResult q = MakeP(sys, guesses[k], mp);
     const dlopt::OptimizeResult opt = dlopt::OptimizeForQuery(*q.prog, q.goal);
-    const dlopt::PredGraph graph = dlopt::PredGraph::Build(opt.prog);
-    const dl::JoinHints hints = dlopt::MakeJoinHints(graph);
     if (out.width_report.empty() && encoder.MayDerive(guesses[k], &key)) {
+      const dlopt::PredGraph graph = dlopt::PredGraph::Build(opt.prog);
       out.width_report = dlopt::AnalyzeWidth(opt.prog, graph, q.goal.pred)
                              .ToString(opt.prog, graph);
     }
-    eval.hints = &hints;
     dl::Engine engine;
     bool derived = false;
     bool aborted = false;
