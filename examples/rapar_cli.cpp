@@ -40,10 +40,12 @@
 //
 // Machine-readable output (--format=json) uses the stable envelopes of
 // core/result_json.h: verify/mg emit the verdict envelope (schema_version,
-// verdict, exit_code, witness, options echo, telemetry), or the error
-// envelope for a usage or input error — a bad flag included, wherever
-// --format=json stands on the line; lint/dlanalyze emit the diagnostics
-// envelope. --trace=FILE writes a
+// verdict, exit_code, witness, options echo, telemetry), lint/dlanalyze
+// the diagnostics envelope and certcheck its validity envelope. Every
+// command that takes --format answers a usage or input error — a bad flag
+// included, wherever --format=json stands on the line — with the error
+// envelope (command = the subcommand, exit_code 3) on stdout as well as
+// the stderr line. --trace=FILE writes a
 // Chrome trace-event JSON of the run (open in Perfetto or
 // chrome://tracing); --metrics prints the telemetry registry after the
 // verdict.
@@ -304,13 +306,21 @@ int CommandHelp(const std::string& cmd) {
   return 0;
 }
 
-// Usage/input failure: diagnostic on stderr and — with `json` — the
-// error envelope (core/result_json.h) on stdout, so callers that parse
-// stdout never see a half envelope. Always returns 3.
-int Fail(const std::string& command, bool json, const std::string& message) {
+// Every command's usage/input failure: diagnostic on stderr and — under
+// --format=json — the error envelope (core/result_json.h) on stdout, so
+// callers that parse stdout never see a half envelope. Always returns 3.
+int Fail(const Options& opts, const std::string& message) {
   std::fprintf(stderr, "%s\n", message.c_str());
-  if (json) std::fputs(rapar::ErrorToJson(command, message).c_str(), stdout);
+  if (opts.format == "json") {
+    std::fputs(rapar::ErrorToJson(opts.command, message).c_str(), stdout);
+  }
   return 3;
+}
+
+// A required input is missing: the usage text, then Fail.
+int Usage(const Options& opts, const std::string& message) {
+  GlobalUsage();
+  return Fail(opts, message);
 }
 
 // True if `--format=json` or `--format json` appears anywhere in argv,
@@ -327,8 +337,9 @@ bool JsonRequested(int argc, char** argv) {
 }
 
 // Parses argv into `opts`. Returns 0 on success, 3 (after printing the
-// error) on a usage error; verify/mg answer a usage error with the JSON
-// error envelope too when --format=json appears anywhere on the line.
+// error) on a usage error; a command that takes --format answers it with
+// the JSON error envelope too when --format=json appears anywhere on the
+// line.
 int ParseArgs(int argc, char** argv, Options* opts) {
   if (argc < 2) return GlobalUsage();
   opts->vopts.time_budget_ms = 30'000;
@@ -341,10 +352,14 @@ int ParseArgs(int argc, char** argv, Options* opts) {
     std::fprintf(stderr, "unknown command: %s\n", opts->command.c_str());
     return GlobalUsage();
   }
-  const bool json = (opts->command == "verify" || opts->command == "mg") &&
-                    JsonRequested(argc, argv);
+  // The flags below may still set --format; until then a usage error
+  // answers in JSON if the line asks for it anywhere.
+  if (CommandIn(opts->command, FindFlag("--format")->commands) &&
+      JsonRequested(argc, argv)) {
+    opts->format = "json";
+  }
   const auto fail = [&](const std::string& message) {
-    return Fail(opts->command, json, message);
+    return Fail(*opts, message);
   };
   for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
@@ -395,18 +410,12 @@ int ParseArgs(int argc, char** argv, Options* opts) {
 }
 
 int Classify(const Options& opts) {
-  if (opts.files.empty()) return GlobalUsage();
+  if (opts.files.empty()) return Usage(opts, "classify requires a FILE");
   for (const std::string& path : opts.files) {
     const std::optional<std::string> text = rapar::ReadFile(path);
-    if (!text.has_value()) {
-      std::fprintf(stderr, "cannot read %s\n", path.c_str());
-      return 3;
-    }
+    if (!text.has_value()) return Fail(opts, "cannot read " + path);
     rapar::Expected<rapar::Program> p = rapar::ParseProgram(*text);
-    if (!p.ok()) {
-      std::fprintf(stderr, "%s: %s\n", path.c_str(), p.error().c_str());
-      return 3;
-    }
+    if (!p.ok()) return Fail(opts, path + ": " + p.error());
     rapar::Classification c = rapar::Classify(p.value());
     std::printf("%s: %s  (vars=%zu regs=%zu dom=%d)\n", path.c_str(),
                 c.ToString().c_str(), p.value().vars().size(),
@@ -433,42 +442,30 @@ int Lint(const Options& opts) {
   for (const std::string& path : opts.files) {
     add(path, rapar::ThreadRole::kEnv);
   }
-  if (inputs.empty()) return GlobalUsage();
+  if (inputs.empty()) {
+    return Usage(opts, "lint requires --env FILE, --dis FILE or a FILE");
+  }
 
   for (Input& in : inputs) {
     std::optional<std::string> text = rapar::ReadFile(in.path);
-    if (!text.has_value()) {
-      std::fprintf(stderr, "cannot read %s\n", in.path.c_str());
-      return 3;
-    }
+    if (!text.has_value()) return Fail(opts, "cannot read " + in.path);
     in.text = std::move(*text);
     rapar::Expected<rapar::Program> p = rapar::ParseProgram(in.text);
-    if (!p.ok()) {
-      std::fprintf(stderr, "%s: %s\n", in.path.c_str(), p.error().c_str());
-      return 3;
-    }
+    if (!p.ok()) return Fail(opts, in.path + ": " + p.error());
     in.program = std::move(p).value();
   }
 
   // Unify variable tables by name so the observed-variable set spans the
   // whole system: a store is dead only if *no* thread loads or CASes the
-  // variable (same convention as ParamSystem::Builder, but lint must not
+  // variable (the merge ParamSystem::Builder makes, but lint must not
   // reject ill-classed systems — reporting them is its job).
-  rapar::VarTable shared;
-  std::vector<std::vector<rapar::VarId>> mappings;
-  for (const Input& in : inputs) {
-    std::vector<rapar::VarId> mapping;
-    for (const std::string& name : in.program.vars().names()) {
-      mapping.push_back(shared.Add(name));
-    }
-    mappings.push_back(std::move(mapping));
-  }
+  std::vector<const rapar::Program*> parsed;
+  for (const Input& in : inputs) parsed.push_back(&in.program);
+  std::vector<rapar::Program> programs = rapar::MergeVarTables(parsed);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const rapar::Program& p = inputs[i].program;
-    inputs[i].program =
-        rapar::Program(p.name(), shared, p.regs(), p.dom(),
-                       rapar::RemapVars(p.body(), mappings[i]));
+    inputs[i].program = std::move(programs[i]);
   }
+  const rapar::VarTable& shared = inputs[0].program.vars();
   std::vector<rapar::Cfa> cfas;
   cfas.reserve(inputs.size());
   for (const Input& in : inputs) {
@@ -572,12 +569,6 @@ rapar::Expected<Query> LoadQuery(const Options& opts, bool goal_required) {
   return Query{std::move(sys).value(), goal};
 }
 
-// Usage/input failure on the verify/mg path, found once the flags are
-// read: see Fail.
-int FailVerify(const Options& opts, const std::string& message) {
-  return Fail(opts.command, opts.format == "json", message);
-}
-
 // Digest of the query a checkpoint belongs to: the printed post-unroll
 // env and dis programs plus the goal, which fix the guess enumeration a
 // checkpoint's next_index points into.
@@ -595,8 +586,7 @@ std::string CheckpointQuery(const rapar::ParamSystem& sys,
 
 int RunVerify(const Options& opts, bool mg) {
   if (opts.env_file.empty()) {
-    GlobalUsage();
-    return FailVerify(opts, opts.command + " requires --env FILE");
+    return Usage(opts, opts.command + " requires --env FILE");
   }
   const bool json = opts.format == "json";
 
@@ -604,7 +594,7 @@ int RunVerify(const Options& opts, bool mg) {
   const std::optional<rapar::Backend> backend =
       rapar::ParseBackend(opts.backend);
   if (!backend.has_value()) {
-    return FailVerify(opts, "unknown backend '" + opts.backend + "'");
+    return Fail(opts, "unknown backend '" + opts.backend + "'");
   }
   vopts.backend = *backend;
 
@@ -614,23 +604,22 @@ int RunVerify(const Options& opts, bool mg) {
       !opts.checkpoint_file.empty() || !opts.resume_file.empty() ||
       opts.checkpoint_every > 0 || opts.vopts.datalog.scan_limit > 0;
   if (wants_checkpoints && vopts.backend != rapar::Backend::kDatalog) {
-    return FailVerify(opts,
-                      "--checkpoint/--resume/--checkpoint-every/"
-                      "--scan-limit require --backend=datalog");
+    return Fail(opts,
+                "--checkpoint/--resume/--checkpoint-every/"
+                "--scan-limit require --backend=datalog");
   }
   // --threads is the concrete backend's env-thread count; serve's
   // env_threads option accepts the same range.
   if (opts.threads.has_value()) {
     if (vopts.backend != rapar::Backend::kConcrete) {
-      return FailVerify(opts, "flag --threads requires --backend=concrete");
+      return Fail(opts, "flag --threads requires --backend=concrete");
     }
     constexpr int kMaxThreads =
         rapar::ConcreteBackendOptions::kMaxEnvThreads;
     if (*opts.threads < 1 || *opts.threads > kMaxThreads) {
-      return FailVerify(
-          opts, "flag --threads expects an env-thread count in [1, " +
-                    std::to_string(kMaxThreads) + "], got '" +
-                    std::to_string(*opts.threads) + "'");
+      return Fail(opts, "flag --threads expects an env-thread count in [1, " +
+                            std::to_string(kMaxThreads) + "], got '" +
+                            std::to_string(*opts.threads) + "'");
     }
     vopts.concrete.env_threads = *opts.threads;
   }
@@ -651,7 +640,7 @@ int RunVerify(const Options& opts, bool mg) {
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - parse_start)
           .count();
-  if (!loaded.ok()) return FailVerify(opts, loaded.error());
+  if (!loaded.ok()) return Fail(opts, loaded.error());
   const rapar::ParamSystem& sys = loaded.value().system;
   if (!json) std::printf("system: %s\n", sys.Signature().c_str());
 
@@ -662,13 +651,13 @@ int RunVerify(const Options& opts, bool mg) {
       rapar::Expected<rapar::CursorCheckpoint> cp =
           rapar::LoadCheckpointFile(opts.resume_file);
       if (!cp.ok()) {
-        return FailVerify(opts, opts.resume_file + ": " + cp.error());
+        return Fail(opts, opts.resume_file + ": " + cp.error());
       }
       if (cp.value().query != query) {
-        return FailVerify(opts, opts.resume_file +
-                                    ": checkpoint was taken for another "
-                                    "query (digest " + cp.value().query +
-                                    ", this run is " + query + ")");
+        return Fail(opts, opts.resume_file +
+                              ": checkpoint was taken for another "
+                              "query (digest " + cp.value().query +
+                              ", this run is " + query + ")");
       }
       vopts.datalog.start_index = cp.value().next_index;
     }
@@ -694,8 +683,7 @@ int RunVerify(const Options& opts, bool mg) {
   v.telemetry.SetGauge(rapar::obs::metric::kPhaseParseMs, parse_ms);
 
   if (trace != nullptr && !recorder.WriteFile(opts.trace_file)) {
-    return FailVerify(opts,
-                      "cannot write trace file '" + opts.trace_file + "'");
+    return Fail(opts, "cannot write trace file '" + opts.trace_file + "'");
   }
 
   if (json) {
@@ -726,20 +714,17 @@ int RunVerify(const Options& opts, bool mg) {
 // the verifier's preparation exactly (same prepass, same goal protection
 // derived from the certificate) so the certified thread shapes line up.
 int CertCheck(const Options& opts) {
-  if (opts.env_file.empty() || opts.cert_file.empty()) return GlobalUsage();
+  if (opts.env_file.empty() || opts.cert_file.empty()) {
+    return Usage(opts, "certcheck requires --env FILE and --cert FILE");
+  }
   const bool json = opts.format == "json";
 
   const std::optional<std::string> cert_text = rapar::ReadFile(opts.cert_file);
   if (!cert_text.has_value()) {
-    std::fprintf(stderr, "cannot read %s\n", opts.cert_file.c_str());
-    return 3;
+    return Fail(opts, "cannot read " + opts.cert_file);
   }
   rapar::Expected<rapar::JsonValue> doc = rapar::ParseJson(*cert_text);
-  if (!doc.ok()) {
-    std::fprintf(stderr, "%s: %s\n", opts.cert_file.c_str(),
-                 doc.error().c_str());
-    return 3;
-  }
+  if (!doc.ok()) return Fail(opts, opts.cert_file + ": " + doc.error());
   // Accept a whole verdict envelope: descend into its "certificate" key.
   const rapar::JsonValue* cert_json = &doc.value();
   if (cert_json->is_object()) {
@@ -749,17 +734,10 @@ int CertCheck(const Options& opts) {
   }
   rapar::Expected<rapar::tmai::Certificate> cert =
       rapar::tmai::ParseCertificateJson(*cert_json);
-  if (!cert.ok()) {
-    std::fprintf(stderr, "%s: %s\n", opts.cert_file.c_str(),
-                 cert.error().c_str());
-    return 3;
-  }
+  if (!cert.ok()) return Fail(opts, opts.cert_file + ": " + cert.error());
 
   rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.error().c_str());
-    return 3;
-  }
+  if (!query.ok()) return Fail(opts, query.error());
   const rapar::ParamSystem& sys = query.value().system;
   // SafetyVerifier's preparation: the certificate was produced against
   // the prepassed CFAs, with the MG goal variable (if any) protected
@@ -812,12 +790,11 @@ int CertCheck(const Options& opts) {
 }
 
 int DumpDatalog(const Options& opts) {
-  if (opts.env_file.empty()) return GlobalUsage();
-  rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.error().c_str());
-    return 3;
+  if (opts.env_file.empty()) {
+    return Usage(opts, "dump-datalog requires --env FILE");
   }
+  rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
+  if (!query.ok()) return Fail(opts, query.error());
   const rapar::ParamSystem& sys = query.value().system;
   // Walk the whole enumeration for its count, keeping the first four.
   rapar::DisGuessCursor cursor(sys.simpl(), rapar::GuessEnumOptions{});
@@ -843,12 +820,11 @@ int DumpDatalog(const Options& opts) {
 }
 
 int DlAnalyze(const Options& opts) {
-  if (opts.env_file.empty()) return GlobalUsage();
-  rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.error().c_str());
-    return 3;
+  if (opts.env_file.empty()) {
+    return Usage(opts, "dlanalyze requires --env FILE");
   }
+  rapar::Expected<Query> query = LoadQuery(opts, /*goal_required=*/false);
+  if (!query.ok()) return Fail(opts, query.error());
   const rapar::ParamSystem& sys = query.value().system;
   // Walk the whole enumeration for its count, keeping guess N.
   rapar::DisGuessCursor cursor(sys.simpl(), rapar::GuessEnumOptions{});
@@ -859,9 +835,9 @@ int DlAnalyze(const Options& opts) {
     }
   }
   if (!found.has_value()) {
-    std::fprintf(stderr, "--guess %d out of range (have %zu guesses)\n",
-                 opts.guess_index, cursor.produced());
-    return 3;
+    return Fail(opts, rapar::StrCat("--guess ", opts.guess_index,
+                                    " out of range (have ",
+                                    cursor.produced(), " guesses)"));
   }
   rapar::MakePOptions mopts;
   mopts.goal_message = query.value().goal;

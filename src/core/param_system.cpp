@@ -7,55 +7,31 @@
 
 namespace rapar {
 
-namespace {
-
-// Remaps `program` onto the unified variable table, registering any new
-// variables.
-Program UnifyVars(const Program& program, VarTable& vars) {
-  std::vector<VarId> mapping;
-  mapping.reserve(program.vars().size());
-  for (const std::string& name : program.vars().names()) {
-    mapping.push_back(vars.Add(name));
-  }
-  Program out(program.name(), VarTable{}, program.regs(), program.dom(),
-              RemapVars(program.body(), mapping));
-  return out;
-}
-
-// Replaces a program's (empty) variable table by the unified one.
-Program WithVars(const Program& program, const VarTable& vars) {
-  return Program(program.name(), vars, program.regs(), program.dom(),
-                 program.body());
-}
-
-}  // namespace
-
 Expected<ParamSystem> ParamSystem::Builder::Build() const {
   if (!have_env_) {
     return Expected<ParamSystem>::Error("no env program set");
   }
   ParamSystem sys;
   sys.dom_ = env_.dom();
-
-  // Unified variable table: env's variables first, then new dis variables
-  // in order of appearance.
-  Program env = UnifyVars(env_, sys.vars_);
-  std::vector<Program> dis;
   for (const Program& d : dis_) {
     if (d.dom() != sys.dom_) {
       return Expected<ParamSystem>::Error(
           StrCat("domain mismatch: env has dom ", sys.dom_, ", dis '",
                  d.name(), "' has dom ", d.dom()));
     }
-    dis.push_back(UnifyVars(d, sys.vars_));
   }
-  // Attach the now-complete table to every program (the table must be
-  // final before this point: CFAs and explorers require every program to
-  // see the full variable universe).
-  sys.env_program_ = WithVars(env, sys.vars_);
+
+  // Unified variable table: env's variables first, then new dis variables
+  // in order of appearance. CFAs and explorers require every program to
+  // see the full variable universe.
+  std::vector<const Program*> inputs = {&env_};
+  for (const Program& d : dis_) inputs.push_back(&d);
+  std::vector<Program> programs = MergeVarTables(inputs);
+  sys.vars_ = programs[0].vars();
+  sys.env_program_ = std::move(programs[0]);
   std::vector<Classification> dis_classes;
-  for (Program& d : dis) {
-    Program unified = WithVars(d, sys.vars_);
+  for (std::size_t i = 1; i < programs.size(); ++i) {
+    Program unified = std::move(programs[i]);
     Classification c = Classify(unified);
     if (!c.loop_free) {
       if (unroll_ <= 0) {

@@ -16,24 +16,6 @@ std::string ViewStr(const View& vw, const VarTable& vars) {
   return out + "}";
 }
 
-std::string MemorySnapshot(const SimplConfig& cfg, const VarTable& vars) {
-  std::string out;
-  for (std::size_t xi = 0; xi < cfg.num_vars(); ++xi) {
-    const VarId x(static_cast<std::uint32_t>(xi));
-    out += StrCat("      ", vars.Name(x), ":");
-    for (const DisMsg& m : cfg.DisMsgsOf(x)) {
-      out += StrCat(" [", AbsTsToString(m.view[x]), m.glued ? "g" : "",
-                    ":", m.val, "]");
-    }
-    for (const EnvMsg& m : cfg.env_msgs()) {
-      if (m.var != x) continue;
-      out += StrCat(" (", AbsTsToString(m.ts()), ":", m.val, ")");
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string RenderTrace(const SimplSystem& sys,
@@ -73,9 +55,6 @@ std::string RenderTrace(const SimplSystem& sys,
     }
     if (step.violation) out += "   ** assertion violation **";
     out += "\n";
-    if (options.memory_snapshots && eff.wrote) {
-      out += MemorySnapshot(cfg, vars);
-    }
     ++step_no;
   }
   return out;

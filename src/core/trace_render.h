@@ -1,6 +1,6 @@
 // Renders abstract witness runs in the style of the paper's Figures 1/3:
-// one line per step with the instruction, the message read/written
-// (including its abstract view), and optional memory snapshots.
+// one line per step with the instruction and the message read/written,
+// including its abstract view.
 #ifndef RAPAR_CORE_TRACE_RENDER_H_
 #define RAPAR_CORE_TRACE_RENDER_H_
 
@@ -12,8 +12,6 @@
 namespace rapar {
 
 struct TraceRenderOptions {
-  // Print the full abstract memory after every store.
-  bool memory_snapshots = false;
   // Suppress steps that neither touch memory nor decide control (silent
   // register bookkeeping).
   bool elide_silent = false;

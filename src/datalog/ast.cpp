@@ -172,66 +172,99 @@ void ValidateGoal(const Program& prog, const Atom& goal) {
   }
 }
 
+namespace {
+
+// True if `v` is bound before native `upto` of `rule` runs: by a body atom
+// or by the output of a native before it. A scan, so that checking a safe
+// program allocates nothing.
+bool BoundBefore(const Rule& rule, VarSym v, std::size_t upto) {
+  for (const Atom& a : rule.body) {
+    for (const Term& t : a.args) {
+      if (t.kind == Term::Kind::kVar && t.val == v) return true;
+    }
+  }
+  for (std::size_t i = 0; i < upto; ++i) {
+    if (rule.natives[i].output == v) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+std::vector<UnboundVar> UnboundVars(const Program& prog) {
+  std::vector<UnboundVar> out;
+  for (std::size_t ri = 0; ri < prog.rules().size(); ++ri) {
+    const Rule& rule = prog.rules()[ri];
+    for (std::size_t ni = 0; ni < rule.natives.size(); ++ni) {
+      const Native& n = rule.natives[ni];
+      for (const Term& t : n.inputs) {
+        if (t.kind == Term::Kind::kVar && !BoundBefore(rule, t.val, ni)) {
+          out.push_back({ri, StrCat("input X", t.val, " of native '", n.name,
+                                    "' is not bound by the body or an "
+                                    "earlier native")});
+        }
+      }
+    }
+    for (const Term& t : rule.head.args) {
+      if (t.kind == Term::Kind::kVar &&
+          !BoundBefore(rule, t.val, rule.natives.size())) {
+        out.push_back({ri, StrCat("head variable X", t.val,
+                                  " is not bound by the body or a native "
+                                  "output")});
+      }
+    }
+  }
+  return out;
+}
+
 void ValidateProgram(const Program& prog) {
-  std::vector<char> bound;
+  auto fail = [&](std::size_t ri, const std::string& why) {
+    throw std::invalid_argument(StrCat("datalog rule #", ri, " is unsafe (",
+                                       why, "): ",
+                                       prog.RuleToString(prog.rules()[ri])));
+  };
   for (std::size_t ri = 0; ri < prog.rules().size(); ++ri) {
     const Rule& r = prog.rules()[ri];
-    auto fail = [&](const std::string& why) {
-      throw std::invalid_argument(StrCat("datalog rule #", ri, " is unsafe (",
-                                         why, "): ", prog.RuleToString(r)));
-    };
     auto check_arity = [&](const Atom& a) {
-      if (a.pred >= prog.num_preds()) fail("unknown predicate id");
+      if (a.pred >= prog.num_preds()) fail(ri, "unknown predicate id");
       if (a.args.size() != prog.pred(a.pred).arity) {
-        fail("arity mismatch on '" + prog.pred(a.pred).name + "'");
+        fail(ri, "arity mismatch on '" + prog.pred(a.pred).name + "'");
       }
     };
     check_arity(r.head);
-    bound.assign(NumVars(r), 0);
-    for (const Atom& a : r.body) {
-      check_arity(a);
-      for (const Term& t : a.args) {
-        if (t.kind == Term::Kind::kVar) bound[t.val] = 1;
-      }
-    }
+    for (const Atom& a : r.body) check_arity(a);
     for (const Native& n : r.natives) {
       if (n.width == 0 || n.width > 32 || n.shift + n.width > 32) {
-        fail(StrCat("native '", n.name, "' reads bits [", int{n.shift}, ", ",
-                    n.shift + n.width, "), not a field of the 32-bit word"));
+        fail(ri, StrCat("native '", n.name, "' reads bits [", int{n.shift},
+                        ", ", n.shift + n.width,
+                        "), not a field of the 32-bit word"));
       }
       if (n.op == Native::Op::kMax && n.shift != 0) {
-        fail("native '" + n.name + "' is a field-wise max: shift 0");
+        fail(ri, "native '" + n.name + "' is a field-wise max: shift 0");
       }
       const bool two_inputs = n.inputs.size() == 2;
       switch (n.op) {
         case Native::Op::kLeq:
           if (!two_inputs || n.output.has_value()) {
-            fail("native '" + n.name +
-                 "' is a leq check: two inputs and no output");
+            fail(ri, "native '" + n.name +
+                         "' is a leq check: two inputs and no output");
           }
           break;
         case Native::Op::kMax:
           if (!two_inputs || !n.output.has_value()) {
-            fail("native '" + n.name + "' is a max: two inputs and an output");
+            fail(ri,
+                 "native '" + n.name + "' is a max: two inputs and an output");
           }
           break;
         case Native::Op::kCall:
-          if (!n.fn) fail("native '" + n.name + "' calls no function");
+          if (!n.fn) fail(ri, "native '" + n.name + "' calls no function");
           break;
       }
-      for (const Term& t : n.inputs) {
-        if (t.kind == Term::Kind::kVar && !bound[t.val]) {
-          fail("input of native '" + n.name +
-               "' is not bound by the body or an earlier native");
-        }
-      }
-      if (n.output.has_value()) bound[*n.output] = 1;
     }
-    for (const Term& t : r.head.args) {
-      if (t.kind == Term::Kind::kVar && !bound[t.val]) {
-        fail("head variable is not bound by the body or a native output");
-      }
-    }
+  }
+  const std::vector<UnboundVar> unbound = UnboundVars(prog);
+  if (!unbound.empty()) {
+    fail(unbound.front().rule_index, unbound.front().detail);
   }
 }
 

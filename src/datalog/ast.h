@@ -245,19 +245,34 @@ class Program {
   ViewLayout layout_;
 };
 
+// Range restriction (rule safety): each native input must be bound by the
+// body or an earlier native's output (natives run after the body join, in
+// order) and each head variable by the body or some native output. An
+// UnboundVar is one variable occurrence that breaks it.
+struct UnboundVar {
+  std::size_t rule_index = 0;
+  // "input X2 of native 'leq' is not bound by the body or an earlier
+  // native", "head variable X3 is not bound by the body or a native
+  // output".
+  std::string detail;
+};
+
+// Every unbound native input and head variable of `prog`, in rule order.
+// Allocates nothing when there is none. ValidateProgram throws on the
+// first; dlopt's AnalyzeDlProgram reports each as RA025.
+std::vector<UnboundVar> UnboundVars(const Program& prog);
+
 // Input validation shared by every evaluator (the engine's Query, Eval and
 // Engine::Solve, and the Cache-Datalog solver). Each throws
 // std::invalid_argument, also in NDEBUG builds, where an unchecked input
 // would otherwise be undefined behavior.
 //
 // ValidateProgram: every atom matches its predicate's declared arity (the
-// joins unify positionally); every rule is safe — each native input is
-// bound by the body or an earlier native's output (natives run after the
-// body join, in order) and each head variable by the body or some native
-// output; and every native is well-formed for its op (kLeq: two inputs,
-// no output; kMax: two inputs and an output; kCall: a function) with a
-// field spec inside the 32-bit word (width 1..32, shift + width <= 32,
-// and shift 0 on a kMax).
+// joins unify positionally); every native is well-formed for its op
+// (kLeq: two inputs, no output; kMax: two inputs and an output; kCall: a
+// function) with a field spec inside the 32-bit word (width 1..32,
+// shift + width <= 32, and shift 0 on a kMax); and every rule is safe
+// (UnboundVars is empty; the message names the first unbound variable).
 void ValidateProgram(const Program& prog);
 // ValidateGoal: the goal is ground, on a declared predicate, with that
 // predicate's arity.

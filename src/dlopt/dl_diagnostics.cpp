@@ -1,7 +1,6 @@
 #include "dlopt/dl_diagnostics.h"
 
 #include "common/strings.h"
-#include "dlopt/rule_checks.h"
 
 namespace rapar::dlopt {
 
@@ -32,8 +31,7 @@ DlAnalysis AnalyzeDlProgram(const dl::Program& prog, const dl::Atom& goal,
         Diagnostic{sev, code, std::move(message), SrcLoc{}});
   };
 
-  for (const RangeRestrictionViolation& v :
-       ValidateRangeRestriction(prog)) {
+  for (const dl::UnboundVar& v : dl::UnboundVars(prog)) {
     emit(Severity::kError, "RA025",
          StrCat("range-restriction violation in '",
                 Clip(prog.RuleToString(prog.rules()[v.rule_index])),

@@ -2,8 +2,6 @@
 
 #include <cstdint>
 
-#include "common/strings.h"
-
 namespace rapar::dlopt {
 
 namespace {
@@ -71,39 +69,6 @@ void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
       key.push_back('.');
     }
   }
-}
-
-std::vector<RangeRestrictionViolation> ValidateRangeRestriction(
-    const dl::Program& prog) {
-  std::vector<RangeRestrictionViolation> out;
-  for (std::size_t ri = 0; ri < prog.rules().size(); ++ri) {
-    const dl::Rule& rule = prog.rules()[ri];
-    std::vector<bool> bound(dl::NumVars(rule), false);
-    for (const dl::Atom& a : rule.body) {
-      for (const dl::Term& t : a.args) {
-        if (t.kind == dl::Term::Kind::kVar) bound[t.val] = true;
-      }
-    }
-    for (const dl::Native& n : rule.natives) {
-      for (const dl::Term& t : n.inputs) {
-        if (t.kind == dl::Term::Kind::kVar && !bound[t.val]) {
-          out.push_back({ri, StrCat("input X", t.val, " of native '",
-                                    n.name,
-                                    "' is not bound by the body or an "
-                                    "earlier native")});
-        }
-      }
-      if (n.output.has_value()) bound[*n.output] = true;
-    }
-    for (const dl::Term& t : rule.head.args) {
-      if (t.kind == dl::Term::Kind::kVar && !bound[t.val]) {
-        out.push_back(
-            {ri, StrCat("head variable X", t.val,
-                        " is not bound by the body or a native output")});
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace rapar::dlopt

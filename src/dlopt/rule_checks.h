@@ -1,17 +1,14 @@
-// Rule-level static checks over datalog::Rule (rapar_dlopt).
+// Rule-level static checks over datalog::Rule (rapar_dlopt):
+// canonicalisation & duplicate detection — rules equal up to a renaming of
+// their (rule-local) variables are interchangeable; makeP can emit
+// duplicates when distinct CFA edges compile to the same rule (e.g. two
+// nop edges between the same locations). Natives compare by (op, field
+// spec, tag, inputs, output) and only when the tag is non-empty — an empty
+// tag is an unknown function and never matches (conservative).
 //
-//   * canonicalisation & duplicate detection — rules equal up to a
-//     renaming of their (rule-local) variables are interchangeable; makeP
-//     can emit duplicates when distinct CFA edges compile to the same
-//     rule (e.g. two nop edges between the same locations). Natives
-//     compare by (op, field spec, tag, inputs, output) and only when the
-//     tag is non-empty — an empty tag is an unknown function and never
-//     matches (conservative);
-//   * range restriction — every head variable must be bound by a body
-//     atom or a native output, and every native input must be bound by
-//     the body or an *earlier* native's output (the engine's evaluation
-//     order). Violations make the engine assert; the validator reports
-//     them statically (diagnostic RA025).
+// Range restriction is checked once, by dl::UnboundVars (datalog/ast.h):
+// the engine's ValidateProgram rejects an unsafe rule with it, and
+// AnalyzeDlProgram reports each unbound variable as RA025.
 #ifndef RAPAR_DLOPT_RULE_CHECKS_H_
 #define RAPAR_DLOPT_RULE_CHECKS_H_
 
@@ -33,18 +30,6 @@ std::string CanonicalRuleKey(const dl::Rule& rule);
 // the caller may reuse across calls.
 void AppendCanonicalRuleKey(const dl::Rule& rule, std::string& key,
                             std::vector<std::uint32_t>& renumber);
-
-struct RangeRestrictionViolation {
-  std::size_t rule_index = 0;
-  // Human-readable cause ("head variable X3 is unbound", "input of native
-  // 'leq' is unbound").
-  std::string detail;
-};
-
-// Validates every rule of `prog`; returns all violations (empty = safe to
-// evaluate).
-std::vector<RangeRestrictionViolation> ValidateRangeRestriction(
-    const dl::Program& prog);
 
 }  // namespace rapar::dlopt
 

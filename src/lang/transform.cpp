@@ -36,6 +36,26 @@ StmtPtr RemapVars(const StmtPtr& stmt, const std::vector<VarId>& mapping) {
   }
 }
 
+std::vector<Program> MergeVarTables(
+    const std::vector<const Program*>& programs) {
+  VarTable merged;
+  std::vector<std::vector<VarId>> mappings;
+  for (const Program* p : programs) {
+    std::vector<VarId>& mapping = mappings.emplace_back();
+    for (const std::string& name : p->vars().names()) {
+      mapping.push_back(merged.Add(name));
+    }
+  }
+  std::vector<Program> out;
+  out.reserve(programs.size());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const Program& p = *programs[i];
+    out.emplace_back(p.name(), merged, p.regs(), p.dom(),
+                     RemapVars(p.body(), mappings[i]));
+  }
+  return out;
+}
+
 namespace {
 
 StmtPtr ReplaceAsserts(const StmtPtr& stmt, VarId goal_var, RegId goal_reg,

@@ -13,6 +13,13 @@ namespace rapar {
 // into one system-wide table.
 StmtPtr RemapVars(const StmtPtr& stmt, const std::vector<VarId>& mapping);
 
+// Merges the programs' variable tables by name into one system-wide table,
+// in order of first appearance (programs in order, each table in id
+// order), and returns the programs rewritten onto it; each carries the
+// merged table.
+std::vector<Program> MergeVarTables(
+    const std::vector<const Program*>& programs);
+
 // The Message-Generation reduction of §4.1: replaces every `assert false`
 // by `goal_var := goal_value` through a dedicated register. `goal_var` must
 // already be present in the program's variable table; `goal_value` must be

@@ -13,16 +13,8 @@ namespace {
 
 bool GoalIn(const SimplConfig& cfg,
             const std::optional<std::pair<VarId, Value>>& goal) {
-  if (!goal.has_value()) return false;
-  const auto [gx, gv] = *goal;
-  for (const EnvMsg& m : cfg.env_msgs()) {
-    if (m.var == gx && m.val == gv) return true;
-  }
-  const auto& seq = cfg.DisMsgsOf(gx);
-  for (std::size_t p = 1; p < seq.size(); ++p) {
-    if (seq[p].val == gv) return true;
-  }
-  return false;
+  return goal.has_value() &&
+         cfg.HasGeneratedMessage(goal->first, goal->second);
 }
 
 }  // namespace
@@ -301,19 +293,6 @@ SimplResult SimplExplorer::Check(const SimplExplorerOptions& options) {
   }
   result.states = states.size();
   return result;
-}
-
-std::vector<StepEffect> ReplayWitness(const SimplSystem& sys,
-                                      const std::vector<SimplStep>& steps,
-                                      SimplConfig* final_cfg) {
-  SimplConfig cfg = InitialConfig(sys);
-  std::vector<StepEffect> effects;
-  effects.reserve(steps.size());
-  for (const SimplStep& step : steps) {
-    effects.push_back(ApplyStep(sys, cfg, step));
-  }
-  if (final_cfg != nullptr) *final_cfg = std::move(cfg);
-  return effects;
 }
 
 }  // namespace rapar

@@ -44,6 +44,15 @@ int SimplConfig::NextFreeGap(VarId x, int from) const {
   return gap;
 }
 
+bool SimplConfig::HasGeneratedMessage(VarId x, Value v) const {
+  const auto& seq = dis_mem_[x.index()];
+  return std::any_of(seq.begin() + 1, seq.end(),
+                     [&](const DisMsg& m) { return m.val == v; }) ||
+         std::any_of(env_msgs_.begin(), env_msgs_.end(), [&](const EnvMsg& m) {
+           return m.var == x && m.val == v;
+         });
+}
+
 void SimplConfig::ShiftFrom(VarId x, AbsTs threshold) {
   const std::size_t xi = x.index();
   for (auto& seq : dis_mem_) {

@@ -92,6 +92,11 @@ class SimplConfig {
   // Smallest unfrozen gap >= `from` (always exists: top gap is unfrozen).
   int NextFreeGap(VarId x, int from) const;
 
+  // True iff a message (x, v) other than x's init message is in memory:
+  // an env message, or a dis message above the init one. The Message
+  // Generation goal (§4.1) of the explorer and of witness minimisation.
+  bool HasGeneratedMessage(VarId x, Value v) const;
+
   // Inserts a dis message into gap `gap` on x. `base_view` is the storing
   // thread's (pre-insertion) view, already joined with the CAS load view
   // if applicable. `cas_on_dis` selects the CAS-loading-a-dis-message

@@ -1,6 +1,8 @@
 // A single transition of the simplified semantics, recorded with all
 // nondeterministic choices resolved so that it can be deterministically
-// replayed (depgraph/ rebuilds dependency graphs from step traces).
+// replayed (depgraph/ rebuilds dependency graphs from step traces). Fields
+// a step's instruction does not use keep their defaults; witness checking
+// compares whole steps (simplified/witness_min.h).
 #ifndef RAPAR_SIMPLIFIED_STEP_H_
 #define RAPAR_SIMPLIFIED_STEP_H_
 
@@ -31,6 +33,8 @@ struct SimplStep {
   std::int32_t gap = -1;
   // The step traverses an `assert false` edge.
   bool violation = false;
+
+  bool operator==(const SimplStep&) const = default;
 
   std::string ToString() const;
 };

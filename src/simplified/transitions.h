@@ -2,8 +2,10 @@
 //
 // The rules are documented in README-semantics.md. Enumeration and
 // application are split so that the explorer can enumerate candidate steps
-// cheaply while witness replay (depgraph) re-applies recorded steps
-// deterministically.
+// cheaply while witness replay (witness_min.h, depgraph/, trace rendering)
+// re-applies recorded steps deterministically. The enumerator is the one
+// statement of when a step is enabled: a recorded step is checked by
+// asking whether the kAll enumeration lists it (witness_min.h).
 #ifndef RAPAR_SIMPLIFIED_TRANSITIONS_H_
 #define RAPAR_SIMPLIFIED_TRANSITIONS_H_
 
@@ -20,6 +22,7 @@ namespace rapar {
 // README-semantics.md): kMinimal takes the least admissible unfrozen gap,
 // kAll enumerates every admissible unfrozen gap. dis *store* insertion
 // gaps are always fully enumerated — dis timestamps carry information.
+// kAll lists every enabled step, so it is also the witness check.
 enum class ViewChoice { kMinimal, kAll };
 
 // The threads of a parameterized instance in CFA form: one env template

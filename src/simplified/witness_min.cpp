@@ -6,98 +6,28 @@ namespace rapar {
 
 bool StepEnabled(const SimplSystem& sys, const SimplConfig& cfg,
                  const SimplStep& step) {
-  const bool is_env = step.actor == SimplStep::Actor::kEnv;
-  // Actor exists.
-  if (is_env) {
-    if (step.actor_index >= cfg.env_cfgs().size()) return false;
-  } else {
-    if (step.actor_index >= cfg.dis_threads().size()) return false;
-  }
-  const Cfa& cfa = is_env ? *sys.env : *sys.dis[step.actor_index];
-  const LocalCfg& lc = is_env ? cfg.env_cfgs()[step.actor_index]
-                              : cfg.dis_thread(step.actor_index);
-  // Edge exists and leaves the actor's control location.
-  if (step.edge >= cfa.edges().size()) return false;
-  const CfaEdge& edge = cfa.Edge(EdgeId(step.edge));
-  if (edge.from != lc.node) return false;
-  const Instr& instr = edge.instr;
-
-  auto msg_read_ok = [&](VarId x, Value expected_match,
-                         bool value_matters) -> bool {
-    if (step.read_kind == SimplStep::ReadKind::kDisMsg) {
-      const auto& seq = cfg.DisMsgsOf(x);
-      if (step.read_pos < 0 ||
-          step.read_pos >= static_cast<std::int32_t>(seq.size())) {
-        return false;
-      }
-      const DisMsg& msg = seq[step.read_pos];
-      if (value_matters && msg.val != expected_match) return false;
-      return msg.view[x] >= lc.view[x];
-    }
-    if (step.read_kind == SimplStep::ReadKind::kEnvMsg) {
-      const auto& msgs = cfg.env_msgs();
-      if (step.read_pos < 0 ||
-          step.read_pos >= static_cast<std::int32_t>(msgs.size())) {
-        return false;
-      }
-      const EnvMsg& msg = msgs[step.read_pos];
-      if (msg.var != x) return false;
-      if (value_matters && msg.val != expected_match) return false;
-      // Clone-promotion gap constraints.
-      if (step.gap < std::max(GapOf(lc.view[x]), GapOf(msg.ts()))) {
-        return false;
-      }
-      if (step.gap >= cfg.NumGaps(x)) return false;
-      return !cfg.GapFrozen(x, step.gap);
-    }
-    return false;
-  };
-
-  switch (instr.kind) {
-    case Instr::Kind::kNop:
-    case Instr::Kind::kAssign:
-    case Instr::Kind::kAssertFail:
-      return true;
-    case Instr::Kind::kAssume:
-      return instr.expr->Eval(lc.rv, sys.dom) != 0;
-    case Instr::Kind::kLoad:
-      return msg_read_ok(instr.var, 0, /*value_matters=*/false);
-    case Instr::Kind::kStore: {
-      const VarId x = instr.var;
-      if (step.gap < GapOf(lc.view[x]) || step.gap >= cfg.NumGaps(x)) {
-        return false;
-      }
-      return !cfg.GapFrozen(x, step.gap);
-    }
-    case Instr::Kind::kCas: {
-      if (is_env) return false;
-      const VarId x = instr.var;
-      const Value expected = lc.rv[instr.reg.index()];
-      if (step.read_kind == SimplStep::ReadKind::kDisMsg) {
-        const auto& seq = cfg.DisMsgsOf(x);
-        if (step.read_pos < 0 ||
-            step.read_pos >= static_cast<std::int32_t>(seq.size())) {
-          return false;
-        }
-        const DisMsg& msg = seq[step.read_pos];
-        return msg.val == expected && msg.view[x] >= lc.view[x] &&
-               !cfg.GapFrozen(x, step.read_pos);
-      }
-      return msg_read_ok(x, expected, /*value_matters=*/true);
-    }
-  }
-  return false;
+  const std::size_t actors = step.actor == SimplStep::Actor::kEnv
+                                 ? cfg.env_cfgs().size()
+                                 : cfg.dis_threads().size();
+  if (step.actor_index >= actors) return false;
+  std::vector<SimplStep> listed;
+  EnumerateActorSteps(sys, cfg, ViewChoice::kAll, step.actor,
+                      step.actor_index, listed);
+  return std::find(listed.begin(), listed.end(), step) != listed.end();
 }
 
-bool TryReplay(const SimplSystem& sys, const std::vector<SimplStep>& steps,
-               SimplConfig* final_cfg) {
+std::optional<std::vector<StepEffect>> ReplayWitness(
+    const SimplSystem& sys, const std::vector<SimplStep>& steps,
+    SimplConfig* final_cfg) {
   SimplConfig cfg = InitialConfig(sys);
+  std::vector<StepEffect> effects;
+  effects.reserve(steps.size());
   for (const SimplStep& step : steps) {
-    if (!StepEnabled(sys, cfg, step)) return false;
-    ApplyStep(sys, cfg, step);
+    if (!StepEnabled(sys, cfg, step)) return std::nullopt;
+    effects.push_back(ApplyStep(sys, cfg, step));
   }
   if (final_cfg != nullptr) *final_cfg = std::move(cfg);
-  return true;
+  return effects;
 }
 
 namespace {
@@ -171,7 +101,7 @@ std::vector<SimplStep> MinimizeWitness(const SimplSystem& sys,
                                        const WitnessProperty& property) {
   {
     SimplConfig final_cfg;
-    if (!TryReplay(sys, steps, &final_cfg) ||
+    if (!ReplayWitness(sys, steps, &final_cfg) ||
         !property(final_cfg, steps)) {
       return steps;  // refuse to "minimise" invalid input
     }
@@ -214,16 +144,8 @@ WitnessProperty ViolationProperty() {
 }
 
 WitnessProperty GoalProperty(VarId var, Value val) {
-  return [var, val](const SimplConfig& cfg,
-                    const std::vector<SimplStep>&) {
-    for (const EnvMsg& m : cfg.env_msgs()) {
-      if (m.var == var && m.val == val) return true;
-    }
-    const auto& seq = cfg.DisMsgsOf(var);
-    for (std::size_t p = 1; p < seq.size(); ++p) {
-      if (seq[p].val == val) return true;
-    }
-    return false;
+  return [var, val](const SimplConfig& cfg, const std::vector<SimplStep>&) {
+    return cfg.HasGeneratedMessage(var, val);
   };
 }
 

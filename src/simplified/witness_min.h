@@ -1,5 +1,8 @@
-// Witness minimisation.
+// Witness checking and minimisation.
 //
+// A witness is a run of the simplified semantics from the initial
+// configuration. A recorded step is checked against the explorer's own
+// step enumerator (transitions.h), so the enabling rules are written once.
 // The saturating explorer logs every env-saturation step it applies, so
 // witnesses contain messages and clone configurations irrelevant to the
 // violation. Greedy delta-debugging removes steps while the run stays
@@ -9,21 +12,26 @@
 #define RAPAR_SIMPLIFIED_WITNESS_MIN_H_
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "simplified/explorer.h"
 
 namespace rapar {
 
-// True iff `step` is enabled in `cfg` (same conditions EnumerateSteps
-// uses; never asserts). Used to re-validate candidate witnesses.
+// True iff `step` is enabled in `cfg`: its actor exists and
+// EnumerateActorSteps under ViewChoice::kAll lists it, every field equal
+// (DESIGN.md §2, "View-choice policy"). Asserts only where the enumerator
+// does: on an env CAS, which no system of the class has.
 bool StepEnabled(const SimplSystem& sys, const SimplConfig& cfg,
                  const SimplStep& step);
 
-// Replays `steps`; returns false as soon as a step is disabled. On
-// success fills *final_cfg (if non-null).
-bool TryReplay(const SimplSystem& sys, const std::vector<SimplStep>& steps,
-               SimplConfig* final_cfg);
+// Replays `steps` from the initial configuration and returns the effect
+// of each, or nullopt at the first step that is not enabled. On success
+// fills *final_cfg (if non-null).
+std::optional<std::vector<StepEffect>> ReplayWitness(
+    const SimplSystem& sys, const std::vector<SimplStep>& steps,
+    SimplConfig* final_cfg = nullptr);
 
 // The property the minimised witness must preserve, evaluated on the
 // final configuration and the step list (e.g. "last step is a violation"

@@ -127,6 +127,29 @@ TEST(DatalogReleaseGuardTest, MalformedOpNativesThrowCleanly) {
                   .derivable);
 }
 
+TEST(DatalogReleaseGuardTest, UnsafeRuleMessageNamesTheVariable) {
+  auto message = [](const Program& prog) -> std::string {
+    try {
+      ValidateProgram(prog);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  const std::string input =
+      message(WithNative(Op(Native::Op::kLeq, {V(0), V(7)}, std::nullopt)));
+  EXPECT_NE(input.find("(input X7 of native 'n' is not bound"),
+            std::string::npos)
+      << input;
+  Program prog;
+  PredId p = prog.AddPred("p", 1);
+  PredId q = prog.AddPred("q", 1);
+  prog.AddRule(Rule{Atom{q, {V(3)}}, {Atom{p, {V(0)}}}, {}});
+  const std::string head = message(prog);
+  EXPECT_NE(head.find("(head variable X3 is not bound"), std::string::npos)
+      << head;
+}
+
 TEST(DatalogReleaseGuardTest, FieldSpecsOutsideTheWordThrowCleanly) {
   auto field = [](Native::Op op, std::uint8_t shift, std::uint8_t width) {
     Native n = Op(op, {V(0), V(0)},

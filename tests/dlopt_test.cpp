@@ -232,7 +232,7 @@ TEST(RuleChecksTest, RangeRestrictionViolations) {
     r.natives.push_back(std::move(n));
     prog.AddRule(std::move(r));
   }
-  std::vector<RangeRestrictionViolation> v = ValidateRangeRestriction(prog);
+  std::vector<dl::UnboundVar> v = dl::UnboundVars(prog);
   ASSERT_EQ(v.size(), 2u);
   EXPECT_EQ(v[0].rule_index, 0u);
   EXPECT_EQ(v[1].rule_index, 1u);

@@ -11,6 +11,7 @@
 
 #include "lang/parser.h"
 #include "lang/unroll.h"
+#include "simplified/witness_min.h"
 
 namespace rapar {
 namespace {
@@ -408,8 +409,8 @@ TEST(SimplifiedWitnessTest, WitnessReplaysToViolation) {
   ASSERT_TRUE(r.violation);
   ASSERT_FALSE(r.witness.empty());
   SimplConfig final_cfg;
-  std::vector<StepEffect> effects =
-      ReplayWitness(s.sys, r.witness, &final_cfg);
+  const std::vector<StepEffect> effects =
+      ReplayWitness(s.sys, r.witness, &final_cfg).value();
   EXPECT_EQ(effects.size(), r.witness.size());
   // The witness contains at least: y := 1 (dis store), two env stores of
   // increasing values, two dis loads.

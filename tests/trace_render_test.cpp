@@ -1,6 +1,5 @@
-// Trace rendering: the Figure-3-style output is deterministic, mentions
-// the messages with their abstract views, and the snapshot mode prints
-// memory states.
+// Trace rendering: the Figure-3-style output is deterministic and
+// mentions the messages with their abstract views.
 #include "core/trace_render.h"
 
 #include <gtest/gtest.h>
@@ -40,20 +39,6 @@ TEST(TraceRenderTest, ElidingSilentStepsShortensOutput) {
   const std::string b = RenderTrace(pc.system.simpl(), r.witness, elided);
   EXPECT_GE(a.size(), b.size());
   EXPECT_NE(b.find("assertion violation"), std::string::npos);
-}
-
-TEST(TraceRenderTest, SnapshotsShowMemory) {
-  BenchmarkCase pc = ProducerConsumer(1);
-  SimplExplorer ex(pc.system.simpl());
-  SimplResult r = ex.Check({});
-  ASSERT_TRUE(r.violation);
-
-  TraceRenderOptions opts;
-  opts.memory_snapshots = true;
-  std::string text = RenderTrace(pc.system.simpl(), r.witness, opts);
-  // Snapshot lines list init messages "[0:0]" and env messages "(0+:1)".
-  EXPECT_NE(text.find("[0:0]"), std::string::npos) << text;
-  EXPECT_NE(text.find("(0+:1)"), std::string::npos) << text;
 }
 
 TEST(TraceRenderTest, RenderingIsDeterministic) {

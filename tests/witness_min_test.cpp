@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/benchmarks.h"
 #include "lowerbound/qbf.h"
 #include "lowerbound/tqbf_reduction.h"
@@ -35,16 +36,61 @@ TEST(StepEnabledTest, AgreesWithEnumerationOnRandomWalks) {
   }
 }
 
+TEST(StepEnabledTest, RejectsFieldsTheInstructionDoesNotUse) {
+  // The enumerator leaves the fields an instruction does not use at their
+  // defaults, so a step that sets one is not a step of the semantics:
+  // a nop or assume with a gap, a dis-message load with a gap, an env
+  // store that claims to read. Random walks over the catalog.
+  Rng rng(33);
+  int nop_or_assume = 0, dis_load = 0, env_store = 0;
+  for (const BenchmarkCase& bench : StandardBenchmarks()) {
+    const SimplSystem& sys = bench.system.simpl();
+    SimplConfig cfg = InitialConfig(sys);
+    for (int round = 0; round < 30; ++round) {
+      std::vector<SimplStep> steps;
+      EnumerateSteps(sys, cfg, ViewChoice::kMinimal, steps);
+      if (steps.empty()) break;
+      for (const SimplStep& s : steps) {
+        const bool env = s.actor == SimplStep::Actor::kEnv;
+        const Cfa& cfa = env ? *sys.env : *sys.dis[s.actor_index];
+        const Instr::Kind kind = cfa.Edge(EdgeId(s.edge)).instr.kind;
+        SimplStep bad = s;
+        if (kind == Instr::Kind::kNop || kind == Instr::Kind::kAssume) {
+          bad.gap = 0;
+          ++nop_or_assume;
+        } else if (kind == Instr::Kind::kLoad &&
+                   s.read_kind == SimplStep::ReadKind::kDisMsg) {
+          bad.gap = 0;
+          ++dis_load;
+        } else if (kind == Instr::Kind::kStore && env) {
+          bad.read_kind = SimplStep::ReadKind::kEnvMsg;
+          ++env_store;
+        } else {
+          continue;
+        }
+        EXPECT_TRUE(StepEnabled(sys, cfg, s)) << bench.name << " "
+                                              << s.ToString();
+        EXPECT_FALSE(StepEnabled(sys, cfg, bad)) << bench.name << " "
+                                                 << bad.ToString();
+      }
+      ApplyStep(sys, cfg, steps[rng.Below(steps.size())]);
+    }
+  }
+  EXPECT_GT(nop_or_assume, 0);
+  EXPECT_GT(dis_load, 0);
+  EXPECT_GT(env_store, 0);
+}
+
 TEST(TryReplayTest, AcceptsExplorerWitnessesAndRejectsCorruption) {
   BenchmarkCase pc = ProducerConsumer(2);
   SimplExplorer ex(pc.system.simpl());
   SimplResult r = ex.Check({});
   ASSERT_TRUE(r.violation);
-  EXPECT_TRUE(TryReplay(pc.system.simpl(), r.witness, nullptr));
+  EXPECT_TRUE(ReplayWitness(pc.system.simpl(), r.witness));
 
   std::vector<SimplStep> corrupted = r.witness;
   corrupted[0].edge = 9999;
-  EXPECT_FALSE(TryReplay(pc.system.simpl(), corrupted, nullptr));
+  EXPECT_FALSE(ReplayWitness(pc.system.simpl(), corrupted));
 }
 
 TEST(MinimizeWitnessTest, PreservesViolationAndNeverGrows) {
@@ -59,8 +105,7 @@ TEST(MinimizeWitnessTest, PreservesViolationAndNeverGrows) {
     std::vector<SimplStep> min = MinimizeWitness(
         bench.system.simpl(), r.witness, ViolationProperty());
     EXPECT_LE(min.size(), before) << bench.name;
-    EXPECT_TRUE(TryReplay(bench.system.simpl(), min, nullptr))
-        << bench.name;
+    EXPECT_TRUE(ReplayWitness(bench.system.simpl(), min)) << bench.name;
     ASSERT_FALSE(min.empty()) << bench.name;
     EXPECT_TRUE(min.back().violation) << bench.name;
   }
@@ -77,7 +122,7 @@ TEST(MinimizeWitnessTest, GoalPropertyKeepsTheGoalMessage) {
   std::vector<SimplStep> min =
       MinimizeWitness(pc.system.simpl(), r.witness, GoalProperty(x, 2));
   SimplConfig final_cfg;
-  ASSERT_TRUE(TryReplay(pc.system.simpl(), min, &final_cfg));
+  ASSERT_TRUE(ReplayWitness(pc.system.simpl(), min, &final_cfg));
   bool found = false;
   for (const EnvMsg& m : final_cfg.env_msgs()) {
     if (m.var == x && m.val == 2) found = true;

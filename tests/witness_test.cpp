@@ -7,7 +7,7 @@
 #include "core/benchmarks.h"
 #include "core/verifier.h"
 #include "depgraph/dep_graph.h"
-#include "simplified/explorer.h"
+#include "simplified/witness_min.h"
 
 namespace rapar {
 namespace {
@@ -26,12 +26,13 @@ TEST_P(WitnessTest, ViolationWitnessesReplay) {
   }
   ASSERT_FALSE(r.witness.empty()) << bench.name;
 
-  // Replay must succeed (ApplyStep asserts on disabled steps) and the
-  // final step must be the violating one.
+  // Replay must succeed (every step is enabled) and the final step must
+  // be the violating one.
   SimplConfig final_cfg;
-  std::vector<StepEffect> effects =
+  std::optional<std::vector<StepEffect>> effects =
       ReplayWitness(bench.system.simpl(), r.witness, &final_cfg);
-  EXPECT_EQ(effects.size(), r.witness.size());
+  ASSERT_TRUE(effects) << bench.name;
+  EXPECT_EQ(effects->size(), r.witness.size());
   EXPECT_TRUE(r.witness.back().violation) << bench.name;
 
   // The dependency graph builds and is well-formed.
@@ -59,7 +60,8 @@ TEST_P(WitnessTest, GoalWitnessesContainTheGoalMessage) {
       SimplResult r = ex.Check(opts);
       if (!r.goal_reached) continue;
       SimplConfig final_cfg;
-      ReplayWitness(bench.system.simpl(), r.witness, &final_cfg);
+      ASSERT_TRUE(ReplayWitness(bench.system.simpl(), r.witness, &final_cfg))
+          << bench.name;
       bool found = false;
       for (const EnvMsg& m : final_cfg.env_msgs()) {
         if (m.var == x && m.val == d) found = true;
