@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full hygiene check: build + test the default preset and run the CLI
-# smokes, then the test suite again under ASan+UBSan, then (optionally,
+# smokes, then the benchmark's own tests (rabench/test_determinism.py),
+# then the test suite again under ASan+UBSan, then (optionally,
 # CHECK_WERROR=1) verify the tree is warning-clean with -Werror. CI
-# (.github/workflows/ci.yml) runs the same presets, and the same smokes
-# and bench gates through scripts/smoke.sh. Needs jq.
+# (.github/workflows/ci.yml) runs the same presets, the same benchmark
+# tests, and the same smokes and bench gates through scripts/smoke.sh.
+# Needs jq.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +20,13 @@ if [[ "${CHECK_SKIP_DEFAULT:-0}" != "1" ]]; then
   # (scripts/smoke.sh has the steps and their gates).
   scripts/smoke.sh build/smoke cli
 fi
+
+# The benchmark drivers compile against src/ on their own (rabench/
+# CMakeLists.txt) and its traced replay calls MakeP, OptimizeForQuery and
+# the engine directly, so a src/ change can break the benchmark build
+# while ctest stays green. Builds into .bench_build/ (about 35 s on 4
+# vCPUs once it exists).
+python3 rabench/test_determinism.py
 
 # The full suite under ASan+UBSan, plus libstdc++'s _GLIBCXX_ASSERTIONS
 # bounds checks (RAPAR_SANITIZE in CMakeLists.txt): an out-of-range []

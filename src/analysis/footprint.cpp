@@ -2,30 +2,6 @@
 
 namespace rapar {
 
-VarFootprint ComputeFootprint(const Cfa& cfa) {
-  const std::size_t num_vars = cfa.program().vars().size();
-  VarFootprint fp;
-  fp.loaded.assign(num_vars, false);
-  fp.stored.assign(num_vars, false);
-  fp.cased.assign(num_vars, false);
-  for (const CfaEdge& edge : cfa.edges()) {
-    switch (edge.instr.kind) {
-      case Instr::Kind::kLoad:
-        fp.loaded[edge.instr.var.index()] = true;
-        break;
-      case Instr::Kind::kStore:
-        fp.stored[edge.instr.var.index()] = true;
-        break;
-      case Instr::Kind::kCas:
-        fp.cased[edge.instr.var.index()] = true;
-        break;
-      default:
-        break;
-    }
-  }
-  return fp;
-}
-
 std::vector<bool> ObservedVars(const std::vector<const Cfa*>& cfas,
                                std::size_t num_vars) {
   std::vector<bool> observed(num_vars, false);

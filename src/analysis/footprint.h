@@ -1,7 +1,4 @@
-// Variable footprint analysis: which shared variables each thread reads
-// and writes.
-//
-// The interesting derived fact is the *observed* set of a system — the
+// Variable footprint analysis: the *observed* set of a system — the
 // variables some thread loads or CASes. A store to a variable outside the
 // observed set can never influence any thread: under RA its message joins
 // only that variable's timeline, no load ever acquires it, and a CAS would
@@ -15,20 +12,6 @@
 #include "lang/cfa.h"
 
 namespace rapar {
-
-struct VarFootprint {
-  // Indexed by VarId over the CFA's (system-wide) variable table.
-  std::vector<bool> loaded;  // appears as a load source
-  std::vector<bool> stored;  // appears as a store target
-  std::vector<bool> cased;   // appears in a cas (read *and* written)
-
-  bool Observes(VarId v) const {
-    return loaded[v.index()] || cased[v.index()];
-  }
-  bool Writes(VarId v) const { return stored[v.index()] || cased[v.index()]; }
-};
-
-VarFootprint ComputeFootprint(const Cfa& cfa);
 
 // Variables loaded or CAS'd by at least one of the given CFAs. All CFAs
 // must share one variable table of size `num_vars` (the system-wide table

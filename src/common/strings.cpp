@@ -1,6 +1,8 @@
 #include "common/strings.h"
 
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 namespace rapar {
 
@@ -37,6 +39,10 @@ std::string SourceCaret(const std::string& text, int line, int col) {
 }
 
 std::optional<std::string> ReadFile(const std::string& path) {
+  // Checked before the open: opening a FIFO blocks until a writer comes,
+  // a directory opens and reads as empty, and a device may never end.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return std::nullopt;
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream ss;

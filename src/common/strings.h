@@ -69,8 +69,9 @@ std::string Join(const std::vector<std::string>& parts,
 // render source context identically.
 std::string SourceCaret(const std::string& text, int line, int col);
 
-// The whole contents of the file at `path`; nullopt when it cannot be
-// opened. The one file reader of the library and its front ends.
+// The whole contents of the file at `path`; nullopt when it is not a
+// regular file (after following symlinks) or cannot be opened. The one
+// file reader of the library and its front ends.
 std::optional<std::string> ReadFile(const std::string& path);
 
 }  // namespace rapar

@@ -79,7 +79,6 @@ void ExportDatalogStats(const DatalogVerdict& dv, obs::Telemetry& t) {
   t.SetCounter(metric::kDlOptUnproductive, o.unproductive_removed);
   t.SetCounter(metric::kDlOptUnreachable, o.unreachable_removed);
   t.SetCounter(metric::kDlOptDemand, o.demand_removed);
-  t.SetCounter(metric::kDlOptDuplicates, o.duplicates_removed);
   t.SetCounter(metric::kDlOptCopyAliased, o.copy_aliased_removed);
   t.SetCounter(metric::kDlOptPredsBefore, o.preds_before);
   t.SetCounter(metric::kDlOptPredsAfter, o.preds_after);
@@ -115,7 +114,6 @@ dlopt::DlOptStats DlOptOf(const obs::Telemetry& t) {
   s.unproductive_removed = t.counter(metric::kDlOptUnproductive);
   s.unreachable_removed = t.counter(metric::kDlOptUnreachable);
   s.demand_removed = t.counter(metric::kDlOptDemand);
-  s.duplicates_removed = t.counter(metric::kDlOptDuplicates);
   s.copy_aliased_removed = t.counter(metric::kDlOptCopyAliased);
   s.preds_before = t.counter(metric::kDlOptPredsBefore);
   s.preds_after = t.counter(metric::kDlOptPredsAfter);

@@ -75,13 +75,10 @@ struct Native {
   // timestamps of a view into such fields (encoding/makep.h).
   std::uint8_t shift = 0;
   std::uint8_t width = 32;
+  // What the printers show and ValidateProgram's messages name. It does
+  // not identify the function: makeP names every expression check
+  // "assume".
   std::string name;
-  // Semantic identity token: two natives with equal `op`, field spec,
-  // `tag`, `inputs` and `output` compute the same function. Emitters must
-  // make the tag capture everything `fn` closes over (e.g. "assume:r0==1",
-  // not just "assume"); an empty tag means "unknown function" and compares
-  // equal to nothing, which keeps rule dedup (src/dlopt/) conservative.
-  std::string tag;
   std::vector<Term> inputs;
   std::optional<VarSym> output;
   // kCall only. Returns false to reject the binding. If `output` is set,

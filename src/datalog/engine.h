@@ -55,12 +55,6 @@ class Database {
   // Eval consumers; evaluation uses Size/At/Row.
   std::vector<std::vector<Sym>> Tuples(PredId pred) const;
 
-  std::size_t TotalTuples() const {
-    std::size_t n = 0;
-    for (const auto& e : exts_) n += e.n;
-    return n;
-  }
-
   std::size_t num_preds() const { return exts_.size(); }
 
   // Empties every extension and sets the predicate count, keeping

@@ -62,12 +62,6 @@ DlAnalysis AnalyzeDlProgram(const dl::Program& prog, const dl::Atom& goal,
                     "' — its head constants are outside the cone the "
                     "query demands"));
         break;
-      case RemovalCause::kDuplicate:
-        emit(Severity::kWarning, "RA023",
-             StrCat("duplicate rule: '", rule,
-                    "' (equal to an earlier rule up to variable "
-                    "renaming)"));
-        break;
       case RemovalCause::kCopyAliased:
         emit(Severity::kNote, "RA027",
              StrCat("copy rule inlined: '", rule,

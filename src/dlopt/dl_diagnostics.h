@@ -11,7 +11,7 @@
 //                   that can hold a tuple
 //   RA022  note     rule head specialises outside the demanded constant
 //                   cone (magic-sets-lite would never ask for it)
-//   RA023  warning  duplicate rule (equal up to variable renaming)
+//   RA023  retired (the duplicate-rule pass was removed); never reused
 //   RA024  retired (the θ-subsumption pass was removed); never reused
 //   RA025  error    range-restriction violation: unbound head variable or
 //                   native input — the rule is not evaluable
@@ -37,7 +37,7 @@ struct DlAnalysis {
   PredGraph graph;
   WidthReport width;
   OptimizeResult opt;
-  std::vector<Diagnostic> diagnostics;  // RA020–RA026, sorted
+  std::vector<Diagnostic> diagnostics;  // RA020–RA027, sorted
 };
 
 DlAnalysis AnalyzeDlProgram(const dl::Program& prog, const dl::Atom& goal,

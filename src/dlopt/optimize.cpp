@@ -4,12 +4,9 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "common/strings.h"
-#include "dlopt/pred_graph.h"
-#include "dlopt/rule_checks.h"
 #include "obs/trace.h"
 
 namespace rapar::dlopt {
@@ -20,7 +17,6 @@ DlOptStats& DlOptStats::operator+=(const DlOptStats& o) {
   unproductive_removed += o.unproductive_removed;
   unreachable_removed += o.unreachable_removed;
   demand_removed += o.demand_removed;
-  duplicates_removed += o.duplicates_removed;
   copy_aliased_removed += o.copy_aliased_removed;
   preds_before += o.preds_before;
   preds_after += o.preds_after;
@@ -31,8 +27,7 @@ std::string DlOptStats::ToString() const {
   return StrCat("rules ", rules_before, " -> ", rules_after,
                 " (unreachable ", unreachable_removed, ", unproductive ",
                 unproductive_removed, ", demand ", demand_removed,
-                ", dup ", duplicates_removed, ", aliased ",
-                copy_aliased_removed, ")");
+                ", aliased ", copy_aliased_removed, ")");
 }
 
 namespace {
@@ -132,11 +127,10 @@ class Optimizer {
       return fn();
     };
 
-    // Passes 1–3 and 5 shrink each other's inputs; iterate to fixpoint,
-    // then run the (pricier) duplicate pass once and give the cheap passes
-    // one more chance on its output.
-    auto cheap_passes = [&, this] {
-      bool changed = false;
+    // The passes shrink each other's inputs; iterate to fixpoint.
+    bool changed = true;
+    while (changed) {
+      changed = false;
       changed |= timed("dlopt:unproductive", [&] {
         return DropUnproductive(&stats.unproductive_removed);
       });
@@ -149,14 +143,7 @@ class Optimizer {
       changed |= timed("dlopt:copy_alias", [&] {
         return DropCopyAliases(&stats.copy_aliased_removed);
       });
-      return changed;
-    };
-    bool changed = true;
-    while (changed) changed = cheap_passes();
-    changed = timed("dlopt:duplicates", [&] {
-      return DropDuplicates(&stats.duplicates_removed);
-    });
-    while (changed) changed = cheap_passes();
+    }
 
     // Count before the survivors are moved out of rules_.
     stats.preds_after = MentionedPreds();
@@ -437,42 +424,6 @@ class Optimizer {
     return true;
   }
 
-  // Within each group of alive rules with equal canonical keys, the
-  // lowest-index rule survives. The keys are laid end to end in one
-  // buffer and grouped by sorting (key, rule index).
-  bool DropDuplicates(std::size_t* count) {
-    keys_.clear();
-    key_end_.clear();
-    key_rule_.clear();
-    for (std::size_t i = 0; i < cause_.size(); ++i) {
-      if (!Alive(i)) continue;
-      AppendCanonicalRuleKey(rules_[i], keys_, renumber_);
-      key_end_.push_back(keys_.size());
-      key_rule_.push_back(i);
-    }
-    // Key k ends at key_end_[k] and belongs to rule key_rule_[k]; the
-    // positions k are sorted, so each key stays addressable.
-    order_.resize(key_rule_.size());
-    for (std::size_t k = 0; k < order_.size(); ++k) order_[k] = k;
-    const auto key = [this](std::size_t k) {
-      const std::size_t begin = k == 0 ? 0 : key_end_[k - 1];
-      return std::string_view(keys_).substr(begin, key_end_[k] - begin);
-    };
-    std::sort(order_.begin(), order_.end(),
-              [&](std::size_t a, std::size_t b) {
-                const int c = key(a).compare(key(b));
-                return c < 0 || (c == 0 && a < b);
-              });
-    bool changed = false;
-    for (std::size_t k = 1; k < order_.size(); ++k) {
-      if (key(order_[k]) != key(order_[k - 1])) continue;
-      cause_[key_rule_[order_[k]]] = RemovalCause::kDuplicate;
-      ++*count;
-      changed = true;
-    }
-    return changed;
-  }
-
   dl::Program prog_;  // rules moved out into rules_; tables stay
   const dl::Atom goal_;
   const DlOptOptions& options_;
@@ -506,11 +457,6 @@ class Optimizer {
   std::vector<std::size_t> defs_;
   std::vector<std::size_t> def_rule_;
   std::vector<dl::PredId> alias_;
-  std::string keys_;
-  std::vector<std::size_t> key_end_;
-  std::vector<std::size_t> key_rule_;
-  std::vector<std::size_t> order_;
-  std::vector<std::uint32_t> renumber_;
 };
 
 }  // namespace

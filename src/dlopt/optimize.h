@@ -2,7 +2,7 @@
 //
 // `OptimizeForQuery` rewrites a program into a smaller one with the same
 // answer to a fixed ground query — verdict-preserving by construction,
-// checked by tests/dlopt_differential_test.cpp. Five transformations, to
+// checked by tests/dlopt_differential_test.cpp. Four transformations, to
 // fixpoint:
 //
 //   1. unproductive-rule elimination — a body atom that unifies with the
@@ -22,13 +22,16 @@
 //      surviving rule or the query can consume. For the makeP encoding
 //      this specialises on the ground arguments of the dis guess: control
 //      locations, read values, goal variable/value;
-//   4. duplicate-rule removal (rule_checks.h);
-//   5. copy-rule aliasing — a predicate whose single deriving rule is an
+//   4. copy-rule aliasing — a predicate whose single deriving rule is an
 //      identity copy  p(X0..Xn) :- q(X0..Xn)  (distinct variables, no
 //      natives, no facts for p) is extensionally equal to q; every
 //      occurrence of p is rewritten to q and the copy rule dropped. The
 //      dis-chain steps makeP emits for nop/assume/assign are exactly this
 //      shape, so long guessed runs collapse to their load/store skeleton.
+//
+// Rules equal up to a renaming of their variables all stay: the least
+// model depends only on the set of rules, so a renamed copy derives no
+// tuple the first does not (DESIGN.md §24).
 //
 // The input program is consumed: the result *is* the input with its
 // surviving rules, so it keeps the input's predicate and constant tables
@@ -63,7 +66,6 @@ struct DlOptStats {
   std::size_t unproductive_removed = 0;
   std::size_t unreachable_removed = 0;
   std::size_t demand_removed = 0;
-  std::size_t duplicates_removed = 0;
   std::size_t copy_aliased_removed = 0;
   // Predicates mentioned by rules before vs after.
   std::size_t preds_before = 0;
@@ -72,8 +74,8 @@ struct DlOptStats {
   std::size_t removed() const { return rules_before - rules_after; }
   bool Any() const { return removed() > 0; }
   DlOptStats& operator+=(const DlOptStats& o);
-  // "rules 120 -> 45 (unreachable 50, unproductive 10, demand 12, dup 2,
-  // aliased 1)".
+  // "rules 120 -> 45 (unreachable 50, unproductive 10, demand 12,
+  // aliased 3)".
   std::string ToString() const;
 };
 
@@ -84,7 +86,6 @@ enum class RemovalCause : std::uint8_t {
   kUnproductive,
   kUnreachable,
   kUndemanded,
-  kDuplicate,
   kCopyAliased,
 };
 

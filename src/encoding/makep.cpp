@@ -153,7 +153,6 @@ class Builder {
     n.shift = static_cast<std::uint8_t>(Shift(y));
     n.width = static_cast<std::uint8_t>(layout_.bits);
     n.name = "leq";
-    n.tag = "leq";
     n.inputs = {a, b};
     return n;
   }
@@ -164,7 +163,6 @@ class Builder {
     n.op = Native::Op::kMax;
     n.width = static_cast<std::uint8_t>(layout_.bits);
     n.name = "max";
-    n.tag = "max";
     n.inputs = {a, b};
     n.output = out;
     return n;
@@ -211,7 +209,6 @@ class Builder {
   Native ExprCheck(const ExprPtr& expr) const {
     Native n;
     n.name = "assume";
-    n.tag = StrCat("assume:", expr->ToString(sys_.env->program().regs()));
     for (std::size_t r = 0; r < m_; ++r) {
       n.inputs.push_back(V(static_cast<dl::VarSym>(r)));
     }
@@ -226,7 +223,6 @@ class Builder {
   Native ExprFn(const ExprPtr& expr, dl::VarSym out) const {
     Native n;
     n.name = "eval";
-    n.tag = StrCat("eval:", expr->ToString(sys_.env->program().regs()));
     for (std::size_t r = 0; r < m_; ++r) {
       n.inputs.push_back(V(static_cast<dl::VarSym>(r)));
     }

@@ -163,27 +163,12 @@ bool Cfa::IsAcyclic() const {
   return true;
 }
 
-bool Cfa::HasCas() const {
-  for (const auto& e : edges_) {
-    if (e.instr.kind == Instr::Kind::kCas) return true;
-  }
-  return false;
-}
-
 int Cfa::CountStoreInstructions() const {
   int count = 0;
   for (const auto& e : edges_) {
     if (e.instr.IsStoreLike()) ++count;
   }
   return count;
-}
-
-std::vector<NodeId> Cfa::TerminalNodes() const {
-  std::vector<NodeId> out;
-  for (std::size_t i = 0; i < num_nodes_; ++i) {
-    if (out_edges_[i].empty()) out.push_back(NodeId(static_cast<std::uint32_t>(i)));
-  }
-  return out;
 }
 
 std::string Cfa::ToString() const {

@@ -38,10 +38,6 @@ struct Instr {
   RegId reg2 = RegId::Invalid();  // kCas desired-value register
   SrcLoc loc;                     // source position of the originating Stmt
 
-  // True if the instruction interacts with shared memory.
-  bool IsMemoryAccess() const {
-    return kind == Kind::kLoad || kind == Kind::kStore || kind == Kind::kCas;
-  }
   // True if executing the instruction adds a message to memory.
   bool IsStoreLike() const {
     return kind == Kind::kStore || kind == Kind::kCas;
@@ -84,15 +80,11 @@ class Cfa {
 
   // True if no cycle is reachable from the entry (the `acyc` restriction).
   bool IsAcyclic() const;
-  // True if the program contains a CAS edge (negation of `nocas`).
-  bool HasCas() const;
   // Number of store edges + CAS edges. For acyclic programs this bounds the
   // number of store events any single execution performs (each edge is
   // traversed at most once on a path), which drives the timestamp budget T
   // of §4.1.
   int CountStoreInstructions() const;
-  // Nodes with no outgoing edges (program termination points).
-  std::vector<NodeId> TerminalNodes() const;
 
   // Multi-line dump for debugging and goldens.
   std::string ToString() const;

@@ -9,8 +9,10 @@
 // Verdict::ToString (core/verifier.cpp) reads its text from it.
 //
 // Names are part of the machine-readable schema: once shipped in a
-// release they may be added to but not renamed. The canonical list is
-// the `metric::` constants below, documented in DESIGN.md §9.
+// release they may be added to but not renamed, and a name goes only
+// with the mechanism it counts (DESIGN.md §9 lists the retired ones).
+// The canonical list is the `metric::` constants below, documented in
+// DESIGN.md §9.
 #ifndef RAPAR_OBS_TELEMETRY_H_
 #define RAPAR_OBS_TELEMETRY_H_
 
@@ -71,7 +73,6 @@ inline constexpr char kDlOptRulesAfter[] = "dlopt.rules_after";
 inline constexpr char kDlOptUnproductive[] = "dlopt.unproductive_removed";
 inline constexpr char kDlOptUnreachable[] = "dlopt.unreachable_removed";
 inline constexpr char kDlOptDemand[] = "dlopt.demand_removed";
-inline constexpr char kDlOptDuplicates[] = "dlopt.duplicates_removed";
 inline constexpr char kDlOptCopyAliased[] = "dlopt.copy_aliased_removed";
 inline constexpr char kDlOptPredsBefore[] = "dlopt.preds_before";
 inline constexpr char kDlOptPredsAfter[] = "dlopt.preds_after";

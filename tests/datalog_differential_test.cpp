@@ -265,7 +265,7 @@ Program RandomNativeDatalog(Rng& rng) {
       switch (rng.Below(4)) {
         case 0:
           n.op = Native::Op::kLeq;
-          n.name = n.tag = "leq";
+          n.name = "leq";
           if (rng.Chance(1, 2)) {
             n.width = static_cast<std::uint8_t>(1 + rng.Below(32));
             n.shift = static_cast<std::uint8_t>(rng.Below(33 - n.width));
@@ -273,18 +273,18 @@ Program RandomNativeDatalog(Rng& rng) {
           break;
         case 1:
           n.op = Native::Op::kMax;
-          n.name = n.tag = "max";
+          n.name = "max";
           n.output = output();
           if (rng.Chance(1, 2)) {
             n.width = static_cast<std::uint8_t>(1 + rng.Below(32));
           }
           break;
         case 2:
-          n.name = n.tag = "differ";
+          n.name = "differ";
           n.fn = [](std::span<const Sym> in, Sym*) { return in[0] != in[1]; };
           break;
         default:
-          n.name = n.tag = "flip";
+          n.name = "flip";
           n.inputs.pop_back();
           n.fn = [](std::span<const Sym> in, Sym* out) {
             *out = 0xffffffffu - in[0];

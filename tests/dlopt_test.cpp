@@ -5,12 +5,12 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "datalog/engine.h"
 #include "dlopt/dl_diagnostics.h"
 #include "dlopt/optimize.h"
 #include "dlopt/pred_graph.h"
-#include "dlopt/rule_checks.h"
 #include "dlopt/width.h"
 
 namespace rapar::dlopt {
@@ -25,11 +25,10 @@ using dl::Rule;
 using dl::Sym;
 using dl::V;
 
-Native TaggedCheck(const std::string& tag, std::vector<dl::Term> inputs,
-                   bool result = true) {
+Native NamedCheck(const std::string& name, std::vector<dl::Term> inputs,
+                  bool result = true) {
   Native n;
-  n.name = tag;
-  n.tag = tag;
+  n.name = name;
   n.inputs = std::move(inputs);
   n.fn = [result](std::span<const Sym>, Sym*) { return result; };
   return n;
@@ -126,87 +125,6 @@ TEST(PredGraphTest, DumpsMentionEveryUsedPredicate) {
 
 // --- rule checks ---------------------------------------------------------
 
-TEST(RuleChecksTest, CanonicalKeyIdentifiesRenamedRules) {
-  Program prog;
-  PredId p = prog.AddPred("p", 2);
-  PredId q = prog.AddPred("q", 2);
-  Rule r1{Atom{p, {V(0), V(1)}}, {Atom{q, {V(0), V(1)}}}, {}};
-  Rule r2{Atom{p, {V(5), V(9)}}, {Atom{q, {V(5), V(9)}}}, {}};
-  Rule r3{Atom{p, {V(1), V(0)}}, {Atom{q, {V(0), V(1)}}}, {}};
-  EXPECT_EQ(CanonicalRuleKey(r1), CanonicalRuleKey(r2));
-  EXPECT_NE(CanonicalRuleKey(r1), CanonicalRuleKey(r3));
-}
-
-TEST(RuleChecksTest, UntaggedNativesNeverCollide) {
-  Program prog;
-  PredId p = prog.AddPred("p", 1);
-  PredId q = prog.AddPred("q", 1);
-  auto make = [&]() {
-    Rule r{Atom{p, {V(0)}}, {Atom{q, {V(0)}}}, {}};
-    Native n;
-    n.name = "mystery";
-    n.inputs = {V(0)};
-    n.fn = [](std::span<const Sym>, Sym*) { return true; };
-    r.natives.push_back(std::move(n));
-    return r;
-  };
-  Rule r1 = make();
-  Rule r2 = make();
-  EXPECT_NE(CanonicalRuleKey(r1), CanonicalRuleKey(r2));
-}
-
-TEST(RuleChecksTest, NativeOpIsPartOfItsIdentity) {
-  Program prog;
-  PredId p = prog.AddPred("p", 1);
-  PredId q = prog.AddPred("q", 2);
-  // p(X2) :- q(X0, X1), <native>[X0, X1] -> X2, under one tag and two ops.
-  auto make = [&](Native::Op op) {
-    Rule r{Atom{p, {V(2)}}, {Atom{q, {V(0), V(1)}}}, {}};
-    Native n;
-    n.op = op;
-    n.name = n.tag = "join";
-    n.inputs = {V(0), V(1)};
-    n.output = 2;
-    if (op == Native::Op::kCall) {
-      n.fn = [](std::span<const Sym> in, Sym* out) {
-        *out = in[0];
-        return true;
-      };
-    }
-    r.natives.push_back(std::move(n));
-    return r;
-  };
-  const Rule max = make(Native::Op::kMax);
-  const Rule call = make(Native::Op::kCall);
-  EXPECT_EQ(CanonicalRuleKey(max), CanonicalRuleKey(make(Native::Op::kMax)));
-  EXPECT_NE(CanonicalRuleKey(max), CanonicalRuleKey(call));
-}
-
-TEST(RuleChecksTest, NativeFieldIsPartOfItsIdentity) {
-  Program prog;
-  PredId p = prog.AddPred("p", 1);
-  PredId q = prog.AddPred("q", 2);
-  // p(X0) :- q(X0, X1), leq[X0, X1] on bits [shift, shift + width).
-  auto make = [&](std::uint8_t shift, std::uint8_t width) {
-    Rule r{Atom{p, {V(0)}}, {Atom{q, {V(0), V(1)}}}, {}};
-    Native n;
-    n.op = Native::Op::kLeq;
-    n.shift = shift;
-    n.width = width;
-    n.name = n.tag = "leq";
-    n.inputs = {V(0), V(1)};
-    r.natives.push_back(std::move(n));
-    return r;
-  };
-  const Rule word = make(0, 32);
-  const Rule low = make(0, 3);
-  const Rule next = make(3, 3);
-  EXPECT_EQ(CanonicalRuleKey(low), CanonicalRuleKey(make(0, 3)));
-  EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(word));
-  EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(next));
-  EXPECT_NE(CanonicalRuleKey(low), CanonicalRuleKey(make(0, 4)));
-}
-
 TEST(RuleChecksTest, RangeRestrictionViolations) {
   Program prog;
   PredId p = prog.AddPred("p", 1);
@@ -216,14 +134,14 @@ TEST(RuleChecksTest, RangeRestrictionViolations) {
   // Bad: native input V2 unbound.
   {
     Rule r{Atom{p, {V(0)}}, {Atom{q, {V(0)}}}, {}};
-    r.natives.push_back(TaggedCheck("chk", {V(2)}));
+    r.natives.push_back(NamedCheck("chk", {V(2)}));
     prog.AddRule(std::move(r));
   }
   // Good: head variable bound by a native *output*, whose input chains
   // from the body.
   {
     Rule r{Atom{p, {V(3)}}, {Atom{q, {V(0)}}}, {}};
-    Native n = TaggedCheck("mk", {V(0)});
+    Native n = NamedCheck("mk", {V(0)});
     n.output = 3;
     n.fn = [](std::span<const Sym> in, Sym* o) {
       *o = in[0];
@@ -460,7 +378,7 @@ TEST(OptimizeTest, DemandTopWhenPositionHasVariableUse) {
   EXPECT_EQ(r.prog.size(), prog.size());
 }
 
-TEST(OptimizeTest, RemovesDuplicatesAndSubsumed) {
+TEST(OptimizeTest, KeepsRulesEqualUpToRenaming) {
   Program prog;
   PredId p = prog.AddPred("p", 1);
   PredId q = prog.AddPred("q", 2);
@@ -468,18 +386,30 @@ TEST(OptimizeTest, RemovesDuplicatesAndSubsumed) {
   Sym k = prog.ConstSym("k");
   prog.AddFact(Atom{q, {C(a), C(k)}});
   prog.AddRule(Rule{Atom{p, {V(0)}}, {Atom{q, {V(0), V(1)}}}, {}});
-  // Duplicate of the rule above, different variable numbering.
+  // The rule above with its variables renamed: it derives nothing new,
+  // and the optimizer has no pass that looks for it, so it stays.
   prog.AddRule(Rule{Atom{p, {V(7)}}, {Atom{q, {V(7), V(3)}}}, {}});
-  // Strictly more specific than the general rule, but not a duplicate:
-  // the optimizer has no subsumption pass, so it stays.
+  // Strictly more specific than the general rule: it stays too.
   prog.AddRule(Rule{Atom{p, {V(0)}}, {Atom{q, {V(0), C(k)}}}, {}});
-  OptimizeResult r = OptimizeForQuery(prog, Atom{p, {C(a)}});
-  EXPECT_EQ(r.stats.duplicates_removed, 1u);
+  const Atom goal{p, {C(a)}};
+  OptimizeResult r = OptimizeForQuery(prog, goal);
   ASSERT_EQ(r.cause.size(), 4u);
-  EXPECT_EQ(r.cause[2], RemovalCause::kDuplicate);
-  EXPECT_EQ(r.cause[3], RemovalCause::kKept);
-  EXPECT_EQ(r.prog.size(), 3u);
-  EXPECT_TRUE(dl::Query(r.prog, Atom{p, {C(a)}}));
+  for (const RemovalCause c : r.cause) EXPECT_EQ(c, RemovalCause::kKept);
+  EXPECT_EQ(r.stats.rules_after, 4u);
+  EXPECT_EQ(r.prog.ToString(), prog.ToString());
+  // The kept copy changes no tuple: the raw and the optimized program
+  // derive the same extensions and answer the query alike.
+  EXPECT_TRUE(dl::Query(prog, goal));
+  EXPECT_TRUE(dl::Query(r.prog, goal));
+  const dl::Database raw = dl::Eval(prog);
+  const dl::Database opt = dl::Eval(r.prog);
+  for (const PredId pred : {p, q}) {
+    std::vector<std::vector<Sym>> raw_tuples = raw.Tuples(pred);
+    std::vector<std::vector<Sym>> opt_tuples = opt.Tuples(pred);
+    std::sort(raw_tuples.begin(), raw_tuples.end());
+    std::sort(opt_tuples.begin(), opt_tuples.end());
+    EXPECT_EQ(opt_tuples, raw_tuples) << prog.pred(pred).name;
+  }
 }
 
 TEST(OptimizeTest, StatsToStringIsReadable) {
@@ -554,7 +484,8 @@ TEST(OptimizeTest, CopyAliasRespectsExtraDerivationsAndTheGoal) {
 
 TEST(DlDiagnosticsTest, EmitsExpectedCodes) {
   TcProgram tc;
-  // Add a range-restriction violation and a duplicate on top.
+  // Add a range-restriction violation and a renamed copy of the dead
+  // `stray` rule.
   tc.prog.AddRule(
       Rule{Atom{tc.path, {V(0), V(9)}}, {Atom{tc.edge, {V(0), V(1)}}}, {}});
   tc.prog.AddRule(

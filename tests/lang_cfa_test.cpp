@@ -31,7 +31,6 @@ TEST(CfaTest, StraightLineShape) {
   )");
   Cfa cfa = Cfa::Build(p);
   EXPECT_TRUE(cfa.IsAcyclic());
-  EXPECT_FALSE(cfa.HasCas());
   EXPECT_EQ(cfa.CountStoreInstructions(), 1);
   // entry, exit, one mid node.
   EXPECT_EQ(cfa.num_nodes(), 3u);
@@ -79,24 +78,7 @@ TEST(CfaTest, CasCountsAsStoreInstruction) {
     end
   )");
   Cfa cfa = Cfa::Build(p);
-  EXPECT_TRUE(cfa.HasCas());
   EXPECT_EQ(cfa.CountStoreInstructions(), 1);
-}
-
-TEST(CfaTest, TerminalNodesOfStraightLine) {
-  Program p = MustParse(R"(
-    program q
-    vars x
-    regs r
-    dom 4
-    begin
-      r := 1
-    end
-  )");
-  Cfa cfa = Cfa::Build(p);
-  auto terminals = cfa.TerminalNodes();
-  ASSERT_EQ(terminals.size(), 1u);
-  EXPECT_EQ(terminals[0], NodeId(1));  // the exit node
 }
 
 TEST(UnrollTest, UnrolledLoopIsAcyclicAndPermitsUpToKIterations) {

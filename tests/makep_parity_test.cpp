@@ -6,7 +6,7 @@
 // refactors of what the loop evaluates, so for every enumerated guess:
 //
 //   1. the encoder's program equals a fresh MakeP(sys, g) — rule text,
-//      declaration order, constants and native tags;
+//      declaration order and constants;
 //   2. optimizing the moved-in program gives the same surviving rules,
 //      per-rule removal causes and statistics as optimizing a copy;
 //   3. every rule of the emitted and of the optimized program has at most
@@ -39,17 +39,6 @@ namespace rapar {
 namespace {
 
 using Goal = std::optional<std::pair<VarId, Value>>;
-
-// Program text plus every native's semantic tag, which ToString omits
-// but duplicate and subsumption checks read.
-std::string Render(const dl::Program& prog) {
-  std::string out = prog.ToString();
-  for (const dl::Rule& r : prog.rules()) {
-    for (const dl::Native& n : r.natives) out += n.tag + ";";
-    out += "\n";
-  }
-  return out;
-}
 
 // Property 3: no rule of `prog` joins more than two body atoms.
 void ExpectBinaryJoins(const dl::Program& prog, const std::string& at) {
@@ -87,16 +76,16 @@ SystemStats CheckSystem(const SimplSystem& sys, const Goal& goal,
     MakePResult encoded = encoder.Encode(guesses[i]);
     const MakePResult fresh = MakeP(sys, guesses[i], options);
     EXPECT_EQ(encoded.goal, fresh.goal) << at;
-    const std::string fresh_text = Render(*fresh.prog);
-    EXPECT_EQ(Render(*encoded.prog), fresh_text) << at;
+    const std::string fresh_text = fresh.prog->ToString();
+    EXPECT_EQ(encoded.prog->ToString(), fresh_text) << at;
     ExpectBinaryJoins(*fresh.prog, at + " emitted");
 
     const dlopt::OptimizeResult copied =
         dlopt::OptimizeForQuery(*fresh.prog, fresh.goal);
-    EXPECT_EQ(Render(*fresh.prog), fresh_text) << at << ": input changed";
+    EXPECT_EQ(fresh.prog->ToString(), fresh_text) << at << ": input changed";
     const dlopt::OptimizeResult moved =
         dlopt::OptimizeForQuery(std::move(*encoded.prog), encoded.goal);
-    EXPECT_EQ(Render(moved.prog), Render(copied.prog)) << at;
+    EXPECT_EQ(moved.prog.ToString(), copied.prog.ToString()) << at;
     ExpectBinaryJoins(moved.prog, at + " optimized");
     EXPECT_EQ(moved.cause, copied.cause) << at;
     EXPECT_EQ(moved.stats.ToString(), copied.stats.ToString()) << at;

@@ -301,6 +301,10 @@ TEST(ServeTest, ErrorEnvelopes) {
       {"this is not json", "invalid request JSON"},
       {"{\"command\":\"launch\"}", "unknown command"},
       {"{\"command\":\"verify\"}", "missing env program"},
+      // A directory is not an empty program: ReadFile refuses it.
+      {"{\"command\":\"verify\",\"env_file\":\"" + testing::TempDir() +
+           "\"}",
+       "cannot read env file"},
       {"{\"id\":7,\"command\":\"verify\",\"env\":\"nonsense !\"}", "env:"},
       {MakeLine("mg", kMpWriter, {}, "zz", 1), "unknown variable"},
       // mp_writer has dom 2: no thread can write 7.

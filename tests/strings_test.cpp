@@ -2,10 +2,16 @@
 // of going through a stream; its output must stay byte-identical to what
 // `std::ostringstream() << arg...` produces. Each test renders the same
 // arguments both ways, for every argument type the code base passes.
+// ReadFile reads regular files only; the StringsTest cases hand it what
+// else a path can name.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -133,6 +139,37 @@ TEST(StrCatTest, MixedArgumentLists) {
   ExpectSame(std::string_view("sv"), static_cast<std::uint8_t>('!'),
              std::numeric_limits<std::int64_t>::min(), 1e300, false);
   EXPECT_EQ(StrCat("x=", 3, "!"), "x=3!");
+}
+
+// A per-test path in the test temp directory.
+std::string TempPath(const char* name) {
+  return testing::TempDir() + "/strings_test_" + std::to_string(::getpid()) +
+         "_" + name;
+}
+
+TEST(StringsTest, ReadFileRejectsDirectory) {
+  const std::string dir = TempPath("dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  // A directory opens and reads as empty; it must not pass for an empty
+  // program.
+  EXPECT_EQ(ReadFile(dir), std::nullopt);
+  const std::string file = dir + "/f.rap";
+  std::ofstream(file) << "text";
+  EXPECT_EQ(ReadFile(file), std::optional<std::string>("text"));
+  ::unlink(file.c_str());
+  ::rmdir(dir.c_str());
+}
+
+TEST(StringsTest, ReadFileRejectsFifoWithoutBlocking) {
+  const std::string fifo = TempPath("fifo");
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  // Opening a FIFO for reading waits for a writer that never comes. The
+  // alarm's default action ends the process, so a reader that opens it
+  // fails the test instead of hanging the suite.
+  ::alarm(10);
+  EXPECT_EQ(ReadFile(fifo), std::nullopt);
+  ::alarm(0);
+  ::unlink(fifo.c_str());
 }
 
 }  // namespace
